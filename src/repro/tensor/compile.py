@@ -836,6 +836,19 @@ class _PlanBuilder:
                               self.lt._end_of(rec),
                               tag=tag or rec.kind + ".span")
 
+    def _fwd_buf(self, rec: _Record, shape, dtype, tag: str) -> np.ndarray:
+        """Forward staging dead once the op's forward thunk returns (padded
+        input, column tensor).  Point-lived under the planner: a
+        write-borders-once padded buffer or a kept column stack would span
+        the timeline exclusively — one per conv, the dominant slabs of a
+        plan — while point-lived scratch lets every conv share one region,
+        at the price of a per-step border memset (the same cost eager pays
+        in its zero-filled pool acquire) and a backward re-gather."""
+        if self.mem is None:
+            return np.empty(shape, dtype)
+        t = self.lt.fwd_t[id(rec)]
+        return self.mem.alloc(shape, dtype, t, t, tag=tag)
+
     def _bwd_buf(self, rec: _Record, shape, dtype, tag: str = "",
                  phase: Optional[str] = None) -> np.ndarray:
         """Scratch touched only inside the op's own backward thunk.
@@ -989,6 +1002,56 @@ class _PlanBuilder:
             return self._build_conv2d_einsum(rec)
         return self._build_conv2d_generic(rec)
 
+    def _conv_backward(self, rec: _Record, dw_part, dx_part):
+        """Assemble a conv backward from its ``dw_part(g)`` (weight and bias
+        gradients) and ``dx_part(g)`` (input gradient, or ``None``).
+
+        A serial plan gets one thunk running the parts in that order — the
+        arena may lay the phase-"b" dx staging over the weight-gradient
+        scratch, so dw/db are extracted first — then retiring the
+        output-grad slot.  Level scheduling takes the parts separately as
+        ``(dw, dx, fin)`` (the weight-grad GEMM is off the dx critical
+        chain); in serial order they perform the identical kernel calls on
+        identical operands, so the split never changes bits.
+        """
+        o = self.tape.slot_of[id(rec.out)]
+        grads = self.plan._grads
+        if self.sched is not None and id(rec) in self.sched.split:
+            def guarded(part):
+                def thunk() -> None:
+                    g = grads[o]
+                    if g is not None:
+                        part(g)
+                return thunk
+            return guarded(dw_part), guarded(dx_part), _release_fin(grads, o)
+
+        def bwd() -> None:
+            g = grads[o]
+            if g is None:
+                return
+            dw_part(g)
+            if dx_part is not None:
+                dx_part(g)
+            ws.release(g)
+            grads[o] = None
+        return bwd
+
+    def _bias_sink(self, rec: _Record, b_t: Optional[Tensor]):
+        """``give_b(dy)`` reducing and delivering a conv bias gradient, or
+        ``None`` for a bias-free conv."""
+        if b_t is None:
+            return None
+        from . import functional as F
+        b_out = self._leaf_out(rec, b_t)
+
+        def give_b(g: np.ndarray) -> None:
+            if b_out is None:
+                F._give_grad(b_t, g.sum(axis=(0, 2, 3)))
+            else:
+                g.sum(axis=(0, 2, 3), out=b_out)
+                F._give_grad(b_t, b_out)
+        return give_b
+
     def _build_conv2d_einsum(self, rec: _Record):
         """Specialized conv thunks with preplanned workspace buffers.
 
@@ -998,10 +1061,11 @@ class _PlanBuilder:
         at capture, and every ``sliding_window_view`` / weight-reshape /
         transpose is precomputed as a view over those stable buffers.
         Replay performs the identical numpy operations on identical values
-        (border zeros are written once instead of every step; interiors and
-        GEMM outputs are fully overwritten each step), so results stay
-        bit-exact while the per-step view construction, border memsets, and
-        pool traffic disappear.
+        (interiors and GEMM outputs are fully overwritten each step), so
+        results stay bit-exact while the per-step view construction and
+        pool traffic disappear.  General (RxS) convs get their kernels from
+        :class:`repro.tensor.ops.conv.ConvKernels`; this builder supplies
+        the buffers and wires the kernels to the plan's slots and sinks.
         """
         x, weight, bias = rec.inputs
         stride, padding, need_dx = rec.attrs
@@ -1011,14 +1075,10 @@ class _PlanBuilder:
         n, c, h, wd = x.data.shape
         k, _c2, r, s = weight.data.shape
         ho, wo = _conv.conv_out_size(h, wd, r, s, stride, padding)
+        p = ho * wo
         dtype = x.data.dtype
         o = self.tape.slot_of[id(rec.out)]
-        values, grads = self.plan._values, self.plan._grads
-        # Level scheduling splits this backward into dw/dx/fin parts (the
-        # weight-grad GEMM is off the dx critical chain); the parts in
-        # serial order perform the identical kernel calls on identical
-        # operands as the single thunk, so the split never changes bits.
-        split_bwd = self.sched is not None and id(rec) in self.sched.split
+        values = self.plan._values
         from . import functional as F
 
         if _conv._is_pointwise(r, s, padding):
@@ -1026,10 +1086,10 @@ class _PlanBuilder:
             # Register under the 4-D output shape so a downstream
             # shape-preserving consumer can alias onto this slab.
             y4 = self._value_buf(rec, (n, k, ho, wo), dtype)
-            y3 = y4.reshape(n, k, ho * wo)
+            y3 = y4.reshape(n, k, p)
             if stride > 1:
                 xm4 = self._span_buf(rec, (n, c, ho, wo), dtype)
-                xm = xm4.reshape(n, c, ho * wo)
+                xm = xm4.reshape(n, c, p)
                 xmT = xm.transpose(0, 2, 1)
 
                 def fwd() -> None:
@@ -1045,7 +1105,7 @@ class _PlanBuilder:
                 xbox: List[Optional[np.ndarray]] = [None]
 
                 def fwd() -> None:
-                    xm_ = rd_x().reshape(n, c, ho * wo)
+                    xm_ = rd_x().reshape(n, c, p)
                     xbox[0] = xm_
                     np.matmul(w2, xm_, out=y3)
                     if b_t is not None:
@@ -1055,684 +1115,158 @@ class _PlanBuilder:
                 return fwd, None
             w2t = w2.T
             dwn = self._bwd_buf(rec, (n, k, c), dtype, phase="a")
-            if need_dx:
-                if stride > 1:
-                    tmp3 = self._bwd_buf(rec, (n, c, ho * wo), dtype,
-                                         phase="b")
-                    tmp4 = tmp3.reshape(n, c, ho, wo)
-                    dx_buf = self._grad_buf(rec, x, (n, c, h, wd), dtype,
-                                            zero=True, late=True)
-                else:
-                    dx3 = self._grad_buf(rec, x, (n, c, ho * wo), dtype,
-                                         late=True)
-                    dx4 = dx3.reshape(n, c, h, wd)
-            sink_x = self._sink_donate(x) if need_dx else None
+            dx_part = None
+            if need_dx and stride > 1:
+                tmp3 = self._bwd_buf(rec, (n, c, p), dtype, phase="b")
+                tmp4 = tmp3.reshape(n, c, ho, wo)
+                dx_buf = self._grad_buf(rec, x, (n, c, h, wd), dtype,
+                                        zero=True, late=True)
+                sink_x = self._sink_donate(x)
+
+                def dx_part(g: np.ndarray) -> None:
+                    np.matmul(w2t, g.reshape(n, k, p), out=tmp3)
+                    # Strided lanes are overwritten below; off-lane
+                    # entries must match the eager zero-filled acquire
+                    # even if a multi-consumer accumulate dirtied them
+                    # last step, hence the per-step fill (eager pays
+                    # the same memset inside the pool).
+                    dx_buf.fill(0)
+                    dx_buf[:, :, ::stride, ::stride] = tmp4
+                    sink_x(dx_buf)
+            elif need_dx:
+                dx3 = self._grad_buf(rec, x, (n, c, p), dtype, late=True)
+                dx4 = dx3.reshape(n, c, h, wd)
+                sink_x = self._sink_donate(x)
+
+                def dx_part(g: np.ndarray) -> None:
+                    np.matmul(w2t, g.reshape(n, k, p), out=dx3)
+                    sink_x(dx4)
             w_out = self._leaf_out(rec, w_t)
             w_out2 = w_out.reshape(k, c) if w_out is not None else None
-            b_out = self._leaf_out(rec, b_t)
+            give_b = self._bias_sink(rec, b_t)
 
-            def give_wb(g: np.ndarray) -> None:
+            def dw_part(g: np.ndarray) -> None:
+                dym = g.reshape(n, k, p)
+                if stride > 1:
+                    np.matmul(dym, xmT, out=dwn)
+                else:
+                    np.matmul(dym, xbox[0].transpose(0, 2, 1), out=dwn)
                 if w_out is None:
                     dw = np.add.reduce(dwn, axis=0).reshape(k, c, 1, 1)
                 else:
                     np.add.reduce(dwn, axis=0, out=w_out2)
                     dw = w_out
                 F._give_grad(w_t, dw)
-                if b_t is not None:
-                    if b_out is None:
-                        F._give_grad(b_t, g.sum(axis=(0, 2, 3)))
-                    else:
-                        g.sum(axis=(0, 2, 3), out=b_out)
-                        F._give_grad(b_t, b_out)
+                if give_b is not None:
+                    give_b(g)
+            return fwd, self._conv_backward(rec, dw_part, dx_part)
 
-            if split_bwd:
-                def bwd_dw() -> None:
-                    g = grads[o]
-                    if g is None:
-                        return
-                    dym = g.reshape(n, k, ho * wo)
-                    if stride > 1:
-                        np.matmul(dym, xmT, out=dwn)
-                    else:
-                        np.matmul(dym, xbox[0].transpose(0, 2, 1), out=dwn)
-                    give_wb(g)
+        # -- general (RxS) lowering: one staged kernel set ------------------
+        # Measured gate: a dead set published for this weight AND a probe
+        # that proved the live-channel kernels bit-identical and profitable
+        # at this exact signature (repro.tensor.sparse.conv_gate_for; None
+        # with sparse_compute off).  The decision is memoized per
+        # (signature, dead set), so the memory planner's sizer/assembler
+        # double build and any plan rebuild within the interval see the
+        # same verdict.
+        gate = _sparse.conv_gate_for(w_t.data, x.data, stride, padding)
 
-                def bwd_dx() -> None:
-                    g = grads[o]
-                    if g is None:
-                        return
-                    dym = g.reshape(n, k, ho * wo)
-                    if stride > 1:
-                        np.matmul(w2t, dym, out=tmp3)
-                        dx_buf.fill(0)
-                        dx_buf[:, :, ::stride, ::stride] = tmp4
-                        sink_x(dx_buf)
-                    else:
-                        np.matmul(w2t, dym, out=dx3)
-                        sink_x(dx4)
-                return fwd, (bwd_dw, bwd_dx, _release_fin(grads, o))
+        def alloc(shape: tuple, tag: str, phase: str) -> np.ndarray:
+            tag = "conv2d." + tag
+            if phase == "out":
+                return self._value_buf(rec, shape, dtype)
+            if phase == "dx":
+                return self._grad_buf(rec, x, shape, dtype, late=True,
+                                      tag=tag)
+            if phase == "fwd":
+                return self._fwd_buf(rec, shape, dtype, tag)
+            return self._bwd_buf(rec, shape, dtype, tag=tag, phase=phase)
 
-            def bwd() -> None:
-                g = grads[o]
-                if g is None:
-                    return
-                dym = g.reshape(n, k, ho * wo)
-                if stride > 1:
-                    np.matmul(dym, xmT, out=dwn)
+        ks = _conv.ConvKernels(
+            x.data.shape, w_t.data, stride, padding, dtype, alloc,
+            dead=gate.ds if gate is not None else None,
+            remat=self.mem is not None, backward=self.keep_ctx,
+            need_dx=need_dx)
+        y4 = ks.y4
+        if gate is None:
+            conv = ks.fwd
+        else:
+            # Per-step guards around the live kernels; any failure runs the
+            # dense kernels of the same set, on the same buffers, so the
+            # plan stays valid.
+            ds, w4 = gate.ds, w_t.data
+            state, stats = _sparse.StepState(), _sparse.STATS
+            skipped = (c - ds.in_live.size) * r * s
+
+            def conv(xr: np.ndarray) -> None:
+                if state.enabled and _sparse.weights_dead(w4, ds):
+                    ks.fwd_live(xr)
+                    stats.fwd_sparse_steps += 1
+                    stats.skipped_cols += skipped
                 else:
-                    np.matmul(dym, xbox[0].transpose(0, 2, 1), out=dwn)
-                # Extract dw/db before the dx phase: the arena may lay the
-                # phase-"b" staging over dwn's bytes.
-                give_wb(g)
-                if need_dx:
-                    if stride > 1:
-                        np.matmul(w2t, dym, out=tmp3)
-                        # Strided lanes are overwritten below; off-lane
-                        # entries must match the eager zero-filled acquire
-                        # even if a multi-consumer accumulate dirtied them
-                        # last step, hence the per-step fill (eager pays
-                        # the same memset inside the pool).
-                        dx_buf.fill(0)
-                        dx_buf[:, :, ::stride, ::stride] = tmp4
-                        sink_x(dx_buf)
-                    else:
-                        np.matmul(w2t, dym, out=dx3)
-                        sink_x(dx4)
-                ws.release(g)
-                grads[o] = None
-            return fwd, bwd
-
-        # -- general (RxS) einsum lowering ---------------------------------
-        if ws.config.sparse_compute:
-            # Measured gate: engages the dead-channel-skipping builder only
-            # when a dead set is published for this weight AND the probe
-            # proved the sparse pipelines bit-identical and profitable at
-            # this exact signature (repro.tensor.sparse.conv_gate_for).
-            # The decision is memoized per (signature, dead set), so the
-            # memory planner's sizer/assembler double build and any plan
-            # rebuild within the interval see the same verdict.
-            gate = _sparse.conv_gate_for(w_t.data, x.data, stride, padding)
-            if gate is not None:
-                return self._build_conv2d_sparse(rec, gate)
-        w3 = w_t.data.reshape(k, c * r * s)
-        # Column tensor: the forward GEMM needs it materialized.  Under
-        # the planner it is *rematerialized* for the backward instead of
-        # kept live across the step: the column stack is RxS times the
-        # feature map (9x for a 3x3 conv) and its keep-until-backward
-        # interval would dominate the liveness peak of every plan.  The
-        # backward re-stages the padded input (whose value slab is still
-        # live through this op's backward) and re-gathers the identical
-        # windows, so the weight-gradient GEMM sees bit-identical
-        # operands while both column buffers collapse to point-lived,
-        # arena-shared scratch.
-        if self.mem is not None:
-            t = self.lt.fwd_t[id(rec)]
-            cols6 = self.mem.alloc((n, c, r, s, ho, wo), dtype, t, t,
-                                   tag="conv2d.cols_f")
-        else:
-            cols6 = np.empty((n, c, r, s, ho, wo), dtype=dtype)
-        cols3 = cols6.reshape(n, c * r * s, ho * wo)
-        cols3T = cols3.transpose(0, 2, 1)
-        y4 = self._value_buf(rec, (n, k, ho, wo), dtype)
-        y3 = y4.reshape(n, k, ho * wo)
-        if padding > 0:
-            hp_f, wp_f = h + 2 * padding, wd + 2 * padding
-            if self.mem is not None:
-                # Point-lived padded staging, re-zeroed every step: a
-                # write-borders-once buffer would have to span the whole
-                # timeline exclusively (one per conv — the dominant slabs
-                # of early plans), while a per-step memset lets every
-                # conv in the plan share one region.  The fill is the
-                # same cost eager pays in its zero-filled pool acquire.
-                t = self.lt.fwd_t[id(rec)]
-                xp = self.mem.alloc((n, c, hp_f, wp_f), dtype, t, t,
-                                    tag="conv2d.xp")
-            else:
-                xp = np.zeros((n, c, hp_f, wp_f), dtype)
-            xp_core = xp[:, :, padding:padding + h, padding:padding + wd]
-            wdwT = _conv._windows(xp, r, s, stride).transpose(0, 1, 4, 5, 2, 3)
-            if self.mem is not None:
-                def fwd() -> None:
-                    xp.fill(0)
-                    np.copyto(xp_core, rd_x())
-                    np.copyto(cols6, wdwT)
-                    np.matmul(w3, cols3, out=y3)
-                    if b_t is not None:
-                        np.add(y4, b_t.data[None, :, None, None], out=y4)
-                    values[o] = y4
-            else:
-                def fwd() -> None:
-                    np.copyto(xp_core, rd_x())
-                    np.copyto(cols6, wdwT)
-                    np.matmul(w3, cols3, out=y3)
-                    if b_t is not None:
-                        np.add(y4, b_t.data[None, :, None, None], out=y4)
-                    values[o] = y4
-        else:
-            def fwd() -> None:
-                wdw = _conv._windows(rd_x(), r, s, stride)
-                np.copyto(cols6, wdw.transpose(0, 1, 4, 5, 2, 3))
-                np.matmul(w3, cols3, out=y3)
-                if b_t is not None:
-                    np.add(y4, b_t.data[None, :, None, None], out=y4)
-                values[o] = y4
-        if not self.keep_ctx:
-            return fwd, None
-
-        dwn = self._bwd_buf(rec, (n, k, c * r * s), dtype, phase="a")
-        if self.mem is not None:
-            # Planned path: rematerialize the columns for the
-            # weight-gradient GEMM (see the forward-side comment).
-            cols_b6 = self._bwd_buf(rec, (n, c, r, s, ho, wo), dtype,
-                                    tag="conv2d.cols_b", phase="a")
-            cols_bT = cols_b6.reshape(n, c * r * s, ho * wo) \
-                .transpose(0, 2, 1)
-            if padding > 0:
-                # xp is point-lived under the planner, so the backward
-                # re-pads x into its own phase-"a" scratch before the
-                # gather (x's value slab is live through this backward).
-                xpb = self._bwd_buf(rec, xp.shape, dtype,
-                                    tag="conv2d.xpb", phase="a")
-                xpb_core = xpb[:, :, padding:padding + h,
-                               padding:padding + wd]
-                wdwbT = _conv._windows(xpb, r, s, stride) \
-                    .transpose(0, 1, 4, 5, 2, 3)
-
-                def regather() -> None:
-                    xpb.fill(0)
-                    np.copyto(xpb_core, rd_x())
-                    np.copyto(cols_b6, wdwbT)
-            else:
-                def regather() -> None:
-                    wdw = _conv._windows(rd_x(), r, s, stride)
-                    np.copyto(cols_b6, wdw.transpose(0, 1, 4, 5, 2, 3))
-        else:
-            cols_bT = cols3T
-            regather = None
-        sink_x = self._sink_donate(x) if need_dx else None
-        if need_dx and stride == 1 and r > padding and s > padding:
-            # Transposed-convolution dx (the eager _tconv_dx), with the
-            # padded-dy staging, window view, and output preplanned.
-            pr, ps = r - 1 - padding, s - 1 - padding
-            wf4 = self._bwd_buf(rec, (c, k, r, s), dtype, tag="conv2d.wf",
-                                phase="b")
-            wf2 = wf4.reshape(c, k * r * s)
-            dx3 = self._grad_buf(rec, x, (n, c, h * wd), dtype, late=True)
-            dx4 = dx3.reshape(n, c, h, wd)
-            dyc6 = self._bwd_buf(rec, (n, k, r, s, h, wd), dtype,
-                                 tag="conv2d.dyc", phase="b")
-            dyc3 = dyc6.reshape(n, k * r * s, h * wd)
-            if pr or ps:
-                if self.mem is not None:
-                    # Per-step re-zeroed phase-"b" scratch (cf. xp above:
-                    # sharing beats the one-time border write).
-                    dyp = self._bwd_buf(rec,
-                                        (n, k, ho + 2 * pr, wo + 2 * ps),
-                                        dtype, tag="conv2d.dyp", phase="b")
-                else:
-                    dyp = np.zeros((n, k, ho + 2 * pr, wo + 2 * ps), dtype)
-                dyp_core = dyp[:, :, pr:ho + pr, ps:wo + ps]
-                dywT = _conv._windows(dyp, r, s, 1) \
-                    .transpose(0, 1, 4, 5, 2, 3)
-                rezero_dyp = self.mem is not None
-
-                def compute_dx(g: np.ndarray) -> np.ndarray:
-                    if rezero_dyp:
-                        dyp.fill(0)
-                    np.copyto(dyp_core, g)
-                    np.copyto(dyc6, dywT)
-                    np.copyto(wf4,
-                              w_t.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-                    np.matmul(wf2, dyc3, out=dx3)
-                    return dx4
-            else:
-                def compute_dx(g: np.ndarray) -> np.ndarray:
-                    dyw = _conv._windows(g, r, s, 1)
-                    np.copyto(dyc6, dyw.transpose(0, 1, 4, 5, 2, 3))
-                    np.copyto(wf4,
-                              w_t.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-                    np.matmul(wf2, dyc3, out=dx3)
-                    return dx4
-        elif need_dx:
-            # Strided scatter-add dx (the eager _dx_scatter), preplanned.
-            hp, wp = h + 2 * padding, wd + 2 * padding
-            w3T = w3.T
-            dcols = self._bwd_buf(rec, (n, c * r * s, ho * wo), dtype,
-                                  tag="conv2d.dcols", phase="b")
-            d6 = dcols.reshape(n, c, r, s, ho, wo)
-            dxp = self._grad_buf(rec, x, (n, c, hp, wp), dtype, zero=True,
-                                 late=True, tag="conv2d.dxp")
-            if padding > 0:
-                dx_view = dxp[:, :, padding:padding + h, padding:padding + wd]
-            else:
-                dx_view = dxp
-
-            def compute_dx(g: np.ndarray) -> np.ndarray:
-                np.matmul(w3T, g.reshape(n, k, ho * wo), out=dcols)
-                # Scatter-adds accumulate, so the zeroed state must be
-                # restored per step — eager pays the same memset via its
-                # zero-filled pool acquire.
-                dxp.fill(0)
-                for ri in range(r):
-                    h_end = ri + stride * ho
-                    for si in range(s):
-                        w_end = si + stride * wo
-                        dxp[:, :, ri:h_end:stride, si:w_end:stride] += \
-                            d6[:, :, ri, si]
-                return dx_view
-        else:
-            compute_dx = None
-
-        w_out = self._leaf_out(rec, w_t)
-        w_out3 = w_out.reshape(k, c * r * s) if w_out is not None else None
-        b_out = self._leaf_out(rec, b_t)
-
-        def give_wb(g: np.ndarray) -> None:
-            if w_out is None:
-                dw = np.add.reduce(dwn, axis=0).reshape(k, c, r, s)
-            else:
-                np.add.reduce(dwn, axis=0, out=w_out3)
-                dw = w_out
-            F._give_grad(w_t, dw)
-            if b_t is not None:
-                if b_out is None:
-                    F._give_grad(b_t, g.sum(axis=(0, 2, 3)))
-                else:
-                    g.sum(axis=(0, 2, 3), out=b_out)
-                    F._give_grad(b_t, b_out)
-
-        if split_bwd:
-            def bwd_dw() -> None:
-                g = grads[o]
-                if g is None:
-                    return
-                if regather is not None:
-                    regather()
-                np.matmul(g.reshape(n, k, ho * wo), cols_bT, out=dwn)
-                give_wb(g)
-
-            def bwd_dx() -> None:
-                g = grads[o]
-                if g is None:
-                    return
-                sink_x(compute_dx(g))
-            return fwd, (bwd_dw, bwd_dx, _release_fin(grads, o))
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            dym = g.reshape(n, k, ho * wo)
-            if regather is not None:
-                regather()
-            np.matmul(dym, cols_bT, out=dwn)
-            # Extract dw/db before the dx phase: the arena may lay the
-            # phase-"b" staging over dwn's bytes.
-            give_wb(g)
-            if compute_dx is not None:
-                sink_x(compute_dx(g))
-            ws.release(g)
-            grads[o] = None
-        return fwd, bwd
-
-    def _build_conv2d_sparse(self, rec: _Record, gate: "_sparse.ConvGate"):
-        """Sparse-specialized general-conv thunks: dead-channel skipping.
-
-        Layout contract: every slab is the *same class, tag, and worst-case
-        (fully dense) size* as the dense builder's — the sparse kernels run
-        on contiguous prefix views of those slabs.  Sparse saves FLOPs and
-        gather bandwidth, not bytes, and that is what buys the free dense
-        fallback: when a per-step guard fails, the thunk runs the dense
-        kernels in place on the very same buffers and the plan stays valid
-        (``StepState.enabled`` is sticky until the next publish
-        respecializes it).  Because layouts may alternate step to step, the
-        padded stagings are re-zeroed per step in *both* modes — stale
-        border bytes from the other layout are the one way this builder
-        could diverge from dense, and the memset closes it.
-
-        Exactness, per pipeline (the gate's parity probe backs each):
-
-        - forward skip needs only the weight guard — a skipped GEMM column
-          contributes ``w[:, dead] * x = 0`` regardless of ``x``;
-        - ``dw`` row compaction drops *measured* zero rows of ``dy`` (the
-          ReLU-sparse path: rows ReLU's backward zeroed are dropped beyond
-          the published dead set) — a zero ``dy`` row yields an exactly-zero
-          ``dw`` row, so it is exact by construction;
-        - ``dw`` column compaction additionally needs the dead in-channels
-          of ``x`` to be zero — measured per step before engaging;
-        - ``dx`` compaction shrinks a GEMM *reduction* dimension, where
-          BLAS accumulator pairing can change low bits, so it only engages
-          where the calibration probe proved bit-parity at this signature.
-        """
-        x, weight, bias = rec.inputs
-        stride, padding, need_dx = rec.attrs
-        rd_x = self._reader(x)
-        w_t = self._leaf(weight)
-        b_t = self._leaf(bias)
-        n, c, h, wd = x.data.shape
-        k, _c2, r, s = weight.data.shape
-        ho, wo = _conv.conv_out_size(h, wd, r, s, stride, padding)
-        p = ho * wo
-        dtype = x.data.dtype
-        o = self.tape.slot_of[id(rec.out)]
-        values, grads = self.plan._values, self.plan._grads
-        split_bwd = self.sched is not None and id(rec) in self.sched.split
-        from . import functional as F
-
-        ds = gate.ds
-        kl, cl = ds.out_live.size, ds.in_live.size
-        crs, crs_l = c * r * s, cl * r * s
-        in_live_runs, in_dead_runs = ds.in_live_runs, ds.in_dead_runs
-        out_live_runs, out_dead_runs = ds.out_live_runs, ds.out_dead_runs
-        state = _sparse.StepState()
-        stats = _sparse.STATS
-        w4 = w_t.data
-        w3 = w4.reshape(k, crs)
-
-        def _prefix(buf: np.ndarray, shape: tuple) -> np.ndarray:
-            size = 1
-            for d in shape:
-                size *= d
-            return buf.reshape(-1)[:size].reshape(shape)
-
-        # -- forward: dense worst-case slabs + live-prefix views -----------
-        hp_f, wp_f = h + 2 * padding, wd + 2 * padding
-        if self.mem is not None:
-            t = self.lt.fwd_t[id(rec)]
-            cols6 = self.mem.alloc((n, c, r, s, ho, wo), dtype, t, t,
-                                   tag="conv2d.cols_f")
-            # Unlike the dense builder, xp exists even at padding == 0:
-            # the live-channel gather needs contiguous staging before the
-            # window view can run (a channel-gather cannot be a view).
-            xp = self.mem.alloc((n, c, hp_f, wp_f), dtype, t, t,
-                                tag="conv2d.xp")
-            yl = self.mem.alloc((n, kl, p), dtype, t, t, tag="conv2d.sp.yl")
-        else:
-            cols6 = np.empty((n, c, r, s, ho, wo), dtype=dtype)
-            xp = np.empty((n, c, hp_f, wp_f), dtype)
-            yl = np.empty((n, kl, p), dtype)
-        cols3 = cols6.reshape(n, crs, p)
-        xp_core = xp[:, :, padding:padding + h, padding:padding + wd]
-        wdwT = _conv._windows(xp, r, s, stride).transpose(0, 1, 4, 5, 2, 3)
-        cols6_l = _prefix(cols6, (n, cl, r, s, ho, wo))
-        cols3_l = cols6_l.reshape(n, crs_l, p)
-        xp_l = _prefix(xp, (n, cl, hp_f, wp_f))
-        xp_l_core = xp_l[:, :, padding:padding + h, padding:padding + wd]
-        wdwT_l = _conv._windows(xp_l, r, s, stride) \
-            .transpose(0, 1, 4, 5, 2, 3)
-        wl = np.empty((kl, crs_l), dtype)
-        wl4 = wl.reshape(kl, cl, r, s)
-        y4 = self._value_buf(rec, (n, k, ho, wo), dtype)
-        y3 = y4.reshape(n, k, p)
-        skipped = crs - crs_l
+                    # Sticky: a revived dead channel makes every later
+                    # sparse step unsound, so the conv drops to dense for
+                    # the rest of this plan's life (the next publish
+                    # rebuilds it).
+                    state.enabled = False
+                    ks.fwd(xr)
+                    stats.fwd_dense_fallbacks += 1
 
         def fwd() -> None:
-            if state.enabled and _sparse.weights_dead(w4, ds):
-                xr = rd_x()
-                if padding:
-                    xp.fill(0)
-                for d0, s0, ln in in_live_runs:
-                    xp_l_core[:, d0:d0 + ln] = xr[:, s0:s0 + ln]
-                np.copyto(cols6_l, wdwT_l)
-                for dk, sk, nk in out_live_runs:
-                    for dc, sc, nc in in_live_runs:
-                        wl4[dk:dk + nk, dc:dc + nc] = \
-                            w4[sk:sk + nk, sc:sc + nc]
-                np.matmul(wl, cols3_l, out=yl)
-                for _, s0, ln in out_dead_runs:
-                    y3[:, s0:s0 + ln] = 0
-                for d0, s0, ln in out_live_runs:
-                    y3[:, s0:s0 + ln] = yl[:, d0:d0 + ln]
-                state.fwd_live = True
-                stats.fwd_sparse_steps += 1
-                stats.skipped_cols += skipped
-            else:
-                # Sticky: a revived dead channel makes every later sparse
-                # step unsound, so the conv drops to dense for the rest of
-                # this plan's life (the next publish rebuilds it).
-                state.enabled = False
-                state.fwd_live = False
-                if padding:
-                    xp.fill(0)
-                np.copyto(xp_core, rd_x())
-                np.copyto(cols6, wdwT)
-                np.matmul(w3, cols3, out=y3)
-                stats.fwd_dense_fallbacks += 1
+            conv(rd_x())
             if b_t is not None:
                 np.add(y4, b_t.data[None, :, None, None], out=y4)
             values[o] = y4
         if not self.keep_ctx:
             return fwd, None
 
-        # -- backward staging (phase "a": the dw GEMM) ----------------------
-        dwn = self._bwd_buf(rec, (n, k, crs), dtype, phase="a")
-        dym = self._bwd_buf(rec, (n, k, p), dtype, tag="conv2d.sp.dym",
-                            phase="a")
-        red_buf = self._bwd_buf(rec, (k, crs), dtype, tag="conv2d.sp.red",
-                                phase="a")
-        if self.mem is not None:
-            cols_b6 = self._bwd_buf(rec, (n, c, r, s, ho, wo), dtype,
-                                    tag="conv2d.cols_b", phase="a")
-            xpb = self._bwd_buf(rec, (n, c, hp_f, wp_f), dtype,
-                                tag="conv2d.xpb", phase="a")
-        else:
-            # Unplanned: reuse the forward stagings as backward stagings
-            # (the dense builder does the same via cols_bT = cols3T).
-            cols_b6, xpb = cols6, xp
-        cols_b3 = cols_b6.reshape(n, crs, p)
-        cols_bT = cols_b3.transpose(0, 2, 1)
-        xpb_core = xpb[:, :, padding:padding + h, padding:padding + wd]
-        wdwbT = _conv._windows(xpb, r, s, stride).transpose(0, 1, 4, 5, 2, 3)
-        cols_b6_l = _prefix(cols_b6, (n, cl, r, s, ho, wo))
-        cols_b3_lT = cols_b6_l.reshape(n, crs_l, p).transpose(0, 2, 1)
-        xpb_l = _prefix(xpb, (n, cl, hp_f, wp_f))
-        xpb_l_core = xpb_l[:, :, padding:padding + h, padding:padding + wd]
-        wdwbT_l = _conv._windows(xpb_l, r, s, stride) \
-            .transpose(0, 1, 4, 5, 2, 3)
-
-        def regather_dense_b() -> None:
-            if padding:
-                xpb.fill(0)
-            np.copyto(xpb_core, rd_x())
-            np.copyto(cols_b6, wdwbT)
-
-        def regather_live_b() -> None:
-            xr = rd_x()
-            if padding:
-                xpb.fill(0)
-            for d0, s0, ln in in_live_runs:
-                xpb_l_core[:, d0:d0 + ln] = xr[:, s0:s0 + ln]
-            np.copyto(cols_b6_l, wdwbT_l)
-
-        if self.mem is not None:
-            # Planned: the forward staging is point-lived arena scratch, so
-            # the backward must re-gather either way (same as dense).
-            ensure_dense_cols, ensure_live_cols = \
-                regather_dense_b, regather_live_b
-        else:
-            def ensure_dense_cols() -> None:
-                if state.fwd_live:
-                    regather_dense_b()
-                    state.fwd_live = False
-
-            def ensure_live_cols() -> None:
-                if not state.fwd_live:
-                    regather_live_b()
-                    state.fwd_live = True
-
         w_out = self._leaf_out(rec, w_t)
-        w_out3 = w_out.reshape(k, crs) if w_out is not None else None
-        b_out = self._leaf_out(rec, b_t)
-        # Profitability cutoff: the gate calibrated the dw pipeline at the
-        # published dead-row count; engage only when the measured count is
-        # at least that (more zero rows can only help).
-        min_dead_rows = ds.out_dead.size
-
-        def give_b(g: np.ndarray) -> None:
-            if b_t is None:
-                return
-            if b_out is None:
-                F._give_grad(b_t, g.sum(axis=(0, 2, 3)))
-            else:
-                g.sum(axis=(0, 2, 3), out=b_out)
-                F._give_grad(b_t, b_out)
-
-        def give_dw(g3: np.ndarray) -> None:
-            if gate.use_dw and state.enabled:
-                row_live = np.flatnonzero(g3.any(axis=(0, 2)))
-                km = int(row_live.size)
-                dead_rows = k - km
-                if dead_rows >= min_dead_rows and not _sparse.runs_any_ch(
-                        rd_x(), in_dead_runs):
-                    row_runs = _sparse.index_runs(row_live)
-                    ensure_live_cols()
-                    dym_m = _prefix(dym, (n, km, p))
-                    for d0, s0, ln in row_runs:
-                        dym_m[:, d0:d0 + ln] = g3[:, s0:s0 + ln]
-                    dwn_m = _prefix(dwn, (n, km, crs_l))
-                    np.matmul(dym_m, cols_b3_lT, out=dwn_m)
-                    red_m = _prefix(red_buf, (km, crs_l))
-                    np.add.reduce(dwn_m, axis=0, out=red_m)
-                    red4 = red_m.reshape(km, cl, r, s)
-                    if w_out is None:
-                        dw4 = np.zeros((k, c, r, s), dtype)
-                    else:
-                        dw4 = w_out.reshape(k, c, r, s)
-                        w_out3.fill(0)
-                    for dk, sk, nk in row_runs:
-                        for dc, sc, nc in in_live_runs:
-                            dw4[sk:sk + nk, sc:sc + nc] = \
-                                red4[dk:dk + nk, dc:dc + nc]
-                    F._give_grad(w_t, w_out if w_out is not None else dw4)
-                    stats.dw_sparse_steps += 1
-                    stats.relu_extra_rows += dead_rows - min_dead_rows
-                    return
-            ensure_dense_cols()
-            np.matmul(g3, cols_bT, out=dwn)
-            if w_out is None:
-                dw = np.add.reduce(dwn, axis=0).reshape(k, c, r, s)
-            else:
-                np.add.reduce(dwn, axis=0, out=w_out3)
-                dw = w_out
-            F._give_grad(w_t, dw)
-            stats.dw_dense_steps += 1
-
-        # -- dx (phase "b") -------------------------------------------------
-        sink_x = self._sink_donate(x) if need_dx else None
-        if need_dx and stride == 1 and r > padding and s > padding:
-            pr, ps = r - 1 - padding, s - 1 - padding
-            hyp, wyp = ho + 2 * pr, wo + 2 * ps
-            wf4 = self._bwd_buf(rec, (c, k, r, s), dtype, tag="conv2d.wf",
-                                phase="b")
-            wf2 = wf4.reshape(c, k * r * s)
-            dx3 = self._grad_buf(rec, x, (n, c, h * wd), dtype, late=True)
-            dx4 = dx3.reshape(n, c, h, wd)
-            dyc6 = self._bwd_buf(rec, (n, k, r, s, h, wd), dtype,
-                                 tag="conv2d.dyc", phase="b")
-            dyc3 = dyc6.reshape(n, k * r * s, h * wd)
-            if self.mem is not None:
-                dyp = self._bwd_buf(rec, (n, k, hyp, wyp), dtype,
-                                    tag="conv2d.dyp", phase="b")
-            else:
-                dyp = np.empty((n, k, hyp, wyp), dtype)
-            dyp_core = dyp[:, :, pr:ho + pr, ps:wo + ps]
-            dywT = _conv._windows(dyp, r, s, 1).transpose(0, 1, 4, 5, 2, 3)
-            dyp_l = _prefix(dyp, (n, kl, hyp, wyp))
-            dyp_l_core = dyp_l[:, :, pr:ho + pr, ps:wo + ps]
-            dywT_l = _conv._windows(dyp_l, r, s, 1) \
-                .transpose(0, 1, 4, 5, 2, 3)
-            dyc6_l = _prefix(dyc6, (n, kl, r, s, h, wd))
-            dyc3_l = dyc6_l.reshape(n, kl * r * s, h * wd)
-            wf_l2 = _prefix(wf4, (cl, kl * r * s))
-            wf_l4 = wf_l2.reshape(cl, kl, r, s)
-            dxl = self._bwd_buf(rec, (n, cl, h * wd), dtype,
-                                tag="conv2d.sp.dxl", phase="b")
-            wflip = w4[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            # Dual-layout staging: re-zero per step in both modes whenever
-            # borders exist (cf. xp above).
-            rezero = bool(pr or ps)
-
-            def compute_dx(g: np.ndarray) -> np.ndarray:
-                if gate.use_dx and state.enabled:
-                    if rezero:
-                        dyp.fill(0)
-                    for d0, s0, ln in out_live_runs:
-                        dyp_l_core[:, d0:d0 + ln] = g[:, s0:s0 + ln]
-                    np.copyto(dyc6_l, dywT_l)
-                    for dc, sc, nc in in_live_runs:
-                        for dk, sk, nk in out_live_runs:
-                            wf_l4[dc:dc + nc, dk:dk + nk] = \
-                                wflip[sc:sc + nc, sk:sk + nk]
-                    np.matmul(wf_l2, dyc3_l, out=dxl)
-                    for _, s0, ln in in_dead_runs:
-                        dx3[:, s0:s0 + ln] = 0
-                    for d0, s0, ln in in_live_runs:
-                        dx3[:, s0:s0 + ln] = dxl[:, d0:d0 + ln]
-                    stats.dx_sparse_steps += 1
-                    return dx4
-                if rezero:
-                    dyp.fill(0)
-                np.copyto(dyp_core, g)
-                np.copyto(dyc6, dywT)
-                np.copyto(wf4, wflip)
-                np.matmul(wf2, dyc3, out=dx3)
-                return dx4
-        elif need_dx:
-            # Strided scatter-add dx: always dense (no compacted form is
-            # calibrated for the scatter lowering).
-            hp, wp = h + 2 * padding, wd + 2 * padding
-            w3T = w3.T
-            dcols = self._bwd_buf(rec, (n, crs, p), dtype,
-                                  tag="conv2d.dcols", phase="b")
-            d6 = dcols.reshape(n, c, r, s, ho, wo)
-            dxp = self._grad_buf(rec, x, (n, c, hp, wp), dtype, zero=True,
-                                 late=True, tag="conv2d.dxp")
-            if padding > 0:
-                dx_view = dxp[:, :, padding:padding + h, padding:padding + wd]
-            else:
-                dx_view = dxp
-
-            def compute_dx(g: np.ndarray) -> np.ndarray:
-                np.matmul(w3T, g.reshape(n, k, p), out=dcols)
-                dxp.fill(0)
-                for ri in range(r):
-                    h_end = ri + stride * ho
-                    for si in range(s):
-                        w_end = si + stride * wo
-                        dxp[:, :, ri:h_end:stride, si:w_end:stride] += \
-                            d6[:, :, ri, si]
-                return dx_view
+        give_b = self._bias_sink(rec, b_t)
+        dense_dw, dense_dx = ks.dw, ks.dx
+        if gate is None:
+            def weight_grad(xr: np.ndarray, g3: np.ndarray) -> np.ndarray:
+                return dense_dw(xr, g3, w_out)
         else:
-            compute_dx = None
+            # Profitability cutoff: the gate calibrated the dw kernel at the
+            # published dead-row count; engage only when the measured count
+            # is at least that (more zero rows can only help).
+            min_dead_rows = ds.out_dead.size
 
-        if split_bwd:
-            def bwd_dw() -> None:
-                g = grads[o]
-                if g is None:
-                    return
-                give_dw(g.reshape(n, k, p))
+            def weight_grad(xr: np.ndarray, g3: np.ndarray) -> np.ndarray:
+                if gate.use_dw and state.enabled:
+                    # ReLU-sparse: the *measured* zero rows of dy are the
+                    # compaction (exact by construction); the column side
+                    # additionally needs x zero on the dead in-channels.
+                    row_live = np.flatnonzero(g3.any(axis=(0, 2)))
+                    dead_rows = k - row_live.size
+                    if dead_rows >= min_dead_rows and not \
+                            _sparse.runs_any_ch(xr, ds.in_dead_runs):
+                        stats.dw_sparse_steps += 1
+                        stats.relu_extra_rows += dead_rows - min_dead_rows
+                        return ks.dw_live(xr, g3,
+                                          _sparse.index_runs(row_live), w_out)
+                stats.dw_dense_steps += 1
+                return dense_dw(xr, g3, w_out)
+
+        def dw_part(g: np.ndarray) -> None:
+            F._give_grad(w_t, weight_grad(rd_x(), g.reshape(n, k, p)))
+            if give_b is not None:
                 give_b(g)
 
-            def bwd_dx() -> None:
-                g = grads[o]
-                if g is None:
-                    return
-                sink_x(compute_dx(g))
-            return fwd, (bwd_dw, bwd_dx, _release_fin(grads, o))
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            give_dw(g.reshape(n, k, p))
-            # Extract dw/db before the dx phase: the arena may lay the
-            # phase-"b" staging over dwn's bytes.
-            give_b(g)
-            if compute_dx is not None:
-                sink_x(compute_dx(g))
-            ws.release(g)
-            grads[o] = None
-        return fwd, bwd
+        dx_part = None
+        if need_dx:
+            sink_x = self._sink_donate(x)
+            if gate is not None and gate.use_dx and ks.dx_live is not None:
+                def dx_part(g: np.ndarray) -> None:
+                    if state.enabled:
+                        sink_x(ks.dx_live(g))
+                        stats.dx_sparse_steps += 1
+                    else:
+                        sink_x(dense_dx(g))
+            else:
+                def dx_part(g: np.ndarray) -> None:
+                    sink_x(dense_dx(g))
+        return fwd, self._conv_backward(rec, dw_part, dx_part)
 
     def _build_conv2d_generic(self, rec: _Record):
         x, weight, bias = rec.inputs
@@ -2364,12 +1898,7 @@ class StepPlan:
         self._comm_at: Dict[int, List[Callable[[], None]]] = {}
         self._comm_at_level: Dict[int, List[Callable[[], None]]] = {}
         self.generation = ws.PLAN_GENERATION
-        self.engine_sig = (ws.config.pooling, ws.config.fused_bnrelu,
-                           ws.config.conv_impl, ws.config.mem_plan,
-                           ws.config.parallel_replay,
-                           ws.config.replay_workers,
-                           ws.config.sparse_compute,
-                           ws.config.sparse_min_gain)
+        self.engine_sig = ws.config.plan_signature()
         #: forward plans captured with the per-sample Linear lowering
         #: (see Tape.finalize_forward) — the serving tier's contract bit
         self.row_stable = False
@@ -2422,12 +1951,7 @@ class StepPlan:
             return "plan buffers released (plan was evicted)"
         if not self.pinned and self.generation != ws.PLAN_GENERATION:
             return "model reconfigured since capture"
-        if (ws.config.pooling, ws.config.fused_bnrelu,
-                ws.config.conv_impl, ws.config.mem_plan,
-                ws.config.parallel_replay,
-                ws.config.replay_workers,
-                ws.config.sparse_compute,
-                ws.config.sparse_min_gain) != self.engine_sig:
+        if ws.config.plan_signature() != self.engine_sig:
             return "engine configuration changed since capture"
         for t, shape in self._leaf_shapes:
             if t.data.shape != shape:

@@ -225,6 +225,8 @@ class MemPlanner:
         #: bytes of leaf gradient sinks bound outside the arena (zero-copy
         #: shared-memory segments), keyed by leaf id — see note_external
         self._external: Dict[int, int] = {}
+        #: the footprint report, frozen by :meth:`materialize`
+        self._metrics: Optional[Dict[str, float]] = None
 
     # -- request / serve ---------------------------------------------------
     def alloc(self, shape: tuple, dtype, start: int, end: int, *,
@@ -390,6 +392,17 @@ class MemPlanner:
                 s.arr.fill(0)
         self.serving = True
         self._cursor = 0
+        # The layout is final and the planning pass has noted every
+        # external sink (the serve pass re-notes the same ones), so the
+        # report is computed once here: naive_bytes walks every slab, too
+        # much for a per-step query.
+        self._metrics = {
+            "arena_bytes": float(self.arena_bytes),
+            "naive_bytes": float(self.naive_bytes),
+            "peak_bytes": float(self.peak_bytes),
+            "alias_buffers": float(self.alias_buffers),
+            "external_sink_bytes": float(sum(self._external.values())),
+            "savings": self.savings}
         STATS.plans += 1
         STATS.solve_seconds += self.solve_seconds
         STATS.arena_bytes = self.arena_bytes
@@ -442,12 +455,10 @@ class MemPlanner:
         return 1.0 - self.arena_bytes / naive if naive else 0.0
 
     def metrics(self) -> Dict[str, float]:
-        return {"arena_bytes": float(self.arena_bytes),
-                "naive_bytes": float(self.naive_bytes),
-                "peak_bytes": float(self.peak_bytes),
-                "alias_buffers": float(self.alias_buffers),
-                "external_sink_bytes": float(sum(self._external.values())),
-                "savings": self.savings}
+        """The materialized plan's footprint report (a fresh dict)."""
+        if self._metrics is None:
+            raise PlanError("metrics() requires a materialized plan")
+        return dict(self._metrics)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MemPlanner(slabs={len(self.slabs)}, "

@@ -32,6 +32,12 @@ Two lowerings are provided, selected by ``workspace.config.conv_impl``:
 path in both lowerings: the "patch tensor" is just a (strided) view of the
 input, so no window extraction happens at all.
 
+Compiled step plans do not call these per-step functions: they bind
+:class:`ConvKernels`, the same einsum lowering staged over preallocated
+buffers (bit-identical by construction, and the one place its dense and
+live-channel forms are written).  The functions here stay as they are — the
+independent eager reference every plan is compared against.
+
 The second value returned by :func:`conv2d_forward` is an opaque context
 consumed by :func:`conv2d_backward`; callers that pool buffers must release
 it via :func:`release_ctx` once backward has run (or immediately under
@@ -43,6 +49,7 @@ Layout conventions (PyTorch-compatible):
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -165,11 +172,6 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
         return _gemm_forward(cols, w, b, n, k, ho, wo), ("cols", cols)
 
     if config.conv_impl == "einsum":
-        if config.sparse_compute:
-            out = _sparse_forward(x, w, b, stride, padding, n, c, h, wd,
-                                  k, r, s, ho, wo)
-            if out is not None:
-                return out
         # Gather the windows once into a pooled (N, C, R, S, Ho, Wo) column
         # tensor: the trailing Wo axis is stride-1 in the source view, so
         # the copy runs in long contiguous spans, and the flattened
@@ -204,69 +206,6 @@ def _gemm_forward(cols: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
         y += b
     y = y.reshape(n, ho, wo, k).transpose(0, 3, 1, 2)  # (N, K, Ho, Wo)
     return np.ascontiguousarray(y)
-
-
-class _EagerSparse:
-    """Context payload of an eager sparse forward (``"sp6"``).
-
-    Carries the gate verdict, the input (the backward fallback re-stages it)
-    and ``extra`` — pooled buffers the non-fast-path backward fallback
-    acquires (padded staging + full column tensor), returned to the pool by
-    :func:`release_ctx`.
-    """
-
-    __slots__ = ("gate", "x", "extra")
-
-    def __init__(self, gate, x: np.ndarray) -> None:
-        self.gate = gate
-        self.x = x
-        self.extra: list = []
-
-
-def _sparse_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
-                    stride: int, padding: int, n: int, c: int, h: int,
-                    wd: int, k: int, r: int, s: int, ho: int, wo: int
-                    ) -> Optional[Tuple[np.ndarray, tuple]]:
-    """Eager dead-channel-skipping forward (general RxS convs).
-
-    Gathers only live input channels into the column tensor and contracts
-    against the live filter block; dead output channels are written as the
-    exact zeros the dense GEMM would produce.  Engages only when the cost
-    model gate accepted this signature (bit-parity probe + measured gain)
-    and the dead weight groups are still exactly zero this step.
-    """
-    from .. import sparse as _sp
-    gate = _sp.conv_gate_for(w, x, stride, padding)
-    if gate is None or not _sp.weights_dead(w, gate.ds):
-        return None
-    ds = gate.ds
-    cl, kl = ds.in_live.size, ds.out_live.size
-    p = padding
-    xp = ws.acquire((n, cl, h + 2 * p, wd + 2 * p), x.dtype, zero=(p > 0))
-    xp_core = xp[:, :, p:p + h, p:p + wd]
-    for d0, s0, ln in ds.in_live_runs:
-        xp_core[:, d0:d0 + ln] = x[:, s0:s0 + ln]
-    cols6 = ws.acquire((n, cl, r, s, ho, wo), x.dtype)
-    np.copyto(cols6, _windows(xp, r, s, stride).transpose(0, 1, 4, 5, 2, 3))
-    ws.release(xp)
-    wl = ws.acquire((kl, cl * r * s), x.dtype)
-    wl4 = wl.reshape(kl, cl, r, s)
-    for dk, sk, nk in ds.out_live_runs:
-        for dc, sc, nc in ds.in_live_runs:
-            wl4[dk:dk + nk, dc:dc + nc] = w[sk:sk + nk, sc:sc + nc]
-    yl = np.matmul(wl, cols6.reshape(n, cl * r * s, ho * wo))
-    ws.release(wl)
-    y = np.empty((n, k, ho, wo), x.dtype)
-    y3 = y.reshape(n, k, ho * wo)
-    for _, s0, ln in ds.out_dead_runs:
-        y3[:, s0:s0 + ln] = 0
-    for d0, s0, ln in ds.out_live_runs:
-        y3[:, s0:s0 + ln] = yl[:, d0:d0 + ln]
-    if b is not None:
-        y += b[None, :, None, None]
-    _sp.STATS.fwd_sparse_steps += 1
-    _sp.STATS.skipped_cols += (c - cl) * r * s
-    return y, ("sp6", (cols6, _EagerSparse(gate, x)))
 
 
 def conv2d_backward(dy: np.ndarray, ctx: tuple,
@@ -309,72 +248,6 @@ def conv2d_backward(dy: np.ndarray, ctx: tuple,
                 dxm = ws.acquire((n, c, ho * wo), dy.dtype)
                 np.matmul(w2t, dym, out=dxm)
                 dx = dxm.reshape(n, c, h, wd)
-        return dx, dw, db
-
-    if kind == "sp6":
-        # Sparse forward ran: the saved column tensor holds only live input
-        # channels.  The fast path compacts the dw GEMM on both dims; it is
-        # exact iff the gate's parity probe passed for the dw pipeline at
-        # this signature (``use_dw``) AND the dead weight groups are still
-        # zero, dy is zero on the dead output rows, and x is zero on the
-        # dead input channels — the latter three measured per step.  Any
-        # failure takes the non-fast-path fallback: rebuild the *dense*
-        # column tensor and run the dense dw GEMM (bit-identical to the
-        # dense engine by construction).
-        from .. import sparse as _sp
-        cols_l6, es = saved
-        ds = es.gate.ds
-        cl, kl = ds.in_live.size, ds.out_live.size
-        ho, wo = dy.shape[2], dy.shape[3]
-        dym_full = dy.reshape(n, k, ho * wo)
-        ok = (es.gate.use_dw
-              and _sp.weights_dead(w, ds)
-              and not _sp.runs_any_ch(dym_full, ds.out_dead_runs)
-              and not _sp.runs_any_ch(es.x, ds.in_dead_runs))
-        if ok:
-            dym = ws.acquire((n, kl, ho * wo), dy.dtype)
-            for d0, s0, ln in ds.out_live_runs:
-                dym[:, d0:d0 + ln] = dym_full[:, s0:s0 + ln]
-            dwn = ws.acquire((n, kl, cl * r * s), dy.dtype)
-            np.matmul(dym, cols_l6.reshape(n, cl * r * s, ho * wo)
-                      .transpose(0, 2, 1), out=dwn)
-            red = dwn.sum(axis=0).reshape(kl, cl, r, s)
-            ws.release(dwn)
-            ws.release(dym)
-            dw = np.zeros((k, c, r, s), dy.dtype)
-            for dk, sk, nk in ds.out_live_runs:
-                for dc, sc, nc in ds.in_live_runs:
-                    dw[sk:sk + nk, sc:sc + nc] = red[dk:dk + nk,
-                                                     dc:dc + nc]
-            _sp.STATS.dw_sparse_steps += 1
-        else:
-            if padding > 0:
-                xp_f = _pad_into_workspace(es.x, padding)
-            else:
-                xp_f = es.x
-            ho_, wo_ = conv_out_size(h, wd, r, s, stride, padding)
-            cols_f = ws.acquire((n, c, r, s, ho_, wo_), dy.dtype)
-            np.copyto(cols_f,
-                      _windows(xp_f, r, s, stride).transpose(0, 1, 4, 5,
-                                                             2, 3))
-            dwn = ws.acquire((n, k, c * r * s), dy.dtype)
-            np.matmul(dym_full, cols_f.reshape(n, c * r * s, ho * wo)
-                      .transpose(0, 2, 1), out=dwn)
-            dw = dwn.sum(axis=0).reshape(k, c, r, s)
-            ws.release(dwn)
-            # Stash the staging buffers on the context: release_ctx returns
-            # them to the pool along with the compact column tensor.
-            if padding > 0:
-                es.extra.append(xp_f)
-            es.extra.append(cols_f)
-            _sp.STATS.dw_dense_steps += 1
-        db = dy.sum(axis=(0, 2, 3)) if need_db else None
-        dx = None
-        if need_dx:
-            if stride == 1 and r > padding and s > padding:
-                dx = _tconv_dx(dy, w, x_shape, padding)
-            else:
-                dx = _dx_scatter(dy, w, x_shape, stride, padding)
         return dx, dw, db
 
     if kind == "cols6":
@@ -493,24 +366,311 @@ def _dx_scatter(dy: np.ndarray, w: np.ndarray,
     return dxp
 
 
+# -- staged general (RxS) conv kernel set --------------------------------------
+
+def _prefix(buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """Contiguous leading view of ``buf`` reshaped to ``shape``."""
+    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
+def _take_ch(dst: np.ndarray, src: np.ndarray, runs) -> None:
+    """Gather run-selected channels (axis 1) of ``src`` into compact ``dst``."""
+    for d0, s0, ln in runs:
+        dst[:, d0:d0 + ln] = src[:, s0:s0 + ln]
+
+
+def _put_ch(dst: np.ndarray, src: np.ndarray, live_runs, dead_runs) -> None:
+    """Scatter compact channels back to the dense layout; dead channels get
+    the exact zeros the dense GEMM would produce."""
+    for _, s0, ln in dead_runs:
+        dst[:, s0:s0 + ln] = 0
+    for d0, s0, ln in live_runs:
+        dst[:, s0:s0 + ln] = src[:, d0:d0 + ln]
+
+
+def _take_block(dst: np.ndarray, src: np.ndarray, row_runs, col_runs) -> None:
+    """Gather the run-selected (axis 0 x axis 1) block of a filter tensor."""
+    for dr, sr, nr in row_runs:
+        for dc, sc, nc in col_runs:
+            dst[dr:dr + nr, dc:dc + nc] = src[sr:sr + nr, sc:sc + nc]
+
+
+class _Gather:
+    """One window gather: ``(N, C, H, W)`` source -> ``(N, C, R, S, Ho, Wo)``
+    column tensor ``cols6``, staged through the padded buffer ``pad`` (``None``
+    gathers straight from the source).
+
+    ``dense(src)`` gathers every channel.  ``live(src)`` (built when ``runs``
+    is given) copies the run-selected channels into the *prefix* of the same
+    padded buffer and gathers into the prefix of the same column tensor, so
+    both layouts run on one worst-case-dense allocation.  ``rezero`` clears
+    the padded borders on every dense call — needed when the buffer is shared
+    scratch or alternates between layouts (stale border bytes of the other
+    layout are the one way the two could diverge); otherwise the owner zeroes
+    it once.  ``live`` always clears them.
+    """
+
+    __slots__ = ("dense", "live", "cols3", "cols3_l")
+
+    def __init__(self, cols6: np.ndarray, pad: Optional[np.ndarray],
+                 src_shape: tuple, r: int, s: int, stride: int, ph: int,
+                 pw: int, rezero: bool, runs=None) -> None:
+        n, c, h, w = src_shape
+        p = cols6.shape[4] * cols6.shape[5]
+        self.cols3 = cols6.reshape(n, c * r * s, p)
+        if pad is None:
+            def dense(src: np.ndarray) -> None:
+                np.copyto(cols6, _windows(src, r, s, stride)
+                          .transpose(0, 1, 4, 5, 2, 3))
+        else:
+            core = pad[:, :, ph:ph + h, pw:pw + w]
+            wdwT = _windows(pad, r, s, stride).transpose(0, 1, 4, 5, 2, 3)
+            if rezero and (ph or pw):
+                def dense(src: np.ndarray) -> None:
+                    pad.fill(0)
+                    np.copyto(core, src)
+                    np.copyto(cols6, wdwT)
+            else:
+                def dense(src: np.ndarray) -> None:
+                    np.copyto(core, src)
+                    np.copyto(cols6, wdwT)
+        self.dense = dense
+        self.live = self.cols3_l = None
+        if runs is not None:
+            cl = sum(ln for _, _, ln in runs)
+            pad_l = _prefix(pad, (n, cl) + pad.shape[2:])
+            core_l = pad_l[:, :, ph:ph + h, pw:pw + w]
+            wdwT_l = _windows(pad_l, r, s, stride).transpose(0, 1, 4, 5, 2, 3)
+            cols6_l = _prefix(cols6, (n, cl) + cols6.shape[2:])
+            self.cols3_l = cols6_l.reshape(n, cl * r * s, p)
+            borders = bool(ph or pw)
+
+            def live(src: np.ndarray) -> None:
+                if borders:
+                    pad.fill(0)
+                _take_ch(core_l, src, runs)
+                np.copyto(cols6_l, wdwT_l)
+            self.live = live
+
+
+class ConvKernels:
+    """The general (RxS) einsum conv lowering as preplanned kernels — stated
+    once, driven by the plan builder (:mod:`repro.tensor.compile`) and by the
+    sparse gate's calibration probe (:mod:`repro.tensor.sparse`).
+
+    Built from the input shape, the filter array ``w`` (its identity must be
+    stable for the kernels' life), stride/padding/dtype and an
+    ``alloc(shape, tag, phase)`` callback that supplies every buffer.
+    ``phase`` names the buffer's lifetime class: ``"fwd"`` forward staging,
+    ``"out"`` the output activation, ``"a"``/``"b"`` early (weight-gradient)
+    and late (input-gradient) backward scratch, ``"dx"`` the gradient handed
+    to the input's producer.  Every ``sliding_window_view``, reshape and
+    transpose is precomputed over those buffers; a kernel call performs the
+    same numpy operations on the same values as :func:`conv2d_forward` /
+    :func:`conv2d_backward`, so results are bit-identical to eager.
+
+    Dense kernels: ``fwd(x)`` fills :attr:`y4`; ``dw(x, g3, out=None)``
+    returns the ``(K, C, R, S)`` weight gradient (written into ``out`` if
+    given); ``dx(g)`` returns the input gradient — the transposed-convolution
+    form at unit stride, the strided scatter-add form otherwise.
+
+    With a ``dead`` set (:class:`repro.tensor.sparse.DeadSet`) the live-channel
+    variants exist as well, on contiguous prefix views of the *same*
+    worst-case-dense buffers — sparse saves FLOPs and gather bandwidth, not
+    bytes, which is what makes a per-step fallback to the dense kernels free.
+    ``fwd_live(x)`` skips dead input channels and dead filters (exact while
+    the dead weight groups are zero, whatever ``x`` holds);
+    ``dw_live(x, g3, row_runs, out=None)`` compacts the GEMM to the rows of
+    ``g3`` listed in ``row_runs`` and the live input channels (exact iff the
+    dropped rows of ``g3`` and the dead channels of ``x`` are zero);
+    ``dx_live(g)`` (transposed-convolution form only) shrinks the GEMM
+    *reduction* dimension, where BLAS accumulator pairing can change low bits,
+    so callers engage it only where a parity probe passed.  Callers own those
+    guards; the kernels only compute.
+
+    ``remat=True`` marks the forward staging as point-lived scratch shared
+    with other ops (the memory planner's layout): padded borders are
+    re-zeroed per step and the backward re-stages ``x`` and re-gathers the
+    identical windows into its own phase-``"a"`` scratch instead of keeping
+    the column tensor (RxS times the feature map) alive across the step.
+    Without it the backward GEMM reads the forward's column tensor directly
+    (a dual-layout set still re-gathers: the forward may have staged the
+    other layout).
+    """
+
+    def __init__(self, x_shape: tuple, w: np.ndarray, stride: int,
+                 padding: int, dtype, alloc, *, dead=None, remat: bool = False,
+                 backward: bool = True, need_dx: bool = True) -> None:
+        n, c, h, wd = x_shape
+        k, _, r, s = w.shape
+        ho, wo = conv_out_size(h, wd, r, s, stride, padding)
+        p, crs = ho * wo, c * r * s
+        hp, wp = h + 2 * padding, wd + 2 * padding
+        live = dead is not None
+        rezero = remat or live
+        w3 = w.reshape(k, crs)
+        in_live_runs = out_live_runs = None
+        if live:
+            kl, cl = dead.out_live.size, dead.in_live.size
+            in_live_runs, out_live_runs = dead.in_live_runs, dead.out_live_runs
+
+        # Request order is part of the arena layout (the planner breaks size
+        # ties by it), so both variants keep the order they always had.
+        cols6 = alloc((n, c, r, s, ho, wo), "cols_f", "fwd")
+        xp = None
+        if live:
+            # The live gather needs contiguous staging even at padding == 0
+            # (a channel gather cannot be a view).
+            xp = alloc((n, c, hp, wp), "xp", "fwd")
+            yl = alloc((n, kl, p), "sp.yl", "fwd")
+        self.y4 = alloc((n, k, ho, wo), "y", "out")
+        y3 = self.y4.reshape(n, k, p)
+        if not live and padding:
+            xp = alloc((n, c, hp, wp), "xp", "fwd")
+            if not rezero:
+                xp.fill(0)
+        gx = _Gather(cols6, xp, x_shape, r, s, stride, padding, padding,
+                     rezero, in_live_runs)
+
+        gather, cols3 = gx.dense, gx.cols3
+
+        def fwd(x: np.ndarray) -> None:
+            gather(x)
+            np.matmul(w3, cols3, out=y3)
+        self.fwd = fwd
+        self.fwd_live = self.dw_live = self.dx = self.dx_live = None
+        if live:
+            wl = np.empty((kl, cl * r * s), dtype)
+            wl4 = wl.reshape(kl, cl, r, s)
+
+            def fwd_live(x: np.ndarray) -> None:
+                gx.live(x)
+                _take_block(wl4, w, out_live_runs, in_live_runs)
+                np.matmul(wl, gx.cols3_l, out=yl)
+                _put_ch(y3, yl, out_live_runs, dead.out_dead_runs)
+            self.fwd_live = fwd_live
+        if not backward:
+            return
+
+        # -- dw (phase "a") ------------------------------------------------
+        dwn = alloc((n, k, crs), "bwd", "a")
+        if live:
+            dym = alloc((n, k, p), "sp.dym", "a")
+            red = alloc((k, crs), "sp.red", "a")
+        if remat:
+            cols_b6 = alloc((n, c, r, s, ho, wo), "cols_b", "a")
+            xpb = alloc(xp.shape, "xpb", "a") if xp is not None else None
+            gb = _Gather(cols_b6, xpb, x_shape, r, s, stride, padding,
+                         padding, True, in_live_runs)
+        else:
+            gb = gx
+        colsT = gb.cols3.transpose(0, 2, 1)
+        regather = gb.dense if rezero else (lambda x: None)
+
+        def dw(x: np.ndarray, g3: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+            regather(x)
+            np.matmul(g3, colsT, out=dwn)
+            if out is None:
+                return np.add.reduce(dwn, axis=0).reshape(k, c, r, s)
+            np.add.reduce(dwn, axis=0, out=out.reshape(k, crs))
+            return out
+        self.dw = dw
+        if live:
+            crs_l = cl * r * s
+            colsT_l = gb.cols3_l.transpose(0, 2, 1)
+
+            def dw_live(x: np.ndarray, g3: np.ndarray, row_runs,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+                km = sum(ln for _, _, ln in row_runs)
+                gb.live(x)
+                dym_m = _prefix(dym, (n, km, p))
+                _take_ch(dym_m, g3, row_runs)
+                dwn_m = _prefix(dwn, (n, km, crs_l))
+                np.matmul(dym_m, colsT_l, out=dwn_m)
+                red_m = _prefix(red, (km, crs_l))
+                np.add.reduce(dwn_m, axis=0, out=red_m)
+                red4 = red_m.reshape(km, cl, r, s)
+                if out is None:
+                    out = np.zeros((k, c, r, s), dtype)
+                else:
+                    out.fill(0)
+                for dk, sk, nk in row_runs:
+                    for dc, sc, nc in in_live_runs:
+                        out[sk:sk + nk, sc:sc + nc] = red4[dk:dk + nk,
+                                                           dc:dc + nc]
+                return out
+            self.dw_live = dw_live
+        if not need_dx:
+            return
+
+        # -- dx (phase "b") ------------------------------------------------
+        if stride == 1 and r > padding and s > padding:
+            # Transposed convolution (the eager _tconv_dx): windows of the
+            # padded dy against the spatially flipped filters.
+            pr, ps = r - 1 - padding, s - 1 - padding
+            wf4 = alloc((c, k, r, s), "wf", "b")
+            wf2 = wf4.reshape(c, k * r * s)
+            dx3 = alloc((n, c, h * wd), "grad", "dx")
+            dx4 = dx3.reshape(n, c, h, wd)
+            dyc6 = alloc((n, k, r, s, h, wd), "dyc", "b")
+            dyp = None
+            if live or pr or ps:
+                dyp = alloc((n, k, ho + 2 * pr, wo + 2 * ps), "dyp", "b")
+                if not rezero:
+                    dyp.fill(0)
+            gy = _Gather(dyc6, dyp, (n, k, ho, wo), r, s, 1, pr, ps, rezero,
+                         out_live_runs)
+            wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gather_dy, dyc3 = gy.dense, gy.cols3
+
+            def dx(g: np.ndarray) -> np.ndarray:
+                gather_dy(g)
+                np.copyto(wf4, wflip)
+                np.matmul(wf2, dyc3, out=dx3)
+                return dx4
+            if live:
+                dxl = alloc((n, cl, h * wd), "sp.dxl", "b")
+                wfl2 = _prefix(wf4, (cl, kl * r * s))
+                wfl4 = wfl2.reshape(cl, kl, r, s)
+
+                def dx_live(g: np.ndarray) -> np.ndarray:
+                    gy.live(g)
+                    _take_block(wfl4, wflip, in_live_runs, out_live_runs)
+                    np.matmul(wfl2, gy.cols3_l, out=dxl)
+                    _put_ch(dx3, dxl, in_live_runs, dead.in_dead_runs)
+                    return dx4
+                self.dx_live = dx_live
+        else:
+            # Strided scatter-add (the eager _dx_scatter); dense only — no
+            # compacted form is calibrated for the scatter lowering.
+            w3T = w3.T
+            dcols = alloc((n, crs, p), "dcols", "b")
+            d6 = dcols.reshape(n, c, r, s, ho, wo)
+            dxp = alloc((n, c, hp, wp), "dxp", "dx")
+            dx_view = dxp[:, :, padding:padding + h, padding:padding + wd] \
+                if padding else dxp
+
+            def dx(g: np.ndarray) -> np.ndarray:
+                np.matmul(w3T, g.reshape(n, k, p), out=dcols)
+                # Scatter-adds accumulate, so the zeroed state is restored
+                # per step — eager pays the same memset in its pool acquire.
+                dxp.fill(0)
+                for ri in range(r):
+                    h_end = ri + stride * ho
+                    for si in range(s):
+                        w_end = si + stride * wo
+                        dxp[:, :, ri:h_end:stride, si:w_end:stride] += \
+                            d6[:, :, ri, si]
+                return dx_view
+        self.dx = dx
+
+
 def release_ctx(ctx: Optional[tuple]) -> None:
     """Return a forward context's staging buffers to the workspace pool.
 
     Safe to call unconditionally: contexts that hold plain input views or
-    unpooled column matrices are ignored by the pool.  Sparse (``"sp6"``)
-    contexts carry the compact column tensor *plus* any padded-staging and
-    dense column buffers their backward's non-fast-path fallback acquired —
-    all of them are returned here, so pool occupancy comes back to baseline
-    whether or not the fast path ran.
+    unpooled column matrices are ignored by the pool.
     """
-    if ctx is None:
-        return
-    kind, saved = ctx
-    if kind == "sp6":
-        cols_l6, es = saved
-        ws.release(cols_l6)
-        for buf in es.extra:
-            ws.release(buf)
-        es.extra.clear()
-        return
-    ws.release(saved)
+    if ctx is not None:
+        ws.release(ctx[1])

@@ -1,4 +1,4 @@
-"""Sparsity-aware compute paths: dead-channel skipping for conv GEMMs.
+"""Sparsity-aware compute paths: dead-channel skipping for compiled conv GEMMs.
 
 PruneTrain creates structured sparsity *during* training: between
 reconfigurations, channels below the group-lasso threshold are already
@@ -31,12 +31,17 @@ which can skip them:
   sees identical decisions — and invalidated on every publish, so the gate
   is re-checked each reconfiguration interval.  All decisions are recorded.
 
-- **Kernels** — run-coalesced gather/scatter (:func:`index_runs` turns
-  sorted channel indices into ``(dst, src, len)`` slice runs so channel
-  selection is a handful of contiguous copies, not fancy indexing) plus the
-  calibration probe pipelines.  The compiled thunks live in
-  :meth:`repro.tensor.compile._PlanBuilder._build_conv2d_sparse`; the eager
-  fallback path lives in :mod:`repro.tensor.ops.conv`.
+- **Run-coalesced selection** — :func:`index_runs` turns sorted channel
+  indices into ``(dst, src, len)`` slice runs so channel gather/scatter is a
+  handful of contiguous copies, not fancy indexing.
+
+Sparse compute is a *plan specialisation* only.  The dense and live-channel
+kernels are stated once, in :class:`repro.tensor.ops.conv.ConvKernels`; the
+plan builder (:meth:`repro.tensor.compile._PlanBuilder._build_conv2d_einsum`)
+wraps the live ones in the per-step guards below, and the gate's probe times
+and parity-checks that same kernel set.  Eager steps (the capture step,
+``profile=True``, a capture failure) run the plain dense kernels, which
+every sparse path must equal bitwise anyway.
 
 Dense remains the default and the bit-exact reference: every sparse thunk
 carries per-step guards (weights on dead groups still exactly zero; for
@@ -153,18 +158,13 @@ class StepState:
     ``enabled`` is the sticky revival flag: the forward thunk checks the
     weight guard each step and, on the first failure (a dead channel came
     back mid-interval), drops the whole conv to the dense kernels until the
-    next publish respecializes the plan.  ``fwd_live`` records which layout
-    (live-compact vs dense) the forward staged into the shared column
-    buffer this step, so the unplanned compiled backward only re-gathers on
-    a layout mismatch (the planned backward always re-gathers — its column
-    staging is point-lived arena scratch).
+    next publish respecializes the plan.
     """
 
-    __slots__ = ("enabled", "fwd_live")
+    __slots__ = ("enabled",)
 
     def __init__(self) -> None:
         self.enabled = True
-        self.fwd_live = False
 
 
 # -- statistics (PROFILER.summary()["_sparse"]) ------------------------------
@@ -307,9 +307,7 @@ def conv_gate_for(w: np.ndarray, x: np.ndarray, stride: int,
     kl, cl = ds.out_live.size, ds.in_live.size
     if kl == 0 or cl == 0 or (kl == k and cl == c):
         return None
-    from .ops import conv as _conv
     n, _, h, wd = x.shape
-    ho, wo = _conv.conv_out_size(h, wd, r, s, stride, padding)
     sig = (n, c, h, wd, k, r, s, stride, padding, cl, kl,
            len(ds.in_live_runs), len(ds.out_live_runs))
     memo_key = (sig, ds.in_dead.tobytes(), ds.out_dead.tobytes())
@@ -318,8 +316,7 @@ def conv_gate_for(w: np.ndarray, x: np.ndarray, stride: int,
         use_fwd, use_dw, use_dx = hit
         return ConvGate(ds, sig, use_fwd, use_dw, use_dx) if use_fwd \
             else None
-    use_fwd, use_dw, use_dx = _calibrate_conv(
-        sig, x, w, ds, stride, padding, ho, wo)
+    use_fwd, use_dw, use_dx = _calibrate_conv(sig, x, w, ds, stride, padding)
     _gate_memo[memo_key] = (use_fwd, use_dw, use_dx)
     if use_fwd:
         STATS.gate_accepts += 1
@@ -329,264 +326,110 @@ def conv_gate_for(w: np.ndarray, x: np.ndarray, stride: int,
 
 
 def _calibrate_conv(sig: tuple, x: np.ndarray, w: np.ndarray, ds: DeadSet,
-                    stride: int, padding: int, ho: int, wo: int
-                    ) -> Tuple[bool, bool, bool]:
-    """Measure dense vs sparse pipelines on real data; probe bit-parity.
+                    stride: int, padding: int) -> Tuple[bool, bool, bool]:
+    """Measure dense vs live-channel kernels on real data; probe bit-parity.
 
-    The probe pipelines perform the same per-step work as the production
-    thunks (guard scans included on the sparse side), on pooled scratch.
+    The probe builds the very kernel set the plan builder binds
+    (:class:`repro.tensor.ops.conv.ConvKernels`, planned layout, pooled
+    buffers) and times those kernels plus the per-step guard scans the plan
+    wraps around the live ones — the gate measures the code that runs.
     """
     from ..costmodel.time import SPARSE_GEMM, predicted_sparse_gain
-    from .ops import conv as _conv
+    from .ops.conv import ConvKernels
 
     n, c, h, wd = x.shape
     k, _, r, s = w.shape
     kl, cl = ds.out_live.size, ds.in_live.size
-    crs, crs_l = c * r * s, cl * r * s
-    p = ho * wo
-    dtype = x.dtype
     min_gain = ws.config.sparse_min_gain
-    hp, wp = h + 2 * padding, wd + 2 * padding
+    lent: List[np.ndarray] = []
 
-    xp = ws.acquire((n, c, hp, wp), dtype, zero=True)
-    cols6 = ws.acquire((n, c, r, s, ho, wo), dtype)
-    y_d = ws.acquire((n, k, p), dtype)
-    y_s = ws.acquire((n, k, p), dtype)
-    yl = ws.acquire((n, kl, p), dtype)
-    wl = ws.acquire((kl, crs_l), dtype)
+    def alloc(shape: tuple, tag: str = "", phase: str = "") -> np.ndarray:
+        lent.append(ws.acquire(shape, x.dtype))
+        return lent[-1]
+
+    def decide(path: str, dense_fn, live_fn, parity_fn, work: float,
+               cols: float, cols_kept: float, live_out: float) -> bool:
+        # Cost-model prediction from the GEMM's multiply-adds (``work``),
+        # the gathered column elements (``cols``, of which the live kernel
+        # keeps ``cols_kept``) and the compact output it scatters back.
+        pred = predicted_sparse_gain(
+            2.0 * work, 4.0 * cols, 2.0 * work * (kl / k) * (cl / c),
+            4.0 * cols * cols_kept + 4.0 * live_out)
+        return SPARSE_GEMM.decide(
+            SPARSE_GEMM.calibrate(sig, path, dense_fn, live_fn, parity_fn,
+                                  pred), min_gain)
+
     try:
-        xp_core = xp[:, :, padding:padding + h, padding:padding + wd]
-        wdwT = _conv._windows(xp, r, s, stride).transpose(0, 1, 4, 5, 2, 3)
-        cols3 = cols6.reshape(n, crs, p)
-        xp_l = xp.reshape(-1)[:n * cl * hp * wp].reshape(n, cl, hp, wp)
-        xp_l_core = xp_l[:, :, padding:padding + h, padding:padding + wd]
-        wdwT_l = _conv._windows(xp_l, r, s, stride) \
-            .transpose(0, 1, 4, 5, 2, 3)
-        cols6_l = cols6.reshape(-1)[:n * cl * r * s * p] \
-            .reshape(n, cl, r, s, ho, wo)
-        cols3_l = cols6_l.reshape(n, crs_l, p)
-        w3 = w.reshape(k, crs)
-        wl4 = wl.reshape(kl, cl, r, s)
-        w4 = w
+        ks = ConvKernels(x.shape, w, stride, padding, x.dtype, alloc,
+                         dead=ds, remat=True)
+        y4 = ks.y4
+        p = y4.shape[2] * y4.shape[3]
+        crs_p = c * r * s * p
+        ref = alloc(y4.shape)
 
-        def regather_dense() -> None:
-            xp.fill(0)
-            np.copyto(xp_core, x)
-            np.copyto(cols6, wdwT)
-
-        def regather_live() -> None:
-            xp.fill(0)
-            for d0, s0, ln in ds.in_live_runs:
-                xp_l_core[:, d0:d0 + ln] = x[:, s0:s0 + ln]
-            np.copyto(cols6_l, wdwT_l)
-
-        def fwd_dense() -> None:
-            regather_dense()
-            np.matmul(w3, cols3, out=y_d)
-
-        def fwd_sparse() -> None:
-            weights_dead(w4, ds)              # the per-step guard scan
-            regather_live()
-            for dk, sk, nk in ds.out_live_runs:
-                for dc, sc, nc in ds.in_live_runs:
-                    wl4[dk:dk + nk, dc:dc + nc] = w4[sk:sk + nk, sc:sc + nc]
-            np.matmul(wl, cols3_l, out=yl)
-            for _, s0, ln in ds.out_dead_runs:
-                y_s[:, s0:s0 + ln] = 0
-            for d0, s0, ln in ds.out_live_runs:
-                y_s[:, s0:s0 + ln] = yl[:, d0:d0 + ln]
+        def fwd_live() -> None:
+            weights_dead(w, ds)                   # the per-step guard scan
+            ks.fwd_live(x)
 
         def fwd_parity() -> bool:
-            fwd_dense()
-            fwd_sparse()
-            return np.array_equal(y_d, y_s)
+            ks.fwd(x)
+            np.copyto(ref, y4)
+            ks.fwd_live(x)
+            return np.array_equal(ref, y4)
 
-        gemm_flops = 2.0 * n * k * crs * p
-        gemm_bytes = 4.0 * n * crs * p              # the column gather
-        pred_fwd = predicted_sparse_gain(
-            gemm_flops, gemm_bytes,
-            2.0 * n * kl * crs_l * p,
-            4.0 * n * (cl / c) * crs * p + 4.0 * n * kl * p)
-        cal = SPARSE_GEMM.calibrate(sig, "fwd", fwd_dense, fwd_sparse,
-                                    fwd_parity, pred_fwd)
-        use_fwd = SPARSE_GEMM.decide(cal, min_gain)
-        if not use_fwd:
+        if not decide("fwd", lambda: ks.fwd(x), fwd_live, fwd_parity,
+                      n * k * crs_p, n * crs_p, cl / c, n * kl * p):
             return False, False, False
 
-        # -- dw probe: dy with dead rows zero (what training produces) ----
-        dy = y_d                                  # reuse: realistic magnitudes
+        # -- dw: dy with dead rows zero (what training produces) -----------
+        ks.fwd(x)                                 # realistic magnitudes
+        dy = y4
+        g3 = dy.reshape(n, k, p)
         for _, s0, ln in ds.out_dead_runs:
-            dy[:, s0:s0 + ln] = 0
-        dwn = ws.acquire((n, k, crs), dtype)
-        dym = ws.acquire((n, kl, p), dtype)
-        dw_d = ws.acquire((k, crs), dtype)
-        dw_s = ws.acquire((k, crs), dtype)
-        try:
-            cols3T = cols3.transpose(0, 2, 1)
-            cols3_lT = cols3_l.transpose(0, 2, 1)
-            dwn_l = dwn.reshape(-1)[:n * kl * crs_l].reshape(n, kl, crs_l)
+            g3[:, s0:s0 + ln] = 0
+        dw_ref, dw_out = alloc(w.shape), alloc(w.shape)
 
-            def dw_dense() -> None:
-                regather_dense()                  # production bwd regathers
-                np.matmul(dy, cols3T, out=dwn)
-                np.add.reduce(dwn, axis=0, out=dw_d)
+        def measured_rows() -> list:
+            return index_runs(np.flatnonzero(g3.any(axis=(0, 2))))
 
-            def dw_sparse() -> None:
-                dy.any(axis=(0, 2))               # the measured row mask
-                runs_any_ch(x, ds.in_dead_runs)   # the x-zero column check
-                regather_live()
-                for d0, s0, ln in ds.out_live_runs:
-                    dym[:, d0:d0 + ln] = dy[:, s0:s0 + ln]
-                np.matmul(dym, cols3_lT, out=dwn_l)
-                red = np.add.reduce(dwn_l, axis=0)
-                dw_s.fill(0)
-                dw_s4 = dw_s.reshape(k, c, r, s)
-                red4 = red.reshape(kl, cl, r, s)
-                for dk, sk, nk in ds.out_live_runs:
-                    for dc, sc, nc in ds.in_live_runs:
-                        dw_s4[sk:sk + nk, sc:sc + nc] = \
-                            red4[dk:dk + nk, dc:dc + nc]
+        def dw_live() -> None:
+            rows = measured_rows()                # the measured row mask
+            runs_any_ch(x, ds.in_dead_runs)       # the x-zero column check
+            ks.dw_live(x, g3, rows, dw_out)
 
-            def dw_parity() -> bool:
-                # Row compaction is exact by construction (dy rows are
-                # zero); column compaction additionally needs zero x on the
-                # dead in-channels, which the per-step check enforces at
-                # run time.  The probe validates the row side bitwise.
-                dw_dense()
-                xz = x.copy()
-                for _, s0, ln in ds.in_dead_runs:
-                    xz[:, s0:s0 + ln] = 0
-                xp.fill(0)
-                np.copyto(xp_core, xz)
-                np.copyto(cols6, wdwT)
-                np.matmul(dy, cols3T, out=dwn)
-                np.add.reduce(dwn, axis=0, out=dw_d)
-                for d0, s0, ln in ds.in_live_runs:
-                    xp_l_core[:, d0:d0 + ln] = xz[:, s0:s0 + ln]
-                np.copyto(cols6_l, wdwT_l)
-                for d0, s0, ln in ds.out_live_runs:
-                    dym[:, d0:d0 + ln] = dy[:, s0:s0 + ln]
-                np.matmul(dym, cols3_lT, out=dwn_l)
-                red = np.add.reduce(dwn_l, axis=0)
-                dw_s.fill(0)
-                dw_s4 = dw_s.reshape(k, c, r, s)
-                red4 = red.reshape(kl, cl, r, s)
-                for dk, sk, nk in ds.out_live_runs:
-                    for dc, sc, nc in ds.in_live_runs:
-                        dw_s4[sk:sk + nk, sc:sc + nc] = \
-                            red4[dk:dk + nk, dc:dc + nc]
-                return np.array_equal(dw_d, dw_s)
-
-            pred_dw = predicted_sparse_gain(
-                2.0 * n * k * crs * p, gemm_bytes,
-                2.0 * n * kl * crs_l * p,
-                4.0 * n * (cl / c) * crs * p + 4.0 * n * kl * p)
-            cal_dw = SPARSE_GEMM.calibrate(sig, "dw", dw_dense, dw_sparse,
-                                           dw_parity, pred_dw)
-            use_dw = SPARSE_GEMM.decide(cal_dw, min_gain)
-        finally:
-            ws.release(dwn)
-            ws.release(dym)
-            ws.release(dw_d)
-            ws.release(dw_s)
-
-        # -- dx probe (tconv form only; reduction-dim compaction) ---------
-        use_dx = False
-        if stride == 1 and r > padding and s > padding:
-            use_dx = _calibrate_dx(sig, dy, w, ds, padding, h, wd, ho, wo,
-                                   min_gain)
-        return use_fwd, use_dw, use_dx
-    finally:
-        ws.release(xp)
-        ws.release(cols6)
-        ws.release(y_d)
-        ws.release(y_s)
-        ws.release(yl)
-        ws.release(wl)
-
-
-def _calibrate_dx(sig: tuple, dy3: np.ndarray, w: np.ndarray, ds: DeadSet,
-                  padding: int, h: int, wd: int, ho: int, wo: int,
-                  min_gain: float) -> bool:
-    """Probe the compacted transposed-conv dx pipeline (dense vs sparse).
-
-    This is the one pipeline whose compaction shrinks a GEMM *reduction*
-    dimension (K*R*S), where BLAS accumulator pairing can change low bits —
-    the parity probe is load-bearing here, not a formality.
-    """
-    from ..costmodel.time import SPARSE_GEMM, predicted_sparse_gain
-    from .ops import conv as _conv
-
-    n = dy3.shape[0]
-    k, c, r, s = w.shape
-    kl, cl = ds.out_live.size, ds.in_live.size
-    krs, krs_l = k * r * s, kl * r * s
-    pr, ps = r - 1 - padding, s - 1 - padding
-    dtype = dy3.dtype
-    dy = dy3.reshape(n, k, ho, wo)
-
-    dyp = ws.acquire((n, k, ho + 2 * pr, wo + 2 * ps), dtype, zero=True)
-    dyc6 = ws.acquire((n, k, r, s, h, wd), dtype)
-    wf = ws.acquire((c, krs), dtype)
-    wfl = ws.acquire((cl, krs_l), dtype)
-    dx_d = ws.acquire((n, c, h * wd), dtype)
-    dx_s = ws.acquire((n, c, h * wd), dtype)
-    dxl = ws.acquire((n, cl, h * wd), dtype)
-    try:
-        dyp_core = dyp[:, :, pr:ho + pr, ps:wo + ps]
-        dywT = _conv._windows(dyp, r, s, 1).transpose(0, 1, 4, 5, 2, 3)
-        dyc3 = dyc6.reshape(n, krs, h * wd)
-        hyp, wyp = ho + 2 * pr, wo + 2 * ps
-        dyp_l = dyp.reshape(-1)[:n * kl * hyp * wyp].reshape(n, kl, hyp, wyp)
-        dyp_l_core = dyp_l[:, :, pr:ho + pr, ps:wo + ps]
-        dywT_l = _conv._windows(dyp_l, r, s, 1).transpose(0, 1, 4, 5, 2, 3)
-        dyc6_l = dyc6.reshape(-1)[:n * kl * r * s * h * wd] \
-            .reshape(n, kl, r, s, h, wd)
-        dyc3_l = dyc6_l.reshape(n, krs_l, h * wd)
-        wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        wf4 = wf.reshape(c, k, r, s)
-        wfl4 = wfl.reshape(cl, kl, r, s)
-
-        def dx_dense() -> None:
-            dyp.fill(0)
-            np.copyto(dyp_core, dy)
-            np.copyto(dyc6, dywT)
-            np.copyto(wf4, wflip)
-            np.matmul(wf, dyc3, out=dx_d)
-
-        def dx_sparse() -> None:
-            weights_dead(w, ds)
-            dyp.fill(0)
-            for d0, s0, ln in ds.out_live_runs:
-                dyp_l_core[:, d0:d0 + ln] = dy[:, s0:s0 + ln]
-            np.copyto(dyc6_l, dywT_l)
-            for dc, sc, nc in ds.in_live_runs:
-                for dk, sk, nk in ds.out_live_runs:
-                    wfl4[dc:dc + nc, dk:dk + nk] = \
-                        wflip[sc:sc + nc, sk:sk + nk]
-            np.matmul(wfl, dyc3_l, out=dxl)
+        def dw_parity() -> bool:
+            # Row compaction is exact by construction (the dropped dy rows
+            # are zero); column compaction additionally needs zero x on the
+            # dead in-channels, which the per-step check enforces at run
+            # time, so the probe compares on such an x.
+            xz = x.copy()
             for _, s0, ln in ds.in_dead_runs:
-                dx_s[:, s0:s0 + ln] = 0
-            for d0, s0, ln in ds.in_live_runs:
-                dx_s[:, s0:s0 + ln] = dxl[:, d0:d0 + ln]
+                xz[:, s0:s0 + ln] = 0
+            ks.dw(xz, g3, dw_ref)
+            ks.dw_live(xz, g3, measured_rows(), dw_out)
+            return np.array_equal(dw_ref, dw_out)
 
-        def dx_parity() -> bool:
-            dx_dense()
-            dx_sparse()
-            return np.array_equal(dx_d, dx_s)
+        use_dw = decide("dw", lambda: ks.dw(x, g3, dw_ref), dw_live,
+                        dw_parity, n * k * crs_p, n * crs_p, cl / c,
+                        n * kl * p)
 
-        pred = predicted_sparse_gain(
-            2.0 * n * c * krs * h * wd, 4.0 * n * krs * h * wd,
-            2.0 * n * cl * krs_l * h * wd,
-            4.0 * n * (kl / k) * krs * h * wd + 4.0 * n * cl * h * wd)
-        cal = SPARSE_GEMM.calibrate(sig, "dx", dx_dense, dx_sparse,
-                                    dx_parity, pred)
-        return SPARSE_GEMM.decide(cal, min_gain)
+        # -- dx (transposed-conv form only): the one kernel whose compaction
+        # shrinks a GEMM *reduction* dimension (K*R*S), where BLAS
+        # accumulator pairing can change low bits — the parity probe is
+        # load-bearing here, not a formality.
+        use_dx = False
+        if ks.dx_live is not None:
+            dx_ref = alloc(x.shape)
+
+            def dx_parity() -> bool:
+                np.copyto(dx_ref, ks.dx(dy))
+                return np.array_equal(dx_ref, ks.dx_live(dy))
+
+            krs_hw = k * r * s * h * wd
+            use_dx = decide("dx", lambda: ks.dx(dy), lambda: ks.dx_live(dy),
+                            dx_parity, n * c * krs_hw, n * krs_hw, kl / k,
+                            n * cl * h * wd)
+        return True, use_dw, use_dx
     finally:
-        ws.release(dyp)
-        ws.release(dyc6)
-        ws.release(wf)
-        ws.release(wfl)
-        ws.release(dx_d)
-        ws.release(dx_s)
-        ws.release(dxl)
+        for buf in lent:
+            ws.release(buf)

@@ -107,6 +107,14 @@ class EngineConfig:
     #: before selecting a sparse path for a shape (1.05 = 5% faster)
     sparse_min_gain: float = 1.05
 
+    def plan_signature(self) -> tuple:
+        """The switches compiled plans are specialised on: a
+        :class:`~repro.tensor.compile.StepPlan` records this at capture and
+        replays only while it still matches."""
+        return (self.pooling, self.fused_bnrelu, self.conv_impl,
+                self.mem_plan, self.parallel_replay, self.replay_workers,
+                self.sparse_compute, self.sparse_min_gain)
+
 
 config = EngineConfig(
     pooling=_env_flag("REPRO_WORKSPACE", True),

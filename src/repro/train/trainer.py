@@ -9,7 +9,6 @@ ratios.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -90,21 +89,24 @@ class TrainerConfig:
     #: static memory planning for compiled plans (:mod:`repro.tensor.memplan`):
     #: pack every plan-owned transient buffer into one liveness-shared arena
     #: and report the exact peak bytes per epoch.  Bit-exact either way.
-    #: ``None`` defers to ``REPRO_MEM_PLAN`` (default on); the resolved value
-    #: is pinned onto the engine config for the duration of :meth:`train` so
-    #: replayed plans and recaptures agree on the engine signature.
+    #: ``None`` leaves ``workspace.config.mem_plan`` alone (``REPRO_MEM_PLAN``
+    #: at import, default on); a set value is pinned onto the engine config
+    #: for the duration of :meth:`train` so replayed plans and recaptures
+    #: agree on the engine signature.
     mem_plan: Optional[bool] = None
     #: level-scheduled multi-threaded replay of compiled training plans
     #: (:mod:`repro.tensor.parallel`).  Bit-exact vs serial replay by
-    #: construction.  ``None`` defers to ``REPRO_PARALLEL_REPLAY``
-    #: (default off); pinned onto the engine config for the duration of
-    #: :meth:`train` like ``mem_plan``.  Only affects the compiled
-    #: single-process path — elastic workers compile their own (serial)
-    #: plans and the sim never compiles, so the two features compose by
-    #: partitioning: procs from the elastic engine, threads from replay.
+    #: construction.  ``None`` leaves ``workspace.config.parallel_replay``
+    #: alone (``REPRO_PARALLEL_REPLAY``, default off); a set value is pinned
+    #: for the duration of :meth:`train` like ``mem_plan``.  Only affects
+    #: the compiled single-process path — elastic workers compile their
+    #: own (serial) plans and the sim never compiles, so the two features
+    #: compose by partitioning: procs from the elastic engine, threads
+    #: from replay.
     parallel_replay: Optional[bool] = None
     #: total executor threads for parallel replay (calling thread included);
-    #: ``None`` defers to ``REPRO_REPLAY_WORKERS`` (default 4)
+    #: ``None`` leaves ``workspace.config.replay_workers`` alone
+    #: (``REPRO_REPLAY_WORKERS``, default 4)
     replay_workers: Optional[int] = None
     #: multi-worker execution backend for ``workers > 1``: ``"elastic"``
     #: spawns true worker *processes* exchanging gradients through shared
@@ -133,13 +135,20 @@ class TrainerConfig:
     #: sparsity-aware compute paths (:mod:`repro.tensor.sparse`): skip
     #: dead-channel GEMM columns and run compacted backward GEMMs where the
     #: measured cost-model gate proves them both profitable *and*
-    #: bit-identical to dense.  ``None`` defers to ``REPRO_SPARSE_COMPUTE``
-    #: (default off); pinned onto the engine config for the duration of
-    #: :meth:`train` like ``mem_plan``.
+    #: bit-identical to dense.  A plan specialisation: eager steps stay
+    #: dense.  ``None`` leaves ``workspace.config.sparse_compute`` alone
+    #: (``REPRO_SPARSE_COMPUTE``, default off); a set value is pinned for
+    #: the duration of :meth:`train` like ``mem_plan``.
     sparse_compute: Optional[bool] = None
     #: minimum measured speedup for the gate to accept a sparse pipeline
-    #: (``None`` defers to ``REPRO_SPARSE_MIN_GAIN``, default 1.05)
+    #: (``None`` leaves ``workspace.config.sparse_min_gain`` alone —
+    #: ``REPRO_SPARSE_MIN_GAIN``, default 1.05)
     sparse_min_gain: Optional[float] = None
+
+
+#: ``TrainerConfig`` fields that mirror a ``workspace.config`` engine switch
+_ENGINE_FIELDS = ("mem_plan", "parallel_replay", "replay_workers",
+                  "sparse_compute", "sparse_min_gain")
 
 
 class Trainer:
@@ -178,28 +187,9 @@ class Trainer:
         if cs is None:
             cs = _ws._env_flag("REPRO_COMPILE_STEP", True)
         self._compile_enabled = bool(cs)
-        mp = self.cfg.mem_plan
-        if mp is None:
-            mp = _ws._env_flag("REPRO_MEM_PLAN", True)
-        self._mem_plan = bool(mp)
-        pr = self.cfg.parallel_replay
-        if pr is None:
-            pr = _ws._env_flag("REPRO_PARALLEL_REPLAY", False)
-        self._parallel_replay = bool(pr)
-        rw = self.cfg.replay_workers
-        if rw is None:
-            rw = int(os.environ.get("REPRO_REPLAY_WORKERS", "4"))
-        self._replay_workers = int(rw)
-        sc = self.cfg.sparse_compute
-        if sc is None:
-            sc = _ws._env_flag("REPRO_SPARSE_COMPUTE", False)
-        self._sparse_compute = bool(sc)
-        sg = self.cfg.sparse_min_gain
-        if sg is None:
-            sg = float(os.environ.get("REPRO_SPARSE_MIN_GAIN", "1.05"))
-        self._sparse_min_gain = float(sg)
-        #: arena metrics of the most recent full-batch training plan
-        #: (``StepPlan.mem_metrics``); feeds the epoch record and, for
+        #: arena metrics of the most recently captured full-batch training
+        #: plan (``StepPlan.mem_metrics``, frozen at capture, so read once
+        #: when the plan is stored); feeds the epoch record and, for
         #: PruneTrain's measured-capacity batch sizing, the memory model
         self._last_mem_metrics: Optional[Dict] = None
         #: shape-keyed plan caches (one per batch shape, so dynamic batch
@@ -263,8 +253,6 @@ class Trainer:
             if reason is None:
                 self.optimizer.zero_grad()
                 loss_arr, logits_arr = cached.run(xb, yb)
-                if xb.shape[0] == self.loader.batch_size:
-                    self._last_mem_metrics = cached.mem_metrics()
                 acc = float((logits_arr.argmax(1) == yb).mean())
                 return float(loss_arr), acc, 0.0
             # Stale within the same generation (engine config / parameter
@@ -339,14 +327,16 @@ class Trainer:
             self.on_run_start()
         if self.cfg.profile:
             PROFILER.enable(reset=True)
-        saved_engine = (_ws.config.mem_plan, _ws.config.parallel_replay,
-                        _ws.config.replay_workers, _ws.config.sparse_compute,
-                        _ws.config.sparse_min_gain)
-        _ws.config.mem_plan = self._mem_plan
-        _ws.config.parallel_replay = self._parallel_replay
-        _ws.config.replay_workers = self._replay_workers
-        _ws.config.sparse_compute = self._sparse_compute
-        _ws.config.sparse_min_gain = self._sparse_min_gain
+        # Pin the engine switches this config sets explicitly for the
+        # duration of the run, so replayed plans and recaptures agree on
+        # the engine signature; ``None`` leaves ``workspace.config`` (env
+        # defaults or whatever the caller set there) alone.
+        saved_engine = {}
+        for name in _ENGINE_FIELDS:
+            value = getattr(self.cfg, name)
+            if value is not None:
+                saved_engine[name] = getattr(_ws.config, name)
+                setattr(_ws.config, name, value)
         try:
             for epoch in range(start_epoch, self.cfg.epochs):
                 if self.cfg.profile:
@@ -393,9 +383,8 @@ class Trainer:
                           f"infF {rec.inference_flops/1e6:.2f}M "
                           f"batch {rec.batch_size}")
         finally:
-            (_ws.config.mem_plan, _ws.config.parallel_replay,
-             _ws.config.replay_workers, _ws.config.sparse_compute,
-             _ws.config.sparse_min_gain) = saved_engine
+            for name, value in saved_engine.items():
+                setattr(_ws.config, name, value)
             self.shutdown()
         if self.cfg.profile:
             PROFILER.disable()

@@ -13,6 +13,7 @@ from repro.costmodel import MemoryModel, iteration_memory_bytes
 from repro.data import make_synthetic
 from repro.distributed import DynamicBatchAdjuster
 from repro.nn import resnet20, resnet50_cifar, vgg11
+from repro.tensor import workspace
 from repro.train import (AMCLikeConfig, AMCLikePruner, OneTimeConfig,
                          OneTimeTrainer, PruneTrainConfig, PruneTrainTrainer,
                          RunLog, SSLConfig, SSLTrainer, Trainer,
@@ -46,6 +47,31 @@ class TestDenseTrainer:
         assert rec.cumulative_train_flops > 0
         assert "1080ti" in rec.epoch_time_model
         assert 0 <= rec.val_acc <= 1
+
+    def test_unset_engine_fields_leave_workspace_config_alone(self, data):
+        """Regression: the trainer used to re-parse ``REPRO_MEM_PLAN`` & co
+        for every ``None`` field and pin the env default over
+        ``workspace.config``, so switching the planner off on the engine
+        config and training with a default ``TrainerConfig`` silently
+        trained planned.  ``None`` now means "leave the engine config
+        alone"; an explicit value is still pinned for the run and restored
+        after it."""
+        train, val = data
+
+        def run(**kw):
+            tr = Trainer(resnet20(10, width_mult=0.25, input_hw=8), train,
+                         val, TrainerConfig(**tiny_cfg(
+                             epochs=1, compile_step=True, **kw)))
+            return tr.train().records
+
+        saved = workspace.config.mem_plan
+        workspace.config.mem_plan = False
+        try:
+            assert all(r.arena_bytes == 0 for r in run())
+            assert all(r.arena_bytes > 0 for r in run(mem_plan=True))
+            assert workspace.config.mem_plan is False
+        finally:
+            workspace.config.mem_plan = saved
 
     def test_loss_decreases(self, data):
         train, val = data
