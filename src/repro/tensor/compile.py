@@ -692,9 +692,11 @@ class Tape:
         pairs = {id(rec): builder.build(rec) for rec in self.records}
         plan._fwd = [pairs[id(rec)][0] for rec in self.records]
         if sched is None:
-            plan._bwd = [pairs[id(self.rec_of[id(n)])][1] for n in bwd_nodes]
-            rec_last = {id(self.rec_of[id(n)]): i
-                        for i, n in enumerate(bwd_nodes)}
+            bwd_recs = [self.rec_of[id(n)] for n in bwd_nodes]
+            plan._bwd = [pairs[id(rec)][1] for rec in bwd_recs]
+            plan._thunk_kinds = ([rec.kind for rec in self.records],
+                                 [rec.kind for rec in bwd_recs])
+            rec_last = {id(rec): i for i, rec in enumerate(bwd_recs)}
             plan._leaf_bwd_idx = {
                 lid: rec_last[rid]
                 for lid, rid in plan._leaf_sink_rec.items()
@@ -1087,10 +1089,11 @@ class _PlanBuilder:
             # shape-preserving consumer can alias onto this slab.
             y4 = self._value_buf(rec, (n, k, ho, wo), dtype)
             y3 = y4.reshape(n, k, p)
+            # The backward GEMM's staged (N, C, P) input.
+            xbox: List[Optional[np.ndarray]] = [None]
             if stride > 1:
                 xm4 = self._span_buf(rec, (n, c, ho, wo), dtype)
-                xm = xm4.reshape(n, c, p)
-                xmT = xm.transpose(0, 2, 1)
+                xm = xbox[0] = xm4.reshape(n, c, p)
 
                 def fwd() -> None:
                     np.copyto(xm4, rd_x()[:, :, ::stride, ::stride])
@@ -1102,8 +1105,6 @@ class _PlanBuilder:
                 # The staged input is just a reshape view of the incoming
                 # activation; rebuild it per step (the producing op may
                 # write a fresh array) and keep it for the backward GEMM.
-                xbox: List[Optional[np.ndarray]] = [None]
-
                 def fwd() -> None:
                     xm_ = rd_x().reshape(n, c, p)
                     xbox[0] = xm_
@@ -1114,7 +1115,15 @@ class _PlanBuilder:
             if not self.keep_ctx:
                 return fwd, None
             w2t = w2.T
-            dwn = self._bwd_buf(rec, (n, k, c), dtype, phase="a")
+            # Same two weight-gradient forms, same predicate, as the RxS
+            # lowering (ops.conv.dw_folds): folded restages dy and x
+            # channel-major for one GEMM over N*P; per-sample keeps the slab.
+            fold = _conv.dw_folds(k, c, p)
+            if fold:
+                dyT = self._bwd_buf(rec, (k, n, p), dtype, phase="a")
+                xT = self._bwd_buf(rec, (c, n, p), dtype, phase="a")
+            else:
+                dwn = self._bwd_buf(rec, (n, k, c), dtype, phase="a")
             dx_part = None
             if need_dx and stride > 1:
                 tmp3 = self._bwd_buf(rec, (n, c, p), dtype, phase="b")
@@ -1147,15 +1156,12 @@ class _PlanBuilder:
 
             def dw_part(g: np.ndarray) -> None:
                 dym = g.reshape(n, k, p)
-                if stride > 1:
-                    np.matmul(dym, xmT, out=dwn)
+                if fold:
+                    dw = _conv.dw_folded(dym, xbox[0], dyT, xT, w_out2)
                 else:
                     np.matmul(dym, xbox[0].transpose(0, 2, 1), out=dwn)
-                if w_out is None:
-                    dw = np.add.reduce(dwn, axis=0).reshape(k, c, 1, 1)
-                else:
-                    np.add.reduce(dwn, axis=0, out=w_out2)
-                    dw = w_out
+                    dw = np.add.reduce(dwn, axis=0, out=w_out2)
+                dw = w_out if w_out is not None else dw.reshape(k, c, 1, 1)
                 F._give_grad(w_t, dw)
                 if give_b is not None:
                     give_b(g)
@@ -1665,8 +1671,8 @@ class _PlanBuilder:
 
         if not self.keep_ctx:
             def fwd() -> None:
-                y, _mask = _pool.maxpool2d_forward(rd_x(), k)
-                values[o] = y
+                values[o] = _pool.maxpool2d_forward(rd_x(), k,
+                                                    need_mask=False)[0]
             return fwd, None
 
         def fwd() -> None:
@@ -1878,6 +1884,8 @@ class StepPlan:
         #: ``_bwd`` always holds the flat serial order regardless.
         self._levels: Optional[List[List[Callable[[], None]]]] = None
         self._level_names: Optional[List[List[str]]] = None
+        #: serial plans: op kind of each ``_fwd`` / ``_bwd`` thunk, in order
+        self._thunk_kinds: Tuple[List[str], List[str]] = ([], [])
         self._workers = 1
         self._schedule = None
         #: zero-copy gradient sinks baked into this plan's thunks:
@@ -2034,16 +2042,20 @@ class StepPlan:
             else:
                 for b in self._bwd:
                     b()
-        # Drop activation references eagerly (peak-memory parity with the
-        # eager engine, whose graph teardown frees them in backward()).
-        for i in range(self.n_slots):
-            values[i] = None
-            grads[i] = None
-            self._ctxs[i] = None
-        self._tbox[0] = None
+        self._drop_step_refs()
         STATS.replays += 1
         STATS.replay_seconds += time.perf_counter() - t0
         return loss, logits
+
+    def _drop_step_refs(self) -> None:
+        """Drop activation references eagerly (peak-memory parity with the
+        eager engine, whose graph teardown frees them in backward())."""
+        values, grads, ctxs = self._values, self._grads, self._ctxs
+        for i in range(self.n_slots):
+            values[i] = None
+            grads[i] = None
+            ctxs[i] = None
+        self._tbox[0] = None
 
     def _run_levels(self) -> None:
         """Level-scheduled replay on the worker pool.
@@ -2078,38 +2090,57 @@ class StepPlan:
                              for i, dt in enumerate(level_times)]
 
     def replay_timed(self, x: np.ndarray, targets: np.ndarray):
-        """Replay one step on the calling thread, timing every thunk.
+        """Replay one training step on the calling thread, timing every
+        thunk.  Returns ``(loss, logits, seconds)``; the replay computes
+        exactly what :meth:`run` computes.
 
-        Parallel plans only.  Executes level by level (nodes of one level
-        in order) — level order is a valid topological order, and, unlike
-        the flat serial order, respects the level-timed arena layout this
-        plan was packed against.  Returns ``(loss, logits, level_seconds)``
-        with ``level_seconds[i][j]`` the wall time of level ``i``'s
-        ``j``-th thunk — the per-level input for the benchmark's
+        Serial plan: ``seconds`` is a flat list of ``(op kind, "fwd" |
+        "bwd", seconds)`` in execution order — the per-thunk attribution of
+        a step (which conv backward, which pool, dominates it).
+
+        Parallel plan: executes level by level (nodes of one level in
+        order) — level order is a valid topological order, and, unlike the
+        flat serial order, respects the level-timed arena layout the plan
+        was packed against.  ``seconds[i][j]`` is the wall time of level
+        ``i``'s ``j``-th thunk — the per-level input for the benchmark's
         critical-path schedule model.
         """
-        if self._levels is None:
-            raise RuntimeError("replay_timed requires a parallel plan")
+        if self._released:
+            raise RuntimeError("cannot replay a released plan")
+        if self.kind != "train":
+            raise RuntimeError("replay_timed requires a training plan")
         values = self._values
         grads = self._grads
         values[self._input_slot] = x
         self._tbox[0] = targets
-        level_seconds: List[List[float]] = []
-        for level in self._levels:
-            times = []
-            for fn in level:
-                t = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - t)
-            level_seconds.append(times)
+        clock = time.perf_counter
+        if self._levels is not None:
+            seconds: list = []
+            for level in self._levels:
+                times = []
+                for fn in level:
+                    t = clock()
+                    fn()
+                    times.append(clock() - t)
+                seconds.append(times)
+        else:
+            fwd_kinds, bwd_kinds = self._thunk_kinds
+            seconds = []
+            for kind, f in zip(fwd_kinds, self._fwd):
+                t = clock()
+                f()
+                seconds.append((kind, "fwd", clock() - t))
+            grads[self._loss_slot] = np.ones_like(values[self._loss_slot])
+            for i, (kind, b) in enumerate(zip(bwd_kinds, self._bwd)):
+                t = clock()
+                b()
+                seconds.append((kind, "bwd", clock() - t))
+                for fn in self._comm_at.get(i, ()):
+                    fn()
         loss = values[self._loss_slot]
         logits = values[self._logits_slot]
-        for i in range(self.n_slots):
-            values[i] = None
-            grads[i] = None
-            self._ctxs[i] = None
-        self._tbox[0] = None
-        return loss, logits, level_seconds
+        self._drop_step_refs()
+        return loss, logits, seconds
 
     def run_forward(self, x: np.ndarray) -> np.ndarray:
         """Replay a forward-only plan; returns the logits array."""

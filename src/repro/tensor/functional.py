@@ -221,7 +221,9 @@ def max_pool2d(x: Tensor, kernel: int) -> Tensor:
     """Non-overlapping max pooling (identity when input is below kernel size)."""
     if x.data.shape[2] < kernel or x.data.shape[3] < kernel:
         return x
-    y, mask = _pool.maxpool2d_forward(x.data, kernel)
+    # Forward-only calls (evaluation, serving) never read the argmax mask.
+    y, mask = _pool.maxpool2d_forward(
+        x.data, kernel, need_mask=grad_enabled() and x.requires_grad)
     x_shape = x.data.shape
 
     def backward(g: np.ndarray) -> None:

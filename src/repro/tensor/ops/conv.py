@@ -11,8 +11,14 @@ Two lowerings are provided, selected by ``workspace.config.conv_impl``:
     The gather is paid exactly once per layer per step: backward reuses the
     same column tensor, so
 
-    - ``dw`` is one batched GEMM ``dy @ cols^T`` summed over the batch
-      (the seed engine re-gathered the windows here a second time);
+    - ``dw`` contracts ``dy`` with those columns (the seed engine
+      re-gathered the windows here a second time) in one of two forms:
+      *per-sample* — ``N`` GEMMs ``dy (K, P) @ cols^T (P, C*R*S)`` into an
+      ``(N, K, C*R*S)`` slab, summed over the batch — or *batch-folded* —
+      ``dy`` and the columns restaged channel-major, then one GEMM
+      ``dy (K, N*P) @ cols (N*P, C*R*S)``.  :func:`dw_folds` picks the form
+      from ``(K, C*R*S, P)`` alone, and every driver of this lowering reads
+      it;
     - ``dx`` for unit stride is the transposed convolution of ``dy`` with
       the spatially flipped filters, expressed as a window contraction —
       ~2x faster than the patch-scatter formulation; strided convs compute
@@ -20,7 +26,8 @@ Two lowerings are provided, selected by ``workspace.config.conv_impl``:
       ``R*S`` strided slice additions.
 
     1x1 convolutions skip all of this: they are batched ``(K,C)`` x
-    ``(N,C,H*W)`` matrix products in both directions.  Contraction paths
+    ``(N,C,H*W)`` matrix products in both directions, with the same two
+    ``dw`` forms against the staged input.  Contraction paths
     for the remaining einsums are memoized per shape signature, and all
     staging buffers come from the :mod:`repro.tensor.workspace` pool.
 
@@ -112,6 +119,59 @@ def col2im(dcols: np.ndarray, x_shape: Tuple[int, int, int, int], r: int,
 
 def _is_pointwise(r: int, s: int, padding: int) -> bool:
     return r == 1 and s == 1 and padding == 0
+
+
+def dw_folds(k: int, crs: int, p: int) -> bool:
+    """Which of the two weight-gradient forms a conv uses (einsum lowering).
+
+    ``True``: batch-folded — one GEMM ``dy (K, N*P) @ cols (N*P, C*R*S)``
+    after restaging ``dy`` and the columns channel-major.  ``False``:
+    per-sample — ``N`` GEMMs into an ``(N, K, C*R*S)`` slab, then a sum over
+    the batch.  The slab costs ``K*CRS`` elements a sample, the restage
+    ``P*(CRS + K)``; folding wins once the slab is the bigger of the two
+    (wide layers at small spatial size, where the per-sample GEMMs degenerate
+    towards rank-``P`` outer products), and loses on narrow layers with large
+    feature maps.
+
+    The two forms sum the batch in different orders, so every driver — eager,
+    :class:`ConvKernels` dense and live, the 1x1 plan thunks — reads this one
+    predicate, which is what keeps them bit-identical.  It deliberately
+    ignores ``N``: batch growth, tail batches and data-parallel shards must
+    never flip the form mid-run.
+    """
+    return k * crs > p * (crs + k)
+
+
+def dw_folded(dym: np.ndarray, cols3: np.ndarray, dyT: np.ndarray,
+              colsT: np.ndarray, out: Optional[np.ndarray] = None
+              ) -> np.ndarray:
+    """Batch-folded weight gradient of ``dy (N, K, P)`` against sample-major
+    columns ``(N, CRS, P)``: restage both channel-major into the caller's
+    ``dyT (K, N, P)`` / ``colsT (CRS, N, P)``, then one GEMM over ``N*P``
+    into ``out (K, CRS)`` (a fresh array when ``None``)."""
+    k, crs = dyT.shape[0], colsT.shape[0]
+    np.copyto(dyT, dym.transpose(1, 0, 2))
+    np.copyto(colsT, cols3.transpose(1, 0, 2))
+    return np.matmul(dyT.reshape(k, -1), colsT.reshape(crs, -1).T, out=out)
+
+
+def _dw_einsum(dym: np.ndarray, cols3: np.ndarray) -> np.ndarray:
+    """Eager ``(K, CRS)`` weight gradient in the form :func:`dw_folds`
+    selects; every staging buffer is pooled."""
+    n, k, p = dym.shape
+    crs = cols3.shape[1]
+    if dw_folds(k, crs, p):
+        dyT = ws.acquire((k, n, p), dym.dtype)
+        colsT = ws.acquire((crs, n, p), dym.dtype)
+        dw = dw_folded(dym, cols3, dyT, colsT)
+        ws.release(colsT)
+        ws.release(dyT)
+        return dw
+    dwn = ws.acquire((n, k, crs), dym.dtype)
+    np.matmul(dym, cols3.transpose(0, 2, 1), out=dwn)
+    dw = dwn.sum(axis=0)
+    ws.release(dwn)
+    return dw
 
 
 def _pad_into_workspace(x: np.ndarray, padding: int) -> np.ndarray:
@@ -232,8 +292,7 @@ def conv2d_backward(dy: np.ndarray, ctx: tuple,
         xm = saved
         ho, wo = dy.shape[2], dy.shape[3]
         dym = dy.reshape(n, k, ho * wo)
-        dw = np.matmul(dym, xm.transpose(0, 2, 1)).sum(axis=0) \
-            .reshape(k, c, 1, 1)
+        dw = _dw_einsum(dym, xm).reshape(k, c, 1, 1)
         db = dy.sum(axis=(0, 2, 3)) if need_db else None
         dx = None
         if need_dx:
@@ -251,17 +310,14 @@ def conv2d_backward(dy: np.ndarray, ctx: tuple,
         return dx, dw, db
 
     if kind == "cols6":
-        # The forward gather is reused: dw is a pure batched GEMM against
-        # the saved column tensor (the pool keeps it alive until the
-        # autograd layer calls release_ctx after this returns).
+        # The forward gather is reused: dw is a pure GEMM against the saved
+        # column tensor (the pool keeps it alive until the autograd layer
+        # calls release_ctx after this returns).
         cols6 = saved
         ho, wo = dy.shape[2], dy.shape[3]
         dym = dy.reshape(n, k, ho * wo)
-        cols3 = cols6.reshape(n, c * r * s, ho * wo)
-        dwn = ws.acquire((n, k, c * r * s), dy.dtype)
-        np.matmul(dym, cols3.transpose(0, 2, 1), out=dwn)
-        dw = dwn.sum(axis=0).reshape(k, c, r, s)
-        ws.release(dwn)
+        dw = _dw_einsum(dym, cols6.reshape(n, c * r * s, ho * wo)) \
+            .reshape(k, c, r, s)
         db = dy.sum(axis=(0, 2, 3)) if need_db else None
         dx = None
         if need_dx:
@@ -396,35 +452,50 @@ def _take_block(dst: np.ndarray, src: np.ndarray, row_runs, col_runs) -> None:
 
 
 class _Gather:
-    """One window gather: ``(N, C, H, W)`` source -> ``(N, C, R, S, Ho, Wo)``
-    column tensor ``cols6``, staged through the padded buffer ``pad`` (``None``
-    gathers straight from the source).
+    """One window gather: ``(N, C, H, W)`` source -> column tensor ``cols6``,
+    staged through the padded buffer ``pad`` (``None`` gathers straight from
+    the source).
+
+    ``cols6`` is sample-major, ``(N, C, R, S, Ho, Wo)``, and :attr:`mat` its
+    batched-GEMM operand view ``(N, C*R*S, P)`` — or, with ``cmajor``,
+    channel-major, ``(C, R, S, N, Ho, Wo)``, and :attr:`mat` the
+    ``(C*R*S, N*P)`` operand of the batch-folded weight-gradient GEMM, so a
+    backward re-gather lands in the layout that GEMM reads with no second
+    pass.  Either way the trailing ``Wo`` axis is stride-1 in the source.
 
     ``dense(src)`` gathers every channel.  ``live(src)`` (built when ``runs``
     is given) copies the run-selected channels into the *prefix* of the same
-    padded buffer and gathers into the prefix of the same column tensor, so
-    both layouts run on one worst-case-dense allocation.  ``rezero`` clears
-    the padded borders on every dense call — needed when the buffer is shared
-    scratch or alternates between layouts (stale border bytes of the other
-    layout are the one way the two could diverge); otherwise the owner zeroes
-    it once.  ``live`` always clears them.
+    padded buffer and gathers into the prefix of the same column tensor
+    (:attr:`mat_l`), so both layouts run on one worst-case-dense allocation.
+    ``rezero`` clears the padded borders on every dense call — needed when
+    the buffer is shared scratch or alternates between layouts (stale border
+    bytes of the other layout are the one way the two could diverge);
+    otherwise the owner zeroes it once.  ``live`` always clears them.
     """
 
-    __slots__ = ("dense", "live", "cols3", "cols3_l")
+    __slots__ = ("dense", "live", "mat", "mat_l")
 
     def __init__(self, cols6: np.ndarray, pad: Optional[np.ndarray],
                  src_shape: tuple, r: int, s: int, stride: int, ph: int,
-                 pw: int, rezero: bool, runs=None) -> None:
+                 pw: int, rezero: bool, runs=None,
+                 cmajor: bool = False) -> None:
         n, c, h, w = src_shape
-        p = cols6.shape[4] * cols6.shape[5]
-        self.cols3 = cols6.reshape(n, c * r * s, p)
+        ho, wo = cols6.shape[4:]
+        # window view (N, C, Ho, Wo, R, S) -> the column tensor's axis order
+        axes = (1, 4, 5, 0, 2, 3) if cmajor else (0, 1, 4, 5, 2, 3)
+
+        def operand(cols: np.ndarray, ch: int) -> np.ndarray:
+            if cmajor:
+                return cols.reshape(ch * r * s, n * ho * wo)
+            return cols.reshape(n, ch * r * s, ho * wo)
+
+        self.mat = operand(cols6, c)
         if pad is None:
             def dense(src: np.ndarray) -> None:
-                np.copyto(cols6, _windows(src, r, s, stride)
-                          .transpose(0, 1, 4, 5, 2, 3))
+                np.copyto(cols6, _windows(src, r, s, stride).transpose(axes))
         else:
             core = pad[:, :, ph:ph + h, pw:pw + w]
-            wdwT = _windows(pad, r, s, stride).transpose(0, 1, 4, 5, 2, 3)
+            wdwT = _windows(pad, r, s, stride).transpose(axes)
             if rezero and (ph or pw):
                 def dense(src: np.ndarray) -> None:
                     pad.fill(0)
@@ -435,14 +506,15 @@ class _Gather:
                     np.copyto(core, src)
                     np.copyto(cols6, wdwT)
         self.dense = dense
-        self.live = self.cols3_l = None
+        self.live = self.mat_l = None
         if runs is not None:
             cl = sum(ln for _, _, ln in runs)
             pad_l = _prefix(pad, (n, cl) + pad.shape[2:])
             core_l = pad_l[:, :, ph:ph + h, pw:pw + w]
-            wdwT_l = _windows(pad_l, r, s, stride).transpose(0, 1, 4, 5, 2, 3)
-            cols6_l = _prefix(cols6, (n, cl) + cols6.shape[2:])
-            self.cols3_l = cols6_l.reshape(n, cl * r * s, p)
+            wdwT_l = _windows(pad_l, r, s, stride).transpose(axes)
+            cols6_l = _prefix(cols6, (cl, r, s, n, ho, wo) if cmajor
+                              else (n, cl, r, s, ho, wo))
+            self.mat_l = operand(cols6_l, cl)
             borders = bool(ph or pw)
 
             def live(src: np.ndarray) -> None:
@@ -471,7 +543,9 @@ class ConvKernels:
 
     Dense kernels: ``fwd(x)`` fills :attr:`y4`; ``dw(x, g3, out=None)``
     returns the ``(K, C, R, S)`` weight gradient (written into ``out`` if
-    given); ``dx(g)`` returns the input gradient — the transposed-convolution
+    given), per-sample or batch-folded as :func:`dw_folds` says — ``dw_live``
+    always takes the same form, or it could not match ``dw`` bitwise;
+    ``dx(g)`` returns the input gradient — the transposed-convolution
     form at unit stride, the strided scatter-add form otherwise.
 
     With a ``dead`` set (:class:`repro.tensor.sparse.DeadSet`) the live-channel
@@ -492,8 +566,10 @@ class ConvKernels:
     with other ops (the memory planner's layout): padded borders are
     re-zeroed per step and the backward re-stages ``x`` and re-gathers the
     identical windows into its own phase-``"a"`` scratch instead of keeping
-    the column tensor (RxS times the feature map) alive across the step.
-    Without it the backward GEMM reads the forward's column tensor directly
+    the column tensor (RxS times the feature map) alive across the step —
+    channel-major when ``dw`` folds, so the re-gather lands in the layout the
+    folded GEMM reads.  Without it the backward GEMM reads the forward's
+    column tensor directly, through a channel-major restage when ``dw`` folds
     (a dual-layout set still re-gathers: the forward may have staged the
     other layout).
     """
@@ -532,7 +608,7 @@ class ConvKernels:
         gx = _Gather(cols6, xp, x_shape, r, s, stride, padding, padding,
                      rezero, in_live_runs)
 
-        gather, cols3 = gx.dense, gx.cols3
+        gather, cols3 = gx.dense, gx.mat
 
         def fwd(x: np.ndarray) -> None:
             gather(x)
@@ -546,50 +622,101 @@ class ConvKernels:
             def fwd_live(x: np.ndarray) -> None:
                 gx.live(x)
                 _take_block(wl4, w, out_live_runs, in_live_runs)
-                np.matmul(wl, gx.cols3_l, out=yl)
+                np.matmul(wl, gx.mat_l, out=yl)
                 _put_ch(y3, yl, out_live_runs, dead.out_dead_runs)
             self.fwd_live = fwd_live
         if not backward:
             return
 
         # -- dw (phase "a") ------------------------------------------------
-        dwn = alloc((n, k, crs), "bwd", "a")
+        # One of two forms, chosen by dw_folds from (K, CRS, P) alone; the
+        # (N, K, CRS) slab exists only on the per-sample side.
+        fold = dw_folds(k, crs, p)
+        if fold:
+            dyT = alloc((k, n, p), "dyT", "a")
+            dy2 = dyT.reshape(k, n * p)
+        else:
+            dwn = alloc((n, k, crs), "bwd", "a")
         if live:
-            dym = alloc((n, k, p), "sp.dym", "a")
+            if not fold:
+                dym = alloc((n, k, p), "sp.dym", "a")
             red = alloc((k, crs), "sp.red", "a")
         if remat:
-            cols_b6 = alloc((n, c, r, s, ho, wo), "cols_b", "a")
+            cols_b6 = alloc((c, r, s, n, ho, wo) if fold
+                            else (n, c, r, s, ho, wo), "cols_b", "a")
             xpb = alloc(xp.shape, "xpb", "a") if xp is not None else None
             gb = _Gather(cols_b6, xpb, x_shape, r, s, stride, padding,
-                         padding, True, in_live_runs)
+                         padding, True, in_live_runs, cmajor=fold)
         else:
             gb = gx
-        colsT = gb.cols3.transpose(0, 2, 1)
         regather = gb.dense if rezero else (lambda x: None)
 
-        def dw(x: np.ndarray, g3: np.ndarray,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-            regather(x)
-            np.matmul(g3, colsT, out=dwn)
-            if out is None:
-                return np.add.reduce(dwn, axis=0).reshape(k, c, r, s)
-            np.add.reduce(dwn, axis=0, out=out.reshape(k, crs))
-            return out
+        def flat(out: Optional[np.ndarray]) -> Optional[np.ndarray]:
+            return None if out is None else out.reshape(k, crs)
+
+        def finish(dw2: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+            return dw2.reshape(k, c, r, s) if out is None else out
+
+        if fold:
+            if not remat:
+                # gb is the forward's sample-major gather; the folded GEMM
+                # reads its columns through a channel-major restage.
+                colsT = alloc((crs, n, p), "colsT", "a")
+
+            def folded(gather, mat: np.ndarray, rows: int):
+                """``(stage, rhs)``: ``stage(x)`` leaves the columns of ``x``
+                in ``rhs``, the ``(N*P, rows)`` operand of the folded GEMM."""
+                if remat:
+                    return gather, mat.T
+                buf = _prefix(colsT, (rows, n, p))
+                src = mat.transpose(1, 0, 2)
+
+                def stage(x: np.ndarray) -> None:
+                    gather(x)
+                    np.copyto(buf, src)
+                return stage, buf.reshape(rows, n * p).T
+
+            stage, rhs = folded(regather, gb.mat, crs)
+
+            def dw(x: np.ndarray, g3: np.ndarray,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+                stage(x)
+                np.copyto(dyT, g3.transpose(1, 0, 2))
+                return finish(np.matmul(dy2, rhs, out=flat(out)), out)
+        else:
+            colsT = gb.mat.transpose(0, 2, 1)
+
+            def dw(x: np.ndarray, g3: np.ndarray,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+                regather(x)
+                np.matmul(g3, colsT, out=dwn)
+                return finish(np.add.reduce(dwn, axis=0, out=flat(out)), out)
         self.dw = dw
         if live:
             crs_l = cl * r * s
-            colsT_l = gb.cols3_l.transpose(0, 2, 1)
+            if fold:
+                stage_l, rhs_l = folded(gb.live, gb.mat_l, crs_l)
+            else:
+                colsT_l = gb.mat_l.transpose(0, 2, 1)
 
             def dw_live(x: np.ndarray, g3: np.ndarray, row_runs,
                         out: Optional[np.ndarray] = None) -> np.ndarray:
                 km = sum(ln for _, _, ln in row_runs)
-                gb.live(x)
-                dym_m = _prefix(dym, (n, km, p))
-                _take_ch(dym_m, g3, row_runs)
-                dwn_m = _prefix(dwn, (n, km, crs_l))
-                np.matmul(dym_m, colsT_l, out=dwn_m)
                 red_m = _prefix(red, (km, crs_l))
-                np.add.reduce(dwn_m, axis=0, out=red_m)
+                if fold:
+                    stage_l(x)
+                    dyT_m = _prefix(dyT, (km, n, p))
+                    for d0, s0, ln in row_runs:
+                        dyT_m[d0:d0 + ln] = g3[:, s0:s0 + ln] \
+                            .transpose(1, 0, 2)
+                    np.matmul(dyT_m.reshape(km, n * p), rhs_l, out=red_m)
+                else:
+                    gb.live(x)
+                    dym_m = _prefix(dym, (n, km, p))
+                    _take_ch(dym_m, g3, row_runs)
+                    dwn_m = _prefix(dwn, (n, km, crs_l))
+                    np.matmul(dym_m, colsT_l, out=dwn_m)
+                    np.add.reduce(dwn_m, axis=0, out=red_m)
                 red4 = red_m.reshape(km, cl, r, s)
                 if out is None:
                     out = np.zeros((k, c, r, s), dtype)
@@ -622,7 +749,7 @@ class ConvKernels:
             gy = _Gather(dyc6, dyp, (n, k, ho, wo), r, s, 1, pr, ps, rezero,
                          out_live_runs)
             wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gather_dy, dyc3 = gy.dense, gy.cols3
+            gather_dy, dyc3 = gy.dense, gy.mat
 
             def dx(g: np.ndarray) -> np.ndarray:
                 gather_dy(g)
@@ -637,7 +764,7 @@ class ConvKernels:
                 def dx_live(g: np.ndarray) -> np.ndarray:
                     gy.live(g)
                     _take_block(wfl4, wflip, in_live_runs, out_live_runs)
-                    np.matmul(wfl2, gy.cols3_l, out=dxl)
+                    np.matmul(wfl2, gy.mat_l, out=dxl)
                     _put_ch(dx3, dxl, in_live_runs, dead.in_dead_runs)
                     return dx4
                 self.dx_live = dx_live

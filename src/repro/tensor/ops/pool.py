@@ -14,16 +14,26 @@ every iteration reuses the previous iteration's allocations.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .. import workspace as ws
 
 
-def maxpool2d_forward(x: np.ndarray, k: int
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """Non-overlapping ``k x k`` max pool.  Returns ``(y, argmax_mask)``."""
+def maxpool2d_forward(x: np.ndarray, k: int, need_mask: bool = True
+                      ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Non-overlapping ``k x k`` max pool.  Returns ``(y, argmax_mask)``.
+
+    ``y`` is a running ``np.maximum`` over the ``k*k`` strided views that
+    pick one window position each — elementwise passes over contiguous
+    output, where a reduction over the two short window axes pays its setup
+    per output element.  The mask marks the *first* max of each window in
+    row-major window order, so gradient mass is conserved under ties (sum of
+    mask per window == 1): a position is marked when it equals ``y`` and its
+    window is still free.  ``need_mask=False`` (forward-only callers) skips
+    the mask and returns ``None`` for it.
+    """
     n, c, h, w = x.shape
     if h % k or w % k:
         # truncate ragged edge (matches PyTorch's default floor behaviour)
@@ -31,17 +41,22 @@ def maxpool2d_forward(x: np.ndarray, k: int
         n, c, h, w = x.shape
     ho, wo = h // k, w // k
     blocks = x.reshape(n, c, ho, k, wo, k)
-    y = blocks.max(axis=(3, 5))
-    # mask marking (one of the) max positions per window, used for backward
-    mask = blocks == y[:, :, :, None, :, None]
-    # Break ties: keep only the first max in each window so gradient mass is
-    # conserved (sum of mask per window == 1).
-    flat = mask.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
-    first = np.argmax(flat, axis=-1)
-    mask = np.zeros_like(flat, dtype=bool)
-    np.put_along_axis(mask, first[..., None], True, axis=-1)
-    mask = mask.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(y), mask
+    cells = [(i, j) for i in range(k) for j in range(k)]
+    y = blocks[:, :, :, 0, :, 0].copy()
+    for i, j in cells[1:]:
+        np.maximum(y, blocks[:, :, :, i, :, j], out=y)
+    if not need_mask:
+        return y, None
+    mask = np.empty(blocks.shape, dtype=bool)
+    free = np.ones(y.shape, dtype=bool)
+    for i, j in cells:
+        m = mask[:, :, :, i, :, j]
+        np.equal(blocks[:, :, :, i, :, j], y, out=m)
+        m &= free
+        free ^= m
+    # A window whose max is NaN equals nothing; it keeps its first cell.
+    mask[:, :, :, 0, :, 0] |= free
+    return y, mask
 
 
 def maxpool2d_backward(dy: np.ndarray, mask: np.ndarray, k: int,

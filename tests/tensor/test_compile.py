@@ -117,6 +117,94 @@ class TestTrainPlanBitExact:
             assert np.array_equal(pe.grad, pc.grad), n
 
 
+class _Pointwise(Module):
+    """One 1x1 conv -> global average pool: logits are its channels."""
+
+    def __init__(self, c, k, stride):
+        super().__init__()
+        from repro.nn.layers import Conv2d
+        self.conv = Conv2d(c, k, 1, stride=stride, bias=True,
+                           rng=np.random.default_rng(5))
+
+    def forward(self, x):
+        return F.global_avg_pool(self.conv(x))
+
+
+class TestPointwiseWeightGradient:
+    """The 1x1 plan thunk states its own dw; it must pick the form eager
+    picks (``ops.conv.dw_folds``) on both sides of the predicate."""
+
+    @pytest.mark.parametrize("mem_plan", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("c, k, hw, folds", [(4, 6, 8, False),
+                                                 (12, 10, 2, True)])
+    def test_replay_matches_eager(self, monkeypatch, c, k, hw, folds, stride,
+                                  mem_plan):
+        from repro.tensor.ops.conv import conv_out_size, dw_folds
+        monkeypatch.setattr(workspace.config, "mem_plan", mem_plan)
+        ho, wo = conv_out_size(hw, hw, 1, 1, stride, 0)
+        assert dw_folds(k, c, ho * wo) == folds
+        rng = np.random.default_rng(11)
+        m_e, m_c = _Pointwise(c, k, stride), _Pointwise(c, k, stride)
+        x0 = rng.standard_normal((7, c, hw, hw)).astype(np.float32)
+        y0 = rng.integers(0, k, size=7)
+        plan, loss_t, _, reason = capture_training_step(m_c, x0, y0)
+        assert reason is None, reason
+        loss_t.backward()
+        for _ in range(2):
+            x = rng.standard_normal(x0.shape).astype(np.float32)
+            y = rng.integers(0, k, size=7)
+            m_e.zero_grad()
+            F.cross_entropy(m_e(Tensor(x)), y).backward()
+            m_c.zero_grad()
+            plan.run(x, y)
+            for (n, pe), (_, pc) in zip(m_e.named_parameters(),
+                                        m_c.named_parameters()):
+                assert np.array_equal(pe.grad, pc.grad), n
+
+
+class TestReplayTimed:
+    def test_serial_plan_reports_every_thunk(self, monkeypatch):
+        monkeypatch.setattr(workspace.config, "parallel_replay", False)
+        rng = np.random.default_rng(4)
+        x0, y0 = _batch(rng)
+        x, y = _batch(rng)
+        m_a, m_b = _model(), _model()
+        plans = []
+        for m in (m_a, m_b):
+            plan, loss_t, _, reason = capture_training_step(m, x0, y0)
+            assert reason is None, reason
+            loss_t.backward()
+            m.zero_grad()
+            plans.append(plan)
+        loss, logits = plans[0].run(x, y)
+        loss_t, logits_t, seconds = plans[1].replay_timed(x, y)
+        # the same replay ...
+        assert np.array_equal(loss, loss_t)
+        assert np.array_equal(logits, logits_t)
+        for (n, pa), (_, pb) in zip(m_a.named_parameters(),
+                                    m_b.named_parameters()):
+            assert np.array_equal(pa.grad, pb.grad), n
+        # ... attributed thunk by thunk: forwards in op order, then backwards
+        phases = [ph for _, ph, _ in seconds]
+        n_fwd = phases.count("fwd")
+        assert n_fwd == plans[1]._n_ops
+        assert phases == ["fwd"] * n_fwd + ["bwd"] * (len(phases) - n_fwd)
+        kinds = {(kind, ph) for kind, ph, _ in seconds}
+        assert {("conv2d", "fwd"), ("conv2d", "bwd"),
+                ("cross_entropy", "bwd")} <= kinds
+        assert all(s >= 0.0 for _, _, s in seconds)
+
+    def test_forward_plan_is_refused(self):
+        model = _model()
+        model.eval()
+        x, y = _batch(np.random.default_rng(5))
+        plan, _, reason = capture_forward(model, x)
+        assert reason is None
+        with pytest.raises(RuntimeError, match="training plan"):
+            plan.replay_timed(x, y)
+
+
 class TestForwardPlan:
     def test_eval_replay_matches_eager(self):
         rng = np.random.default_rng(3)

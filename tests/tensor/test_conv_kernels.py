@@ -208,3 +208,89 @@ def test_probe_returns_pooled_buffers_when_a_kernel_raises(case, victim):
     finally:
         setattr(conv_ops, victim, original)
     assert workspace.POOL.lent_count == baseline
+
+
+# -- the two weight-gradient forms --------------------------------------------
+
+#: (c, k, hw) of a 3x3/pad-1 conv on each side of ``dw_folds``: a narrow layer
+#: on a large map keeps the per-sample slab, a wide one on a small map folds.
+PER_SAMPLE, FOLDED = (4, 4, 8), (16, 16, 2)
+
+
+def _case(c, k, hw, n, r=3, padding=1, dtype=np.float32, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, hw, hw)).astype(dtype)
+    w = (rng.standard_normal((k, c, r, r)) * 0.2).astype(dtype)
+    ho, wo = conv_ops.conv_out_size(hw, hw, r, r, 1, padding)
+    dy = rng.standard_normal((n, k, ho, wo)).astype(dtype)
+    return x, w, dy
+
+
+@pytest.mark.parametrize("n", [1, 32, 7])            # batch-1, full, tail
+@pytest.mark.parametrize("remat", [False, True])
+@pytest.mark.parametrize("shape, folds", [(PER_SAMPLE, False), (FOLDED, True)])
+def test_dw_forms_equal_eager_on_both_sides_of_the_predicate(shape, folds, n,
+                                                             remat):
+    c, k, hw = shape
+    x, w, dy = _case(c, k, hw, n)
+    assert conv_ops.dw_folds(k, c * 9, hw * hw) == folds
+    _, dw, _ = _eager(x, w, dy, 1, 1)
+    shapes = []
+
+    def alloc(shape, tag, phase):
+        shapes.append(shape)
+        return np.empty(shape, x.dtype)
+
+    ks = ConvKernels(x.shape, w, 1, 1, x.dtype, alloc, remat=remat)
+    # The (N, K, CRS) slab exists only on the per-sample side — at every N,
+    # because the predicate never sees N.
+    assert ((n, k, c * 9) in shapes) == (not folds)
+    g3 = dy.reshape(n, k, -1)
+    ks.fwd(x)
+    assert np.array_equal(ks.dw(x, g3), dw)
+    out = np.full_like(w, np.nan)
+    assert ks.dw(x, g3, out) is out and np.array_equal(out, dw)
+
+
+@pytest.mark.parametrize("hw", [1, 2])
+@pytest.mark.parametrize("r, padding", [(3, 1), (1, 0)])
+def test_folded_dw_matches_finite_differences(hw, r, padding):
+    """At 1x1 / 2x2 spatial the fold is one GEMM over N*P; check it against
+    the definition, not against the form it replaced."""
+    c, k, n = 12, 10, 3
+    x, w, dy = _case(c, k, hw, n, r, padding, dtype=np.float64)
+    assert conv_ops.dw_folds(k, c * r * r, hw * hw)
+    y, ctx = conv_ops.conv2d_forward(x, w, None, 1, padding)
+    _, dw, _ = conv_ops.conv2d_backward(dy, ctx, x.shape, w, 1, padding,
+                                        need_dx=False, need_db=False)
+    conv_ops.release_ctx(ctx)
+    eps, num = 1e-6, np.empty_like(w)
+    for idx in np.ndindex(w.shape):
+        wp, wm = w.copy(), w.copy()
+        wp[idx] += eps
+        wm[idx] -= eps
+        yp, cp = conv_ops.conv2d_forward(x, wp, None, 1, padding)
+        ym, cm = conv_ops.conv2d_forward(x, wm, None, 1, padding)
+        conv_ops.release_ctx(cp)
+        conv_ops.release_ctx(cm)
+        num[idx] = ((yp - ym) * dy).sum() / (2 * eps)
+    np.testing.assert_allclose(dw, num, rtol=1e-6, atol=1e-8)
+
+
+def test_gate_accepts_dw_live_where_the_predicate_folds():
+    """The gate's decision log must show a parity-passed accept for ``dw`` at
+    a folding shape.  Dropping dead *output* rows never touches a reduction,
+    so the live kernel can only differ from the dense one by using the other
+    weight-gradient form — which must fail CI here, not silently leave
+    sparse ``dw`` off (a parity reject just means "stay dense")."""
+    c, k, hw = FOLDED
+    x, w, dy = _case(c, k, hw, 8)
+    out_dead = np.zeros(k, bool)
+    out_dead[::3] = True
+    w[out_dead] = 0.0
+    wt = Tensor(w)
+    sparse.publish([(wt, np.zeros(c, bool), out_dead)])
+    gate = sparse.conv_gate_for(wt.data, x, 1, 1)
+    dw_log = [d for d in SPARSE_GEMM.decisions if d["path"] == "dw"]
+    assert len(dw_log) == 1 and dw_log[0]["parity"] and dw_log[0]["accepted"]
+    assert gate is not None and gate.use_dw

@@ -227,6 +227,26 @@ class TestCompileIntegration:
                 assert np.array_equal(p1.grad.data, p2.grad.data), n
                 p1.grad = p2.grad = None
 
+    def test_vgg13_training_arena_has_no_per_sample_dw_slab(self,
+                                                            monkeypatch):
+        """The planned VGG-13 (width 0.5, batch 32, hw 16) training arena was
+        85 065 728 B while every conv weight gradient staged an (N, K, C*R*S)
+        slab; with the wide layers' dw batch-folded it is ~17 MB.  Guard the
+        bound so the slab cannot come back."""
+        from repro.nn import vgg13
+        monkeypatch.setattr(workspace.config, "conv_impl", "einsum")
+        monkeypatch.setattr(workspace.config, "pooling", True)
+        # serial layout: level-timed packing trades bytes for concurrency
+        monkeypatch.setattr(workspace.config, "parallel_replay", False)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((32, 3, 16, 16)).astype(np.float32)
+        y = rng.integers(0, 10, size=32)
+        model = vgg13(10, width_mult=0.5, input_hw=16, seed=0)
+        plan, loss_t, _, reason = capture_training_step(model, x, y)
+        assert reason is None, reason
+        loss_t.backward()
+        assert 0 < plan.mem_metrics()["arena_bytes"] < 25 * 2 ** 20
+
     def test_mem_plan_off_is_recorded_in_engine_sig(self):
         model, plan, x, y = self._capture()
         saved = workspace.config.mem_plan

@@ -105,6 +105,73 @@ class TestMaxPool:
         assert dx[:, :, 4, :].sum() == 0  # truncated rows get no gradient
 
 
+    @staticmethod
+    def _reference_forward(x, k):
+        """The formulation ``maxpool2d_forward`` replaced (reduce over the
+        window axes, argmax for the first max), kept as the oracle."""
+        n, c, h, w = x.shape
+        x = x[:, :, : (h // k) * k, : (w // k) * k]
+        ho, wo = h // k, w // k
+        blocks = x.reshape(n, c, ho, k, wo, k)
+        y = blocks.max(axis=(3, 5))
+        flat = (blocks == y[:, :, :, None, :, None]) \
+            .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
+        mask = np.zeros_like(flat)
+        np.put_along_axis(mask, np.argmax(flat, axis=-1)[..., None], True,
+                          axis=-1)
+        return y, mask.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("shape", [(4, 3, 12, 12), (2, 5, 7, 11)])
+    def test_equals_reference_formulation(self, rng, k, shape):
+        raw = rng.normal(size=shape).astype(np.float32)
+        relu = np.maximum(raw, 0)       # post-ReLU: most windows hold ties
+        relu[0, 0, 0, 0] = -0.0         # equal to +0.0, different bytes
+        nan = relu.copy()
+        nan[-1, -1, 1, 1] = np.nan
+        for x in (raw, relu, -relu, nan):
+            y_ref, mask_ref = self._reference_forward(x, k)
+            y, mask = maxpool2d_forward(x, k)
+            assert y.tobytes() == y_ref.tobytes()
+            assert mask.dtype == np.bool_ and np.array_equal(mask, mask_ref)
+            y_only, no_mask = maxpool2d_forward(x, k, need_mask=False)
+            assert no_mask is None and y_only.tobytes() == y_ref.tobytes()
+
+    def test_forward_only_builds_no_mask(self, rng, monkeypatch):
+        """``F.max_pool2d`` under ``no_grad`` and forward-only plans ask for
+        ``y`` alone; training asks for the mask."""
+        from repro.tensor import Tensor, no_grad
+        from repro.tensor import functional as F
+        from repro.tensor.ops import pool
+
+        asked = []
+        real = pool.maxpool2d_forward
+
+        def spy(x, k, need_mask=True):
+            asked.append(need_mask)
+            return real(x, k, need_mask)
+        monkeypatch.setattr(pool, "maxpool2d_forward", spy)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        with no_grad():
+            y_eval = F.max_pool2d(x, 2)
+        y_train = F.max_pool2d(x, 2)
+        assert asked == [False, True]
+        assert np.array_equal(y_eval.data, y_train.data)
+        y_train.sum().backward()
+        assert x.grad.sum() == 2 * 3 * 2 * 2
+
+        from repro.nn import vgg11
+        from repro.tensor.compile import capture_forward
+        model = vgg11(10, width_mult=0.125, input_hw=8, seed=0)
+        model.eval()
+        xs = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
+        plan, logits, reason = capture_forward(model, xs)
+        assert reason is None, reason
+        del asked[:]
+        assert np.array_equal(plan.run_forward(xs), logits.data)
+        assert asked and not any(asked)
+
+
 class TestAvgPool:
     def test_forward(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
