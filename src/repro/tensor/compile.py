@@ -58,11 +58,12 @@ from . import memplan as _mp
 from . import parallel as _par
 from . import sparse as _sparse
 from . import workspace as ws
+from .ops import basic as _basic
 from .ops import conv as _conv
-from .ops import loss as _loss
 from .ops import norm as _norm
-from .ops import pool as _pool
+from .ops import table as _table
 from . import tensor as _tensor_mod
+from .functional import _give_grad, cross_entropy
 from .tensor import Tensor, no_grad
 
 __all__ = ["Tape", "StepPlan", "PlanCache", "PlanStats", "STATS",
@@ -255,13 +256,12 @@ class _Record:
 
 def _split_backward(rec: _Record) -> bool:
     """Whether ``rec``'s backward thunk is split into dw/dx/fin parts for
-    level scheduling.  Only the einsum conv qualifies: its weight-gradient
-    GEMM (plus column regather) is independent of the ``dx`` chain the
-    rest of the backward waits on, so splitting takes it off the critical
-    path.  Requires ``need_dx`` — without a dx the whole thunk is already
-    a leaf of the gradient dataflow."""
-    return (rec.kind == "conv2d" and ws.config.conv_impl == "einsum"
-            and bool(rec.attrs[2]))
+    level scheduling.  Only the conv qualifies: its weight-gradient GEMM
+    (plus column regather) is independent of the ``dx`` chain the rest of
+    the backward waits on, so splitting takes it off the critical path.
+    Requires ``need_dx`` — without a dx the whole thunk is already a leaf
+    of the gradient dataflow."""
+    return rec.kind == "conv2d" and bool(rec.attrs[2])
 
 
 def _release_fin(grads: list, o: int):
@@ -920,8 +920,7 @@ class _PlanBuilder:
         """Mirror ``functional._give_grad`` for a kernel-produced gradient."""
         slot, leaf = self._resolve(t)
         if slot is None:
-            from . import functional as F
-            return lambda arr: F._give_grad(leaf, arr)
+            return lambda arr: _give_grad(leaf, arr)
         grads = self.plan._grads
         release = ws.release
         if self.pooling:
@@ -992,17 +991,62 @@ class _PlanBuilder:
         return [(t, t.data.shape) for t in self._leaves.values()]
 
     # -- per-op thunk builders --------------------------------------------
+    # A builder maps plan buffers, value/gradient slots and sinks onto
+    # kernels stated under ``repro.tensor.ops`` -- the same ones the eager
+    # layer runs.  It defines no arithmetic of its own.
     def build(self, rec: _Record):
-        try:
-            builder = getattr(self, "_build_" + rec.kind)
-        except AttributeError:
+        """``(fwd, bwd)`` thunks of one record: from the op's buffer-mapping
+        builder when it has one, else from its pass-through table row."""
+        builder = getattr(self, "_build_" + rec.kind, None)
+        if builder is not None:
+            return builder(rec)
+        op = _table.OPS.get(rec.kind)
+        if op is None:
             raise _CaptureError(f"no plan builder for op {rec.kind!r}")
-        return builder(rec)
+        return self._from_row(rec, op, [rec.attrs])
 
-    def _build_conv2d(self, rec: _Record):
-        if ws.config.conv_impl == "einsum":
-            return self._build_conv2d_einsum(rec)
-        return self._build_conv2d_generic(rec)
+    def _from_row(self, rec: _Record, op: "_table.Op", attrs: list):
+        """The single pass-through builder: thunks derived from a table row.
+
+        The forward kernel's output is the slot value as returned (no
+        preplanned buffer), what it saves rides in the slot's ctx, and each
+        input's gradient goes to a donating or a copying sink as the row
+        says.  ``attrs`` is a one-element box read per step (the loss's
+        targets change every step; everything else is static).
+        """
+        readers = [self._reader(t) for t in rec.inputs]
+        o = self.tape.slot_of[id(rec.out)]
+        values, ctxs, grads = (self.plan._values, self.plan._ctxs,
+                               self.plan._grads)
+        forward, backward = op.forward, op.backward
+        if not self.keep_ctx:
+            def fwd() -> None:
+                values[o] = forward(*[rd() for rd in readers], attrs[0],
+                                    False)[0]
+            return fwd, None
+
+        def fwd() -> None:
+            values[o], ctxs[o] = forward(*[rd() for rd in readers],
+                                         attrs[0], True)
+
+        sinks = [self._sink_donate(t) if donate else self._sink_copy(t)
+                 for t, donate in zip(rec.inputs, op.donate)]
+
+        def bwd() -> None:
+            g = grads[o]
+            if g is None:
+                return
+            for sink, dg in zip(sinks, backward(g, ctxs[o], attrs[0])):
+                sink(dg)
+            ctxs[o] = None
+            ws.release(g)
+            grads[o] = None
+        return fwd, bwd
+
+    def _build_cross_entropy(self, rec: _Record):
+        # The table row, with the step's targets in place of the captured.
+        return self._from_row(rec, _table.OPS["cross_entropy"],
+                              self.plan._tbox)
 
     def _conv_backward(self, rec: _Record, dw_part, dx_part):
         """Assemble a conv backward from its ``dw_part(g)`` (weight and bias
@@ -1038,24 +1082,8 @@ class _PlanBuilder:
             grads[o] = None
         return bwd
 
-    def _bias_sink(self, rec: _Record, b_t: Optional[Tensor]):
-        """``give_b(dy)`` reducing and delivering a conv bias gradient, or
-        ``None`` for a bias-free conv."""
-        if b_t is None:
-            return None
-        from . import functional as F
-        b_out = self._leaf_out(rec, b_t)
-
-        def give_b(g: np.ndarray) -> None:
-            if b_out is None:
-                F._give_grad(b_t, g.sum(axis=(0, 2, 3)))
-            else:
-                g.sum(axis=(0, 2, 3), out=b_out)
-                F._give_grad(b_t, b_out)
-        return give_b
-
-    def _build_conv2d_einsum(self, rec: _Record):
-        """Specialized conv thunks with preplanned workspace buffers.
+    def _build_conv2d(self, rec: _Record):
+        """Conv thunks over :class:`repro.tensor.ops.conv.ConvKernels`.
 
         This is where the plan beats eager on kernel-bound steps: every
         staging buffer the eager kernel acquires per call (padded input,
@@ -1065,116 +1093,32 @@ class _PlanBuilder:
         Replay performs the identical numpy operations on identical values
         (interiors and GEMM outputs are fully overwritten each step), so
         results stay bit-exact while the per-step view construction and
-        pool traffic disappear.  General (RxS) convs get their kernels from
-        :class:`repro.tensor.ops.conv.ConvKernels`; this builder supplies
-        the buffers and wires the kernels to the plan's slots and sinks.
+        pool traffic disappear.  The kernel set states the lowering, RxS and
+        1x1 alike; this builder supplies its buffers and wires the kernels
+        to the plan's slots and sinks.
         """
+        if ws.config.conv_impl != "einsum":
+            # The seed im2col GEMM is neither staged nor row-stable.
+            raise _CaptureError(
+                "compiled plans require the einsum conv lowering")
         x, weight, bias = rec.inputs
         stride, padding, need_dx = rec.attrs
         rd_x = self._reader(x)
         w_t = self._leaf(weight)
         b_t = self._leaf(bias)
-        n, c, h, wd = x.data.shape
+        n, c = x.data.shape[:2]
         k, _c2, r, s = weight.data.shape
-        ho, wo = _conv.conv_out_size(h, wd, r, s, stride, padding)
-        p = ho * wo
         dtype = x.data.dtype
         o = self.tape.slot_of[id(rec.out)]
         values = self.plan._values
-        from . import functional as F
 
-        if _conv._is_pointwise(r, s, padding):
-            w2 = w_t.data.reshape(k, c)
-            # Register under the 4-D output shape so a downstream
-            # shape-preserving consumer can alias onto this slab.
-            y4 = self._value_buf(rec, (n, k, ho, wo), dtype)
-            y3 = y4.reshape(n, k, p)
-            # The backward GEMM's staged (N, C, P) input.
-            xbox: List[Optional[np.ndarray]] = [None]
-            if stride > 1:
-                xm4 = self._span_buf(rec, (n, c, ho, wo), dtype)
-                xm = xbox[0] = xm4.reshape(n, c, p)
-
-                def fwd() -> None:
-                    np.copyto(xm4, rd_x()[:, :, ::stride, ::stride])
-                    np.matmul(w2, xm, out=y3)
-                    if b_t is not None:
-                        np.add(y4, b_t.data[None, :, None, None], out=y4)
-                    values[o] = y4
-            else:
-                # The staged input is just a reshape view of the incoming
-                # activation; rebuild it per step (the producing op may
-                # write a fresh array) and keep it for the backward GEMM.
-                def fwd() -> None:
-                    xm_ = rd_x().reshape(n, c, p)
-                    xbox[0] = xm_
-                    np.matmul(w2, xm_, out=y3)
-                    if b_t is not None:
-                        np.add(y4, b_t.data[None, :, None, None], out=y4)
-                    values[o] = y4
-            if not self.keep_ctx:
-                return fwd, None
-            w2t = w2.T
-            # Same two weight-gradient forms, same predicate, as the RxS
-            # lowering (ops.conv.dw_folds): folded restages dy and x
-            # channel-major for one GEMM over N*P; per-sample keeps the slab.
-            fold = _conv.dw_folds(k, c, p)
-            if fold:
-                dyT = self._bwd_buf(rec, (k, n, p), dtype, phase="a")
-                xT = self._bwd_buf(rec, (c, n, p), dtype, phase="a")
-            else:
-                dwn = self._bwd_buf(rec, (n, k, c), dtype, phase="a")
-            dx_part = None
-            if need_dx and stride > 1:
-                tmp3 = self._bwd_buf(rec, (n, c, p), dtype, phase="b")
-                tmp4 = tmp3.reshape(n, c, ho, wo)
-                dx_buf = self._grad_buf(rec, x, (n, c, h, wd), dtype,
-                                        zero=True, late=True)
-                sink_x = self._sink_donate(x)
-
-                def dx_part(g: np.ndarray) -> None:
-                    np.matmul(w2t, g.reshape(n, k, p), out=tmp3)
-                    # Strided lanes are overwritten below; off-lane
-                    # entries must match the eager zero-filled acquire
-                    # even if a multi-consumer accumulate dirtied them
-                    # last step, hence the per-step fill (eager pays
-                    # the same memset inside the pool).
-                    dx_buf.fill(0)
-                    dx_buf[:, :, ::stride, ::stride] = tmp4
-                    sink_x(dx_buf)
-            elif need_dx:
-                dx3 = self._grad_buf(rec, x, (n, c, p), dtype, late=True)
-                dx4 = dx3.reshape(n, c, h, wd)
-                sink_x = self._sink_donate(x)
-
-                def dx_part(g: np.ndarray) -> None:
-                    np.matmul(w2t, g.reshape(n, k, p), out=dx3)
-                    sink_x(dx4)
-            w_out = self._leaf_out(rec, w_t)
-            w_out2 = w_out.reshape(k, c) if w_out is not None else None
-            give_b = self._bias_sink(rec, b_t)
-
-            def dw_part(g: np.ndarray) -> None:
-                dym = g.reshape(n, k, p)
-                if fold:
-                    dw = _conv.dw_folded(dym, xbox[0], dyT, xT, w_out2)
-                else:
-                    np.matmul(dym, xbox[0].transpose(0, 2, 1), out=dwn)
-                    dw = np.add.reduce(dwn, axis=0, out=w_out2)
-                dw = w_out if w_out is not None else dw.reshape(k, c, 1, 1)
-                F._give_grad(w_t, dw)
-                if give_b is not None:
-                    give_b(g)
-            return fwd, self._conv_backward(rec, dw_part, dx_part)
-
-        # -- general (RxS) lowering: one staged kernel set ------------------
         # Measured gate: a dead set published for this weight AND a probe
         # that proved the live-channel kernels bit-identical and profitable
         # at this exact signature (repro.tensor.sparse.conv_gate_for; None
-        # with sparse_compute off).  The decision is memoized per
-        # (signature, dead set), so the memory planner's sizer/assembler
-        # double build and any plan rebuild within the interval see the
-        # same verdict.
+        # with sparse_compute off and for every 1x1 conv).  The decision is
+        # memoized per (signature, dead set), so the memory planner's
+        # sizer/assembler double build and any plan rebuild within the
+        # interval see the same verdict.
         gate = _sparse.conv_gate_for(w_t.data, x.data, stride, padding)
 
         def alloc(shape: tuple, tag: str, phase: str) -> np.ndarray:
@@ -1186,10 +1130,13 @@ class _PlanBuilder:
                                       tag=tag)
             if phase == "fwd":
                 return self._fwd_buf(rec, shape, dtype, tag)
+            if phase == "span":
+                return self._span_buf(rec, shape, dtype, tag)
             return self._bwd_buf(rec, shape, dtype, tag=tag, phase=phase)
 
         ks = _conv.ConvKernels(
             x.data.shape, w_t.data, stride, padding, dtype, alloc,
+            bias=b_t.data if b_t is not None else None,
             dead=gate.ds if gate is not None else None,
             remat=self.mem is not None, backward=self.keep_ctx,
             need_dx=need_dx)
@@ -1220,44 +1167,34 @@ class _PlanBuilder:
 
         def fwd() -> None:
             conv(rd_x())
-            if b_t is not None:
-                np.add(y4, b_t.data[None, :, None, None], out=y4)
             values[o] = y4
         if not self.keep_ctx:
             return fwd, None
 
         w_out = self._leaf_out(rec, w_t)
-        give_b = self._bias_sink(rec, b_t)
+        b_out = self._leaf_out(rec, b_t)
         dense_dw, dense_dx = ks.dw, ks.dx
         if gate is None:
             def weight_grad(xr: np.ndarray, g3: np.ndarray) -> np.ndarray:
                 return dense_dw(xr, g3, w_out)
         else:
-            # Profitability cutoff: the gate calibrated the dw kernel at the
-            # published dead-row count; engage only when the measured count
-            # is at least that (more zero rows can only help).
-            min_dead_rows = ds.out_dead.size
-
             def weight_grad(xr: np.ndarray, g3: np.ndarray) -> np.ndarray:
-                if gate.use_dw and state.enabled:
-                    # ReLU-sparse: the *measured* zero rows of dy are the
-                    # compaction (exact by construction); the column side
-                    # additionally needs x zero on the dead in-channels.
-                    row_live = np.flatnonzero(g3.any(axis=(0, 2)))
-                    dead_rows = k - row_live.size
-                    if dead_rows >= min_dead_rows and not \
-                            _sparse.runs_any_ch(xr, ds.in_dead_runs):
-                        stats.dw_sparse_steps += 1
-                        stats.relu_extra_rows += dead_rows - min_dead_rows
-                        return ks.dw_live(xr, g3,
-                                          _sparse.index_runs(row_live), w_out)
+                # Compacts to the published live rows -- the GEMM shape the
+                # gate's parity probe ran -- which is exact while the
+                # published dead rows of dy (zero BN gamma on a killed
+                # channel) and the dead in-channels of x are exactly zero.
+                if gate.use_dw and state.enabled and not (
+                        _sparse.runs_any_ch(g3, ds.out_dead_runs)
+                        or _sparse.runs_any_ch(xr, ds.in_dead_runs)):
+                    stats.dw_sparse_steps += 1
+                    return ks.dw_live(xr, g3, ds.out_live_runs, w_out)
                 stats.dw_dense_steps += 1
                 return dense_dw(xr, g3, w_out)
 
         def dw_part(g: np.ndarray) -> None:
-            F._give_grad(w_t, weight_grad(rd_x(), g.reshape(n, k, p)))
-            if give_b is not None:
-                give_b(g)
+            _give_grad(w_t, weight_grad(rd_x(), g.reshape(n, k, -1)))
+            if b_t is not None:
+                _give_grad(b_t, ks.db(g, b_out))
 
         dx_part = None
         if need_dx:
@@ -1274,53 +1211,6 @@ class _PlanBuilder:
                     sink_x(dense_dx(g))
         return fwd, self._conv_backward(rec, dw_part, dx_part)
 
-    def _build_conv2d_generic(self, rec: _Record):
-        x, weight, bias = rec.inputs
-        stride, padding, need_dx = rec.attrs
-        rd_x = self._reader(x)
-        w_t = self._leaf(weight)
-        b_t = self._leaf(bias)
-        x_shape = x.data.shape
-        o = self.tape.slot_of[id(rec.out)]
-        values, ctxs, grads = (self.plan._values, self.plan._ctxs,
-                               self.plan._grads)
-        if not self.keep_ctx:
-            def fwd() -> None:
-                y, ctx = _conv.conv2d_forward(
-                    rd_x(), w_t.data,
-                    b_t.data if b_t is not None else None, stride, padding)
-                _conv.release_ctx(ctx)
-                values[o] = y
-            return fwd, None
-
-        def fwd() -> None:
-            y, ctx = _conv.conv2d_forward(
-                rd_x(), w_t.data,
-                b_t.data if b_t is not None else None, stride, padding)
-            values[o] = y
-            ctxs[o] = ctx
-
-        sink_x = self._sink_donate(x) if need_dx else None
-        from . import functional as F
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            dx, dw, db = _conv.conv2d_backward(
-                g, ctxs[o], x_shape, w_t.data, stride, padding,
-                need_dx=need_dx, need_db=b_t is not None)
-            if dx is not None:
-                sink_x(dx)
-            _conv.release_ctx(ctxs[o])
-            ctxs[o] = None
-            F._give_grad(w_t, dw)
-            if b_t is not None:
-                F._give_grad(b_t, db)
-            ws.release(g)
-            grads[o] = None
-        return fwd, bwd
-
     def _build_linear(self, rec: _Record):
         x, weight, bias = rec.inputs
         rd_x = self._reader(x)
@@ -1328,210 +1218,94 @@ class _PlanBuilder:
         b_t = self._leaf(bias)
         o = self.tape.slot_of[id(rec.out)]
         values, grads = self.plan._values, self.plan._grads
+        # Serving plans take the per-sample (row-stable) lowering.
+        row_stable = self.row_stable and not self.keep_ctx
 
-        if self.row_stable and not self.keep_ctx:
-            # Serving lowering: one GEMM per sample via the 3-D batched
-            # matmul.  2-D GEMM rows are not bit-stable across the batch
-            # dimension (BLAS picks different kernels/blockings per M), so
-            # the standard lowering breaks the serve tier's contract that
-            # padding and batching never perturb a request's logits.  The
-            # per-sample form is bit-identical to ``x[i:i+1] @ W.T + b``
-            # for every row at every batch size.
-            def fwd() -> None:
-                xv = rd_x()
-                y = np.matmul(xv[:, None, :], w_t.data.T)[:, 0, :]
-                if b_t is not None:
-                    y = y + b_t.data
-                values[o] = y
-        else:
-            def fwd() -> None:
-                y = rd_x() @ w_t.data.T
-                if b_t is not None:
-                    y = y + b_t.data
-                values[o] = y
+        def fwd() -> None:
+            values[o] = _basic.linear_forward(
+                rd_x(), w_t.data, b_t.data if b_t is not None else None,
+                row_stable)
 
         if not self.keep_ctx:
             return fwd, None
         sink_x = self._sink_donate(x)
         w_out = self._leaf_out(rec, w_t)
         b_out = self._leaf_out(rec, b_t)
-        from . import functional as F
 
         def bwd() -> None:
             g = grads[o]
             if g is None:
                 return
-            sink_x(np.matmul(g, w_t.data))
-            if w_out is None:
-                F._give_grad(w_t, np.matmul(g.T, rd_x()))
-            else:
-                np.matmul(g.T, rd_x(), out=w_out)
-                F._give_grad(w_t, w_out)
+            dx, dw, db = _basic.linear_backward(
+                g, rd_x(), w_t.data, b_t is not None, w_out, b_out)
+            sink_x(dx)
+            _give_grad(w_t, dw)
             if b_t is not None:
-                if b_out is None:
-                    F._give_grad(b_t, g.sum(axis=0))
-                else:
-                    g.sum(axis=0, out=b_out)
-                    F._give_grad(b_t, b_out)
+                _give_grad(b_t, db)
             ws.release(g)
             grads[o] = None
         return fwd, bwd
 
     def _build_batch_norm(self, rec: _Record):
-        x, gamma, beta = rec.inputs
-        _rm, _rv, _mom, _eps, training, relu_flag = rec.attrs
-        if training and (relu_flag or ws.config.fused_bnrelu):
-            return self._build_batch_norm_coef(rec)
-        return self._build_batch_norm_generic(rec)
+        """BN thunks over ``ops.norm.batchnorm_forward`` and its backwards —
+        the eager kernels, in-place running-statistics EMA included.
 
-    def _build_batch_norm_coef(self, rec: _Record):
-        """Specialized training-mode BN (affine-folded), preplanned buffers.
-
-        Performs the identical operation sequence as
-        ``ops.norm.batchnorm_forward`` / ``_coef_backward`` — including the
-        in-place running-statistics EMA — but writes the full-size passes
-        (``y``, the ReLU-masked gradient, ``dx``) into plan-owned stable
-        arrays via ``out=``, eliminating the per-step activation/gradient
-        allocations and pool traffic while keeping results bit-exact.
+        The training-mode affine-folded BN(+ReLU) is specialized: its
+        full-size passes (``y``, the ReLU-masked gradient, ``dx``) land in
+        plan-owned stable arrays via the kernels' ``out=`` arguments, which
+        eliminates the per-step activation/gradient allocations and pool
+        traffic.  Every other BN (evaluation mode, the seed xhat
+        formulation) runs the same kernels on fresh and pooled arrays.
         """
         x, gamma, beta = rec.inputs
         rm, rv, momentum, eps, training, relu_flag = rec.attrs
+        planned = training and (relu_flag or ws.config.fused_bnrelu)
         rd_x = self._reader(x)
         g_t = self._leaf(gamma)
         b_t = self._leaf(beta)
-        n, c, h, w = x.data.shape
-        m = n * h * w
-        dtype = x.data.dtype
+        shape, dtype = x.data.shape, x.data.dtype
         o = self.tape.slot_of[id(rec.out)]
-        values, grads = self.plan._values, self.plan._grads
-        from . import functional as F
-        y = self._value_buf(rec, (n, c, h, w), dtype)
-        #: (x, mu, inv_std) of the current step, for the backward thunk
-        box: List[Optional[tuple]] = [None]
+        values, ctxs, grads = (self.plan._values, self.plan._ctxs,
+                               self.plan._grads)
+        y = self._value_buf(rec, shape, dtype) if planned else None
         keep = self.keep_ctx
+        forward = _norm.batchnorm_forward
 
         def fwd() -> None:
-            xv = rd_x()
-            x3 = xv.reshape(n, c, h * w)
-            # np.add.reduce + in-place divide is bit-identical to
-            # x3.mean(axis=(0, 2)) (it is exactly what np.mean does
-            # internally) without the per-call wrapper overhead.
-            mu = np.add.reduce(x3, axis=(0, 2))
-            np.true_divide(mu, m, out=mu, casting="unsafe")
-            ex2 = np.einsum("ncp,ncp->c", x3, x3) / m
-            var = np.maximum(ex2 - mu * mu, 0.0)
-            # Observe batch statistics exactly where the eager kernel does
-            # (before the EMA): elastic workers ship (mu, var) per BN layer
-            # to the coordinator through this sink.  Dynamic lookup — the
-            # sink is installed per process, after plans may already exist.
-            sink = _norm._BN_STATS_SINK
-            if sink is not None:
-                sink(rm, mu, var)
-            # In-place EMA exactly as the eager kernel (*=, += forms).
-            np.multiply(rm, 1.0 - momentum, out=rm)
-            np.add(rm, momentum * mu, out=rm)
-            np.multiply(rv, 1.0 - momentum, out=rv)
-            np.add(rv, momentum * var, out=rv)
-            inv_std = 1.0 / np.sqrt(var + eps)
-            a = g_t.data * inv_std
-            b = b_t.data - mu * a
-            np.multiply(xv, a[None, :, None, None], out=y)
-            np.add(y, b[None, :, None, None], out=y)
-            if relu_flag:
-                np.maximum(y, 0, out=y)
-            values[o] = y
+            values[o], cache = forward(rd_x(), g_t.data, b_t.data, rm, rv,
+                                       momentum, eps, training, relu_flag, y)
             if keep:
-                box[0] = (xv, mu, inv_std)
+                ctxs[o] = cache
 
         if not keep:
             return fwd, None
 
         sink_x = self._sink_donate(x)
-        g_out = self._leaf_out(rec, g_t)
-        b_out = self._leaf_out(rec, b_t)
-        dx = self._grad_buf(rec, x, (n, c, h, w), dtype)
-        gbuf = self._bwd_buf(rec, (n, c, h, w), dtype, tag="batch_norm.g")
-        if relu_flag:
-            mask = self._bwd_buf(rec, (n, c, h, w), bool,
-                                 tag="batch_norm.mask")
+        if planned:
+            g_out = self._leaf_out(rec, g_t)
+            b_out = self._leaf_out(rec, b_t)
+            dx = self._grad_buf(rec, x, shape, dtype)
+            gbuf = self._bwd_buf(rec, shape, dtype, tag="batch_norm.g")
+            mask = self._bwd_buf(rec, shape, bool, tag="batch_norm.mask") \
+                if relu_flag else None
 
-        def bwd() -> None:
-            gr = grads[o]
-            if gr is None:
-                return
-            xv, mu, inv_std = box[0]
-            box[0] = None
-            if relu_flag:
-                np.greater(y, 0, out=mask)
-                np.multiply(gr, mask, out=gbuf)
-                g = gbuf
-            else:
-                g = gr
-            g3 = g.reshape(n, c, h * w)
-            if b_out is None:
-                dbeta = np.add.reduce(g3, axis=(0, 2))
-            else:
-                dbeta = np.add.reduce(g3, axis=(0, 2), out=b_out)
-            sgx = np.einsum("ncp,ncp->c", g3, xv.reshape(n, c, h * w))
-            if g_out is None:
-                dgamma = (sgx - mu * dbeta) * inv_std
-            else:
-                # Same op sequence as above, landing in the bound sink:
-                # (sgx - mu*dbeta) is written onto the per-call sgx array.
-                np.subtract(sgx, mu * dbeta, out=sgx)
-                dgamma = np.multiply(sgx, inv_std, out=g_out)
-            c1 = (g_t.data * inv_std).astype(dtype, copy=False)
-            c2 = (-(c1 * inv_std * dgamma) / m).astype(dtype, copy=False)
-            c0 = (-(c1 * dbeta) / m - c2 * mu).astype(dtype, copy=False)
-            np.multiply(xv, c2[None, :, None, None], out=dx)
-            np.multiply(g, c1[None, :, None, None], out=gbuf)
-            np.add(dx, gbuf, out=dx)
-            np.add(dx, c0[None, :, None, None], out=dx)
-            sink_x(dx)
-            F._give_grad(g_t, dgamma)
-            F._give_grad(b_t, dbeta)
-            ws.release(gr)
-            grads[o] = None
-        return fwd, bwd
-
-    def _build_batch_norm_generic(self, rec: _Record):
-        x, gamma, beta = rec.inputs
-        rm, rv, momentum, eps, training, relu_flag = rec.attrs
-        rd_x = self._reader(x)
-        g_t = self._leaf(gamma)
-        b_t = self._leaf(beta)
-        o = self.tape.slot_of[id(rec.out)]
-        values, ctxs, grads = (self.plan._values, self.plan._ctxs,
-                               self.plan._grads)
-        if not self.keep_ctx:
-            def fwd() -> None:
-                y, _cache = _norm.batchnorm_forward(
-                    rd_x(), g_t.data, b_t.data, rm, rv, momentum, eps,
-                    training, relu=relu_flag)
-                values[o] = y
-            return fwd, None
-
-        def fwd() -> None:
-            y, cache = _norm.batchnorm_forward(
-                rd_x(), g_t.data, b_t.data, rm, rv, momentum, eps,
-                training, relu=relu_flag)
-            values[o] = y
-            ctxs[o] = cache
-
-        sink_x = self._sink_donate(x)
-        from . import functional as F
-        bn_bwd = _norm.batchnorm_backward if training \
-            else _norm.batchnorm_eval_backward
+            def backward(g: np.ndarray, cache: tuple) -> tuple:
+                return _norm.bn_coef_backward(g, cache, True, dx, gbuf, mask,
+                                              g_out, b_out)
+        elif training:
+            backward = _norm.batchnorm_backward
+        else:
+            backward = _norm.batchnorm_eval_backward
 
         def bwd() -> None:
             g = grads[o]
             if g is None:
                 return
-            dx, dgamma, dbeta = bn_bwd(g, ctxs[o])
-            sink_x(dx)
-            F._give_grad(g_t, dgamma)
-            F._give_grad(b_t, dbeta)
+            dx_, dgamma, dbeta = backward(g, ctxs[o])
             ctxs[o] = None
+            sink_x(dx_)
+            _give_grad(g_t, dgamma)
+            _give_grad(b_t, dbeta)
             ws.release(g)
             grads[o] = None
         return fwd, bwd
@@ -1547,9 +1321,10 @@ class _PlanBuilder:
         o = self.tape.slot_of[id(rec.out)]
         values, grads = self.plan._values, self.plan._grads
 
+        relu = _basic.relu_forward
+
         def fwd() -> None:
-            np.maximum(rd_x(), 0, out=y)
-            values[o] = y
+            values[o] = relu(rd_x(), y)
 
         if not self.keep_ctx:
             return fwd, None
@@ -1561,9 +1336,7 @@ class _PlanBuilder:
             g = grads[o]
             if g is None:
                 return
-            np.greater(y, 0, out=mask)
-            np.multiply(g, mask, out=prod)
-            sink_x(prod)
+            sink_x(_basic.masked_grad(g, _basic.relu_mask(y, mask), prod))
             ws.release(g)
             grads[o] = None
         return fwd, bwd
@@ -1586,10 +1359,10 @@ class _PlanBuilder:
         o = self.tape.slot_of[id(rec.out)]
         values, grads = self.plan._values, self.plan._grads
 
+        add_relu = _basic.add_relu_forward
+
         def fwd() -> None:
-            np.add(rd_a(), rd_b(), out=y)
-            np.maximum(y, 0, out=y)
-            values[o] = y
+            values[o] = add_relu(rd_a(), rd_b(), y)
 
         if not self.keep_ctx:
             return fwd, None
@@ -1604,249 +1377,9 @@ class _PlanBuilder:
             g = grads[o]
             if g is None:
                 return
-            np.greater(y, 0, out=mask)
-            np.multiply(g, mask, out=prod_a)
-            sink_a(prod_a)
-            np.multiply(g, mask, out=prod_b)
-            sink_b(prod_b)
-            ws.release(g)
-            grads[o] = None
-        return fwd, bwd
-
-    def _build_add(self, rec: _Record):
-        a, b = rec.inputs
-        rd_a, rd_b = self._reader(a), self._reader(b)
-        o = self.tape.slot_of[id(rec.out)]
-        values, grads = self.plan._values, self.plan._grads
-
-        def fwd() -> None:
-            values[o] = rd_a() + rd_b()
-
-        if not self.keep_ctx:
-            return fwd, None
-        sink_a, sink_b = self._sink_copy(a), self._sink_copy(b)
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            sink_a(g)
-            sink_b(g)
-            ws.release(g)
-            grads[o] = None
-        return fwd, bwd
-
-    def _build_reshape(self, rec: _Record):
-        (x,) = rec.inputs
-        orig_shape = rec.attrs
-        out_shape = rec.out.data.shape
-        rd_x = self._reader(x)
-        o = self.tape.slot_of[id(rec.out)]
-        values, grads = self.plan._values, self.plan._grads
-
-        def fwd() -> None:
-            values[o] = rd_x().reshape(out_shape)
-
-        if not self.keep_ctx:
-            return fwd, None
-        sink_x = self._sink_copy(x)
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            sink_x(g.reshape(orig_shape))
-            ws.release(g)
-            grads[o] = None
-        return fwd, bwd
-
-    def _build_max_pool2d(self, rec: _Record):
-        (x,) = rec.inputs
-        k = rec.attrs
-        x_shape = x.data.shape
-        rd_x = self._reader(x)
-        o = self.tape.slot_of[id(rec.out)]
-        values, ctxs, grads = (self.plan._values, self.plan._ctxs,
-                               self.plan._grads)
-
-        if not self.keep_ctx:
-            def fwd() -> None:
-                values[o] = _pool.maxpool2d_forward(rd_x(), k,
-                                                    need_mask=False)[0]
-            return fwd, None
-
-        def fwd() -> None:
-            y, mask = _pool.maxpool2d_forward(rd_x(), k)
-            values[o] = y
-            ctxs[o] = mask
-
-        sink_x = self._sink_donate(x)
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            sink_x(_pool.maxpool2d_backward(g, ctxs[o], k, x_shape))
-            ctxs[o] = None
-            ws.release(g)
-            grads[o] = None
-        return fwd, bwd
-
-    def _build_avg_pool2d(self, rec: _Record):
-        (x,) = rec.inputs
-        k = rec.attrs
-        x_shape = x.data.shape
-        rd_x = self._reader(x)
-        o = self.tape.slot_of[id(rec.out)]
-        values, grads = self.plan._values, self.plan._grads
-
-        def fwd() -> None:
-            values[o] = _pool.avgpool2d_forward(rd_x(), k)
-
-        if not self.keep_ctx:
-            return fwd, None
-        sink_x = self._sink_donate(x)
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            sink_x(_pool.avgpool2d_backward(g, k, x_shape))
-            ws.release(g)
-            grads[o] = None
-        return fwd, bwd
-
-    def _build_global_avg_pool(self, rec: _Record):
-        (x,) = rec.inputs
-        x_shape = x.data.shape
-        rd_x = self._reader(x)
-        o = self.tape.slot_of[id(rec.out)]
-        values, grads = self.plan._values, self.plan._grads
-
-        def fwd() -> None:
-            values[o] = _pool.global_avgpool_forward(rd_x())
-
-        if not self.keep_ctx:
-            return fwd, None
-        sink_x = self._sink_donate(x)
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            sink_x(_pool.global_avgpool_backward(g, x_shape))
-            ws.release(g)
-            grads[o] = None
-        return fwd, bwd
-
-    def _build_cross_entropy(self, rec: _Record):
-        (logits,) = rec.inputs
-        rd_l = self._reader(logits)
-        out_dtype = rec.out.data.dtype
-        o = self.tape.slot_of[id(rec.out)]
-        values, ctxs, grads = (self.plan._values, self.plan._ctxs,
-                               self.plan._grads)
-        tbox = self.plan._tbox
-
-        if not self.keep_ctx:
-            def fwd() -> None:
-                loss, _probs = _loss.cross_entropy_forward(rd_l(), tbox[0])
-                values[o] = np.asarray(loss, dtype=out_dtype)
-            return fwd, None
-
-        def fwd() -> None:
-            loss, probs = _loss.cross_entropy_forward(rd_l(), tbox[0])
-            values[o] = np.asarray(loss, dtype=out_dtype)
-            ctxs[o] = probs
-
-        sink_l = self._sink_donate(logits)
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            sink_l(_loss.cross_entropy_backward(ctxs[o], tbox[0]) * g)
-            ctxs[o] = None
-            ws.release(g)
-            grads[o] = None
-        return fwd, bwd
-
-    def _build_pad_channels(self, rec: _Record):
-        (x,) = rec.inputs
-        total = rec.attrs
-        n, c, h, w = x.data.shape
-        dtype = x.data.dtype
-        rd_x = self._reader(x)
-        o = self.tape.slot_of[id(rec.out)]
-        values, grads = self.plan._values, self.plan._grads
-
-        def fwd() -> None:
-            out = np.zeros((n, total, h, w), dtype=dtype)
-            out[:, :c] = rd_x()
-            values[o] = out
-
-        if not self.keep_ctx:
-            return fwd, None
-        sink_x = self._sink_copy(x)
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            sink_x(g[:, :c])
-            ws.release(g)
-            grads[o] = None
-        return fwd, bwd
-
-    def _build_gather_channels(self, rec: _Record):
-        (x,) = rec.inputs
-        idx = rec.attrs
-        x_shape = x.data.shape
-        rd_x = self._reader(x)
-        o = self.tape.slot_of[id(rec.out)]
-        values, grads = self.plan._values, self.plan._grads
-
-        def fwd() -> None:
-            values[o] = np.ascontiguousarray(rd_x()[:, idx])
-
-        if not self.keep_ctx:
-            return fwd, None
-        sink_x = self._sink_copy(x)
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            full = np.zeros(x_shape, dtype=g.dtype)
-            full[:, idx] = g
-            sink_x(full)
-            ws.release(g)
-            grads[o] = None
-        return fwd, bwd
-
-    def _build_scatter_channels(self, rec: _Record):
-        (x,) = rec.inputs
-        idx, total = rec.attrs
-        n, _c, h, w = x.data.shape
-        dtype = x.data.dtype
-        rd_x = self._reader(x)
-        o = self.tape.slot_of[id(rec.out)]
-        values, grads = self.plan._values, self.plan._grads
-
-        def fwd() -> None:
-            out = np.zeros((n, total, h, w), dtype=dtype)
-            out[:, idx] = rd_x()
-            values[o] = out
-
-        if not self.keep_ctx:
-            return fwd, None
-        sink_x = self._sink_copy(x)
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            sink_x(np.ascontiguousarray(g[:, idx]))
+            _basic.relu_mask(y, mask)
+            sink_a(_basic.masked_grad(g, mask, prod_a))
+            sink_b(_basic.masked_grad(g, mask, prod_b))
             ws.release(g)
             grads[o] = None
         return fwd, bwd
@@ -2268,7 +1801,6 @@ def capture_training_step(model, x: np.ndarray, targets: np.ndarray):
     the optimizer — the captured batch is bit-identical to an uncaptured
     one, and the plan takes over from the next batch.
     """
-    from . import functional as F
     t0 = time.perf_counter()
     # cross_entropy re-wraps targets with np.asarray; pre-wrap here so the
     # recorded attrs object is identical and finalize's identity check holds.
@@ -2277,7 +1809,7 @@ def capture_training_step(model, x: np.ndarray, targets: np.ndarray):
     with tape:
         xt = tape.input(x)
         logits = model(xt)
-        loss = F.cross_entropy(logits, targets)
+        loss = cross_entropy(logits, targets)
     plan, reason = tape.finalize_training(loss, logits, targets)
     if plan is not None:
         STATS.captures += 1

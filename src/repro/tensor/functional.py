@@ -4,7 +4,12 @@ Each function takes and returns :class:`~repro.tensor.tensor.Tensor` objects
 and records the backward closure on the output node.  These are the
 primitives the ``repro.nn`` layer classes call.
 
-This layer owns two cross-cutting concerns of the performance overhaul:
+The numerics live in ``repro.tensor.ops`` and are stated there once: the
+wrappers here call the same kernels a compiled plan binds, and the
+pass-through ops (pools, channel pad/gather/scatter, the loss) are derived by
+:func:`apply_op` from their row of :data:`repro.tensor.ops.table.OPS`.
+
+This layer owns three cross-cutting concerns of the performance overhaul:
 
 - **Workspace-buffer lifetimes.**  Kernels may return gradients in pooled
   buffers and stash pooled staging in their forward context.  Kernel-produced
@@ -30,17 +35,17 @@ This layer owns two cross-cutting concerns of the performance overhaul:
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..profiler import PROFILER as _P
 from . import tensor as _tensor_mod
 from . import workspace as ws
+from .ops import basic as _basic
 from .ops import conv as _conv
-from .ops import loss as _loss
 from .ops import norm as _norm
-from .ops import pool as _pool
+from .ops.table import OPS
 from .tensor import Tensor, grad_enabled
 
 
@@ -64,12 +69,38 @@ def _give_grad(t: Tensor, arr: np.ndarray) -> None:
         ws.release(arr)
 
 
-def relu(x: Tensor) -> Tensor:
-    """Elementwise rectifier (single-pass; mask recovered from output sign)."""
-    out_data = np.maximum(x.data, 0)
+def apply_op(kind: str, inputs: Tuple[Tensor, ...], attrs=None) -> Tensor:
+    """Run the pass-through op ``kind`` eagerly, as its row of
+    :data:`repro.tensor.ops.table.OPS` states it: forward kernel over the
+    inputs' arrays, a backward closure that routes the backward kernel's
+    gradients (donated or copied per input, as the row says), and a capture
+    record under the same name — which is all a compiled plan needs to
+    replay the op from the same row."""
+    op = OPS[kind]
+    y, saved = op.forward(
+        *[t.data for t in inputs], attrs,
+        grad_enabled() and any(t.requires_grad for t in inputs))
 
     def backward(g: np.ndarray) -> None:
-        _give_grad(x, g * (out_data > 0))
+        for t, donate, dg in zip(inputs, op.donate,
+                                 op.backward(g, saved, attrs)):
+            if donate:
+                _give_grad(t, dg)
+            else:
+                t._accumulate(dg)
+
+    out = Tensor._make(y, inputs, backward)
+    if _tensor_mod._TAPE is not None:
+        _tensor_mod._TAPE.record(kind, inputs, out, attrs)
+    return out
+
+
+def relu(x: Tensor) -> Tensor:
+    """Elementwise rectifier (single-pass; mask recovered from output sign)."""
+    out_data = _basic.relu_forward(x.data)
+
+    def backward(g: np.ndarray) -> None:
+        _give_grad(x, _basic.masked_grad(g, _basic.relu_mask(out_data)))
 
     out = Tensor._make(out_data, (x,), backward)
     if _tensor_mod._TAPE is not None:
@@ -85,13 +116,12 @@ def add_relu(a: Tensor, b: Tensor) -> Tensor:
     twice (the ``__add__`` + ``relu`` formulation's first-touch copies are
     the single largest per-block gradient traffic after the convolutions).
     """
-    out_data = a.data + b.data
-    np.maximum(out_data, 0, out=out_data)
+    out_data = _basic.add_relu_forward(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
-        mask = out_data > 0
-        _give_grad(a, g * mask)
-        _give_grad(b, g * mask)
+        mask = _basic.relu_mask(out_data)
+        _give_grad(a, _basic.masked_grad(g, mask))
+        _give_grad(b, _basic.masked_grad(g, mask))
 
     out = Tensor._make(out_data, (a, b), backward)
     if _tensor_mod._TAPE is not None:
@@ -149,18 +179,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
     """Affine map ``y = x @ W.T + b`` with ``W`` of shape ``(out, in)``."""
-    y = x.data @ weight.data.T
-    if bias is not None:
-        y = y + bias.data
+    y = _basic.linear_forward(x.data, weight.data,
+                              bias.data if bias is not None else None)
     parents = (x, weight) + ((bias,) if bias is not None else ())
     w_data = weight.data
     x_data = x.data
 
     def backward(g: np.ndarray) -> None:
-        _give_grad(x, np.matmul(g, w_data))
-        _give_grad(weight, np.matmul(g.T, x_data))
+        dx, dw, db = _basic.linear_backward(g, x_data, w_data,
+                                            bias is not None)
+        _give_grad(x, dx)
+        _give_grad(weight, dw)
         if bias is not None:
-            _give_grad(bias, g.sum(axis=0))
+            _give_grad(bias, db)
 
     out = Tensor._make(y, parents, backward)
     if _tensor_mod._TAPE is not None:
@@ -218,69 +249,29 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
 
 def max_pool2d(x: Tensor, kernel: int) -> Tensor:
-    """Non-overlapping max pooling (identity when input is below kernel size)."""
+    """Non-overlapping max pooling (identity when input is below kernel size).
+
+    Forward-only calls (evaluation, serving) never build the argmax mask."""
     if x.data.shape[2] < kernel or x.data.shape[3] < kernel:
         return x
-    # Forward-only calls (evaluation, serving) never read the argmax mask.
-    y, mask = _pool.maxpool2d_forward(
-        x.data, kernel, need_mask=grad_enabled() and x.requires_grad)
-    x_shape = x.data.shape
-
-    def backward(g: np.ndarray) -> None:
-        dx = _pool.maxpool2d_backward(g, mask, kernel, x_shape)
-        _give_grad(x, dx)
-
-    out = Tensor._make(y, (x,), backward)
-    if _tensor_mod._TAPE is not None:
-        _tensor_mod._TAPE.record("max_pool2d", (x,), out, kernel)
-    return out
+    return apply_op("max_pool2d", (x,), kernel)
 
 
 def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
     """Non-overlapping average pooling (identity when input is below kernel size)."""
     if x.data.shape[2] < kernel or x.data.shape[3] < kernel:
         return x
-    y = _pool.avgpool2d_forward(x.data, kernel)
-    x_shape = x.data.shape
-
-    def backward(g: np.ndarray) -> None:
-        dx = _pool.avgpool2d_backward(g, kernel, x_shape)
-        _give_grad(x, dx)
-
-    out = Tensor._make(y, (x,), backward)
-    if _tensor_mod._TAPE is not None:
-        _tensor_mod._TAPE.record("avg_pool2d", (x,), out, kernel)
-    return out
+    return apply_op("avg_pool2d", (x,), kernel)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """Spatial mean pooling ``(N, C, H, W) -> (N, C)``."""
-    y = _pool.global_avgpool_forward(x.data)
-    x_shape = x.data.shape
-
-    def backward(g: np.ndarray) -> None:
-        dx = _pool.global_avgpool_backward(g, x_shape)
-        _give_grad(x, dx)
-
-    out = Tensor._make(y, (x,), backward)
-    if _tensor_mod._TAPE is not None:
-        _tensor_mod._TAPE.record("global_avg_pool", (x,), out, None)
-    return out
+    return apply_op("global_avg_pool", (x,))
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy against integer labels."""
-    targets = np.asarray(targets)
-    loss, probs = _loss.cross_entropy_forward(logits.data, targets)
-
-    def backward(g: np.ndarray) -> None:
-        _give_grad(logits, _loss.cross_entropy_backward(probs, targets) * g)
-
-    out = Tensor._make(np.asarray(loss, dtype=logits.data.dtype),
-                       (logits,), backward)
-    if _tensor_mod._TAPE is not None:
-        _tensor_mod._TAPE.record("cross_entropy", (logits,), out, targets)
-    return out
+    return apply_op("cross_entropy", (logits,), np.asarray(targets))
 
 
 def pad_channels(x: Tensor, total: int) -> Tensor:
@@ -289,21 +280,12 @@ def pad_channels(x: Tensor, total: int) -> Tensor:
     Used by the channel-*gating* scatter stage and by projection-free
     short-cuts; the gradient simply drops the padded lanes.
     """
-    n, c, h, w = x.data.shape
+    c = x.data.shape[1]
     if total < c:
         raise ValueError(f"cannot pad {c} channels down to {total}")
     if total == c:
         return x
-    out = np.zeros((n, total, h, w), dtype=x.data.dtype)
-    out[:, :c] = x.data
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(g[:, :c])
-
-    node = Tensor._make(out, (x,), backward)
-    if _tensor_mod._TAPE is not None:
-        _tensor_mod._TAPE.record("pad_channels", (x,), node, total)
-    return node
+    return apply_op("pad_channels", (x,), total)
 
 
 def gather_channels(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -312,32 +294,9 @@ def gather_channels(x: Tensor, idx: np.ndarray) -> Tensor:
     This is the tensor-reshaping / indexing operation whose cost the paper's
     channel-union design avoids (Fig. 7): the fancy-index forces a copy.
     """
-    idx = np.asarray(idx)
-    out = np.ascontiguousarray(x.data[:, idx])
-    x_shape = x.data.shape
-
-    def backward(g: np.ndarray) -> None:
-        full = np.zeros(x_shape, dtype=g.dtype)
-        full[:, idx] = g
-        x._accumulate(full)
-
-    node = Tensor._make(out, (x,), backward)
-    if _tensor_mod._TAPE is not None:
-        _tensor_mod._TAPE.record("gather_channels", (x,), node, idx)
-    return node
+    return apply_op("gather_channels", (x,), np.asarray(idx))
 
 
 def scatter_channels(x: Tensor, idx: np.ndarray, total: int) -> Tensor:
     """Scatter channels back into a dense ``total``-channel tensor (gating)."""
-    idx = np.asarray(idx)
-    n, c, h, w = x.data.shape
-    out = np.zeros((n, total, h, w), dtype=x.data.dtype)
-    out[:, idx] = x.data
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(np.ascontiguousarray(g[:, idx]))
-
-    node = Tensor._make(out, (x,), backward)
-    if _tensor_mod._TAPE is not None:
-        _tensor_mod._TAPE.record("scatter_channels", (x,), node, (idx, total))
-    return node
+    return apply_op("scatter_channels", (x,), (np.asarray(idx), total))

@@ -1,5 +1,5 @@
 """Raw (graph-free) numerical kernels behind ``repro.tensor.functional``."""
 
-from . import conv, loss, norm, pool
+from . import basic, conv, loss, norm, pool, table
 
-__all__ = ["conv", "loss", "norm", "pool"]
+__all__ = ["basic", "conv", "loss", "norm", "pool", "table"]

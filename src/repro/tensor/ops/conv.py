@@ -40,10 +40,10 @@ path in both lowerings: the "patch tensor" is just a (strided) view of the
 input, so no window extraction happens at all.
 
 Compiled step plans do not call these per-step functions: they bind
-:class:`ConvKernels`, the same einsum lowering staged over preallocated
-buffers (bit-identical by construction, and the one place its dense and
-live-channel forms are written).  The functions here stay as they are — the
-independent eager reference every plan is compared against.
+:class:`ConvKernels`, the same einsum lowering — RxS and 1x1 alike — staged
+over preallocated buffers (bit-identical by construction, and the one place
+its dense and live-channel forms are written).  The functions here stay as
+they are — the independent eager reference every plan is compared against.
 
 The second value returned by :func:`conv2d_forward` is an opaque context
 consumed by :func:`conv2d_backward`; callers that pool buffers must release
@@ -133,11 +133,11 @@ def dw_folds(k: int, crs: int, p: int) -> bool:
     towards rank-``P`` outer products), and loses on narrow layers with large
     feature maps.
 
-    The two forms sum the batch in different orders, so every driver — eager,
-    :class:`ConvKernels` dense and live, the 1x1 plan thunks — reads this one
-    predicate, which is what keeps them bit-identical.  It deliberately
-    ignores ``N``: batch growth, tail batches and data-parallel shards must
-    never flip the form mid-run.
+    The two forms sum the batch in different orders, so both drivers — eager
+    and :class:`ConvKernels` (dense, live and 1x1) — read this one predicate,
+    which is what keeps them bit-identical.  It deliberately ignores ``N``:
+    batch growth, tail batches and data-parallel shards must never flip the
+    form mid-run.
     """
     return k * crs > p * (crs + k)
 
@@ -422,7 +422,7 @@ def _dx_scatter(dy: np.ndarray, w: np.ndarray,
     return dxp
 
 
-# -- staged general (RxS) conv kernel set --------------------------------------
+# -- staged conv kernel set -----------------------------------------------------
 
 def _prefix(buf: np.ndarray, shape: tuple) -> np.ndarray:
     """Contiguous leading view of ``buf`` reshaped to ``shape``."""
@@ -526,14 +526,15 @@ class _Gather:
 
 
 class ConvKernels:
-    """The general (RxS) einsum conv lowering as preplanned kernels — stated
-    once, driven by the plan builder (:mod:`repro.tensor.compile`) and by the
-    sparse gate's calibration probe (:mod:`repro.tensor.sparse`).
+    """The einsum conv lowering as preplanned kernels: stated once, driven by
+    the plan builder (:mod:`repro.tensor.compile`) and by the sparse gate's
+    calibration probe (:mod:`repro.tensor.sparse`).
 
-    Built from the input shape, the filter array ``w`` (its identity must be
-    stable for the kernels' life), stride/padding/dtype and an
-    ``alloc(shape, tag, phase)`` callback that supplies every buffer.
-    ``phase`` names the buffer's lifetime class: ``"fwd"`` forward staging,
+    Built from the input shape, the filter array ``w`` and optional ``bias``
+    (their identity must be stable for the kernels' life), stride/padding/
+    dtype and an ``alloc(shape, tag, phase)`` callback that supplies every
+    buffer.  ``phase`` names the buffer's lifetime class: ``"fwd"`` forward
+    staging, ``"span"`` forward staging the own backward still reads,
     ``"out"`` the output activation, ``"a"``/``"b"`` early (weight-gradient)
     and late (input-gradient) backward scratch, ``"dx"`` the gradient handed
     to the input's producer.  Every ``sliding_window_view``, reshape and
@@ -541,12 +542,20 @@ class ConvKernels:
     same numpy operations on the same values as :func:`conv2d_forward` /
     :func:`conv2d_backward`, so results are bit-identical to eager.
 
-    Dense kernels: ``fwd(x)`` fills :attr:`y4`; ``dw(x, g3, out=None)``
-    returns the ``(K, C, R, S)`` weight gradient (written into ``out`` if
-    given), per-sample or batch-folded as :func:`dw_folds` says — ``dw_live``
-    always takes the same form, or it could not match ``dw`` bitwise;
-    ``dx(g)`` returns the input gradient — the transposed-convolution
-    form at unit stride, the strided scatter-add form otherwise.
+    Dense kernels: ``fwd(x)`` fills :attr:`y4` (bias included);
+    ``dw(x, g3, out=None)`` returns the ``(K, C, R, S)`` weight gradient
+    (written into ``out`` if given), per-sample or batch-folded as
+    :func:`dw_folds` says — ``dw_live`` always takes the same form, or it
+    could not match ``dw`` bitwise; ``db(g, out=None)`` the bias gradient;
+    ``dx(g)`` returns the input gradient — the transposed-convolution form at
+    unit stride, the strided scatter-add form otherwise.
+
+    A 1x1 filter at padding 0 is the degenerate case: its column tensor *is*
+    the (strided) input, so staging is a reshape view per call at stride 1
+    and one strided copy into a ``"span"`` buffer otherwise (kept for ``dw``,
+    never re-gathered, whatever ``remat`` says), and ``dx`` is the direct
+    ``W^T @ dy`` GEMM, stored into a zero-filled buffer at stride > 1.  It has
+    no live-channel variants.
 
     With a ``dead`` set (:class:`repro.tensor.sparse.DeadSet`) the live-channel
     variants exist as well, on contiguous prefix views of the *same*
@@ -575,12 +584,22 @@ class ConvKernels:
     """
 
     def __init__(self, x_shape: tuple, w: np.ndarray, stride: int,
-                 padding: int, dtype, alloc, *, dead=None, remat: bool = False,
-                 backward: bool = True, need_dx: bool = True) -> None:
+                 padding: int, dtype, alloc, *, bias=None, dead=None,
+                 remat: bool = False, backward: bool = True,
+                 need_dx: bool = True) -> None:
         n, c, h, wd = x_shape
         k, _, r, s = w.shape
         ho, wo = conv_out_size(h, wd, r, s, stride, padding)
         p, crs = ho * wo, c * r * s
+        self.fwd_live = self.dw_live = self.dx_live = None
+        self.dw = self.dx = None
+        b4 = None if bias is None else bias[None, :, None, None]
+        if _is_pointwise(r, s, padding):
+            if dead is not None:
+                raise ValueError("the 1x1 lowering has no live-channel form")
+            self._pointwise(x_shape, w.reshape(k, c), b4, stride, (ho, wo),
+                            alloc, backward, need_dx)
+            return
         hp, wp = h + 2 * padding, wd + 2 * padding
         live = dead is not None
         rezero = remat or live
@@ -599,8 +618,8 @@ class ConvKernels:
             # (a channel gather cannot be a view).
             xp = alloc((n, c, hp, wp), "xp", "fwd")
             yl = alloc((n, kl, p), "sp.yl", "fwd")
-        self.y4 = alloc((n, k, ho, wo), "y", "out")
-        y3 = self.y4.reshape(n, k, p)
+        y4 = self.y4 = alloc((n, k, ho, wo), "y", "out")
+        y3 = y4.reshape(n, k, p)
         if not live and padding:
             xp = alloc((n, c, hp, wp), "xp", "fwd")
             if not rezero:
@@ -613,8 +632,9 @@ class ConvKernels:
         def fwd(x: np.ndarray) -> None:
             gather(x)
             np.matmul(w3, cols3, out=y3)
+            if b4 is not None:
+                np.add(y4, b4, out=y4)
         self.fwd = fwd
-        self.fwd_live = self.dw_live = self.dx = self.dx_live = None
         if live:
             wl = np.empty((kl, cl * r * s), dtype)
             wl4 = wl.reshape(kl, cl, r, s)
@@ -624,6 +644,8 @@ class ConvKernels:
                 _take_block(wl4, w, out_live_runs, in_live_runs)
                 np.matmul(wl, gx.mat_l, out=yl)
                 _put_ch(y3, yl, out_live_runs, dead.out_dead_runs)
+                if b4 is not None:
+                    np.add(y4, b4, out=y4)
             self.fwd_live = fwd_live
         if not backward:
             return
@@ -790,6 +812,90 @@ class ConvKernels:
                         dxp[:, :, ri:h_end:stride, si:w_end:stride] += \
                             d6[:, :, ri, si]
                 return dx_view
+        self.dx = dx
+
+
+    @staticmethod
+    def db(g: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Bias gradient of ``dy (N, K, Ho, Wo)`` (into ``out`` if given)."""
+        return g.sum(axis=(0, 2, 3), out=out)
+
+    def _pointwise(self, x_shape: tuple, w2: np.ndarray, b4, stride: int,
+                   out_hw: tuple, alloc, backward: bool, need_dx: bool
+                   ) -> None:
+        """The R = S = 1, padding-0 kernels (see the class docstring)."""
+        n, c, h, wd = x_shape
+        k = w2.shape[0]
+        ho, wo = out_hw
+        p = ho * wo
+        y4 = self.y4 = alloc((n, k, ho, wo), "y", "out")
+        y3 = y4.reshape(n, k, p)
+        if stride > 1:
+            xm4 = alloc((n, c, ho, wo), "span", "span")
+            xm = xm4.reshape(n, c, p)
+
+            def stage(x: np.ndarray) -> np.ndarray:
+                np.copyto(xm4, x[:, :, ::stride, ::stride])
+                return xm
+
+            def staged(x: np.ndarray) -> np.ndarray:
+                return xm
+        else:
+            def stage(x: np.ndarray) -> np.ndarray:
+                return x.reshape(n, c, p)
+            staged = stage
+
+        def fwd(x: np.ndarray) -> None:
+            np.matmul(w2, stage(x), out=y3)
+            if b4 is not None:
+                np.add(y4, b4, out=y4)
+        self.fwd = fwd
+        if not backward:
+            return
+
+        # Same two weight-gradient forms, same predicate, as the RxS lowering,
+        # against the staged input in place of a column tensor.
+        fold = dw_folds(k, c, p)
+        if fold:
+            dyT = alloc((k, n, p), "bwd", "a")
+            xT = alloc((c, n, p), "bwd", "a")
+        else:
+            dwn = alloc((n, k, c), "bwd", "a")
+
+        def dw(x: np.ndarray, g3: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+            out2 = None if out is None else out.reshape(k, c)
+            if fold:
+                dw2 = dw_folded(g3, staged(x), dyT, xT, out2)
+            else:
+                np.matmul(g3, staged(x).transpose(0, 2, 1), out=dwn)
+                dw2 = np.add.reduce(dwn, axis=0, out=out2)
+            return dw2.reshape(k, c, 1, 1) if out is None else out
+        self.dw = dw
+        if not need_dx:
+            return
+
+        w2t = w2.T
+        if stride > 1:
+            tmp3 = alloc((n, c, p), "bwd", "b")
+            tmp4 = tmp3.reshape(n, c, ho, wo)
+            dx_buf = alloc((n, c, h, wd), "grad", "dx")
+
+            def dx(g: np.ndarray) -> np.ndarray:
+                np.matmul(w2t, g.reshape(n, k, p), out=tmp3)
+                # Only the strided lanes are written; the rest must be the
+                # zeros of eager's zero-filled acquire even after a consumer
+                # accumulated into this buffer last step.
+                dx_buf.fill(0)
+                dx_buf[:, :, ::stride, ::stride] = tmp4
+                return dx_buf
+        else:
+            dx3 = alloc((n, c, p), "grad", "dx")
+            dx4 = dx3.reshape(n, c, h, wd)
+
+            def dx(g: np.ndarray) -> np.ndarray:
+                np.matmul(w2t, g.reshape(n, k, p), out=dx3)
+                return dx4
         self.dx = dx
 
 

@@ -27,7 +27,7 @@ cache formats are handled transparently by the backward kernels.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +57,10 @@ def _batch_stats(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     n, c, h, w = x.shape
     m = n * h * w
     x3 = x.reshape(n, c, h * w)
-    mu = x3.mean(axis=(0, 2))
+    # np.add.reduce + in-place divide is exactly what x3.mean(axis=(0, 2))
+    # does internally (bit-identical), minus the per-call wrapper.
+    mu = np.add.reduce(x3, axis=(0, 2))
+    np.true_divide(mu, m, out=mu, casting="unsafe")
     # single-pass variance: E[x^2] - E[x]^2 (one einsum, no temporaries)
     ex2 = np.einsum("ncp,ncp->c", x3, x3) / m
     var = np.maximum(ex2 - mu * mu, 0.0)
@@ -67,13 +70,18 @@ def _batch_stats(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                       running_mean: np.ndarray, running_var: np.ndarray,
                       momentum: float, eps: float, training: bool,
-                      relu: bool = False) -> Tuple[np.ndarray, tuple]:
+                      relu: bool = False, out: Optional[np.ndarray] = None
+                      ) -> Tuple[np.ndarray, tuple]:
     """BatchNorm over (N, H, W) for each channel of an ``(N, C, H, W)`` input.
 
     Running statistics are updated **in place** during training (no
     reallocation per step).  With ``relu=True`` the output is rectified in
     place (fused BN+ReLU).  Returns ``(y, cache)``; the cache is opaque and
     consumed by :func:`batchnorm_backward` / :func:`batchnorm_eval_backward`.
+
+    The affine-folded formulation writes ``y`` into ``out`` when given (a
+    compiled plan's preplanned activation buffer; eager leaves it ``None``
+    and gets a fresh array) — same operations, same values either way.
     """
     if training:
         mu, var = _batch_stats(x)
@@ -98,7 +106,7 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     # Affine-folded formulation: y = x*a + b in two passes, no xhat.
     a = gamma * inv_std
     b = beta - mu * a
-    y = x * a[None, :, None, None]
+    y = np.multiply(x, a[None, :, None, None], out=out)
     y += b[None, :, None, None]
     if relu:
         np.maximum(y, 0, out=y)
@@ -106,52 +114,63 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return y, cache
 
 
-def _coef_backward(dy: np.ndarray, cache: tuple, training: bool
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared backward for the affine-folded cache."""
-    _, x, y, gamma, mu, inv_std, relu = cache
+def bn_coef_backward(dy: np.ndarray, cache: tuple, training: bool,
+                     dx: np.ndarray, scratch: Optional[np.ndarray] = None,
+                     mask: Optional[np.ndarray] = None,
+                     dgamma_out: Optional[np.ndarray] = None,
+                     dbeta_out: Optional[np.ndarray] = None
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward of the affine-folded :func:`batchnorm_forward` (its ``cache``)
+    into ``dx``; returns ``(dx, dgamma, dbeta)``.
+
+    ``scratch`` (full size) and ``mask`` (bool, fused ReLU only) are work
+    buffers and ``dgamma_out`` / ``dbeta_out`` destinations; each is a fresh
+    array when ``None``.  Eager passes pooled ``dx`` / ``scratch``, a
+    compiled plan its preplanned buffers and bound gradient sinks.
+    """
+    # y: the rectified output of a fused ReLU (its sign is the mask) or None
+    _, x, y, gamma, mu, inv_std, _ = cache
     n, c, h, w = dy.shape
     m = n * h * w
-    if relu:
+    if y is not None:
         # Fused ReLU mask recovered from the rectified output's sign.
-        g = dy * (y > 0)
-        g_owned = True
+        g = np.multiply(dy, np.greater(y, 0, out=mask), out=scratch)
+        scratch = g
     else:
         g = dy
-        g_owned = False
     # Channel reductions over flattened (N, C, H*W) views: the merged inner
     # axis gives NumPy long contiguous inner loops (H and W alone are tiny
     # at the late stages of a CIFAR net).
     g3 = g.reshape(n, c, h * w)
-    dbeta = g3.sum(axis=(0, 2))
+    dbeta = np.add.reduce(g3, axis=(0, 2), out=dbeta_out)
     sgx = np.einsum("ncp,ncp->c", g3, x.reshape(n, c, h * w))
     # dgamma = sum(g * xhat) = inv_std * (sum(g*x) - mu * sum(g))
-    dgamma = (sgx - mu * dbeta) * inv_std
+    dgamma = np.multiply(sgx - mu * dbeta, inv_std, out=dgamma_out)
     c1 = (gamma * inv_std).astype(dy.dtype, copy=False)
-    if training:
-        # dx = (c1/m) * (m*g - dbeta - xhat*dgamma), folded per channel:
-        c2 = (-(c1 * inv_std * dgamma) / m).astype(dy.dtype, copy=False)
-        c0 = (-(c1 * dbeta) / m - c2 * mu).astype(dy.dtype, copy=False)
-        dx = ws.acquire(dy.shape, dy.dtype)
-        np.multiply(x, c2[None, :, None, None], out=dx)
-        if g_owned:
-            g *= c1[None, :, None, None]
-            dx += g
-        else:
-            scratch = ws.acquire(dy.shape, dy.dtype)
-            np.multiply(g, c1[None, :, None, None], out=scratch)
-            dx += scratch
-            ws.release(scratch)
-        dx += c0[None, :, None, None]
-    else:
+    if not training:
         # Running statistics were constants: dx = g * gamma * inv_std.
-        if g_owned:
-            g *= c1[None, :, None, None]
-            dx = g
-        else:
-            dx = ws.acquire(dy.shape, dy.dtype)
-            np.multiply(g, c1[None, :, None, None], out=dx)
+        np.multiply(g, c1[None, :, None, None], out=dx)
+        return dx, dgamma, dbeta
+    # dx = (c1/m) * (m*g - dbeta - xhat*dgamma), folded per channel:
+    c2 = (-(c1 * inv_std * dgamma) / m).astype(dy.dtype, copy=False)
+    c0 = (-(c1 * dbeta) / m - c2 * mu).astype(dy.dtype, copy=False)
+    np.multiply(x, c2[None, :, None, None], out=dx)
+    dx += np.multiply(g, c1[None, :, None, None], out=scratch)
+    dx += c0[None, :, None, None]
     return dx, dgamma, dbeta
+
+
+def _coef_backward(dy: np.ndarray, cache: tuple, training: bool
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eager backward for the affine-folded cache: pooled ``dx`` (the caller
+    releases it), pooled scratch returned here."""
+    relu = cache[6]
+    dx = ws.acquire(dy.shape, dy.dtype)
+    scratch = ws.acquire(dy.shape, dy.dtype) \
+        if training and not relu else None
+    out = bn_coef_backward(dy, cache, training, dx, scratch)
+    ws.release(scratch)
+    return out
 
 
 def batchnorm_backward(dy: np.ndarray, cache: tuple

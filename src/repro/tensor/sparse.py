@@ -36,18 +36,20 @@ which can skip them:
   handful of contiguous copies, not fancy indexing.
 
 Sparse compute is a *plan specialisation* only.  The dense and live-channel
-kernels are stated once, in :class:`repro.tensor.ops.conv.ConvKernels`; the
-plan builder (:meth:`repro.tensor.compile._PlanBuilder._build_conv2d_einsum`)
-wraps the live ones in the per-step guards below, and the gate's probe times
-and parity-checks that same kernel set.  Eager steps (the capture step,
+kernels are stated once, in :class:`repro.tensor.ops.conv.ConvKernels`, which
+owns every kernel; the plan builder's conv builder
+(``repro.tensor.compile._PlanBuilder._build_conv2d``) only wraps the live
+ones in the per-step guards below, and the gate's probe times and
+parity-checks that same kernel set.  Eager steps (the capture step,
 ``profile=True``, a capture failure) run the plain dense kernels, which
 every sparse path must equal bitwise anyway.
 
 Dense remains the default and the bit-exact reference: every sparse thunk
 carries per-step guards (weights on dead groups still exactly zero; for
-``dw``, the measured per-channel zero mask of ``dy`` *is* the compaction, so
-it is exact by construction) and falls back to the dense kernels — on the
-same worst-case-dense buffers — the moment a guard fails.
+``dw``, the published dead rows of ``dy`` and dead channels of ``x`` exactly
+zero, so the GEMM compacts to the published live sets — the shape the probe
+ran) and falls back to the dense kernels — on the same worst-case-dense
+buffers — the moment a guard fails.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import workspace as ws
+from .ops.conv import ConvKernels, _is_pointwise
 
 __all__ = [
     "DeadSet", "ConvGate", "StepState", "SparseStats", "STATS",
@@ -182,8 +185,6 @@ class SparseStats:
     dx_sparse_steps: int = 0
     #: GEMM reduction columns skipped, accumulated over steps
     skipped_cols: int = 0
-    #: measured zero dy rows beyond the published dead set (ReLU-sparse)
-    relu_extra_rows: int = 0
 
     def reset(self) -> None:
         for f in fields(self):
@@ -289,11 +290,12 @@ _gate_memo: Dict[tuple, Tuple[bool, bool, bool]] = {}
 
 def conv_gate_for(w: np.ndarray, x: np.ndarray, stride: int,
                   padding: int) -> Optional[ConvGate]:
-    """Gate decision for one general (RxS) conv at a concrete input shape.
+    """Gate decision for one conv at a concrete input shape.
 
-    Returns None when no sparse path should engage (no published dead set,
-    or the calibration probe rejected every pipeline) — the caller then
-    builds/runs the plain dense kernels.  Decisions are memoized per
+    Returns None when no sparse path should engage (a 1x1 conv — its
+    lowering has no live-channel form — no published dead set, or the
+    calibration probe rejected every pipeline) — the caller then builds/runs
+    the plain dense kernels.  Decisions are memoized per
     (signature, dead-set content) until the next publish, making the gate
     deterministic across the planner's double build and across plan
     rebuilds within one reconfiguration interval.
@@ -301,9 +303,9 @@ def conv_gate_for(w: np.ndarray, x: np.ndarray, stride: int,
     if not ws.config.sparse_compute:
         return None
     ds = dead_set_for(w)
-    if ds is None:
-        return None
     k, c, r, s = w.shape
+    if ds is None or _is_pointwise(r, s, padding):
+        return None
     kl, cl = ds.out_live.size, ds.in_live.size
     if kl == 0 or cl == 0 or (kl == k and cl == c):
         return None
@@ -335,7 +337,6 @@ def _calibrate_conv(sig: tuple, x: np.ndarray, w: np.ndarray, ds: DeadSet,
     wraps around the live ones — the gate measures the code that runs.
     """
     from ..costmodel.time import SPARSE_GEMM, predicted_sparse_gain
-    from .ops.conv import ConvKernels
 
     n, c, h, wd = x.shape
     k, _, r, s = w.shape
@@ -389,24 +390,21 @@ def _calibrate_conv(sig: tuple, x: np.ndarray, w: np.ndarray, ds: DeadSet,
             g3[:, s0:s0 + ln] = 0
         dw_ref, dw_out = alloc(w.shape), alloc(w.shape)
 
-        def measured_rows() -> list:
-            return index_runs(np.flatnonzero(g3.any(axis=(0, 2))))
-
         def dw_live() -> None:
-            rows = measured_rows()                # the measured row mask
+            runs_any_ch(g3, ds.out_dead_runs)     # the dy-zero row check
             runs_any_ch(x, ds.in_dead_runs)       # the x-zero column check
-            ks.dw_live(x, g3, rows, dw_out)
+            ks.dw_live(x, g3, ds.out_live_runs, dw_out)
 
         def dw_parity() -> bool:
-            # Row compaction is exact by construction (the dropped dy rows
-            # are zero); column compaction additionally needs zero x on the
-            # dead in-channels, which the per-step check enforces at run
-            # time, so the probe compares on such an x.
+            # The plan compacts to the published live rows and channels —
+            # this GEMM shape — and only while the dead rows of dy and the
+            # dead in-channels of x are zero, which the per-step checks
+            # enforce at run time, so the probe compares on such operands.
             xz = x.copy()
             for _, s0, ln in ds.in_dead_runs:
                 xz[:, s0:s0 + ln] = 0
             ks.dw(xz, g3, dw_ref)
-            ks.dw_live(xz, g3, measured_rows(), dw_out)
+            ks.dw_live(xz, g3, ds.out_live_runs, dw_out)
             return np.array_equal(dw_ref, dw_out)
 
         use_dw = decide("dw", lambda: ks.dw(x, g3, dw_ref), dw_live,

@@ -337,7 +337,7 @@ class Tensor:
 
         out = Tensor._make(out_data, (self,), backward)
         if _TAPE is not None:
-            _TAPE.record("reshape", (self,), out, orig)
+            _TAPE.record("reshape", (self,), out, (orig, out_data.shape))
         return out
 
     def transpose(self, *axes) -> "Tensor":

@@ -98,7 +98,7 @@ class EngineConfig:
     dist_compile: bool = True
     #: sparsity-aware compute paths (:mod:`repro.tensor.sparse`): skip
     #: published dead channels in the conv GEMM lowering and run
-    #: measured-row-sparse backward GEMMs, gated per shape by the
+    #: live-row-compacted backward GEMMs, gated per shape by the
     #: cost-model calibration (parity probe + measured gain).  Dense stays
     #: the default and the bit-exact reference; sparse engages only for
     #: shapes the gate accepts.

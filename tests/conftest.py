@@ -4,11 +4,39 @@ import numpy as np
 import pytest
 
 from repro.data import make_synthetic
+from repro.tensor import workspace
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="module")
+def optimized_engine():
+    """Pin the optimized engine — pooled buffers, fused BN+ReLU, the einsum
+    conv lowering — whatever ``REPRO_*`` the CI leg exported.  For modules
+    about that engine's fast paths or about compiled plans (which exist only
+    on it): they test the engine they name instead of inheriting the leg's,
+    where they would silently degrade or fail for an unrelated reason.
+    Module-scoped, so module- and class-scoped fixtures that train or
+    capture run inside the pin too."""
+    cfg = workspace.config
+    saved = (cfg.pooling, cfg.fused_bnrelu, cfg.conv_impl)
+    cfg.pooling, cfg.fused_bnrelu, cfg.conv_impl = True, True, "einsum"
+    workspace.invalidate()
+    yield cfg
+    workspace.invalidate()
+    cfg.pooling, cfg.fused_bnrelu, cfg.conv_impl = saved
+
+
+@pytest.fixture
+def fresh_pool(optimized_engine):
+    """The pinned optimized engine with an empty workspace pool (and no live
+    plan) before and after each test."""
+    workspace.invalidate()
+    yield optimized_engine
+    workspace.invalidate()
 
 
 @pytest.fixture(scope="session")

@@ -23,8 +23,8 @@ from repro.experiments.configs import QUICK, SMOKE, make_model
 from repro.io import save_checkpoint
 from repro.prune import prune_and_reconfigure
 from repro.serve import ModelRegistry
-from repro.tensor import Tensor, no_grad
-from repro.tensor.compile import StepPlan
+from repro.tensor import Tensor, no_grad, workspace
+from repro.tensor.compile import StepPlan, capture_forward
 from repro.train import Trainer, TrainerConfig
 
 from ..conftest import sparsify_space
@@ -150,3 +150,30 @@ def test_padding_level_never_changes_logits(tmp_path):
     out_pad8 = registry.run("dense", x)
     assert np.array_equal(out_pad4, out_pad8)
     assert np.array_equal(out_pad4, _eager_rows(model, x))
+
+
+def test_seed_conv_lowering_is_refused_and_served_row_by_row(tmp_path,
+                                                             monkeypatch):
+    """The seed im2col conv is one 2-D ``cols @ W.T`` GEMM whose rows change
+    bits with the batch, so no row-stable plan can be built on it: capture
+    fails closed, the registry seals the failure and serves every request
+    through its per-row eager fallback — the contract holds at every padding
+    level instead of silently breaking."""
+    monkeypatch.setattr(workspace.config, "conv_impl", "im2col")
+    registry, model = _checkpointed_model(SMOKE, "dense", tmp_path)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(3, 3, SMOKE.hw, SMOKE.hw)).astype(np.float32)
+    plan, _, reason = capture_forward(model, x, row_stable=True)
+    assert plan is None
+    assert reason == "compiled plans require the einsum conv lowering"
+    served = registry.served("dense")
+    ref = _eager_rows(model, x)
+    for batch in (4, 8):
+        assert not served.warm(batch, x.shape[1:])
+        assert np.array_equal(registry.run("dense", x), ref)
+    # warm(4), the 3-row group's own capture, warm(8); the second 3-row
+    # group hits the sealed sentinel without another attempt
+    assert served.capture_failures == 3
+    assert served.captures == served.padded_replays == 0
+    # the failed warm-ups went through the fallback as well
+    assert served.eager_rows == 4 + 3 + 8 + 3

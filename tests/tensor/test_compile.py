@@ -17,6 +17,10 @@ from repro.tensor import Tensor, functional as F, no_grad, workspace
 from repro.tensor.compile import (STATS, PlanCache, StepPlan, Tape,
                                   capture_forward, capture_training_step)
 
+# Compiled plans exist only on the optimized engine; pin it so these tests
+# check the plans they are about, whatever engine the CI leg selected.
+pytestmark = pytest.mark.usefixtures("optimized_engine")
+
 
 def _model(seed=3):
     return resnet20(6, width_mult=0.25, input_hw=8, seed=seed)

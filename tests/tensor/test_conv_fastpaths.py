@@ -14,17 +14,9 @@ from repro.tensor.ops import conv as conv_ops
 from repro.tensor.workspace import baseline_engine
 
 
-@pytest.fixture(autouse=True)
-def optimized_config():
-    """Pin the optimized engine: these tests cover its fast paths, so they
-    must not silently degrade when the suite runs with REPRO_* overrides."""
-    cfg = workspace.config
-    saved = (cfg.pooling, cfg.fused_bnrelu, cfg.conv_impl)
-    cfg.pooling, cfg.fused_bnrelu, cfg.conv_impl = True, True, "einsum"
-    workspace.invalidate()
-    yield
-    workspace.invalidate()
-    cfg.pooling, cfg.fused_bnrelu, cfg.conv_impl = saved
+# These tests cover the optimized engine's fast paths, so they must not
+# silently degrade when the suite runs with REPRO_* overrides.
+pytestmark = pytest.mark.usefixtures("fresh_pool")
 
 
 def _run_both_engines(x, w, b, stride, pad, need_dx=True, need_db=True):

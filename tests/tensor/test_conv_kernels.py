@@ -21,21 +21,18 @@ from repro.tensor.ops.conv import ConvKernels
 
 
 @pytest.fixture(autouse=True)
-def einsum_sparse_engine():
+def einsum_sparse_engine(optimized_engine):
     """The kernel set is the einsum lowering; pin it (the seed CI leg flips
     the eager reference to im2col) and arm the gate with a zero gain bar so
     its verdicts are its parity probes."""
-    cfg = workspace.config
-    saved = (cfg.pooling, cfg.conv_impl, cfg.sparse_compute,
-             cfg.sparse_min_gain)
-    cfg.pooling, cfg.conv_impl = True, "einsum"
+    cfg = optimized_engine
+    saved = (cfg.sparse_compute, cfg.sparse_min_gain)
     cfg.sparse_compute, cfg.sparse_min_gain = True, 0.0
     yield
     sparse.clear()
     sparse.STATS.reset()
     SPARSE_GEMM.reset()
-    (cfg.pooling, cfg.conv_impl, cfg.sparse_compute,
-     cfg.sparse_min_gain) = saved
+    cfg.sparse_compute, cfg.sparse_min_gain = saved
 
 
 @st.composite
@@ -294,3 +291,83 @@ def test_gate_accepts_dw_live_where_the_predicate_folds():
     dw_log = [d for d in SPARSE_GEMM.decisions if d["path"] == "dw"]
     assert len(dw_log) == 1 and dw_log[0]["parity"] and dw_log[0]["accepted"]
     assert gate is not None and gate.use_dw
+
+
+# -- the R = S = 1 case ---------------------------------------------------------
+
+@st.composite
+def pointwise_cases(draw):
+    """1x1 / padding-0 convs on both sides of ``dw_folds``: wide layers on
+    tiny maps fold, narrow ones on large maps keep the per-sample slab."""
+    stride = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([1, 32, 7]))            # batch-1, full, tail
+    folds = draw(st.booleans())
+    ch, hws = (st.integers(8, 20), st.integers(1, 3)) if folds \
+        else (st.integers(1, 5), st.integers(6, 9))
+    c, k, h, w = draw(ch), draw(ch), draw(hws), draw(hws)
+    ho, wo = conv_ops.conv_out_size(h, w, 1, 1, stride, 0)
+    assume(conv_ops.dw_folds(k, c, ho * wo) == folds)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+    wt = (rng.standard_normal((k, c, 1, 1)) * 0.2).astype(np.float32)
+    b = rng.standard_normal(k).astype(np.float32) \
+        if draw(st.booleans()) else None
+    dy = rng.standard_normal((n, k, ho, wo)).astype(np.float32)
+    return x, wt, b, dy, stride
+
+
+@given(pointwise_cases(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_pointwise_kernels_equal_eager(case, remat):
+    """``fwd`` / ``dw`` / ``db`` / ``dx`` of the 1x1 case equal the eager "pw"
+    kernels bitwise, ``out=`` and returned, whatever ``remat`` says; the
+    staging is a view at stride 1 and one forward-to-backward buffer
+    otherwise — never a re-gather."""
+    x, w, b, dy, stride = case
+    y, ctx = conv_ops.conv2d_forward(x, w, b, stride, 0)
+    assert ctx[0] == "pw"
+    dx, dw, db = conv_ops.conv2d_backward(dy, ctx, x.shape, w, stride, 0,
+                                          need_db=b is not None)
+    dx = dx.copy()
+    workspace.release(dx)
+    conv_ops.release_ctx(ctx)
+    phases = []
+
+    def alloc(shape, tag, phase):
+        phases.append(phase)
+        return np.empty(shape, x.dtype)
+
+    ks = ConvKernels(x.shape, w, stride, 0, x.dtype, alloc, bias=b,
+                     remat=remat)
+    assert "fwd" not in phases
+    assert phases.count("span") == (stride > 1)
+    n, k = dy.shape[:2]
+    g3 = dy.reshape(n, k, -1)
+    for _ in range(2):          # twice: staging state survives a replay
+        ks.fwd(x)
+        assert np.array_equal(ks.y4, y)
+        assert np.array_equal(ks.dw(x, g3), dw)
+        out = np.full_like(w, np.nan)
+        assert ks.dw(x, g3, out) is out and np.array_equal(out, dw)
+        if b is not None:
+            assert np.array_equal(ks.db(dy), db)
+            db_out = np.full_like(b, np.nan)
+            assert ks.db(dy, db_out) is db_out and np.array_equal(db_out, db)
+        got = ks.dx(dy)
+        assert np.array_equal(got, dx)
+        got += 1.0              # a consumer accumulated into the donated dx
+
+
+def test_pointwise_has_no_live_channel_form():
+    """The sparse gate is not consulted for a 1x1 conv, and the kernel set
+    refuses a dead set for one instead of silently ignoring it."""
+    x, w, _ = _case(4, 4, 4, 2, r=1, padding=0)
+    in_dead, out_dead = np.array([True, False, False, False]), np.zeros(4, bool)
+    with pytest.raises(ValueError, match="no live-channel form"):
+        ConvKernels(x.shape, w, 1, 0, x.dtype, _private(x.dtype),
+                    dead=sparse.DeadSet.from_masks(in_dead, out_dead))
+    wt = Tensor(w)
+    sparse.publish([(wt, in_dead, out_dead)])
+    assert sparse.dead_set_for(wt.data) is not None
+    assert sparse.conv_gate_for(wt.data, x, 1, 0) is None
+    assert not SPARSE_GEMM.decisions

@@ -21,18 +21,14 @@ F32 = np.float32
 
 
 @pytest.fixture(params=["optimized", "baseline"])
-def engine(request):
+def engine(request, optimized_engine):
     """Run the test body under the optimized or the seed engine config
     (pinned explicitly so REPRO_* env overrides cannot collapse the two)."""
-    cfg = workspace.config
-    saved = (cfg.pooling, cfg.fused_bnrelu, cfg.conv_impl)
     if request.param == "baseline":
         with baseline_engine():
             yield request.param
     else:
-        cfg.pooling, cfg.fused_bnrelu, cfg.conv_impl = True, True, "einsum"
         yield request.param
-    cfg.pooling, cfg.fused_bnrelu, cfg.conv_impl = saved
     workspace.invalidate()
 
 

@@ -19,6 +19,10 @@ from .test_compile import _batch, _model
 
 F32 = np.float32
 
+# Compiled plans exist only on the optimized engine; pin it so these tests
+# check the plans they are about, whatever engine the CI leg selected.
+pytestmark = pytest.mark.usefixtures("optimized_engine")
+
 
 def _planned(mem):
     """Run solve+materialize and flip into serve mode."""

@@ -22,6 +22,11 @@ from repro.tensor import parallel as par
 from repro.tensor.compile import StepPlan, capture_training_step
 
 
+# Compiled plans exist only on the optimized engine; pin it so these tests
+# check the plans they are about, whatever engine the CI leg selected.
+pytestmark = pytest.mark.usefixtures("optimized_engine")
+
+
 @pytest.fixture(autouse=True)
 def _restore_engine():
     saved = (workspace.config.parallel_replay, workspace.config.replay_workers,

@@ -24,24 +24,21 @@ from ..conftest import sparsify_space
 
 
 @pytest.fixture(autouse=True)
-def sparse_engine():
+def sparse_engine(fresh_pool):
     """Pin the optimized engine with sparse compute on and a zero gain bar
     (the gate then accepts whenever its bit-parity probe passes, which makes
     engagement deterministic on a given machine)."""
-    cfg = workspace.config
-    saved = (cfg.pooling, cfg.conv_impl, cfg.sparse_compute,
-             cfg.sparse_min_gain, cfg.mem_plan, cfg.parallel_replay)
-    cfg.pooling, cfg.conv_impl = True, "einsum"
+    cfg = fresh_pool
+    saved = (cfg.sparse_compute, cfg.sparse_min_gain, cfg.mem_plan,
+             cfg.parallel_replay)
     cfg.sparse_compute, cfg.sparse_min_gain = True, 0.0
     sparse.clear()
     sparse.STATS.reset()
-    workspace.invalidate()
     yield
     sparse.clear()
     sparse.STATS.reset()
-    workspace.invalidate()
-    (cfg.pooling, cfg.conv_impl, cfg.sparse_compute,
-     cfg.sparse_min_gain, cfg.mem_plan, cfg.parallel_replay) = saved
+    (cfg.sparse_compute, cfg.sparse_min_gain, cfg.mem_plan,
+     cfg.parallel_replay) = saved
 
 
 # -- run-coalesced selection --------------------------------------------------
@@ -302,6 +299,51 @@ class TestCompiledParity:
         for (n, pe), (_, pc) in zip(m_e.named_parameters(),
                                     m_c.named_parameters()):
             assert np.array_equal(pe.data, pc.data), n
+
+    def test_dw_live_runs_the_row_count_the_gate_probed(self, monkeypatch):
+        """The plan's row-compacted ``dw`` GEMM must have the M the gate's
+        parity probe ran — the published live-row count in the decision's
+        signature — also on a step where more rows of ``dy`` are zero than
+        were published (here: a live channel whose BN gamma/beta are zero)."""
+        from repro.costmodel.time import SPARSE_GEMM
+        calls = []
+
+        class Spy(conv_ops.ConvKernels):
+            def __init__(self, x_shape, w, stride, padding, dtype, alloc,
+                         **kw):
+                super().__init__(x_shape, w, stride, padding, dtype, alloc,
+                                 **kw)
+                real, ds = self.dw_live, kw.get("dead")
+                if real is None:
+                    return
+                sig = (*x_shape, w.shape[0], *w.shape[2:], stride, padding,
+                       ds.in_live.size, ds.out_live.size,
+                       len(ds.in_live_runs), len(ds.out_live_runs))
+
+                def dw_live(x, g3, row_runs, out=None):
+                    calls.append((sig, sum(ln for *_, ln in row_runs)))
+                    return real(x, g3, row_runs, out)
+                self.dw_live = dw_live
+
+        monkeypatch.setattr(conv_ops, "ConvKernels", Spy)
+        m = _dead_resnet()
+        _publish_from_graph(m)
+        bn = m.graph.conv_by_name("s0b1.conv1").bn
+        bn.weight.data[-1] = bn.bias.data[-1] = 0.0   # zero row, unpublished
+        rng = np.random.default_rng(5)
+        x, y = _batch(rng)
+        plan, loss_t, _, reason = capture_training_step(m, x, y)
+        assert reason is None
+        loss_t.backward()
+        plan.run(*_batch(rng))
+        if not calls:
+            pytest.skip("gate accepted no dw pipeline on this machine")
+        probed = {tuple(d["sig"]) for d in SPARSE_GEMM.decisions
+                  if d["path"] == "dw" and d["accepted"]}
+        for sig, rows in calls:
+            assert sig in probed
+            assert rows == sig[10]          # kl: the published live rows
+        assert sparse.STATS.dw_sparse_steps == len(calls)
 
     def test_gate_decisions_are_recorded(self):
         m = _dead_resnet()

@@ -22,16 +22,10 @@ from ..conftest import sparsify_space
 
 
 @pytest.fixture(autouse=True)
-def optimized_config():
-    """Pin the optimized engine (pooling on) regardless of REPRO_* env."""
-    cfg = workspace.config
-    saved = (cfg.pooling, cfg.fused_bnrelu, cfg.conv_impl)
-    cfg.pooling, cfg.fused_bnrelu, cfg.conv_impl = True, True, "einsum"
-    workspace.invalidate()
+def zeroed_pool_stats(fresh_pool):
+    """The optimized engine (pooling on) regardless of REPRO_* env, with an
+    empty pool and its counters at zero."""
     workspace.POOL.stats.reset()
-    yield
-    workspace.invalidate()
-    cfg.pooling, cfg.fused_bnrelu, cfg.conv_impl = saved
 
 
 class TestPoolMechanics:

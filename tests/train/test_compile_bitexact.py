@@ -25,6 +25,11 @@ from repro.train import PruneTrainConfig, PruneTrainTrainer
 from .test_resume import assert_logs_identical, assert_models_identical
 
 
+# Compiled plans exist only on the optimized engine; pin it so these tests
+# check the plans they are about, whatever engine the CI leg selected.
+pytestmark = pytest.mark.usefixtures("optimized_engine")
+
+
 @pytest.fixture(scope="module")
 def data():
     train = make_synthetic(10, 192, hw=8, noise=0.8, seed=0, name="t")
@@ -62,7 +67,7 @@ def _assert_velocities_identical(t1, t2):
 
 
 @pytest.fixture(scope="module")
-def runs(data, tmp_path_factory):
+def runs(optimized_engine, data, tmp_path_factory):
     eager = _trainer(data, str(tmp_path_factory.mktemp("eager")),
                      compile_step=False)
     log_eager = eager.train()
