@@ -1115,10 +1115,10 @@ class _PlanBuilder:
         # Measured gate: a dead set published for this weight AND a probe
         # that proved the live-channel kernels bit-identical and profitable
         # at this exact signature (repro.tensor.sparse.conv_gate_for; None
-        # with sparse_compute off and for every 1x1 conv).  The decision is
-        # memoized per (signature, dead set), so the memory planner's
-        # sizer/assembler double build and any plan rebuild within the
-        # interval see the same verdict.
+        # with sparse_compute off and for every conv whose form is not the
+        # window gather).  The decision is memoized per (signature, dead
+        # set), so the memory planner's sizer/assembler double build and any
+        # plan rebuild within the interval see the same verdict.
         gate = _sparse.conv_gate_for(w_t.data, x.data, stride, padding)
 
         def alloc(shape: tuple, tag: str, phase: str) -> np.ndarray:
@@ -1139,7 +1139,10 @@ class _PlanBuilder:
             bias=b_t.data if b_t is not None else None,
             dead=gate.ds if gate is not None else None,
             remat=self.mem is not None, backward=self.keep_ctx,
-            need_dx=need_dx)
+            need_dx=need_dx,
+            row_stable=self.row_stable and not self.keep_ctx)
+        self.plan._conv_forms.append((x.data.shape, w_t.data.shape, stride,
+                                      padding, ks.form))
         y4 = ks.y4
         if gate is None:
             conv = ks.fwd
@@ -1419,6 +1422,8 @@ class StepPlan:
         self._level_names: Optional[List[List[str]]] = None
         #: serial plans: op kind of each ``_fwd`` / ``_bwd`` thunk, in order
         self._thunk_kinds: Tuple[List[str], List[str]] = ([], [])
+        #: ``(x_shape, w_shape, stride, padding, form)`` per conv, op order
+        self._conv_forms: List[tuple] = []
         self._workers = 1
         self._schedule = None
         #: zero-copy gradient sinks baked into this plan's thunks:
@@ -1538,6 +1543,11 @@ class StepPlan:
         """The arena planner's exact footprint numbers, or ``None`` for
         an unplanned build."""
         return self._mem.metrics() if self._mem is not None else None
+
+    def conv_forms(self) -> List[tuple]:
+        """``(x_shape, w_shape, stride, padding, form)`` of every conv in op
+        order — which lowering each layer got (``ConvKernels.form``)."""
+        return list(self._conv_forms)
 
     # -- replay ------------------------------------------------------------
     def run(self, x: np.ndarray, targets: np.ndarray

@@ -25,11 +25,20 @@ Two lowerings are provided, selected by ``workspace.config.conv_impl``:
       per-patch gradients with one batched GEMM and scatter-add them in
       ``R*S`` strided slice additions.
 
-    1x1 convolutions skip all of this: they are batched ``(K,C)`` x
-    ``(N,C,H*W)`` matrix products in both directions, with the same two
-    ``dw`` forms against the staged input.  Contraction paths
-    for the remaining einsums are memoized per shape signature, and all
-    staging buffers come from the :mod:`repro.tensor.workspace` pool.
+    That window gather is one of three forms.  1x1 convolutions skip all of
+    it: they are batched ``(K,C)`` x ``(N,C,H*W)`` matrix products in both
+    directions, with the same two ``dw`` forms against the staged input.
+    And a conv whose input map is smaller than its filter window
+    (:func:`conv_unrolls`: 3x3 on 2x2 or 1x1 — the tail of a CIFAR VGG) is
+    treated as the dense layer it is: the taps that can overlap the map are
+    unrolled into one Toeplitz matrix ``T`` and forward, ``dw`` and ``dx``
+    are three single GEMMs over the whole batch against it (:class:`_Unroll`)
+    — no window gather, no multiply by padding zeros, no per-sample GEMMs
+    with four or one columns.  Two closed-form, ``N``-free predicates choose
+    (:func:`conv_unrolls` the form, :func:`dw_folds` the weight-gradient
+    shape of the other two), and both are read by exactly two drivers: the
+    eager functions below and :class:`ConvKernels`.  All staging buffers
+    come from the :mod:`repro.tensor.workspace` pool.
 
 ``"im2col"`` (the seed engine, kept for A/B benchmarking)
     Patches are extracted into a column matrix and multiplied against the
@@ -40,7 +49,7 @@ path in both lowerings: the "patch tensor" is just a (strided) view of the
 input, so no window extraction happens at all.
 
 Compiled step plans do not call these per-step functions: they bind
-:class:`ConvKernels`, the same einsum lowering — RxS and 1x1 alike — staged
+:class:`ConvKernels`, the same einsum lowering — all three forms — staged
 over preallocated buffers (bit-identical by construction, and the one place
 its dense and live-channel forms are written).  The functions here stay as
 they are — the independent eager reference every plan is compared against.
@@ -142,6 +151,33 @@ def dw_folds(k: int, crs: int, p: int) -> bool:
     return k * crs > p * (crs + k)
 
 
+def conv_unrolls(h: int, w: int, r: int, s: int, stride: int) -> bool:
+    """Whether a conv takes the unrolled form (einsum lowering): the input
+    map is smaller than the filter window, so most taps of most windows only
+    ever see padding — 3x3 on 1x1, 1x2 and 2x2 maps, the tail of a CIFAR VGG.
+    Such a conv is a dense layer over the whole map: one GEMM against the
+    unrolled (Toeplitz) filter does the ``H*W*Ho*Wo`` tap/pixel products that
+    can be nonzero, where the window gather pays ``R*S*Ho*Wo`` a channel pair
+    (36 against 16 on a 2x2 map, 9 against 1 on 1x1) and runs them as ``N``
+    GEMMs with ``Ho*Wo`` columns each.
+
+    Like :func:`dw_folds` it is closed-form, ignores ``N`` (the form changes
+    the reduction order, and batch growth, tails and shards must never flip
+    it mid-run) and is read by the two drivers of the lowering only — eager
+    and :class:`ConvKernels`.
+    """
+    return stride == 1 and h * w < r * s
+
+
+def conv_form(h: int, w: int, r: int, s: int, stride: int,
+              padding: int) -> str:
+    """Which of the three einsum forms a conv takes: ``"pointwise"``,
+    ``"unrolled"`` or ``"gather"`` (only the last has live-channel kernels)."""
+    if _is_pointwise(r, s, padding):
+        return "pointwise"
+    return "unrolled" if conv_unrolls(h, w, r, s, stride) else "gather"
+
+
 def dw_folded(dym: np.ndarray, cols3: np.ndarray, dyT: np.ndarray,
               colsT: np.ndarray, out: Optional[np.ndarray] = None
               ) -> np.ndarray:
@@ -232,6 +268,8 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
         return _gemm_forward(cols, w, b, n, k, ho, wo), ("cols", cols)
 
     if config.conv_impl == "einsum":
+        if conv_unrolls(h, wd, r, s, stride):
+            return _unrolled_forward(x, w, b, padding)
         # Gather the windows once into a pooled (N, C, R, S, Ho, Wo) column
         # tensor: the trailing Wo axis is stride-1 in the source view, so
         # the copy runs in long contiguous spans, and the flattened
@@ -308,6 +346,10 @@ def conv2d_backward(dy: np.ndarray, ctx: tuple,
                 np.matmul(w2t, dym, out=dxm)
                 dx = dxm.reshape(n, c, h, wd)
         return dx, dw, db
+
+    if kind == "unr":
+        return _unrolled_backward(dy, saved, x_shape, w, padding, need_dx,
+                                  need_db)
 
     if kind == "cols6":
         # The forward gather is reused: dw is a pure GEMM against the saved
@@ -422,6 +464,181 @@ def _dx_scatter(dy: np.ndarray, w: np.ndarray,
     return dxp
 
 
+# -- the unrolled form -----------------------------------------------------------
+
+#: source elements per copy when staging filter taps (see ``toeplitz``)
+_STAGE_BLOCK = 1 << 16
+
+
+def _to_pixel_major(a4: np.ndarray, a2: np.ndarray) -> None:
+    """``(N, C, H, W)`` -> ``a2 (N, H*W*C)``."""
+    n, c, h, w = a4.shape
+    np.copyto(a2.reshape(n, h, w, c), a4.transpose(0, 2, 3, 1))
+
+
+def _to_channel_major(a2: np.ndarray, a4: np.ndarray, bias4=None) -> None:
+    """``(N, H*W*C)`` -> ``a4 (N, C, H, W)``, adding ``bias4`` on the way."""
+    n, c, h, w = a4.shape
+    src = a2.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+    if bias4 is None:
+        np.copyto(a4, src)
+    else:
+        np.add(src, bias4, out=a4)
+
+
+class _Unroll:
+    """The unrolled form (:func:`conv_unrolls`) of one conv geometry at
+    stride 1: index ranges plus the two data movements that are not a GEMM,
+    each bound to the caller's buffers — eager binds pooled ones per call,
+    :class:`ConvKernels` planned ones once — so both run the same copies and
+    the same additions.
+
+    Layout is pixel-major and tap-major with channels innermost.  Activations
+    are restaged ``(N, H*W*C)`` (as small as the map).  :meth:`toeplitz`
+    stages the filter taps that can overlap the map as ``(taps, K, C)`` and
+    unrolls them into ``T (Ho*Wo*K, H*W*C)`` in contiguous ``C``-runs::
+
+        T[(i, j, k), (u, v, c)] = w[k, c, u - i + p, v - j + p]
+
+    (zero where that tap lies outside the filter), after which the conv is
+    ``y2 = x2 @ T.T``, ``dT = g2.T @ x2`` and ``dx2 = g2 @ T`` — three single
+    GEMMs with ``M = N``.  :meth:`fold` is the adjoint of the unrolling.  A
+    ``K``-innermost layout computes the same thing but pays a full
+    ``(K, C, R, S) <-> (R, S, C, K)`` filter transpose each way, which
+    measured over twice a GEMM at 256 channels (3 ms against 0.4 ms here).
+    """
+
+    __slots__ = ("dims", "taps_shape", "t_shape", "filt", "ext",
+                 "sparse_t", "sparse_dw")
+
+    def __init__(self, x_shape: tuple, w_shape: tuple, padding: int) -> None:
+        n, c, h, wd = x_shape
+        k, _, r, s = w_shape
+        ho, wo = conv_out_size(h, wd, r, s, 1, padding)
+        self.dims = (c, h, wd, k, r, s, ho, wo)
+        self.t_shape = (ho * wo * k, h * wd * c)
+        # Output row i reads input row u through tap a = u - i + p: a window
+        # of H taps starting at p - i.  Over all i that is the extended tap
+        # range [p - Ho + 1, p + H); its part inside [0, R) is every tap
+        # that ever overlaps the map.
+        a0, b0 = padding - ho + 1, padding - wo + 1
+        self.taps_shape = (ho + h - 1, wo + wd - 1, k, c)
+        rows = slice(max(a0, 0), min(padding + h, r))
+        cols = slice(max(b0, 0), min(padding + wd, s))
+        #: the overlapping taps, as an index into (K, C, R, S) ...
+        self.filt = (slice(None), slice(None), rows, cols)
+        #: ... and into the extended tap range
+        self.ext = (slice(rows.start - a0, rows.stop - a0),
+                    slice(cols.start - b0, cols.stop - b0))
+        span = (rows.stop - rows.start, cols.stop - cols.start)
+        #: T has structural zeros / dw has taps that are exactly zero
+        self.sparse_t = span != self.taps_shape[:2]
+        self.sparse_dw = span != (r, s)
+
+    def toeplitz(self, w: np.ndarray, taps: np.ndarray, T: np.ndarray):
+        """``run()`` stages the overlapping taps of ``w`` into ``taps``
+        (extended range) and unrolls them into ``T``; like :class:`_Gather`,
+        every view is taken here, once."""
+        c, h, wd, k, r, s, ho, wo = self.dims
+        src = w[self.filt].transpose(2, 3, 0, 1)
+        dst = taps[self.ext]
+        # A few filters per copy, so each source block is read from memory
+        # once and its tap planes from cache; one transposed copy of the
+        # whole filter streams it once per tap (2x slower at 256 channels).
+        kb = max(1, _STAGE_BLOCK // (c * r * s))
+        blocks = [(dst[:, :, k0:k0 + kb], src[:, :, k0:k0 + kb])
+                  for k0 in range(0, k, kb)]
+        T6 = T.reshape(ho, wo, k, h, wd, c)
+        # (Ho, Wo, K, C, H, W), window i' starting at extended tap row i'
+        wdw = sliding_window_view(taps, (h, wd), axis=(0, 1))
+        wdwT = wdw[::-1, ::-1].transpose(0, 1, 2, 4, 5, 3)
+        clear = self.sparse_t
+
+        def run() -> None:
+            if clear:
+                taps.fill(0)
+            for blk, src_blk in blocks:
+                np.copyto(blk, src_blk)
+            np.copyto(T6, wdwT)
+        return run
+
+    def fold(self, dT: np.ndarray, dtaps: np.ndarray):
+        """``run(out=None)`` returns the ``(K, C, R, S)`` weight gradient of
+        ``dT`` (written into ``out`` if given): its blocks scatter-added back
+        onto the extended taps ``dtaps`` — the adjoint of the unrolling —
+        then the overlapping ones restored to filter layout, with exact
+        zeros for taps that never overlap the map."""
+        c, h, wd, k, r, s, ho, wo = self.dims
+        dT6 = dT.reshape(ho, wo, k, h, wd, c)
+        adds = [(dtaps[ho - 1 - i:ho - 1 - i + h, wo - 1 - j:wo - 1 - j + wd],
+                 dT6[i, j].transpose(1, 2, 0, 3))
+                for i in range(ho) for j in range(wo)]
+        grad = dtaps[self.ext].transpose(2, 3, 0, 1)
+        filt, clear = self.filt, self.sparse_dw
+
+        def run(out: Optional[np.ndarray] = None) -> np.ndarray:
+            dtaps.fill(0)
+            for window, blk in adds:
+                np.add(window, blk, out=window)
+            if out is None:
+                out = np.zeros((k, c, r, s), dT.dtype)
+            elif clear:
+                out.fill(0)
+            np.copyto(out[filt], grad)
+            return out
+        return run
+
+
+def _unrolled_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
+                      padding: int) -> Tuple[np.ndarray, tuple]:
+    """Eager forward of the unrolled form; the context keeps the restaged
+    input and ``T`` (both pooled) for :func:`_unrolled_backward`."""
+    n = x.shape[0]
+    k = w.shape[0]
+    u = _Unroll(x.shape, w.shape, padding)
+    ho, wo = u.dims[-2:]
+    x2 = ws.acquire((n, u.t_shape[1]), x.dtype)
+    _to_pixel_major(x, x2)
+    taps = ws.acquire(u.taps_shape, x.dtype)
+    T = ws.acquire(u.t_shape, x.dtype)
+    u.toeplitz(w, taps, T)()
+    ws.release(taps)
+    y2 = ws.acquire((n, u.t_shape[0]), x.dtype)
+    np.matmul(x2, T.T, out=y2)
+    y = np.empty((n, k, ho, wo), x.dtype)
+    _to_channel_major(y2, y, None if b is None else b[None, :, None, None])
+    ws.release(y2)
+    return y, ("unr", (x2, T))
+
+
+def _unrolled_backward(dy: np.ndarray, saved: tuple, x_shape: tuple,
+                       w: np.ndarray, padding: int, need_dx: bool,
+                       need_db: bool) -> tuple:
+    """Eager ``(dx, dw, db)`` of the unrolled form; ``dx`` is pooled, and
+    everything else acquired here is released here."""
+    x2, T = saved
+    n = x_shape[0]
+    u = _Unroll(x_shape, w.shape, padding)
+    g2 = ws.acquire((n, u.t_shape[0]), dy.dtype)
+    _to_pixel_major(dy, g2)
+    dT = ws.acquire(u.t_shape, dy.dtype)
+    np.matmul(g2.T, x2, out=dT)
+    dtaps = ws.acquire(u.taps_shape, dy.dtype)
+    dw = u.fold(dT, dtaps)()
+    ws.release(dtaps)
+    ws.release(dT)
+    db = dy.sum(axis=(0, 2, 3)) if need_db else None
+    dx = None
+    if need_dx:
+        dx2 = ws.acquire(x2.shape, dy.dtype)
+        np.matmul(g2, T, out=dx2)
+        dx = ws.acquire(x_shape, dy.dtype)
+        _to_channel_major(dx2, dx)
+        ws.release(dx2)
+    ws.release(g2)
+    return dx, dw, db
+
+
 # -- staged conv kernel set -----------------------------------------------------
 
 def _prefix(buf: np.ndarray, shape: tuple) -> np.ndarray:
@@ -528,7 +745,9 @@ class _Gather:
 class ConvKernels:
     """The einsum conv lowering as preplanned kernels: stated once, driven by
     the plan builder (:mod:`repro.tensor.compile`) and by the sparse gate's
-    calibration probe (:mod:`repro.tensor.sparse`).
+    calibration probe (:mod:`repro.tensor.sparse`).  With the eager functions
+    above it is one of the two readers of :func:`conv_unrolls` and
+    :func:`dw_folds`.
 
     Built from the input shape, the filter array ``w`` and optional ``bias``
     (their identity must be stable for the kernels' life), stride/padding/
@@ -550,12 +769,29 @@ class ConvKernels:
     ``dx(g)`` returns the input gradient — the transposed-convolution form at
     unit stride, the strided scatter-add form otherwise.
 
-    A 1x1 filter at padding 0 is the degenerate case: its column tensor *is*
-    the (strided) input, so staging is a reshape view per call at stride 1
-    and one strided copy into a ``"span"`` buffer otherwise (kept for ``dw``,
-    never re-gathered, whatever ``remat`` says), and ``dx`` is the direct
-    ``W^T @ dy`` GEMM, stored into a zero-filled buffer at stride > 1.  It has
-    no live-channel variants.
+    :attr:`form` says which of three forms the set is (:func:`conv_form`);
+    the above describes ``"gather"``.  The other two are degenerate cases
+    with the same ``fwd`` / ``dw`` / ``db`` / ``dx`` surface, every buffer
+    still from ``alloc``, no live-channel variants (a ``dead`` set is
+    refused) and nothing for ``remat`` to change:
+
+    ``"pointwise"`` — a 1x1 filter at padding 0.  Its column tensor *is* the
+    (strided) input, so staging is a reshape view per call at stride 1 and
+    one strided copy into a ``"span"`` buffer otherwise (kept for ``dw``,
+    never re-gathered), and ``dx`` is the direct ``W^T @ dy`` GEMM, stored
+    into a zero-filled buffer at stride > 1.
+
+    ``"unrolled"`` — the input map is smaller than the filter window
+    (:func:`conv_unrolls`).  ``fwd`` restages ``x`` pixel-major and builds
+    the unrolled filter ``T`` (:class:`_Unroll`), both ``"span"``-lived —
+    ``T`` is batch-independent, unlike a column tensor, so keeping it costs
+    ``H*W*Ho*Wo`` filter planes however large ``N`` grows — and ``y``,
+    ``dw`` and ``dx`` are one GEMM each over the whole batch.  ``dw`` and
+    ``dx`` share no scratch (a level schedule runs them side by side).
+    ``row_stable=True`` (forward-only serving plans) takes the forward
+    product one sample at a time, as ``ops.basic.linear_forward`` does: a
+    GEMM folded over the batch is not bit-stable across ``N``, and the other
+    two forms are per-sample products already.
 
     With a ``dead`` set (:class:`repro.tensor.sparse.DeadSet`) the live-channel
     variants exist as well, on contiguous prefix views of the *same*
@@ -586,7 +822,7 @@ class ConvKernels:
     def __init__(self, x_shape: tuple, w: np.ndarray, stride: int,
                  padding: int, dtype, alloc, *, bias=None, dead=None,
                  remat: bool = False, backward: bool = True,
-                 need_dx: bool = True) -> None:
+                 need_dx: bool = True, row_stable: bool = False) -> None:
         n, c, h, wd = x_shape
         k, _, r, s = w.shape
         ho, wo = conv_out_size(h, wd, r, s, stride, padding)
@@ -594,11 +830,18 @@ class ConvKernels:
         self.fwd_live = self.dw_live = self.dx_live = None
         self.dw = self.dx = None
         b4 = None if bias is None else bias[None, :, None, None]
-        if _is_pointwise(r, s, padding):
+        #: which of the three forms these kernels are (:func:`conv_form`)
+        self.form = conv_form(h, wd, r, s, stride, padding)
+        if self.form != "gather":
             if dead is not None:
-                raise ValueError("the 1x1 lowering has no live-channel form")
-            self._pointwise(x_shape, w.reshape(k, c), b4, stride, (ho, wo),
-                            alloc, backward, need_dx)
+                raise ValueError(
+                    f"the {self.form} lowering has no live-channel form")
+            if self.form == "pointwise":
+                self._pointwise(x_shape, w.reshape(k, c), b4, stride,
+                                (ho, wo), alloc, backward, need_dx)
+            else:
+                self._unrolled(x_shape, w, b4, padding, alloc, backward,
+                               need_dx, row_stable)
             return
         hp, wp = h + 2 * padding, wd + 2 * padding
         live = dead is not None
@@ -898,6 +1141,63 @@ class ConvKernels:
                 return dx4
         self.dx = dx
 
+    def _unrolled(self, x_shape: tuple, w: np.ndarray, b4, padding: int,
+                  alloc, backward: bool, need_dx: bool, row_stable: bool
+                  ) -> None:
+        """The map-smaller-than-window kernels (see the class docstring)."""
+        n, c, h, wd = x_shape
+        k = w.shape[0]
+        u = _Unroll(x_shape, w.shape, padding)
+        ho, wo = u.dims[-2:]
+        pk, hwc = u.t_shape
+        kept = "span" if backward else "fwd"
+        taps = alloc(u.taps_shape, "taps", "fwd")
+        x2 = alloc((n, hwc), "x2", kept)
+        T = alloc(u.t_shape, "T", kept)
+        y2 = alloc((n, pk), "y2", "fwd")
+        y4 = self.y4 = alloc((n, k, ho, wo), "y", "out")
+        unroll, TT = u.toeplitz(w, taps, T), T.T
+        # One GEMM over the batch is not row-stable (BLAS blocks by M); the
+        # serving lowering takes one product per sample, as linear does.
+        lhs, prod = (x2[:, None, :], y2[:, None, :]) if row_stable \
+            else (x2, y2)
+
+        def fwd(x: np.ndarray) -> None:
+            _to_pixel_major(x, x2)
+            unroll()
+            np.matmul(lhs, TT, out=prod)
+            _to_channel_major(y2, y4, b4)
+        self.fwd = fwd
+        if not backward:
+            return
+
+        # The parts share no scratch (a level schedule runs them side by
+        # side): each restages dy for itself.
+        g2a = alloc((n, pk), "g2", "a")
+        dT = alloc(u.t_shape, "dT", "a")
+        dtaps = alloc(u.taps_shape, "dtaps", "a")
+        fold, g2aT = u.fold(dT, dtaps), g2a.T
+
+        def dw(x: np.ndarray, g3: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+            _to_pixel_major(g3.reshape(n, k, ho, wo), g2a)
+            np.matmul(g2aT, x2, out=dT)
+            return fold(out)
+        self.dw = dw
+        if not need_dx:
+            return
+
+        g2b = alloc((n, pk), "g2", "b")
+        dx2 = alloc((n, hwc), "dx2", "b")
+        dx4 = alloc((n, c, h, wd), "grad", "dx")
+
+        def dx(g: np.ndarray) -> np.ndarray:
+            _to_pixel_major(g, g2b)
+            np.matmul(g2b, T, out=dx2)
+            _to_channel_major(dx2, dx4)
+            return dx4
+        self.dx = dx
+
 
 def release_ctx(ctx: Optional[tuple]) -> None:
     """Return a forward context's staging buffers to the workspace pool.
@@ -906,4 +1206,10 @@ def release_ctx(ctx: Optional[tuple]) -> None:
     unpooled column matrices are ignored by the pool.
     """
     if ctx is not None:
-        ws.release(ctx[1])
+        kind, saved = ctx
+        if kind == "unr":
+            x2, T = saved
+            ws.release(x2)
+            ws.release(T)
+        else:
+            ws.release(saved)

@@ -60,7 +60,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import workspace as ws
-from .ops.conv import ConvKernels, _is_pointwise
+from .ops.conv import ConvKernels, conv_form
 
 __all__ = [
     "DeadSet", "ConvGate", "StepState", "SparseStats", "STATS",
@@ -292,24 +292,24 @@ def conv_gate_for(w: np.ndarray, x: np.ndarray, stride: int,
                   padding: int) -> Optional[ConvGate]:
     """Gate decision for one conv at a concrete input shape.
 
-    Returns None when no sparse path should engage (a 1x1 conv — its
-    lowering has no live-channel form — no published dead set, or the
-    calibration probe rejected every pipeline) — the caller then builds/runs
-    the plain dense kernels.  Decisions are memoized per
-    (signature, dead-set content) until the next publish, making the gate
-    deterministic across the planner's double build and across plan
-    rebuilds within one reconfiguration interval.
+    Returns None when no sparse path should engage (a 1x1 or an unrolled
+    conv — only the window-gather form has live-channel kernels — no
+    published dead set, or the calibration probe rejected every pipeline) —
+    the caller then builds/runs the plain dense kernels.  Decisions are
+    memoized per (signature, dead-set content) until the next publish,
+    making the gate deterministic across the planner's double build and
+    across plan rebuilds within one reconfiguration interval.
     """
     if not ws.config.sparse_compute:
         return None
     ds = dead_set_for(w)
     k, c, r, s = w.shape
-    if ds is None or _is_pointwise(r, s, padding):
+    n, _, h, wd = x.shape
+    if ds is None or conv_form(h, wd, r, s, stride, padding) != "gather":
         return None
     kl, cl = ds.out_live.size, ds.in_live.size
     if kl == 0 or cl == 0 or (kl == k and cl == c):
         return None
-    n, _, h, wd = x.shape
     sig = (n, c, h, wd, k, r, s, stride, padding, cl, kl,
            len(ds.in_live_runs), len(ds.out_live_runs))
     memo_key = (sig, ds.in_dead.tobytes(), ds.out_dead.tobytes())

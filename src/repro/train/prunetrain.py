@@ -152,12 +152,10 @@ class PruneTrainTrainer(Trainer):
         strength = (ratio / (1.0 - ratio)) / (0.25 / 0.75)
         return strength * self.cfg.decay_budget * n_typ / (2.0 * sum_lr)
 
-    def post_backward(self) -> float:
+    def post_backward(self) -> None:
         """Line 10/16: add the group-lasso subgradients after backprop."""
-        if self.lasso.lam is None:
-            return 0.0
-        self.lasso.add_gradients()
-        return self.lasso.loss()
+        if self.lasso.lam is not None:
+            self.lasso.add_gradients()
 
     def on_epoch_end(self, epoch: int) -> None:
         """Line 18-22: periodic prune + reconfigure (+ batch adjustment)."""

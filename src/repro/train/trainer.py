@@ -214,9 +214,8 @@ class Trainer:
     def on_first_batch(self, cls_loss: float) -> None:
         pass
 
-    def post_backward(self) -> float:
-        """Add extra gradients (regularizers); return extra loss for logging."""
-        return 0.0
+    def post_backward(self) -> None:
+        """Add extra gradients (regularizers) before the optimizer step."""
 
     def on_epoch_end(self, epoch: int) -> None:
         pass
@@ -357,7 +356,7 @@ class Trainer:
                     if not self._first_batch_done:
                         self.on_first_batch(loss)
                         self._first_batch_done = True
-                    reg = self.post_backward()
+                    self.post_backward()
                     self.optimizer.step()
                     losses.append(loss)
                     accs.append(acc)

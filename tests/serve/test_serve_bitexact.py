@@ -177,3 +177,29 @@ def test_seed_conv_lowering_is_refused_and_served_row_by_row(tmp_path,
     assert served.captures == served.padded_replays == 0
     # the failed warm-ups went through the fallback as well
     assert served.eager_rows == 4 + 3 + 8 + 3
+
+
+@pytest.mark.parametrize("hw", [1, 2])
+@pytest.mark.parametrize("batch", [4, 8, 16])
+def test_unrolled_conv_serving_lowering_is_row_stable(optimized_engine, hw,
+                                                      batch):
+    """SMOKE models end on a 2x2 stage, whose convs are one GEMM against the
+    unrolled filter.  Folded over the batch that GEMM is not row-stable, so a
+    serving plan asks ``ConvKernels`` for the per-sample product: every row
+    equals the batch-1 eager forward of that sample alone, bit for bit, at
+    each padded batch size."""
+    from repro.tensor.ops import conv as conv_ops
+    rng = np.random.default_rng(5)
+    c, k = 24, 20
+    x = rng.standard_normal((batch, c, hw, hw)).astype(np.float32)
+    w = (rng.standard_normal((k, c, 3, 3)) * 0.2).astype(np.float32)
+    b = rng.standard_normal(k).astype(np.float32)
+    ks = conv_ops.ConvKernels(
+        x.shape, w, 1, 1, x.dtype, lambda shape, tag, phase:
+        np.empty(shape, x.dtype), bias=b, backward=False, row_stable=True)
+    assert ks.form == "unrolled" and ks.dw is None
+    ks.fwd(x)
+    for i in range(batch):
+        row, ctx = conv_ops.conv2d_forward(x[i:i + 1], w, b, 1, 1)
+        conv_ops.release_ctx(ctx)
+        assert np.array_equal(ks.y4[i:i + 1], row), i

@@ -167,6 +167,56 @@ class TestPointwiseWeightGradient:
                 assert np.array_equal(pe.grad, pc.grad), n
 
 
+class TestUnrolledStages:
+    """A VGG-style net whose tail runs on 2x2 and 1x1 maps: those convs take
+    the unrolled form (``ops.conv.conv_unrolls``) in eager and in the plan
+    alike, next to window-gather convs on the larger maps."""
+
+    @staticmethod
+    def _net():
+        from repro.nn.vgg import VGG
+        return VGG([8, "M", 8, 16, "M", 16, "M", 16], 6, input_hw=8, seed=2)
+
+    @pytest.mark.parametrize("mem_plan, parallel", [
+        (False, False), (True, False), (False, True), (True, True)])
+    def test_three_sgd_steps_match_eager(self, monkeypatch, mem_plan,
+                                         parallel):
+        cfg = workspace.config
+        monkeypatch.setattr(cfg, "mem_plan", mem_plan)
+        monkeypatch.setattr(cfg, "parallel_replay", parallel)
+        monkeypatch.setattr(cfg, "replay_workers", 4)
+        monkeypatch.setattr(cfg, "sparse_compute", False)
+        rng = np.random.default_rng(7)
+        batches = [_batch(rng) for _ in range(3)]
+
+        m_e = self._net()
+        o_e = SGD(m_e.parameters(), lr=0.05, momentum=0.9, weight_decay=5e-4)
+        losses_e = [_eager_step(m_e, o_e, x, y)[0] for x, y in batches]
+
+        m_c = self._net()
+        o_c = SGD(m_c.parameters(), lr=0.05, momentum=0.9, weight_decay=5e-4)
+        o_c.zero_grad()
+        plan, loss_t, _, reason = capture_training_step(m_c, *batches[0])
+        assert reason is None, reason
+        assert [f[-1] for f in plan.conv_forms()] == \
+            ["gather"] * 3 + ["unrolled"] * 2
+        assert (plan.mem_metrics() is not None) == mem_plan
+        assert (plan._levels is not None) == parallel
+        loss_t.backward()
+        o_c.step()
+        losses_c = [float(loss_t.data)]
+        for x, y in batches[1:]:
+            o_c.zero_grad()
+            losses_c.append(float(plan.run(x, y)[0]))
+            o_c.step()
+
+        assert losses_e == losses_c
+        for (n, pe), (_, pc) in zip(m_e.named_parameters(),
+                                    m_c.named_parameters()):
+            assert np.array_equal(pe.data, pc.data), n
+            assert np.array_equal(o_e.state_for(pe), o_c.state_for(pc)), n
+
+
 class TestReplayTimed:
     def test_serial_plan_reports_every_thunk(self, monkeypatch):
         monkeypatch.setattr(workspace.config, "parallel_replay", False)

@@ -2,12 +2,15 @@
 
 One kernel set serves the plan builder and the sparse gate's probe, so its
 contract is checked here once, over generated shapes and dead masks: the
-dense kernels equal the eager einsum kernels bitwise in both buffer layouts;
-the live-channel kernels skip only exact zeros and otherwise compute the
+dense kernels equal the eager einsum kernels bitwise in both buffer layouts
+and in all three forms (window gather, 1x1, unrolled) on both sides of the
+predicates that choose between them; the live-channel kernels skip only exact zeros and otherwise compute the
 dense values; they match dense *bitwise* exactly where the gate's parity
 probe says they do; and the probe returns every pooled buffer, also when a
 kernel raises.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -53,6 +56,8 @@ def conv_cases(draw, dead=False):
     dy = rng.standard_normal((n, k, ho, wo)).astype(np.float32)
     if not dead:
         return x, wt, dy, stride, padding
+    # only the window-gather form has live-channel kernels
+    assume(not conv_ops.conv_unrolls(h, w, r, r, stride))
     in_dead = np.array(draw(st.lists(st.booleans(), min_size=c, max_size=c)))
     out_dead = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
     assume(not in_dead.all() and not out_dead.all())
@@ -210,8 +215,9 @@ def test_probe_returns_pooled_buffers_when_a_kernel_raises(case, victim):
 # -- the two weight-gradient forms --------------------------------------------
 
 #: (c, k, hw) of a 3x3/pad-1 conv on each side of ``dw_folds``: a narrow layer
-#: on a large map keeps the per-sample slab, a wide one on a small map folds.
-PER_SAMPLE, FOLDED = (4, 4, 8), (16, 16, 2)
+#: on a large map keeps the per-sample slab, a wide one on a small map folds
+#: (3x3 is the smallest map that still takes the window-gather form).
+PER_SAMPLE, FOLDED = (4, 4, 8), (16, 16, 3)
 
 
 def _case(c, k, hw, n, r=3, padding=1, dtype=np.float32, seed=0):
@@ -252,8 +258,9 @@ def test_dw_forms_equal_eager_on_both_sides_of_the_predicate(shape, folds, n,
 @pytest.mark.parametrize("hw", [1, 2])
 @pytest.mark.parametrize("r, padding", [(3, 1), (1, 0)])
 def test_folded_dw_matches_finite_differences(hw, r, padding):
-    """At 1x1 / 2x2 spatial the fold is one GEMM over N*P; check it against
-    the definition, not against the form it replaced."""
+    """At 1x1 / 2x2 spatial a 1x1 conv's fold is one GEMM over N*P and a 3x3
+    conv is unrolled; check both against the definition, not against the
+    forms they replaced."""
     c, k, n = 12, 10, 3
     x, w, dy = _case(c, k, hw, n, r, padding, dtype=np.float64)
     assert conv_ops.dw_folds(k, c * r * r, hw * hw)
@@ -358,16 +365,182 @@ def test_pointwise_kernels_equal_eager(case, remat):
         got += 1.0              # a consumer accumulated into the donated dx
 
 
-def test_pointwise_has_no_live_channel_form():
-    """The sparse gate is not consulted for a 1x1 conv, and the kernel set
-    refuses a dead set for one instead of silently ignoring it."""
-    x, w, _ = _case(4, 4, 4, 2, r=1, padding=0)
+def _assert_no_live_channel_form(x, w, padding):
     in_dead, out_dead = np.array([True, False, False, False]), np.zeros(4, bool)
     with pytest.raises(ValueError, match="no live-channel form"):
-        ConvKernels(x.shape, w, 1, 0, x.dtype, _private(x.dtype),
+        ConvKernels(x.shape, w, 1, padding, x.dtype, _private(x.dtype),
                     dead=sparse.DeadSet.from_masks(in_dead, out_dead))
     wt = Tensor(w)
     sparse.publish([(wt, in_dead, out_dead)])
     assert sparse.dead_set_for(wt.data) is not None
-    assert sparse.conv_gate_for(wt.data, x, 1, 0) is None
+    assert sparse.conv_gate_for(wt.data, x, 1, padding) is None
     assert not SPARSE_GEMM.decisions
+
+
+def test_pointwise_has_no_live_channel_form():
+    """The sparse gate is not consulted for a 1x1 conv, and the kernel set
+    refuses a dead set for one instead of silently ignoring it."""
+    x, w, _ = _case(4, 4, 4, 2, r=1, padding=0)
+    _assert_no_live_channel_form(x, w, 0)
+
+
+# -- the map-smaller-than-window case ------------------------------------------------
+
+#: (r, padding, h, w): 3x3 on 1x1 / 1x2 / 2x1 / 2x2 / 1x4 maps and 5x5 on 3x3 /
+#: 4x4 / 2x5 maps unroll — on the 4-wide and 5-wide ones some tap/pixel pairs
+#: fall outside the filter, so T keeps structural zeros — while 3x3 on 3x3 and
+#: 5x5 on 5x5 stay with the window gather.
+GEOMETRIES = [(3, 1, 1, 1), (3, 1, 1, 2), (3, 1, 2, 1), (3, 1, 2, 2),
+              (3, 1, 1, 4), (5, 2, 3, 3), (5, 2, 4, 4), (5, 2, 2, 5),
+              (3, 1, 3, 3), (5, 2, 5, 5)]
+
+
+def _overlapping(r, padding, size):
+    """Taps of one filter axis that meet the map at some output position."""
+    out = size + 2 * padding - r + 1
+    return np.array([any(0 <= i + a - padding < size for i in range(out))
+                     for a in range(r)])
+
+
+@st.composite
+def small_map_cases(draw):
+    r, padding, h, w = draw(st.sampled_from(GEOMETRIES))
+    n = draw(st.sampled_from([1, 7, 32]))            # batch-1, tail, full
+    c, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+    wt = (rng.standard_normal((k, c, r, r)) * 0.2).astype(np.float32)
+    b = rng.standard_normal(k).astype(np.float32) \
+        if draw(st.booleans()) else None
+    dy = rng.standard_normal((n, k, h, w)).astype(np.float32)
+    return x, wt, b, dy, padding
+
+
+@given(small_map_cases(), st.booleans(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_unrolled_kernels_equal_eager_on_both_sides_of_the_predicate(
+        case, remat, need_dx):
+    """On both sides of ``conv_unrolls``: ``ConvKernels`` equals eager
+    bitwise (``out=`` and returned, with and without ``dx``, whatever
+    ``remat`` says), eager agrees with the untouched im2col lowering, and a
+    tap that never overlaps the map gets an exactly-zero gradient."""
+    x, w, b, dy, padding = case
+    (n, c, h, wd), (k, r) = x.shape, w.shape[::2]
+    unrolls = h * wd < r * r
+    assert conv_ops.conv_unrolls(h, wd, r, r, 1) == unrolls
+    base = workspace.POOL.lent_count
+    y, ctx = conv_ops.conv2d_forward(x, w, b, 1, padding)
+    assert (ctx[0] == "unr") == unrolls
+    dx, dw, db = conv_ops.conv2d_backward(
+        dy, ctx, x.shape, w, 1, padding, need_dx=need_dx,
+        need_db=b is not None)
+    assert (dx is not None) == need_dx
+    if need_dx:
+        pooled, dx = dx, dx.copy()
+        workspace.release(pooled)
+    conv_ops.release_ctx(ctx)
+    assert workspace.POOL.lent_count == base
+
+    ks = ConvKernels(x.shape, w, 1, padding, x.dtype, _private(x.dtype),
+                     bias=b, remat=remat, need_dx=need_dx)
+    assert ks.form == ("unrolled" if unrolls else "gather")
+    g3 = dy.reshape(n, k, -1)
+    for _ in range(2):          # twice: staging state survives a replay
+        ks.fwd(x)
+        assert np.array_equal(ks.y4, y)
+        assert np.array_equal(ks.dw(x, g3), dw)
+        out = np.full_like(w, np.nan)               # fully overwritten
+        assert ks.dw(x, g3, out) is out and np.array_equal(out, dw)
+        if b is not None:
+            assert np.array_equal(ks.db(dy), db)
+        if need_dx:
+            got = ks.dx(dy)
+            assert np.array_equal(got, dx)
+            got += 1.0          # a consumer accumulated into the donated dx
+        else:
+            assert ks.dx is None
+
+    never = ~np.outer(_overlapping(r, padding, h),
+                      _overlapping(r, padding, wd))
+    if (h, wd) == (1, 1):       # a 1x1 map only ever meets the centre tap
+        assert never.sum() == r * r - 1
+    assert not dw[:, :, never].any()
+
+    cfg = workspace.config
+    cfg.conv_impl = "im2col"
+    try:
+        y0, ctx0 = conv_ops.conv2d_forward(x, w, b, 1, padding)
+        dx0, dw0, db0 = conv_ops.conv2d_backward(dy, ctx0, x.shape, w, 1,
+                                                 padding)
+    finally:
+        cfg.conv_impl = "einsum"
+    close = dict(rtol=1e-4, atol=1e-4)
+    np.testing.assert_allclose(y, y0, **close)
+    np.testing.assert_allclose(dw, dw0, **close)
+    if need_dx:
+        np.testing.assert_allclose(dx, dx0, **close)
+    if b is not None:
+        np.testing.assert_allclose(db, db0, **close)
+
+
+@pytest.mark.parametrize("r, padding, h, w", GEOMETRIES[:8])
+def test_unrolled_form_matches_finite_differences(r, padding, h, w):
+    """``dw`` and ``dx`` of the unrolled form against the definition."""
+    rng = np.random.default_rng(0)
+    n, c, k = 2, 3, 4
+    x = rng.standard_normal((n, c, h, w))
+    wt = rng.standard_normal((k, c, r, r)) * 0.2
+    dy = rng.standard_normal((n, k, h, w))
+
+    def loss(x_, w_):
+        y, ctx = conv_ops.conv2d_forward(x_, w_, None, 1, padding)
+        assert ctx[0] == "unr"
+        conv_ops.release_ctx(ctx)
+        return (y * dy).sum()
+
+    def numeric(arr, f):
+        eps, num = 1e-6, np.empty_like(arr)
+        for idx in np.ndindex(arr.shape):
+            hi, lo = arr.copy(), arr.copy()
+            hi[idx] += eps
+            lo[idx] -= eps
+            num[idx] = (f(hi) - f(lo)) / (2 * eps)
+        return num
+
+    _, ctx = conv_ops.conv2d_forward(x, wt, None, 1, padding)
+    dx, dw, _ = conv_ops.conv2d_backward(dy, ctx, x.shape, wt, 1, padding,
+                                         need_db=False)
+    conv_ops.release_ctx(ctx)
+    np.testing.assert_allclose(dw, numeric(wt, lambda v: loss(x, v)),
+                               rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(dx, numeric(x, lambda v: loss(v, wt)),
+                               rtol=1e-6, atol=1e-8)
+
+
+def test_the_unroll_predicate_never_reads_the_batch():
+    """Batch growth, tail batches and shards must not flip the form: the
+    predicate has no ``N`` to read, and the kernel set built at any batch
+    size reports the same form and asks for no ``(N, K, C*R*S)`` slab or
+    column tensor."""
+    assert list(inspect.signature(conv_ops.conv_unrolls).parameters) == \
+        ["h", "w", "r", "s", "stride"]
+    assert not conv_ops.conv_unrolls(2, 2, 3, 3, 2)     # stride 1 only
+    c, k, hw = 16, 16, 2
+    for n in (1, 7, 32):
+        x, w, _ = _case(c, k, hw, n)
+        shapes = []
+
+        def alloc(shape, tag, phase):
+            shapes.append(shape)
+            return np.empty(shape, x.dtype)
+
+        assert ConvKernels(x.shape, w, 1, 1, x.dtype, alloc).form == "unrolled"
+        assert (n, k, c * 9) not in shapes
+        assert (n, c, 3, 3, hw, hw) not in shapes
+
+
+def test_unrolled_has_no_live_channel_form():
+    """As for 1x1: the gate is not consulted for an unrolled conv, and the
+    kernel set refuses a dead set for one instead of silently ignoring it."""
+    x, w, _ = _case(4, 4, 2, 2)
+    _assert_no_live_channel_form(x, w, 1)

@@ -145,16 +145,22 @@ def _r50():         # over half 1x1 convs, stride 1 and 2
 
 #: recorded at the parent of the commit that moved the kernels out of the
 #: builder: (model, parallel replay) -> layout of the train plan and, where
-#: given, of the row-stable forward plan
+#: given, of the row-stable forward plan.  The ``_vgg13`` and ``_r50`` rows
+#: were re-recorded when convs on maps smaller than their window took the
+#: unrolled form (four of VGG-13's ten convs, seven of this ResNet-50's 53):
+#: those convs keep ``T`` and the restaged input from forward to backward and
+#: request no column tensor, so the serial train arenas grew from 16662528
+#: and 4141056 bytes.  Both ``_r32`` rows are the originals — no conv there
+#: has a map under 3x3.
 LAYOUTS = {
     (_r32, False): (("8b97241a16d5fc66", 4712448, 15, 487),
                     ("f979dd73f3f9c8c9", 1367040, 0, 112)),
     (_r32, True): (("e0f5dc04d42c54ce", 5277696, 15, 487),
                    ("f979dd73f3f9c8c9", 1367040, 0, 112)),
-    (_vgg13, False): (("8e8448adcfb49ce3", 16662528, 0, 136), None),
-    (_vgg13, True): (("2e9b866769680218", 30347264, 0, 136), None),
-    (_r50, False): (("3f437c5cc04b6933", 4141056, 16, 558),
-                    ("5d93f661ce28f738", 557056, 0, 106)),
+    (_vgg13, False): (("286536746a2e721f", 21037056, 0, 140), None),
+    (_vgg13, True): (("1951c62d04b2270f", 30347264, 0, 140), None),
+    (_r50, False): (("896e3af554c3279f", 5099520, 16, 565),
+                    ("c0b5c3aa2a009e81", 557056, 0, 120)),
 }
 
 
@@ -180,3 +186,28 @@ def test_arena_layouts_are_the_recorded_ones(monkeypatch, build, parallel):
         fplan, _, reason = C.capture_forward(model, x, row_stable=True)
         assert reason is None, reason
         assert _layout(fplan) == serve
+
+
+# -- which form a layer got ---------------------------------------------------------
+
+def _conv_forms(build):
+    model, hw, n = build()
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, 3, hw, hw)).astype(np.float32)
+    plan, loss_t, _, reason = C.capture_training_step(
+        model, x, rng.integers(0, 10, size=n))
+    assert reason is None, reason
+    loss_t.backward()
+    return plan.conv_forms()
+
+
+def test_plans_report_the_form_of_every_conv():
+    """VGG-13 (w0.5, hw16) runs 16/16/8/8/4/4-pixel maps through the window
+    gather and its 2x2 and 1x1 tail unrolled; QUICK ResNet-32 bottoms out on
+    3x3 maps, so none of its convs changed form."""
+    forms = _conv_forms(_vgg13)
+    assert [f[-1] for f in forms] == ["gather"] * 6 + ["unrolled"] * 4
+    assert [f[0][2:] for f in forms[6:]] == [(2, 2)] * 2 + [(1, 1)] * 2
+    assert forms[6] == ((32, 128, 2, 2), (256, 128, 3, 3), 1, 1, "unrolled")
+    r32 = [f[-1] for f in _conv_forms(_r32)]
+    assert len(r32) == 33 and set(r32) == {"gather", "pointwise"}

@@ -189,3 +189,50 @@ class TestReconfigurationInvalidation:
             loss.backward()
             opt.step()
             assert workspace.POOL.lent_count == 0
+
+
+class TestUnrolledConvHygiene:
+    """A conv on a map smaller than its window holds two pooled buffers from
+    forward to backward (the restaged input and the unrolled filter).  The
+    kernel-level callers know only ``release_ctx(ctx)`` and ``release(dx)``,
+    so those two calls must reach everything."""
+
+    @staticmethod
+    def _case(n=5, c=6, k=4, hw=2):
+        rng = np.random.default_rng(3)
+        return (rng.standard_normal((n, c, hw, hw)).astype(np.float32),
+                rng.standard_normal((k, c, 3, 3)).astype(np.float32),
+                rng.standard_normal((n, k, hw, hw)).astype(np.float32))
+
+    @pytest.mark.parametrize("need_dx", [True, False])
+    def test_kernel_level_release_leaves_nothing_checked_out(self, need_dx):
+        from repro.tensor.ops import conv as conv_ops
+        x, w, dy = self._case()
+
+        def round_trip():
+            _, ctx = conv_ops.conv2d_forward(x, w, None, 1, 1)
+            assert ctx[0] == "unr" and workspace.POOL.lent_count == 2
+            dx, _, _ = conv_ops.conv2d_backward(dy, ctx, x.shape, w, 1, 1,
+                                                need_dx=need_dx)
+            assert workspace.POOL.lent_count == 2 + need_dx
+            workspace.release(dx)
+            conv_ops.release_ctx(ctx)
+            assert workspace.POOL.lent_count == 0
+
+        round_trip()
+        misses = workspace.POOL.stats.misses
+        round_trip()            # entirely on recycled buffers
+        assert workspace.POOL.stats.misses == misses
+
+    def test_autograd_and_no_grad_paths_release_too(self):
+        from repro.tensor import no_grad
+        x, w, dy = self._case()
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = F.conv2d(xt, wt, None, 1, 1)
+        assert workspace.POOL.lent_count == 2
+        out.backward(dy)
+        assert xt.grad is not None and wt.grad is not None
+        assert workspace.POOL.lent_count == 0
+        with no_grad():
+            F.conv2d(xt, wt, None, 1, 1)            # immediate release
+        assert workspace.POOL.lent_count == 0

@@ -233,6 +233,31 @@ class TestPruneTrainTrainer:
         assert log.records[-1].reg_loss > 0
         assert log.records[-1].lam > 0
 
+    def test_lasso_loss_computed_per_record_not_per_step(self, monkeypatch):
+        """Regression: ``post_backward`` used to return ``lasso.loss()`` —
+        every group norm of every conv re-derived each step — to a caller
+        that dropped it.  The regularizer's value is needed once to set the
+        coefficient and once per epoch record."""
+        from repro.experiments.configs import SMOKE, make_dataset, make_model
+        from repro.prune.group_lasso import GroupLasso
+        calls = []
+        raw_loss = GroupLasso.raw_loss
+        monkeypatch.setattr(
+            GroupLasso, "raw_loss",
+            lambda self: calls.append(1) or raw_loss(self))
+        train, val = make_dataset("cifar10s", SMOKE)
+        cfg = PruneTrainConfig(
+            epochs=2, batch_size=SMOKE.batch_size, augment=False,
+            log_every=0, penalty_ratio=0.25, reconfig_interval=0,
+            lambda_scale=SMOKE.lambda_scale(2))
+        tr = PruneTrainTrainer(make_model("resnet32", "cifar10s", SMOKE),
+                               train, val, cfg)
+        log = tr.train()
+        assert tr.loader.batches_per_epoch() > 1
+        assert len(calls) == 1 + len(log.records) == 3
+        # no step ran after the last record, so it logged today's value
+        assert log.records[-1].reg_loss == tr.lasso.loss() > 0
+
     def test_graph_valid_throughout(self, data):
         tr = self._trainer(data)
         tr.train()
