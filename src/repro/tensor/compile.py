@@ -1139,8 +1139,9 @@ class _PlanBuilder:
             bias=b_t.data if b_t is not None else None,
             dead=gate.ds if gate is not None else None,
             remat=self.mem is not None, backward=self.keep_ctx,
-            need_dx=need_dx,
             row_stable=self.row_stable and not self.keep_ctx)
+        if self.keep_ctx:
+            ks.backward(alloc, need_dx)
         self.plan._conv_forms.append((x.data.shape, w_t.data.shape, stride,
                                       padding, ks.form))
         y4 = ks.y4

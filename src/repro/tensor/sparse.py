@@ -342,11 +342,7 @@ def _calibrate_conv(sig: tuple, x: np.ndarray, w: np.ndarray, ds: DeadSet,
     k, _, r, s = w.shape
     kl, cl = ds.out_live.size, ds.in_live.size
     min_gain = ws.config.sparse_min_gain
-    lent: List[np.ndarray] = []
-
-    def alloc(shape: tuple, tag: str = "", phase: str = "") -> np.ndarray:
-        lent.append(ws.acquire(shape, x.dtype))
-        return lent[-1]
+    alloc = ws.PooledAlloc(x.dtype)
 
     def decide(path: str, dense_fn, live_fn, parity_fn, work: float,
                cols: float, cols_kept: float, live_out: float) -> bool:
@@ -383,6 +379,7 @@ def _calibrate_conv(sig: tuple, x: np.ndarray, w: np.ndarray, ds: DeadSet,
             return False, False, False
 
         # -- dw: dy with dead rows zero (what training produces) -----------
+        ks.backward(alloc)
         ks.fwd(x)                                 # realistic magnitudes
         dy = y4
         g3 = dy.reshape(n, k, p)
@@ -429,5 +426,4 @@ def _calibrate_conv(sig: tuple, x: np.ndarray, w: np.ndarray, ds: DeadSet,
                             n * cl * h * wd)
         return True, use_dw, use_dx
     finally:
-        for buf in lent:
-            ws.release(buf)
+        alloc.release()

@@ -62,8 +62,10 @@ class EngineConfig:
     pooling: bool = True
     #: fuse BatchNorm->ReLU into one kernel at BN call sites that allow it
     fused_bnrelu: bool = True
-    #: convolution lowering: "einsum" (direct contraction over the
-    #: sliding-window view) or "im2col" (seed column-matrix + GEMM)
+    #: convolution lowering: "einsum" (the three-form gather-once kernel set
+    #: ``ops.conv.ConvKernels``, which eager steps drive per call and
+    #: compiled plans bind once) or "im2col" (seed column-matrix + GEMM;
+    #: eager only — capture fails closed under it)
     conv_impl: str = "einsum"
     #: static memory planning for compiled step plans
     #: (:mod:`repro.tensor.memplan`): assign all plan-owned transient
@@ -106,6 +108,12 @@ class EngineConfig:
     #: minimum measured dense/sparse step-time ratio the gate demands
     #: before selecting a sparse path for a shape (1.05 = 5% faster)
     sparse_min_gain: float = 1.05
+
+    def __post_init__(self) -> None:
+        if self.conv_impl not in ("einsum", "im2col"):
+            raise ValueError(
+                f"conv_impl must be \"einsum\" or \"im2col\", not "
+                f"{self.conv_impl!r} (REPRO_CONV_IMPL sets it at import)")
 
     def plan_signature(self) -> tuple:
         """The switches compiled plans are specialised on: a
@@ -369,6 +377,32 @@ def acquire(shape: tuple, dtype=np.float32, zero: bool = False) -> np.ndarray:
 def release(arr) -> None:
     """Module-level alias for ``POOL.release`` (safe on foreign arrays)."""
     POOL.release(arr)
+
+
+class PooledAlloc:
+    """``alloc(shape, tag, phase)`` over the workspace pool, for drivers that
+    hold a kernel set for one call (eager) or one probe (the sparse gate):
+    ``"out"`` is a fresh array its consumer owns, every other phase is lent
+    by the pool and remembered under its phase until :meth:`release` names
+    that phase — or names none, which returns everything (eager never names
+    ``"dx"``: the gradient is donated and its consumer releases it)."""
+
+    def __init__(self, dtype) -> None:
+        self.dtype = dtype
+        self.lent: dict = {}
+
+    def __call__(self, shape: tuple, tag: str = "", phase: str = ""
+                 ) -> np.ndarray:
+        if phase == "out":
+            return np.empty(shape, self.dtype)
+        buf = acquire(shape, self.dtype)
+        self.lent.setdefault(phase, []).append(buf)
+        return buf
+
+    def release(self, *phases: str) -> None:
+        for phase in phases or tuple(self.lent):
+            for buf in self.lent.pop(phase, ()):
+                release(buf)
 
 
 def invalidate() -> None:

@@ -1,0 +1,231 @@
+"""Bit digests of the seeded numerics a refactor must not move.
+
+    PYTHONPATH=src python tests/bits.py [conv] [prunetrain] [layouts]
+
+prints one ``name sha256[:16]`` line per seeded case (all three sections
+when none is named):
+
+``conv/<case>/kernel``
+    ``(y, dw, db, dx)`` of one conv through ``conv2d_forward`` /
+    ``conv2d_backward`` — every form (window gather, 1x1, unrolled) x
+    weight-gradient form x stride x N in {1, 7, 32}.
+``conv/<case>/{eager,captured,planned,unplanned}``
+    loss and every gradient of a conv -> conv -> pool -> linear step whose
+    second conv is the case, over three batches: stepped eagerly, on the
+    capturing step plus two replays (``captured``), and replayed with the
+    memory planner on and off.
+``prunetrain/{eager,compiled}``
+    QUICK ResNet-32 PruneTrain, two epochs with a reconfiguration between
+    them: every epoch loss, parameter and momentum buffer.
+``layout/<model>-<schedule>/{train,serve}``
+    the five arena layouts ``test_plan_builder.py`` pins.
+
+Only surfaces that outlive a refactor are used, so this copy of the script
+runs against any tree: ``PYTHONPATH=<tree>/src python tests/bits.py``.  Run
+it on the parent and on the change; the diff is empty unless the PR declares
+a bit move.  No digest is committed — BLAS low bits are host-specific —
+but within one run ``eager``, ``captured``, ``planned`` and ``unplanned``
+of a case must agree, which ``tests/tensor/test_bits.py`` asserts.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from repro.experiments.configs import QUICK, make_dataset, make_model
+from repro.tensor import Tensor, workspace
+from repro.tensor import compile as C
+from repro.tensor import functional as F
+from repro.tensor.ops import conv as conv_ops
+from repro.train import PruneTrainConfig, PruneTrainTrainer
+
+#: name -> (c, k, h, w, r, stride, padding); the ``dw`` form is what
+#: ``dw_folds`` says of each (narrow on a large map keeps the per-sample
+#: slab, wide on a small one folds) and is spelled in the name only
+CASES = {
+    "gather-slab-s1": (4, 4, 8, 8, 3, 1, 1),
+    "gather-slab-s2": (4, 4, 8, 8, 3, 2, 1),
+    "gather-slab-s1-p0": (4, 4, 8, 8, 3, 1, 0),
+    "gather-fold-s1": (16, 16, 3, 3, 3, 1, 1),
+    "gather-fold-s2": (16, 16, 5, 5, 3, 2, 1),
+    "gather-5x5-s1": (3, 5, 6, 7, 5, 1, 2),
+    "pointwise-slab-s1": (4, 4, 8, 8, 1, 1, 0),
+    "pointwise-slab-s2": (4, 4, 8, 8, 1, 2, 0),
+    "pointwise-fold-s1": (16, 16, 2, 2, 1, 1, 0),
+    "pointwise-fold-s2": (16, 16, 4, 4, 1, 2, 0),
+    "unrolled-2x2": (6, 5, 2, 2, 3, 1, 1),
+    "unrolled-1x1": (6, 5, 1, 1, 3, 1, 1),
+    "unrolled-5x5-on-4x4": (3, 4, 4, 4, 5, 1, 2),
+}
+BATCHES = (1, 7, 32)
+
+
+def digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _kernel(x, w, b, dy, stride, padding) -> str:
+    y, ctx = conv_ops.conv2d_forward(x, w, b, stride, padding)
+    dx, dw, db = conv_ops.conv2d_backward(dy, ctx, x.shape, w, stride,
+                                          padding)
+    out = digest((y, dw, db, dx))
+    workspace.release(dx)
+    conv_ops.release_ctx(ctx)
+    return out
+
+
+class _Net:
+    """1x1 conv (the first layer) -> the conv under test, biased -> global
+    average pool -> linear: the loss reads ``y``, the first conv's gradient
+    reads ``dx``."""
+
+    def __init__(self, c, w, b, stride, padding):
+        rng = np.random.default_rng(1)
+        self.args = (stride, padding)
+        self.params = [Tensor(a.astype(np.float32), requires_grad=True)
+                       for a in (rng.standard_normal((c, 3, 1, 1)) * 0.5,
+                                 w, b,
+                                 rng.standard_normal((4, w.shape[0])) * 0.3)]
+
+    def __call__(self, x):
+        w0, w, b, fc = self.params
+        h = F.conv2d(x, w0, None, 1, 0, first_layer=True)
+        return F.linear(F.global_avg_pool(F.conv2d(h, w, b, *self.args)),
+                        fc, None)
+
+    def take_grads(self):
+        out = [p.grad.copy() for p in self.params]
+        for p in self.params:
+            p.grad = None
+        return out
+
+
+def _net_digests(c, w, b, stride, padding, batches) -> dict:
+    def fresh():
+        return _Net(c, w, b, stride, padding)
+
+    net, seen = fresh(), []
+    for x, y in batches:
+        loss = F.cross_entropy(net(Tensor(x)), y)
+        loss.backward()
+        seen += [loss.data.copy()] + net.take_grads()
+    out = {"eager": digest(seen)}
+    cfg = workspace.config
+    saved = (cfg.mem_plan, cfg.parallel_replay)
+    try:
+        for name, mem in (("planned", True), ("unplanned", False)):
+            cfg.mem_plan, cfg.parallel_replay = mem, False
+            workspace.invalidate()
+            net = fresh()
+            (x0, y0), rest = batches[0], batches[1:]
+            plan, loss, _, reason = C.capture_training_step(net, x0, y0)
+            if plan is None:
+                raise RuntimeError(f"capture failed: {reason}")
+            loss.backward()
+            first = [loss.data.copy()] + net.take_grads()
+            seen = list(first)
+            for x, y in rest:
+                seen += [plan.run(x, y)[0].copy()] + net.take_grads()
+            if mem:
+                out["captured"] = digest(seen)
+            # the capturing batch again, now replayed
+            replayed = [plan.run(x0, y0)[0].copy()] + net.take_grads()
+            out[name] = digest(replayed + seen[len(first):])
+    finally:
+        cfg.mem_plan, cfg.parallel_replay = saved
+        workspace.invalidate()
+    return out
+
+
+def conv_lines():
+    for name, (c, k, h, wd, r, stride, padding) in CASES.items():
+        for n in BATCHES:
+            rng = np.random.default_rng(n)
+            w = (rng.standard_normal((k, c, r, r)) * 0.2).astype(np.float32)
+            b = rng.standard_normal(k).astype(np.float32)
+            x = rng.standard_normal((n, c, h, wd)).astype(np.float32)
+            ho, wo = conv_ops.conv_out_size(h, wd, r, r, stride, padding)
+            dy = rng.standard_normal((n, k, ho, wo)).astype(np.float32)
+            case = f"conv/{name}-n{n}"
+            yield f"{case}/kernel", _kernel(x, w, b, dy, stride, padding)
+            batches = [(rng.standard_normal((n, 3, h, wd)).astype(np.float32),
+                        rng.integers(0, 4, size=n)) for _ in range(3)]
+            for leg, d in _net_digests(c, w, b, stride, padding,
+                                       batches).items():
+                yield f"{case}/{leg}", d
+
+
+def prunetrain_lines():
+    train, val = make_dataset("cifar10s", QUICK, seed=0)
+    for leg, compiled in (("eager", False), ("compiled", True)):
+        workspace.invalidate()
+        model = make_model("resnet32", "cifar10s", QUICK, seed=0)
+        cfg = PruneTrainConfig(
+            epochs=2, batch_size=QUICK.batch_size, augment=QUICK.augment,
+            seed=0, log_every=0, penalty_ratio=0.25, reconfig_interval=1,
+            threshold=None, lambda_mode="rate", zero_sparse=True,
+            compile_step=compiled)
+        trainer = PruneTrainTrainer(model, train, val, cfg)
+        log = trainer.train()
+        arrays = [np.float64([r.train_loss, r.val_acc]) for r in log.records]
+        for _, p in model.named_parameters():
+            arrays += [p.data, trainer.optimizer.state_for(p)]
+        yield f"prunetrain/{leg}", digest(arrays)
+    workspace.invalidate()
+
+
+def layout_lines():
+    from tests.tensor.test_plan_builder import LAYOUTS, _layout
+    cfg = workspace.config
+    saved = (cfg.mem_plan, cfg.parallel_replay, cfg.replay_workers,
+             cfg.sparse_compute)
+    try:
+        for build, parallel in LAYOUTS:
+            cfg.mem_plan, cfg.parallel_replay = True, parallel
+            cfg.replay_workers, cfg.sparse_compute = 4, False
+            workspace.invalidate()
+            model, hw, n = build()
+            rng = np.random.default_rng(0)
+            x = rng.standard_normal((n, 3, hw, hw)).astype(np.float32)
+            y = rng.integers(0, 10, size=n)
+            name = f"layout/{build.__name__}-" \
+                f"{'parallel' if parallel else 'serial'}"
+            plan, loss, _, reason = C.capture_training_step(model, x, y)
+            if plan is None:
+                raise RuntimeError(f"capture failed: {reason}")
+            loss.backward()
+            yield f"{name}/train", _layout(plan)[0]
+            if LAYOUTS[build, parallel][1] is not None:
+                model.eval()
+                fplan, _, reason = C.capture_forward(model, x,
+                                                     row_stable=True)
+                if fplan is None:
+                    raise RuntimeError(f"capture failed: {reason}")
+                yield f"{name}/serve", _layout(fplan)[0]
+    finally:
+        (cfg.mem_plan, cfg.parallel_replay, cfg.replay_workers,
+         cfg.sparse_compute) = saved
+        workspace.invalidate()
+
+
+SECTIONS = {"conv": conv_lines, "prunetrain": prunetrain_lines,
+            "layouts": layout_lines}
+
+
+def lines(sections=tuple(SECTIONS)):
+    for section in sections:
+        yield from SECTIONS[section]()
+
+
+if __name__ == "__main__":
+    # the layouts section imports the pinned builders from the test module
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    for name, value in lines(sys.argv[1:] or tuple(SECTIONS)):
+        print(name, value)

@@ -47,7 +47,7 @@ class TestPointwiseFastPath:
         x = rng.normal(size=(2, 5, 6, 6)).astype(np.float32)
         w = rng.normal(size=(3, 5, 1, 1)).astype(np.float32)
         y, ctx = conv_ops.conv2d_forward(x, w, None, 1, 0)
-        assert ctx[0] == "pw"
+        assert ctx.form == "pointwise"
         conv_ops.release_ctx(ctx)
 
     @pytest.mark.parametrize("stride", [1, 2])
@@ -63,12 +63,15 @@ class TestPointwiseFastPath:
         np.testing.assert_allclose(db, db0, rtol=1e-5, atol=1e-6)
 
     def test_stride1_ctx_is_input_view(self, rng):
-        """At stride 1 the pw path must not copy the input at all."""
+        """At stride 1 the pw path must not copy the input at all: the
+        forward stages nothing, so it never asks the pool for a buffer."""
         x = rng.normal(size=(2, 5, 6, 6)).astype(np.float32)
         w = rng.normal(size=(3, 5, 1, 1)).astype(np.float32)
+        stats = workspace.POOL.stats
+        asked = stats.hits + stats.misses
         _, ctx = conv_ops.conv2d_forward(x, w, None, 1, 0)
-        saved = ctx[1]
-        assert saved.base is x or saved is x
+        assert stats.hits + stats.misses == asked
+        assert ctx.x is x
         conv_ops.release_ctx(ctx)
 
 

@@ -1,13 +1,18 @@
-"""Property tests of the staged general-conv kernel set (ops.conv.ConvKernels).
+"""Property tests of the staged conv kernel set (ops.conv.ConvKernels).
 
-One kernel set serves the plan builder and the sparse gate's probe, so its
-contract is checked here once, over generated shapes and dead masks: the
-dense kernels equal the eager einsum kernels bitwise in both buffer layouts
-and in all three forms (window gather, 1x1, unrolled) on both sides of the
-predicates that choose between them; the live-channel kernels skip only exact zeros and otherwise compute the
-dense values; they match dense *bitwise* exactly where the gate's parity
-probe says they do; and the probe returns every pooled buffer, also when a
-kernel raises.
+One kernel set serves eager, the plan builder and the sparse gate's probe, so
+its contract is checked here once, over generated shapes and dead masks, in
+all three forms (window gather, 1x1, unrolled) on both sides of the
+predicates that choose between them.  *Buffer lifetimes*: the eager driver
+(built per call over pooled buffers, nothing rematerialised) equals, bitwise,
+the same kernels in the planned layout — ``remat=True``, every point-lived
+phase carved from one shared scratch region that is dirtied between kernel
+calls — so a buffer read after the lifetime its phase declares shows up as a
+NaN.  *Values*: every form agrees with the untouched im2col lowering and with
+finite differences.  The live-channel kernels skip only exact zeros and
+otherwise compute the dense values; they match dense *bitwise* exactly where
+the gate's parity probe says they do; and the probe returns every pooled
+buffer, also when a kernel raises.
 """
 
 import inspect
@@ -75,28 +80,86 @@ def _private(dtype):
     return lambda shape, tag, phase: np.empty(shape, dtype)
 
 
-def _eager(x, w, dy, stride, padding):
-    y, ctx = conv_ops.conv2d_forward(x, w, None, stride, padding)
-    dx, dw, _ = conv_ops.conv2d_backward(dy, ctx, x.shape, w, stride,
-                                         padding, need_db=False)
-    out = y.copy(), dw.copy(), dx.copy()
+class _SharedScratch:
+    """``alloc`` in the memory planner's layout: the point-lived phases
+    (``"fwd"``, ``"a"``, ``"b"``) each carve from the start of one region, so
+    forward staging, ``dw`` scratch and ``dx`` scratch overlap one another as
+    they do with other ops' scratch in an arena; ``dirty()`` stands in for
+    those other ops.  ``"span"``, ``"out"`` and ``"dx"`` buffers are private
+    — as is everything with ``shared=False``, the layout of a plan built with
+    the planner off.  Records every ``(shape, phase)`` requested."""
+
+    def __init__(self, dtype, shared=True, nbytes=1 << 23):
+        self.dtype = np.dtype(dtype)
+        self.region = np.empty(nbytes if shared else 0, np.uint8)
+        self.cursor = dict.fromkeys(("fwd", "a", "b") if shared else (), 0)
+        self.requests = []
+
+    def __call__(self, shape, tag, phase):
+        self.requests.append((shape, phase))
+        if phase not in self.cursor:
+            return np.full(shape, np.nan, self.dtype)
+        lo = self.cursor[phase]
+        hi = lo + int(np.prod(shape)) * self.dtype.itemsize
+        assert hi <= self.region.size
+        self.cursor[phase] = -(-hi // 64) * 64
+        return self.region[lo:hi].view(self.dtype).reshape(shape)
+
+    def dirty(self):
+        self.region.fill(0xFF)                  # every float a NaN
+
+
+def _eager(x, w, dy, stride, padding, b=None, need_dx=True, form=None):
+    """``(y, dw, dx, db)`` through the eager driver: kernels of the expected
+    ``form`` built for the call over pooled buffers, every one of which is
+    back afterwards."""
+    base = workspace.POOL.lent_count
+    y, ctx = conv_ops.conv2d_forward(x, w, b, stride, padding)
+    assert form in (None, ctx.form)
+    dx, dw, db = conv_ops.conv2d_backward(dy, ctx, x.shape, w, stride,
+                                          padding, need_dx=need_dx,
+                                          need_db=b is not None)
+    assert (dx is not None) == need_dx
+    out = y, dw, None if dx is None else dx.copy(), db
     workspace.release(dx)
     conv_ops.release_ctx(ctx)
+    assert workspace.POOL.lent_count == base
     return out
+
+
+def _assert_close_to_im2col(x, w, b, dy, stride, padding, y, dw, dx, db):
+    """Values against the seed lowering, which shares no code with the
+    forms."""
+    with workspace.baseline_engine():
+        y0, ctx0 = conv_ops.conv2d_forward(x, w, b, stride, padding)
+        dx0, dw0, db0 = conv_ops.conv2d_backward(dy, ctx0, x.shape, w,
+                                                 stride, padding)
+    close = dict(rtol=1e-4, atol=1e-4)
+    np.testing.assert_allclose(y, y0, **close)
+    np.testing.assert_allclose(dw, dw0, **close)
+    if dx is not None:
+        np.testing.assert_allclose(dx, dx0, **close)
+    if b is not None:
+        np.testing.assert_allclose(db, db0, **close)
 
 
 @given(conv_cases(), st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_dense_kernels_equal_eager(case, remat):
     x, w, dy, stride, padding = case
-    y, dw, dx = _eager(x, w, dy, stride, padding)
-    ks = ConvKernels(x.shape, w, stride, padding, x.dtype,
-                     _private(x.dtype), remat=remat)
+    y, dw, dx, _ = _eager(x, w, dy, stride, padding)
+    _assert_close_to_im2col(x, w, None, dy, stride, padding, y, dw, dx, None)
+    alloc = _SharedScratch(x.dtype, shared=remat)
+    ks = ConvKernels(x.shape, w, stride, padding, x.dtype, alloc, remat=remat)
+    ks.backward(alloc)
     for _ in range(2):          # twice: staging state survives a replay
+        alloc.dirty()
         ks.fwd(x)
         assert np.array_equal(ks.y4, y)
         n, k = dy.shape[:2]
+        alloc.dirty()
         assert np.array_equal(ks.dw(x, dy.reshape(n, k, -1)), dw)
+        alloc.dirty()
         assert np.array_equal(ks.dx(dy), dx)
 
 
@@ -118,8 +181,10 @@ def test_live_kernels_compute_the_dense_result(case, remat):
     too is shape-dependent — the next test pins that to the gate)."""
     x, w, dy, stride, padding, in_dead, out_dead = case
     ds = sparse.DeadSet.from_masks(in_dead, out_dead)
-    ks = ConvKernels(x.shape, w, stride, padding, x.dtype,
-                     _private(x.dtype), dead=ds, remat=remat)
+    alloc = _private(x.dtype)
+    ks = ConvKernels(x.shape, w, stride, padding, x.dtype, alloc, dead=ds,
+                     remat=remat)
+    ks.backward(alloc)
     n, k = dy.shape[:2]
     g3 = dy.reshape(n, k, -1)
     close = dict(rtol=1e-4, atol=1e-5)
@@ -176,9 +241,10 @@ def test_live_bit_equality_agrees_with_probe_verdicts(case):
     assert workspace.POOL.lent_count == baseline
     verdict = {d["path"]: d["parity"] for d in SPARSE_GEMM.decisions}
     assert "fwd" in verdict
-    ks = ConvKernels(x.shape, w, stride, padding, x.dtype,
-                     _private(x.dtype), dead=sparse.dead_set_for(wt.data),
-                     remat=True)
+    alloc = _private(x.dtype)
+    ks = ConvKernels(x.shape, w, stride, padding, x.dtype, alloc,
+                     dead=sparse.dead_set_for(wt.data), remat=True)
+    ks.backward(alloc)
     g, rows = _probe_dy(ks, x, out_dead)
     y = ks.y4.copy()
     ks.fwd_live(x)
@@ -237,19 +303,21 @@ def test_dw_forms_equal_eager_on_both_sides_of_the_predicate(shape, folds, n,
     c, k, hw = shape
     x, w, dy = _case(c, k, hw, n)
     assert conv_ops.dw_folds(k, c * 9, hw * hw) == folds
-    _, dw, _ = _eager(x, w, dy, 1, 1)
-    shapes = []
-
-    def alloc(shape, tag, phase):
-        shapes.append(shape)
-        return np.empty(shape, x.dtype)
-
+    _, dw, _, _ = _eager(x, w, dy, 1, 1)
+    alloc = _SharedScratch(x.dtype, shared=remat)
     ks = ConvKernels(x.shape, w, 1, 1, x.dtype, alloc, remat=remat)
+    assert not any(ph in "ab" for _, ph in alloc.requests)  # stage 1: forward
+    ks.backward(alloc)
     # The (N, K, CRS) slab exists only on the per-sample side — at every N,
     # because the predicate never sees N.
-    assert ((n, k, c * 9) in shapes) == (not folds)
+    assert (((n, k, c * 9), "a") in alloc.requests) == (not folds)
+    # Without remat the backward reads the forward's column tensor, so the
+    # phase that names its lifetime has to say so.
+    assert ((n, c, 3, 3, hw, hw), "fwd" if remat else "span") \
+        in alloc.requests
     g3 = dy.reshape(n, k, -1)
     ks.fwd(x)
+    alloc.dirty()
     assert np.array_equal(ks.dw(x, g3), dw)
     out = np.full_like(w, np.nan)
     assert ks.dw(x, g3, out) is out and np.array_equal(out, dw)
@@ -326,33 +394,28 @@ def pointwise_cases(draw):
 @given(pointwise_cases(), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_pointwise_kernels_equal_eager(case, remat):
-    """``fwd`` / ``dw`` / ``db`` / ``dx`` of the 1x1 case equal the eager "pw"
-    kernels bitwise, ``out=`` and returned, whatever ``remat`` says; the
-    staging is a view at stride 1 and one forward-to-backward buffer
-    otherwise — never a re-gather."""
+    """``fwd`` / ``dw`` / ``db`` / ``dx`` of the 1x1 case in the planned
+    layout equal the eager driver bitwise, ``out=`` and returned, whatever
+    ``remat`` says, and both agree with im2col; the staging is a view at
+    stride 1 and one forward-to-backward buffer otherwise — never a
+    re-gather."""
     x, w, b, dy, stride = case
-    y, ctx = conv_ops.conv2d_forward(x, w, b, stride, 0)
-    assert ctx[0] == "pw"
-    dx, dw, db = conv_ops.conv2d_backward(dy, ctx, x.shape, w, stride, 0,
-                                          need_db=b is not None)
-    dx = dx.copy()
-    workspace.release(dx)
-    conv_ops.release_ctx(ctx)
-    phases = []
-
-    def alloc(shape, tag, phase):
-        phases.append(phase)
-        return np.empty(shape, x.dtype)
-
+    y, dw, dx, db = _eager(x, w, dy, stride, 0, b, form="pointwise")
+    _assert_close_to_im2col(x, w, b, dy, stride, 0, y, dw, dx, db)
+    alloc = _SharedScratch(x.dtype)
     ks = ConvKernels(x.shape, w, stride, 0, x.dtype, alloc, bias=b,
                      remat=remat)
+    ks.backward(alloc)
+    phases = [ph for _, ph in alloc.requests]
     assert "fwd" not in phases
     assert phases.count("span") == (stride > 1)
     n, k = dy.shape[:2]
     g3 = dy.reshape(n, k, -1)
     for _ in range(2):          # twice: staging state survives a replay
+        alloc.dirty()
         ks.fwd(x)
         assert np.array_equal(ks.y4, y)
+        alloc.dirty()
         assert np.array_equal(ks.dw(x, g3), dw)
         out = np.full_like(w, np.nan)
         assert ks.dw(x, g3, out) is out and np.array_equal(out, dw)
@@ -360,6 +423,7 @@ def test_pointwise_kernels_equal_eager(case, remat):
             assert np.array_equal(ks.db(dy), db)
             db_out = np.full_like(b, np.nan)
             assert ks.db(dy, db_out) is db_out and np.array_equal(db_out, db)
+        alloc.dirty()
         got = ks.dx(dy)
         assert np.array_equal(got, dx)
         got += 1.0              # a consumer accumulated into the donated dx
@@ -420,40 +484,36 @@ def small_map_cases(draw):
 @settings(max_examples=80, deadline=None)
 def test_unrolled_kernels_equal_eager_on_both_sides_of_the_predicate(
         case, remat, need_dx):
-    """On both sides of ``conv_unrolls``: ``ConvKernels`` equals eager
-    bitwise (``out=`` and returned, with and without ``dx``, whatever
-    ``remat`` says), eager agrees with the untouched im2col lowering, and a
-    tap that never overlaps the map gets an exactly-zero gradient."""
+    """On both sides of ``conv_unrolls``: the kernels in the planned layout
+    equal the eager driver bitwise (``out=`` and returned, with and without
+    ``dx``, whatever ``remat`` says), eager agrees with the untouched im2col
+    lowering, and a tap that never overlaps the map gets an exactly-zero
+    gradient."""
     x, w, b, dy, padding = case
     (n, c, h, wd), (k, r) = x.shape, w.shape[::2]
     unrolls = h * wd < r * r
     assert conv_ops.conv_unrolls(h, wd, r, r, 1) == unrolls
-    base = workspace.POOL.lent_count
-    y, ctx = conv_ops.conv2d_forward(x, w, b, 1, padding)
-    assert (ctx[0] == "unr") == unrolls
-    dx, dw, db = conv_ops.conv2d_backward(
-        dy, ctx, x.shape, w, 1, padding, need_dx=need_dx,
-        need_db=b is not None)
-    assert (dx is not None) == need_dx
-    if need_dx:
-        pooled, dx = dx, dx.copy()
-        workspace.release(pooled)
-    conv_ops.release_ctx(ctx)
-    assert workspace.POOL.lent_count == base
+    form = "unrolled" if unrolls else "gather"
+    y, dw, dx, db = _eager(x, w, dy, 1, padding, b, need_dx, form)
 
-    ks = ConvKernels(x.shape, w, 1, padding, x.dtype, _private(x.dtype),
-                     bias=b, remat=remat, need_dx=need_dx)
-    assert ks.form == ("unrolled" if unrolls else "gather")
+    alloc = _SharedScratch(x.dtype, shared=remat)
+    ks = ConvKernels(x.shape, w, 1, padding, x.dtype, alloc, bias=b,
+                     remat=remat)
+    ks.backward(alloc, need_dx)
+    assert ks.form == form
     g3 = dy.reshape(n, k, -1)
     for _ in range(2):          # twice: staging state survives a replay
+        alloc.dirty()
         ks.fwd(x)
         assert np.array_equal(ks.y4, y)
+        alloc.dirty()
         assert np.array_equal(ks.dw(x, g3), dw)
         out = np.full_like(w, np.nan)               # fully overwritten
         assert ks.dw(x, g3, out) is out and np.array_equal(out, dw)
         if b is not None:
             assert np.array_equal(ks.db(dy), db)
         if need_dx:
+            alloc.dirty()
             got = ks.dx(dy)
             assert np.array_equal(got, dx)
             got += 1.0          # a consumer accumulated into the donated dx
@@ -465,22 +525,7 @@ def test_unrolled_kernels_equal_eager_on_both_sides_of_the_predicate(
     if (h, wd) == (1, 1):       # a 1x1 map only ever meets the centre tap
         assert never.sum() == r * r - 1
     assert not dw[:, :, never].any()
-
-    cfg = workspace.config
-    cfg.conv_impl = "im2col"
-    try:
-        y0, ctx0 = conv_ops.conv2d_forward(x, w, b, 1, padding)
-        dx0, dw0, db0 = conv_ops.conv2d_backward(dy, ctx0, x.shape, w, 1,
-                                                 padding)
-    finally:
-        cfg.conv_impl = "einsum"
-    close = dict(rtol=1e-4, atol=1e-4)
-    np.testing.assert_allclose(y, y0, **close)
-    np.testing.assert_allclose(dw, dw0, **close)
-    if need_dx:
-        np.testing.assert_allclose(dx, dx0, **close)
-    if b is not None:
-        np.testing.assert_allclose(db, db0, **close)
+    _assert_close_to_im2col(x, w, b, dy, 1, padding, y, dw, dx, db)
 
 
 @pytest.mark.parametrize("r, padding, h, w", GEOMETRIES[:8])
@@ -494,7 +539,7 @@ def test_unrolled_form_matches_finite_differences(r, padding, h, w):
 
     def loss(x_, w_):
         y, ctx = conv_ops.conv2d_forward(x_, w_, None, 1, padding)
-        assert ctx[0] == "unr"
+        assert ctx.form == "unrolled"
         conv_ops.release_ctx(ctx)
         return (y * dy).sum()
 
@@ -528,13 +573,11 @@ def test_the_unroll_predicate_never_reads_the_batch():
     c, k, hw = 16, 16, 2
     for n in (1, 7, 32):
         x, w, _ = _case(c, k, hw, n)
-        shapes = []
-
-        def alloc(shape, tag, phase):
-            shapes.append(shape)
-            return np.empty(shape, x.dtype)
-
-        assert ConvKernels(x.shape, w, 1, 1, x.dtype, alloc).form == "unrolled"
+        alloc = _SharedScratch(x.dtype)
+        ks = ConvKernels(x.shape, w, 1, 1, x.dtype, alloc)
+        ks.backward(alloc)
+        assert ks.form == "unrolled"
+        shapes = [shape for shape, _ in alloc.requests]
         assert (n, k, c * 9) not in shapes
         assert (n, c, 3, 3, hw, hw) not in shapes
 

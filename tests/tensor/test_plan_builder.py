@@ -118,6 +118,70 @@ def test_plan_builder_holds_no_numpy_arithmetic():
     assert used <= {"empty", "zeros", "ndarray", "dtype"}, sorted(used)
 
 
+def test_the_eager_conv_drives_kernels_it_does_not_restate():
+    """``ops/conv.py`` states each conv form once: GEMMs and reductions
+    (``np.matmul``, ``@``, ``np.add.reduce``, ``.sum(``) appear only in the
+    form classes, the ``dw`` helper they share and the im2col reference;
+    ``conv2d_forward`` / ``conv2d_backward`` / ``release_ctx`` build a kernel
+    set and call it — no NumPy call, no string-kind or ``ctx[0]`` dispatch.
+    At the parent of the commit that made eager a driver there were 39 such
+    sites, 19 of them outside ``ConvKernels`` (7 in ``conv2d_backward``
+    alone); there are 19 now."""
+    from repro.tensor.ops import conv as conv_ops
+    tree = ast.parse(inspect.getsource(conv_ops))
+    owners, drivers = {}, {}
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if top.name in ("conv2d_forward", "conv2d_backward", "release_ctx"):
+            drivers[top.name] = top
+        for node in ast.walk(top):
+            call = isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and (
+                    ast.unparse(node.func) in ("np.matmul", "np.add.reduce")
+                    or node.func.attr == "sum")
+            if call or (isinstance(node, ast.BinOp)
+                        and isinstance(node.op, ast.MatMult)):
+                owners[top.name] = owners.get(top.name, 0) + 1
+    forms = {cls.__name__ for cls in conv_ops.FORMS.values()}
+    assert set(owners) <= forms | {"ConvKernels", "_DwGemm",
+                                   "_Im2colKernels", "im2col", "col2im"}
+    assert forms <= set(owners) and sum(owners.values()) <= 19, owners
+    assert len(drivers) == 3
+    for name, fn in drivers.items():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                assert not ast.unparse(node.func).startswith("np."), name
+            if isinstance(node, ast.Subscript):
+                assert "ctx" not in ast.unparse(node.value), name
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    for c in ast.walk(node)):
+                assert "ctx" not in ast.unparse(node), name
+
+
+def test_a_plan_does_not_keep_its_builder_alive():
+    """The conv kernels a plan binds hold buffers, not the ``alloc`` that
+    supplied them: the builder's closes over the builder, the tape and with
+    it every activation of the capturing step, which must all die with the
+    build by reference count (no collector pass), or arenas of invalidated
+    plans pile up until one runs."""
+    import gc
+    net = _ToyNet(F.relu)
+    x, y = _toy_batch()
+    gc.collect()
+    gc.disable()
+    try:
+        plan, loss_t, _, reason = C.capture_training_step(net, x, y)
+        assert reason is None, reason
+        loss_t.backward()
+        del loss_t
+        alive = {type(o).__name__ for o in gc.get_objects()}
+        assert not alive & {"_PlanBuilder", "Tape"}
+    finally:
+        gc.enable()
+
+
 # -- no byte of any arena moved ---------------------------------------------------
 
 def _layout(plan):

@@ -135,7 +135,7 @@ class TestEagerStaysDense:
 
         def run():
             y, ctx = conv_ops.conv2d_forward(x, wt.data, None, 1, 1)
-            assert ctx[0] == "cols6"
+            assert ctx.form == "gather" and ctx.dead is None
             dx, dw, _ = conv_ops.conv2d_backward(
                 dy, ctx, x.shape, wt.data, 1, 1,
                 need_dx=True, need_db=False)
@@ -308,24 +308,30 @@ class TestCompiledParity:
         from repro.costmodel.time import SPARSE_GEMM
         calls = []
 
-        class Spy(conv_ops.ConvKernels):
-            def __init__(self, x_shape, w, stride, padding, dtype, alloc,
-                         **kw):
-                super().__init__(x_shape, w, stride, padding, dtype, alloc,
-                                 **kw)
-                real, ds = self.dw_live, kw.get("dead")
-                if real is None:
-                    return
-                sig = (*x_shape, w.shape[0], *w.shape[2:], stride, padding,
-                       ds.in_live.size, ds.out_live.size,
-                       len(ds.in_live_runs), len(ds.out_live_runs))
+        def spy(x_shape, w, stride, padding, dtype, alloc, **kw):
+            """The kernel set the builder asked for, its ``dw_live`` (built
+            by the backward stage) logging the row count of every call."""
+            ks = kernels(x_shape, w, stride, padding, dtype, alloc, **kw)
+            ds, stage = kw.get("dead"), ks.backward
+            if ds is None:
+                return ks
+            sig = (*x_shape, w.shape[0], *w.shape[2:], stride, padding,
+                   ds.in_live.size, ds.out_live.size,
+                   len(ds.in_live_runs), len(ds.out_live_runs))
+
+            def backward(alloc, need_dx=True):
+                stage(alloc, need_dx)
+                real = ks.dw_live
 
                 def dw_live(x, g3, row_runs, out=None):
                     calls.append((sig, sum(ln for *_, ln in row_runs)))
                     return real(x, g3, row_runs, out)
-                self.dw_live = dw_live
+                ks.dw_live = dw_live
+            ks.backward = backward
+            return ks
 
-        monkeypatch.setattr(conv_ops, "ConvKernels", Spy)
+        kernels = conv_ops.ConvKernels
+        monkeypatch.setattr(conv_ops, "ConvKernels", spy)
         m = _dead_resnet()
         _publish_from_graph(m)
         bn = m.graph.conv_by_name("s0b1.conv1").bn

@@ -8,6 +8,10 @@ requires bit-comparable parameters.  A stale pooled buffer surviving the
 reconfiguration would surface as a shape error or a numerical divergence.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,8 @@ from repro.optim import SGD
 from repro.prune import prune_and_reconfigure
 from repro.tensor import Tensor, workspace
 from repro.tensor import functional as F
-from repro.tensor.workspace import WorkspacePool, baseline_engine
+from repro.tensor.workspace import (EngineConfig, WorkspacePool,
+                                    baseline_engine)
 
 from ..conftest import sparsify_space
 
@@ -100,6 +105,27 @@ class TestPoolMechanics:
             a = workspace.acquire((4, 4))
             assert not workspace.POOL.owns(a)
             workspace.release(a)  # must be a silent no-op
+
+
+class TestEngineConfig:
+    """A mistyped lowering used to select the seed conv silently — and with
+    it eager stepping, every capture failing closed."""
+
+    def test_unknown_conv_impl_is_refused(self):
+        for good in ("einsum", "im2col"):
+            assert EngineConfig(conv_impl=good).conv_impl == good
+        with pytest.raises(ValueError, match='"einsum" or "im2col"'):
+            EngineConfig(conv_impl="einsun")
+
+    def test_unknown_conv_impl_in_the_environment_fails_the_import(self):
+        env = dict(os.environ, REPRO_CONV_IMPL="einsun",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import repro.tensor.workspace"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode != 0
+        assert 'ValueError: conv_impl must be "einsum" or "im2col"' \
+            in proc.stderr and "einsun" in proc.stderr
 
 
 def _sparsify_all(model, frac=0.4, seed=0):
@@ -191,30 +217,71 @@ class TestReconfigurationInvalidation:
             assert workspace.POOL.lent_count == 0
 
 
-class TestUnrolledConvHygiene:
-    """A conv on a map smaller than its window holds two pooled buffers from
-    forward to backward (the restaged input and the unrolled filter).  The
-    kernel-level callers know only ``release_ctx(ctx)`` and ``release(dx)``,
-    so those two calls must reach everything."""
+#: id -> ((c, k, hw, r, stride, padding), elements the form keeps pooled from
+#: forward to backward as f(n, c, k, hw, r, ho)): the window gather its column
+#: tensor (the padded input is already back), a 1x1 conv nothing at stride 1
+#: (its columns are the input) and the strided copy of the input otherwise,
+#: the unrolled form the restaged input and the unrolled filter ``T``.
+def _columns(n, c, k, hw, r, ho):
+    return n * c * r * r * ho * ho
 
-    @staticmethod
-    def _case(n=5, c=6, k=4, hw=2):
+
+CONVS = {
+    "gather-s1-p0": ((6, 4, 6, 3, 1, 0), _columns),
+    "gather-s1-p1": ((6, 4, 6, 3, 1, 1), _columns),
+    "gather-s2-p0": ((6, 4, 7, 3, 2, 0), _columns),
+    "gather-s2-p1": ((6, 4, 6, 3, 2, 1), _columns),
+    "pointwise-s1": ((6, 4, 6, 1, 1, 0), lambda *a: 0),
+    "pointwise-s2": ((6, 4, 6, 1, 2, 0),
+                     lambda n, c, k, hw, r, ho: n * c * ho * ho),
+    "unrolled": ((6, 4, 2, 3, 1, 1),
+                 lambda n, c, k, hw, r, ho:
+                 n * hw * hw * c + ho * ho * k * hw * hw * c),
+}
+
+
+def _lent_bytes():
+    return sum(buf.nbytes for buf in workspace.POOL._lent.values())
+
+
+@pytest.mark.parametrize("geometry, kept", list(CONVS.values()),
+                         ids=list(CONVS))
+class TestConvPoolHygiene:
+    """Every conv form holds pooled staging from forward to backward and
+    borrows more while backward runs.  The kernel-level callers know only
+    ``release_ctx(ctx)`` and ``release(dx)``, so those two calls must reach
+    everything, whichever of them are made."""
+
+    N = 5
+
+    def _case(self, geometry):
+        from repro.tensor.ops import conv as conv_ops
+        c, k, hw, r, stride, padding = geometry
+        ho, _ = conv_ops.conv_out_size(hw, hw, r, r, stride, padding)
         rng = np.random.default_rng(3)
-        return (rng.standard_normal((n, c, hw, hw)).astype(np.float32),
-                rng.standard_normal((k, c, 3, 3)).astype(np.float32),
-                rng.standard_normal((n, k, hw, hw)).astype(np.float32))
+        return (rng.standard_normal((self.N, c, hw, hw)).astype(np.float32),
+                rng.standard_normal((k, c, r, r)).astype(np.float32),
+                rng.standard_normal((self.N, k, ho, ho)).astype(np.float32),
+                stride, padding, ho)
 
     @pytest.mark.parametrize("need_dx", [True, False])
-    def test_kernel_level_release_leaves_nothing_checked_out(self, need_dx):
+    def test_kernel_level_release_leaves_nothing_checked_out(
+            self, geometry, kept, need_dx):
         from repro.tensor.ops import conv as conv_ops
-        x, w, dy = self._case()
+        x, w, dy, stride, padding, ho = self._case(geometry)
+        c, k, hw, r = geometry[:4]
+        retained = 4 * kept(self.N, c, k, hw, r, ho)
 
         def round_trip():
-            _, ctx = conv_ops.conv2d_forward(x, w, None, 1, 1)
-            assert ctx[0] == "unr" and workspace.POOL.lent_count == 2
-            dx, _, _ = conv_ops.conv2d_backward(dy, ctx, x.shape, w, 1, 1,
-                                                need_dx=need_dx)
-            assert workspace.POOL.lent_count == 2 + need_dx
+            _, ctx = conv_ops.conv2d_forward(x, w, None, stride, padding)
+            assert ctx.form == conv_ops.conv_form(hw, hw, r, r, stride,
+                                                  padding)
+            assert _lent_bytes() == retained
+            dx, _, _ = conv_ops.conv2d_backward(dy, ctx, x.shape, w, stride,
+                                                padding, need_dx=need_dx)
+            # backward scratch is back already; dx, if any, is the caller's
+            base = dx if dx is None or dx.base is None else dx.base
+            assert _lent_bytes() == retained + (base.nbytes if need_dx else 0)
             workspace.release(dx)
             conv_ops.release_ctx(ctx)
             assert workspace.POOL.lent_count == 0
@@ -224,15 +291,25 @@ class TestUnrolledConvHygiene:
         round_trip()            # entirely on recycled buffers
         assert workspace.POOL.stats.misses == misses
 
-    def test_autograd_and_no_grad_paths_release_too(self):
+    def test_forward_without_backward_releases_too(self, geometry, kept):
+        from repro.tensor.ops import conv as conv_ops
+        x, w, _, stride, padding, _ = self._case(geometry)
+        _, ctx = conv_ops.conv2d_forward(x, w, None, stride, padding)
+        conv_ops.release_ctx(ctx)
+        assert workspace.POOL.lent_count == 0
+
+    @pytest.mark.parametrize("first_layer", [False, True])
+    def test_autograd_and_no_grad_paths_release_too(self, geometry, kept,
+                                                    first_layer):
         from repro.tensor import no_grad
-        x, w, dy = self._case()
+        x, w, dy, stride, padding, ho = self._case(geometry)
+        c, k, hw, r = geometry[:4]
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        out = F.conv2d(xt, wt, None, 1, 1)
-        assert workspace.POOL.lent_count == 2
+        out = F.conv2d(xt, wt, None, stride, padding, first_layer=first_layer)
+        assert _lent_bytes() == 4 * kept(self.N, c, k, hw, r, ho)
         out.backward(dy)
-        assert xt.grad is not None and wt.grad is not None
+        assert (xt.grad is None) == first_layer and wt.grad is not None
         assert workspace.POOL.lent_count == 0
         with no_grad():
-            F.conv2d(xt, wt, None, 1, 1)            # immediate release
+            F.conv2d(xt, wt, None, stride, padding)     # immediate release
         assert workspace.POOL.lent_count == 0
