@@ -264,6 +264,16 @@ def _split_backward(rec: _Record) -> bool:
     return rec.kind == "conv2d" and bool(rec.attrs[2])
 
 
+def _shared_backward(rec: _Record) -> bool:
+    """Whether the split conv ``rec`` is of a form whose ``dw`` and ``dx``
+    read common staging (``ConvKernels.shared_backward``): the ``dx`` part
+    then stages and ``dw`` follows it — still off the critical path."""
+    (x, w), (stride, padding) = rec.inputs[:2], rec.attrs[:2]
+    form = _conv.conv_form(*x.data.shape[2:], *w.data.shape[2:], stride,
+                           padding, w.data.shape[0])
+    return _conv.FORMS[form].shared_backward
+
+
 def _release_fin(grads: list, o: int):
     """Final part of a split backward: retire the output-grad slot.
 
@@ -311,7 +321,8 @@ class _ParallelSchedule:
     - writers into one *leaf* ``.grad`` chained the same way (weight
       sharing);
     - ``fin`` after its ``dw``/``dx`` (it releases the gradient buffer
-      both read).
+      both read), and ``dw`` after ``dx`` where the ``dx`` part stages what
+      both read (:func:`_shared_backward`).
 
     Levels come from longest-path layering over these edges; all nodes of
     one level are mutually independent and may run concurrently.  The
@@ -356,12 +367,16 @@ class _ParallelSchedule:
             rec = tape.rec_of[id(bn)]
             o_slot = tape.slot_of[id(rec.out)]
             if id(rec) in self.split:
-                dw = g.add_node(f"b{j}.dw:{rec.kind}")
-                dx = g.add_node(f"b{j}.dx:{rec.kind}")
-                fin = g.add_node(f"b{j}.fin:{rec.kind}")
-                parts = (dw, dx, fin)
+                shared = _shared_backward(rec)
+                order = ("dx", "dw", "fin") if shared else ("dw", "dx", "fin")
+                nodes = {part: g.add_node(f"b{j}.{part}:{rec.kind}")
+                         for part in order}
+                parts = tuple(nodes.values())
+                dw, dx, fin = nodes["dw"], nodes["dx"], nodes["fin"]
                 g.add_edge(dw, fin)
                 g.add_edge(dx, fin)
+                if shared:
+                    g.add_edge(dx, dw)
                 slot_writer, leaf_writer = dx, dw
             else:
                 nd = g.add_node(f"b{j}:{rec.kind}")
@@ -697,6 +712,7 @@ class Tape:
             plan._thunk_kinds = ([rec.kind for rec in self.records],
                                  [rec.kind for rec in bwd_recs])
             rec_last = {id(rec): i for i, rec in enumerate(bwd_recs)}
+            plan._bwd_of = [rec_last.get(id(rec)) for rec in self.records]
             plan._leaf_bwd_idx = {
                 lid: rec_last[rid]
                 for lid, rid in plan._leaf_sink_rec.items()
@@ -858,7 +874,8 @@ class _PlanBuilder:
         ``phase`` narrows the interval to the thunk's early tick ("a",
         the weight-gradient GEMM) or late tick ("b", the dx staging) so
         the conv backward's two large buffers can share one region;
-        ``None`` spans the whole thunk.
+        anything else — ``None``, or ``"ab"``, staging the early part
+        writes and the late part reads — spans the whole thunk.
         """
         if self.mem is None:
             return np.empty(shape, dtype)
@@ -1048,33 +1065,42 @@ class _PlanBuilder:
         return self._from_row(rec, _table.OPS["cross_entropy"],
                               self.plan._tbox)
 
-    def _conv_backward(self, rec: _Record, dw_part, dx_part):
+    def _conv_backward(self, rec: _Record, dw_part, dx_part, stage):
         """Assemble a conv backward from its ``dw_part(g)`` (weight and bias
-        gradients) and ``dx_part(g)`` (input gradient, or ``None``).
+        gradients) and ``dx_part(g)`` (input gradient, or ``None``), after
+        ``stage(g)`` where the form has staging both read.
 
         A serial plan gets one thunk running the parts in that order — the
         arena may lay the phase-"b" dx staging over the weight-gradient
         scratch, so dw/db are extracted first — then retiring the
         output-grad slot.  Level scheduling takes the parts separately as
         ``(dw, dx, fin)`` (the weight-grad GEMM is off the dx critical
-        chain); in serial order they perform the identical kernel calls on
-        identical operands, so the split never changes bits.
+        chain) or, with a ``stage``, ``(stage + dx, dw, fin)``, the order
+        :class:`_ParallelSchedule` gives such a conv; in either order they
+        perform the identical kernel calls on identical operands, so the
+        split never changes bits.
         """
         o = self.tape.slot_of[id(rec.out)]
         grads = self.plan._grads
         if self.sched is not None and id(rec) in self.sched.split:
-            def guarded(part):
+            def guarded(*parts):
                 def thunk() -> None:
                     g = grads[o]
                     if g is not None:
-                        part(g)
+                        for part in parts:
+                            part(g)
                 return thunk
-            return guarded(dw_part), guarded(dx_part), _release_fin(grads, o)
+            fin = _release_fin(grads, o)
+            if stage is None:
+                return guarded(dw_part), guarded(dx_part), fin
+            return guarded(stage, dx_part), guarded(dw_part), fin
 
         def bwd() -> None:
             g = grads[o]
             if g is None:
                 return
+            if stage is not None:
+                stage(g)
             dw_part(g)
             if dx_part is not None:
                 dx_part(g)
@@ -1213,7 +1239,7 @@ class _PlanBuilder:
             else:
                 def dx_part(g: np.ndarray) -> None:
                     sink_x(dense_dx(g))
-        return fwd, self._conv_backward(rec, dw_part, dx_part)
+        return fwd, self._conv_backward(rec, dw_part, dx_part, ks.stage_dy)
 
     def _build_linear(self, rec: _Record):
         x, weight, bias = rec.inputs
@@ -1423,6 +1449,9 @@ class StepPlan:
         self._level_names: Optional[List[List[str]]] = None
         #: serial plans: op kind of each ``_fwd`` / ``_bwd`` thunk, in order
         self._thunk_kinds: Tuple[List[str], List[str]] = ([], [])
+        #: serial plans: per ``_fwd`` thunk, the index into ``_bwd`` of the
+        #: thunk that differentiates it (None: its backward never runs)
+        self._bwd_of: List[Optional[int]] = []
         #: ``(x_shape, w_shape, stride, padding, form)`` per conv, op order
         self._conv_forms: List[tuple] = []
         self._workers = 1
@@ -1685,6 +1714,23 @@ class StepPlan:
         logits = values[self._logits_slot]
         self._drop_step_refs()
         return loss, logits, seconds
+
+    def conv_profile(self, x: np.ndarray, targets: np.ndarray):
+        """:meth:`conv_forms` joined with one :meth:`replay_timed` step of a
+        serial training plan.  Returns ``(loss, logits, rows)`` with one
+        ``(x_shape, w_shape, stride, padding, form, fwd_s, bwd_s)`` per conv
+        in op order — where a step's conv time goes, by shape and form
+        (``bwd_s`` is 0.0 for a conv whose backward never runs)."""
+        if self._levels is not None:
+            raise RuntimeError("conv_profile requires a serial plan")
+        loss, logits, seconds = self.replay_timed(x, targets)
+        fwd_s, bwd_s = seconds[:len(self._fwd)], seconds[len(self._fwd):]
+        convs = [i for i, kind in enumerate(self._thunk_kinds[0])
+                 if kind == "conv2d"]
+        rows = [(*form, fwd_s[i][2],
+                 0.0 if self._bwd_of[i] is None else bwd_s[self._bwd_of[i]][2])
+                for form, i in zip(self._conv_forms, convs)]
+        return loss, logits, rows
 
     def run_forward(self, x: np.ndarray) -> np.ndarray:
         """Replay a forward-only plan; returns the logits array."""

@@ -9,16 +9,20 @@ Two lowerings, selected by ``workspace.config.conv_impl``:
     workspace pool), once per plan by the plan builder
     (:mod:`repro.tensor.compile`, buffers from the plan's arena) and by the
     sparse gate's calibration probe (:mod:`repro.tensor.sparse`).  A conv
-    takes one of three forms, each one class, looked up in :data:`FORMS` by
+    takes one of four forms, each one class, looked up in :data:`FORMS` by
     :func:`conv_form` of its geometry: the window gather
     (:class:`_GatherKernels`), the 1x1 case (:class:`_PointwiseKernels` —
-    over half the layers of a bottleneck ResNet) and the unrolled form for
-    maps smaller than the filter window (:class:`_UnrolledKernels` — the
-    tail of a CIFAR VGG).  The predicates that choose — :func:`conv_unrolls`
-    the form, :func:`dw_folds` the weight-gradient shape — are closed-form
-    and ``N``-free, and every form is written exactly once, so eager,
-    captured, planned and sparse-probed convs are bit-identical by
-    construction.
+    over half the layers of a bottleneck ResNet), the unrolled form for
+    maps no larger than the filter window (:class:`_UnrolledKernels` — the
+    tail of a CIFAR VGG, the last stage of a small-input ResNet) and the
+    span form for narrow stride-1 same-size convs on larger maps
+    (:class:`_SpanKernels` — the first two stages of a CIFAR ResNet, whose
+    cost is the gather's short runs, not its GEMMs).  The predicates that
+    choose — :func:`conv_unrolls` and :func:`conv_spans` the form,
+    :func:`dw_folds` the weight-gradient shape — are closed-form and
+    ``N``-free, each derived where it is defined, and every form is written
+    exactly once, so eager, captured, planned and sparse-probed convs are
+    bit-identical by construction.
 
 ``"im2col"`` (the seed engine, kept for A/B benchmarking)
     Patches are extracted into a column matrix and multiplied against the
@@ -39,7 +43,7 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .. import workspace as ws
 from ..workspace import config
@@ -122,25 +126,60 @@ def dw_folds(k: int, crs: int, p: int) -> bool:
 
 def conv_unrolls(h: int, w: int, r: int, s: int, stride: int) -> bool:
     """Whether a conv takes the unrolled form (:class:`_UnrolledKernels`):
-    the input map is smaller than the filter window, so most taps of most
-    windows only ever see padding — 3x3 on 1x1, 1x2 and 2x2 maps.  One GEMM
-    against the unrolled filter does the ``H*W*Ho*Wo`` tap/pixel products
-    that can be nonzero, where the window gather pays ``R*S*Ho*Wo`` a channel
-    pair (36 against 16 on a 2x2 map, 9 against 1 on 1x1) and runs them as
-    ``N`` GEMMs with ``Ho*Wo`` columns each.  Like :func:`dw_folds` it is
-    closed-form and ignores ``N`` (the form changes the reduction order);
-    its one reader is :func:`conv_form`."""
-    return stride == 1 and h * w < r * s
+    the input map is no larger than the filter window, so most taps of most
+    windows only ever see padding — 3x3 on 1x1, 1x2, 2x2 and 3x3 maps.  One
+    GEMM against the unrolled filter does the ``H*W*Ho*Wo`` tap/pixel
+    products that can be nonzero, where the window gather pays ``R*S*Ho*Wo``
+    a channel pair (36 against 16 on a 2x2 map, 9 against 1 on 1x1) and runs
+    them as ``N`` GEMMs with ``Ho*Wo`` columns each.  At ``H*W == R*S`` the
+    two do the same MACs (81 a channel pair on 3x3) and the unrolled form
+    still wins — it has no gather at all (measured 1.0-4.5x fwd+bwd at 12-256
+    channels, N = 32 and 96).  Like
+    :func:`dw_folds` it is closed-form and ignores ``N`` (the form changes
+    the reduction order); its one reader is :func:`conv_form`."""
+    return stride == 1 and h * w <= r * s
 
 
-def conv_form(h: int, w: int, r: int, s: int, stride: int,
-              padding: int) -> str:
+#: extra MACs a sample the span form may pay for each gather run it saves
+#: (measured, see :func:`conv_spans`)
+_SPAN_MACS_PER_RUN = 48
+
+#: samples per pass of the span form's forward: its staging stays the size a
+#: training batch makes it (and in cache) when an evaluation batch is 8x that
+_SPAN_BLOCK = 32
+
+
+def conv_spans(k: int, r: int, s: int, stride: int, padding: int) -> bool:
+    """Whether a conv takes the span form (:class:`_SpanKernels`): stride 1,
+    output the size of the input (``R = S = 2p + 1 > 1``) and few enough
+    filters.  The window gather copies ``R*S*Ho`` runs of ``Wo`` floats per
+    sample and channel and a copy costs per *run* (~8 ns whatever its
+    length); the span form copies ``R*S`` runs of the flattened padded map
+    and multiplies on the padded-width grid instead.  Each of the
+    ``R*S*(Ho - 1)`` runs saved per channel costs it the ``Wp - Wo = S - 1``
+    garbage columns of one output row, ``K*(S - 1)`` extra MACs a sample, so
+    the form pays while that product is small.  The constant is measured
+    (docs/ARCHITECTURE.md §4 has the sweep): conv by conv the form wins to
+    48 filters and breaks even at 64, but over a whole run its
+    ``Wp/Wo``-wider column tensors compete with everything else for cache
+    and memory — at 32 filters on 16x16 maps eager VGG-13 steps got 7-14 %
+    slower and the resident set 4 % larger — so the line is drawn at 24.
+    Closed-form and ``N``-free like :func:`conv_unrolls`; its one reader is
+    :func:`conv_form`."""
+    return (stride == 1 and r == 2 * padding + 1 == s and r > 1
+            and k * (s - 1) <= _SPAN_MACS_PER_RUN)
+
+
+def conv_form(h: int, w: int, r: int, s: int, stride: int, padding: int,
+              k: int) -> str:
     """Which form a conv takes — the key :class:`ConvKernels` looks its class
-    up by in :data:`FORMS`: ``"pointwise"``, ``"unrolled"`` or ``"gather"``
-    (only the last has live-channel kernels)."""
+    up by in :data:`FORMS`: ``"pointwise"``, ``"unrolled"``, ``"span"`` or
+    ``"gather"`` (only the last has live-channel kernels)."""
     if _is_pointwise(r, s, padding):
         return "pointwise"
-    return "unrolled" if conv_unrolls(h, w, r, s, stride) else "gather"
+    if conv_unrolls(h, w, r, s, stride):
+        return "unrolled"
+    return "span" if conv_spans(k, r, s, stride, padding) else "gather"
 
 
 def _windows(xp: np.ndarray, r: int, s: int, stride: int) -> np.ndarray:
@@ -267,6 +306,50 @@ class _Gather:
             self.live = live
 
 
+class _Span:
+    """Padded staging ``pad (N, ch, Hp, Wp)`` of an ``(N, ch, H, W)`` source,
+    read as the flat map ``(N, ch, Hp*Wp)``: on the padded-width grid
+    ``t = i*Wp + j`` tap ``(r, s)`` of every window is the one flat offset
+    ``r*Wp + s``, so a whole tap plane is a single run of
+    ``q = H*Wp - (S - 1)`` floats (the last one ends on the last padded
+    element).  Columns ``j >= W`` of the grid hold wrapped-around garbage —
+    finite, and never read into a result.
+
+    ``stage(src)`` zeroes the borders and copies the interior (every call:
+    the staging is point-lived scratch); ``gather(src)`` stages, then copies
+    the ``R*S`` runs of each channel into ``cols (N, ch*R*S, q)``;
+    :attr:`centre` is the centre tap's run as a view, ``(N, ch, q)`` — the
+    source itself on the grid, exact zeros in the garbage columns.
+    """
+
+    __slots__ = ("stage", "gather", "centre")
+
+    def __init__(self, pad: np.ndarray, src_shape: tuple, r: int, s: int,
+                 p: int, cols: Optional[np.ndarray] = None) -> None:
+        n, ch, h, w = src_shape
+        hp, wp = pad.shape[2:]
+        q = h * wp - (s - 1)
+        core = pad[:, :, p:p + h, p:p + w]
+        lo = p * wp + p
+        self.centre = pad.reshape(n, ch, hp * wp)[:, :, lo:lo + q]
+
+        def stage(src: np.ndarray) -> None:
+            pad.fill(0)
+            np.copyto(core, src)
+        self.stage = stage
+        self.gather = None
+        if cols is not None:
+            sn, sc, sh, sw = pad.strides
+            taps = as_strided(pad, (n, ch, r, s, q), (sn, sc, sh, sw, sw),
+                              writeable=False)
+            cols5 = cols.reshape(n, ch, r, s, q)
+
+            def gather(src: np.ndarray) -> None:
+                stage(src)
+                np.copyto(cols5, taps)
+            self.gather = gather
+
+
 class _DwGemm:
     """The weight-gradient contraction of ``dy (N, K, P)`` with staged
     columns, in the form :func:`dw_folds` picks from ``(K, CRS, P)`` — the
@@ -360,6 +443,9 @@ class ConvKernels:
     ``dw(x, g3, out=None)`` — the ``(K, C, R, S)`` weight gradient of
     ``g3 = dy (N, K, P)``, into ``out`` if given — and, with ``need_dx``,
     ``dx(g)``, the input gradient.  ``db(g, out=None)`` is the bias gradient.
+    A form whose ``dw`` and ``dx`` read common staging of ``dy``
+    (:attr:`shared_backward`) builds ``stage_dy(g)`` as well, to run before
+    both; it is ``None`` wherever the two share nothing.
     ``phase`` names a buffer's lifetime, which each driver maps to storage:
 
     ========  =============================  ==================  ============
@@ -369,8 +455,10 @@ class ConvKernels:
     ``fwd``   inside ``fwd``                 point-lived         released when
                                                                  forward returns
     ``span``  ``fwd`` to the own backward    fwd..bwd slab       ``release_ctx``
-    ``a``     inside ``dw``                  early backward tick released when
+    ``a``     inside ``stage_dy`` + ``dw``   early backward tick released when
     ``b``     inside ``dx``                  late backward tick  backward returns
+    ``ab``    written by ``stage_dy``, read  both backward ticks (with ``a``
+              by ``dw`` and ``dx``                               and ``b``)
     ``dx``    handed to the input's producer grad slab           donated
     ========  =============================  ==================  ============
 
@@ -404,11 +492,15 @@ class ConvKernels:
     form = ""
     #: whether the form accepts a ``dead`` set
     has_live = False
+    #: whether a conv that wants ``dx`` has a ``stage_dy`` (phase ``"ab"``):
+    #: a level schedule then runs it with ``dx`` and orders ``dw`` after them
+    shared_backward = False
 
     def __new__(cls, x_shape: tuple, w: np.ndarray, stride: int,
                 padding: int, *args, **kwargs):
         if not cls.form:
-            cls = FORMS[conv_form(*x_shape[2:], *w.shape[2:], stride, padding)]
+            cls = FORMS[conv_form(*x_shape[2:], *w.shape[2:], stride, padding,
+                                  w.shape[0])]
         return super().__new__(cls)
 
     def __init__(self, x_shape: tuple, w: np.ndarray, stride: int,
@@ -427,6 +519,7 @@ class ConvKernels:
         self.dims = (*x_shape, k, r, s,
                      *conv_out_size(h, wd, r, s, stride, padding))
         self.fwd_live = self.dw = self.dw_live = self.dx = self.dx_live = None
+        self.stage_dy = None
         self._forward(alloc, backward, row_stable)
 
     def _forward(self, alloc, backward: bool, row_stable: bool) -> None:
@@ -435,7 +528,7 @@ class ConvKernels:
 
     def backward(self, alloc, need_dx: bool = True) -> None:
         """Second stage: request the backward scratch; set ``dw[_live]`` and,
-        with ``need_dx``, ``dx[_live]``."""
+        with ``need_dx``, ``dx[_live]`` (and ``stage_dy``, if they share)."""
         raise NotImplementedError
 
     @staticmethod
@@ -870,10 +963,127 @@ class _UnrolledKernels(ConvKernels):
         self.dx = dx
 
 
+class _SpanKernels(ConvKernels):
+    """A stride-1 conv whose output is the size of its input, with few enough
+    filters (:func:`conv_spans`), computed on the *padded-width grid*
+    (:class:`_Span`): the GEMMs of the window gather over ``q`` columns
+    instead of ``Ho*Wo`` — ``Wp/Wo`` the MACs — fed by ``R*S`` copies a
+    sample and channel instead of ``R*S*Ho``.
+
+    ``fwd`` gathers ``x``, multiplies ``W (K, C*R*S) @ cols (C*R*S, q)`` per
+    sample and copies the ``Wo`` valid columns of each row out (bias added on
+    the way) — :data:`_SPAN_BLOCK` samples at a time, through one block of
+    staging (per-sample GEMMs: the bits do not depend on the blocking).  The
+    backward gathers once: the columns of ``dy`` feed the
+    transposed-convolution GEMM of ``dx`` as in the gather form *and* the
+    weight gradient, ``dw_flip (K*R*S, C) = sum_n dyc[n] @ x_q[n].T`` with
+    ``x_q`` the centre run of the re-staged ``x`` (a 1x copy; its zeros
+    cancel the garbage columns of ``dyc``) and ``dw[k, c, r, s] =
+    dw_flip[(k, R-1-r, S-1-s), c]``.  The gather is its own kernel,
+    ``stage_dy`` (phase ``"ab"``), which runs before ``dw`` and ``dx`` and
+    leaves them independent of each other.  With no ``dx`` wanted
+    nothing gathers ``dy``: ``dw`` contracts its centre run with the
+    re-gathered columns of ``x`` (``C*R*S`` rows, not ``K*R*S``).  Either
+    way the contraction goes through :class:`_DwGemm`.  Nothing outlives
+    ``fwd``, so ``remat`` changes nothing here.
+    """
+
+    form = "span"
+    shared_backward = True
+
+    def _forward(self, alloc, backward: bool, row_stable: bool) -> None:
+        n, c, h, wd, k, r, s, ho, wo = self.dims
+        p, b4 = self.padding, self.b4
+        hp, wp = self.padded = (h + 2 * p, wd + 2 * p)
+        q = self.q = h * wp - (s - 1)
+        nb = min(n, _SPAN_BLOCK)
+        cols = alloc((nb, c * r * s, q), "cols_f", "fwd")
+        xp = alloc((nb, c, hp, wp), "xp", "fwd")
+        yq = alloc((nb, k, h * wp), "yq", "fwd")
+        y4 = self.y4 = alloc((n, k, ho, wo), "y", "out")
+        w2 = self.w.reshape(k, c * r * s)
+        blocks = []
+        for lo in range(0, n, nb):
+            m = min(nb, n - lo)
+            blocks.append((
+                slice(lo, lo + m),
+                _Span(xp[:m], (m, c, h, wd), r, s, p, cols[:m]).gather,
+                cols[:m], yq[:m, :, :q],
+                yq[:m].reshape(m, k, h, wp)[..., :wo], y4[lo:lo + m]))
+
+        def fwd(x: np.ndarray) -> None:
+            for rows, gather, cols_m, prod, valid, y_m in blocks:
+                gather(x[rows])
+                np.matmul(w2, cols_m, out=prod)
+                if b4 is None:
+                    np.copyto(y_m, valid)
+                else:
+                    np.add(valid, b4, out=y_m)
+        self.fwd = fwd
+
+    def backward(self, alloc, need_dx: bool = True) -> None:
+        n, c, h, wd, k, r, s, ho, wo = self.dims
+        p, q, (hp, wp) = self.padding, self.q, self.padded
+        xpb = alloc((n, c, hp, wp), "xpb", "a")
+        dyp = alloc((n, k, hp, wp), "dyp", "a")
+        if not need_dx:
+            cols = alloc((n, c * r * s, q), "cols_b", "a")
+            gx, gy = _Span(xpb, self.x_shape, r, s, p, cols), \
+                _Span(dyp, (n, k, ho, wo), r, s, p)
+            gemm = _DwGemm(n, k, c * r * s, q, alloc).kernel(cols, k,
+                                                             c * r * s)
+
+            def dw(x: np.ndarray, g3: np.ndarray,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+                gx.gather(x)
+                gy.stage(g3.reshape(n, k, ho, wo))
+                dw2 = gemm(gy.centre,
+                           None if out is None else out.reshape(k, -1))
+                return dw2.reshape(k, c, r, s) if out is None else out
+            self.dw = dw
+            return
+
+        dyc = alloc((n, k * r * s, q), "dyc", "ab")
+        gx, gy = _Span(xpb, self.x_shape, r, s, p), \
+            _Span(dyp, (n, k, ho, wo), r, s, p, dyc)
+        gemm = _DwGemm(n, k * r * s, c, q, alloc).kernel(gx.centre,
+                                                         k * r * s, c)
+        dwf = alloc((k, r, s, c), "dwf", "a")
+        dwf2, unflip = dwf.reshape(-1, c), \
+            dwf[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        dtype = self.dtype
+        self.stage_dy = gy.gather
+
+        def dw(x: np.ndarray, g3: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+            gx.stage(x)
+            gemm(dyc, dwf2)
+            if out is None:
+                out = np.empty((k, c, r, s), dtype)
+            np.copyto(out, unflip)
+            return out
+        self.dw = dw
+
+        wf4 = alloc((c, k, r, s), "wf", "b")
+        wf2 = wf4.reshape(c, k * r * s)
+        wflip = self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        dxq = alloc((n, c, h * wp), "dxq", "b")
+        dx4 = alloc((n, c, h, wd), "grad", "dx")
+        prod, valid = dxq[:, :, :q], dxq.reshape(n, c, h, wp)[..., :wd]
+
+        def dx(g: np.ndarray) -> np.ndarray:
+            np.copyto(wf4, wflip)
+            np.matmul(wf2, dyc, out=prod)
+            np.copyto(dx4, valid)
+            return dx4
+        self.dx = dx
+
+
 #: :func:`conv_form` -> the class that states the form: a new form is one
 #: class, one entry here and its line in :func:`conv_form` — no driver edits
 FORMS = {cls.form: cls
-         for cls in (_GatherKernels, _PointwiseKernels, _UnrolledKernels)}
+         for cls in (_GatherKernels, _PointwiseKernels, _UnrolledKernels,
+                     _SpanKernels)}
 
 
 class _Im2colKernels:
@@ -884,6 +1094,7 @@ class _Im2colKernels:
     read, so they run in the driver's order."""
 
     form = "im2col"
+    stage_dy = None
 
     def __init__(self, x_shape: tuple, w: np.ndarray, stride: int,
                  padding: int, dtype, alloc, *, bias=None) -> None:
@@ -982,11 +1193,13 @@ def conv2d_backward(dy: np.ndarray, ctx,
     pool on return; ``ctx`` itself is not released (autograd owns it).
     """
     ctx.backward(ctx.alloc, need_dx)
+    if ctx.stage_dy is not None:
+        ctx.stage_dy(dy)
     n, k = dy.shape[:2]
     dw = ctx.dw(ctx.x, dy.reshape(n, k, -1))
     db = ctx.db(dy) if need_db else None
     dx = ctx.dx(dy) if need_dx else None
-    ctx.alloc.release("a", "b")
+    ctx.alloc.release("a", "b", "ab")
     return dx, dw, db
 
 

@@ -292,7 +292,7 @@ def conv_gate_for(w: np.ndarray, x: np.ndarray, stride: int,
                   padding: int) -> Optional[ConvGate]:
     """Gate decision for one conv at a concrete input shape.
 
-    Returns None when no sparse path should engage (a 1x1 or an unrolled
+    Returns None when no sparse path should engage (a 1x1, unrolled or span
     conv — only the window-gather form has live-channel kernels — no
     published dead set, or the calibration probe rejected every pipeline) —
     the caller then builds/runs the plain dense kernels.  Decisions are
@@ -305,7 +305,7 @@ def conv_gate_for(w: np.ndarray, x: np.ndarray, stride: int,
     ds = dead_set_for(w)
     k, c, r, s = w.shape
     n, _, h, wd = x.shape
-    if ds is None or conv_form(h, wd, r, s, stride, padding) != "gather":
+    if ds is None or conv_form(h, wd, r, s, stride, padding, k) != "gather":
         return None
     kl, cl = ds.out_live.size, ds.in_live.size
     if kl == 0 or cl == 0 or (kl == k and cl == c):

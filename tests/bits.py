@@ -7,8 +7,8 @@ when none is named):
 
 ``conv/<case>/kernel``
     ``(y, dw, db, dx)`` of one conv through ``conv2d_forward`` /
-    ``conv2d_backward`` — every form (window gather, 1x1, unrolled) x
-    weight-gradient form x stride x N in {1, 7, 32}.
+    ``conv2d_backward`` — every form (window gather, 1x1, unrolled, span)
+    x weight-gradient form x stride x N in {1, 7, 32}.
 ``conv/<case>/{eager,captured,planned,unplanned}``
     loss and every gradient of a conv -> conv -> pool -> linear step whose
     second conv is the case, over three batches: stepped eagerly, on the
@@ -43,21 +43,28 @@ from repro.train import PruneTrainConfig, PruneTrainTrainer
 
 #: name -> (c, k, h, w, r, stride, padding); the ``dw`` form is what
 #: ``dw_folds`` says of each (narrow on a large map keeps the per-sample
-#: slab, wide on a small one folds) and is spelled in the name only
+#: slab, wide on a small one folds) and is spelled in the name only.  The
+#: stride-1 same-size ``gather`` cases have more filters than ``conv_spans``
+#: admits; ``span-*`` and ``unrolled-3x3`` are the geometries that took the
+#: window gather before those two forms reached them.
 CASES = {
-    "gather-slab-s1": (4, 4, 8, 8, 3, 1, 1),
+    "gather-slab-s1": (4, 26, 12, 12, 3, 1, 1),
     "gather-slab-s2": (4, 4, 8, 8, 3, 2, 1),
     "gather-slab-s1-p0": (4, 4, 8, 8, 3, 1, 0),
-    "gather-fold-s1": (16, 16, 3, 3, 3, 1, 1),
+    "gather-fold-s1": (32, 32, 4, 4, 3, 1, 1),
     "gather-fold-s2": (16, 16, 5, 5, 3, 2, 1),
-    "gather-5x5-s1": (3, 5, 6, 7, 5, 1, 2),
+    "gather-5x5-s1": (3, 13, 6, 7, 5, 1, 2),
     "pointwise-slab-s1": (4, 4, 8, 8, 1, 1, 0),
     "pointwise-slab-s2": (4, 4, 8, 8, 1, 2, 0),
     "pointwise-fold-s1": (16, 16, 2, 2, 1, 1, 0),
     "pointwise-fold-s2": (16, 16, 4, 4, 1, 2, 0),
+    "unrolled-3x3": (16, 16, 3, 3, 3, 1, 1),
     "unrolled-2x2": (6, 5, 2, 2, 3, 1, 1),
     "unrolled-1x1": (6, 5, 1, 1, 3, 1, 1),
     "unrolled-5x5-on-4x4": (3, 4, 4, 4, 5, 1, 2),
+    "span-3x3": (4, 4, 8, 8, 3, 1, 1),
+    "span-3x3-wide-in": (16, 6, 4, 6, 3, 1, 1),
+    "span-5x5": (3, 5, 6, 7, 5, 1, 2),
 }
 BATCHES = (1, 7, 32)
 

@@ -167,39 +167,62 @@ class TestPointwiseWeightGradient:
                 assert np.array_equal(pe.grad, pc.grad), n
 
 
+def _vgg_tail():
+    """3->8 on 8x8 and 32->16 on 4x4 take the span form, 8->32 on 4x4 (too
+    many filters for it) the window gather, the 2x2 and 1x1 tail unrolls."""
+    from repro.nn.vgg import VGG
+    return (VGG([8, "M", 32, 16, "M", 16, "M", 16], 6, input_hw=8, seed=2),
+            8, 6, ["span", "gather", "span"] + ["unrolled"] * 2)
+
+
+def _quick_r32():
+    """QUICK ResNet-32: 20 span convs on 12x12 and 6x6 maps, the 3x3-map
+    stage unrolled, two strided 3x3 convs on the window gather and the two
+    1x1 shortcuts."""
+    from repro.experiments.configs import QUICK, make_model
+    stage = ["pointwise", "gather"]
+    return (make_model("resnet32", "cifar10s", QUICK, seed=0), QUICK.hw, 10,
+            ["span"] * 11 + stage + ["span"] * 9 + stage + ["unrolled"] * 9)
+
+
 class TestUnrolledStages:
-    """A VGG-style net whose tail runs on 2x2 and 1x1 maps: those convs take
-    the unrolled form (``ops.conv.conv_unrolls``) in eager and in the plan
-    alike, next to window-gather convs on the larger maps."""
+    """Nets whose convs take every form of the lowering side by side
+    (``ops.conv.conv_form``), in eager and in the plan alike."""
 
-    @staticmethod
-    def _net():
-        from repro.nn.vgg import VGG
-        return VGG([8, "M", 8, 16, "M", 16, "M", 16], 6, input_hw=8, seed=2)
-
-    @pytest.mark.parametrize("mem_plan, parallel", [
+    SCHEDULES = pytest.mark.parametrize("mem_plan, parallel", [
         (False, False), (True, False), (False, True), (True, True)])
+
+    @SCHEDULES
     def test_three_sgd_steps_match_eager(self, monkeypatch, mem_plan,
                                          parallel):
+        self._three_steps(monkeypatch, mem_plan, parallel, _vgg_tail)
+
+    @SCHEDULES
+    def test_three_sgd_steps_match_eager_on_quick_resnet32(
+            self, monkeypatch, mem_plan, parallel):
+        self._three_steps(monkeypatch, mem_plan, parallel, _quick_r32)
+
+    @staticmethod
+    def _three_steps(monkeypatch, mem_plan, parallel, build):
         cfg = workspace.config
         monkeypatch.setattr(cfg, "mem_plan", mem_plan)
         monkeypatch.setattr(cfg, "parallel_replay", parallel)
         monkeypatch.setattr(cfg, "replay_workers", 4)
         monkeypatch.setattr(cfg, "sparse_compute", False)
         rng = np.random.default_rng(7)
-        batches = [_batch(rng) for _ in range(3)]
+        m_e, hw, classes, forms = build()
+        batches = [(rng.standard_normal((8, 3, hw, hw)).astype(np.float32),
+                    rng.integers(0, classes, size=8)) for _ in range(3)]
 
-        m_e = self._net()
         o_e = SGD(m_e.parameters(), lr=0.05, momentum=0.9, weight_decay=5e-4)
         losses_e = [_eager_step(m_e, o_e, x, y)[0] for x, y in batches]
 
-        m_c = self._net()
+        m_c = build()[0]
         o_c = SGD(m_c.parameters(), lr=0.05, momentum=0.9, weight_decay=5e-4)
         o_c.zero_grad()
         plan, loss_t, _, reason = capture_training_step(m_c, *batches[0])
         assert reason is None, reason
-        assert [f[-1] for f in plan.conv_forms()] == \
-            ["gather"] * 3 + ["unrolled"] * 2
+        assert [f[-1] for f in plan.conv_forms()] == forms
         assert (plan.mem_metrics() is not None) == mem_plan
         assert (plan._levels is not None) == parallel
         loss_t.backward()
@@ -257,6 +280,70 @@ class TestReplayTimed:
         assert reason is None
         with pytest.raises(RuntimeError, match="training plan"):
             plan.replay_timed(x, y)
+
+    def test_conv_profile_joins_forms_with_thunk_times(self, monkeypatch):
+        """One row per conv, in ``conv_forms()`` order, carrying exactly the
+        seconds ``replay_timed`` attributes to that conv's two thunks (under
+        a scripted clock the two are the same numbers), from a replay that
+        computes what ``run`` computes; serial training plans only."""
+        from repro.tensor import compile as compile_mod
+
+        class Clock:                    # ticks by 1, 2, ... 7, 1, 2, ...
+            def __init__(self):
+                self.now, self.calls = 0.0, 0
+
+            def perf_counter(self):
+                self.calls += 1
+                self.now += self.calls % 7 + 1
+                return self.now
+
+        monkeypatch.setattr(workspace.config, "parallel_replay", False)
+        rng = np.random.default_rng(6)
+        x0, y0 = _batch(rng)
+        x, y = _batch(rng)
+        model = _model()
+        plan, loss_t, _, reason = capture_training_step(model, x0, y0)
+        assert reason is None, reason
+        loss_t.backward()
+        model.zero_grad()
+        loss, logits = plan.run(x, y)
+        grads = [p.grad.copy() for p in model.parameters()]
+
+        monkeypatch.setattr(compile_mod, "time", Clock())
+        _, _, seconds = plan.replay_timed(x, y)
+        model.zero_grad()
+        monkeypatch.setattr(compile_mod, "time", Clock())
+        loss_p, logits_p, rows = plan.conv_profile(x, y)
+        assert np.array_equal(loss_p, loss)
+        assert np.array_equal(logits_p, logits)
+        for p, g in zip(model.parameters(), grads):
+            assert np.array_equal(p.grad, g)
+        assert [row[:5] for row in rows] == plan.conv_forms()
+        for phase, col in (("fwd", 5), ("bwd", 6)):
+            thunks = [s for kind, ph, s in seconds
+                      if kind == "conv2d" and ph == phase]
+            assert len(thunks) == len(rows)
+            got = [row[col] for row in rows]
+            assert got == thunks if phase == "fwd" \
+                else sorted(got) == sorted(thunks)
+        # the last conv in op order is differentiated first
+        first_bwd = next(s for kind, ph, s in seconds
+                         if kind == "conv2d" and ph == "bwd")
+        assert rows[-1][6] == first_bwd
+
+        model.eval()
+        fplan, _, _ = capture_forward(model, x)
+        with pytest.raises(RuntimeError, match="training plan"):
+            fplan.conv_profile(x, y)
+        monkeypatch.setattr(workspace.config, "parallel_replay", True)
+        monkeypatch.setattr(workspace.config, "replay_workers", 4)
+        model.train()
+        workspace.invalidate()
+        pplan, loss_t, _, reason = capture_training_step(model, x0, y0)
+        assert reason is None and pplan._levels is not None
+        loss_t.backward()
+        with pytest.raises(RuntimeError, match="serial plan"):
+            pplan.conv_profile(x, y)
 
 
 class TestForwardPlan:

@@ -2,7 +2,7 @@
 
 One kernel set serves eager, the plan builder and the sparse gate's probe, so
 its contract is checked here once, over generated shapes and dead masks, in
-all three forms (window gather, 1x1, unrolled) on both sides of the
+all four forms (window gather, 1x1, unrolled, span) on both sides of the
 predicates that choose between them.  *Buffer lifetimes*: the eager driver
 (built per call over pooled buffers, nothing rematerialised) equals, bitwise,
 the same kernels in the planned layout — ``remat=True``, every point-lived
@@ -51,6 +51,12 @@ def conv_cases(draw, dead=False):
     n = draw(st.integers(1, 3))
     c = draw(st.integers(2 if dead else 1, 6))
     k = draw(st.integers(2 if dead else 1, 6))
+    # A stride-1 same-size conv this narrow takes the span form; enough more
+    # filters put it on the other side of ``conv_spans`` — always, for the
+    # live-channel kernels (only the window gather has them).
+    if conv_ops.conv_spans(k, r, r, stride, padding) and \
+            (dead or draw(st.booleans())):
+        k += conv_ops._SPAN_MACS_PER_RUN // (r - 1)
     lo = max(1, r - 2 * padding)
     h = draw(st.integers(lo, lo + 5))
     w = draw(st.integers(lo, lo + 5))
@@ -61,8 +67,7 @@ def conv_cases(draw, dead=False):
     dy = rng.standard_normal((n, k, ho, wo)).astype(np.float32)
     if not dead:
         return x, wt, dy, stride, padding
-    # only the window-gather form has live-channel kernels
-    assume(not conv_ops.conv_unrolls(h, w, r, r, stride))
+    assume(conv_ops.conv_form(h, w, r, r, stride, padding, k) == "gather")
     in_dead = np.array(draw(st.lists(st.booleans(), min_size=c, max_size=c)))
     out_dead = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
     assume(not in_dead.all() and not out_dead.all())
@@ -87,26 +92,43 @@ class _SharedScratch:
     they do with other ops' scratch in an arena; ``dirty()`` stands in for
     those other ops.  ``"span"``, ``"out"`` and ``"dx"`` buffers are private
     — as is everything with ``shared=False``, the layout of a plan built with
-    the planner off.  Records every ``(shape, phase)`` requested."""
+    the planner off.  ``"ab"`` buffers (what ``stage_dy`` writes for ``dw``
+    and ``dx`` to read) are dirtied too, except between those calls
+    (``inside_backward``).  Records every ``(shape, phase)`` requested."""
 
     def __init__(self, dtype, shared=True, nbytes=1 << 23):
         self.dtype = np.dtype(dtype)
         self.region = np.empty(nbytes if shared else 0, np.uint8)
         self.cursor = dict.fromkeys(("fwd", "a", "b") if shared else (), 0)
-        self.requests = []
+        self.requests, self.whole_backward = [], []
 
     def __call__(self, shape, tag, phase):
         self.requests.append((shape, phase))
         if phase not in self.cursor:
-            return np.full(shape, np.nan, self.dtype)
+            buf = np.full(shape, np.nan, self.dtype)
+            if phase == "ab":
+                self.whole_backward.append(buf)
+            return buf
         lo = self.cursor[phase]
         hi = lo + int(np.prod(shape)) * self.dtype.itemsize
         assert hi <= self.region.size
         self.cursor[phase] = -(-hi // 64) * 64
         return self.region[lo:hi].view(self.dtype).reshape(shape)
 
-    def dirty(self):
+    def dirty(self, inside_backward=False):
         self.region.fill(0xFF)                  # every float a NaN
+        if not inside_backward:
+            for buf in self.whole_backward:
+                buf.fill(np.nan)
+
+
+def _stage_dy(ks, alloc, dy):
+    """Ahead of ``dw``/``dx``, as every driver does: run the form's shared
+    staging of ``dy``, if it has one, with everything else dirty around it."""
+    alloc.dirty()
+    if ks.stage_dy is not None:
+        ks.stage_dy(dy)
+        alloc.dirty(inside_backward=True)
 
 
 def _eager(x, w, dy, stride, padding, b=None, need_dx=True, form=None):
@@ -157,9 +179,9 @@ def test_dense_kernels_equal_eager(case, remat):
         ks.fwd(x)
         assert np.array_equal(ks.y4, y)
         n, k = dy.shape[:2]
-        alloc.dirty()
+        _stage_dy(ks, alloc, dy)
         assert np.array_equal(ks.dw(x, dy.reshape(n, k, -1)), dw)
-        alloc.dirty()
+        alloc.dirty(inside_backward=True)
         assert np.array_equal(ks.dx(dy), dx)
 
 
@@ -280,10 +302,11 @@ def test_probe_returns_pooled_buffers_when_a_kernel_raises(case, victim):
 
 # -- the two weight-gradient forms --------------------------------------------
 
-#: (c, k, hw) of a 3x3/pad-1 conv on each side of ``dw_folds``: a narrow layer
-#: on a large map keeps the per-sample slab, a wide one on a small map folds
-#: (3x3 is the smallest map that still takes the window-gather form).
-PER_SAMPLE, FOLDED = (4, 4, 8), (16, 16, 3)
+#: (c, k, hw) of a 3x3/pad-1 conv on each side of ``dw_folds``: few input
+#: channels on a large map keep the per-sample slab, a wide layer on a small
+#: map folds (4x4 is the smallest map that still takes the window-gather form,
+#: and only with more filters than ``conv_spans`` admits).
+PER_SAMPLE, FOLDED = (4, 26, 12), (32, 32, 4)
 
 
 def _case(c, k, hw, n, r=3, padding=1, dtype=np.float32, seed=0):
@@ -303,7 +326,7 @@ def test_dw_forms_equal_eager_on_both_sides_of_the_predicate(shape, folds, n,
     c, k, hw = shape
     x, w, dy = _case(c, k, hw, n)
     assert conv_ops.dw_folds(k, c * 9, hw * hw) == folds
-    _, dw, _, _ = _eager(x, w, dy, 1, 1)
+    _, dw, _, _ = _eager(x, w, dy, 1, 1, form="gather")
     alloc = _SharedScratch(x.dtype, shared=remat)
     ks = ConvKernels(x.shape, w, 1, 1, x.dtype, alloc, remat=remat)
     assert not any(ph in "ab" for _, ph in alloc.requests)  # stage 1: forward
@@ -452,11 +475,13 @@ def test_pointwise_has_no_live_channel_form():
 
 #: (r, padding, h, w): 3x3 on 1x1 / 1x2 / 2x1 / 2x2 / 1x4 maps and 5x5 on 3x3 /
 #: 4x4 / 2x5 maps unroll — on the 4-wide and 5-wide ones some tap/pixel pairs
-#: fall outside the filter, so T keeps structural zeros — while 3x3 on 3x3 and
-#: 5x5 on 5x5 stay with the window gather.
-GEOMETRIES = [(3, 1, 1, 1), (3, 1, 1, 2), (3, 1, 2, 1), (3, 1, 2, 2),
-              (3, 1, 1, 4), (5, 2, 3, 3), (5, 2, 4, 4), (5, 2, 2, 5),
-              (3, 1, 3, 3), (5, 2, 5, 5)]
+#: fall outside the filter, so T keeps structural zeros — and so do 3x3 on 3x3
+#: and 5x5 on 5x5, the maps equal to the window; 3x3 on 3x4 / 4x4 and 5x5 on
+#: 5x6 are past the boundary.
+UNROLLED = [(3, 1, 1, 1), (3, 1, 1, 2), (3, 1, 2, 1), (3, 1, 2, 2),
+            (3, 1, 1, 4), (5, 2, 3, 3), (5, 2, 4, 4), (5, 2, 2, 5),
+            (3, 1, 3, 3), (5, 2, 5, 5)]
+GEOMETRIES = UNROLLED + [(3, 1, 3, 4), (3, 1, 4, 4), (5, 2, 5, 6)]
 
 
 def _overlapping(r, padding, size):
@@ -491,9 +516,9 @@ def test_unrolled_kernels_equal_eager_on_both_sides_of_the_predicate(
     gradient."""
     x, w, b, dy, padding = case
     (n, c, h, wd), (k, r) = x.shape, w.shape[::2]
-    unrolls = h * wd < r * r
+    unrolls = (r, padding, h, wd) in UNROLLED
     assert conv_ops.conv_unrolls(h, wd, r, r, 1) == unrolls
-    form = "unrolled" if unrolls else "gather"
+    form = "unrolled" if unrolls else "span"        # at most six filters
     y, dw, dx, db = _eager(x, w, dy, 1, padding, b, need_dx, form)
 
     alloc = _SharedScratch(x.dtype, shared=remat)
@@ -506,14 +531,14 @@ def test_unrolled_kernels_equal_eager_on_both_sides_of_the_predicate(
         alloc.dirty()
         ks.fwd(x)
         assert np.array_equal(ks.y4, y)
-        alloc.dirty()
+        _stage_dy(ks, alloc, dy)
         assert np.array_equal(ks.dw(x, g3), dw)
         out = np.full_like(w, np.nan)               # fully overwritten
         assert ks.dw(x, g3, out) is out and np.array_equal(out, dw)
         if b is not None:
             assert np.array_equal(ks.db(dy), db)
         if need_dx:
-            alloc.dirty()
+            alloc.dirty(inside_backward=True)
             got = ks.dx(dy)
             assert np.array_equal(got, dx)
             got += 1.0          # a consumer accumulated into the donated dx
@@ -528,18 +553,16 @@ def test_unrolled_kernels_equal_eager_on_both_sides_of_the_predicate(
     _assert_close_to_im2col(x, w, b, dy, 1, padding, y, dw, dx, db)
 
 
-@pytest.mark.parametrize("r, padding, h, w", GEOMETRIES[:8])
-def test_unrolled_form_matches_finite_differences(r, padding, h, w):
-    """``dw`` and ``dx`` of the unrolled form against the definition."""
+def _assert_matches_finite_differences(form, c, k, h, w, r, padding, n=2):
+    """``dw`` and ``dx`` of the eager conv (float64) against the definition."""
     rng = np.random.default_rng(0)
-    n, c, k = 2, 3, 4
     x = rng.standard_normal((n, c, h, w))
     wt = rng.standard_normal((k, c, r, r)) * 0.2
     dy = rng.standard_normal((n, k, h, w))
 
     def loss(x_, w_):
         y, ctx = conv_ops.conv2d_forward(x_, w_, None, 1, padding)
-        assert ctx.form == "unrolled"
+        assert ctx.form == form
         conv_ops.release_ctx(ctx)
         return (y * dy).sum()
 
@@ -562,13 +585,20 @@ def test_unrolled_form_matches_finite_differences(r, padding, h, w):
                                rtol=1e-6, atol=1e-8)
 
 
+@pytest.mark.parametrize("r, padding, h, w", UNROLLED)
+def test_unrolled_form_matches_finite_differences(r, padding, h, w):
+    _assert_matches_finite_differences("unrolled", 3, 4, h, w, r, padding)
+
+
 def test_the_unroll_predicate_never_reads_the_batch():
     """Batch growth, tail batches and shards must not flip the form: the
-    predicate has no ``N`` to read, and the kernel set built at any batch
+    predicates have no ``N`` to read, and the kernel set built at any batch
     size reports the same form and asks for no ``(N, K, C*R*S)`` slab or
     column tensor."""
     assert list(inspect.signature(conv_ops.conv_unrolls).parameters) == \
         ["h", "w", "r", "s", "stride"]
+    assert list(inspect.signature(conv_ops.conv_spans).parameters) == \
+        ["k", "r", "s", "stride", "padding"]
     assert not conv_ops.conv_unrolls(2, 2, 3, 3, 2)     # stride 1 only
     c, k, hw = 16, 16, 2
     for n in (1, 7, 32):
@@ -586,4 +616,101 @@ def test_unrolled_has_no_live_channel_form():
     """As for 1x1: the gate is not consulted for an unrolled conv, and the
     kernel set refuses a dead set for one instead of silently ignoring it."""
     x, w, _ = _case(4, 4, 2, 2)
+    _assert_no_live_channel_form(x, w, 1)
+
+
+# -- the whole-row-run case ----------------------------------------------------------
+
+SPAN_MACS = conv_ops._SPAN_MACS_PER_RUN
+#: (r, padding, h, w, k): same-size stride-1 convs with ``K*(S-1)`` at, below
+#: and above the constant of ``conv_spans`` (above stays with the window
+#: gather), on square and non-square maps — one lower than the window is
+#: high — for 3x3 and 5x5 filters.
+SPANS = [(3, 1, 4, 4, 5), (3, 1, 3, 4, 2), (3, 1, 2, 8, 4),
+         (3, 1, 6, 9, SPAN_MACS // 2), (3, 1, 5, 4, SPAN_MACS // 2 - 1),
+         (3, 1, 4, 6, SPAN_MACS // 2 + 1), (5, 2, 6, 7, SPAN_MACS // 4),
+         (5, 2, 5, 6, 3), (5, 2, 6, 6, SPAN_MACS // 4 + 1)]
+
+
+@st.composite
+def span_cases(draw):
+    r, padding, h, w, k = draw(st.sampled_from(SPANS))
+    # batch-1, tail, full, and more than one block of the forward
+    n = draw(st.sampled_from([1, 7, 32, conv_ops._SPAN_BLOCK + 8]))
+    c = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+    wt = (rng.standard_normal((k, c, r, r)) * 0.2).astype(np.float32)
+    b = rng.standard_normal(k).astype(np.float32) \
+        if draw(st.booleans()) else None
+    dy = rng.standard_normal((n, k, h, w)).astype(np.float32)
+    return x, wt, b, dy, padding
+
+
+@given(span_cases(), st.booleans(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_span_kernels_equal_eager_on_both_sides_of_the_predicate(
+        case, remat, need_dx):
+    """On both sides of ``conv_spans``: the kernels in the planned layout
+    equal the eager driver bitwise (``out=`` and returned, with and without
+    ``dx``, whatever ``remat`` says) and eager agrees with the untouched
+    im2col lowering.  Everything the planned layout shares is NaN between
+    calls, so a garbage column of the padded-width grid (``yq``, ``dxq``,
+    ``dyc``) read into a result, or staging read past its phase, shows."""
+    x, w, b, dy, padding = case
+    (n, c, h, wd), (k, r) = x.shape, w.shape[::2]
+    spans = k * (r - 1) <= SPAN_MACS
+    assert conv_ops.conv_spans(k, r, r, 1, padding) == spans
+    form = "span" if spans else "gather"
+    y, dw, dx, db = _eager(x, w, dy, 1, padding, b, need_dx, form)
+    _assert_close_to_im2col(x, w, b, dy, 1, padding, y, dw, dx, db)
+
+    alloc = _SharedScratch(x.dtype, shared=remat)
+    ks = ConvKernels(x.shape, w, 1, padding, x.dtype, alloc, bias=b,
+                     remat=remat)
+    assert not any(ph in ("a", "b", "ab") for _, ph in alloc.requests)
+    ks.backward(alloc, need_dx)
+    assert ks.form == form
+    phases = {ph for _, ph in alloc.requests}
+    if spans:       # nothing lives from forward to backward; dyc feeds both
+        assert "span" not in phases and ("ab" in phases) == need_dx
+    assert (ks.stage_dy is not None) == (spans and need_dx)
+    g3 = dy.reshape(n, k, -1)
+
+    def check_dx():
+        got = ks.dx(dy)
+        assert np.array_equal(got, dx)
+        got += 1.0              # a consumer accumulated into the donated dx
+        alloc.dirty(inside_backward=True)
+
+    # twice (staging state survives a replay): dw then dx as a serial thunk
+    # runs them, dx then dw as a level schedule does
+    for dx_first in (False, True):
+        alloc.dirty()
+        ks.fwd(x)
+        assert np.array_equal(ks.y4, y)
+        _stage_dy(ks, alloc, dy)
+        if need_dx and dx_first:
+            check_dx()
+        assert np.array_equal(ks.dw(x, g3), dw)
+        alloc.dirty(inside_backward=True)
+        if need_dx and not dx_first:
+            check_dx()
+        assert (ks.dx is None) == (not need_dx)
+        _stage_dy(ks, alloc, dy)
+        out = np.full_like(w, np.nan)               # fully overwritten
+        assert ks.dw(x, g3, out) is out and np.array_equal(out, dw)
+        if b is not None:
+            assert np.array_equal(ks.db(dy), db)
+
+
+@pytest.mark.parametrize("r, padding, h, w, k", SPANS[:3] + SPANS[6:8])
+def test_span_form_matches_finite_differences(r, padding, h, w, k):
+    _assert_matches_finite_differences("span", 3, k, h, w, r, padding)
+
+
+def test_span_has_no_live_channel_form():
+    """As for 1x1 and unrolled: no gate, and a dead set is refused."""
+    x, w, _ = _case(4, 4, 4, 2)
+    assert conv_ops.conv_form(4, 4, 3, 3, 1, 1, 4) == "span"
     _assert_no_live_channel_form(x, w, 1)

@@ -146,6 +146,30 @@ class TestScheduleSoundness:
         # Some level must actually be parallel, or the feature is inert.
         assert max(len(l) for l in g.levels) >= 2
 
+    def test_shared_staging_conv_splits_with_dx_first(self):
+        """A span conv's ``dy`` columns feed ``dw`` and ``dx`` alike: its
+        backward still splits — ``dw`` stays off the critical chain — but
+        the ``dx`` part (which gathers) is created, and levelled, first."""
+        rng = np.random.default_rng(1)
+        _, plan = _capture(True, batch=_batch(rng))
+        g = plan._schedule.graph
+        parts = {}
+        for node, name in enumerate(g.names):       # node-id = serial order
+            if name[0] == "b" and name.endswith(":conv2d"):
+                j, _, part = name[1:-len(":conv2d")].partition(".")
+                parts.setdefault(int(j), []).append((part, node))
+        convs = [parts[j] for j in sorted(parts)]   # backward order
+        forms = [row[-1] for row in reversed(plan.conv_forms())]
+        assert len(convs) == len(forms) and "span" in forms[:-1]
+        assert [p for p, _ in convs[-1]] == [""]    # first layer: no dx
+        for conv, form in zip(convs[:-1], forms[:-1]):
+            order = ["dx", "dw", "fin"] if form == "span" \
+                else ["dw", "dx", "fin"]
+            assert [p for p, _ in conv] == order, form
+            if form == "span":
+                level = {p: g.level_of[n] for p, n in conv}
+                assert level["dx"] < level["dw"] < level["fin"]
+
     def test_level_count_matches_plan(self):
         rng = np.random.default_rng(2)
         _, plan = _capture(True, batch=_batch(rng))

@@ -121,7 +121,7 @@ class TestEagerStaysDense:
         set published, an eager conv (the capture step, ``profile=True``, a
         capture failure) runs the dense kernels — same bits as with the
         switch off, no gate probe, no sparse step counter touched."""
-        c = k = 16
+        c = k = 32          # wide enough to stay on the window gather
         dead_in, dead_out = (2, 3, 4, 10), (0, 1, 8, 9, 10, 11)
         x = rng.normal(size=(4, c, 12, 12)).astype(np.float32)
         w = rng.normal(size=(k, c, 3, 3)).astype(np.float32) * 0.1
@@ -159,8 +159,11 @@ def _dead_resnet(seed=3, kill_names=("s0b1.conv1", "s1b1.conv1"),
                  frac=0.5):
     """resnet20 with ~half the channels of two interior spaces hard-dead
     (weights + BN gamma/beta + any momentum), the way ``zero_sparse``
-    reconfigurations leave them."""
-    m = resnet20(6, width_mult=0.5, input_hw=8, seed=seed)
+    reconfigurations leave them.  At 32/64/128 channels on 8x8/4x4/2x2 maps
+    the killed convs and their consumers take the window gather — the one
+    form with live-channel kernels; narrower ones would take the span
+    form."""
+    m = resnet20(6, width_mult=2.0, input_hw=8, seed=seed)
     g = m.graph
     for name in kill_names:
         node = g.conv_by_name(name)

@@ -221,14 +221,16 @@ class TestReconfigurationInvalidation:
 #: forward to backward as f(n, c, k, hw, r, ho)): the window gather its column
 #: tensor (the padded input is already back), a 1x1 conv nothing at stride 1
 #: (its columns are the input) and the strided copy of the input otherwise,
-#: the unrolled form the restaged input and the unrolled filter ``T``.
+#: the unrolled form the restaged input and the unrolled filter ``T``, the span
+#: form nothing (its backward re-stages).  26 filters keep a stride-1 3x3 conv
+#: with padding 1 on the window gather (``conv_spans``).
 def _columns(n, c, k, hw, r, ho):
     return n * c * r * r * ho * ho
 
 
 CONVS = {
     "gather-s1-p0": ((6, 4, 6, 3, 1, 0), _columns),
-    "gather-s1-p1": ((6, 4, 6, 3, 1, 1), _columns),
+    "gather-s1-p1": ((6, 26, 6, 3, 1, 1), _columns),
     "gather-s2-p0": ((6, 4, 7, 3, 2, 0), _columns),
     "gather-s2-p1": ((6, 4, 6, 3, 2, 1), _columns),
     "pointwise-s1": ((6, 4, 6, 1, 1, 0), lambda *a: 0),
@@ -237,7 +239,15 @@ CONVS = {
     "unrolled": ((6, 4, 2, 3, 1, 1),
                  lambda n, c, k, hw, r, ho:
                  n * hw * hw * c + ho * ho * k * hw * hw * c),
+    "span": ((6, 4, 6, 3, 1, 1), lambda *a: 0),
 }
+
+
+def test_every_geometry_takes_the_form_it_is_named_for():
+    from repro.tensor.ops.conv import conv_form
+    for name, ((c, k, hw, r, stride, padding), _) in CONVS.items():
+        assert conv_form(hw, hw, r, r, stride, padding, k) == \
+            name.split("-")[0]
 
 
 def _lent_bytes():
@@ -275,7 +285,7 @@ class TestConvPoolHygiene:
         def round_trip():
             _, ctx = conv_ops.conv2d_forward(x, w, None, stride, padding)
             assert ctx.form == conv_ops.conv_form(hw, hw, r, r, stride,
-                                                  padding)
+                                                  padding, k)
             assert _lent_bytes() == retained
             dx, _, _ = conv_ops.conv2d_backward(dy, ctx, x.shape, w, stride,
                                                 padding, need_dx=need_dx)
