@@ -6,24 +6,15 @@ QUICK scale under the `workers > 1` backends:
 * ``sim`` — :func:`repro.distributed.data_parallel_step`, the sequential
   in-process simulation (K eager backwards on one model, ring allreduce
   over local arrays);
-* ``elastic`` legs — :class:`repro.distributed.ElasticEngine`, K forked
-  worker processes computing shards concurrently and exchanging gradients
-  through shared memory, in three flavors:
+* ``elastic`` — :class:`repro.distributed.ElasticEngine`, K forked worker
+  processes replaying compiled shard steps concurrently, gradients written
+  straight into shared memory and reduced bucket by bucket while backward
+  still runs.
 
-  - ``seed``: eager workers, explicit gradient pack, one monolithic ring
-    after all workers finish (the engine as originally landed);
-  - ``serial_comm``: compiled worker replay with zero-copy gradient sinks
-    (backward writes straight into the shared segments), still one
-    monolithic ring at the end;
-  - ``overlap``: the full overlapped zero-copy exchange — bucketed ring
-    reduces launched from inside the compiled plan while backward still
-    runs.
-
-Every flavor produces bit-identical gradients (asserted here — a benchmark
-comparing diverging computations would be meaningless), so the numbers
-isolate orchestration cost: process scheduling, the parameter broadcast,
-gradient packing vs zero-copy, pipe traffic, coordinator stall, and the
-comm schedule.  ``elastic_over_sim`` reports the default (overlap) flavor.
+Both produce bit-identical gradients (asserted here — a benchmark comparing
+diverging computations would be meaningless), so ``elastic_over_sim``
+isolates orchestration cost: process scheduling, the parameter broadcast,
+pipe traffic, coordinator stall, and the comm schedule.
 
 Run directly::
 
@@ -51,14 +42,6 @@ RESULTS_DIR = os.path.join(
 OUT_PATH = os.path.join(RESULTS_DIR, "BENCH_elastic.json")
 
 QUICK = dict(width_mult=0.375, input_hw=12)
-
-#: engine flavors benchmarked side by side (ordered seed -> full feature)
-LEGS = {
-    "seed": dict(comm_overlap=False, zero_copy=False, compile_steps=False),
-    "serial_comm": dict(comm_overlap=False, zero_copy=True,
-                        compile_steps=True),
-    "overlap": dict(comm_overlap=True, zero_copy=True, compile_steps=True),
-}
 
 
 def _fresh():
@@ -94,30 +77,22 @@ def run_bench(workers: int = 2, batch: int = 64, warmup: int = 3,
         lambda: data_parallel_step(m_sim, x, y, workers=workers),
         warmup, iters, rounds)
 
-    legs = {}
-    for name, kw in LEGS.items():
-        m_ela, _ = _fresh()
-        COMM_STATS.reset()
-        with ElasticEngine(m_ela, workers=workers, **kw) as engine:
-            res_ela = engine.step(x, y)
-            assert float(res_sim.loss) == float(res_ela.loss), \
-                f"{name}: backends diverged; comparison would be meaningless"
-            assert float(res_sim.comm_bytes_per_worker) == \
-                float(res_ela.comm_bytes_per_worker), name
-            for g, q in zip(ref_grads, m_ela.parameters()):
-                assert np.array_equal(g, q.grad), name
-            stall0 = engine.total_stall_seconds
-            ms = _time_rounds(lambda: engine.step(x, y),
+    m_ela, _ = _fresh()
+    COMM_STATS.reset()
+    with ElasticEngine(m_ela, workers=workers) as engine:
+        res_ela = engine.step(x, y)
+        assert float(res_sim.loss) == float(res_ela.loss), \
+            "backends diverged; comparison would be meaningless"
+        assert float(res_sim.comm_bytes_per_worker) == \
+            float(res_ela.comm_bytes_per_worker)
+        for g, q in zip(ref_grads, m_ela.parameters()):
+            assert np.array_equal(g, q.grad)
+        stall0 = engine.total_stall_seconds
+        ela_ms = _time_rounds(lambda: engine.step(x, y),
                               warmup, iters, rounds)
-            stall = engine.total_stall_seconds - stall0
-            steps = warmup + iters * rounds
-        legs[name] = {
-            "ms": ms,
-            "stall_ms_per_step": stall / steps * 1e3,
-            "comm": COMM_STATS.as_dict(),
-        }
+        stall = engine.total_stall_seconds - stall0
+        steps = warmup + iters * rounds
 
-    ela_ms = legs["overlap"]["ms"]
     return {
         "workload": {"model": "resnet32-QUICK", "batch": batch,
                      "workers": workers},
@@ -126,8 +101,8 @@ def run_bench(workers: int = 2, batch: int = 64, warmup: int = 3,
             "elastic_ms": ela_ms,
             "elastic_over_sim": ela_ms / sim_ms,
             "comm_bytes_per_worker": float(res_sim.comm_bytes_per_worker),
-            "stall_ms_per_step": legs["overlap"]["stall_ms_per_step"],
-            "legs": legs,
+            "stall_ms_per_step": stall / steps * 1e3,
+            "comm": COMM_STATS.as_dict(),
         },
     }
 
@@ -145,10 +120,9 @@ def main() -> None:
     path = write_results(results)
     step = results["train_step"]
     print(f"sim {step['sim_ms']:.2f} ms")
-    for name, leg in step["legs"].items():
-        print(f"elastic[{name}] {leg['ms']:.2f} ms "
-              f"({leg['ms'] / step['sim_ms']:.2f}x, "
-              f"stall {leg['stall_ms_per_step']:.2f} ms/step)")
+    print(f"elastic {step['elastic_ms']:.2f} ms "
+          f"({step['elastic_over_sim']:.2f}x, "
+          f"stall {step['stall_ms_per_step']:.2f} ms/step)")
     print(f"wrote {path}")
 
 

@@ -273,31 +273,30 @@ def _memplan_plan_pair(rng) -> tuple:
     yb = rng.integers(0, 10, size=32)
 
     def build(mem_plan: bool) -> tuple:
-        saved = workspace.config.mem_plan
-        workspace.config.mem_plan = mem_plan
-        tracemalloc.start()
-        try:
-            m = resnet32(num_classes=10, width_mult=0.375, input_hw=12,
-                         seed=0)
-            o = SGD(m.parameters(), lr=0.1, momentum=0.9, weight_decay=5e-4)
-            o.zero_grad()
-            plan, loss_t, _, reason = capture_training_step(m, xb, yb)
-            if plan is None:
-                raise RuntimeError(f"step capture failed: {reason}")
-            loss_t.backward()
-            o.step()
-
-            def run():
+        with workspace.engine(mem_plan=mem_plan):
+            tracemalloc.start()
+            try:
+                m = resnet32(num_classes=10, width_mult=0.375, input_hw=12,
+                             seed=0)
+                o = SGD(m.parameters(), lr=0.1, momentum=0.9,
+                        weight_decay=5e-4)
                 o.zero_grad()
-                plan.run(xb, yb)
+                plan, loss_t, _, reason = capture_training_step(m, xb, yb)
+                if plan is None:
+                    raise RuntimeError(f"step capture failed: {reason}")
+                loss_t.backward()
                 o.step()
 
-            for _ in range(2):
-                run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-            workspace.config.mem_plan = saved
+                def run():
+                    o.zero_grad()
+                    plan.run(xb, yb)
+                    o.step()
+
+                for _ in range(2):
+                    run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         return plan, run, peak
 
     plan_off, run_off, peak_off = build(False)
@@ -423,23 +422,22 @@ def _parallel_plan_pair(rng, workers: int) -> tuple:
     yb = rng.integers(0, 10, size=32)
 
     def build(parallel: bool) -> tuple:
-        workspace.config.parallel_replay = parallel
-        workspace.config.replay_workers = workers
+        pin = dict(parallel_replay=parallel, replay_workers=workers)
         m = resnet32(num_classes=10, width_mult=0.375, input_hw=12, seed=0)
         o = SGD(m.parameters(), lr=0.1, momentum=0.9, weight_decay=5e-4)
         o.zero_grad()
-        plan, loss_t, _, reason = capture_training_step(m, xb, yb)
+        with workspace.engine(**pin):
+            plan, loss_t, _, reason = capture_training_step(m, xb, yb)
         if plan is None:
             raise RuntimeError(f"step capture failed: {reason}")
         loss_t.backward()
         o.step()
 
         def run():
-            workspace.config.parallel_replay = parallel
-            workspace.config.replay_workers = workers
-            o.zero_grad()
-            plan.run(xb, yb)
-            o.step()
+            with workspace.engine(**pin):
+                o.zero_grad()
+                plan.run(xb, yb)
+                o.step()
 
         return plan, run, o, m
 
@@ -464,7 +462,6 @@ def _modeled_schedule_speedup(plan, workers: int, xb, yb, o,
     """
     per_level: list = None
     for _ in range(samples):
-        workspace.config.parallel_replay = True
         o.zero_grad()
         _, _, level_seconds = plan.replay_timed(xb, yb)
         if per_level is None:
@@ -499,8 +496,6 @@ def run_parallel_bench(workers: int = 4, bit_steps: int = 4,
     schedule-exposed parallelism and is what the acceptance gate checks,
     with ``host_cpus`` recorded so readers can judge the measurement.
     """
-    saved = (workspace.config.parallel_replay,
-             workspace.config.replay_workers)
     try:
         (plan_s, run_s, o_s, m_s,
          plan_p, run_p, o_p, m_p) = _parallel_plan_pair(
@@ -531,8 +526,6 @@ def run_parallel_bench(workers: int = 4, bit_steps: int = 4,
         pool_stats = par.STATS.as_dict()
         pool_stats.pop("last_levels", None)
     finally:
-        (workspace.config.parallel_replay,
-         workspace.config.replay_workers) = saved
         workspace.invalidate()
     return {
         "meta": {
@@ -580,11 +573,11 @@ def _sparse_schedule_run(sparse_on: bool, threshold: float, epochs: int,
         epochs=epochs, batch_size=32, augment=False, bn_recal_batches=0,
         penalty_ratio=0.25, lambda_mode="rate", threshold=threshold,
         reconfig_interval=2, zero_sparse=True, remove_layers=False,
-        sparse_compute=sparse_on,
         checkpoint_every=1 if checkpoint_dir else 0,
         checkpoint_dir=checkpoint_dir)
     trainer = PruneTrainTrainer(model, train, val, cfg)
-    log = trainer.train(resume_from=resume_from)
+    with workspace.engine(sparse_compute=sparse_on):
+        log = trainer.train(resume_from=resume_from)
     return model, [float(r.train_loss) for r in log.records], trainer
 
 
@@ -663,7 +656,6 @@ def run_sparse_bench(threshold: float = 0.04, epochs: int = 4,
     from repro.tensor import sparse
     from repro.tensor.compile import capture_training_step
 
-    saved = (workspace.config.sparse_compute, workspace.config.mem_plan)
     tmpdir = tempfile.mkdtemp(prefix="bench-sparse-")
     try:
         # -- leg 1: full-schedule bit-identity ------------------------------
@@ -696,21 +688,22 @@ def run_sparse_bench(threshold: float = 0.04, epochs: int = 4,
         yb = rng.integers(0, 10, size=32)
 
         def build(model, sparse_on):
-            workspace.config.sparse_compute = sparse_on
             if sparse_on:
                 _publish_model(model, dead_state["threshold"])
             o = SGD(model.parameters(), lr=0.1, momentum=0.9,
                     weight_decay=5e-4)
             o.zero_grad()
-            plan, loss_t, _, reason = capture_training_step(model, xb, yb)
-            if plan is None:
-                raise RuntimeError(f"step capture failed: {reason}")
-            loss_t.backward()
+            with workspace.engine(sparse_compute=sparse_on):
+                plan, loss_t, _, reason = capture_training_step(
+                    model, xb, yb)
+                if plan is None:
+                    raise RuntimeError(f"step capture failed: {reason}")
+                loss_t.backward()
 
             def run():
-                workspace.config.sparse_compute = sparse_on
-                o.zero_grad()
-                plan.run(xb, yb)
+                with workspace.engine(sparse_compute=sparse_on):
+                    o.zero_grad()
+                    plan.run(xb, yb)
 
             return plan, run
 
@@ -738,8 +731,6 @@ def run_sparse_bench(threshold: float = 0.04, epochs: int = 4,
         shutil.rmtree(tmpdir, ignore_errors=True)
         sparse.clear()
         sparse.STATS.reset()
-        (workspace.config.sparse_compute,
-         workspace.config.mem_plan) = saved
         workspace.invalidate()
     return {
         "meta": {

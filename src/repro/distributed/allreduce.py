@@ -59,7 +59,6 @@ class CommStats:
 
     bucket_launches: int = 0
     buckets_reduced: int = 0
-    monolithic_reduces: int = 0
     bytes_moved: int = 0
     reduce_seconds: float = 0.0
     overlapped_seconds: float = 0.0
@@ -69,7 +68,7 @@ class CommStats:
 
     def reset(self) -> None:
         self.bucket_launches = self.buckets_reduced = 0
-        self.monolithic_reduces = self.bytes_moved = 0
+        self.bytes_moved = 0
         self.reduce_seconds = self.overlapped_seconds = 0.0
         self.tail_seconds = self.wait_seconds = self.stall_seconds = 0.0
 
@@ -81,7 +80,6 @@ class CommStats:
     def as_dict(self) -> Dict[str, float]:
         return {"bucket_launches": self.bucket_launches,
                 "buckets_reduced": self.buckets_reduced,
-                "monolithic_reduces": self.monolithic_reduces,
                 "bytes_moved": self.bytes_moved,
                 "reduce_seconds": self.reduce_seconds,
                 "overlapped_seconds": self.overlapped_seconds,

@@ -25,14 +25,15 @@ executing.  The coordinator reduces a bucket with
 participant has posted it, overlapping communication with the stragglers'
 remaining compute; buckets still pending when the last worker finishes are
 reduced as a serial tail.  Because the bucketed ring replays the monolithic
-ring's per-role association chains exactly, the reduced bits are identical
-to the serial-comm path — overlap is a pure scheduling change.
+ring's per-role association chains exactly, the reduced bits are those of
+the simulation's single ring — overlap is a pure scheduling change.
 
-Uncompiled steps (capture failure, ``dist_compile=False``) fall back to
-eager compute with an explicit gradient pack and post-hoc bucket
-notifications; ``comm_overlap=False`` restores the seed's single
-monolithic ring after all workers finish.  All four {overlap, zero-copy}
-configurations are bit-identical (``tests/distributed/test_comm_overlap``).
+This is the one exchange the engine has; only the bucket size is a
+parameter (``ElasticEngine(bucket_bytes=...)``).  A step with no plan to
+replay — the capture step itself, or a capture failure such as the seed
+conv lowering — runs eagerly, packs its gradients into the segment and
+announces every bucket after the pack: same bits
+(``tests/distributed/test_comm_overlap``).
 
 Bit-exactness contract
 ----------------------
@@ -118,8 +119,7 @@ from ..tensor import workspace as _ws
 from ..tensor.compile import PlanCache, capture_training_step
 from ..tensor.ops import norm as _norm_ops
 from .allreduce import (COMM_STATS, GradBucket, module_param_groups,
-                        plan_gradient_buckets, ring_allreduce,
-                        ring_allreduce_range)
+                        plan_gradient_buckets, ring_allreduce_range)
 
 
 # -- fault injection ---------------------------------------------------------
@@ -219,22 +219,16 @@ class _Handle:
     alive: bool = True
 
 
-@dataclass(frozen=True)
-class _WorkerOpts:
-    """Exchange configuration shipped to each worker at fork time."""
-
-    overlap: bool
-    zero_copy: bool
-    compile_steps: bool
-    bucket_bytes: int
-    poll: float
+#: default gradient-bucket payload target (module-aligned; the last bucket
+#: takes the remainder)
+_BUCKET_BYTES = 65536
 
 
 # -- worker process ----------------------------------------------------------
 
 def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
                  capacity: int, nworkers: int, faults: List[FaultAction],
-                 opts: _WorkerOpts) -> None:
+                 bucket_bytes: int, poll: float) -> None:
     """Worker loop: wait for commands, compute shard gradients, report.
 
     Runs in a forked child: ``replica`` is this process's private copy of
@@ -246,7 +240,6 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
     pending_faults = [a for a in faults if a.kind != "kill_after_bucket"]
     bucket_faults = [a for a in faults if a.kind == "kill_after_bucket"]
     corrupt = False
-    overlap = opts.overlap and nworkers > 1
     # The host's cores are already oversubscribed K ways by the worker
     # processes — a per-worker replay thread pool would only fight them.
     _ws.config.parallel_replay = False
@@ -274,10 +267,10 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
     rebuild_bn_map()
 
     # Flat payload layout + bucket plan, derived from the replica (identical
-    # to the coordinator's — same structure, same traversal).  With zero-copy
-    # on, each parameter's gradient sink is a view into the shared gradient
-    # segment at its payload offset, so compiled backward writes gradients
-    # straight into the allreduce memory.
+    # to the coordinator's — same structure, same traversal).  Each
+    # parameter's gradient sink is a view into the shared gradient segment
+    # at its payload offset, so compiled backward writes gradients straight
+    # into the allreduce memory.
     layout: Dict[str, object] = {}
 
     def refresh_layout() -> None:
@@ -289,13 +282,10 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
         layout["offsets"] = offsets
         layout["buckets"] = plan_gradient_buckets(
             sizes, offsets, module_param_groups(replica),
-            opts.bucket_bytes) if nworkers > 1 else []
-        if opts.zero_copy:
-            _ws.bind_grad_sinks({
-                id(p): gview[off:off + sz].reshape(p.data.shape)
-                for p, off, sz in zip(params, offsets, sizes)})
-        else:
-            _ws.clear_grad_sinks()
+            bucket_bytes) if nworkers > 1 else []
+        _ws.bind_grad_sinks({
+            id(p): gview[off:off + sz].reshape(p.data.shape)
+            for p, off, sz in zip(params, offsets, sizes)})
 
     refresh_layout()
 
@@ -333,12 +323,11 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
         lt.backward()
         if plan is not None:
             thunked: Set[int] = set()
-            if overlap:
-                for b in layout["buckets"]:
-                    lids = [id(layout["params"][i]) for i in b.param_indices]
-                    if plan.add_comm_thunk(
-                            lids, lambda i=b.index: send_bucket(i)):
-                        thunked.add(b.index)
+            for b in layout["buckets"]:    # none at K = 1
+                lids = [id(layout["params"][i]) for i in b.param_indices]
+                if plan.add_comm_thunk(
+                        lids, lambda i=b.index: send_bucket(i)):
+                    thunked.add(b.index)
             plans.store(key, (plan, thunked))
         # the capture's forward/loss WAS this step's eager computation —
         # gradients are in p.grad, nothing announced or in shared memory yet
@@ -346,7 +335,7 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
 
     try:
         while True:
-            while not conn.poll(opts.poll):
+            while not conn.poll(poll):
                 beat()
             try:
                 msg = conn.recv()
@@ -388,7 +377,7 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
                 stats_log.clear()
                 replica.train()
                 replica.zero_grad()
-                res = compiled_step(xb, yb) if opts.compile_steps else None
+                res = compiled_step(xb, yb)
                 if res is None:
                     logits_t = replica(Tensor(xb))
                     loss_t = F.cross_entropy(logits_t, yb)
@@ -406,10 +395,9 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
                             gview[off:off + sz] = p.grad.reshape(-1)
                         else:
                             gview[off:off + sz] = 0.0
-                if overlap:
-                    for b in layout["buckets"]:
-                        if b.index not in launched:
-                            send_bucket(b.index)
+                for b in layout["buckets"]:
+                    if b.index not in launched:
+                        send_bucket(b.index)
                 correct = int((logits.argmax(1) == yb).sum())
                 beat()
                 conn.send(("done", step_idx, attempt, loss_val,
@@ -442,40 +430,26 @@ class ElasticEngine:
     :func:`~repro.distributed.worker.data_parallel_step` leaves them, so
     regularizers and the optimizer run unchanged on the coordinator.
 
-    ``comm_overlap``, ``bucket_bytes``, ``zero_copy``, and
-    ``compile_steps`` default to the engine configuration
-    (``workspace.config``: ``comm_overlap`` / ``comm_bucket_bytes`` /
-    ``comm_zero_copy`` / ``dist_compile``, each with a ``REPRO_*``
-    environment override); pass explicit values to pin a single engine.
+    ``bucket_bytes`` is the payload target of one gradient bucket (64 KiB
+    by default; models smaller than that exchange as a single bucket).
     """
 
     def __init__(self, model: Module, workers: int,
                  heartbeat_timeout: float = 30.0,
                  fault_plan: Optional[FaultPlan] = None,
                  poll_interval: float = 0.002,
-                 comm_overlap: Optional[bool] = None,
-                 bucket_bytes: Optional[int] = None,
-                 zero_copy: Optional[bool] = None,
-                 compile_steps: Optional[bool] = None):
+                 bucket_bytes: int = _BUCKET_BYTES):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError(
                 "ElasticEngine needs the fork start method (POSIX); use "
                 "TrainerConfig(dist_engine='sim') on this platform")
-        cfg = _ws.config
         self.model = model
         self.workers = int(workers)
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.fault_plan = fault_plan
-        self.comm_overlap = bool(cfg.comm_overlap if comm_overlap is None
-                                 else comm_overlap)
-        self.bucket_bytes = int(cfg.comm_bucket_bytes if bucket_bytes is None
-                                else bucket_bytes)
-        self.zero_copy = bool(cfg.comm_zero_copy if zero_copy is None
-                              else zero_copy)
-        self.compile_steps = bool(cfg.dist_compile if compile_steps is None
-                                  else compile_steps)
+        self.bucket_bytes = int(bucket_bytes)
         if self.bucket_bytes <= 0:
             raise ValueError("bucket_bytes must be positive")
         self._poll = float(poll_interval)
@@ -529,11 +503,6 @@ class ElasticEngine:
         self._hb = np.frombuffer(self._hb_mm, dtype=np.float64,
                                  count=self.workers)
         self._hb[:] = time.monotonic()
-        opts = _WorkerOpts(overlap=self.comm_overlap,
-                           zero_copy=self.zero_copy,
-                           compile_steps=self.compile_steps,
-                           bucket_bytes=self.bucket_bytes,
-                           poll=max(self._poll, 0.02))
         for rank in range(self.workers):
             grad_mm = mmap.mmap(-1, nbytes)
             coord_conn, work_conn = self._ctx.Pipe(duplex=True)
@@ -543,7 +512,7 @@ class ElasticEngine:
                 target=_worker_main,
                 args=(rank, work_conn, self.model, grad_mm, self._param_mm,
                       self._hb_mm, self._capacity, self.workers, faults,
-                      opts),
+                      self.bucket_bytes, max(self._poll, 0.02)),
                 daemon=True, name=f"elastic-worker-{rank}")
             proc.start()
             work_conn.close()   # child keeps its copy; EOF works both ways
@@ -763,10 +732,9 @@ class ElasticEngine:
             k = len(participants)
             bounds = np.linspace(0, n, k + 1).astype(int)
             want = self._step_idx
-            use_overlap = self.comm_overlap and k > 1
             views = [self._handles[rank].grad_view[:self._payload]
                      for rank in participants]
-            # per-attempt overlap state: which ranks have announced each
+            # per-attempt exchange state: which ranks have announced each
             # bucket, which buckets are already reduced, reduce accounting
             posted: Dict[int, Set[int]] = {}
             reduced: Set[int] = set()
@@ -811,7 +779,7 @@ class ElasticEngine:
                 participants,
                 lambda m: m[0] == "done" and m[1] == want
                 and m[2] == attempt, "step",
-                on_other=on_msg if use_overlap else None)
+                on_other=on_msg if k > 1 else None)
             stall_total += stall
             if not failed:
                 break
@@ -837,31 +805,21 @@ class ElasticEngine:
         comm_bytes = 0.0
         if k > 1:
             t0 = time.perf_counter()
-            if use_overlap:
-                moved_total = acct["moved"]
-                for b in self._buckets:    # serial tail: still-pending
-                    if b.index in reduced:
-                        continue
-                    bt0 = time.perf_counter()
-                    moved = ring_allreduce_range(
-                        views, self._payload, b.lo, b.hi, average=True)
-                    dt = time.perf_counter() - bt0
-                    moved_total += moved
-                    COMM_STATS.buckets_reduced += 1
-                    COMM_STATS.bytes_moved += moved // k
-                    COMM_STATS.reduce_seconds += dt
-                    COMM_STATS.tail_seconds += dt
-                comm_bytes = moved_total / k
-                reduce_dt = acct["reduce"] + (time.perf_counter() - t0)
-            else:
-                trace = ring_allreduce(views, average=True)
-                comm_bytes = trace.bytes_per_worker
-                dt = time.perf_counter() - t0
-                reduce_dt = dt
-                COMM_STATS.monolithic_reduces += 1
-                COMM_STATS.bytes_moved += int(comm_bytes)
+            moved_total = acct["moved"]
+            for b in self._buckets:    # serial tail: still-pending
+                if b.index in reduced:
+                    continue
+                bt0 = time.perf_counter()
+                moved = ring_allreduce_range(
+                    views, self._payload, b.lo, b.hi, average=True)
+                dt = time.perf_counter() - bt0
+                moved_total += moved
+                COMM_STATS.buckets_reduced += 1
+                COMM_STATS.bytes_moved += moved // k
                 COMM_STATS.reduce_seconds += dt
                 COMM_STATS.tail_seconds += dt
+            comm_bytes = moved_total / k
+            reduce_dt = acct["reduce"] + (time.perf_counter() - t0)
             if PROFILER.enabled:
                 PROFILER.add("dist_allreduce", reduce_dt, int(comm_bytes))
         base = views[0]

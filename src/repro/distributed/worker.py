@@ -86,7 +86,6 @@ def data_parallel_step(model: Module, x: np.ndarray, y: np.ndarray,
 
     if len(per_worker_grads) > 1:
         comm_bytes = allreduce_gradient_lists(per_worker_grads, average=True)
-        COMM_STATS.monolithic_reduces += 1
         COMM_STATS.bytes_moved += int(comm_bytes)
         reduced = per_worker_grads[0]
     else:

@@ -748,13 +748,7 @@ class Tape:
             grads[plan._loss_slot] = np.ones_like(values[plan._loss_slot])
 
         node_fn[sched.seed_node] = seed
-        level_of: Dict[int, int] = {}
-        for li, lvl in enumerate(sched.graph.levels):
-            for nd in lvl:
-                level_of[nd] = li
         bwd_flat: List[Callable[[], None]] = []
-        rec_last: Dict[int, int] = {}
-        rec_level: Dict[int, int] = {}
         for j, n in enumerate(bwd_nodes):
             rec = self.rec_of[id(n)]
             thunks = pairs[id(rec)][1]
@@ -772,15 +766,7 @@ class Tape:
                         f"builder split {rec.kind} but schedule did not")
                 node_fn[parts[0]] = thunks
                 bwd_flat.append(thunks)
-            rec_last[id(rec)] = len(bwd_flat) - 1
-            rec_level[id(rec)] = max(level_of[nd] for nd in parts)
         plan._bwd = bwd_flat
-        plan._leaf_bwd_idx = {lid: rec_last[rid]
-                              for lid, rid in plan._leaf_sink_rec.items()
-                              if rid in rec_last}
-        plan._leaf_bwd_level = {lid: rec_level[rid]
-                                for lid, rid in plan._leaf_sink_rec.items()
-                                if rid in rec_level}
         plan._levels = [[node_fn[nd] for nd in lvl]
                         for lvl in sched.graph.levels]
         plan._level_names = [[sched.graph.names[nd] for nd in lvl]
@@ -1465,14 +1451,12 @@ class StepPlan:
         #: writes that leaf's gradient (single-use leaves only)
         self._leaf_sink_rec: Dict[int, int] = {}
         #: ``id(leaf Tensor) -> index into _bwd`` of the thunk after which
-        #: the leaf's gradient is final (filled by the assembler)
+        #: the leaf's gradient is final (serial plans; filled by the
+        #: assembler)
         self._leaf_bwd_idx: Dict[int, int] = {}
-        #: same, as an index into ``_levels`` for level-scheduled replay
-        self._leaf_bwd_level: Dict[int, int] = {}
-        #: comm-launch thunks spliced into replay: fired after the given
-        #: backward thunk (serial) / after the given level (parallel)
+        #: comm-launch thunks spliced into serial replay: fired after the
+        #: given backward thunk
         self._comm_at: Dict[int, List[Callable[[], None]]] = {}
-        self._comm_at_level: Dict[int, List[Callable[[], None]]] = {}
         self.generation = ws.PLAN_GENERATION
         self.engine_sig = ws.config.plan_signature()
         #: forward plans captured with the per-sample Linear lowering
@@ -1511,7 +1495,6 @@ class StepPlan:
         self._levels = None
         self._level_names = None
         self._comm_at.clear()
-        self._comm_at_level.clear()
         self._values = [None] * self.n_slots
         self._grads = [None] * self.n_slots
         self._ctxs = [None] * self.n_slots
@@ -1544,29 +1527,18 @@ class StepPlan:
         Returns ``False`` — caller must fall back to firing ``fn`` after
         the full replay — unless *every* leaf is both zero-copy bound (its
         gradient lands in shared memory with no post-run copy) and tracked
-        to a backward thunk.  On a level-scheduled plan the launch is
-        deferred to the end of the latest level touching the bucket, since
-        thunks within a level may complete in any order.
+        to a backward thunk.  Only serial training plans track leaves;
+        a level-scheduled plan (thunks of a level retire in any order)
+        always answers ``False``.
         """
         if self.kind != "train":
             return False
         for lid in leaf_ids:
             if lid not in self._sink_bound or lid not in self._leaf_bwd_idx:
                 return False
-            if self._levels is not None and lid not in self._leaf_bwd_level:
-                return False
         idx = max(self._leaf_bwd_idx[lid] for lid in leaf_ids)
         self._comm_at.setdefault(idx, []).append(fn)
-        if self._levels is not None:
-            lvl = max(self._leaf_bwd_level[lid] for lid in leaf_ids)
-            self._comm_at_level.setdefault(lvl, []).append(fn)
         return True
-
-    def clear_comm_thunks(self) -> None:
-        """Remove every scheduled comm launch (plan reverts to pure
-        compute; the serial-comm path fires notifications itself)."""
-        self._comm_at.clear()
-        self._comm_at_level.clear()
 
     # -- memory reporting --------------------------------------------------
     def mem_metrics(self) -> Optional[Dict[str, float]]:
@@ -1642,18 +1614,10 @@ class StepPlan:
         stats = _par.STATS
         t0 = time.perf_counter()
         level_times: List[float] = []
-        comm = self._comm_at_level
         with pool.caller_lock, _par.limit_blas_threads(1):
-            for li, level in enumerate(self._levels):
+            for level in self._levels:
                 lt0 = time.perf_counter()
                 pool.run_level(level)
-                fns = comm.get(li)
-                if fns is not None:
-                    # Fired on the coordinator thread after the level
-                    # barrier — every sink thunk of the bucket has retired.
-                    for fn in fns:
-                        fn()
-                    stats.comm_thunks_fired += len(fns)
                 level_times.append(time.perf_counter() - lt0)
         stats.replays += 1
         stats.levels_run += len(self._levels)

@@ -91,11 +91,6 @@ class ParallelStats:
     barrier_seconds: float = 0.0
     #: levels serialized by the arena growth guard
     levels_serialized: int = 0
-    #: comm-launch thunks fired at level barriers (plan-scheduled gradient
-    #: bucket notifications — :meth:`StepPlan.add_comm_thunk`; fired on the
-    #: coordinator thread after the owning level's barrier, never inside a
-    #: worker thread, so launch callbacks need no locking of their own)
-    comm_thunks_fired: int = 0
     #: whether the BLAS limiter found a backend to pin (None = never tried)
     blas_limited: Optional[bool] = None
     #: per-level timing of the most recent replay: (width, seconds)
@@ -107,7 +102,6 @@ class ParallelStats:
         self.max_width = 0
         self.replay_seconds = self.barrier_seconds = 0.0
         self.levels_serialized = 0
-        self.comm_thunks_fired = 0
         self.blas_limited = None
         self.last_levels = []
 
@@ -120,7 +114,6 @@ class ParallelStats:
                 "replay_seconds": self.replay_seconds,
                 "barrier_seconds": self.barrier_seconds,
                 "levels_serialized": self.levels_serialized,
-                "comm_thunks_fired": self.comm_thunks_fired,
                 "blas_limited": self.blas_limited,
                 "threads": (pool.width if pool is not None else 0),
                 "thread_busy_seconds": busy,

@@ -25,11 +25,14 @@ closure itself.  ``release`` is a no-op for arrays the pool does not own, so
 callers never need to track provenance.  Under ``no_grad`` the functional
 layer releases forward staging immediately.
 
-The module also hosts the :class:`EngineConfig` switchboard (``config``):
-each optimization introduced by the performance overhaul — buffer pooling,
-fused BN+ReLU, the einsum convolution kernels — can be disabled to recover
-the seed engine's exact execution path, which is how ``benchmarks/perf``
-measures honest before/after numbers in the same process.
+The module also hosts the :class:`EngineConfig` switchboard: the
+process-wide ``config`` every kernel and the plan builder read is the *one*
+place an engine switch is set — parsed from ``REPRO_*`` once at import, then
+pinned for a block with :func:`engine` (``baseline_engine()`` is its
+all-off preset, the seed engine's exact execution path, which is how
+``benchmarks/perf`` measures honest before/after numbers in one process).
+Every field is something a compiled plan is specialised on, so
+``plan_signature()`` is the fields themselves.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -81,23 +84,6 @@ class EngineConfig:
     #: counts as one; ``replay_workers - 1`` daemon workers are spawned).
     #: Values < 2 disable parallel scheduling even if ``parallel_replay``.
     replay_workers: int = 4
-    #: elastic engine: launch each gradient bucket's ring exchange as soon
-    #: as every worker has produced it (overlapping communication with the
-    #: remaining backward compute) instead of one monolithic ring after the
-    #: step.  Bit-exact either way (see ``repro.distributed.allreduce``).
-    comm_overlap: bool = True
-    #: target payload bytes per gradient bucket (module-aligned; the last
-    #: bucket takes the remainder)
-    comm_bucket_bytes: int = 65536
-    #: elastic engine: bind worker gradient sinks directly to the
-    #: shared-memory allreduce segments (backward writes gradients in
-    #: place; no per-step pack/copy).  Requires compiled worker steps to
-    #: take effect; bit-exact either way.
-    comm_zero_copy: bool = True
-    #: elastic engine: capture-and-replay compiled training steps inside
-    #: each worker process (the single-process ``compile_step`` machinery,
-    #: one plan per worker)
-    dist_compile: bool = True
     #: sparsity-aware compute paths (:mod:`repro.tensor.sparse`): skip
     #: published dead channels in the conv GEMM lowering and run
     #: live-row-compacted backward GEMMs, gated per shape by the
@@ -119,9 +105,7 @@ class EngineConfig:
         """The switches compiled plans are specialised on: a
         :class:`~repro.tensor.compile.StepPlan` records this at capture and
         replays only while it still matches."""
-        return (self.pooling, self.fused_bnrelu, self.conv_impl,
-                self.mem_plan, self.parallel_replay, self.replay_workers,
-                self.sparse_compute, self.sparse_min_gain)
+        return tuple(getattr(self, f.name) for f in fields(self))
 
 
 config = EngineConfig(
@@ -130,31 +114,33 @@ config = EngineConfig(
     conv_impl=os.environ.get("REPRO_CONV_IMPL", "einsum"),
     mem_plan=_env_flag("REPRO_MEM_PLAN", True),
     parallel_replay=_env_flag("REPRO_PARALLEL_REPLAY", False),
-    replay_workers=int(os.environ.get("REPRO_REPLAY_WORKERS", "4")),
-    comm_overlap=_env_flag("REPRO_COMM_OVERLAP", True),
-    comm_bucket_bytes=int(os.environ.get("REPRO_COMM_BUCKET_BYTES", "65536")),
-    comm_zero_copy=_env_flag("REPRO_COMM_ZEROCOPY", True),
-    dist_compile=_env_flag("REPRO_DIST_COMPILE", True),
     sparse_compute=_env_flag("REPRO_SPARSE_COMPUTE", False),
     sparse_min_gain=float(os.environ.get("REPRO_SPARSE_MIN_GAIN", "1.05")),
 )
 
 
 @contextmanager
+def engine(**switches):
+    """Run a block with the named :class:`EngineConfig` fields pinned on the
+    process-wide ``config``; the previous values come back on exit, normal
+    or not.  An unknown name is a ``TypeError`` and a bad value the
+    ``ValueError`` of ``EngineConfig`` itself, both before anything is set.
+    Live plans notice the change through ``plan_signature()``."""
+    replace(config, **switches)
+    saved = {name: getattr(config, name) for name in switches}
+    try:
+        for name, value in switches.items():
+            setattr(config, name, value)
+        yield config
+    finally:
+        for name, value in saved.items():
+            setattr(config, name, value)
+
+
 def baseline_engine():
     """Temporarily run with every optimization off (the seed engine path)."""
-    saved = (config.pooling, config.fused_bnrelu, config.conv_impl,
-             config.mem_plan, config.parallel_replay, config.replay_workers,
-             config.sparse_compute)
-    config.pooling, config.fused_bnrelu, config.conv_impl, \
-        config.mem_plan, config.parallel_replay, config.sparse_compute = \
-        False, False, "im2col", False, False, False
-    try:
-        yield
-    finally:
-        (config.pooling, config.fused_bnrelu, config.conv_impl,
-         config.mem_plan, config.parallel_replay,
-         config.replay_workers, config.sparse_compute) = saved
+    return engine(pooling=False, fused_bnrelu=False, conv_impl="im2col",
+                  mem_plan=False, parallel_replay=False, sparse_compute=False)
 
 
 @dataclass

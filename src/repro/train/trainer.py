@@ -84,30 +84,11 @@ class TrainerConfig:
     #: bypassed automatically when ``profile=True`` (per-op counters need
     #: the instrumented eager path) or ``workers > 1`` (the simulated
     #: data-parallel step has its own execution path); any capture failure
-    #: falls back to eager with a logged reason.
+    #: falls back to eager with a logged reason.  Every other engine
+    #: switch (``mem_plan``, ``parallel_replay``, ``sparse_compute``, ...)
+    #: lives on the process-wide ``workspace.config`` only — pin it around
+    #: a run with ``workspace.engine(...)``; the trainer never writes it.
     compile_step: Optional[bool] = None
-    #: static memory planning for compiled plans (:mod:`repro.tensor.memplan`):
-    #: pack every plan-owned transient buffer into one liveness-shared arena
-    #: and report the exact peak bytes per epoch.  Bit-exact either way.
-    #: ``None`` leaves ``workspace.config.mem_plan`` alone (``REPRO_MEM_PLAN``
-    #: at import, default on); a set value is pinned onto the engine config
-    #: for the duration of :meth:`train` so replayed plans and recaptures
-    #: agree on the engine signature.
-    mem_plan: Optional[bool] = None
-    #: level-scheduled multi-threaded replay of compiled training plans
-    #: (:mod:`repro.tensor.parallel`).  Bit-exact vs serial replay by
-    #: construction.  ``None`` leaves ``workspace.config.parallel_replay``
-    #: alone (``REPRO_PARALLEL_REPLAY``, default off); a set value is pinned
-    #: for the duration of :meth:`train` like ``mem_plan``.  Only affects
-    #: the compiled single-process path — elastic workers compile their
-    #: own (serial) plans and the sim never compiles, so the two features
-    #: compose by partitioning: procs from the elastic engine, threads
-    #: from replay.
-    parallel_replay: Optional[bool] = None
-    #: total executor threads for parallel replay (calling thread included);
-    #: ``None`` leaves ``workspace.config.replay_workers`` alone
-    #: (``REPRO_REPLAY_WORKERS``, default 4)
-    replay_workers: Optional[int] = None
     #: multi-worker execution backend for ``workers > 1``: ``"elastic"``
     #: spawns true worker *processes* exchanging gradients through shared
     #: memory (:class:`repro.distributed.ElasticEngine` — fault-tolerant,
@@ -119,36 +100,6 @@ class TrainerConfig:
     #: elastic only: optional :class:`repro.distributed.FaultPlan` scripting
     #: deterministic worker failures (testing / resilience drills)
     dist_fault_plan: Optional[object] = None
-    #: elastic only: reduce gradient buckets while workers still compute
-    #: (``None`` defers to ``REPRO_COMM_OVERLAP``, default on)
-    dist_comm_overlap: Optional[bool] = None
-    #: elastic only: target bucket size in bytes for the overlapped exchange
-    #: (``None`` defers to ``REPRO_COMM_BUCKET_BYTES``, default 64 KiB)
-    dist_bucket_bytes: Optional[int] = None
-    #: elastic only: bind workers' gradient sinks directly into the shared
-    #: allreduce segments, eliding the pack copy (``None`` defers to
-    #: ``REPRO_COMM_ZEROCOPY``, default on)
-    dist_zero_copy: Optional[bool] = None
-    #: elastic only: let workers replay compiled step plans instead of
-    #: eager steps (``None`` defers to ``REPRO_DIST_COMPILE``, default on)
-    dist_compile: Optional[bool] = None
-    #: sparsity-aware compute paths (:mod:`repro.tensor.sparse`): skip
-    #: dead-channel GEMM columns and run compacted backward GEMMs where the
-    #: measured cost-model gate proves them both profitable *and*
-    #: bit-identical to dense.  A plan specialisation: eager steps stay
-    #: dense.  ``None`` leaves ``workspace.config.sparse_compute`` alone
-    #: (``REPRO_SPARSE_COMPUTE``, default off); a set value is pinned for
-    #: the duration of :meth:`train` like ``mem_plan``.
-    sparse_compute: Optional[bool] = None
-    #: minimum measured speedup for the gate to accept a sparse pipeline
-    #: (``None`` leaves ``workspace.config.sparse_min_gain`` alone —
-    #: ``REPRO_SPARSE_MIN_GAIN``, default 1.05)
-    sparse_min_gain: Optional[float] = None
-
-
-#: ``TrainerConfig`` fields that mirror a ``workspace.config`` engine switch
-_ENGINE_FIELDS = ("mem_plan", "parallel_replay", "replay_workers",
-                  "sparse_compute", "sparse_min_gain")
 
 
 class Trainer:
@@ -287,11 +238,7 @@ class Trainer:
             self._elastic = ElasticEngine(
                 self.model, self.cfg.workers,
                 heartbeat_timeout=self.cfg.dist_heartbeat_timeout,
-                fault_plan=self.cfg.dist_fault_plan,
-                comm_overlap=self.cfg.dist_comm_overlap,
-                bucket_bytes=self.cfg.dist_bucket_bytes,
-                zero_copy=self.cfg.dist_zero_copy,
-                compile_steps=self.cfg.dist_compile)
+                fault_plan=self.cfg.dist_fault_plan)
         return self._elastic
 
     def _step_parallel(self, xb: np.ndarray, yb: np.ndarray
@@ -326,16 +273,6 @@ class Trainer:
             self.on_run_start()
         if self.cfg.profile:
             PROFILER.enable(reset=True)
-        # Pin the engine switches this config sets explicitly for the
-        # duration of the run, so replayed plans and recaptures agree on
-        # the engine signature; ``None`` leaves ``workspace.config`` (env
-        # defaults or whatever the caller set there) alone.
-        saved_engine = {}
-        for name in _ENGINE_FIELDS:
-            value = getattr(self.cfg, name)
-            if value is not None:
-                saved_engine[name] = getattr(_ws.config, name)
-                setattr(_ws.config, name, value)
         try:
             for epoch in range(start_epoch, self.cfg.epochs):
                 if self.cfg.profile:
@@ -382,11 +319,9 @@ class Trainer:
                           f"infF {rec.inference_flops/1e6:.2f}M "
                           f"batch {rec.batch_size}")
         finally:
-            for name, value in saved_engine.items():
-                setattr(_ws.config, name, value)
             self.shutdown()
-        if self.cfg.profile:
-            PROFILER.disable()
+            if self.cfg.profile:
+                PROFILER.disable()
         return self.log
 
     # -- exact-resume checkpointing (format v2) -----------------------------

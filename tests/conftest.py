@@ -21,13 +21,11 @@ def optimized_engine():
     where they would silently degrade or fail for an unrelated reason.
     Module-scoped, so module- and class-scoped fixtures that train or
     capture run inside the pin too."""
-    cfg = workspace.config
-    saved = (cfg.pooling, cfg.fused_bnrelu, cfg.conv_impl)
-    cfg.pooling, cfg.fused_bnrelu, cfg.conv_impl = True, True, "einsum"
-    workspace.invalidate()
-    yield cfg
-    workspace.invalidate()
-    cfg.pooling, cfg.fused_bnrelu, cfg.conv_impl = saved
+    with workspace.engine(pooling=True, fused_bnrelu=True,
+                          conv_impl="einsum") as cfg:
+        workspace.invalidate()
+        yield cfg
+        workspace.invalidate()
 
 
 @pytest.fixture

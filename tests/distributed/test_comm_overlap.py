@@ -1,8 +1,9 @@
 """Overlapped zero-copy gradient exchange: bucketed-ring bit-exactness,
 bucket planning invariants, gradient-list validation, differential parity
-of every {overlap, zero-copy, compile} engine flavor against the
-simulation across the full PruneTrain schedule, mid-exchange fault
-recovery, and shared-memory teardown robustness."""
+of the elastic engine (compiled workers, and the packed eager fallback a
+capture failure selects) against the simulation across the full PruneTrain
+schedule, mid-exchange fault recovery, and shared-memory teardown
+robustness."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.distributed import (COMM_STATS, ElasticEngine, FaultPlan,
 from repro.nn import resnet20
 from repro.optim import SGD
 from repro.prune import prune_and_reconfigure
+from repro.tensor import workspace
 
 from ..conftest import sparsify_space
 
@@ -190,70 +192,69 @@ class TestGradientListValidation:
             allreduce_gradient_lists([a, b])
 
 
-# -- differential parity across engine flavors -------------------------------
+# -- differential parity against the simulation -----------------------------
 
 class TestOverlapParity:
-    def test_full_schedule_k2_all_flavors_equal_sim(self, batch):
-        """Pruning, layer removal, and batch growth: overlapped zero-copy,
-        serial-comm, copy-path, and eager-worker engines all reproduce the
-        simulation bit for bit."""
+    def test_full_schedule_k2_equals_sim(self, batch):
+        """Pruning, layer removal, and batch growth: the overlapped
+        zero-copy engine reproduces the simulation bit for bit."""
         ms, opts, outs = run_sim(batch)
-        flavors = [dict(comm_overlap=True, zero_copy=True),
-                   dict(comm_overlap=False, zero_copy=True),
-                   dict(comm_overlap=True, zero_copy=False),
-                   dict(comm_overlap=False, zero_copy=False,
-                        compile_steps=False)]
-        for kw in flavors:
-            me, opte, oute, failures, active = run_elastic(
-                batch, bucket_bytes=16384, **kw)
-            assert failures == [] and active == 2, kw
-            assert metrics_equal(outs, oute), kw
-            assert_state_equal(ms, opts, me, opte)
+        me, opte, oute, failures, active = run_elastic(
+            batch, bucket_bytes=16384)
+        assert failures == [] and active == 2
+        assert metrics_equal(outs, oute)
+        assert_state_equal(ms, opts, me, opte)
 
     def test_full_schedule_k3_overlap_equals_sim(self, batch):
         ms, opts, outs = run_sim(batch, workers_at=lambda s: 3)
         me, opte, oute, failures, active = run_elastic(
-            batch, workers=3, bucket_bytes=16384,
-            comm_overlap=True, zero_copy=True)
+            batch, workers=3, bucket_bytes=16384)
         assert failures == [] and active == 3
         assert metrics_equal(outs, oute)
         assert_state_equal(ms, opts, me, opte)
 
     def test_overlap_actually_buckets(self, batch):
-        """The overlapped engine exchanges bucket by bucket (no monolithic
-        reduce) and moves the same bytes the serial path reports."""
+        """The engine exchanges bucket by bucket — several per step, each
+        announced by every worker — and reports the simulation's per-step
+        comm bytes."""
+        _, _, outs = run_sim(batch)
         COMM_STATS.reset()
-        _, _, oute, _, _ = run_elastic(batch, bucket_bytes=16384,
-                                       comm_overlap=True, zero_copy=True)
-        assert COMM_STATS.monolithic_reduces == 0
-        assert COMM_STATS.buckets_reduced > 0
-        assert COMM_STATS.bucket_launches >= COMM_STATS.buckets_reduced
-        COMM_STATS.reset()
-        _, _, outs, _, _ = run_elastic(batch, bucket_bytes=16384,
-                                       comm_overlap=False, zero_copy=True)
-        assert COMM_STATS.buckets_reduced == 0
-        assert COMM_STATS.monolithic_reduces > 0
-        # identical per-step comm-byte accounting either way
+        _, _, oute, _, _ = run_elastic(batch, bucket_bytes=16384)
+        assert COMM_STATS.buckets_reduced > len(oute)
+        assert COMM_STATS.bucket_launches == 2 * COMM_STATS.buckets_reduced
         assert [t[2] for t in oute] == [t[2] for t in outs]
+
+    def test_capture_failure_packs_eager_and_equals_sim(self, batch):
+        """Workers whose capture fails — the seed conv lowering refuses it,
+        and forked workers inherit the engine they were started under —
+        step eagerly, pack their gradients and announce after the pack:
+        still the simulation's bits under that same engine."""
+        with workspace.engine(conv_impl="im2col"):
+            ms, opts, outs = run_sim(batch)
+            COMM_STATS.reset()
+            me, opte, oute, failures, active = run_elastic(
+                batch, bucket_bytes=16384)
+        assert failures == [] and active == 2
+        assert COMM_STATS.buckets_reduced > len(oute)
+        assert metrics_equal(outs, oute)
+        assert_state_equal(ms, opts, me, opte)
 
 
 # -- faults across the overlapped exchange -----------------------------------
 
 class TestOverlapFaults:
     def test_kill_resume_across_overlap_boundary(self, batch):
-        """A kill/resume sequence produces the same degraded trajectory
-        whether the exchange is overlapped or serial."""
+        """A kill/resume sequence produces the degraded trajectory of a
+        clean run at the surviving worker count."""
         ms, opts, outs = run_sim(batch,
                                  workers_at=lambda s: 2 if s < 2 else 1)
-        for overlap in (True, False):
-            plan = FaultPlan().kill(1, at_step=2)
-            me, opte, oute, failures, active = run_elastic(
-                batch, plan=plan, timeout=5.0, bucket_bytes=16384,
-                comm_overlap=overlap)
-            assert active == 1
-            assert [(f.rank, f.step) for f in failures] == [(1, 2)]
-            assert metrics_equal(outs, oute)
-            assert_state_equal(ms, opts, me, opte)
+        plan = FaultPlan().kill(1, at_step=2)
+        me, opte, oute, failures, active = run_elastic(
+            batch, plan=plan, timeout=5.0, bucket_bytes=16384)
+        assert active == 1
+        assert [(f.rank, f.step) for f in failures] == [(1, 2)]
+        assert metrics_equal(outs, oute)
+        assert_state_equal(ms, opts, me, opte)
 
     def test_kill_between_bucket_launches(self, batch):
         """A worker dying mid-backward — after announcing one bucket, with
@@ -263,8 +264,7 @@ class TestOverlapFaults:
                                  workers_at=lambda s: 2 if s < 1 else 1)
         plan = FaultPlan().kill_after_bucket(1, at_step=1, bucket=1)
         me, opte, oute, failures, active = run_elastic(
-            batch, plan=plan, timeout=5.0, bucket_bytes=16384,
-            comm_overlap=True, zero_copy=True)
+            batch, plan=plan, timeout=5.0, bucket_bytes=16384)
         assert active == 1
         assert [(f.rank, f.step, f.reason, f.phase) for f in failures] == \
             [(1, 1, "died", "step")]

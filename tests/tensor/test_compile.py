@@ -381,12 +381,9 @@ class TestInvalidation:
         assert plan.invalid_reason() is None
         # flip one switchboard field directly (baseline_engine() would be a
         # no-op when the suite already runs the baseline configuration)
-        old = workspace.config.fused_bnrelu
-        workspace.config.fused_bnrelu = not old
-        try:
+        with workspace.engine(
+                fused_bnrelu=not workspace.config.fused_bnrelu):
             assert "engine configuration" in plan.invalid_reason()
-        finally:
-            workspace.config.fused_bnrelu = old
         assert plan.invalid_reason() is None
 
     def test_parameter_shape_change_retires_plan(self):

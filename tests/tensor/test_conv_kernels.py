@@ -33,14 +33,11 @@ def einsum_sparse_engine(optimized_engine):
     """The kernel set is the einsum lowering; pin it (the seed CI leg flips
     the eager reference to im2col) and arm the gate with a zero gain bar so
     its verdicts are its parity probes."""
-    cfg = optimized_engine
-    saved = (cfg.sparse_compute, cfg.sparse_min_gain)
-    cfg.sparse_compute, cfg.sparse_min_gain = True, 0.0
-    yield
+    with workspace.engine(sparse_compute=True, sparse_min_gain=0.0):
+        yield
     sparse.clear()
     sparse.STATS.reset()
     SPARSE_GEMM.reset()
-    cfg.sparse_compute, cfg.sparse_min_gain = saved
 
 
 @st.composite

@@ -178,12 +178,8 @@ class TestCompileIntegration:
         """Pin the planner on: these tests assert planner behaviour and must
         not depend on the suite-level REPRO_MEM_PLAN default (the CI matrix
         runs a leg with it disabled)."""
-        saved = workspace.config.mem_plan
-        workspace.config.mem_plan = True
-        try:
+        with workspace.engine(mem_plan=True):
             yield
-        finally:
-            workspace.config.mem_plan = saved
 
     def _capture(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -212,12 +208,8 @@ class TestCompileIntegration:
 
     def test_planned_replay_bit_identical_to_unplanned(self):
         model, plan_on, x, y = self._capture()
-        saved = workspace.config.mem_plan
-        try:
-            workspace.config.mem_plan = False
+        with workspace.engine(mem_plan=False):
             model2, plan_off, _, _ = self._capture()
-        finally:
-            workspace.config.mem_plan = saved
         assert plan_off.mem_metrics() is None
         rng = np.random.default_rng(99)
         x2 = rng.standard_normal(x.shape).astype(np.float32)
@@ -253,12 +245,8 @@ class TestCompileIntegration:
 
     def test_mem_plan_off_is_recorded_in_engine_sig(self):
         model, plan, x, y = self._capture()
-        saved = workspace.config.mem_plan
-        try:
-            workspace.config.mem_plan = False
+        with workspace.engine(mem_plan=False):
             assert plan.invalid_reason() is not None
-        finally:
-            workspace.config.mem_plan = saved
         assert plan.invalid_reason() is None
 
     def test_solver_failure_falls_back_to_unplanned(self, monkeypatch):

@@ -29,11 +29,13 @@ pytestmark = pytest.mark.usefixtures("optimized_engine")
 
 @pytest.fixture(autouse=True)
 def _restore_engine():
-    saved = (workspace.config.parallel_replay, workspace.config.replay_workers,
-             workspace.config.mem_plan)
-    yield
-    (workspace.config.parallel_replay, workspace.config.replay_workers,
-     workspace.config.mem_plan) = saved
+    """``_capture`` leaves its switches set for the replays that follow; a
+    pin at the current values puts them back after each test."""
+    cfg = workspace.config
+    with workspace.engine(parallel_replay=cfg.parallel_replay,
+                          replay_workers=cfg.replay_workers,
+                          mem_plan=cfg.mem_plan):
+        yield
     workspace.invalidate()
 
 

@@ -29,16 +29,15 @@ def sparse_engine(fresh_pool):
     (the gate then accepts whenever its bit-parity probe passes, which makes
     engagement deterministic on a given machine)."""
     cfg = fresh_pool
-    saved = (cfg.sparse_compute, cfg.sparse_min_gain, cfg.mem_plan,
-             cfg.parallel_replay)
-    cfg.sparse_compute, cfg.sparse_min_gain = True, 0.0
     sparse.clear()
     sparse.STATS.reset()
-    yield
+    # mem_plan / parallel_replay pinned where they are: tests flip them
+    with workspace.engine(sparse_compute=True, sparse_min_gain=0.0,
+                          mem_plan=cfg.mem_plan,
+                          parallel_replay=cfg.parallel_replay):
+        yield
     sparse.clear()
     sparse.STATS.reset()
-    (cfg.sparse_compute, cfg.sparse_min_gain, cfg.mem_plan,
-     cfg.parallel_replay) = saved
 
 
 # -- run-coalesced selection --------------------------------------------------

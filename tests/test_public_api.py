@@ -1,8 +1,12 @@
 """Public API surface: everything the README documents must import and have
-docstrings — a guard against silent API drift."""
+docstrings, and every engine switch must be in the README's table and in
+the plan signature — a guard against silent API drift."""
 
+import dataclasses
 import importlib
 import inspect
+import pathlib
+import re
 
 import pytest
 
@@ -75,3 +79,39 @@ def test_public_callables_have_docstrings(modname):
 def test_version_string():
     import repro
     assert repro.__version__.count(".") == 2
+
+
+#: every ``REPRO_*`` variable ``src/`` reads.  A new one needs a row in the
+#: README's switch table and a line here — the configuration lattice the CI
+#: matrix has to keep honest grows with each.
+ENV_SWITCHES = {
+    "REPRO_COMPILE_STEP", "REPRO_CONV_IMPL", "REPRO_FUSED", "REPRO_MEM_PLAN",
+    "REPRO_PARALLEL_REPLAY", "REPRO_SPARSE_COMPUTE", "REPRO_SPARSE_MIN_GAIN",
+    "REPRO_WORKSPACE",
+}
+
+
+def test_switch_lattice_is_closed():
+    from repro.tensor.workspace import EngineConfig
+    root = pathlib.Path(__file__).resolve().parents[1]
+    read = set()
+    for path in (root / "src").rglob("*.py"):
+        read.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+    assert read == ENV_SWITCHES
+    table = [line for line in (root / "README.md").read_text().splitlines()
+             if line.startswith("|")]
+    for name in ENV_SWITCHES:
+        assert any(f"`{name}`" in row for row in table), \
+            f"{name} has no row in README's switch table"
+    # every EngineConfig field is something a plan is specialised on: one
+    # signature entry per field, and flipping any one retires the plan
+    cfg = EngineConfig()
+    fields = dataclasses.fields(cfg)
+    assert len(cfg.plan_signature()) == len(fields) == 8
+    other = {bool: lambda v: not v, int: lambda v: v + 1,
+             float: lambda v: v + 1.0, str: lambda v: "im2col"}
+    for f in fields:
+        value = getattr(cfg, f.name)
+        flipped = dataclasses.replace(
+            cfg, **{f.name: other[type(value)](value)})
+        assert flipped.plan_signature() != cfg.plan_signature(), f.name

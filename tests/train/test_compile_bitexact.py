@@ -19,6 +19,7 @@ from repro.data import make_synthetic
 from repro.distributed import DynamicBatchAdjuster
 from repro.io import checkpoint_path
 from repro.nn import resnet20
+from repro.tensor import workspace
 from repro.tensor.compile import STATS
 from repro.train import PruneTrainConfig, PruneTrainTrainer
 
@@ -37,8 +38,7 @@ def data():
     return train, val
 
 
-def _trainer(data, ckpt_dir, compile_step, mem_plan=None,
-             parallel_replay=None, replay_workers=None):
+def _trainer(data, ckpt_dir, compile_step):
     train, val = data
     model = resnet20(10, width_mult=0.375, input_hw=8, seed=0)
     # nudge one residual-path conv toward death so the first
@@ -49,14 +49,21 @@ def _trainer(data, ckpt_dir, compile_step, mem_plan=None,
         penalty_ratio=0.3, reconfig_interval=2, lambda_scale=400.0,
         threshold=None, zero_sparse=True,
         checkpoint_every=1, checkpoint_dir=ckpt_dir, checkpoint_keep=0,
-        compile_step=compile_step, mem_plan=mem_plan,
-        parallel_replay=parallel_replay, replay_workers=replay_workers)
+        compile_step=compile_step)
     cap = iteration_memory_bytes(model.graph, 32) * 4
     adjuster = DynamicBatchAdjuster(MemoryModel(cap), granularity=8,
                                     max_batch=128)
     return PruneTrainTrainer(model, train, val, cfg,
                              batch_adjuster=adjuster,
                              track_convs=("s0b0.conv1",))
+
+
+def _run(data, ckpt_dir, resume_from=None, **switches):
+    """Train the fixture trainer, compiled, under ``workspace.engine(
+    **switches)``; returns ``(trainer, log)``."""
+    t = _trainer(data, ckpt_dir, compile_step=True)
+    with workspace.engine(**switches):
+        return t, t.train(resume_from=resume_from)
 
 
 def _assert_velocities_identical(t1, t2):
@@ -74,9 +81,8 @@ def runs(optimized_engine, data, tmp_path_factory):
     STATS.reset()
     # mem_plan pinned on (not left to the REPRO_MEM_PLAN default): the
     # planner-vs-off differential below must hold on every CI matrix leg
-    compiled = _trainer(data, str(tmp_path_factory.mktemp("compiled")),
-                        compile_step=True, mem_plan=True)
-    log_compiled = compiled.train()
+    compiled, log_compiled = _run(
+        data, str(tmp_path_factory.mktemp("compiled")), mem_plan=True)
     return eager, log_eager, compiled, log_compiled
 
 
@@ -90,7 +96,6 @@ class TestCompiledPruneTrainBitExact:
 
     def test_compiled_run_actually_replayed(self, runs):
         assert STATS.captures > 0
-        from repro.tensor import workspace
         if workspace.config.sparse_compute:
             # with sparse compute armed, every epoch-end dead-set publish
             # that *changes* the stable sets retires the plans (the baked
@@ -116,9 +121,8 @@ class TestCompiledPruneTrainBitExact:
         must still match the uninterrupted eager run bit-for-bit."""
         eager, log_eager, compiled, _ = runs
         ckpt = checkpoint_path(compiled.cfg.checkpoint_dir, 2)
-        resumed = _trainer(data, str(tmp_path / "resumed"),
-                           compile_step=True)
-        log_res = resumed.train(resume_from=ckpt)
+        resumed, log_res = _run(data, str(tmp_path / "resumed"),
+                                resume_from=ckpt)
         assert_logs_identical(log_eager, log_res)
         assert_models_identical(eager.model, resumed.model)
         _assert_velocities_identical(eager, resumed)
@@ -136,9 +140,8 @@ class TestMemPlanBitExact:
 
     @pytest.fixture(scope="class")
     def planner_off(self, data, tmp_path_factory):
-        t = _trainer(data, str(tmp_path_factory.mktemp("noplan")),
-                     compile_step=True, mem_plan=False)
-        return t, t.train()
+        return _run(data, str(tmp_path_factory.mktemp("noplan")),
+                    mem_plan=False)
 
     def test_planner_on_off_bit_identical(self, runs, planner_off):
         _, log_eager, compiled, log_on = runs
@@ -170,9 +173,8 @@ class TestMemPlanBitExact:
         a planner-off trainer: plan layout is not run state."""
         eager, log_eager, compiled, _ = runs
         ckpt = checkpoint_path(compiled.cfg.checkpoint_dir, 2)
-        resumed = _trainer(data, str(tmp_path / "res-noplan"),
-                           compile_step=True, mem_plan=False)
-        log_res = resumed.train(resume_from=ckpt)
+        resumed, log_res = _run(data, str(tmp_path / "res-noplan"),
+                                resume_from=ckpt, mem_plan=False)
         assert_logs_identical(log_eager, log_res)
         assert_models_identical(eager.model, resumed.model)
         _assert_velocities_identical(eager, resumed)
@@ -190,10 +192,8 @@ class TestParallelReplayBitExact:
     def parallel_run(self, data, tmp_path_factory):
         from repro.tensor import parallel as par
         par.STATS.reset()
-        t = _trainer(data, str(tmp_path_factory.mktemp("parallel")),
-                     compile_step=True, mem_plan=True,
-                     parallel_replay=True, replay_workers=4)
-        return t, t.train()
+        return _run(data, str(tmp_path_factory.mktemp("parallel")),
+                    mem_plan=True, parallel_replay=True, replay_workers=4)
 
     def test_parallel_matches_eager_and_serial(self, runs, parallel_run):
         _, log_eager, compiled, log_serial = runs
@@ -219,18 +219,16 @@ class TestParallelReplayBitExact:
         par_t, _ = parallel_run
         # parallel checkpoint -> serial resume
         ckpt_p = checkpoint_path(par_t.cfg.checkpoint_dir, 2)
-        res_s = _trainer(data, str(tmp_path / "res-serial"),
-                         compile_step=True, parallel_replay=False)
-        log_s = res_s.train(resume_from=ckpt_p)
+        res_s, log_s = _run(data, str(tmp_path / "res-serial"),
+                            resume_from=ckpt_p, parallel_replay=False)
         assert_logs_identical(log_eager, log_s)
         assert_models_identical(eager.model, res_s.model)
         _assert_velocities_identical(eager, res_s)
         # serial checkpoint -> parallel resume
         ckpt_s = checkpoint_path(compiled.cfg.checkpoint_dir, 2)
-        res_p = _trainer(data, str(tmp_path / "res-parallel"),
-                         compile_step=True, parallel_replay=True,
-                         replay_workers=4)
-        log_p = res_p.train(resume_from=ckpt_s)
+        res_p, log_p = _run(data, str(tmp_path / "res-parallel"),
+                            resume_from=ckpt_s, parallel_replay=True,
+                            replay_workers=4)
         assert_logs_identical(log_eager, log_p)
         assert_models_identical(eager.model, res_p.model)
         _assert_velocities_identical(eager, res_p)

@@ -48,34 +48,65 @@ class TestDenseTrainer:
         assert "1080ti" in rec.epoch_time_model
         assert 0 <= rec.val_acc <= 1
 
-    def test_unset_engine_fields_leave_workspace_config_alone(self, data,
-                                                              monkeypatch):
-        """Regression: the trainer used to re-parse ``REPRO_MEM_PLAN`` & co
-        for every ``None`` field and pin the env default over
-        ``workspace.config``, so switching the planner off on the engine
-        config and training with a default ``TrainerConfig`` silently
-        trained planned.  ``None`` now means "leave the engine config
-        alone"; an explicit value is still pinned for the run and restored
-        after it."""
+    def test_train_never_writes_engine_config(self, data, monkeypatch):
+        """``workspace.config`` is the one place an engine switch is set
+        and ``workspace.engine(...)`` the way to pin one around a run: the
+        trainer reads it and never writes it, so a run under an unplanned
+        engine trains unplanned whatever the ``REPRO_*`` defaults say."""
         train, val = data
-        # arena bytes are a property of compiled plans, which exist only on
-        # the einsum lowering (the seed CI leg selects im2col)
-        monkeypatch.setattr(workspace.config, "conv_impl", "einsum")
 
-        def run(**kw):
+        def forbid(self, name, value):
+            raise AssertionError(f"Trainer.train() set config.{name}")
+
+        def run():
             tr = Trainer(resnet20(10, width_mult=0.25, input_hw=8), train,
                          val, TrainerConfig(**tiny_cfg(
-                             epochs=1, compile_step=True, **kw)))
-            return tr.train().records
+                             epochs=1, compile_step=True)))
+            with monkeypatch.context() as mp:
+                mp.setattr(workspace.EngineConfig, "__setattr__", forbid)
+                return tr.train().records
 
-        saved = workspace.config.mem_plan
-        workspace.config.mem_plan = False
-        try:
+        # arena bytes are a property of compiled plans, which exist only on
+        # the einsum lowering (the seed CI leg selects im2col)
+        with workspace.engine(conv_impl="einsum", mem_plan=False):
             assert all(r.arena_bytes == 0 for r in run())
-            assert all(r.arena_bytes > 0 for r in run(mem_plan=True))
+            with workspace.engine(mem_plan=True):
+                assert all(r.arena_bytes > 0 for r in run())
             assert workspace.config.mem_plan is False
-        finally:
-            workspace.config.mem_plan = saved
+
+    def test_engine_pin_restores_and_rejects_unknown_switches(self):
+        cfg = workspace.config
+        before = cfg.plan_signature()
+        with pytest.raises(RuntimeError, match="boom"):
+            with workspace.engine(mem_plan=not cfg.mem_plan,
+                                  replay_workers=7):
+                assert cfg.plan_signature() != before
+                raise RuntimeError("boom")
+        assert cfg.plan_signature() == before
+        with pytest.raises(TypeError, match="no_such_switch"):
+            with workspace.engine(pooling=not cfg.pooling, no_such_switch=1):
+                pass
+        with pytest.raises(ValueError, match="conv_impl"):
+            with workspace.engine(pooling=not cfg.pooling,
+                                  conv_impl="winograd"):
+                pass
+        assert cfg.plan_signature() == before
+
+    def test_profiled_run_that_raises_disables_profiler(self, data):
+        """A profiled run that raises must not leave the process-wide
+        profiler on (every later op timed, its counters polluted)."""
+        from repro.profiler import PROFILER
+        train, val = data
+
+        class Boom(Trainer):
+            def post_backward(self):
+                raise RuntimeError("boom")
+
+        tr = Boom(resnet20(10, width_mult=0.25, input_hw=8), train, val,
+                  TrainerConfig(**tiny_cfg(epochs=1, profile=True)))
+        with pytest.raises(RuntimeError, match="boom"):
+            tr.train()
+        assert PROFILER.enabled is False
 
     def test_loss_decreases(self, data):
         train, val = data
