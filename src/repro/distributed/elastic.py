@@ -306,32 +306,24 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
         the replay and ``bound`` the leaf ids whose gradients are already
         in shared memory — or ``None`` if this shape is uncompilable."""
         key = (xb.shape, yb.shape)
-        entry = plans.lookup(key)
-        if isinstance(entry, str):     # known-uncompilable for this phase
+        plan = plans.lookup(key)
+        if plan is not None:
+            loss, logits = plan.run(xb, yb)
+            return float(loss), logits, plan.comm_buckets(), \
+                plan.sink_bound_leaves()
+        if plans.sealed(key):
             return None
-        if entry is not None:
-            plan, thunked = entry
-            if plan.invalid_reason() is not None:
-                plans.drop(key)
-            else:
-                loss, logits = plan.run(xb, yb)
-                return float(loss), logits, thunked, \
-                    frozenset(plan._sink_bound)
         plan, lt, lg, reason = capture_training_step(replica, xb, yb)
-        if plan is None:
-            plans.store(key, reason or "capture failed")
+        plans.store(key, plan, reason)
         lt.backward()
         if plan is not None:
-            thunked: Set[int] = set()
             for b in layout["buckets"]:    # none at K = 1
                 lids = [id(layout["params"][i]) for i in b.param_indices]
-                if plan.add_comm_thunk(
-                        lids, lambda i=b.index: send_bucket(i)):
-                    thunked.add(b.index)
-            plans.store(key, (plan, thunked))
+                plan.add_comm_thunk(b.index, lids,
+                                    lambda i=b.index: send_bucket(i))
         # the capture's forward/loss WAS this step's eager computation —
         # gradients are in p.grad, nothing announced or in shared memory yet
-        return lt.item(), lg.data, set(), frozenset()
+        return lt.item(), lg.data, frozenset(), frozenset()
 
     try:
         while True:

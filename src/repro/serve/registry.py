@@ -1,24 +1,22 @@
 """Multi-model serving registry: checkpoints in, hot forward plans out.
 
 A :class:`ModelRegistry` owns every served model.  Each registered model
-gets a :class:`ServedModel` wrapper holding its own *pinned* forward-plan
-cache (``PlanCache(auto_purge=False)``) and one memplan arena per cached
-plan shape — so loading model B (whose ``load_state_dict`` bumps the
-global plan generation) can never purge model A's hot plans.  The
-registry's contract in exchange: a served model is frozen after
-registration; any weight change must go through re-registration, which
-builds a fresh entry at a new entry generation and releases the old one.
+gets a :class:`ServedModel` wrapper holding its own forward-plan cache —
+``PlanCache(pinned=True)``, which follows the compiled-step protocol of
+docs/ARCHITECTURE.md ("Trainer wiring") but pins its plans and skips the
+generation sweep — and one memplan arena per cached plan shape, so loading
+model B (whose ``load_state_dict`` bumps the global plan generation) can
+never purge model A's hot plans.  The registry's contract in exchange: a
+served model is frozen after registration; any weight change must go
+through re-registration, which builds a fresh entry at a new entry
+generation and releases the old one.
 
-Request path (:meth:`ServedModel.forward`), in preference order:
-
-1. **exact** — a cached plan for this batch shape replays directly;
-2. **padded** — the group is zero-padded (``BatchPadder``) up to the
-   smallest cached batch ``B >= n`` within ``pad_max_ratio``, and the
-   first ``n`` output rows are returned;
-3. **tail capture** — a row-stable forward plan is compiled on demand for
-   this exact shape and cached (pinned);
-4. **eager rows** — if capture fails (sentinel cached), each sample runs
-   an eager batch-1 forward.
+Request path (:meth:`ServedModel.forward`), in preference order: an
+**exact** cached plan replays; else the group is zero-**padded**
+(``BatchPadder``) up to the smallest cached batch ``B >= n`` within
+``pad_max_ratio`` and the first ``n`` rows are returned; else the
+protocol's miss captures a row-stable **tail** plan for this shape, or its
+sealed failure runs **eager rows** (one batch-1 forward per sample).
 
 Every path preserves the serving invariant: each request's logits are
 bit-identical to a batch-1 eager forward of that request alone, because
@@ -39,7 +37,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ..io.checkpoint import load_checkpoint
-from ..tensor.compile import BatchPadder, PlanCache, StepPlan, capture_forward
+from ..tensor.compile import BatchPadder, PlanCache, capture_forward
 from ..tensor.tensor import Tensor, no_grad
 
 __all__ = ["RegistryError", "ServedModel", "ModelRegistry"]
@@ -61,7 +59,7 @@ class ServedModel:
         #: with a higher generation, so stale plans are structurally
         #: unreachable rather than runtime-checked
         self.generation = generation
-        self.plans = PlanCache(max_entries=max_plans, auto_purge=False)
+        self.plans = PlanCache(max_entries=max_plans, pinned=True)
         self.pad_max_ratio = float(pad_max_ratio)
         self._padders: Dict[tuple, BatchPadder] = {}
         self._lock = threading.RLock()
@@ -85,17 +83,11 @@ class ServedModel:
         dstr = x.dtype.str
         with self._lock:
             key = (n, sshape, dstr)
-            cached = self.plans.lookup(key)
-            if isinstance(cached, StepPlan):
-                reason = cached.invalid_reason()
-                if reason is None:
-                    self.exact_replays += 1
-                    return np.array(cached.run_forward(x), copy=True)
-                self.plans.drop(key)
-                cached.release_buffers()
-                cached = None
-            if isinstance(cached, str):
-                # capture is known to fail for this shape; sealed sentinel
+            plan = self.plans.lookup(key)
+            if plan is not None:
+                self.exact_replays += 1
+                return np.array(plan.run_forward(x), copy=True)
+            if self.plans.sealed(key):
                 return self._eager_rows(x)
             padded = self._forward_padded(x, n, sshape, dstr)
             if padded is not None:
@@ -114,7 +106,7 @@ class ServedModel:
             if best is not None and b >= best[0]:
                 continue
             plan = self.plans.lookup(bkey)
-            if isinstance(plan, StepPlan) and plan.invalid_reason() is None:
+            if plan is not None:
                 best = (b, plan)
         if best is None:
             return None
@@ -131,13 +123,11 @@ class ServedModel:
     def _forward_capture(self, x: np.ndarray, key: tuple) -> np.ndarray:
         """Compile a tail-shape plan on demand (or seal the failure)."""
         plan, _, reason = capture_forward(self.model, x, row_stable=True)
+        self.plans.store(key, plan, reason)
         if plan is None:
-            self.plans.store(key, reason or "capture failed")
             self.capture_failures += 1
             return self._eager_rows(x)
-        plan.pin()
         plan.serve_generation = self.generation
-        self.plans.store(key, plan)
         self.captures += 1
         # The capture pass's own logits use the standard batched lowering;
         # replay through the row-stable thunks for the serving contract.
@@ -161,11 +151,9 @@ class ServedModel:
         x = np.zeros((batch,) + tuple(sample_shape), dtype=np.dtype(dtype))
         with self._lock:
             key = (batch, tuple(sample_shape), x.dtype.str)
-            cached = self.plans.lookup(key)
-            if isinstance(cached, StepPlan) and cached.invalid_reason() is None:
-                return True
-            self._forward_capture(x, key)
-            return isinstance(self.plans.lookup(key), StepPlan)
+            if self.plans.lookup(key) is None:
+                self._forward_capture(x, key)
+            return self.plans.lookup(key) is not None
 
     def release(self) -> None:
         """Free every cached plan's buffers and arenas (evict path)."""

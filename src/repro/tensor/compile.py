@@ -86,6 +86,16 @@ class PlanStats:
         self.capture_seconds = self.replay_seconds = 0.0
         self.last_fallback_reason = ""
 
+    def count_capture(self, plan, reason: Optional[str], t0: float) -> None:
+        """Book one capture attempt started at ``time.perf_counter() == t0``:
+        a plan counts as a capture, ``plan is None`` as a fallback."""
+        if plan is not None:
+            self.captures += 1
+            self.capture_seconds += time.perf_counter() - t0
+        else:
+            self.fallbacks += 1
+            self.last_fallback_reason = reason or "capture failed"
+
     def as_dict(self) -> Dict[str, object]:
         return {"captures": self.captures,
                 "capture_seconds": self.capture_seconds,
@@ -1457,6 +1467,7 @@ class StepPlan:
         #: comm-launch thunks spliced into serial replay: fired after the
         #: given backward thunk
         self._comm_at: Dict[int, List[Callable[[], None]]] = {}
+        self._comm_buckets: set = set()
         self.generation = ws.PLAN_GENERATION
         self.engine_sig = ws.config.plan_signature()
         #: forward plans captured with the per-sample Linear lowering
@@ -1518,27 +1529,36 @@ class StepPlan:
         return None
 
     # -- plan-scheduled communication --------------------------------------
-    def add_comm_thunk(self, leaf_ids: List[int],
-                       fn: Callable[[], None]) -> bool:
+    def add_comm_thunk(self, bucket: int, leaf_ids: List[int],
+                       fn: Callable[[], None]) -> None:
         """Schedule ``fn`` to run as soon as every listed leaf's gradient
-        is final during backward replay (the elastic worker's per-bucket
-        launch notification).
+        is final during backward replay (the elastic worker's launch
+        notification for gradient bucket ``bucket``).
 
-        Returns ``False`` — caller must fall back to firing ``fn`` after
-        the full replay — unless *every* leaf is both zero-copy bound (its
-        gradient lands in shared memory with no post-run copy) and tracked
-        to a backward thunk.  Only serial training plans track leaves;
-        a level-scheduled plan (thunks of a level retire in any order)
-        always answers ``False``.
+        The bucket is scheduled — and listed by :meth:`comm_buckets` —
+        only if *every* leaf is both zero-copy bound (its gradient lands in
+        shared memory with no post-run copy) and tracked to a backward
+        thunk; otherwise the caller fires ``fn`` after the full replay.
+        Only serial training plans track leaves; a level-scheduled plan
+        (thunks of a level retire in any order) schedules nothing.
         """
         if self.kind != "train":
-            return False
+            return
         for lid in leaf_ids:
             if lid not in self._sink_bound or lid not in self._leaf_bwd_idx:
-                return False
+                return
         idx = max(self._leaf_bwd_idx[lid] for lid in leaf_ids)
         self._comm_at.setdefault(idx, []).append(fn)
-        return True
+        self._comm_buckets.add(bucket)
+
+    def comm_buckets(self) -> frozenset:
+        """Buckets whose launch :meth:`add_comm_thunk` bound into replay."""
+        return frozenset(self._comm_buckets)
+
+    def sink_bound_leaves(self) -> frozenset:
+        """``id()`` of every leaf whose gradient replay writes straight
+        into its zero-copy sink (no post-run copy needed)."""
+        return frozenset(self._sink_bound)
 
     # -- memory reporting --------------------------------------------------
     def mem_metrics(self) -> Optional[Dict[str, float]]:
@@ -1718,34 +1738,34 @@ class StepPlan:
 
 
 class PlanCache:
-    """Shape-keyed LRU plan cache that self-clears on generation bumps.
+    """Shape-keyed LRU plan cache: the one statement of the compiled-step
+    protocol.  A call site replays what :meth:`lookup` returns; on ``None``
+    it stays eager if :meth:`sealed` names a recorded capture failure, and
+    otherwise captures and hands the outcome to :meth:`store` (a failure
+    is sealed, so an uncompilable step is attempted once per stationary
+    phase, not once per batch).  ``lookup`` itself drops a stale plan
+    (``StepPlan.invalid_reason``) and reads it as a miss.
 
-    Values are either a :class:`StepPlan` or a ``str`` fallback reason (a
-    capture-failure sentinel, so an uncompilable step is attempted once per
-    stationary phase, not once per batch).
+    Stale-generation entries are purged on *every* access — ``store``
+    included, so a store right after a reconfiguration can never re-stamp
+    dead plans (and their arenas) with the new generation.  ``max_entries``
+    bounds growth across dynamic-batch tails by LRU eviction.
 
-    Stale-generation entries are purged eagerly on *every* access —
-    ``store`` included, so a store right after a reconfiguration can never
-    re-stamp dead plans (and their arenas) with the new generation.  The
-    ``max_entries`` cap bounds growth across dynamic-batch tails: a run
-    that keeps (batch, tail-batch) pairs per stationary phase stays small,
-    but a pathological key churn evicts least-recently-used plans instead
-    of accumulating arenas for the life of the trainer.
-
-    ``auto_purge=False`` turns the generation sweep off — the serving
-    registry's per-model caches hold *pinned* plans whose validity is
-    scoped to the registry entry, not the global generation (loading one
-    model must not purge another model's hot plans).  LRU-evicted plans
-    then get their buffers released eagerly, since nothing else will.
+    ``pinned=True`` (the serving registry's per-model cache) pins what it
+    stores and skips the generation sweep — those plans' validity is scoped
+    to the registry entry, and loading one model must not purge another's
+    hot plans.  Such a cache owns its plans' buffers and releases every
+    plan it drops (stale, evicted or cleared) at once.
     """
 
-    def __init__(self, max_entries: int = 8, auto_purge: bool = True) -> None:
+    def __init__(self, max_entries: int = 8, pinned: bool = False) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
+        #: ``key -> StepPlan`` or ``key -> str`` (a sealed failure reason)
         self._plans: Dict[tuple, object] = {}
         self._generation = ws.PLAN_GENERATION
         self.max_entries = max_entries
-        self.auto_purge = auto_purge
+        self.pinned = pinned
         self.evictions = 0
         # Lookups/stores may race a generation bump from another thread
         # (ws.invalidate_plans is atomic on its side); RLock because
@@ -1754,7 +1774,7 @@ class PlanCache:
 
     def purge_stale(self) -> None:
         """Drop every entry captured before the current plan generation."""
-        if not self.auto_purge:
+        if self.pinned:
             return
         with self._lock:
             gen = ws.plan_generation()
@@ -1762,33 +1782,58 @@ class PlanCache:
                 self._plans.clear()
                 self._generation = gen
 
-    def lookup(self, key: tuple):
+    def _discard(self, value) -> None:
+        if self.pinned and isinstance(value, StepPlan):
+            value.release_buffers()
+
+    def _get(self, key: tuple):
+        """The live entry for ``key`` (LRU-refreshed); caller holds the
+        lock."""
+        self.purge_stale()
+        value = self._plans.pop(key, None)
+        if value is not None:
+            self._plans[key] = value
+        return value
+
+    def lookup(self, key: tuple) -> Optional[StepPlan]:
+        """The replayable plan cached for ``key``, or ``None`` (a stale
+        plan is dropped here, so the caller recaptures)."""
         with self._lock:
-            self.purge_stale()
-            value = self._plans.get(key)
-            if value is not None:
-                # Refresh LRU position (dict preserves insertion order).
-                self._plans.pop(key)
-                self._plans[key] = value
+            value = self._get(key)
+            if not isinstance(value, StepPlan):
+                return None
+            if value.invalid_reason() is not None:
+                del self._plans[key]
+                self._discard(value)
+                return None
             return value
 
-    def store(self, key: tuple, value) -> None:
+    def sealed(self, key: tuple) -> Optional[str]:
+        """The capture-failure reason recorded for ``key`` in this
+        generation, or ``None`` — a retry would fail the same way."""
+        with self._lock:
+            value = self._get(key)
+            return value if isinstance(value, str) else None
+
+    def store(self, key: tuple, plan: Optional[StepPlan],
+              reason: Optional[str]) -> Optional[str]:
+        """Record a capture's outcome as the capture returns it: the plan,
+        or (``plan is None``) its failure ``reason``, sealed.  Returns the
+        sealed reason, ``None`` when a plan was stored."""
+        if plan is not None:
+            reason = None
+            if self.pinned:
+                plan.pin()
+        else:
+            reason = reason or "capture failed"
         with self._lock:
             self.purge_stale()
             self._plans.pop(key, None)
-            self._plans[key] = value
+            self._plans[key] = plan if plan is not None else reason
             while len(self._plans) > self.max_entries:
-                oldest = next(iter(self._plans))
-                old = self._plans.pop(oldest)
+                self._discard(self._plans.pop(next(iter(self._plans))))
                 self.evictions += 1
-                # Pinned serve plans are owned by this cache alone; free
-                # their arenas now instead of waiting on the GC.
-                if not self.auto_purge and isinstance(old, StepPlan):
-                    old.release_buffers()
-
-    def drop(self, key: tuple) -> None:
-        with self._lock:
-            self._plans.pop(key, None)
+        return reason
 
     def clear(self, release: bool = False) -> None:
         """Drop every entry; ``release=True`` also frees plan buffers
@@ -1832,12 +1877,7 @@ def capture_training_step(model, x: np.ndarray, targets: np.ndarray):
         logits = model(xt)
         loss = cross_entropy(logits, targets)
     plan, reason = tape.finalize_training(loss, logits, targets)
-    if plan is not None:
-        STATS.captures += 1
-        STATS.capture_seconds += time.perf_counter() - t0
-    else:
-        STATS.fallbacks += 1
-        STATS.last_fallback_reason = reason or "capture failed"
+    STATS.count_capture(plan, reason, t0)
     return plan, loss, logits, reason
 
 
@@ -1857,12 +1897,7 @@ def capture_forward(model, x: np.ndarray, *, row_stable: bool = False):
         xt = tape.input(x)
         logits = model(xt)
     plan, reason = tape.finalize_forward(logits, row_stable=row_stable)
-    if plan is not None:
-        STATS.captures += 1
-        STATS.capture_seconds += time.perf_counter() - t0
-    else:
-        STATS.fallbacks += 1
-        STATS.last_fallback_reason = reason or "capture failed"
+    STATS.count_capture(plan, reason, t0)
     return plan, logits, reason
 
 

@@ -29,7 +29,7 @@ from ..prune.sparsity import model_channel_sparsity
 from ..tensor import Tensor, no_grad
 from ..tensor import functional as F
 from ..tensor import workspace as _ws
-from ..tensor.compile import (PlanCache, StepPlan, capture_forward,
+from ..tensor.compile import (PlanCache, capture_forward,
                               capture_training_step)
 from .metrics import EpochRecord, RunLog
 
@@ -177,9 +177,10 @@ class Trainer:
         return (self._compile_enabled and self.cfg.workers == 1
                 and not self.cfg.profile)
 
-    def _note_fallback(self, reason: Optional[str]) -> None:
-        reason = reason or "capture failed"
-        if reason not in self._fallback_reasons:
+    def _store(self, plans: PlanCache, key: tuple, plan, reason) -> None:
+        """Cache a capture's outcome; print each new fallback reason once."""
+        reason = plans.store(key, plan, reason)
+        if reason is not None and reason not in self._fallback_reasons:
             self._fallback_reasons.add(reason)
             print(f"[{self.method_name}] compile_step fallback: {reason}")
 
@@ -197,22 +198,13 @@ class Trainer:
         if not self._compile_active():
             return self._step_eager(xb, yb)
         key = ("train", xb.shape, xb.dtype.str, yb.shape, yb.dtype.str)
-        cached = self._train_plans.lookup(key)
-        if isinstance(cached, StepPlan):
-            reason = cached.invalid_reason()
-            if reason is None:
-                self.optimizer.zero_grad()
-                loss_arr, logits_arr = cached.run(xb, yb)
-                acc = float((logits_arr.argmax(1) == yb).mean())
-                return float(loss_arr), acc, 0.0
-            # Stale within the same generation (engine config / parameter
-            # shape changed under us): drop it and recapture this batch.
-            self._train_plans.drop(key)
-            cached = None
-        if isinstance(cached, str):
-            # Capture already failed for this shape in this generation; a
-            # retry would fail the same way, so stay eager until the next
-            # reconfiguration clears the cache.
+        plan = self._train_plans.lookup(key)
+        if plan is not None:
+            self.optimizer.zero_grad()
+            loss_arr, logits_arr = plan.run(xb, yb)
+            acc = float((logits_arr.argmax(1) == yb).mean())
+            return float(loss_arr), acc, 0.0
+        if self._train_plans.sealed(key):
             return self._step_eager(xb, yb)
         # Miss: capture this batch.  The capture *is* an eager step (same
         # kernels, same results), so we finish it as one — backprop through
@@ -221,13 +213,9 @@ class Trainer:
         self.optimizer.zero_grad()
         plan, loss_t, logits_t, reason = capture_training_step(
             self.model, xb, yb)
-        if plan is not None:
-            self._train_plans.store(key, plan)
-            if xb.shape[0] == self.loader.batch_size:
-                self._last_mem_metrics = plan.mem_metrics()
-        else:
-            self._train_plans.store(key, reason or "capture failed")
-            self._note_fallback(reason)
+        self._store(self._train_plans, key, plan, reason)
+        if plan is not None and xb.shape[0] == self.loader.batch_size:
+            self._last_mem_metrics = plan.mem_metrics()
         loss_t.backward()
         acc = float((logits_t.data.argmax(1) == yb).mean())
         return loss_t.item(), acc, 0.0
@@ -433,21 +421,13 @@ class Trainer:
         that reassigns them bumps the plan generation.
         """
         key = ("eval", xb.shape, xb.dtype.str)
-        cached = self._eval_plans.lookup(key)
-        if isinstance(cached, StepPlan):
-            reason = cached.invalid_reason()
-            if reason is None:
-                return cached.run_forward(xb)
-            self._eval_plans.drop(key)
-            cached = None
-        if isinstance(cached, str):
+        plan = self._eval_plans.lookup(key)
+        if plan is not None:
+            return plan.run_forward(xb)
+        if self._eval_plans.sealed(key):
             return self.model(Tensor(xb)).data
         plan, logits_t, reason = capture_forward(self.model, xb)
-        if plan is not None:
-            self._eval_plans.store(key, plan)
-        else:
-            self._eval_plans.store(key, reason or "capture failed")
-            self._note_fallback(reason)
+        self._store(self._eval_plans, key, plan, reason)
         return logits_t.data
 
     # -- instrumentation ------------------------------------------------------

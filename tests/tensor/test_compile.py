@@ -442,46 +442,101 @@ class TestFallback:
         loss_t.backward()
 
 
+def _captured_plan(seed=7):
+    x, y = _batch(np.random.default_rng(seed))
+    plan, loss_t, _, reason = capture_training_step(_model(), x, y)
+    assert reason is None
+    loss_t.backward()
+    return plan
+
+
+def _flipped_engine():
+    """Pin one switchboard field to its other value (stales every plan)."""
+    return workspace.engine(fused_bnrelu=not workspace.config.fused_bnrelu)
+
+
 class TestPlanCache:
     def test_store_lookup_and_sentinels(self):
         cache = PlanCache()
-        cache.store(("train", (8, 3, 8, 8)), "unsupported op")
-        assert cache.lookup(("train", (8, 3, 8, 8))) == "unsupported op"
+        key = ("train", (8, 3, 8, 8))
+        assert cache.store(key, None, "unsupported op") == "unsupported op"
+        assert cache.lookup(key) is None
+        assert cache.sealed(key) == "unsupported op"
+        assert cache.store(("bare",), None, None) == "capture failed"
+        plan = _captured_plan()
+        assert cache.store(("plan",), plan, None) is None
+        assert cache.lookup(("plan",)) is plan
+        assert cache.sealed(("plan",)) is None
         assert cache.lookup(("train", (16, 3, 8, 8))) is None
-        assert len(cache) == 1
+        assert cache.sealed(("train", (16, 3, 8, 8))) is None
+        assert len(cache) == 3
 
     def test_generation_bump_clears(self):
         cache = PlanCache()
-        cache.store(("k",), "x")
+        cache.store(("k",), None, "x")
         workspace.invalidate_plans()
-        assert cache.lookup(("k",)) is None
+        assert cache.sealed(("k",)) is None
         assert len(cache) == 0
 
-    def test_drop(self):
+    def test_lookup_drops_stale_plan(self):
+        """A plan the engine switch staled is never returned: the lookup
+        drops it, so it stays gone once the switch is restored."""
         cache = PlanCache()
-        cache.store(("k",), "x")
-        cache.drop(("k",))
-        assert cache.lookup(("k",)) is None
+        plan = _captured_plan()
+        cache.store(("k",), plan, None)
+        with _flipped_engine():
+            assert cache.lookup(("k",)) is None
+        assert plan.invalid_reason() is None
+        assert cache.lookup(("k",)) is None and len(cache) == 0
+        # an unpinned cache does not own the buffers: nothing released
+        assert not plan.pinned and not plan._released
+
+    def test_pinned_cache_releases_dropped_plan(self):
+        from repro.tensor import memplan
+        with workspace.engine(mem_plan=True):
+            cache = PlanCache(pinned=True)
+            plan = _captured_plan()
+            cache.store(("k",), plan, None)
+            assert plan.pinned
+            workspace.invalidate_plans()     # pinned: no generation sweep
+            assert cache.lookup(("k",)) is plan
+            base = memplan.live_arena_count()
+            with _flipped_engine():
+                assert cache.lookup(("k",)) is None
+                assert plan._released
+                assert memplan.live_arena_count() == base - 1
+            assert len(cache) == 0
+
+    def test_sealed_reason_survives_lookup_until_generation_bump(self):
+        cache = PlanCache()
+        cache.store(("k",), None, "unsupported op")
+        for _ in range(3):
+            assert cache.lookup(("k",)) is None
+            assert cache.sealed(("k",)) == "unsupported op"
+        with _flipped_engine():
+            assert cache.sealed(("k",)) == "unsupported op"
+        workspace.invalidate_plans()
+        assert cache.sealed(("k",)) is None
 
     def test_entry_cap_evicts_least_recently_used(self):
         cache = PlanCache(max_entries=2)
-        cache.store(("a",), 1)
-        cache.store(("b",), 2)
-        assert cache.lookup(("a",)) == 1     # refresh "a": "b" is now LRU
-        cache.store(("c",), 3)
-        assert cache.lookup(("b",)) is None  # evicted
-        assert cache.lookup(("a",)) == 1
-        assert cache.lookup(("c",)) == 3
+        cache.store(("a",), None, "1")
+        cache.store(("b",), None, "2")
+        assert cache.sealed(("a",)) == "1"   # refresh "a": "b" is now LRU
+        cache.store(("c",), None, "3")
+        assert cache.sealed(("b",)) is None  # evicted
+        assert cache.sealed(("a",)) == "1"
+        assert cache.sealed(("c",)) == "3"
         assert cache.evictions == 1 and len(cache) == 2
 
     def test_restore_refreshes_lru_position(self):
         cache = PlanCache(max_entries=2)
-        cache.store(("a",), 1)
-        cache.store(("b",), 2)
-        cache.store(("a",), 10)              # re-store also refreshes
-        cache.store(("c",), 3)
-        assert cache.lookup(("b",)) is None
-        assert cache.lookup(("a",)) == 10
+        cache.store(("a",), None, "1")
+        cache.store(("b",), None, "2")
+        cache.store(("a",), None, "10")      # re-store also refreshes
+        cache.store(("c",), None, "3")
+        assert cache.sealed(("b",)) is None
+        assert cache.sealed(("a",)) == "10"
 
     def test_invalid_max_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -491,12 +546,43 @@ class TestPlanCache:
         """Regression: a store right after a reconfiguration must not
         re-stamp plans captured in the previous generation as current."""
         cache = PlanCache()
-        cache.store(("old",), "stale-plan")
+        cache.store(("old",), None, "stale")
         workspace.invalidate_plans()
-        cache.store(("new",), "fresh-plan")  # no lookup in between
-        assert cache.lookup(("old",)) is None
-        assert cache.lookup(("new",)) == "fresh-plan"
+        cache.store(("new",), None, "fresh")  # no lookup in between
+        assert cache.sealed(("old",)) is None
+        assert cache.sealed(("new",)) == "fresh"
         assert len(cache) == 1
+
+
+def test_plan_cache_protocol_is_stated_only_in_compile():
+    """Replay / drop-stale / sealed-failure / capture is decided once, in
+    ``PlanCache``: no other ``src/`` module asks a plan ``invalid_reason()``
+    or type-tests what a cache lookup returned."""
+    import ast
+    import pathlib
+    from repro.tensor import compile as C
+    compile_py = pathlib.Path(C.__file__)
+    offenders = []
+    for path in sorted(compile_py.parents[1].rglob("*.py")):
+        if path == compile_py:
+            continue
+        tree = ast.parse(path.read_text())
+        cached = {t.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Call)
+                  and isinstance(node.value.func, ast.Attribute)
+                  and node.value.func.attr in ("lookup", "sealed")
+                  for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            if func.endswith(".invalid_reason") or func == "isinstance" and (
+                    ast.unparse(node.args[0]) in cached
+                    or "StepPlan" in ast.unparse(node.args[1])):
+                offenders.append(f"{path.name}:{node.lineno} "
+                                 f"{ast.unparse(node)}")
+    assert not offenders, offenders
 
 
 def test_stats_surface_in_profiler_summary():

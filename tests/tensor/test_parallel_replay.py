@@ -311,7 +311,7 @@ class TestThreadSafetyRegressions:
             i = 0
             try:
                 while not stop.is_set():
-                    cache.store(("k", i % 4), object())
+                    cache.store(("k", i % 4), None, "unsupported op")
                     cache.lookup(("k", (i + 1) % 4))
                     len(cache)
                     i += 1

@@ -115,3 +115,43 @@ def test_switch_lattice_is_closed():
         flipped = dataclasses.replace(
             cfg, **{f.name: other[type(value)](value)})
         assert flipped.plan_signature() != cfg.plan_signature(), f.name
+
+
+def test_captures_go_through_the_names_the_benchmark_wraps(monkeypatch):
+    """``benchmarks/e2e`` times plan capture (its ``compile.capture`` span)
+    by wrapping three module-level names: ``capture_training_step`` and
+    ``capture_forward`` in ``repro.train.trainer`` and ``capture_forward``
+    in ``repro.serve.registry``.  A compiled training step, a compiled
+    evaluation and a served request must each capture through them."""
+    from repro.data import make_synthetic
+    from repro.nn import resnet20
+    from repro.serve import ModelRegistry
+    from repro.serve import registry as registry_mod
+    from repro.tensor import workspace
+    from repro.train import Trainer, TrainerConfig
+    from repro.train import trainer as trainer_mod
+    calls = []
+
+    def spy(mod, name):
+        real = getattr(mod, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(f"{mod.__name__}.{name}")
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, wrapped)
+
+    spy(trainer_mod, "capture_training_step")
+    spy(trainer_mod, "capture_forward")
+    spy(registry_mod, "capture_forward")
+    data = make_synthetic(10, 32, hw=8, noise=0.8, seed=0, name="api")
+    with workspace.engine(conv_impl="einsum"):
+        tr = Trainer(resnet20(10, width_mult=0.25, input_hw=8), data, data,
+                     TrainerConfig(epochs=1, batch_size=16, augment=False,
+                                   bn_recal_batches=0, compile_step=True))
+        tr.train()
+        registry = ModelRegistry()
+        registry.register_model("m", tr.model)
+        registry.run("m", data.x[:4])
+    assert calls == ["repro.train.trainer.capture_training_step",
+                     "repro.train.trainer.capture_forward",
+                     "repro.serve.registry.capture_forward"]

@@ -74,6 +74,37 @@ class TestDenseTrainer:
                 assert all(r.arena_bytes > 0 for r in run())
             assert workspace.config.mem_plan is False
 
+    def test_seed_conv_seals_one_capture_attempt_per_key(self, data,
+                                                          capsys):
+        """Capture fails closed on the seed conv lowering.  The plan cache
+        seals each failure per (train/eval, batch shape) key, so a 2-epoch
+        run attempts one capture per key, prints each reason once and
+        otherwise steps and evaluates eagerly — bit for bit the run with
+        compiled stepping off."""
+        from repro.tensor.compile import STATS
+        from .test_resume import assert_logs_identical
+        train, val = data
+
+        def run(compile_step):
+            tr = Trainer(resnet20(10, width_mult=0.25, input_hw=8), train,
+                         val, TrainerConfig(**tiny_cfg(
+                             epochs=2, batch_size=48, eval_batch=48,
+                             compile_step=compile_step)))
+            return tr.train()
+
+        with workspace.engine(conv_impl="im2col"):
+            eager = run(False)
+            capsys.readouterr()
+            before = STATS.fallbacks
+            compiled = run(True)
+            # train batches 48, 48, 32 and eval batches 48, 16: four keys
+            assert STATS.fallbacks - before == 4
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if "compile_step fallback:" in line]
+        assert lines == ["[dense] compile_step fallback: compiled plans "
+                         "require the einsum conv lowering"]
+        assert_logs_identical(eager, compiled)
+
     def test_engine_pin_restores_and_rejects_unknown_switches(self):
         cfg = workspace.config
         before = cfg.plan_signature()
