@@ -1,40 +1,25 @@
-"""Ring allreduce — an executable, step-faithful simulation.
+"""Ring allreduce, executed step by step, and the gradient exchange of a
+data-parallel step.
 
-The cost *model* lives in :mod:`repro.costmodel.comm`; this module actually
-performs the algorithm over in-process "workers" (NumPy buffers), chunk by
-chunk, in the same schedule a real NCCL ring would use: P-1 reduce-scatter
-steps followed by P-1 allgather steps, each moving one 1/P-sized chunk per
-worker.  Besides producing bit-identical reduced gradients for the
-data-parallel trainer, it returns the per-worker byte count actually moved,
-which the tests cross-check against the closed-form ``2 (P-1)/P · payload``.
-
-Bucketed execution
-------------------
-:func:`ring_allreduce_range` reduces one contiguous *bucket* of a larger
-payload while staying bit-identical to a single monolithic ring over the
-whole payload.  The trick is that the association order of the running sums
-in a ring depends only on an element's global chunk ("role") index — chunk
-``ci``'s reduce-scatter chain is always ``w[ci+1] += w[ci]``,
-``w[ci+2] += w[ci+1]``, ...  So a bucket is reduced by intersecting it with
-the *global* role boundaries (``linspace`` over the full payload) and
-replaying each role's chain on the intersection.  Any partition of the
-payload into buckets, launched in any order, therefore produces exactly the
-bits of the monolithic call — which is what lets the elastic engine overlap
-per-bucket exchanges with backward compute without giving up its
-bit-exactness contract (see ``tests/distributed/test_comm_overlap.py``).
-
-:func:`plan_gradient_buckets` groups gradient sinks into size-targeted
-buckets at module boundaries, ordered the way backward produces them (last
-module first), so each bucket's exchange can launch as soon as its last
-gradient lands.
+The cost *model* lives in :mod:`repro.costmodel.comm`; this module performs
+the algorithm over NumPy buffers, one per worker, in a real ring's schedule
+(P-1 reduce-scatter then P-1 allgather steps) and counts the bytes moved.
+:func:`ring_allreduce` is the monolithic reference; the step protocol —
+:class:`GradPayload` (the flat layout and its buckets) and
+:class:`BucketExchange` (bucket-by-bucket reduction with
+:func:`ring_allreduce_range`, bit-identical to the reference) — is stated
+in ``docs/ARCHITECTURE.md`` §12.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+import time
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
+
+from ..profiler import PROFILER
 
 
 @dataclass
@@ -273,45 +258,126 @@ def module_param_groups(model) -> List[Tuple[int, int]]:
     return groups
 
 
-def allreduce_gradient_lists(grads: List[List[np.ndarray]],
-                             average: bool = True) -> float:
-    """All-reduce per-worker gradient lists (one list per worker) in place.
+#: default gradient-bucket payload target in bytes (module-aligned; the last
+#: bucket takes the remainder)
+BUCKET_BYTES = 65536
 
-    Gradients are flattened into a single payload per worker so the ring
-    schedule matches what a fused NCCL call would do.  Returns per-worker
-    bytes moved.
 
-    Every worker must present the same number of gradients with matching
-    shapes — a lagging replica that missed a reconfiguration resync would
-    otherwise be silently misreduced (or die in an opaque reshape deep in
-    the ring), so the mismatch is rejected up front with a clear error.
+class GradPayload:
+    """The flat float32 payload of one model's parameters or gradients.
+
+    ``params`` (in ``model.parameters()`` order) lie end to end: ``sizes``
+    and ``offsets`` in elements, ``total`` elements in all.  With more than
+    one worker the payload is cut into module-aligned ``buckets``
+    (:func:`plan_gradient_buckets`).  Everything derives from model
+    structure, so the coordinator, every replica and the simulation build
+    identical layouts independently.
     """
-    p = len(grads)
-    if p == 0:
-        raise ValueError("no workers")
-    ref = grads[0]
-    for w, worker in enumerate(grads[1:], start=1):
-        if len(worker) != len(ref):
-            raise ValueError(
-                f"allreduce gradient lists disagree: worker 0 has "
-                f"{len(ref)} gradients but worker {w} has {len(worker)} — "
-                f"replicas are out of sync (missed reconfiguration resync?)")
-        for i, (a, b) in enumerate(zip(ref, worker)):
-            if a.shape != b.shape:
-                raise ValueError(
-                    f"allreduce gradient lists disagree at index {i}: "
-                    f"worker 0 has shape {a.shape} but worker {w} has "
-                    f"{b.shape} — replicas are out of sync (missed "
-                    f"reconfiguration resync?)")
-    if p == 1:
-        return 0.0
-    sizes = [g.size for g in ref]
-    payloads = [np.concatenate([g.reshape(-1) for g in worker])
-                for worker in grads]
-    trace = ring_allreduce(payloads, average=average)
-    for worker, payload in zip(grads, payloads):
-        offset = 0
-        for g, size in zip(worker, sizes):
-            g[...] = payload[offset:offset + size].reshape(g.shape)
-            offset += size
-    return trace.bytes_per_worker
+
+    def __init__(self, model, workers: int,
+                 bucket_bytes: int = BUCKET_BYTES):
+        self.params = model.parameters()
+        self.sizes = [p.data.size for p in self.params]
+        self.offsets = list(np.cumsum([0] + self.sizes[:-1]))
+        self.total = int(sum(self.sizes))
+        self.buckets: List[GradBucket] = plan_gradient_buckets(
+            self.sizes, self.offsets, module_param_groups(model),
+            bucket_bytes) if workers > 1 else []
+
+    def views(self, flat: np.ndarray) -> List[Tuple[object, np.ndarray]]:
+        """``(param, view)`` pairs: ``flat`` at each parameter's offset,
+        shaped like the parameter."""
+        return [(p, flat[off:off + sz].reshape(p.data.shape))
+                for p, off, sz in zip(self.params, self.offsets, self.sizes)]
+
+    def sinks(self, flat: np.ndarray) -> Dict[int, np.ndarray]:
+        """The map ``workspace.bind_grad_sinks`` takes: compiled backward
+        then writes each gradient straight into ``flat``."""
+        return {id(p): v for p, v in self.views(flat)}
+
+    def pack_params(self, flat: np.ndarray) -> None:
+        for p, v in self.views(flat):
+            v[...] = p.data
+
+    def unpack_params(self, flat: np.ndarray) -> None:
+        for p, v in self.views(flat):
+            p.data[...] = v
+
+    def pack_grads(self, flat: np.ndarray, skip=frozenset()) -> None:
+        """Write every gradient (zeros where there is none) into ``flat``,
+        except those of the parameters whose ids are in ``skip`` — the ones
+        already written there through a bound sink."""
+        for p, v in self.views(flat):
+            if id(p) not in skip:
+                v[...] = 0.0 if p.grad is None else p.grad
+
+    def unpack_grads(self, flat: np.ndarray) -> None:
+        for p, v in self.views(flat):
+            p.grad = v.copy()
+
+
+class BucketExchange:
+    """One attempt at reducing ``flats``, one flat payload per participant,
+    bucket by bucket with :func:`ring_allreduce_range`.
+
+    :meth:`on_bucket` reduces a bucket once every participant has posted
+    it (the overlapped path), :meth:`finish` reduces the rest (the tail).
+    ``moved`` stays an integer total until the one divide in
+    :meth:`finish`, so ``comm_bytes_per_worker`` equals the monolithic
+    ``AllreduceTrace.bytes_per_worker`` however the payload was cut.  A lone
+    participant exchanges nothing.  The accounting lands in
+    :data:`COMM_STATS`.
+    """
+
+    def __init__(self, payload: GradPayload, flats: List[np.ndarray],
+                 tag: tuple = ()):
+        self.payload = payload
+        self.flats = flats
+        self.tag = tag
+        self.k = len(flats)
+        self.posted: Dict[int, Set[int]] = {}
+        self.reduced: Set[int] = set()
+        self.moved = 0
+        self.seconds = 0.0
+        self.overlapped = 0
+
+    def on_bucket(self, rank: int, msg: tuple) -> None:
+        """``rank`` announced ``msg == (*tag, bucket index)`` after writing
+        that bucket of its payload; a message of any other tag is ignored."""
+        if self.k < 2 or tuple(msg[:-1]) != self.tag:
+            return
+        index = msg[-1]
+        ranks = self.posted.setdefault(index, set())
+        ranks.add(rank)
+        COMM_STATS.bucket_launches += 1
+        if len(ranks) == self.k and index not in self.reduced:
+            self._reduce(self.payload.buckets[index], overlapped=True)
+
+    def finish(self) -> float:
+        """Reduce every bucket still pending; ``comm_bytes_per_worker``."""
+        if self.k < 2:
+            return 0.0
+        for b in self.payload.buckets:
+            if b.index not in self.reduced:
+                self._reduce(b, overlapped=False)
+        comm_bytes = self.moved / self.k
+        if PROFILER.enabled:
+            PROFILER.add("dist_allreduce", self.seconds, int(comm_bytes))
+        return comm_bytes
+
+    def _reduce(self, b: GradBucket, overlapped: bool) -> None:
+        t0 = time.perf_counter()
+        moved = ring_allreduce_range(self.flats, self.payload.total, b.lo,
+                                     b.hi, average=True)
+        dt = time.perf_counter() - t0
+        self.reduced.add(b.index)
+        self.moved += moved
+        self.seconds += dt
+        COMM_STATS.buckets_reduced += 1
+        COMM_STATS.bytes_moved += moved // self.k
+        COMM_STATS.reduce_seconds += dt
+        if overlapped:
+            self.overlapped += 1
+            COMM_STATS.overlapped_seconds += dt
+        else:
+            COMM_STATS.tail_seconds += dt

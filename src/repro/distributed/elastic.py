@@ -1,98 +1,33 @@
 """Elastic multi-process synchronous data-parallel training engine.
 
-This is the scale-out path the paper's Sec. 2.2 ("Distributed Training")
-argues PruneTrain accelerates: K worker *processes* (stdlib
-``multiprocessing``, fork start method) each hold a model replica, compute
-gradients over a shard of the global mini-batch, and exchange them through
-POSIX shared memory using the executable ring-allreduce schedule from
-:mod:`repro.distributed.allreduce` — the same schedule the in-process
-simulation runs, now actually crossing process boundaries.
+The scale-out path of the paper's Sec. 2.2 ("Distributed Training"): K
+worker *processes* (stdlib ``multiprocessing``, fork start method) each hold
+a model replica and compute the gradients of one shard of the global batch.
+The step protocol — shard bounds, the flat gradient payload, the bucket
+exchange and the result — is the simulation's
+(:func:`repro.distributed.worker.data_parallel_step`), stated once in
+``docs/ARCHITECTURE.md`` §9 and §12; only where shards run differs.  Here
+the payloads live in POSIX shared memory: compiled worker plans write
+gradients straight into them and announce each bucket over a pipe while
+backward still runs, and the coordinator reduces a bucket as soon as every
+participant has announced it.  A fault-free run is bit-identical to the
+simulation at the same worker count.
 
-Overlapped zero-copy gradient exchange
---------------------------------------
-Workers replay compiled step plans (:mod:`repro.tensor.compile`) whose
-gradient sink thunks write **directly into the shared-memory gradient
-segment** (``workspace.bind_grad_sinks``): backward's final ``out=``
-reduction lands each parameter's gradient at its flat-payload offset with
-no packing copy.  Gradients are grouped into module-aligned, size-targeted
-buckets (:func:`~repro.distributed.allreduce.plan_gradient_buckets`)
-ordered the way backward produces them; the plan schedules a comm-launch
-thunk (``StepPlan.add_comm_thunk``) after the last backward thunk of each
-bucket, so the worker notifies the coordinator — a ``("bucket", step,
-attempt, index)`` pipe message — while later backward thunks are still
-executing.  The coordinator reduces a bucket with
-:func:`~repro.distributed.allreduce.ring_allreduce_range` the moment every
-participant has posted it, overlapping communication with the stragglers'
-remaining compute; buckets still pending when the last worker finishes are
-reduced as a serial tail.  Because the bucketed ring replays the monolithic
-ring's per-role association chains exactly, the reduced bits are those of
-the simulation's single ring — overlap is a pure scheduling change.
+The coordinator owns the model, the optimizer and the regularizer state;
+workers are stateless gradient engines.  Each worker ships its per-shard
+BN batch statistics home (:func:`repro.tensor.ops.norm.set_bn_stats_sink`)
+and the coordinator replays the running-stat updates in shard order.  A
+``workspace.PLAN_GENERATION`` bump (pruning surgery, checkpoint restore)
+makes the next step resync every replica through
+:func:`repro.io.checkpoint.dumps_state` / ``loads_state``.
 
-This is the one exchange the engine has; only the bucket size is a
-parameter (``ElasticEngine(bucket_bytes=...)``).  A step with no plan to
-replay — the capture step itself, or a capture failure such as the seed
-conv lowering — runs eagerly, packs its gradients into the segment and
-announces every bucket after the pack: same bits
-(``tests/distributed/test_comm_overlap``).
-
-Bit-exactness contract
-----------------------
-A fault-free elastic run is **bit-identical** to the in-process simulation
-(:func:`repro.distributed.worker.data_parallel_step`) with the same worker
-count.  Three properties make that hold:
-
-- *Gradients*: each worker's forward/backward is a pure function of
-  (parameters, shard) — in training mode batch norm normalizes with batch
-  statistics, never the running stats — so replica gradients match the
-  simulation's sequential per-shard backward bit for bit (compiled replay
-  is itself bit-exact vs eager), and the identical ring schedule reduces
-  them to identical bits bucket by bucket.
-- *BN running statistics*: the simulation updates the shared model's
-  running stats once per shard, sequentially.  Each worker ships its batch
-  statistics (via :func:`repro.tensor.ops.norm.set_bn_stats_sink` — fired
-  by the eager kernel and the compiled BN thunk alike) to the coordinator,
-  which replays the same in-place updates on its authoritative model in
-  shard order.
-- *Optimizer/regularizer state*: the coordinator owns the model, the
-  optimizer, and the group-lasso state; workers are stateless gradient
-  engines resynchronized from a parameter broadcast every step.
-
-Reconfiguration resync
-----------------------
-``prune_and_reconfigure`` (and any checkpoint restore) bumps
-``workspace.PLAN_GENERATION``.  The engine watches that counter: on the
-next step it serializes the coordinator model with
-:func:`repro.io.checkpoint.dumps_state` — exactly a format-v2 checkpoint —
-and every worker replays it onto its replica with
-:func:`repro.io.checkpoint.loads_state`, so a resync is bit-equivalent to
-a checkpoint round-trip.  The restore bumps the *worker's* plan generation
-too, purging its compiled plans; the worker then recomputes the payload
-layout, rebinds the shared-memory gradient sinks at the new offsets, and
-recaptures on the next step.  Structure replay is monotone (channels only
-leave, paths only deactivate), so a replica at the previous configuration
-is always a valid restore target, and both sides derive identical bucket
-plans from identical model structure.
-
-Fault model
------------
-Workers heartbeat into shared memory while idle and at step boundaries; a
-worker whose process died, whose pipe closed, or whose heartbeat is stale
-(or garbage) for longer than ``heartbeat_timeout`` is evicted.  A step is
-**atomic**: if any participant fails mid-step — even after some of its
-buckets were already reduced in place — the partial results are discarded,
-the failed workers are evicted, and the whole step re-executes on the
-survivors, whose next attempt fully overwrites every payload element
-(zero-copy sinks are pure ``out=`` overwrites; the eager path packs the
-whole payload), so a half-reduced segment can never leak into a result:
-from the failure step onward the run is bit-identical to a clean run with
-the surviving worker count.  Bucket notifications arrive over the same
-FIFO pipe as results, after the segment is fully written — the coordinator
-never reads a bucket a worker is still writing.  Training degrades
-gracefully from K to K-1 ... down to 1; only the loss of every worker
-aborts the run.  :class:`FaultPlan` scripts failures (kill / hang /
-heartbeat corruption at a given step, or a kill wedged *between* bucket
-launches mid-backward) deterministically, which makes every failure path
-testable.
+Fault model: a worker whose process died, whose pipe closed or whose
+heartbeat is stale (or garbage) past ``heartbeat_timeout`` is evicted.  A
+step is atomic — any participant failure voids the attempt, buckets
+already reduced included, and the survivors re-execute it, fully
+overwriting their payloads — so from the failure on the run equals a clean
+run with the surviving worker count.  :class:`FaultPlan` scripts failures
+deterministically.
 """
 
 from __future__ import annotations
@@ -105,7 +40,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -118,8 +53,8 @@ from ..tensor import functional as F
 from ..tensor import workspace as _ws
 from ..tensor.compile import PlanCache, capture_training_step
 from ..tensor.ops import norm as _norm_ops
-from .allreduce import (COMM_STATS, GradBucket, module_param_groups,
-                        plan_gradient_buckets, ring_allreduce_range)
+from .allreduce import BUCKET_BYTES, COMM_STATS, BucketExchange, GradPayload
+from .worker import StepResult, shard_bounds
 
 
 # -- fault injection ---------------------------------------------------------
@@ -194,13 +129,10 @@ class FailureEvent:
 
 
 @dataclass
-class ElasticStepResult:
-    """One elastic training step's outputs (mirrors ``StepResult`` plus
-    elasticity telemetry)."""
+class ElasticStepResult(StepResult):
+    """One elastic training step's outputs: the :class:`StepResult` plus
+    elasticity telemetry."""
 
-    loss: float
-    accuracy: float
-    comm_bytes_per_worker: float
     stall_seconds: float = 0.0       # wall time lost waiting on stragglers
     active_workers: int = 0          # workers alive after this step
     failures: int = 0                # failures detected during this step
@@ -219,16 +151,17 @@ class _Handle:
     alive: bool = True
 
 
-#: default gradient-bucket payload target (module-aligned; the last bucket
-#: takes the remainder)
-_BUCKET_BYTES = 65536
+#: seconds an idle worker waits for a command between heartbeats, and the
+#: longest the coordinator blocks between failure checks
+_IDLE_POLL = 0.02
+_WAIT_SLICE = 0.05
 
 
 # -- worker process ----------------------------------------------------------
 
 def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
                  capacity: int, nworkers: int, faults: List[FaultAction],
-                 bucket_bytes: int, poll: float) -> None:
+                 bucket_bytes: int) -> None:
     """Worker loop: wait for commands, compute shard gradients, report.
 
     Runs in a forked child: ``replica`` is this process's private copy of
@@ -240,9 +173,6 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
     pending_faults = [a for a in faults if a.kind != "kill_after_bucket"]
     bucket_faults = [a for a in faults if a.kind == "kill_after_bucket"]
     corrupt = False
-    # The host's cores are already oversubscribed K ways by the worker
-    # processes — a per-worker replay thread pool would only fight them.
-    _ws.config.parallel_replay = False
 
     def beat() -> None:
         if not corrupt:
@@ -266,26 +196,14 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
         lambda rm, mu, var: stats_log.append((bn_names[id(rm)], mu, var)))
     rebuild_bn_map()
 
-    # Flat payload layout + bucket plan, derived from the replica (identical
-    # to the coordinator's — same structure, same traversal).  Each
-    # parameter's gradient sink is a view into the shared gradient segment
-    # at its payload offset, so compiled backward writes gradients straight
-    # into the allreduce memory.
-    layout: Dict[str, object] = {}
+    # The replica's payload layout; its gradient sinks are views into the
+    # shared gradient segment, so compiled backward writes straight there.
+    payload: GradPayload
 
     def refresh_layout() -> None:
-        params = replica.parameters()
-        sizes = [p.data.size for p in params]
-        offsets = list(np.cumsum([0] + sizes[:-1]))
-        layout["params"] = params
-        layout["sizes"] = sizes
-        layout["offsets"] = offsets
-        layout["buckets"] = plan_gradient_buckets(
-            sizes, offsets, module_param_groups(replica),
-            bucket_bytes) if nworkers > 1 else []
-        _ws.bind_grad_sinks({
-            id(p): gview[off:off + sz].reshape(p.data.shape)
-            for p, off, sz in zip(params, offsets, sizes)})
+        nonlocal payload
+        payload = GradPayload(replica, nworkers, bucket_bytes)
+        _ws.bind_grad_sinks(payload.sinks(gview))
 
     refresh_layout()
 
@@ -317,83 +235,74 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
         plans.store(key, plan, reason)
         lt.backward()
         if plan is not None:
-            for b in layout["buckets"]:    # none at K = 1
-                lids = [id(layout["params"][i]) for i in b.param_indices]
+            for b in payload.buckets:    # none at K = 1
+                lids = [id(payload.params[i]) for i in b.param_indices]
                 plan.add_comm_thunk(b.index, lids,
                                     lambda i=b.index: send_bucket(i))
         # the capture's forward/loss WAS this step's eager computation —
         # gradients are in p.grad, nothing announced or in shared memory yet
         return lt.item(), lg.data, frozenset(), frozenset()
 
-    try:
-        while True:
-            while not conn.poll(poll):
-                beat()
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            beat()
-            kind = msg[0]
-            if kind == "stop":
-                break
-            step_idx = msg[1]
-            # scripted faults fire on any step/resync command at/after their
-            # step index
-            while pending_faults and pending_faults[0].step <= step_idx:
-                action = pending_faults.pop(0)
-                if action.kind == "kill":
-                    os._exit(17)
-                elif action.kind == "hang":
-                    time.sleep(min(action.duration, 3600.0))
-                elif action.kind == "corrupt_heartbeat":
-                    corrupt = True
-                    hb[rank] = float("nan")
+    def run_step(step_idx: int, attempt: int, xb, yb) -> None:
+        cur["step"], cur["attempt"] = step_idx, attempt
+        # the parameter broadcast, in place (surgery keeps parameter objects)
+        payload.unpack_params(pview)
+        stats_log.clear()
+        replica.train()
+        replica.zero_grad()
+        res = compiled_step(xb, yb)
+        if res is None:
+            logits_t = replica(Tensor(xb))
+            loss_t = F.cross_entropy(logits_t, yb)
+            loss_t.backward()
+            res = loss_t.item(), logits_t.data, frozenset(), frozenset()
+        loss_val, logits, launched, bound = res
+        # pack what no bound sink wrote (everything on the eager and capture
+        # paths), then announce every bucket the replay did not
+        payload.pack_grads(gview, skip=bound)
+        for b in payload.buckets:
+            if b.index not in launched:
+                send_bucket(b.index)
+        correct = int((logits.argmax(1) == yb).sum())
+        beat()
+        conn.send(("done", step_idx, attempt, loss_val, correct,
+                   list(stats_log)))
 
-            if kind == "resync":
-                loads_state(msg[2], replica)   # bumps the plan generation:
-                rebuild_bn_map()               # stale plans purge on lookup
-                refresh_layout()
+    try:
+        # The host's cores are already oversubscribed K ways by the worker
+        # processes — a per-worker replay thread pool would only fight them.
+        with _ws.engine(parallel_replay=False):
+            while True:
+                while not conn.poll(_IDLE_POLL):
+                    beat()
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    break
                 beat()
-                conn.send(("resync_ack", step_idx))
-            elif kind == "step":
-                attempt, xb, yb = msg[2], msg[3], msg[4]
-                cur["step"], cur["attempt"] = step_idx, attempt
-                # pull the parameter broadcast into the replica (in place:
-                # surgery preserved parameter objects, shapes match)
-                off = 0
-                for p in layout["params"]:
-                    sz = p.data.size
-                    p.data[...] = pview[off:off + sz].reshape(p.data.shape)
-                    off += sz
-                stats_log.clear()
-                replica.train()
-                replica.zero_grad()
-                res = compiled_step(xb, yb)
-                if res is None:
-                    logits_t = replica(Tensor(xb))
-                    loss_t = F.cross_entropy(logits_t, yb)
-                    loss_t.backward()
-                    loss_val, logits = loss_t.item(), logits_t.data
-                    launched, bound = set(), frozenset()
-                else:
-                    loss_val, logits, launched, bound = res
-                # pack the gradients that did not land in shared memory via
-                # a bound sink (all of them, on the eager/capture paths)
-                for p, off, sz in zip(layout["params"], layout["offsets"],
-                                      layout["sizes"]):
-                    if id(p) not in bound:
-                        if p.grad is not None:
-                            gview[off:off + sz] = p.grad.reshape(-1)
-                        else:
-                            gview[off:off + sz] = 0.0
-                for b in layout["buckets"]:
-                    if b.index not in launched:
-                        send_bucket(b.index)
-                correct = int((logits.argmax(1) == yb).sum())
-                beat()
-                conn.send(("done", step_idx, attempt, loss_val,
-                           int(len(yb)), correct, list(stats_log)))
+                kind = msg[0]
+                if kind == "stop":
+                    break
+                step_idx = msg[1]
+                # scripted faults fire on any step/resync command at/after
+                # their step index
+                while pending_faults and pending_faults[0].step <= step_idx:
+                    action = pending_faults.pop(0)
+                    if action.kind == "kill":
+                        os._exit(17)
+                    elif action.kind == "hang":
+                        time.sleep(min(action.duration, 3600.0))
+                    elif action.kind == "corrupt_heartbeat":
+                        corrupt = True
+                        hb[rank] = float("nan")
+                if kind == "resync":
+                    loads_state(msg[2], replica)  # bumps the plan generation:
+                    rebuild_bn_map()              # stale plans purge on lookup
+                    refresh_layout()
+                    beat()
+                    conn.send(("resync_ack", step_idx))
+                elif kind == "step":
+                    run_step(*msg[1:])
     except Exception:  # pragma: no cover - worker bugs surface as eviction
         traceback.print_exc(file=sys.stderr)
         os._exit(1)
@@ -429,8 +338,7 @@ class ElasticEngine:
     def __init__(self, model: Module, workers: int,
                  heartbeat_timeout: float = 30.0,
                  fault_plan: Optional[FaultPlan] = None,
-                 poll_interval: float = 0.002,
-                 bucket_bytes: int = _BUCKET_BYTES):
+                 bucket_bytes: int = BUCKET_BYTES):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if "fork" not in mp.get_all_start_methods():
@@ -444,7 +352,6 @@ class ElasticEngine:
         self.bucket_bytes = int(bucket_bytes)
         if self.bucket_bytes <= 0:
             raise ValueError("bucket_bytes must be positive")
-        self._poll = float(poll_interval)
         self._ctx = mp.get_context("fork")
         self._handles: List[_Handle] = []
         self._started = False
@@ -486,7 +393,7 @@ class ElasticEngine:
         # Pruning only shrinks the payload, so capacity fixed at the current
         # size is an upper bound for the whole run (mmaps cannot grow after
         # the fork — anonymous shared pages are inherited, not named).
-        self._capacity = max(1, self._payload)
+        self._capacity = max(1, self._payload.total)
         nbytes = self._capacity * 4
         self._param_mm = mmap.mmap(-1, nbytes)
         self._param_view = np.frombuffer(self._param_mm, dtype=np.float32,
@@ -504,7 +411,7 @@ class ElasticEngine:
                 target=_worker_main,
                 args=(rank, work_conn, self.model, grad_mm, self._param_mm,
                       self._hb_mm, self._capacity, self.workers, faults,
-                      self.bucket_bytes, max(self._poll, 0.02)),
+                      self.bucket_bytes),
                 daemon=True, name=f"elastic-worker-{rank}")
             proc.start()
             work_conn.close()   # child keeps its copy; EOF works both ways
@@ -567,15 +474,10 @@ class ElasticEngine:
 
     # -- payload layout ----------------------------------------------------
     def _refresh_layout(self) -> None:
-        """Recompute the flat parameter/gradient payload layout, the bucket
-        plan, and the BN name map (valid until the next reconfiguration)."""
-        self._params = self.model.parameters()
-        self._sizes = [p.data.size for p in self._params]
-        self._offsets = list(np.cumsum([0] + self._sizes[:-1]))
-        self._payload = int(sum(self._sizes))
-        self._buckets: List[GradBucket] = plan_gradient_buckets(
-            self._sizes, self._offsets, module_param_groups(self.model),
-            self.bucket_bytes) if self.workers > 1 else []
+        """Rebuild the payload layout and the BN name map (valid until the
+        next reconfiguration)."""
+        self._payload = GradPayload(self.model, self.workers,
+                                    self.bucket_bytes)
         self._bn = {name: m for name, m in self.model.named_modules()
                     if isinstance(m, BatchNorm2d)}
 
@@ -607,9 +509,9 @@ class ElasticEngine:
         Returns ``(results, failed_ranks, stall_seconds)``.  Failure checks
         run *before* each rank's pipe is drained, so a worker with a
         corrupted heartbeat is evicted deterministically even if its result
-        raced in.  Non-matching messages go to ``on_other(rank, msg,
-        pending)`` when given (the overlap path's bucket notifications) and
-        are dropped otherwise (stale attempts).  Between sweeps the
+        raced in.  Non-matching messages go to ``on_other(rank, msg)`` when
+        given (the step's bucket announcements) and are dropped otherwise
+        (stale attempts).  Between sweeps the
         coordinator blocks in :func:`multiprocessing.connection.wait`
         rather than sleep-polling.  ``stall`` is the wall time between the
         first completion and the end of the wait — idle coordinator/
@@ -645,7 +547,7 @@ class ElasticEngine:
                                 t_first = time.monotonic()
                             break
                         if on_other is not None:
-                            on_other(rank, msg, len(pending))
+                            on_other(rank, msg)
                 except (EOFError, OSError):
                     # EOF usually reaches the blocking wait before the dead
                     # process is reapable; classify by the process itself so
@@ -660,8 +562,7 @@ class ElasticEngine:
                 conns = [self._handles[r].conn for r in pending]
                 t0 = time.perf_counter()
                 try:
-                    mp_connection.wait(conns,
-                                       timeout=max(self._poll, 0.05))
+                    mp_connection.wait(conns, timeout=_WAIT_SLICE)
                 except OSError:  # pragma: no cover - raced a close
                     pass
                 COMM_STATS.wait_seconds += time.perf_counter() - t0
@@ -677,7 +578,7 @@ class ElasticEngine:
         a checkpoint restore changed the model under the engine.
         """
         self._refresh_layout()
-        if self._payload > self._capacity:  # pragma: no cover - shrink-only
+        if self._payload.total > self._capacity:  # pragma: no cover - shrink-only
             raise RuntimeError("model payload grew beyond engine capacity")
         blob = dumps_state(self.model)
         ranks = self.active_ranks
@@ -700,78 +601,34 @@ class ElasticEngine:
         coordinator model (in shard order), and returns the aggregated
         step result.  Retries with the survivors if participants fail.
         """
-        n = len(x)
-        if n == 0:
-            raise ValueError("elastic step got an empty batch")
+        shard_bounds(len(x), self.workers)   # an empty batch fails unforked
         if not self._started:
             self.start()
         if self._generation != _ws.PLAN_GENERATION:
             self._resync()
         failures_before = len(self.failures)
         stall_total = 0.0
-
-        # parameter broadcast (valid for every retry of this step)
-        pv = self._param_view
-        for p, off, sz in zip(self._params, self._offsets, self._sizes):
-            pv[off:off + sz] = p.data.reshape(-1)
+        payload = self._payload
+        payload.pack_params(self._param_view)   # valid for every retry
 
         attempt = 0
         while True:
             active = self.active_ranks
             if not active:
                 raise RuntimeError("all elastic workers failed")
-            participants = active[:min(len(active), n)]
-            k = len(participants)
-            bounds = np.linspace(0, n, k + 1).astype(int)
+            bounds = shard_bounds(len(x), len(active))
+            participants = active[:len(bounds) - 1]
             want = self._step_idx
-            views = [self._handles[rank].grad_view[:self._payload]
+            views = [self._handles[rank].grad_view[:payload.total]
                      for rank in participants]
-            # per-attempt exchange state: which ranks have announced each
-            # bucket, which buckets are already reduced, reduce accounting
-            posted: Dict[int, Set[int]] = {}
-            reduced: Set[int] = set()
-            # "moved" stays an integer total until the single final divide,
-            # so the per-worker figure is bit-identical to the monolithic
-            # trace's no matter how many buckets the payload was cut into
-            acct = {"moved": 0, "reduce": 0.0, "overlapped": 0}
-            bucket_of = {b.index: b for b in self._buckets}
-
-            def on_msg(rank, msg, npending, _want=want, _att=attempt,
-                       _views=views, _posted=posted, _reduced=reduced,
-                       _acct=acct, _bucket_of=bucket_of, _k=k):
-                if msg[0] != "bucket" or msg[1] != _want or msg[2] != _att:
-                    return
-                bi = msg[3]
-                ranks_in = _posted.setdefault(bi, set())
-                ranks_in.add(rank)
-                COMM_STATS.bucket_launches += 1
-                if len(ranks_in) == _k and bi not in _reduced:
-                    # every participant has fully written this segment
-                    # (FIFO pipe: the announcement follows the writes) —
-                    # reduce it now, under the stragglers' compute
-                    b = _bucket_of[bi]
-                    t0 = time.perf_counter()
-                    moved = ring_allreduce_range(
-                        _views, self._payload, b.lo, b.hi, average=True)
-                    dt = time.perf_counter() - t0
-                    _reduced.add(bi)
-                    _acct["moved"] += moved
-                    _acct["reduce"] += dt
-                    _acct["overlapped"] += 1
-                    COMM_STATS.buckets_reduced += 1
-                    COMM_STATS.bytes_moved += moved // _k
-                    COMM_STATS.reduce_seconds += dt
-                    COMM_STATS.overlapped_seconds += dt
-
-            for i, rank in enumerate(participants):
-                lo, hi = bounds[i], bounds[i + 1]
+            exchange = BucketExchange(payload, views,
+                                      tag=("bucket", want, attempt))
+            for rank, lo, hi in zip(participants, bounds, bounds[1:]):
                 self._handles[rank].conn.send(
                     ("step", want, attempt, x[lo:hi], y[lo:hi]))
             results, failed, stall = self._await(
-                participants,
-                lambda m: m[0] == "done" and m[1] == want
-                and m[2] == attempt, "step",
-                on_other=on_msg if k > 1 else None)
+                participants, lambda m: m[:3] == ("done", want, attempt),
+                "step", on_other=exchange.on_bucket)
             stall_total += stall
             if not failed:
                 break
@@ -781,46 +638,11 @@ class ElasticEngine:
             # is exactly a clean smaller-K step
             attempt += 1
 
-        # aggregate exactly as the in-process simulation does — including the
-        # scalar *types*: the shard size stays np.int64 so the accumulated
-        # loss is np.float64, matching the sim's promotion behavior in
-        # downstream consumers (NEP 50 treats a Python float and a
-        # same-valued np.float64 differently against float32 arrays)
-        total_loss = 0.0
-        total_correct = 0
-        for i, rank in enumerate(participants):
-            _, _, _, loss_w, _, correct_w, _ = results[rank]
-            total_loss += loss_w * (bounds[i + 1] - bounds[i])
-            total_correct += correct_w
-
-        # finish the exchange across the workers' shared-memory buffers
-        comm_bytes = 0.0
-        if k > 1:
-            t0 = time.perf_counter()
-            moved_total = acct["moved"]
-            for b in self._buckets:    # serial tail: still-pending
-                if b.index in reduced:
-                    continue
-                bt0 = time.perf_counter()
-                moved = ring_allreduce_range(
-                    views, self._payload, b.lo, b.hi, average=True)
-                dt = time.perf_counter() - bt0
-                moved_total += moved
-                COMM_STATS.buckets_reduced += 1
-                COMM_STATS.bytes_moved += moved // k
-                COMM_STATS.reduce_seconds += dt
-                COMM_STATS.tail_seconds += dt
-            comm_bytes = moved_total / k
-            reduce_dt = acct["reduce"] + (time.perf_counter() - t0)
-            if PROFILER.enabled:
-                PROFILER.add("dist_allreduce", reduce_dt, int(comm_bytes))
-        base = views[0]
-        for p, off, sz in zip(self._params, self._offsets, self._sizes):
-            p.grad = base[off:off + sz].reshape(p.data.shape).copy()
-
+        comm_bytes = exchange.finish()
+        payload.unpack_grads(views[0])
         # replay per-shard BN running-stat updates in shard order
         for rank in participants:
-            for name, mu, var in results[rank][6]:
+            for name, mu, var in results[rank][5]:
                 bn = self._bn[name]
                 m = bn.momentum
                 bn.running_mean *= 1.0 - m
@@ -834,9 +656,10 @@ class ElasticEngine:
         self._step_idx += 1
         self.total_stall_seconds += stall_total
         self.total_comm_bytes += comm_bytes
-        return ElasticStepResult(
-            loss=total_loss / n, accuracy=total_correct / n,
-            comm_bytes_per_worker=comm_bytes, stall_seconds=stall_total,
+        return ElasticStepResult.aggregate(
+            [(results[rank][3], results[rank][4], size)
+             for rank, size in zip(participants, np.diff(bounds))],
+            comm_bytes, stall_seconds=stall_total,
             active_workers=len(self.active_ranks),
             failures=len(self.failures) - failures_before,
-            buckets_overlapped=acct["overlapped"])
+            buckets_overlapped=exchange.overlapped)

@@ -1,31 +1,46 @@
-"""Simulated data-parallel training step (paper Sec. 2.2 "Distributed Training").
+"""The data-parallel step (paper Sec. 2.2 "Distributed Training"), run
+sequentially in process.
 
-K logical workers each process a shard of the global mini-batch through a
-*shared* model replica (weights are identical across workers by construction,
-exactly as in synchronous data parallelism), producing per-worker gradient
-sets that are combined with the executable ring allreduce from
-:mod:`repro.distributed.allreduce`.
+K logical workers each process a shard of the global mini-batch through one
+*shared* model (weights are identical across workers by construction, as
+in synchronous data parallelism).  The step protocol — shards
+(:func:`shard_bounds`), payload and exchange
+(:mod:`repro.distributed.allreduce`) and the result
+(:meth:`StepResult.aggregate`) — is stated in ``docs/ARCHITECTURE.md`` §9
+and §12; :class:`~repro.distributed.elastic.ElasticEngine` runs the same
+protocol with its shards in forked workers, bit for bit.
 
-Fidelity notes:
-- Batch-norm uses *per-shard* statistics, like per-GPU BN in real distributed
-  training (not synchronized BN) — so results differ slightly from
-  single-device large-batch training, matching reality.
-- Gradients are averaged across workers (each worker computes a mean loss
-  over its shard), matching the standard "mean over global batch" update
-  when shards are equal-sized.
+Batch norm uses *per-shard* statistics, like per-GPU BN in real distributed
+training (not synchronized BN), so results differ slightly from
+single-device large-batch training.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from ..nn.module import Module
 from ..tensor import Tensor
 from ..tensor import functional as F
-from .allreduce import COMM_STATS, allreduce_gradient_lists
+from .allreduce import BucketExchange, GradPayload
+
+
+def shard_bounds(n: int, workers: int) -> np.ndarray:
+    """``k + 1`` ascending sample bounds splitting a batch of ``n`` into
+    ``k = min(workers, n)`` contiguous shards.
+
+    With more workers than samples the surplus workers sit the step out: an
+    empty shard must not change the gradient-average divisor.  An empty
+    batch is an error — there is nothing to compute a gradient from.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if n == 0:
+        raise ValueError("empty batch (len(x) == 0): no gradients to compute")
+    return np.linspace(0, n, min(workers, n) + 1).astype(int)
 
 
 @dataclass
@@ -36,62 +51,45 @@ class StepResult:
     accuracy: float
     comm_bytes_per_worker: float
 
+    @classmethod
+    def aggregate(cls, shards: Iterable[Tuple[float, int, int]],
+                  comm_bytes_per_worker: float, **telemetry) -> "StepResult":
+        """The step's result from per-shard ``(loss, correct, size)`` in
+        shard order.  ``size`` is a :func:`shard_bounds` difference
+        (``np.int64``), which makes the loss an ``np.float64`` on every
+        path: under NEP 50 a Python float and a same-valued ``np.float64``
+        promote differently against float32 arrays."""
+        total_loss, total_correct, n = 0.0, 0, 0
+        for loss, correct, size in shards:
+            total_loss += loss * size
+            total_correct += correct
+            n += int(size)
+        return cls(total_loss / n, total_correct / n, comm_bytes_per_worker,
+                   **telemetry)
+
 
 def data_parallel_step(model: Module, x: np.ndarray, y: np.ndarray,
-                       workers: int,
-                       loss_hook=None) -> Tuple[StepResult, List[np.ndarray]]:
+                       workers: int) -> Tuple[StepResult, List[np.ndarray]]:
     """Forward/backward a global batch split over ``workers`` shards.
 
     Leaves the *averaged* gradients in each parameter's ``.grad`` (ready for
-    ``optimizer.step()``).  ``loss_hook(loss_tensor) -> float`` may add
-    regularization terms per worker (e.g. group lasso; applied as gradient
-    addition afterwards is the trainers' job — the hook here is for logging).
-
-    ``workers`` is clamped to ``len(x)``: with more workers than samples
-    some shards would be empty, and a skipped shard must not silently
-    change the gradient-average divisor (every participating worker's
-    shard carries equal weight).  An empty batch is an error — there is
-    nothing to compute a gradient from.
-
-    Returns the step result and the per-worker shard sizes (of the
-    participating workers only).
+    ``optimizer.step()``).  Returns the step result and the sizes of the
+    participating workers' shards (see :func:`shard_bounds`).
     """
-    n = len(x)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if n == 0:
-        raise ValueError("data_parallel_step got an empty batch "
-                         "(len(x) == 0): no gradients to compute")
-    workers = min(workers, n)
-    params = model.parameters()
-    shard_bounds = np.linspace(0, n, workers + 1).astype(int)
-
-    per_worker_grads: List[List[np.ndarray]] = []
-    total_loss = 0.0
-    total_correct = 0
-    for w in range(workers):
-        lo, hi = shard_bounds[w], shard_bounds[w + 1]
-        if hi <= lo:  # pragma: no cover - impossible after the clamp
-            continue
+    bounds = shard_bounds(len(x), workers)
+    k = len(bounds) - 1
+    payload = GradPayload(model, k)
+    flats = np.empty((k, payload.total), np.float32)
+    shards = []
+    for flat, lo, hi in zip(flats, bounds, bounds[1:]):
         xb, yb = x[lo:hi], y[lo:hi]
         model.zero_grad()
         logits = model(Tensor(xb))
         loss = F.cross_entropy(logits, yb)
         loss.backward()
-        total_loss += loss.item() * (hi - lo)
-        total_correct += int((logits.data.argmax(1) == yb).sum())
-        per_worker_grads.append(
-            [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-             for p in params])
-
-    if len(per_worker_grads) > 1:
-        comm_bytes = allreduce_gradient_lists(per_worker_grads, average=True)
-        COMM_STATS.bytes_moved += int(comm_bytes)
-        reduced = per_worker_grads[0]
-    else:
-        comm_bytes = 0.0
-        reduced = per_worker_grads[0]
-    for p, g in zip(params, reduced):
-        p.grad = g
-    result = StepResult(total_loss / n, total_correct / n, comm_bytes)
-    return result, list(np.diff(shard_bounds))
+        payload.pack_grads(flat)
+        shards.append((loss.item(), int((logits.data.argmax(1) == yb).sum()),
+                       hi - lo))
+    comm_bytes = BucketExchange(payload, list(flats)).finish()
+    payload.unpack_grads(flats[0])
+    return StepResult.aggregate(shards, comm_bytes), list(np.diff(bounds))

@@ -64,7 +64,7 @@ from .ops import norm as _norm
 from .ops import table as _table
 from . import tensor as _tensor_mod
 from .functional import _give_grad, cross_entropy
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, backward_order, no_grad
 
 __all__ = ["Tape", "StepPlan", "PlanCache", "PlanStats", "STATS",
            "BatchPadder", "capture_training_step", "capture_forward"]
@@ -585,26 +585,8 @@ class Tape:
             if rec.kind == "cross_entropy" and rec is not loss_rec:
                 return None, "multiple cross_entropy ops in one step"
 
-        # Replicate Tensor.backward's iterative DFS exactly: the plan's
-        # backward program must visit nodes in the order the eager pass
-        # would, or multi-consumer gradient accumulation order (and with
-        # it bit-exactness) is lost.
-        topo: List[Tensor] = []
-        visited: set = set()
-        stack: List[Tuple[Tensor, bool]] = [(loss, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited and p.requires_grad:
-                    stack.append((p, False))
-        bwd_nodes = [n for n in reversed(topo) if n._backward is not None]
+        bwd_nodes = [n for n in backward_order(loss)
+                     if n._backward is not None]
         for n in bwd_nodes:
             if id(n) not in self.slot_of:
                 return None, "graph contains an op without a capture hook"

@@ -67,6 +67,30 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def backward_order(root: "Tensor") -> list["Tensor"]:
+    """The nodes ``root.backward()`` visits, in visit order: an iterative
+    DFS over gradient-requiring parents, reversed post-order.  Compiled
+    plans order their backward thunks by it too — multi-consumer gradients
+    accumulate in this order, so bit-exactness depends on it."""
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited and p.requires_grad:
+                stack.append((p, False))
+    topo.reverse()
+    return topo
+
+
 class Tensor:
     """N-dimensional array with reverse-mode automatic differentiation.
 
@@ -201,23 +225,9 @@ class Tensor:
         """
         if grad is None:
             grad = np.ones_like(self.data)
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited and p.requires_grad:
-                    stack.append((p, False))
+        order = backward_order(self)
         self._accumulate(grad)
-        for node in reversed(topo):
+        for node in order:
             if node._backward is None:
                 continue  # leaf: no closure, and its grad must survive
             if node.grad is not None:

@@ -1,5 +1,5 @@
 """Overlapped zero-copy gradient exchange: bucketed-ring bit-exactness,
-bucket planning invariants, gradient-list validation, differential parity
+bucket planning invariants, differential parity
 of the elastic engine (compiled workers, and the packed eager fallback a
 capture failure selects) against the simulation across the full PruneTrain
 schedule, mid-exchange fault recovery, and shared-memory teardown
@@ -10,9 +10,9 @@ import pytest
 
 from repro.data import make_synthetic
 from repro.distributed import (COMM_STATS, ElasticEngine, FaultPlan,
-                               allreduce_gradient_lists, data_parallel_step,
-                               module_param_groups, plan_gradient_buckets,
-                               ring_allreduce, ring_allreduce_range)
+                               data_parallel_step, module_param_groups,
+                               plan_gradient_buckets, ring_allreduce,
+                               ring_allreduce_range)
 from repro.nn import resnet20
 from repro.optim import SGD
 from repro.prune import prune_and_reconfigure
@@ -177,19 +177,6 @@ class TestBucketPlanning:
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError, match="target_bytes"):
             plan_gradient_buckets([4], [0], [(0, 1)], 0)
-
-
-class TestGradientListValidation:
-    def test_length_mismatch_rejected(self):
-        g = lambda: [np.ones(3, np.float32)]
-        with pytest.raises(ValueError, match="worker 1 has 2"):
-            allreduce_gradient_lists([g(), g() + g()])
-
-    def test_shape_mismatch_rejected(self):
-        a = [np.ones((2, 3), np.float32)]
-        b = [np.ones((3, 2), np.float32)]
-        with pytest.raises(ValueError, match="out of sync"):
-            allreduce_gradient_lists([a, b])
 
 
 # -- differential parity against the simulation -----------------------------

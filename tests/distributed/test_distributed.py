@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from repro.costmodel import MemoryModel, ring_allreduce_bytes
 from repro.data import make_synthetic
-from repro.distributed import (DynamicBatchAdjuster, allreduce_gradient_lists,
-                               data_parallel_step, ring_allreduce)
-from repro.nn import resnet20
+from repro.distributed import (BucketExchange, DynamicBatchAdjuster,
+                               GradPayload, data_parallel_step, ring_allreduce)
+from repro.nn import Module, Parameter, resnet20
 from repro.optim import SGD
 
 SMALL = dict(width_mult=0.25, input_hw=8)
@@ -64,21 +64,73 @@ class TestRingAllreduce:
         np.testing.assert_allclose(bufs[2], expect, rtol=1e-10)
 
 
-class TestGradientListAllreduce:
-    def test_reduces_heterogeneous_shapes(self, rng):
-        shapes = [(3, 4), (7,), (2, 2, 2)]
-        grads = [[rng.normal(size=s) for s in shapes] for _ in range(3)]
-        expect = [np.mean([g[i] for g in grads], axis=0)
-                  for i in range(len(shapes))]
-        allreduce_gradient_lists(grads)
-        for w in range(3):
-            for i in range(len(shapes)):
-                np.testing.assert_allclose(grads[w][i], expect[i],
-                                           rtol=1e-10)
+class _Layers(Module):
+    """A model stand-in: one single-parameter module per array."""
 
-    def test_single_worker_zero_bytes(self, rng):
-        grads = [[rng.normal(size=4)]]
-        assert allreduce_gradient_lists(grads) == 0.0
+    def __init__(self, arrays):
+        super().__init__()
+        self.layers = [_Layer(a) for a in arrays]
+
+
+class _Layer(Module):
+    def __init__(self, a):
+        super().__init__()
+        self.w = Parameter(a)
+
+
+def exchange_vs_monolithic(p, sizes, bucket_bytes, seed, posted_frac=0.5):
+    """Reduce random per-worker gradient payloads with a BucketExchange —
+    some buckets posted by every rank (overlapped), the rest in
+    ``finish()`` — and with one monolithic ``ring_allreduce``."""
+    rng = np.random.default_rng(seed)
+    payload = GradPayload(_Layers([np.zeros(s, np.float32) for s in sizes]),
+                          p, bucket_bytes)
+    flats = [rng.normal(size=payload.total).astype(np.float32)
+             for _ in range(p)]
+    mono = [f.copy() for f in flats]
+    trace = ring_allreduce(mono)
+    ex = BucketExchange(payload, flats, tag=("bucket", 0, 0))
+    order = list(rng.permutation(len(payload.buckets)))
+    for index in order[:int(len(order) * posted_frac)]:
+        for rank in rng.permutation(p):
+            ex.on_bucket(int(rank), ("bucket", 0, 0, int(index)))
+    ex.on_bucket(0, ("bucket", 0, 1, 0))     # another attempt: ignored
+    return ex, ex.finish(), trace, flats, mono
+
+
+class TestBucketExchange:
+    def test_reduces_heterogeneous_shapes(self):
+        shapes = [(3, 4), (7,), (2, 2, 2)]
+        rng = np.random.default_rng(0)
+        model = _Layers([np.zeros(s, np.float32) for s in shapes])
+        payload = GradPayload(model, 3, bucket_bytes=16)
+        assert len(payload.buckets) > 1
+        grads = [[rng.normal(size=s).astype(np.float32) for s in shapes]
+                 for _ in range(3)]
+        flats = np.empty((3, payload.total), np.float32)
+        for flat, worker in zip(flats, grads):
+            for p, g in zip(model.parameters(), worker):
+                p.grad = g
+            payload.pack_grads(flat)
+        BucketExchange(payload, list(flats)).finish()
+        payload.unpack_grads(flats[1])
+        for i, p in enumerate(model.parameters()):
+            np.testing.assert_allclose(
+                p.grad, np.mean([g[i] for g in grads], axis=0), rtol=1e-6)
+
+    def test_single_worker_zero_bytes(self):
+        payload = GradPayload(_Layers([np.zeros(4, np.float32)]), 2)
+        flat = np.ones(4, np.float32)
+        assert BucketExchange(payload, [flat]).finish() == 0.0
+        np.testing.assert_array_equal(flat, 1.0)
+
+    @pytest.mark.parametrize("posted", [0.0, 0.5, 1.0])
+    def test_buckets_posted_by_every_rank_reduce_early(self, posted):
+        ex, _, _, _, _ = exchange_vs_monolithic(
+            3, [5, 9, 2, 30, 1], bucket_bytes=16, seed=1, posted_frac=posted)
+        nb = len(ex.payload.buckets)
+        assert nb == 3 and ex.reduced == set(range(nb))
+        assert ex.overlapped == int(nb * posted)
 
 
 class TestDataParallelStep:
@@ -286,22 +338,18 @@ def test_property_allreduce_bytes_closed_form(p, n, dtype):
 
 @given(p=st.integers(2, 8),
        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5),
-       dtype=st.sampled_from(["float32", "float64"]))
+       bucket_bytes=st.integers(4, 200), posted=st.floats(0.0, 1.0))
 @settings(max_examples=40, deadline=None)
-def test_property_gradient_lists_mean_and_bytes(p, sizes, dtype):
-    """Uneven per-parameter payloads, both float widths: every worker ends
-    with the mean, and the byte count matches the fused-payload closed form."""
-    dt = np.dtype(dtype)
-    rng = np.random.default_rng(p * 7919 + sum(sizes) * 31 + dt.itemsize)
-    grads = [[rng.normal(size=s).astype(dt) for s in sizes]
-             for _ in range(p)]
-    expect = [np.mean([grads[w][i] for w in range(p)], axis=0)
-              for i in range(len(sizes))]
-    nbytes = allreduce_gradient_lists(grads)
-    assert nbytes == pytest.approx(
-        ring_allreduce_bytes(sum(sizes) * dt.itemsize, p), rel=1e-12)
-    rtol = 1e-5 if dt == np.float32 else 1e-9
-    for w in range(p):
-        for i in range(len(sizes)):
-            np.testing.assert_allclose(grads[w][i], expect[i],
-                                       rtol=rtol, atol=rtol)
+def test_property_bucket_exchange_mean_and_bytes(p, sizes, bucket_bytes,
+                                                 posted):
+    """Uneven per-parameter payloads, any bucket cut, any mix of overlapped
+    and tail buckets: the exchange reproduces the monolithic ring's bits and
+    its per-worker bytes, the fused-payload closed form."""
+    ex, comm, trace, flats, mono = exchange_vs_monolithic(
+        p, sizes, bucket_bytes, seed=p * 7919 + sum(sizes) * 31,
+        posted_frac=posted)
+    assert comm == trace.bytes_per_worker
+    assert comm == pytest.approx(
+        ring_allreduce_bytes(ex.payload.total * 4, p), rel=1e-12)
+    for got, want in zip(flats, mono):
+        assert got.tobytes() == want.tobytes()

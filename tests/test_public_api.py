@@ -1,7 +1,9 @@
 """Public API surface: everything the README documents must import and have
-docstrings, and every engine switch must be in the README's table and in
-the plan signature — a guard against silent API drift."""
+docstrings, every engine switch must be in the README's table and in the
+plan signature, and only ``workspace.engine`` may write the engine config —
+a guard against silent API drift."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -115,6 +117,70 @@ def test_switch_lattice_is_closed():
         flipped = dataclasses.replace(
             cfg, **{f.name: other[type(value)](value)})
         assert flipped.plan_signature() != cfg.plan_signature(), f.name
+
+
+def _config_writes(tree):
+    """Lines of ``tree`` that assign to a field of ``workspace.config`` —
+    ``config.f = v``, ``ws.config.f += v`` or ``setattr(config, ...)`` —
+    whatever names the module imported the workspace or its config as."""
+    ws_names, cfg_names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                if a.name == "workspace":
+                    ws_names.add(a.asname or a.name)
+                elif a.name == "config" and \
+                        (node.module or "").endswith("workspace"):
+                    cfg_names.add(a.asname or a.name)
+        elif isinstance(node, ast.Import):
+            ws_names.update(a.asname for a in node.names
+                            if a.asname and a.name.endswith(".workspace"))
+
+    def is_config(expr):
+        if isinstance(expr, ast.Name):
+            return expr.id in cfg_names
+        return (isinstance(expr, ast.Attribute) and expr.attr == "config"
+                and isinstance(expr.value, ast.Name)
+                and expr.value.id in ws_names)
+
+    lines = []
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "setattr" and node.args
+              and is_config(node.args[0])):
+            lines.append(node.lineno)
+        lines += [t.lineno for t in targets
+                  if isinstance(t, ast.Attribute) and is_config(t.value)]
+    return lines
+
+
+def test_only_engine_pins_write_the_engine_config():
+    """``workspace.engine(...)`` is the one writer of ``workspace.config``:
+    no other module of ``src/`` assigns to one of its fields."""
+    root = pathlib.Path(__file__).resolve().parents[1] / "src"
+    writes = {}
+    for path in root.rglob("*.py"):
+        rel = path.relative_to(root).as_posix()
+        lines = _config_writes(ast.parse(path.read_text()))
+        if lines and rel != "repro/tensor/workspace.py":
+            writes[rel] = lines
+    assert writes == {}
+    # the guard sees every spelling it claims to
+    probe = ast.parse("from ..tensor import workspace as _ws\n"
+                      "from .workspace import config as c\n"
+                      "import repro.tensor.workspace as w\n"
+                      "_ws.config.mem_plan = False\n"
+                      "c.pooling += 1\n"
+                      "setattr(c, 'fused_bnrelu', 0)\n"
+                      "w.config.sparse_compute: bool = True\n"
+                      "other.config.x = 1\n"
+                      "cfg = _ws.config\n")
+    assert sorted(_config_writes(probe)) == [4, 5, 6, 7]
 
 
 def test_captures_go_through_the_names_the_benchmark_wraps(monkeypatch):
