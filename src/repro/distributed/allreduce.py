@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..profiler import PROFILER
+from ..profiler import PROFILER, Counters, register
 
 
 @dataclass
@@ -31,7 +31,7 @@ class AllreduceTrace:
 
 
 @dataclass
-class CommStats:
+class CommStats(Counters):
     """Gradient-exchange accounting (surfaced as ``PROFILER.summary()
     ["_comm"]``).
 
@@ -51,32 +51,18 @@ class CommStats:
     wait_seconds: float = 0.0        # coordinator idle, waiting on workers
     stall_seconds: float = 0.0       # straggler gap (first done -> last done)
 
-    def reset(self) -> None:
-        self.bucket_launches = self.buckets_reduced = 0
-        self.bytes_moved = 0
-        self.reduce_seconds = self.overlapped_seconds = 0.0
-        self.tail_seconds = self.wait_seconds = self.stall_seconds = 0.0
-
     @property
     def overlap_ratio(self) -> float:
         total = self.overlapped_seconds + self.tail_seconds
         return self.overlapped_seconds / total if total > 0 else 0.0
 
-    def as_dict(self) -> Dict[str, float]:
-        return {"bucket_launches": self.bucket_launches,
-                "buckets_reduced": self.buckets_reduced,
-                "bytes_moved": self.bytes_moved,
-                "reduce_seconds": self.reduce_seconds,
-                "overlapped_seconds": self.overlapped_seconds,
-                "tail_seconds": self.tail_seconds,
-                "wait_seconds": self.wait_seconds,
-                "stall_seconds": self.stall_seconds,
-                "overlap_ratio": self.overlap_ratio}
+    def derived(self) -> Dict[str, float]:
+        return {"overlap_ratio": self.overlap_ratio}
 
 
 #: Process-wide exchange counters (coordinator side).  Always on — the
 #: counters are a handful of adds per step.
-COMM_STATS = CommStats()
+COMM_STATS = register("_comm", CommStats())
 
 
 def ring_allreduce(buffers: List[np.ndarray], average: bool = True

@@ -22,29 +22,68 @@ or scoped::
 The ``bytes`` column counts the output arrays each op materializes; together
 with the workspace-pool hit/miss statistics (merged into :meth:`summary`)
 it shows how much of the engine's traffic the buffer pool absorbs.
+
+Engine counters
+---------------
+Each engine module keeps one process-wide :class:`Counters` dataclass and
+hands it to :func:`register` at import under its summary key
+(``_workspace``, ``_plans``, ``_memplan``, ``_parallel``, ``_comm``,
+``_sparse``); :meth:`OpProfiler.summary` reports every registered set beside
+the op rows.
+:meth:`OpProfiler.reset` clears the op rows only — the counters are
+run-cumulative until their own ``reset()``.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import MISSING, dataclass, fields
+from typing import Dict, Optional, TypeVar
 
-__all__ = ["OpProfiler", "OpStat", "PROFILER", "profile_op"]
+__all__ = ["OpProfiler", "OpStat", "PROFILER", "Counters", "COUNTERS",
+           "register"]
+
+
+class Counters:
+    """Mixin for a ``@dataclass`` of engine counters: the fields *are* the
+    counters.  :meth:`reset` puts every field back to its declared default;
+    :meth:`as_dict` reports the fields merged with :meth:`derived`."""
+
+    def reset(self) -> None:
+        for f in fields(self):
+            setattr(self, f.name, f.default if f.default_factory is MISSING
+                    else f.default_factory())
+
+    def derived(self) -> Dict[str, object]:
+        """Computed entries :meth:`as_dict` adds to (or puts over) the
+        fields; none by default."""
+        return {}
+
+    def as_dict(self) -> Dict[str, object]:
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(self.derived())
+        return out
+
+
+#: Summary key -> the process-wide counter set reported under it.
+COUNTERS: Dict[str, Counters] = {}
+
+_C = TypeVar("_C", bound=Counters)
+
+
+def register(key: str, counters: _C) -> _C:
+    """Report ``counters`` as ``PROFILER.summary()[key]``; returns it."""
+    COUNTERS[key] = counters
+    return counters
 
 
 @dataclass
-class OpStat:
+class OpStat(Counters):
     """Accumulated statistics for one op name."""
 
     calls: int = 0
     seconds: float = 0.0
     bytes: int = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {"calls": self.calls, "seconds": self.seconds,
-                "bytes": self.bytes}
 
 
 class OpProfiler:
@@ -90,53 +129,11 @@ class OpProfiler:
         st.seconds += seconds
         st.bytes += nbytes
 
-    @contextmanager
-    def op(self, name: str, nbytes: int = 0):
-        """Context manager timing one op; no-op when disabled."""
-        if not self.enabled:
-            yield
-            return
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - t0, nbytes)
-
     # -- reporting ---------------------------------------------------------
     def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-op stats plus workspace-pool, step-plan, memory-planner,
-        and parallel-replay counters."""
+        """Per-op stats plus every registered engine counter set."""
         out = {name: st.as_dict() for name, st in self._stats.items()}
-        try:
-            from ..tensor import workspace
-            out["_workspace"] = dict(workspace.POOL.stats.as_dict())
-        except ImportError:  # pragma: no cover - circular-import guard
-            pass
-        try:
-            from ..tensor import compile as step_compile
-            out["_plans"] = step_compile.STATS.as_dict()
-        except ImportError:  # pragma: no cover - circular-import guard
-            pass
-        try:
-            from ..tensor import memplan
-            out["_memplan"] = memplan.STATS.as_dict()
-        except ImportError:  # pragma: no cover - circular-import guard
-            pass
-        try:
-            from ..tensor import parallel
-            out["_parallel"] = parallel.STATS.as_dict()
-        except ImportError:  # pragma: no cover - circular-import guard
-            pass
-        try:
-            from ..distributed import allreduce
-            out["_comm"] = allreduce.COMM_STATS.as_dict()
-        except ImportError:  # pragma: no cover - circular-import guard
-            pass
-        try:
-            from ..tensor import sparse
-            out["_sparse"] = sparse.STATS.as_dict()
-        except ImportError:  # pragma: no cover - circular-import guard
-            pass
+        out.update((key, c.as_dict()) for key, c in COUNTERS.items())
         return out
 
     def total_seconds(self) -> float:
@@ -158,8 +155,3 @@ class OpProfiler:
 
 #: Process-wide profiler instance used by all instrumentation sites.
 PROFILER = OpProfiler()
-
-
-def profile_op(name: str, nbytes: int = 0):
-    """Module-level alias for ``PROFILER.op`` (context manager)."""
-    return PROFILER.op(name, nbytes)

@@ -96,7 +96,7 @@ class InferenceServer:
         """Queue one sample (``(C, H, W)`` or ``(1, C, H, W)``); returns a
         future resolving to that sample's ``(classes,)`` logits row."""
         sample = np.asarray(sample)
-        if sample.ndim >= 2 and sample.shape[0] == 1:
+        if sample.ndim == 4 and sample.shape[0] == 1:
             sample = sample[0]
         now = self._clock()
         fut = ServeFuture(now)

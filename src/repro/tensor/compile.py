@@ -54,6 +54,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..profiler import Counters, register
 from . import memplan as _mp
 from . import parallel as _par
 from . import sparse as _sparse
@@ -71,8 +72,9 @@ __all__ = ["Tape", "StepPlan", "PlanCache", "PlanStats", "STATS",
 
 
 @dataclass
-class PlanStats:
-    """Process-wide capture/replay accounting (merged into the profiler)."""
+class PlanStats(Counters):
+    """Process-wide capture/replay accounting (``PROFILER.summary()
+    ["_plans"]``)."""
 
     captures: int = 0
     capture_seconds: float = 0.0
@@ -80,11 +82,6 @@ class PlanStats:
     replay_seconds: float = 0.0
     fallbacks: int = 0
     last_fallback_reason: str = ""
-
-    def reset(self) -> None:
-        self.captures = self.replays = self.fallbacks = 0
-        self.capture_seconds = self.replay_seconds = 0.0
-        self.last_fallback_reason = ""
 
     def count_capture(self, plan, reason: Optional[str], t0: float) -> None:
         """Book one capture attempt started at ``time.perf_counter() == t0``:
@@ -96,18 +93,8 @@ class PlanStats:
             self.fallbacks += 1
             self.last_fallback_reason = reason or "capture failed"
 
-    def as_dict(self) -> Dict[str, object]:
-        return {"captures": self.captures,
-                "capture_seconds": self.capture_seconds,
-                "replays": self.replays,
-                "replay_seconds": self.replay_seconds,
-                "fallbacks": self.fallbacks,
-                "last_fallback_reason": self.last_fallback_reason}
 
-
-#: Process-wide plan statistics (``repro.profiler`` surfaces them as the
-#: ``_plans`` entry of ``PROFILER.summary()``).
-STATS = PlanStats()
+STATS = register("_plans", PlanStats())
 
 
 class _CaptureError(Exception):

@@ -45,6 +45,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..profiler import Counters, register
+
 __all__ = ["Slab", "MemPlanner", "MemPlanStats", "STATS",
            "live_arena_bytes", "live_arena_count"]
 
@@ -111,8 +113,9 @@ class Slab:
 
 
 @dataclass
-class MemPlanStats:
-    """Process-wide planning accounting (surfaced by the profiler)."""
+class MemPlanStats(Counters):
+    """Process-wide planning accounting (``PROFILER.summary()
+    ["_memplan"]``)."""
 
     plans: int = 0
     solve_seconds: float = 0.0
@@ -125,28 +128,12 @@ class MemPlanStats:
     fallbacks: int = 0
     last_fallback_reason: str = ""
 
-    def reset(self) -> None:
-        self.plans = self.fallbacks = 0
-        self.solve_seconds = 0.0
-        self.arena_bytes = self.naive_bytes = self.peak_bytes = 0
-        self.alias_buffers = 0
-        self.last_fallback_reason = ""
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"plans": self.plans,
-                "solve_seconds": self.solve_seconds,
-                "arena_bytes": self.arena_bytes,
-                "naive_bytes": self.naive_bytes,
-                "peak_bytes": self.peak_bytes,
-                "alias_buffers": self.alias_buffers,
-                "fallbacks": self.fallbacks,
-                "last_fallback_reason": self.last_fallback_reason,
-                "live_arenas": live_arena_count(),
+    def derived(self) -> Dict[str, object]:
+        return {"live_arenas": live_arena_count(),
                 "live_arena_bytes": live_arena_bytes()}
 
 
-#: Process-wide planner statistics (``PROFILER.summary()["_memplan"]``).
-STATS = MemPlanStats()
+STATS = register("_memplan", MemPlanStats())
 
 
 class _ArenaHandle:

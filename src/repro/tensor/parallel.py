@@ -66,13 +66,15 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..profiler import Counters, register
+
 
 # ---------------------------------------------------------------------------
 # Scheduling statistics (PROFILER.summary()["_parallel"])
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ParallelStats:
+class ParallelStats(Counters):
     """Aggregate accounting for parallel replay."""
 
     #: schedules built (one per parallel plan capture)
@@ -96,32 +98,16 @@ class ParallelStats:
     #: per-level timing of the most recent replay: (width, seconds)
     last_levels: List[Tuple[int, float]] = field(default_factory=list)
 
-    def reset(self) -> None:
-        self.schedules = self.replays = 0
-        self.levels_run = self.thunks_run = 0
-        self.max_width = 0
-        self.replay_seconds = self.barrier_seconds = 0.0
-        self.levels_serialized = 0
-        self.blas_limited = None
-        self.last_levels = []
-
-    def as_dict(self) -> Dict[str, object]:
+    def derived(self) -> Dict[str, object]:
         pool = _POOL
         busy = list(pool.busy_seconds) if pool is not None else []
-        return {"schedules": self.schedules, "replays": self.replays,
-                "levels_run": self.levels_run, "thunks_run": self.thunks_run,
-                "max_width": self.max_width,
-                "replay_seconds": self.replay_seconds,
-                "barrier_seconds": self.barrier_seconds,
-                "levels_serialized": self.levels_serialized,
-                "blas_limited": self.blas_limited,
-                "threads": (pool.width if pool is not None else 0),
+        return {"threads": (pool.width if pool is not None else 0),
                 "thread_busy_seconds": busy,
                 "last_levels": [{"width": w, "seconds": s}
                                 for w, s in self.last_levels]}
 
 
-STATS = ParallelStats()
+STATS = register("_parallel", ParallelStats())
 
 
 # ---------------------------------------------------------------------------

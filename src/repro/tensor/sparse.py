@@ -54,11 +54,12 @@ buffers — the moment a guard fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..profiler import Counters, register
 from . import workspace as ws
 from .ops.conv import ConvKernels, conv_form
 
@@ -173,7 +174,7 @@ class StepState:
 # -- statistics (PROFILER.summary()["_sparse"]) ------------------------------
 
 @dataclass
-class SparseStats:
+class SparseStats(Counters):
     publishes: int = 0
     publish_invalidations: int = 0
     gate_accepts: int = 0
@@ -186,18 +187,12 @@ class SparseStats:
     #: GEMM reduction columns skipped, accumulated over steps
     skipped_cols: int = 0
 
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-    def as_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+    def derived(self) -> dict:
         from ..costmodel.time import SPARSE_GEMM
-        out["decisions"] = list(SPARSE_GEMM.decisions)
-        return out
+        return {"decisions": list(SPARSE_GEMM.decisions)}
 
 
-STATS = SparseStats()
+STATS = register("_sparse", SparseStats())
 
 
 # -- registry ----------------------------------------------------------------

@@ -45,6 +45,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..profiler import Counters, register
+
 
 def _env_flag(name: str, default: bool) -> bool:
     val = os.environ.get(name)
@@ -57,8 +59,11 @@ def _env_flag(name: str, default: bool) -> bool:
 class EngineConfig:
     """Feature switches for the optimized engine.
 
-    All default to on; flip off (or set ``REPRO_WORKSPACE=0`` /
-    ``REPRO_FUSED=0`` before import) to run the seed-equivalent path.
+    ``pooling``, ``fused_bnrelu`` and ``mem_plan`` default on and
+    ``conv_impl`` to ``"einsum"``; ``parallel_replay`` and
+    ``sparse_compute`` default off.  ``baseline_engine()`` (or
+    ``REPRO_WORKSPACE=0 REPRO_FUSED=0 REPRO_CONV_IMPL=im2col`` before
+    import) runs the seed-equivalent path.
     """
 
     #: serve kernel scratch from the workspace pool instead of fresh allocs
@@ -144,8 +149,8 @@ def baseline_engine():
 
 
 @dataclass
-class PoolStats:
-    """Allocation accounting (feeds the op profiler's bytes counters)."""
+class PoolStats(Counters):
+    """Allocation accounting (``PROFILER.summary()["_workspace"]``)."""
 
     hits: int = 0
     misses: int = 0
@@ -157,20 +162,6 @@ class PoolStats:
     #: workload (or a shape churns faster than it is reused)
     evictions: int = 0
     bytes_evicted: int = 0
-
-    def reset(self) -> None:
-        self.hits = self.misses = 0
-        self.bytes_reused = self.bytes_allocated = 0
-        self.invalidations = 0
-        self.evictions = self.bytes_evicted = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "bytes_reused": self.bytes_reused,
-                "bytes_allocated": self.bytes_allocated,
-                "invalidations": self.invalidations,
-                "evictions": self.evictions,
-                "bytes_evicted": self.bytes_evicted}
 
 
 class WorkspacePool:
@@ -271,6 +262,7 @@ class WorkspacePool:
 
 #: The process-wide pool every kernel draws from.
 POOL = WorkspacePool()
+register("_workspace", POOL.stats)
 
 #: Monotonic counter bumped whenever the shape-stationarity assumption is
 #: broken (pruning reconfiguration, checkpoint restore).  Compiled step

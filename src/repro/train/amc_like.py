@@ -123,14 +123,8 @@ class AMCLikePruner:
         cum = 0.0
 
         if not self.pretrained and self.cfg.pretrain_epochs > 0:
-            cfg = TrainerConfig(
-                epochs=self.cfg.pretrain_epochs,
-                batch_size=self.cfg.batch_size, lr=self.cfg.lr,
-                momentum=self.cfg.momentum,
-                weight_decay=self.cfg.weight_decay,
-                augment=self.cfg.augment, seed=self.cfg.seed,
-                device_names=self.cfg.device_names,
-                log_every=self.cfg.log_every)
+            cfg = self.cfg.phase(self.cfg.pretrain_epochs, self.cfg.lr,
+                                 self.cfg.seed)
             t = Trainer(self.model, self.train_set, self.val_set, cfg)
             p = t.train()
             log.records.extend(p.records)
@@ -143,14 +137,8 @@ class AMCLikePruner:
                     <= self.cfg.target_inference_ratio * dense_flops:
                 break
             self._prune_round()
-            ft_cfg = TrainerConfig(
-                epochs=self.cfg.finetune_epochs,
-                batch_size=self.cfg.batch_size, lr=self.cfg.lr * 0.01,
-                momentum=self.cfg.momentum,
-                weight_decay=self.cfg.weight_decay,
-                augment=self.cfg.augment, seed=self.cfg.seed + rnd + 1,
-                device_names=self.cfg.device_names,
-                log_every=self.cfg.log_every)
+            ft_cfg = self.cfg.phase(self.cfg.finetune_epochs,
+                                    self.cfg.lr * 0.01, self.cfg.seed + rnd + 1)
             ft = Trainer(self.model, self.train_set, self.val_set, ft_cfg)
             ft._cum_flops = cum
             p = ft.train()

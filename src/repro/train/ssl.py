@@ -27,7 +27,7 @@ from ..nn.module import Module
 from ..prune import prune_and_reconfigure
 from .metrics import RunLog
 from .prunetrain import PruneTrainConfig, PruneTrainTrainer
-from .trainer import Trainer, TrainerConfig
+from .trainer import Trainer
 
 
 @dataclass
@@ -72,14 +72,8 @@ class SSLTrainer:
             cum = self.pretrain_log.total_train_flops
 
         if not self.pretrained and self.cfg.pretrain_epochs > 0:
-            dense_cfg = TrainerConfig(
-                epochs=self.cfg.pretrain_epochs,
-                batch_size=self.cfg.batch_size, lr=self.cfg.lr,
-                momentum=self.cfg.momentum,
-                weight_decay=self.cfg.weight_decay,
-                workers=self.cfg.workers, augment=self.cfg.augment,
-                seed=self.cfg.seed, device_names=self.cfg.device_names,
-                log_every=self.cfg.log_every)
+            dense_cfg = self.cfg.phase(self.cfg.pretrain_epochs, self.cfg.lr,
+                                       self.cfg.seed)
             phase1 = Trainer(self.model, self.train_set, self.val_set,
                              dense_cfg)
             p1 = phase1.train()

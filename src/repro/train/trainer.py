@@ -10,7 +10,7 @@ ratios.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -100,6 +100,15 @@ class TrainerConfig:
     #: elastic only: optional :class:`repro.distributed.FaultPlan` scripting
     #: deterministic worker failures (testing / resilience drills)
     dist_fault_plan: Optional[object] = None
+
+    def phase(self, epochs: int, lr: float, seed: int) -> "TrainerConfig":
+        """The plain :class:`TrainerConfig` of one phase of a multi-phase run
+        (dense pretrain, fine-tune round): every field of this config but
+        ``epochs``/``lr``/``seed``, except that checkpointing stays off —
+        phases sharing one directory would overwrite each other's files."""
+        kept = {f.name: getattr(self, f.name) for f in fields(TrainerConfig)
+                if not f.name.startswith("checkpoint_")}
+        return TrainerConfig(**dict(kept, epochs=epochs, lr=lr, seed=seed))
 
 
 class Trainer:

@@ -21,8 +21,9 @@ import pytest
 from repro.data import make_synthetic
 from repro.experiments.configs import QUICK, SMOKE, make_model
 from repro.io import save_checkpoint
+from repro.nn.resnet import ResNet
 from repro.prune import prune_and_reconfigure
-from repro.serve import ModelRegistry
+from repro.serve import InferenceServer, ModelRegistry
 from repro.tensor import Tensor, no_grad, workspace
 from repro.tensor.compile import StepPlan, capture_forward
 from repro.train import Trainer, TrainerConfig
@@ -154,6 +155,27 @@ def test_padding_level_never_changes_logits(tmp_path):
     out_pad8 = registry.run("dense", x)
     assert np.array_equal(out_pad4, out_pad8)
     assert np.array_equal(out_pad4, _eager_rows(model, x))
+
+
+def test_one_channel_sample_keeps_its_channel_axis():
+    """For a 1-channel model a ``(1, H, W)`` sample is one image, not a
+    batch of one: the server strips the leading 1 only from a 4-D
+    ``(1, C, H, W)`` sample, and both forms serve the batch-1 eager row."""
+    model = ResNet([1, 1, 1], [8, 8, 8], False, 10, input_hw=SMOKE.hw,
+                   in_channels=1, seed=3)
+    registry = ModelRegistry(max_models=1)
+    registry.register_model("gray", model)
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(3, 1, SMOKE.hw, SMOKE.hw)).astype(np.float32)
+    with InferenceServer(registry, max_batch=4,
+                         latency_budget=0.002) as server:
+        futures = [server.submit("gray", x[i]) for i in range(3)]
+        futures.append(server.submit("gray", x[:1]))
+        results = [f.result(timeout=30) for f in futures]
+    ref = _eager_rows(model, x)
+    for i in range(3):
+        assert np.array_equal(results[i], ref[i]), i
+    assert np.array_equal(results[3], ref[0])
 
 
 def test_seed_conv_lowering_is_refused_and_served_row_by_row(tmp_path,

@@ -6,11 +6,13 @@ wall time and bytes to the engine's kernels and surface in each epoch's
 log record via ``TrainerConfig(profile=True)``.
 """
 
+import dataclasses
+
 import numpy as np
 
 from repro.data import make_synthetic
 from repro.nn import resnet20
-from repro.profiler import PROFILER, OpProfiler
+from repro.profiler import COUNTERS, PROFILER, Counters, OpProfiler
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 from repro.train import Trainer, TrainerConfig
@@ -73,15 +75,34 @@ class TestCounters:
         assert st["bytes"] == 400
         assert p.total_seconds() == 1.0
 
-    def test_op_context_manager(self):
-        p = OpProfiler()
-        with p.op("noop"):  # disabled: records nothing
-            pass
-        assert "noop" not in p.summary()
-        p.enable()
-        with p.op("noop", 42):
-            pass
-        assert p.summary()["noop"]["calls"] == 1
+    def test_counter_set_resets_and_reports_its_fields(self):
+        @dataclasses.dataclass
+        class Probe(Counters):
+            hits: int = 0
+            reason: str = ""
+            rows: list = dataclasses.field(default_factory=list)
+
+            def derived(self):
+                return {"n_rows": len(self.rows)}
+
+        c = Probe()
+        c.hits, c.reason = 3, "x"
+        c.rows.append(1)
+        assert c.as_dict() == {"hits": 3, "reason": "x", "rows": [1],
+                               "n_rows": 1}
+        rows = c.rows
+        c.reset()
+        assert c.as_dict() == {"hits": 0, "reason": "", "rows": [],
+                               "n_rows": 0}
+        assert c.rows is not rows, "a factory default must be rebuilt"
+
+    def test_summary_reports_every_registered_counter_set(self):
+        from repro.tensor import compile as tcompile
+        summary = OpProfiler().summary()
+        assert set(COUNTERS) <= set(summary)
+        assert summary["_plans"] == tcompile.STATS.as_dict()
+        for key, counters in COUNTERS.items():
+            assert "reset" not in vars(type(counters)), key
 
     def test_report_renders_table(self):
         p = OpProfiler()

@@ -183,6 +183,32 @@ def test_only_engine_pins_write_the_engine_config():
     assert sorted(_config_writes(probe)) == [4, 5, 6, 7]
 
 
+#: ``PROFILER.summary()``'s counter entries and how many keys each reports
+SUMMARY_LAYOUT = {"_workspace": 7, "_plans": 6, "_memplan": 10,
+                  "_parallel": 12, "_comm": 9, "_sparse": 11}
+
+
+def test_counters_keep_the_names_the_benchmark_reads():
+    """``benchmarks/e2e/wl_train.py`` reads engine counters by attribute,
+    and the summary's counter entries are what ``profile=True`` logs."""
+    import repro.train  # noqa: F401  (imports every counter set)
+    from repro.profiler import PROFILER
+    from repro.tensor import compile as tcompile
+    from repro.tensor import memplan, workspace
+    read = {"compile.STATS": (tcompile.STATS, ["fallbacks"]),
+            "memplan.STATS": (memplan.STATS, ["plans", "solve_seconds"]),
+            "workspace.POOL.stats": (workspace.POOL.stats, [
+                "hits", "misses", "bytes_allocated", "invalidations",
+                "evictions"])}
+    for owner, (counters, names) in read.items():
+        for name in names:
+            assert isinstance(getattr(counters, name), (int, float)), \
+                f"{owner}.{name}"
+    layout = {key: len(entry) for key, entry in PROFILER.summary().items()
+              if key.startswith("_")}
+    assert layout == SUMMARY_LAYOUT
+
+
 def test_captures_go_through_the_names_the_benchmark_wraps(monkeypatch):
     """``benchmarks/e2e`` times plan capture (its ``compile.capture`` span)
     by wrapping three module-level names: ``capture_training_step`` and

@@ -6,6 +6,8 @@ consistency) rather than learning outcomes, which the benchmark suite
 exercises at a larger scale.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,36 @@ def tiny_cfg(**kw):
     base = dict(epochs=3, batch_size=32, augment=False, log_every=0)
     base.update(kw)
     return base
+
+
+#: non-default TrainerConfig fields a multi-phase run must hand every phase
+PHASE_FIELDS = dict(bn_recal_batches=0, compile_step=False, eval_batch=48,
+                    augment_noise_std=0.01, lr_milestone_fractions=(0.5,),
+                    lr_gamma=0.5, profile=True, dist_engine="sim")
+
+
+def _record_phase_configs(monkeypatch, module):
+    """Swap ``module.Trainer`` for a subclass that records its config."""
+    seen = []
+
+    class Recording(Trainer):
+        def __init__(self, model, train_set, val_set, config):
+            seen.append(config)
+            super().__init__(model, train_set, val_set, config)
+
+    monkeypatch.setattr(module, "Trainer", Recording)
+    return seen
+
+
+def _assert_phases_inherit(seen, cfg):
+    for phase in seen:
+        assert type(phase) is TrainerConfig
+        for f in dataclasses.fields(TrainerConfig):
+            if f.name in ("epochs", "lr", "seed"):
+                continue
+            want = (f.default if f.name.startswith("checkpoint_")
+                    else getattr(cfg, f.name))
+            assert getattr(phase, f.name) == want, f.name
 
 
 class TestDenseTrainer:
@@ -414,6 +446,19 @@ class TestSSLTrainer:
         params = log.series("params")
         assert (params == params[0]).all()
 
+    def test_pretrain_phase_inherits_the_run_config(self, data,
+                                                    monkeypatch):
+        from repro.train import ssl
+        seen = _record_phase_configs(monkeypatch, ssl)
+        train, val = data
+        cfg = SSLConfig(**tiny_cfg(epochs=1, lr=0.05, seed=3),
+                        penalty_ratio=0.25, pretrain_epochs=2,
+                        **PHASE_FIELDS)
+        SSLTrainer(resnet20(10, width_mult=0.25, input_hw=8), train, val,
+                   cfg).train()
+        assert [(c.epochs, c.lr, c.seed) for c in seen] == [(2, 0.05, 3)]
+        _assert_phases_inherit(seen, cfg)
+
     def test_ssl_training_cost_about_twice_dense(self, data):
         train, val = data
         dense_model = resnet20(10, width_mult=0.25, input_hw=8)
@@ -476,6 +521,25 @@ class TestAMCLike:
             out = model(Tensor(rng.normal(size=(2, 3, 8, 8))
                                .astype(np.float32)))
         assert np.isfinite(out.data).all()
+
+    def test_every_phase_inherits_the_run_config(self, data, monkeypatch,
+                                                 tmp_path):
+        """Pretraining and every fine-tune round train under all of the
+        run's TrainerConfig fields; only epochs/lr/seed are per phase, and
+        checkpointing stays off (phases would overwrite each other)."""
+        from repro.train import amc_like
+        seen = _record_phase_configs(monkeypatch, amc_like)
+        train, val = data
+        cfg = AMCLikeConfig(**tiny_cfg(epochs=1, lr=0.05, seed=3),
+                            pretrain_epochs=1, finetune_epochs=2,
+                            max_rounds=2, target_inference_ratio=0.1,
+                            **PHASE_FIELDS, checkpoint_every=1,
+                            checkpoint_dir=str(tmp_path))
+        AMCLikePruner(resnet20(10, width_mult=0.25, input_hw=8), train, val,
+                      cfg).run()
+        assert [(c.epochs, c.lr, c.seed) for c in seen] == [
+            (1, 0.05, 3), (2, 0.05 * 0.01, 4), (2, 0.05 * 0.01, 5)]
+        _assert_phases_inherit(seen, cfg)
 
     def test_channel_importance_ranks_magnitudes(self):
         from repro.train import channel_importance
