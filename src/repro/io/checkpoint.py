@@ -169,10 +169,7 @@ def _replay_structure(model: Module, meta: Dict) -> None:
     inactive = set(meta["inactive_paths"])
     for p in graph.paths.values():
         if p.name in inactive:
-            p.block.active = False
-            for attr in ("conv1", "bn1", "conv2", "bn2", "conv3", "bn3"):
-                if hasattr(p.block, attr):
-                    setattr(p.block, attr, None)
+            p.remove()
 
     # 2. channel pruning (first-k masks; identity is arbitrary because the
     #    checkpoint supplies the weights)

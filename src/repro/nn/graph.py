@@ -83,6 +83,14 @@ class ResidualPath:
     block: object
     conv_names: List[str]
 
+    def remove(self) -> None:
+        """Deactivate the path and drop the block's conv/bn modules, so
+        their parameters leave ``model.parameters()``."""
+        self.block.active = False
+        for attr in ("conv1", "bn1", "conv2", "bn2", "conv3", "bn3"):
+            if hasattr(self.block, attr):
+                setattr(self.block, attr, None)
+
 
 class ModelGraph:
     """Structural description of a model for pruning/cost accounting."""

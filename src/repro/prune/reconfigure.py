@@ -28,8 +28,7 @@ import numpy as np
 from ..nn.graph import ConvNode, ModelGraph
 from ..nn.module import Module, Parameter
 from ..tensor import workspace
-from .sparsity import (DEFAULT_THRESHOLD, all_conv_sparsity, conv_sparsity,
-                       space_keep_masks)
+from .sparsity import DEFAULT_THRESHOLD, conv_sparsity, space_keep_masks
 
 
 @dataclass
@@ -93,21 +92,15 @@ def remove_dead_paths(graph: ModelGraph,
                       threshold: float = DEFAULT_THRESHOLD) -> List[str]:
     """Deactivate residual paths containing a fully-sparsified conv.
 
-    Returns the names of removed paths.  The block's conv/bn module
-    references are dropped so the parameters disappear from
-    ``model.parameters()``.
+    Returns the names of removed paths (:meth:`ResidualPath.remove`: their
+    parameters disappear from ``model.parameters()``).
     """
     removed = []
     for node in _dead_convs(graph, threshold):
         path = graph.paths[node.path]
-        block = path.block
-        if not getattr(block, "active", True):
+        if not getattr(path.block, "active", True):
             continue
-        block.active = False
-        # Drop module references so parameters leave the model.
-        for attr in ("conv1", "bn1", "conv2", "bn2", "conv3", "bn3"):
-            if hasattr(block, attr):
-                setattr(block, attr, None)
+        path.remove()
         removed.append(path.name)
     return removed
 

@@ -47,6 +47,7 @@ new batch size simply captures a new plan.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass
@@ -59,9 +60,7 @@ from . import memplan as _mp
 from . import parallel as _par
 from . import sparse as _sparse
 from . import workspace as ws
-from .ops import basic as _basic
 from .ops import conv as _conv
-from .ops import norm as _norm
 from .ops import table as _table
 from . import tensor as _tensor_mod
 from .functional import _give_grad, cross_entropy
@@ -269,6 +268,10 @@ def _shared_backward(rec: _Record) -> bool:
     form = _conv.conv_form(*x.data.shape[2:], *w.data.shape[2:], stride,
                            padding, w.data.shape[0])
     return _conv.FORMS[form].shared_backward
+
+
+def _drop(arr) -> None:
+    """The gradient sink of an absent optional input."""
 
 
 def _release_fin(grads: list, o: int):
@@ -790,82 +793,89 @@ class _PlanBuilder:
                     self._input_uses[id(_inp)] = \
                         self._input_uses.get(id(_inp), 0) + 1
 
-    # -- planned buffer allocation ----------------------------------------
-    # Each helper maps one buffer class to its liveness interval and
-    # degrades to the exact pre-planner allocation when ``mem`` is None.
-    def _value_buf(self, rec: _Record, shape, dtype,
-                   alias_from: Optional[Tensor] = None) -> np.ndarray:
-        """Output activation: live from this op's forward to the last
-        forward/backward that reads it.  ``alias_from`` requests an
-        in-place overwrite of that input's slab when provably safe."""
-        if self.mem is None:
-            return np.empty(shape, dtype)
-        o = self.tape.slot_of[id(rec.out)]
-        alias_slot = None
-        if alias_from is not None and self.lt.alias_ok(alias_from, rec):
-            alias_slot = self.tape.slot_of[id(alias_from)]
-        t = self.lt.fwd_t[id(rec)]
-        return self.mem.alloc(shape, dtype, t, self.lt.value_end(rec),
-                              tag=rec.kind + ".y", out_slot=o,
-                              alias_slot=alias_slot,
-                              ticks=self.lt.value_ticks(rec))
+    # -- the per-record allocator ------------------------------------------
+    def _allocator(self, rec: _Record, alias: Tuple[int, ...] = ()):
+        """``alloc(shape, tag, phase, dtype=None)`` for ``rec``: the one way a
+        thunk's buffers are requested, by the conv's kernel set and by table
+        rows alike.  ``phase`` names the buffer class, which fixes its
+        liveness interval on the step timeline (:class:`_Lifetimes`):
 
-    def _span_buf(self, rec: _Record, shape, dtype, tag: str = "") \
-            -> np.ndarray:
-        """Forward staging the op's own backward still reads (columns)."""
-        if self.mem is None:
-            return np.empty(shape, dtype)
-        return self.mem.alloc(shape, dtype, self.lt.fwd_t[id(rec)],
-                              self.lt._end_of(rec),
-                              tag=tag or rec.kind + ".span")
+        - ``"out"`` — the output value, from this forward to the last
+          forward/backward that reads it; it overwrites the first input in
+          ``alias`` whose value the planner proves dead after this forward;
+        - ``"fwd"`` — forward staging dead once the forward returns;
+        - ``"span"`` — forward staging the op's own backward still reads;
+        - ``"a"`` / ``"b"`` / ``"ab"`` — backward scratch of the thunk's
+          early tick (the weight-gradient GEMM), late tick (the dx staging),
+          or whole window (what the early part writes and the late reads);
+        - ``"grad<i>"`` — the gradient donated toward input ``i``, written
+          in this backward and consumed by that input's producer's backward
+          (``"dx"``: toward input 0, first written at the late tick);
+        - ``"leaf<i>"`` — the zero-copy destination of leaf input ``i``'s
+          gradient, or ``None`` (see below).
 
-    def _fwd_buf(self, rec: _Record, shape, dtype, tag: str) -> np.ndarray:
-        """Forward staging dead once the op's forward thunk returns (padded
-        input, column tensor).  Point-lived under the planner: a
-        write-borders-once padded buffer or a kept column stack would span
-        the timeline exclusively — one per conv, the dominant slabs of a
-        plan — while point-lived scratch lets every conv share one region,
-        at the price of a per-step border memset (the same cost eager pays
-        in its zero-filled pool acquire) and a backward re-gather."""
-        if self.mem is None:
-            return np.empty(shape, dtype)
-        t = self.lt.fwd_t[id(rec)]
-        return self.mem.alloc(shape, dtype, t, t, tag=tag)
+        Point-lived forward staging lets every conv share one region, at
+        the price of a per-step border memset (the same cost eager pays in
+        its zero-filled pool acquire) and a backward re-gather.  With no
+        planner, and for a gradient that escapes the plan (a leaf's, kept by
+        the optimizer), a buffer is a private ``np.empty``.  Tags get the op
+        kind as a prefix; ``dtype`` defaults to the first input's.
 
-    def _bwd_buf(self, rec: _Record, shape, dtype, tag: str = "",
-                 phase: Optional[str] = None) -> np.ndarray:
-        """Scratch touched only inside the op's own backward thunk.
-
-        ``phase`` narrows the interval to the thunk's early tick ("a",
-        the weight-gradient GEMM) or late tick ("b", the dx staging) so
-        the conv backward's two large buffers can share one region;
-        anything else — ``None``, or ``"ab"``, staging the early part
-        writes and the late part reads — spans the whole thunk.
+        A leaf destination exists when the process has bound a shared-memory
+        sink for that parameter (:func:`repro.tensor.workspace.
+        bind_grad_sinks` — the elastic worker's allreduce segment), the
+        parameter feeds this op alone, and shape and dtype agree: the
+        kernel then reduces straight into the bound array via ``out=`` and
+        ``_give_grad`` donates it as ``param.grad`` — the same values, only
+        the destination changes.
         """
-        if self.mem is None:
-            return np.empty(shape, dtype)
-        lo, hi = self.lt.bwd_window(rec)
-        if phase == "a":
-            hi = lo
-        elif phase == "b":
-            lo = hi
-        return self.mem.alloc(shape, dtype, lo, hi,
-                              tag=tag or rec.kind + ".bwd")
+        tape, lt, mem, plan = self.tape, self.lt, self.mem, self.plan
+        uses, x_dtype = self._input_uses, rec.inputs[0].data.dtype
 
-    def _grad_buf(self, rec: _Record, x: Tensor, shape, dtype, *,
-                  zero: bool = False, late: bool = False,
-                  tag: str = "") -> np.ndarray:
-        """Gradient donated toward ``x``: written in this op's backward,
-        consumed by x's producer's backward.  ``late`` marks a buffer
-        first written in the thunk's second phase.  Stays private when
-        the gradient escapes the plan (leaf sinks keep the array)."""
-        end = self.lt.grad_end(x) if self.mem is not None else None
-        if end is None:
-            return np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
-        lo, hi = self.lt.bwd_window(rec)
-        start = min(hi if late else lo, end)
-        return self.mem.alloc(shape, dtype, start, end,
-                              zero=zero, tag=tag or rec.kind + ".grad")
+        def alloc(shape: tuple, tag: str, phase: str,
+                  dtype=None) -> Optional[np.ndarray]:
+            dtype = x_dtype if dtype is None else dtype
+            if phase.startswith("leaf"):
+                t = rec.inputs[int(phase[4:])]
+                view = None if t is None else ws.grad_sink_for(id(t))
+                if (view is None or uses.get(id(t), 0) != 1
+                        or view.shape != t.data.shape
+                        or view.dtype != t.data.dtype):
+                    return None
+                plan._sink_bound[id(t)] = view
+                plan._leaf_sink_rec[id(t)] = id(rec)
+                if mem is not None:
+                    mem.note_external(id(t), view.nbytes)
+                return view
+            tag = rec.kind + "." + tag
+            if phase == "dx" or phase.startswith("grad"):
+                x = rec.inputs[0 if phase == "dx" else int(phase[4:])]
+                end = lt.grad_end(x) if mem is not None else None
+                if end is None:
+                    return np.empty(shape, dtype)
+                lo, hi = lt.bwd_window(rec)
+                return mem.alloc(shape, dtype,
+                                 min(hi if phase == "dx" else lo, end), end,
+                                 tag=tag)
+            if mem is None:
+                return np.empty(shape, dtype)
+            tick = lt.fwd_t[id(rec)]
+            if phase == "out":
+                alias_slot = next((tape.slot_of[id(rec.inputs[i])]
+                                   for i in alias
+                                   if lt.alias_ok(rec.inputs[i], rec)), None)
+                return mem.alloc(shape, dtype, tick, lt.value_end(rec),
+                                 tag=tag, out_slot=tape.slot_of[id(rec.out)],
+                                 alias_slot=alias_slot,
+                                 ticks=lt.value_ticks(rec))
+            if phase == "fwd":
+                return mem.alloc(shape, dtype, tick, tick, tag=tag)
+            if phase == "span":
+                return mem.alloc(shape, dtype, tick, lt._end_of(rec), tag=tag)
+            lo, hi = lt.bwd_window(rec)
+            return mem.alloc(shape, dtype, hi if phase == "b" else lo,
+                             lo if phase == "a" else hi, tag=tag)
+        return alloc
 
     # -- input/output resolution ------------------------------------------
     def _resolve(self, t: Tensor) -> Tuple[Optional[int], Optional[Tensor]]:
@@ -880,8 +890,12 @@ class _PlanBuilder:
         self._leaves[id(t)] = t
         return None, t
 
-    def _reader(self, t: Tensor) -> Callable[[], np.ndarray]:
-        """Zero-arg callable yielding the input's *current* value."""
+    def _reader(self, t: Optional[Tensor]
+                ) -> Callable[[], Optional[np.ndarray]]:
+        """Zero-arg callable yielding the input's *current* value (``None``
+        for an absent optional input)."""
+        if t is None:
+            return lambda: None
         slot, leaf = self._resolve(t)
         if slot is not None:
             values = self.plan._values
@@ -902,7 +916,7 @@ class _PlanBuilder:
         """Mirror ``functional._give_grad`` for a kernel-produced gradient."""
         slot, leaf = self._resolve(t)
         if slot is None:
-            return lambda arr: _give_grad(leaf, arr)
+            return functools.partial(_give_grad, leaf)
         grads = self.plan._grads
         release = ws.release
         if self.pooling:
@@ -941,44 +955,17 @@ class _PlanBuilder:
                 g0 += arr
         return sink
 
-    def _leaf_out(self, rec: _Record, t: Optional[Tensor]
-                  ) -> Optional[np.ndarray]:
-        """Zero-copy gradient destination for leaf ``t``, or ``None``.
-
-        When the process has bound a shared-memory gradient sink for this
-        parameter (:func:`repro.tensor.workspace.bind_grad_sinks` — the
-        elastic worker's allreduce segment), the sink thunk computes its
-        final reduction straight into the bound array via ``out=`` instead
-        of a fresh allocation, and ``_give_grad`` donates that array as
-        ``param.grad``.  The values written are bit-identical to the
-        private-buffer form; only the destination changes.  Returns
-        ``None`` (site keeps its original code path) when no binding
-        exists, the parameter feeds more than one op, or shapes/dtypes
-        disagree with the binding.
-        """
-        if t is None:
-            return None
-        view = ws.grad_sink_for(id(t))
-        if view is None or self._input_uses.get(id(t), 0) != 1:
-            return None
-        if view.shape != t.data.shape or view.dtype != t.data.dtype:
-            return None
-        self.plan._sink_bound[id(t)] = view
-        self.plan._leaf_sink_rec[id(t)] = id(rec)
-        if self.mem is not None:
-            self.mem.note_external(id(t), view.nbytes)
-        return view
-
     def leaf_shapes(self) -> List[Tuple[Tensor, tuple]]:
         return [(t, t.data.shape) for t in self._leaves.values()]
 
-    # -- per-op thunk builders --------------------------------------------
+    # -- thunk builders ----------------------------------------------------
     # A builder maps plan buffers, value/gradient slots and sinks onto
     # kernels stated under ``repro.tensor.ops`` -- the same ones the eager
-    # layer runs.  It defines no arithmetic of its own.
+    # layer runs.  It defines no arithmetic of its own.  There are two: the
+    # row driver, for every op of ``ops.table.OPS``, and the conv's.
     def build(self, rec: _Record):
-        """``(fwd, bwd)`` thunks of one record: from the op's buffer-mapping
-        builder when it has one, else from its pass-through table row."""
+        """``(fwd, bwd)`` thunks of one record: from ``_build_<kind>`` where
+        one exists (the conv, the loss), else from the op's table row."""
         builder = getattr(self, "_build_" + rec.kind, None)
         if builder is not None:
             return builder(rec)
@@ -988,15 +975,25 @@ class _PlanBuilder:
         return self._from_row(rec, op, [rec.attrs])
 
     def _from_row(self, rec: _Record, op: "_table.Op", attrs: list):
-        """The single pass-through builder: thunks derived from a table row.
+        """The row driver: thunks derived from a table row.
 
-        The forward kernel's output is the slot value as returned (no
-        preplanned buffer), what it saves rides in the slot's ctx, and each
-        input's gradient goes to a donating or a copying sink as the row
-        says.  ``attrs`` is a one-element box read per step (the loss's
-        targets change every step; everything else is static).
+        The row's build-time stage, if it has one, requests the buffers
+        through this record's allocator, and both kernels get what it
+        returned (``None`` without a stage).  The forward's output is the
+        slot value, what it saves rides in the slot's ctx, and each input's
+        gradient goes to a donating or a copying sink as the row says (an
+        absent optional input reads ``None`` and drops its gradient).
+        ``attrs`` is a one-element box read per step (the loss's targets
+        change every step; everything else is static).
         """
         readers = [self._reader(t) for t in rec.inputs]
+        bufs = None
+        if op.buffers is not None:
+            bufs = op.buffers(
+                [None if t is None else t.data.shape for t in rec.inputs],
+                [None if t is None else t.data.dtype for t in rec.inputs],
+                attrs[0], self.keep_ctx, self.row_stable,
+                self._allocator(rec, op.alias))
         o = self.tape.slot_of[id(rec.out)]
         values, ctxs, grads = (self.plan._values, self.plan._ctxs,
                                self.plan._grads)
@@ -1004,21 +1001,22 @@ class _PlanBuilder:
         if not self.keep_ctx:
             def fwd() -> None:
                 values[o] = forward(*[rd() for rd in readers], attrs[0],
-                                    False)[0]
+                                    False, bufs)[0]
             return fwd, None
 
         def fwd() -> None:
             values[o], ctxs[o] = forward(*[rd() for rd in readers],
-                                         attrs[0], True)
+                                         attrs[0], True, bufs)
 
-        sinks = [self._sink_donate(t) if donate else self._sink_copy(t)
+        sinks = [_drop if t is None
+                 else self._sink_donate(t) if donate else self._sink_copy(t)
                  for t, donate in zip(rec.inputs, op.donate)]
 
         def bwd() -> None:
             g = grads[o]
             if g is None:
                 return
-            for sink, dg in zip(sinks, backward(g, ctxs[o], attrs[0])):
+            for sink, dg in zip(sinks, backward(g, ctxs[o], attrs[0], bufs)):
                 sink(dg)
             ctxs[o] = None
             ws.release(g)
@@ -1112,19 +1110,7 @@ class _PlanBuilder:
         # plan rebuild within the interval see the same verdict.
         gate = _sparse.conv_gate_for(w_t.data, x.data, stride, padding)
 
-        def alloc(shape: tuple, tag: str, phase: str) -> np.ndarray:
-            tag = "conv2d." + tag
-            if phase == "out":
-                return self._value_buf(rec, shape, dtype)
-            if phase == "dx":
-                return self._grad_buf(rec, x, shape, dtype, late=True,
-                                      tag=tag)
-            if phase == "fwd":
-                return self._fwd_buf(rec, shape, dtype, tag)
-            if phase == "span":
-                return self._span_buf(rec, shape, dtype, tag)
-            return self._bwd_buf(rec, shape, dtype, tag=tag, phase=phase)
-
+        alloc = self._allocator(rec)
         ks = _conv.ConvKernels(
             x.data.shape, w_t.data, stride, padding, dtype, alloc,
             bias=b_t.data if b_t is not None else None,
@@ -1166,8 +1152,8 @@ class _PlanBuilder:
         if not self.keep_ctx:
             return fwd, None
 
-        w_out = self._leaf_out(rec, w_t)
-        b_out = self._leaf_out(rec, b_t)
+        w_out = alloc(w_t.data.shape, "dw", "leaf1")
+        b_out = alloc((k,), "db", "leaf2")
         dense_dw, dense_dx = ks.dw, ks.dx
         if gate is None:
             def weight_grad(xr: np.ndarray, g3: np.ndarray) -> np.ndarray:
@@ -1205,179 +1191,6 @@ class _PlanBuilder:
                 def dx_part(g: np.ndarray) -> None:
                     sink_x(dense_dx(g))
         return fwd, self._conv_backward(rec, dw_part, dx_part, ks.stage_dy)
-
-    def _build_linear(self, rec: _Record):
-        x, weight, bias = rec.inputs
-        rd_x = self._reader(x)
-        w_t = self._leaf(weight)
-        b_t = self._leaf(bias)
-        o = self.tape.slot_of[id(rec.out)]
-        values, grads = self.plan._values, self.plan._grads
-        # Serving plans take the per-sample (row-stable) lowering.
-        row_stable = self.row_stable and not self.keep_ctx
-
-        def fwd() -> None:
-            values[o] = _basic.linear_forward(
-                rd_x(), w_t.data, b_t.data if b_t is not None else None,
-                row_stable)
-
-        if not self.keep_ctx:
-            return fwd, None
-        sink_x = self._sink_donate(x)
-        w_out = self._leaf_out(rec, w_t)
-        b_out = self._leaf_out(rec, b_t)
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            dx, dw, db = _basic.linear_backward(
-                g, rd_x(), w_t.data, b_t is not None, w_out, b_out)
-            sink_x(dx)
-            _give_grad(w_t, dw)
-            if b_t is not None:
-                _give_grad(b_t, db)
-            ws.release(g)
-            grads[o] = None
-        return fwd, bwd
-
-    def _build_batch_norm(self, rec: _Record):
-        """BN thunks over ``ops.norm.batchnorm_forward`` and its backwards —
-        the eager kernels, in-place running-statistics EMA included.
-
-        The training-mode affine-folded BN(+ReLU) is specialized: its
-        full-size passes (``y``, the ReLU-masked gradient, ``dx``) land in
-        plan-owned stable arrays via the kernels' ``out=`` arguments, which
-        eliminates the per-step activation/gradient allocations and pool
-        traffic.  Every other BN (evaluation mode, the seed xhat
-        formulation) runs the same kernels on fresh and pooled arrays.
-        """
-        x, gamma, beta = rec.inputs
-        rm, rv, momentum, eps, training, relu_flag = rec.attrs
-        planned = training and (relu_flag or ws.config.fused_bnrelu)
-        rd_x = self._reader(x)
-        g_t = self._leaf(gamma)
-        b_t = self._leaf(beta)
-        shape, dtype = x.data.shape, x.data.dtype
-        o = self.tape.slot_of[id(rec.out)]
-        values, ctxs, grads = (self.plan._values, self.plan._ctxs,
-                               self.plan._grads)
-        y = self._value_buf(rec, shape, dtype) if planned else None
-        keep = self.keep_ctx
-        forward = _norm.batchnorm_forward
-
-        def fwd() -> None:
-            values[o], cache = forward(rd_x(), g_t.data, b_t.data, rm, rv,
-                                       momentum, eps, training, relu_flag, y)
-            if keep:
-                ctxs[o] = cache
-
-        if not keep:
-            return fwd, None
-
-        sink_x = self._sink_donate(x)
-        if planned:
-            g_out = self._leaf_out(rec, g_t)
-            b_out = self._leaf_out(rec, b_t)
-            dx = self._grad_buf(rec, x, shape, dtype)
-            gbuf = self._bwd_buf(rec, shape, dtype, tag="batch_norm.g")
-            mask = self._bwd_buf(rec, shape, bool, tag="batch_norm.mask") \
-                if relu_flag else None
-
-            def backward(g: np.ndarray, cache: tuple) -> tuple:
-                return _norm.bn_coef_backward(g, cache, True, dx, gbuf, mask,
-                                              g_out, b_out)
-        elif training:
-            backward = _norm.batchnorm_backward
-        else:
-            backward = _norm.batchnorm_eval_backward
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            dx_, dgamma, dbeta = backward(g, ctxs[o])
-            ctxs[o] = None
-            sink_x(dx_)
-            _give_grad(g_t, dgamma)
-            _give_grad(b_t, dbeta)
-            ws.release(g)
-            grads[o] = None
-        return fwd, bwd
-
-    def _build_relu(self, rec: _Record):
-        (x,) = rec.inputs
-        rd_x = self._reader(x)
-        shape = rec.out.data.shape
-        dtype = rec.out.data.dtype
-        # Shape-preserving: overwrite the input's slab in place when the
-        # planner proves the input value is dead after this forward.
-        y = self._value_buf(rec, shape, dtype, alias_from=x)
-        o = self.tape.slot_of[id(rec.out)]
-        values, grads = self.plan._values, self.plan._grads
-
-        relu = _basic.relu_forward
-
-        def fwd() -> None:
-            values[o] = relu(rd_x(), y)
-
-        if not self.keep_ctx:
-            return fwd, None
-        sink_x = self._sink_donate(x)
-        mask = self._bwd_buf(rec, shape, bool, tag="relu.mask")
-        prod = self._grad_buf(rec, x, shape, dtype)
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            sink_x(_basic.masked_grad(g, _basic.relu_mask(y, mask), prod))
-            ws.release(g)
-            grads[o] = None
-        return fwd, bwd
-
-    def _build_add_relu(self, rec: _Record):
-        a, b = rec.inputs
-        rd_a, rd_b = self._reader(a), self._reader(b)
-        shape = rec.out.data.shape
-        dtype = rec.out.data.dtype
-        # The residual join is the planner's main aliasing site: the BN
-        # output feeding it is single-consumed, so y can overwrite it.
-        # Elementwise add/maximum tolerate out= aliasing either operand.
-        alias_from = None
-        if self.lt is not None:
-            if self.lt.alias_ok(a, rec):
-                alias_from = a
-            elif self.lt.alias_ok(b, rec):
-                alias_from = b
-        y = self._value_buf(rec, shape, dtype, alias_from=alias_from)
-        o = self.tape.slot_of[id(rec.out)]
-        values, grads = self.plan._values, self.plan._grads
-
-        add_relu = _basic.add_relu_forward
-
-        def fwd() -> None:
-            values[o] = add_relu(rd_a(), rd_b(), y)
-
-        if not self.keep_ctx:
-            return fwd, None
-        sink_a, sink_b = self._sink_donate(a), self._sink_donate(b)
-        mask = self._bwd_buf(rec, shape, bool, tag="add_relu.mask")
-        # Two product buffers: the eager backward donates a *separate*
-        # masked gradient to each parent.
-        prod_a = self._grad_buf(rec, a, shape, dtype, tag="add_relu.da")
-        prod_b = self._grad_buf(rec, b, shape, dtype, tag="add_relu.db")
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            _basic.relu_mask(y, mask)
-            sink_a(_basic.masked_grad(g, mask, prod_a))
-            sink_b(_basic.masked_grad(g, mask, prod_b))
-            ws.release(g)
-            grads[o] = None
-        return fwd, bwd
 
 
 class StepPlan:

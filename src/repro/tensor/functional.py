@@ -4,10 +4,13 @@ Each function takes and returns :class:`~repro.tensor.tensor.Tensor` objects
 and records the backward closure on the output node.  These are the
 primitives the ``repro.nn`` layer classes call.
 
-The numerics live in ``repro.tensor.ops`` and are stated there once: the
-wrappers here call the same kernels a compiled plan binds, and the
-pass-through ops (pools, channel pad/gather/scatter, the loss) are derived by
-:func:`apply_op` from their row of :data:`repro.tensor.ops.table.OPS`.
+The numerics live in ``repro.tensor.ops`` and are stated there once, and
+this layer has two drivers of them: :func:`apply_op`, which runs any op from
+its row of :data:`repro.tensor.ops.table.OPS` (batch-norm, ReLU, add-ReLU,
+linear, pools, channel pad/gather/scatter, the loss — every wrapper below
+but one is a call to it), and :func:`conv2d`, which drives the conv's kernel
+set (:class:`repro.tensor.ops.conv.ConvKernels`).  Only those two build graph
+nodes or write capture records.
 
 This layer owns three cross-cutting concerns of the performance overhaul:
 
@@ -22,9 +25,9 @@ This layer owns three cross-cutting concerns of the performance overhaul:
   stay lent forever).  Forward staging is released once backward has
   consumed it (or immediately under ``no_grad``).
 
-- **Op-level profiling.**  Every op is bracketed with
-  ``repro.profiler.PROFILER`` guards; the disabled cost is one attribute
-  check per call.
+- **Op-level profiling.**  Both drivers bracket every op with
+  ``repro.profiler.PROFILER`` guards (``<kind>_fwd`` / ``<kind>_bwd``); the
+  disabled cost is one attribute check per call.
 
 - **Step capture.**  When a :class:`repro.tensor.compile.Tape` is active
   (``repro.tensor.tensor._TAPE``), every op appends an execution record so
@@ -42,9 +45,7 @@ import numpy as np
 from ..profiler import PROFILER as _P
 from . import tensor as _tensor_mod
 from . import workspace as ws
-from .ops import basic as _basic
 from .ops import conv as _conv
-from .ops import norm as _norm
 from .ops.table import OPS
 from .tensor import Tensor, grad_enabled
 
@@ -69,27 +70,44 @@ def _give_grad(t: Tensor, arr: np.ndarray) -> None:
         ws.release(arr)
 
 
-def apply_op(kind: str, inputs: Tuple[Tensor, ...], attrs=None) -> Tensor:
-    """Run the pass-through op ``kind`` eagerly, as its row of
-    :data:`repro.tensor.ops.table.OPS` states it: forward kernel over the
+def apply_op(kind: str, inputs: Tuple[Optional[Tensor], ...],
+             attrs=None) -> Tensor:
+    """Run the op ``kind`` eagerly, as its row of
+    :data:`repro.tensor.ops.table.OPS` states it: the forward kernel over the
     inputs' arrays, a backward closure that routes the backward kernel's
-    gradients (donated or copied per input, as the row says), and a capture
-    record under the same name — which is all a compiled plan needs to
-    replay the op from the same row."""
+    gradients (donated or copied per input, as the row says), a
+    ``<kind>_fwd`` / ``<kind>_bwd`` profiler bracket, and a capture record
+    under the same name — which is all a compiled plan needs to replay the
+    op from the same row.  An absent optional input (``bias=None``) reaches
+    the kernels and the record as ``None`` and is no graph parent.  The
+    kernels get ``bufs=None``: eager never runs a row's build-time stage."""
     op = OPS[kind]
+    prof = _P.enabled
+    if prof:
+        t0 = time.perf_counter()
+    parents = tuple(t for t in inputs if t is not None)
     y, saved = op.forward(
-        *[t.data for t in inputs], attrs,
-        grad_enabled() and any(t.requires_grad for t in inputs))
+        *[None if t is None else t.data for t in inputs], attrs,
+        grad_enabled() and any(t.requires_grad for t in parents), None)
+    if prof:
+        _P.add(kind + "_fwd", time.perf_counter() - t0, y.nbytes)
 
     def backward(g: np.ndarray) -> None:
+        prof = _P.enabled
+        if prof:
+            t0 = time.perf_counter()
         for t, donate, dg in zip(inputs, op.donate,
-                                 op.backward(g, saved, attrs)):
+                                 op.backward(g, saved, attrs, None)):
+            if t is None:
+                continue
             if donate:
                 _give_grad(t, dg)
             else:
                 t._accumulate(dg)
+        if prof:
+            _P.add(kind + "_bwd", time.perf_counter() - t0, 0)
 
-    out = Tensor._make(y, inputs, backward)
+    out = Tensor._make(y, parents, backward)
     if _tensor_mod._TAPE is not None:
         _tensor_mod._TAPE.record(kind, inputs, out, attrs)
     return out
@@ -97,36 +115,13 @@ def apply_op(kind: str, inputs: Tuple[Tensor, ...], attrs=None) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise rectifier (single-pass; mask recovered from output sign)."""
-    out_data = _basic.relu_forward(x.data)
-
-    def backward(g: np.ndarray) -> None:
-        _give_grad(x, _basic.masked_grad(g, _basic.relu_mask(out_data)))
-
-    out = Tensor._make(out_data, (x,), backward)
-    if _tensor_mod._TAPE is not None:
-        _tensor_mod._TAPE.record("relu", (x,), out, None)
-    return out
+    return apply_op("relu", (x,))
 
 
 def add_relu(a: Tensor, b: Tensor) -> Tensor:
-    """Fused residual join ``relu(a + b)``.
-
-    One graph node instead of two, and the backward pass donates a fresh
-    masked gradient to each parent instead of copying the joint gradient
-    twice (the ``__add__`` + ``relu`` formulation's first-touch copies are
-    the single largest per-block gradient traffic after the convolutions).
-    """
-    out_data = _basic.add_relu_forward(a.data, b.data)
-
-    def backward(g: np.ndarray) -> None:
-        mask = _basic.relu_mask(out_data)
-        _give_grad(a, _basic.masked_grad(g, mask))
-        _give_grad(b, _basic.masked_grad(g, mask))
-
-    out = Tensor._make(out_data, (a, b), backward)
-    if _tensor_mod._TAPE is not None:
-        _tensor_mod._TAPE.record("add_relu", (a, b), out, None)
-    return out
+    """Fused residual join ``relu(a + b)`` (one graph node, a donated masked
+    gradient per parent)."""
+    return apply_op("add_relu", (a, b))
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
@@ -179,24 +174,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
     """Affine map ``y = x @ W.T + b`` with ``W`` of shape ``(out, in)``."""
-    y = _basic.linear_forward(x.data, weight.data,
-                              bias.data if bias is not None else None)
-    parents = (x, weight) + ((bias,) if bias is not None else ())
-    w_data = weight.data
-    x_data = x.data
-
-    def backward(g: np.ndarray) -> None:
-        dx, dw, db = _basic.linear_backward(g, x_data, w_data,
-                                            bias is not None)
-        _give_grad(x, dx)
-        _give_grad(weight, dw)
-        if bias is not None:
-            _give_grad(bias, db)
-
-    out = Tensor._make(y, parents, backward)
-    if _tensor_mod._TAPE is not None:
-        _tensor_mod._TAPE.record("linear", (x, weight, bias), out, None)
-    return out
+    return apply_op("linear", (x, weight, bias))
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -208,44 +186,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     ``relu=True`` fuses the following rectifier into the same kernel (one
     output buffer, no separate mask, one graph node instead of two).
     """
-    prof = _P.enabled
-    if prof:
-        t0 = time.perf_counter()
-    y, cache = _norm.batchnorm_forward(
-        x.data, gamma.data, beta.data, running_mean, running_var,
-        momentum, eps, training, relu=relu)
-    if prof:
-        _P.add("bn_relu_fwd" if relu else "bn_fwd",
-               time.perf_counter() - t0, y.nbytes)
-    if not grad_enabled():
-        out = Tensor(y)
-        if _tensor_mod._TAPE is not None:
-            _tensor_mod._TAPE.record(
-                "batch_norm", (x, gamma, beta), out,
-                (running_mean, running_var, momentum, eps, training, relu))
-        return out
-
-    def backward(g: np.ndarray) -> None:
-        prof = _P.enabled
-        if prof:
-            t0 = time.perf_counter()
-        if training:
-            dx, dgamma, dbeta = _norm.batchnorm_backward(g, cache)
-        else:
-            dx, dgamma, dbeta = _norm.batchnorm_eval_backward(g, cache)
-        _give_grad(x, dx)
-        _give_grad(gamma, dgamma)
-        _give_grad(beta, dbeta)
-        if prof:
-            _P.add("bn_relu_bwd" if relu else "bn_bwd",
-                   time.perf_counter() - t0, 0)
-
-    out = Tensor._make(y, (x, gamma, beta), backward)
-    if _tensor_mod._TAPE is not None:
-        _tensor_mod._TAPE.record(
-            "batch_norm", (x, gamma, beta), out,
-            (running_mean, running_var, momentum, eps, training, relu))
-    return out
+    return apply_op("batch_norm", (x, gamma, beta),
+                    (running_mean, running_var, momentum, eps, training,
+                     relu))
 
 
 def max_pool2d(x: Tensor, kernel: int) -> Tensor:

@@ -25,7 +25,12 @@ class OneTimeConfig(PruneTrainConfig):
 
 
 class OneTimeTrainer(PruneTrainTrainer):
-    """Group-lasso training with a single reconfiguration point."""
+    """Group-lasso training with a single reconfiguration point.
+
+    Only the schedule differs from PruneTrain; the epoch hook (channel
+    tracking, dead-set publishing) is the parent's.  Whether the one
+    reconfiguration has happened is read off ``reports``, which checkpoints
+    carry, so a resumed run never repeats it."""
 
     method_name = "onetime"
 
@@ -34,21 +39,6 @@ class OneTimeTrainer(PruneTrainTrainer):
         super().__init__(model, train_set, val_set,
                          config or OneTimeConfig(), **kw)
         self.cfg: OneTimeConfig
-        self._reconfigured = False
 
-    def on_epoch_end(self, epoch: int) -> None:
-        if self.tracker is not None:
-            self.tracker.record()
-        if not self._reconfigured and (epoch + 1) == self.cfg.reconfig_epoch:
-            self._reconfigure(epoch)
-            self._reconfigured = True
-
-    # -- exact-resume state (checkpoint format v2) --------------------------
-    def _extra_state(self):
-        state = super()._extra_state()
-        state["reconfigured"] = self._reconfigured
-        return state
-
-    def _restore_extra(self, train_state, arrays):
-        super()._restore_extra(train_state, arrays)
-        self._reconfigured = bool(train_state.get("reconfigured", False))
+    def _reconfig_due(self, epoch: int) -> bool:
+        return not self.reports and (epoch + 1) == self.cfg.reconfig_epoch

@@ -161,12 +161,17 @@ class PruneTrainTrainer(Trainer):
         """Line 18-22: periodic prune + reconfigure (+ batch adjustment)."""
         if self.tracker is not None:
             self.tracker.record()
-        interval = self.cfg.reconfig_interval
-        last_ok = self.cfg.epochs - self.cfg.last_reconfig_margin
-        if interval > 0 and (epoch + 1) % interval == 0 \
-                and (epoch + 1) < last_ok:
+        if self._reconfig_due(epoch):
             self._reconfigure(epoch)
         self._publish_dead_sets()
+
+    def _reconfig_due(self, epoch: int) -> bool:
+        """Whether a reconfiguration follows epoch ``epoch`` (0-based):
+        every ``reconfig_interval`` epochs, short of the final margin."""
+        interval = self.cfg.reconfig_interval
+        last_ok = self.cfg.epochs - self.cfg.last_reconfig_margin
+        return interval > 0 and (epoch + 1) % interval == 0 \
+            and (epoch + 1) < last_ok
 
     def _publish_dead_sets(self) -> None:
         """Scan for stable dead channels and publish them to the sparse

@@ -1,8 +1,8 @@
 """Bit digests of the seeded numerics a refactor must not move.
 
-    PYTHONPATH=src python tests/bits.py [conv] [prunetrain] [layouts]
+    PYTHONPATH=src python tests/bits.py [conv] [ops] [prunetrain] [layouts]
 
-prints one ``name sha256[:16]`` line per seeded case (all three sections
+prints one ``name sha256[:16]`` line per seeded case (all four sections
 when none is named):
 
 ``conv/<case>/kernel``
@@ -14,6 +14,12 @@ when none is named):
     second conv is the case, over three batches: stepped eagerly, on the
     capturing step plus two replays (``captured``), and replayed with the
     memory planner on and off.
+``ops/<case>/{eager,captured,planned,unplanned}``
+    the same four legs of a conv -> op -> pool -> linear step for every
+    variant of the ops with planned buffers: batch-norm in training and
+    evaluation mode, with and without its fused ReLU, under either BN
+    formulation (``fused_bnrelu``); ReLU; add-ReLU; and the linear head with
+    and without a bias.
 ``prunetrain/{eager,compiled}``
     QUICK ResNet-32 PruneTrain, two epochs with a reconfiguration between
     them: every epoch loss, parameter and momentum buffer.
@@ -114,10 +120,54 @@ class _Net:
         return out
 
 
-def _net_digests(c, w, b, stride, padding, batches) -> dict:
-    def fresh():
-        return _Net(c, w, b, stride, padding)
+class _OpNet:
+    """3x3 conv (the first layer) -> the op under test -> global average
+    pool -> linear, biased for the ``linear-bias`` case; add-ReLU joins a
+    second first-layer conv."""
 
+    def __init__(self, case):
+        rng = np.random.default_rng(2)
+        self.case = case
+        self.params = [Tensor(a.astype(np.float32), requires_grad=True)
+                       for a in (rng.standard_normal((6, 3, 3, 3)) * 0.3,
+                                 rng.standard_normal((6, 3, 3, 3)) * 0.3,
+                                 1 + 0.1 * rng.standard_normal(6),
+                                 0.1 * rng.standard_normal(6),
+                                 rng.standard_normal((4, 6)) * 0.3,
+                                 0.1 * rng.standard_normal(4))]
+        self.running = [(0.1 * rng.standard_normal(6)).astype(np.float32),
+                        (1 + 0.1 * rng.random(6)).astype(np.float32)]
+
+    def __call__(self, x):
+        w, w2, gamma, beta, fc, fc_b = self.params
+        h = F.conv2d(x, w, None, 1, 1, first_layer=True)
+        kind, *flags = self.case.split("-")
+        if kind == "batch_norm":
+            h = F.batch_norm(h, gamma, beta, *self.running,
+                             training="train" in flags, relu="relu" in flags)
+        elif kind == "relu":
+            h = F.relu(h)
+        elif kind == "add_relu":
+            h = F.add_relu(h, F.conv2d(x, w2, None, 1, 1, first_layer=True))
+        return F.linear(F.global_avg_pool(h), fc,
+                        fc_b if "bias" in flags else None)
+
+    def take_grads(self):
+        out = [p.grad.copy() for p in self.params if p.grad is not None]
+        for p in self.params:
+            p.grad = None
+        return out
+
+
+#: every variant of the ops with planned buffers; a batch-norm case ends in
+#: the BN formulation it runs under (``fused_bnrelu`` on / off)
+OP_CASES = [f"batch_norm-{mode}{relu}-{form}"
+            for mode in ("train", "eval") for relu in ("", "-relu")
+            for form in ("fused", "seed")] + [
+    "relu", "add_relu", "linear", "linear-bias"]
+
+
+def _net_digests(fresh, batches) -> dict:
     net, seen = fresh(), []
     for x, y in batches:
         loss = F.cross_entropy(net(Tensor(x)), y)
@@ -164,9 +214,27 @@ def conv_lines():
             yield f"{case}/kernel", _kernel(x, w, b, dy, stride, padding)
             batches = [(rng.standard_normal((n, 3, h, wd)).astype(np.float32),
                         rng.integers(0, 4, size=n)) for _ in range(3)]
-            for leg, d in _net_digests(c, w, b, stride, padding,
-                                       batches).items():
+            for leg, d in _net_digests(
+                    lambda: _Net(c, w, b, stride, padding), batches).items():
                 yield f"{case}/{leg}", d
+
+
+def ops_lines():
+    cfg = workspace.config
+    saved = cfg.fused_bnrelu
+    try:
+        for name in OP_CASES:
+            cfg.fused_bnrelu = not name.endswith("-seed")
+            for n in BATCHES:
+                rng = np.random.default_rng(n)
+                batches = [(rng.standard_normal((n, 3, 6, 6))
+                            .astype(np.float32), rng.integers(0, 4, size=n))
+                           for _ in range(3)]
+                for leg, d in _net_digests(lambda: _OpNet(name),
+                                           batches).items():
+                    yield f"ops/{name}-n{n}/{leg}", d
+    finally:
+        cfg.fused_bnrelu = saved
 
 
 def prunetrain_lines():
@@ -222,8 +290,8 @@ def layout_lines():
         workspace.invalidate()
 
 
-SECTIONS = {"conv": conv_lines, "prunetrain": prunetrain_lines,
-            "layouts": layout_lines}
+SECTIONS = {"conv": conv_lines, "ops": ops_lines,
+            "prunetrain": prunetrain_lines, "layouts": layout_lines}
 
 
 def lines(sections=tuple(SECTIONS)):

@@ -1,8 +1,9 @@
 """The plan builder binds kernels it does not define.
 
-Three guards on that design: an op stated as one pass-through table row runs
-eager, captured and planned from that row alone (and an op with neither a row
-nor a builder fails capture closed); ``_PlanBuilder`` contains no NumPy
+Guards on that design: every op but the conv is one table row, and a row
+alone runs an op eager, captured, replayed and planned alike (an op with
+neither a row nor a builder fails capture closed); the builder has two
+drivers and ``functional`` two; ``_PlanBuilder`` contains no NumPy
 arithmetic; and rebinding the builder to shared kernels moved no byte of any
 plan's arena — the layouts below were recorded at the commit before the
 kernels were shared.
@@ -19,7 +20,7 @@ import pytest
 
 from repro.experiments.configs import QUICK, make_model
 from repro.nn import resnet50_cifar, vgg13
-from repro.tensor import Tensor, workspace
+from repro.tensor import Tensor, no_grad, workspace
 from repro.tensor import compile as C
 from repro.tensor import functional as F
 from repro.tensor import tensor as tensor_mod
@@ -30,33 +31,46 @@ pytestmark = pytest.mark.usefixtures("optimized_engine")
 
 # -- an op is one table row -----------------------------------------------------
 
-def _leaky_fwd(x, slope, save):
+def _leaky_fwd(x, slope, save, bufs):
     mask = x > 0
     return np.where(mask, x, x * np.float32(slope)), mask
 
 
-def _leaky_bwd(g, mask, slope):
+def _leaky_bwd(g, mask, slope, bufs):
     return (np.where(mask, g, g * np.float32(slope)),)
 
 
 class _ToyNet:
-    """conv -> op under test -> global average pool -> linear."""
+    """conv -> op under test -> global average pool -> linear (biased when
+    asked); ``op(net, h, x)`` may use the net's BN parameters and a second
+    first-layer conv of ``x``."""
 
-    def __init__(self, op):
+    def __init__(self, op, bias=False):
         rng = np.random.default_rng(0)
         self.op = op
-        self.w = Tensor((rng.standard_normal((6, 3, 3, 3)) * 0.3)
-                        .astype(np.float32), requires_grad=True)
-        self.fc = Tensor((rng.standard_normal((4, 6)) * 0.3)
-                         .astype(np.float32), requires_grad=True)
+        self.w, self.w2, self.gamma, self.beta, self.fc, self.fc_b = [
+            Tensor(a.astype(np.float32), requires_grad=True)
+            for a in (rng.standard_normal((6, 3, 3, 3)) * 0.3,
+                      rng.standard_normal((6, 3, 3, 3)) * 0.3,
+                      1 + 0.1 * rng.standard_normal(6),
+                      0.1 * rng.standard_normal(6),
+                      rng.standard_normal((4, 6)) * 0.3,
+                      0.1 * rng.standard_normal(4))]
+        self.bias = bias
+        self.running = [(0.1 * rng.standard_normal(6)).astype(np.float32),
+                        (1 + 0.1 * rng.random(6)).astype(np.float32)]
 
     def __call__(self, x):
-        h = self.op(F.conv2d(x, self.w, None, 1, 1, first_layer=True))
-        return F.linear(F.global_avg_pool(h), self.fc, None)
+        h = self.op(self, F.conv2d(x, self.w, None, 1, 1, first_layer=True),
+                    x)
+        return F.linear(F.global_avg_pool(h), self.fc,
+                        self.fc_b if self.bias else None)
 
     def grads(self):
-        out = [p.grad.copy() for p in (self.w, self.fc)]
-        self.w.grad = self.fc.grad = None
+        params = (self.w, self.w2, self.gamma, self.beta, self.fc, self.fc_b)
+        out = [p.grad.copy() for p in params if p.grad is not None]
+        for p in params:
+            p.grad = None
         return out
 
 
@@ -66,35 +80,90 @@ def _toy_batch():
             rng.integers(0, 4, size=5))
 
 
-@pytest.mark.parametrize("mem_plan", [False, True])
-def test_a_table_row_alone_makes_an_op(monkeypatch, mem_plan):
+def _bn(training, relu):
+    return lambda net, h, x: F.batch_norm(h, net.gamma, net.beta,
+                                          *net.running, training=training,
+                                          relu=relu)
+
+
+def _add_relu(net, h, x):
+    return F.add_relu(h, F.conv2d(x, net.w2, None, 1, 1, first_layer=True))
+
+
+#: case -> (kind, op, head bias, fused_bnrelu): a toy row that plans no
+#: buffers, and every row that plans some, in each variant
+ROW_CASES = {
+    "leaky": ("leaky", lambda net, h, x: F.apply_op("leaky", (h,), 0.1),
+              False, True),
+    **{f"bn-{mode}{'-relu' if relu else ''}-{form}":
+       ("batch_norm", _bn(mode == "train", relu), False, form == "fused")
+       for mode in ("train", "eval") for relu in (False, True)
+       for form in ("fused", "seed")},
+    "relu": ("relu", lambda net, h, x: F.relu(h), False, True),
+    "add_relu": ("add_relu", _add_relu, False, True),
+    "linear": ("linear", lambda net, h, x: h, False, True),
+    "linear-bias": ("linear", lambda net, h, x: h, True, True),
+}
+
+
+def _assert_row_runs_alike(monkeypatch, case, mem_plans):
+    """Eager, the capturing step, a replay and a timed replay, under each
+    memory-planner setting, agree bit for bit, and the op shows up in
+    ``replay_timed`` under its kind."""
+    kind, op, bias, fused = ROW_CASES[case]
     monkeypatch.setitem(OPS, "leaky", Op(_leaky_fwd, _leaky_bwd, (True,)))
-    monkeypatch.setattr(workspace.config, "mem_plan", mem_plan)
     monkeypatch.setattr(workspace.config, "parallel_replay", False)
-    net = _ToyNet(lambda t: F.apply_op("leaky", (t,), 0.1))
+    monkeypatch.setattr(workspace.config, "fused_bnrelu", fused)
+    net = _ToyNet(op, bias)
     x, y = _toy_batch()
     loss = F.cross_entropy(net(Tensor(x)), y)
     loss.backward()
     eager = [loss.data.copy()] + net.grads()
+    for mem_plan in mem_plans:
+        monkeypatch.setattr(workspace.config, "mem_plan", mem_plan)
+        plan, loss_t, _, reason = C.capture_training_step(net, x, y)
+        assert reason is None, reason
+        loss_t.backward()
+        captured = [loss_t.data.copy()] + net.grads()
+        loss_r, _ = plan.run(x, y)
+        replayed = [loss_r.copy()] + net.grads()
+        loss_p, _, seconds = plan.replay_timed(x, y)
+        timed = [loss_p.copy()] + net.grads()
+        for other in (captured, replayed, timed):
+            assert len(other) == len(eager)
+            for a, b in zip(eager, other):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        kinds = [(kind_, phase) for kind_, phase, _ in seconds]
+        assert (kind, "fwd") in kinds and (kind, "bwd") in kinds
+        assert (plan.mem_metrics() is not None) == mem_plan
 
-    plan, loss_t, _, reason = C.capture_training_step(net, x, y)
+
+@pytest.mark.parametrize("mem_plan", [False, True])
+def test_a_table_row_alone_makes_an_op(monkeypatch, mem_plan):
+    """A row the builder has never heard of is enough to plan an op."""
+    _assert_row_runs_alike(monkeypatch, "leaky", (mem_plan,))
+
+
+@pytest.mark.parametrize("case", [c for c in ROW_CASES if c != "leaky"])
+def test_every_buffer_planning_row_runs_alike(monkeypatch, case):
+    _assert_row_runs_alike(monkeypatch, case, (True, False))
+
+
+@pytest.mark.parametrize("bias", [False, True])
+def test_a_row_stable_linear_is_batch_one_eager_row_by_row(bias):
+    net = _ToyNet(lambda net, h, x: h, bias)
+    x, _ = _toy_batch()
+    plan, _, reason = C.capture_forward(net, x, row_stable=True)
     assert reason is None, reason
-    loss_t.backward()
-    captured = [loss_t.data.copy()] + net.grads()
-    loss_r, _ = plan.run(x, y)
-    replayed = [loss_r.copy()] + net.grads()
-    loss_p, _, seconds = plan.replay_timed(x, y)
-    timed = [loss_p.copy()] + net.grads()
-    for other in (captured, replayed, timed):
-        for a, b in zip(eager, other):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-    kinds = [(kind, phase) for kind, phase, _ in seconds]
-    assert ("leaky", "fwd") in kinds and ("leaky", "bwd") in kinds
-    assert (plan.mem_metrics() is not None) == mem_plan
+    out = plan.run_forward(x)
+    with no_grad():
+        for i in range(len(x)):
+            assert np.array_equal(out[i:i + 1],
+                                  net(Tensor(x[i:i + 1])).data), i
 
 
 def test_an_op_with_neither_row_nor_builder_fails_capture_closed():
-    def mystery(t):
+    def mystery(net, t, x):
         out = Tensor._make(t.data * 2, (t,), lambda g: t._accumulate(g * 2))
         tensor_mod._TAPE.record("mystery", (t,), out, None)
         return out
@@ -107,7 +176,29 @@ def test_an_op_with_neither_row_nor_builder_fails_capture_closed():
     loss_t.backward()                   # the eager step still completes
 
 
-# -- no arithmetic in the builder -------------------------------------------------
+# -- two drivers, no arithmetic in the builder ------------------------------------
+
+def test_only_the_conv_and_the_loss_have_builders_of_their_own():
+    """Every other op is driven from its table row by ``_from_row``."""
+    tree = ast.parse(inspect.getsource(C._PlanBuilder))
+    builders = {node.name for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_build_")}
+    assert builders == {"_build_conv2d", "_build_cross_entropy"}
+
+
+def test_only_apply_op_and_conv2d_make_nodes_or_records():
+    """The eager wrappers of table ops are thin ``apply_op`` calls."""
+    makers = set()
+    for top in ast.parse(inspect.getsource(F)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                    ast.unparse(node.func) == "Tensor._make"
+                    or ast.unparse(node.func).endswith("_TAPE.record")):
+                makers.add(getattr(top, "name", None))
+    assert makers == {"apply_op", "conv2d"}
+
+
 
 def test_plan_builder_holds_no_numpy_arithmetic():
     """The only ``np.*`` names inside ``_PlanBuilder`` allocate or annotate;
@@ -169,7 +260,7 @@ def test_a_plan_does_not_keep_its_builder_alive():
     build by reference count (no collector pass), or arenas of invalidated
     plans pile up until one runs."""
     import gc
-    net = _ToyNet(F.relu)
+    net = _ToyNet(lambda net, h, x: F.relu(h))
     x, y = _toy_batch()
     gc.collect()
     gc.disable()

@@ -493,6 +493,34 @@ class TestOneTimeTrainer:
         tr.train()
         assert tr.reports == []
 
+    def test_publishes_dead_sets_every_epoch(self, data, monkeypatch):
+        """The one-time schedule decides when surgery happens, not what an
+        epoch's end does: under sparse compute an uninterrupted run scans and
+        publishes after every epoch, as PruneTrain does (and as its resumed
+        twin always did), and still reconfigures exactly once."""
+        from repro.tensor import sparse
+        train, val = data
+        model = resnet20(10, width_mult=0.25, input_hw=8)
+        cfg = OneTimeConfig(**tiny_cfg(epochs=3), penalty_ratio=0.25,
+                            lambda_scale=50.0, threshold=5e-3,
+                            reconfig_epoch=2)
+        tr = OneTimeTrainer(model, train, val, cfg)
+        scanned = []
+        publish = sparse.publish
+
+        def spy(entries, **kw):
+            scanned.append(bool(tr._dead_exporter._hist))
+            return publish(entries, **kw)
+
+        monkeypatch.setattr(sparse, "publish", spy)
+        try:
+            with workspace.engine(sparse_compute=True):
+                tr.train()
+        finally:
+            sparse.clear()
+        assert scanned == [True] * 3
+        assert len(tr.reports) == 1
+
 
 class TestAMCLike:
     def test_reaches_flops_target(self, data):
