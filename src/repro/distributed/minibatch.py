@@ -6,8 +6,7 @@ grows the per-worker mini-batch (in units of ``granularity`` samples) to
 refill device memory.  When the batch grows by ratio ``r``, the learning
 rate is scaled by the same ``r`` (the linear scaling rule, after Smith et
 al. [19] — but applied *at any point* during training, which is the paper's
-delta over that work).  A square-root rule is provided for workloads with a
-non-linear batch/LR relation (the paper's note about language models).
+delta over that work).  The batch never shrinks: pruning only frees memory.
 """
 
 from __future__ import annotations
@@ -46,10 +45,8 @@ class DynamicBatchAdjuster:
     max_batch:
         Upper bound per worker (data-loader / generalization limits).
     lr_rule:
-        ``"linear"`` (vision default) or ``"sqrt"`` (language-model rule).
-    shrink:
-        Allow decreasing the batch if memory is exceeded (not needed by
-        PruneTrain — pruning only shrinks the model — but kept for safety).
+        ``"linear"`` (the paper's rule: the LR scales with the batch) or
+        ``"none"`` (the LR stays put — the no-rescale ablation).
     source:
         ``"analytical"`` (default) sizes from the cost-model estimate;
         ``"measured"`` prefers the memory planner's observed bytes/sample
@@ -62,7 +59,6 @@ class DynamicBatchAdjuster:
     granularity: int = 32
     max_batch: int = 1024
     lr_rule: str = "linear"
-    shrink: bool = False
     source: str = "analytical"
     history: List[BatchAdjustment] = field(default_factory=list)
 
@@ -76,12 +72,11 @@ class DynamicBatchAdjuster:
         fit = self.memory_model.max_batch(graph, self.granularity,
                                           ceiling=self.max_batch,
                                           measured=self.source == "measured")
-        new_batch = max(fit, current_batch) if not self.shrink else fit
-        new_batch = min(new_batch, self.max_batch)
+        new_batch = min(max(fit, current_batch), self.max_batch)
         if self.lr_rule == "linear":
             scale = new_batch / current_batch
-        elif self.lr_rule == "sqrt":
-            scale = (new_batch / current_batch) ** 0.5
+        elif self.lr_rule == "none":
+            scale = 1.0
         else:
             raise ValueError(f"unknown lr_rule {self.lr_rule!r}")
         adj = BatchAdjustment(

@@ -92,22 +92,9 @@ def run_lr_scaling(scale: Scale, ratio: float = 0.25) -> Dict:
             MemoryModel(capacity_bytes=cap),
             granularity=max(8, scale.batch_size // 4),
             max_batch=min(512, scale.n_train // 2),
-            lr_rule="linear" if rescale else "linear")
-        trainer = PruneTrainTrainer(model, train, val, cfg,
-                                    batch_adjuster=adjuster)
-        if not rescale:
-            # sever the LR coupling: adjuster still grows the batch but the
-            # trainer keeps the base LR
-            trainer.lr_scale = 1.0
-            orig = trainer._reconfigure
-
-            def no_rescale(epoch, _orig=orig, _tr=trainer):
-                before = _tr.lr_scale
-                _orig(epoch)
-                _tr.lr_scale = before
-
-            trainer._reconfigure = no_rescale
-        log = trainer.train()
+            lr_rule="linear" if rescale else "none")
+        log = PruneTrainTrainer(model, train, val, cfg,
+                                batch_adjuster=adjuster).train()
         results.append({
             "variant": "with LR rescale" if rescale else "no LR rescale",
             "acc": log.final_val_acc,

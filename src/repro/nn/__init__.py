@@ -1,8 +1,8 @@
 """Neural-network layer/module system and the paper's model zoo."""
 
 from .graph import ConvNode, LinearNode, ModelGraph, ResidualPath, Space
-from .layers import (AvgPool2d, BatchNorm2d, Conv2d, Flatten, GlobalAvgPool,
-                     Linear, MaxPool2d, ReLU, Sequential)
+from .layers import (BatchNorm2d, Conv2d, GlobalAvgPool, Linear, MaxPool2d,
+                     ReLU)
 from .module import Module, Parameter
 from .resnet import (BasicBlock, Bottleneck, ResNet, resnet20, resnet32,
                      resnet50_cifar, resnet50_imagenet, resnet56,
@@ -11,8 +11,7 @@ from .vgg import VGG, VGG_PLANS, vgg11, vgg13
 
 __all__ = [
     "Module", "Parameter",
-    "Conv2d", "BatchNorm2d", "Linear", "ReLU", "MaxPool2d", "AvgPool2d",
-    "GlobalAvgPool", "Flatten", "Sequential",
+    "Conv2d", "BatchNorm2d", "Linear", "ReLU", "MaxPool2d", "GlobalAvgPool",
     "ModelGraph", "Space", "ConvNode", "LinearNode", "ResidualPath",
     "ResNet", "BasicBlock", "Bottleneck",
     "resnet20", "resnet32", "resnet56", "resnet50_cifar", "resnet50_imagenet",

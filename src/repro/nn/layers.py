@@ -1,4 +1,5 @@
-"""Core layers: Conv2d, BatchNorm2d, Linear, activations, pooling, Flatten.
+"""Core layers: Conv2d, BatchNorm2d, Linear, ReLU, max and global-average
+pooling — the layers the paper's models are built from.
 
 Every layer stores its structural dimensions as plain attributes
 (``in_channels`` / ``out_channels`` / ...) which the PruneTrain surgery code
@@ -116,18 +117,6 @@ class MaxPool2d(Module):
         return f"MaxPool2d({self.kernel_size})"
 
 
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int):
-        super().__init__()
-        self.kernel_size = kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size)
-
-    def __repr__(self) -> str:
-        return f"AvgPool2d({self.kernel_size})"
-
-
 class GlobalAvgPool(Module):
     """Spatial mean pooling ``(N, C, H, W) -> (N, C)``."""
 
@@ -136,37 +125,3 @@ class GlobalAvgPool(Module):
 
     def __repr__(self) -> str:
         return "GlobalAvgPool()"
-
-
-class Flatten(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
-
-    def __repr__(self) -> str:
-        return "Flatten()"
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self.layers = list(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def __iter__(self):
-        return iter(self.layers)
-
-    def __getitem__(self, i: int) -> Module:
-        return self.layers[i]
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(repr(m) for m in self.layers)
-        return f"Sequential({inner})"

@@ -42,7 +42,7 @@ def _join(relu: ReLU, out: Tensor, shortcut: Tensor) -> Tensor:
     (the ``fused_bnrelu`` switch governs all elementwise kernel fusion)."""
     if _engine.fused_bnrelu:
         return F.add_relu(out, shortcut)
-    return relu(out + shortcut)
+    return relu(F.add(out, shortcut))
 
 
 class BasicBlock(Module):

@@ -28,7 +28,9 @@ semantics exactly —
 Capture mechanics
 -----------------
 ``Tape`` installs itself as ``repro.tensor.tensor._TAPE``; each functional
-op (and ``Tensor.__add__`` / ``reshape``) then appends an execution record.
+op then appends an execution record (``functional.apply_op`` for a row of
+``ops.table.OPS``, ``functional.conv2d`` for the conv — nothing else makes
+graph nodes).
 ``Tensor.__init__`` reports every tensor created during capture, so an input
 produced by an *unhooked* op is recognized at finalize time and the capture
 fails closed — the trainer falls back to eager with a logged reason rather
@@ -530,11 +532,6 @@ class Tape:
                 need_dx = (x.requires_grad or x._backward is not None) \
                     and not first_layer
                 attrs = (stride, padding, need_dx)
-            elif kind == "add":
-                a, b = inputs
-                if a.data.shape != b.data.shape or a.dtype != b.dtype:
-                    self.fail("add with broadcasting is not compilable")
-                    return
             rec = _Record(kind, inputs, out, attrs)
             self.records.append(rec)
             slot = self._new_slot(out)
@@ -652,7 +649,7 @@ class Tape:
         widest level is serialized and the layout re-solved, trading
         parallelism for footprint instead of growing unboundedly.
         """
-        mem = _mp.MemPlanner(lt.horizon)
+        mem = _mp.MemPlanner()
         scratch = StepPlan(kind=kind, n_slots=self._n_slots,
                            input_slot=self._input_slots[0])
         sizer = _PlanBuilder(self, scratch, keep_ctx=(kind == "train"),

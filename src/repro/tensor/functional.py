@@ -6,11 +6,11 @@ primitives the ``repro.nn`` layer classes call.
 
 The numerics live in ``repro.tensor.ops`` and are stated there once, and
 this layer has two drivers of them: :func:`apply_op`, which runs any op from
-its row of :data:`repro.tensor.ops.table.OPS` (batch-norm, ReLU, add-ReLU,
-linear, pools, channel pad/gather/scatter, the loss — every wrapper below
-but one is a call to it), and :func:`conv2d`, which drives the conv's kernel
-set (:class:`repro.tensor.ops.conv.ConvKernels`).  Only those two build graph
-nodes or write capture records.
+its row of :data:`repro.tensor.ops.table.OPS` (add, batch-norm, ReLU,
+add-ReLU, linear, pools, channel gather/scatter, the loss — every wrapper
+below but one is a call to it), and :func:`conv2d`, which drives the conv's
+kernel set (:class:`repro.tensor.ops.conv.ConvKernels`).  Only those two
+build graph nodes or write capture records; ``Tensor`` itself has no ops.
 
 This layer owns three cross-cutting concerns of the performance overhaul:
 
@@ -113,6 +113,15 @@ def apply_op(kind: str, inputs: Tuple[Optional[Tensor], ...],
     return out
 
 
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise ``a + b`` of two tensors of one shape and dtype (the seed
+    engine's residual join; nothing broadcasts)."""
+    if a.data.shape != b.data.shape or a.data.dtype != b.data.dtype:
+        raise ValueError(f"add of {a.data.shape}/{a.data.dtype} and "
+                         f"{b.data.shape}/{b.data.dtype}")
+    return apply_op("add", (a, b))
+
+
 def relu(x: Tensor) -> Tensor:
     """Elementwise rectifier (single-pass; mask recovered from output sign)."""
     return apply_op("relu", (x,))
@@ -200,13 +209,6 @@ def max_pool2d(x: Tensor, kernel: int) -> Tensor:
     return apply_op("max_pool2d", (x,), kernel)
 
 
-def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
-    """Non-overlapping average pooling (identity when input is below kernel size)."""
-    if x.data.shape[2] < kernel or x.data.shape[3] < kernel:
-        return x
-    return apply_op("avg_pool2d", (x,), kernel)
-
-
 def global_avg_pool(x: Tensor) -> Tensor:
     """Spatial mean pooling ``(N, C, H, W) -> (N, C)``."""
     return apply_op("global_avg_pool", (x,))
@@ -215,20 +217,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy against integer labels."""
     return apply_op("cross_entropy", (logits,), np.asarray(targets))
-
-
-def pad_channels(x: Tensor, total: int) -> Tensor:
-    """Zero-pad the channel dimension of NCHW ``x`` up to ``total`` channels.
-
-    Used by the channel-*gating* scatter stage and by projection-free
-    short-cuts; the gradient simply drops the padded lanes.
-    """
-    c = x.data.shape[1]
-    if total < c:
-        raise ValueError(f"cannot pad {c} channels down to {total}")
-    if total == c:
-        return x
-    return apply_op("pad_channels", (x,), total)
 
 
 def gather_channels(x: Tensor, idx: np.ndarray) -> Tensor:

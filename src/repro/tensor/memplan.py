@@ -11,9 +11,7 @@ This module provides the planner.  The plan builder describes each
 plan-owned buffer as a :class:`Slab` with a **liveness interval** on the
 step's execution timeline (forward thunks ``0..F-1``, then backward thunks
 ``F..F+B-1``): first definition to last use, honoring gradient donation
-(a donated buffer lives until the producing op's backward consumes it); a
-slab may also be declared *persistent* (cross-step state), which pins it
-exclusively across the whole timeline.
+(a donated buffer lives until the producing op's backward consumes it).
 :meth:`MemPlanner.solve` then assigns every slab an offset in a
 single pre-allocated byte arena by greedy best-fit: slabs whose intervals
 do not overlap share memory, and shape-preserving ops (ReLU, the residual
@@ -63,26 +61,17 @@ def _align(n: int) -> int:
     return (n + ALIGN - 1) // ALIGN * ALIGN
 
 
-#: Interval end larger than any timeline: persistent slabs remapped onto a
-#: different timeline must still overlap every other slab.
-_FOREVER = 1 << 40
-
-
 @dataclass
 class Slab:
     """One plan-owned buffer request with its liveness interval.
 
-    ``start``/``end`` are inclusive positions on the step timeline; a
-    ``persistent`` slab keeps state across replays (zero-padded borders)
-    and therefore spans the whole timeline exclusively.
+    ``start``/``end`` are inclusive positions on the step timeline.
     """
 
     shape: tuple
     dtype: np.dtype
     start: int
     end: int
-    zero: bool = False
-    persistent: bool = False
     tag: str = ""
     #: root slab this one aliases (shares memory with), or None
     alias_of: Optional["Slab"] = None
@@ -178,7 +167,7 @@ class MemPlanner:
 
     Life of a planner (driven by the plan builder in two passes)::
 
-        mem = MemPlanner(timeline_end)
+        mem = MemPlanner()
         # pass 1 — the builder runs once in *plan* mode: every alloc()
         # records a Slab and returns a throwaway array of the right shape
         ... builder pass 1 ...
@@ -195,9 +184,7 @@ class MemPlanner:
     buffers.
     """
 
-    def __init__(self, horizon: int):
-        #: one past the last timeline position (persistent slabs span it all)
-        self.horizon = horizon
+    def __init__(self):
         self.slabs: List[Slab] = []
         self._by_slot: Dict[int, Slab] = {}
         self.serving = False
@@ -217,7 +204,7 @@ class MemPlanner:
 
     # -- request / serve ---------------------------------------------------
     def alloc(self, shape: tuple, dtype, start: int, end: int, *,
-              zero: bool = False, persistent: bool = False, tag: str = "",
+              tag: str = "",
               out_slot: Optional[int] = None,
               alias_slot: Optional[int] = None,
               ticks=None) -> np.ndarray:
@@ -226,7 +213,7 @@ class MemPlanner:
         ``out_slot`` registers the buffer as the value of a plan slot so a
         later shape-preserving consumer can alias onto it via
         ``alias_slot``.  Aliasing is honored only when the target slab
-        exists with identical shape/dtype and is not persistent.
+        exists with identical shape/dtype.
         ``ticks`` optionally lists every timeline position that touches
         the buffer (for :meth:`remap`); defaults to the endpoints.
         """
@@ -242,16 +229,12 @@ class MemPlanner:
                     f"serve pass diverged from planning pass: "
                     f"{slab.shape}/{slab.dtype} vs {tuple(shape)}/{dtype}")
             return slab.arr
-        if persistent:
-            start, end = 0, self.horizon
-        slab = Slab(tuple(shape), dtype, start, end, zero=zero,
-                    persistent=persistent, tag=tag,
+        slab = Slab(tuple(shape), dtype, start, end, tag=tag,
                     s_start=start, s_end=end,
                     s_ticks=tuple(ticks) if ticks else (start, end))
         if alias_slot is not None:
             target = self._by_slot.get(alias_slot)
-            if (target is not None and not target.root().persistent
-                    and target.shape == slab.shape
+            if (target is not None and target.shape == slab.shape
                     and target.dtype == slab.dtype):
                 slab.alias_of = target.root()
         self.slabs.append(slab)
@@ -259,11 +242,7 @@ class MemPlanner:
             self._by_slot[out_slot] = slab
         # Throwaway array for the (discarded) pass-1 thunks: the builder
         # only needs the right shape/dtype to precompute its views.
-        arr = np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
-        return arr
-
-    def slab_for_slot(self, slot: int) -> Optional[Slab]:
-        return self._by_slot.get(slot)
+        return np.empty(shape, dtype)
 
     # -- layout ------------------------------------------------------------
     def remap(self, fn) -> None:
@@ -273,17 +252,15 @@ class MemPlanner:
         a new timeline — parallel replay maps each touched thunk to its
         *level* span and takes the min/max, so slabs of thunks
         co-scheduled in one level get overlapping intervals and
-        :meth:`solve` can never share bytes between them.  Persistent
-        slabs always span everything.  Call before every :meth:`solve`
+        :meth:`solve` can never share bytes between them.  Call before
+        every :meth:`solve`
         when iterating on a schedule (``fn=None`` restores the recorded
         serial intervals).
         """
         if self.serving:
             raise PlanError("cannot remap a materialized plan")
         for s in self.slabs:
-            if s.persistent:
-                s.start, s.end = 0, _FOREVER
-            elif fn is None:
+            if fn is None:
                 s.start, s.end = s.s_start, s.s_end
             else:
                 s.start, s.end = fn(s.s_ticks)
@@ -372,11 +349,6 @@ class MemPlanner:
                 continue
             view = self.arena[root.offset:root.offset + s.nbytes]
             s.arr = view.view(s.dtype).reshape(s.shape)
-        for s in self.slabs:
-            # Zero-init once; persistent borders rely on it across steps,
-            # the rest matches the unplanned builder's np.zeros allocations.
-            if s.zero and s.alias_of is None:
-                s.arr.fill(0)
         self.serving = True
         self._cursor = 0
         # The layout is final and the planning pass has noted every

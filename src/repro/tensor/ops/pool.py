@@ -1,10 +1,12 @@
-"""Pooling kernels: max pooling, average pooling, global average pooling.
+"""Pooling kernels: max pooling and global average pooling, the two the
+paper's models use.
 
 Max pooling is restricted to the non-overlapping case (``kernel == stride``)
 used by every model in the paper (VGG 2x2/2, ResNet stem 3x3/2 is replaced by
 stride-2 convolutions in the CIFAR variants; the ImageNet stem uses a 2x2/2
 approximation — see ``repro.nn.resnet``).  Non-overlapping windows let both
-passes be pure reshapes, the fastest possible NumPy formulation.
+passes be pure reshapes, the fastest possible NumPy formulation.  Every
+ResNet ends in global average pooling; no model uses a windowed average.
 
 Backward-pass gradient buffers are drawn from the
 :mod:`repro.tensor.workspace` pool: they are consumed synchronously by
@@ -72,30 +74,6 @@ def maxpool2d_backward(dy: np.ndarray, mask: np.ndarray, k: int,
         ws.release(dblocks)
         return full
     return dx
-
-
-def avgpool2d_forward(x: np.ndarray, k: int) -> np.ndarray:
-    n, c, h, w = x.shape
-    if h % k or w % k:
-        x = x[:, :, : (h // k) * k, : (w // k) * k]
-        n, c, h, w = x.shape
-    return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
-
-
-def avgpool2d_backward(dy: np.ndarray, k: int,
-                       x_shape: Tuple[int, int, int, int]) -> np.ndarray:
-    n, c, h, w = x_shape
-    ho, wo = dy.shape[2], dy.shape[3]
-    g6 = ws.acquire((n, c, ho, k, wo, k), dy.dtype)
-    g6[:] = dy[:, :, :, None, :, None]
-    g6 *= 1.0 / (k * k)
-    g = g6.reshape(n, c, ho * k, wo * k)
-    if g.shape[2] != h or g.shape[3] != w:
-        full = ws.acquire(x_shape, dy.dtype, zero=True)
-        full[:, :, : g.shape[2], : g.shape[3]] = g
-        ws.release(g6)
-        return full
-    return g
 
 
 def global_avgpool_forward(x: np.ndarray) -> np.ndarray:

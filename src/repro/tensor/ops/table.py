@@ -63,13 +63,6 @@ def _max_pool_fwd(x, k, save, bufs):
     return y, (mask, x.shape)
 
 
-def _pad_channels_fwd(x, total, save, bufs):
-    n, c, h, w = x.shape
-    out = np.zeros((n, total, h, w), dtype=x.dtype)
-    out[:, :c] = x
-    return out, c
-
-
 def _gather_channels_bwd(g, x_shape, idx, bufs):
     full = np.zeros(x_shape, dtype=g.dtype)
     full[:, idx] = g
@@ -188,32 +181,22 @@ def _linear_bwd(g, saved, attrs, bufs):
 
 
 #: op kind (the name capture records) -> row.  ``attrs`` per kind: the static
-#: arguments the eager wrapper passes — pool kernel size, ``(old, new)``
-#: shapes of a reshape, channel ``total`` / ``idx`` / ``(idx, total)``, the
-#: integer targets of the loss, the BN tuple above; ``None`` otherwise.
+#: arguments the eager wrapper passes — the max-pool kernel size, channel
+#: ``idx`` / ``(idx, total)``, the integer targets of the loss, the BN tuple
+#: above; ``None`` otherwise.
 OPS: Dict[str, Op] = {
     "add": Op(lambda a, b, _, save, bufs: (a + b, None),
               lambda g, _s, _a, bufs: (g, g), (False, False)),
-    "reshape": Op(lambda x, shapes, save, bufs: (x.reshape(shapes[1]), None),
-                  lambda g, _s, shapes, bufs: (g.reshape(shapes[0]),),
-                  (False,)),
     "max_pool2d": Op(
         _max_pool_fwd,
         lambda g, saved, k, bufs: (_pool.maxpool2d_backward(g, saved[0], k,
                                                             saved[1]),),
-        (True,)),
-    "avg_pool2d": Op(
-        lambda x, k, save, bufs: (_pool.avgpool2d_forward(x, k), x.shape),
-        lambda g, x_shape, k, bufs: (_pool.avgpool2d_backward(g, k,
-                                                              x_shape),),
         (True,)),
     "global_avg_pool": Op(
         lambda x, _, save, bufs: (_pool.global_avgpool_forward(x), x.shape),
         lambda g, x_shape, _, bufs: (_pool.global_avgpool_backward(g,
                                                                    x_shape),),
         (True,)),
-    "pad_channels": Op(_pad_channels_fwd,
-                       lambda g, c, _, bufs: (g[:, :c],), (False,)),
     "gather_channels": Op(
         lambda x, idx, save, bufs: (np.ascontiguousarray(x[:, idx]), x.shape),
         _gather_channels_bwd, (False,)),

@@ -1,10 +1,12 @@
-"""Reverse-mode autograd tensor.
+"""Reverse-mode autograd tensor: the graph plumbing, and no ops.
 
-A minimal but complete dynamic-graph autodiff engine in pure NumPy.  Every
-differentiable operation creates a new :class:`Tensor` holding references to
-its parents and a closure that accumulates gradients into them.  Calling
-:meth:`Tensor.backward` runs a topological sort over the recorded graph and
-invokes the closures in reverse order.
+A :class:`Tensor` holds an array, its gradient and, when it is an op's
+output, references to its parents and a closure that accumulates gradients
+into them.  It defines no operator of its own: every op is a row of
+:data:`repro.tensor.ops.table.OPS` or the convolution, both run by
+:mod:`repro.tensor.functional`, which builds the nodes through
+:meth:`Tensor._make`.  Calling :meth:`Tensor.backward` runs a topological
+sort over the recorded graph and invokes the closures in reverse order.
 
 The engine is deliberately eager and define-by-run (the PruneTrain paper's
 substrate is PyTorch, which works the same way): network reconfiguration can
@@ -52,21 +54,6 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``grad`` down to ``shape``, inverting NumPy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    # Added leading axes.
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    # Broadcast (size-1) axes.
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 def backward_order(root: "Tensor") -> list["Tensor"]:
     """The nodes ``root.backward()`` visits, in visit order: an iterative
     DFS over gradient-requiring parents, reversed post-order.  Compiled
@@ -103,7 +90,6 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
-    __array_priority__ = 100.0  # so ndarray + Tensor defers to Tensor
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False,
                  name: str = ""):
@@ -154,10 +140,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     # ------------------------------------------------------------------
     # graph construction helper
     # ------------------------------------------------------------------
@@ -184,7 +166,7 @@ class Tensor:
         """
         if not self.requires_grad:
             return
-        grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
+        grad = np.asarray(grad, dtype=self.data.dtype)
         if self.grad is None:
             # Always copy: the incoming array may be aliased by other nodes
             # (e.g. an add fans the same gradient out to both parents), and
@@ -220,11 +202,15 @@ class Tensor:
         """Backpropagate from this tensor through the recorded graph.
 
         ``grad`` defaults to ones (scalar outputs are the common case:
-        losses).  Gradients accumulate into every reachable tensor with
-        ``requires_grad=True``.
+        losses) and must otherwise have this tensor's shape — no op
+        broadcasts, so no gradient is ever summed down to fit.  Gradients
+        accumulate into every reachable tensor with ``requires_grad=True``.
         """
         if grad is None:
             grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.data.shape:
+            raise ValueError(f"gradient of shape {np.shape(grad)} for a "
+                             f"tensor of shape {self.data.shape}")
         order = backward_order(self)
         self._accumulate(grad)
         for node in order:
@@ -248,152 +234,3 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    # ------------------------------------------------------------------
-    # arithmetic ops
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _coerce(other: ArrayLike) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
-
-    def __add__(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce(other)
-        out_data = self.data + other.data
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g)
-            other._accumulate(g)
-
-        out = Tensor._make(out_data, (self, other), backward)
-        if _TAPE is not None:
-            _TAPE.record("add", (self, other), out, None)
-        return out
-
-    __radd__ = __add__
-
-    def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce(other)
-        out_data = self.data * other.data
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * other.data)
-            other._accumulate(g * self.data)
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce(other)
-        out_data = self.data - other.data
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g)
-            other._accumulate(-g)
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return self._coerce(other).__sub__(self)
-
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce(other)
-        out_data = self.data / other.data
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g / other.data)
-            other._accumulate(-g * self.data / (other.data * other.data))
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return self._coerce(other).__truediv__(self)
-
-    def __neg__(self) -> "Tensor":
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(-g)
-
-        return Tensor._make(-self.data, (self,), backward)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        out_data = self.data ** exponent
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        other = self._coerce(other)
-        out_data = self.data @ other.data
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g @ other.data.T)
-            other._accumulate(self.data.T @ g)
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    # ------------------------------------------------------------------
-    # shape ops
-    # ------------------------------------------------------------------
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        orig = self.data.shape
-        out_data = self.data.reshape(shape)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g.reshape(orig))
-
-        out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-            _TAPE.record("reshape", (self,), out, (orig, out_data.shape))
-        return out
-
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.data.ndim)))
-        inv = np.argsort(axes)
-        out_data = self.data.transpose(axes)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g.transpose(inv))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        shape = self.data.shape
-
-        def backward(g: np.ndarray) -> None:
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, shape))
-            else:
-                ax = (axis,) if isinstance(axis, int) else tuple(axis)
-                gg = g
-                if not keepdims:
-                    gg = np.expand_dims(g, ax)
-                self._accumulate(np.broadcast_to(gg, shape))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            n = self.data.size
-        else:
-            ax = (axis,) if isinstance(axis, int) else tuple(axis)
-            n = int(np.prod([self.data.shape[a] for a in ax]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def __getitem__(self, idx) -> "Tensor":
-        out_data = self.data[idx]
-        shape = self.data.shape
-
-        def backward(g: np.ndarray) -> None:
-            full = np.zeros(shape, dtype=g.dtype)
-            np.add.at(full, idx, g)
-            self._accumulate(full)
-
-        return Tensor._make(out_data, (self,), backward)

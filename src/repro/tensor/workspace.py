@@ -271,23 +271,12 @@ register("_workspace", POOL.stats)
 #: pool also invalidate every captured kernel schedule.
 PLAN_GENERATION = 0
 
-#: Callbacks fired after every PLAN_GENERATION bump.  Plan-lifetime
-#: resources that must not outlive a stationary phase register here —
-#: :mod:`repro.tensor.memplan` uses it to account stale arenas, and tests
-#: can observe invalidation ordering.  Hooks must be cheap and never raise.
-_invalidation_hooks: list = []
-
 #: Guards PLAN_GENERATION bumps.  Replay worker threads never bump the
 #: generation themselves, but plan-cache maintenance may race a bump from
 #: the driver (e.g. a test thread invalidating while another looks up), so
 #: the read-modify-write must be atomic.  Plain reads of the counter are a
 #: single bytecode and need no lock.
 _generation_lock = threading.Lock()
-
-
-def on_invalidate(hook) -> None:
-    """Register a callback run after each plan-generation bump."""
-    _invalidation_hooks.append(hook)
 
 
 def plan_generation() -> int:
@@ -302,15 +291,11 @@ def invalidate_plans() -> None:
     swap the underlying arrays (``Module.load_state_dict`` reassigns
     ``param.data``, so array references captured by a plan go stale), and
     as part of :func:`invalidate` for full reconfigurations.  Plan-owned
-    arenas (:mod:`repro.tensor.memplan`) die with their plans; the
-    registered invalidation hooks let interested parties observe the bump.
+    arenas (:mod:`repro.tensor.memplan`) die with their plans.
     """
     global PLAN_GENERATION
     with _generation_lock:
         PLAN_GENERATION += 1
-        gen = PLAN_GENERATION
-    for hook in _invalidation_hooks:
-        hook(gen)
 
 
 # -- gradient-sink binding ---------------------------------------------------

@@ -1,8 +1,9 @@
 """Bit digests of the seeded numerics a refactor must not move.
 
-    PYTHONPATH=src python tests/bits.py [conv] [ops] [prunetrain] [layouts]
+    PYTHONPATH=src python tests/bits.py [conv] [ops] [prunetrain] [join] \
+        [layouts]
 
-prints one ``name sha256[:16]`` line per seeded case (all four sections
+prints one ``name sha256[:16]`` line per seeded case (all five sections
 when none is named):
 
 ``conv/<case>/kernel``
@@ -23,6 +24,9 @@ when none is named):
 ``prunetrain/{eager,compiled}``
     QUICK ResNet-32 PruneTrain, two epochs with a reconfiguration between
     them: every epoch loss, parameter and momentum buffer.
+``join/resnet32-unfused-step``
+    loss and every gradient of one eager QUICK ResNet-32 training step with
+    ``fused_bnrelu`` off, whose residual joins are ``relu(add(out, shortcut))``.
 ``layout/<model>-<schedule>/{train,serve}``
     the five arena layouts ``test_plan_builder.py`` pins.
 
@@ -256,6 +260,19 @@ def prunetrain_lines():
     workspace.invalidate()
 
 
+def join_lines():
+    workspace.invalidate()
+    with workspace.engine(fused_bnrelu=False):
+        model = make_model("resnet32", "cifar10s", QUICK, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((8, 3, QUICK.hw, QUICK.hw)).astype(np.float32)
+        loss = F.cross_entropy(model(Tensor(x)), rng.integers(0, 10, size=8))
+        loss.backward()
+        arrays = [loss.data] + [p.grad for _, p in model.named_parameters()]
+        yield "join/resnet32-unfused-step", digest(arrays)
+    workspace.invalidate()
+
+
 def layout_lines():
     from tests.tensor.test_plan_builder import LAYOUTS, _layout
     cfg = workspace.config
@@ -291,7 +308,8 @@ def layout_lines():
 
 
 SECTIONS = {"conv": conv_lines, "ops": ops_lines,
-            "prunetrain": prunetrain_lines, "layouts": layout_lines}
+            "prunetrain": prunetrain_lines, "join": join_lines,
+            "layouts": layout_lines}
 
 
 def lines(sections=tuple(SECTIONS)):

@@ -238,21 +238,21 @@ class TestDynamicBatchAdjuster:
         assert a.new_batch == 128
 
     def test_shrink_mode(self):
-        m = resnet20(10, width_mult=1.0, input_hw=32)
-        adj = self._adjuster(cap=5e6, shrink=True, granularity=8)
-        a = adj.propose(m.graph, 128)
-        assert a.new_batch <= 128
+        """There is none: pruning only frees memory."""
+        with pytest.raises(TypeError):
+            self._adjuster(cap=5e6, shrink=True, granularity=8)
 
     def test_respects_max_batch(self):
         m = resnet20(10, **SMALL)
         adj = self._adjuster(cap=1e12, max_batch=256)
         assert adj.propose(m.graph, 64).new_batch == 256
 
-    def test_sqrt_rule(self):
+    def test_none_rule_keeps_the_lr(self):
         m = resnet20(10, **SMALL)
-        adj = self._adjuster(cap=1e9, lr_rule="sqrt", max_batch=256)
+        adj = self._adjuster(cap=1e9, lr_rule="none", max_batch=256)
         a = adj.propose(m.graph, 64)
-        assert a.lr_scale == pytest.approx((a.new_batch / 64) ** 0.5)
+        assert a.new_batch > 64
+        assert a.lr_scale == 1.0
 
     def test_unknown_rule_raises(self):
         m = resnet20(10, **SMALL)
@@ -291,17 +291,18 @@ class TestDynamicBatchAdjuster:
                 == ana.propose(m.graph, 64).new_batch)
 
     def test_measured_shrink_mode(self):
+        """A measured footprint far above the analytical estimate still
+        never shrinks the running batch."""
         m = resnet20(10, **SMALL)
         adj = self._adjuster(cap=80e6, granularity=8, max_batch=4096,
-                             shrink=True, source="measured")
-        # planner measured a footprint far above the analytical estimate
+                             source="measured")
         from repro.costmodel.memory import activation_bytes_per_sample
         adj.memory_model.observe(
             20.0 * activation_bytes_per_sample(m.graph))
         big = self._adjuster(cap=80e6, granularity=8,
                              max_batch=4096).propose(m.graph, 64).new_batch
         a = adj.propose(m.graph, big)
-        assert a.new_batch < big
+        assert a.new_batch == big and a.lr_scale == 1.0
 
     def test_history_recorded(self):
         m = resnet20(10, **SMALL)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (BatchNorm2d, Conv2d, Linear, Module, Parameter, ReLU,
-                      Sequential, resnet20)
+                      resnet20)
 from repro.tensor import Tensor
 
 
@@ -98,17 +98,33 @@ class TestStateDict:
         assert toy.conv.weight.data.max() < 99.0
 
 
+class Chain(Module):
+    """A test-local container: modules held in a list attribute."""
+
+    def __init__(self, *layers: Module):
+        super().__init__()
+        self.layers = list(layers)
+
+    def forward(self, x):
+        for layer in self.layers:
+            x = layer(x)
+        return x
+
+
 class TestSequential:
     def test_runs_in_order(self, rng):
-        seq = Sequential(Linear(4, 8), ReLU(), Linear(8, 2))
+        seq = Chain(Linear(4, 8), ReLU(), Linear(8, 2))
         out = seq(Tensor(rng.normal(size=(3, 4))))
         assert out.shape == (3, 2)
 
     def test_container_protocol(self):
-        seq = Sequential(ReLU(), ReLU())
-        assert len(seq) == 2
-        assert isinstance(seq[0], ReLU)
-        assert len(list(iter(seq))) == 2
+        seq = Chain(ReLU(), Linear(2, 2))
+        assert [name for name, _ in seq.named_children()] == [
+            "layers.0", "layers.1"]
+        assert [n for n, _ in seq.named_parameters()] == [
+            "layers.1.weight", "layers.1.bias"]
+        seq.eval()
+        assert not any(m.training for m in seq.layers)
 
 
 class TestLayers:

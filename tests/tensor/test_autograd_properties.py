@@ -15,41 +15,35 @@ def finite(shape, lo=-3.0, hi=3.0):
                   elements=st.floats(lo, hi, allow_nan=False, width=32))
 
 
-@given(finite((4, 3)), finite((4, 3)))
+@given(finite((4, 3)), finite((3, 3)))
 @settings(max_examples=25, deadline=None)
 def test_sum_rule(a, b):
-    """d(f+g) = df + dg on elementwise polynomials."""
+    """d(f+g) = df + dg: one input reaching an add along two paths."""
     ta = Tensor(a, requires_grad=True)
-    ((ta * ta) + (ta * 3.0)).sum().backward()
-    np.testing.assert_allclose(ta.grad, 2 * a + 3, rtol=1e-5, atol=1e-6)
+    F.add(F.relu(ta), F.linear(ta, Tensor(b), None)).backward(
+        np.ones((4, 3)))
+    np.testing.assert_allclose(ta.grad, (a > 0) + np.ones((4, 3)) @ b,
+                               rtol=1e-5, atol=1e-5)
 
 
-@given(finite((3, 3), 0.125, 3.0))
-@settings(max_examples=25, deadline=None)
-def test_quotient_rule(a):
-    ta = Tensor(a, requires_grad=True)
-    (1.0 / ta).sum().backward()
-    np.testing.assert_allclose(ta.grad, -1.0 / (a * a), rtol=1e-4)
-
-
-@given(finite((2, 4)), finite((4, 3)))
+@given(finite((2, 4)), finite((3, 4)))
 @settings(max_examples=25, deadline=None)
 def test_matmul_chain_grad_shapes(a, b):
     ta = Tensor(a, requires_grad=True)
     tb = Tensor(b, requires_grad=True)
-    out = (ta @ tb) * 2.0
-    out.sum().backward()
+    out = F.relu(F.linear(ta, tb, None))
+    g = 2.0 * (out.data > 0)
+    out.backward(2.0 * np.ones((2, 3)))
     assert ta.grad.shape == a.shape
     assert tb.grad.shape == b.shape
-    np.testing.assert_allclose(ta.grad, 2.0 * np.ones((2, 3)) @ b.T,
-                               rtol=1e-5)
+    np.testing.assert_allclose(ta.grad, g @ b, rtol=1e-5, atol=1e-6)
 
 
 @given(finite((2, 2, 4, 4)))
 @settings(max_examples=15, deadline=None)
 def test_relu_grad_is_indicator(x):
     tx = Tensor(x, requires_grad=True)
-    F.relu(tx).sum().backward()
+    F.relu(tx).backward(np.ones_like(x))
     np.testing.assert_allclose(tx.grad, (x > 0).astype(float))
 
 
@@ -67,14 +61,16 @@ def test_cross_entropy_nonnegative_and_grad_sums_zero(logits, label):
 @given(finite((2, 3, 4, 4)), st.integers(1, 2))
 @settings(max_examples=15, deadline=None)
 def test_pool_grad_mass_conservation(x, k):
-    """Average pooling preserves gradient mass; max pooling routes it."""
+    """Global average pooling preserves gradient mass; max pooling routes
+    it."""
     tx = Tensor(x, requires_grad=True)
-    F.avg_pool2d(tx, k).sum().backward()
-    expected = x[:, :, :(4 // k) * k, :(4 // k) * k].size / (k * k)
-    np.testing.assert_allclose(tx.grad.sum(), expected, rtol=1e-5)
+    F.global_avg_pool(tx).backward(np.ones(x.shape[:2]))
+    np.testing.assert_allclose(tx.grad.sum(), x.shape[0] * x.shape[1],
+                               rtol=1e-5)
 
     ty = Tensor(x, requires_grad=True)
-    F.max_pool2d(ty, k).sum().backward()
+    y = F.max_pool2d(ty, k)
+    y.backward(np.ones_like(y.data))
     n_windows = x.shape[0] * x.shape[1] * (4 // k) ** 2
     np.testing.assert_allclose(ty.grad.sum(), n_windows, rtol=1e-5)
 

@@ -6,8 +6,7 @@ import pytest
 from repro.tensor.ops.loss import (accuracy, cross_entropy_backward,
                                    cross_entropy_forward, softmax)
 from repro.tensor.ops.norm import batchnorm_backward, batchnorm_forward
-from repro.tensor.ops.pool import (avgpool2d_backward, avgpool2d_forward,
-                                   global_avgpool_backward,
+from repro.tensor.ops.pool import (global_avgpool_backward,
                                    global_avgpool_forward, maxpool2d_backward,
                                    maxpool2d_forward)
 
@@ -157,7 +156,7 @@ class TestMaxPool:
         y_train = F.max_pool2d(x, 2)
         assert asked == [False, True]
         assert np.array_equal(y_eval.data, y_train.data)
-        y_train.sum().backward()
+        y_train.backward(np.ones_like(y_train.data))
         assert x.grad.sum() == 2 * 3 * 2 * 2
 
         from repro.nn import vgg11
@@ -176,16 +175,16 @@ class TestMaxPool:
 
 
 class TestAvgPool:
+    """Average pooling; the models' one is global (the window is the map)."""
+
     def test_forward(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
-        y = avgpool2d_forward(x, 2)
-        np.testing.assert_allclose(y[0, 0], [[2.5, 4.5], [10.5, 12.5]])
+        np.testing.assert_allclose(global_avgpool_forward(x), [[7.5]])
 
     def test_backward_uniform(self):
         x = np.zeros((1, 1, 4, 4))
-        y = avgpool2d_forward(x, 2)
-        dx = avgpool2d_backward(np.ones_like(y), 2, x.shape)
-        np.testing.assert_allclose(dx, np.full_like(x, 0.25))
+        dx = global_avgpool_backward(np.ones((1, 1)), x.shape)
+        np.testing.assert_allclose(dx, np.full_like(x, 1 / 16))
 
 
 class TestGlobalAvgPool:

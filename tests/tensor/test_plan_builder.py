@@ -1,12 +1,13 @@
 """The plan builder binds kernels it does not define.
 
-Guards on that design: every op but the conv is one table row, and a row
+Guards on that design: every op but the conv is one table row, a row
 alone runs an op eager, captured, replayed and planned alike (an op with
-neither a row nor a builder fails capture closed); the builder has two
-drivers and ``functional`` two; ``_PlanBuilder`` contains no NumPy
-arithmetic; and rebinding the builder to shared kernels moved no byte of any
-plan's arena — the layouts below were recorded at the commit before the
-kernels were shared.
+neither a row nor a builder fails capture closed), and every row is one a
+shipped model runs; the builder has two drivers and ``functional`` two,
+the only node and record makers in the package; ``_PlanBuilder`` contains
+no NumPy arithmetic; and rebinding the builder to shared kernels moved no
+byte of any plan's arena — the layouts below were recorded at the commit
+before the kernels were shared.
 """
 
 import ast
@@ -14,12 +15,15 @@ import collections
 import hashlib
 import inspect
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
+import repro
 from repro.experiments.configs import QUICK, make_model
-from repro.nn import resnet50_cifar, vgg13
+from repro.nn import resnet50_cifar, vgg11, vgg13
+from repro.prune import GatedPathRunner
 from repro.tensor import Tensor, no_grad, workspace
 from repro.tensor import compile as C
 from repro.tensor import functional as F
@@ -188,15 +192,56 @@ def test_only_the_conv_and_the_loss_have_builders_of_their_own():
 
 
 def test_only_apply_op_and_conv2d_make_nodes_or_records():
-    """The eager wrappers of table ops are thin ``apply_op`` calls."""
+    """Nothing under ``src/repro`` builds a graph node or writes a capture
+    record but the two functional drivers: the eager wrappers of table ops
+    are thin ``apply_op`` calls, and ``Tensor`` has no ops of its own."""
+    root = pathlib.Path(repro.__file__).parent
     makers = set()
-    for top in ast.parse(inspect.getsource(F)).body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call) and (
-                    ast.unparse(node.func) == "Tensor._make"
-                    or ast.unparse(node.func).endswith("_TAPE.record")):
-                makers.add(getattr(top, "name", None))
-    assert makers == {"apply_op", "conv2d"}
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root.parent).with_suffix("")
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and (
+                        ast.unparse(node.func) == "Tensor._make"
+                        or ast.unparse(node.func).endswith("_TAPE.record")):
+                    makers.add((module.as_posix(), getattr(top, "name", None)))
+    assert makers == {("repro/tensor/functional", "apply_op"),
+                      ("repro/tensor/functional", "conv2d")}
+
+
+def _recorded_kinds(run):
+    with C.Tape() as tape:
+        run(tape)
+    return {rec.kind for rec in tape.records}
+
+
+def _training_step(model, hw):
+    def run(tape):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((4, 3, hw, hw)).astype(np.float32)
+        loss = F.cross_entropy(model(tape.input(x)), rng.integers(0, 10, 4))
+        loss.backward()
+    return run
+
+
+def test_every_row_is_run_by_a_shipped_model():
+    """The table holds the ops the paper's models run and nothing else:
+    a ResNet-32 and a VGG-11 training step under the default engine and the
+    unfused one, plus the gating runner's forward, record every row."""
+    kinds = set()
+    for fused in (True, False):
+        with workspace.engine(fused_bnrelu=fused):
+            kinds |= _recorded_kinds(_training_step(_r32()[0], QUICK.hw))
+            kinds |= _recorded_kinds(_training_step(
+                vgg11(10, width_mult=0.25, input_hw=16, seed=0), 16))
+    model = resnet50_cifar(10, width_mult=0.25, input_hw=8, seed=0)
+    graph = model.graph
+    path = next(iter(graph.paths.values()))
+    runner = GatedPathRunner(graph, path)
+    cin = graph.spaces[graph.conv_by_name(path.conv_names[0]).in_space].size
+    x = np.zeros((2, cin, 8, 8), np.float32)
+    kinds |= _recorded_kinds(lambda tape: runner.forward(tape.input(x)))
+    assert kinds == set(OPS) | {"conv2d"}
 
 
 

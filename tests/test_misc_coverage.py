@@ -13,23 +13,6 @@ class TestTensorCorners:
     def test_item_scalar(self):
         assert Tensor(3.5).item() == pytest.approx(3.5)
 
-    def test_transpose_default_reverses(self):
-        t = Tensor(np.zeros((2, 3, 4)))
-        assert t.transpose().shape == (4, 3, 2)
-
-    def test_transpose_tuple_arg(self):
-        t = Tensor(np.zeros((2, 3, 4)))
-        assert t.transpose((1, 0, 2)).shape == (3, 2, 4)
-
-    def test_reshape_tuple_arg(self):
-        t = Tensor(np.zeros(12))
-        assert t.reshape((3, 4)).shape == (3, 4)
-
-    def test_pow_backward_cube(self):
-        a = Tensor([2.0], requires_grad=True)
-        (a ** 3).sum().backward()
-        np.testing.assert_allclose(a.grad, [12.0])
-
     def test_name_attribute(self):
         t = Tensor([1.0], name="probe")
         assert t.name == "probe"
