@@ -7,14 +7,14 @@ QUICK scale under the `workers > 1` backends:
   in-process simulation (K eager backwards on one model, ring allreduce
   over local arrays);
 * ``elastic`` — :class:`repro.distributed.ElasticEngine`, K forked worker
-  processes replaying compiled shard steps concurrently, gradients written
-  straight into shared memory and reduced bucket by bucket while backward
-  still runs.
+  processes replaying compiled shard steps concurrently, each packing its
+  gradients into shared memory, then one ring allreduce over the packed
+  payloads on the coordinator.
 
 Both produce bit-identical gradients (asserted here — a benchmark comparing
 diverging computations would be meaningless), so ``elastic_over_sim``
 isolates orchestration cost: process scheduling, the parameter broadcast,
-pipe traffic, coordinator stall, and the comm schedule.
+pipe traffic, coordinator stall, and the exchange.
 
 Run directly::
 

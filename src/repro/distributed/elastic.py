@@ -3,15 +3,15 @@
 The scale-out path of the paper's Sec. 2.2 ("Distributed Training"): K
 worker *processes* (stdlib ``multiprocessing``, fork start method) each hold
 a model replica and compute the gradients of one shard of the global batch.
-The step protocol — shard bounds, the flat gradient payload, the bucket
-exchange and the result — is the simulation's
+The step protocol — shard bounds, the flat gradient payload, the exchange
+and the result — is the simulation's
 (:func:`repro.distributed.worker.data_parallel_step`), stated once in
 ``docs/ARCHITECTURE.md`` §9 and §12; only where shards run differs.  Here
-the payloads live in POSIX shared memory: compiled worker plans write
-gradients straight into them and announce each bucket over a pipe while
-backward still runs, and the coordinator reduces a bucket as soon as every
-participant has announced it.  A fault-free run is bit-identical to the
-simulation at the same worker count.
+the payloads live in POSIX shared memory: each worker packs its gradients
+into its segment after backward and reports over a pipe, and once every
+participant has reported the coordinator averages the segments in place
+with one :func:`~repro.distributed.allreduce.exchange`.  A fault-free run
+is bit-identical to the simulation at the same worker count.
 
 The coordinator owns the model, the optimizer and the regularizer state;
 workers are stateless gradient engines.  Each worker ships its per-shard
@@ -23,10 +23,10 @@ makes the next step resync every replica through
 
 Fault model: a worker whose process died, whose pipe closed or whose
 heartbeat is stale (or garbage) past ``heartbeat_timeout`` is evicted.  A
-step is atomic — any participant failure voids the attempt, buckets
-already reduced included, and the survivors re-execute it, fully
-overwriting their payloads — so from the failure on the run equals a clean
-run with the surviving worker count.  :class:`FaultPlan` scripts failures
+step is atomic — any participant failure voids the attempt before anything
+is reduced, and the survivors re-execute it, fully overwriting their
+payloads — so from the failure on the run equals a clean run with the
+surviving worker count.  :class:`FaultPlan` scripts failures
 deterministically.
 """
 
@@ -53,7 +53,7 @@ from ..tensor import functional as F
 from ..tensor import workspace as _ws
 from ..tensor.compile import PlanCache, capture_training_step
 from ..tensor.ops import norm as _norm_ops
-from .allreduce import BUCKET_BYTES, COMM_STATS, BucketExchange, GradPayload
+from .allreduce import COMM_STATS, GradPayload, exchange
 from .worker import StepResult, shard_bounds
 
 
@@ -63,17 +63,12 @@ from .worker import StepResult, shard_bounds
 class FaultAction:
     """One scripted failure: fires on the first command whose global step
     index is >= ``step`` (a resync preceding step ``s`` carries index ``s``,
-    so faults can target reconfiguration barriers too).  A
-    ``kill_after_bucket`` action instead fires from *inside* the step, right
-    after the worker announces bucket ``bucket`` — i.e. between bucket
-    launches, with part of the payload exchanged and part still in flight."""
+    so faults can target reconfiguration barriers too)."""
 
     kind: str            # "kill" | "hang" | "corrupt_heartbeat"
-                         # | "kill_after_bucket"
     worker: int          # rank the fault applies to
     step: int            # global step index at/after which it fires
     duration: float = float("inf")   # hang only: seconds to stall
-    bucket: int = -1     # kill_after_bucket only: bucket index to die after
 
 
 class FaultPlan:
@@ -104,15 +99,6 @@ class FaultPlan:
         self.actions.append(FaultAction("corrupt_heartbeat", worker, at_step))
         return self
 
-    def kill_after_bucket(self, worker: int, at_step: int,
-                          bucket: int) -> "FaultPlan":
-        """Terminate ``worker`` right after it announces ``bucket`` during
-        step ``at_step`` (or the first later step that reaches it) — a death
-        *between* bucket launches, mid-backward."""
-        self.actions.append(
-            FaultAction("kill_after_bucket", worker, at_step, bucket=bucket))
-        return self
-
     def for_worker(self, rank: int) -> List[FaultAction]:
         return sorted((a for a in self.actions if a.worker == rank),
                       key=lambda a: a.step)
@@ -136,7 +122,6 @@ class ElasticStepResult(StepResult):
     stall_seconds: float = 0.0       # wall time lost waiting on stragglers
     active_workers: int = 0          # workers alive after this step
     failures: int = 0                # failures detected during this step
-    buckets_overlapped: int = 0      # buckets reduced under worker compute
 
 
 @dataclass
@@ -160,8 +145,8 @@ _WAIT_SLICE = 0.05
 # -- worker process ----------------------------------------------------------
 
 def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
-                 capacity: int, nworkers: int, faults: List[FaultAction],
-                 bucket_bytes: int) -> None:
+                 capacity: int, nworkers: int, faults: List[FaultAction]
+                 ) -> None:
     """Worker loop: wait for commands, compute shard gradients, report.
 
     Runs in a forked child: ``replica`` is this process's private copy of
@@ -170,8 +155,7 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
     hb = np.frombuffer(hb_mm, dtype=np.float64, count=nworkers)
     gview = np.frombuffer(grad_mm, dtype=np.float32, count=capacity)
     pview = np.frombuffer(param_mm, dtype=np.float32, count=capacity)
-    pending_faults = [a for a in faults if a.kind != "kill_after_bucket"]
-    bucket_faults = [a for a in faults if a.kind == "kill_after_bucket"]
+    pending_faults = list(faults)
     corrupt = False
 
     def beat() -> None:
@@ -196,55 +180,27 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
         lambda rm, mu, var: stats_log.append((bn_names[id(rm)], mu, var)))
     rebuild_bn_map()
 
-    # The replica's payload layout; its gradient sinks are views into the
-    # shared gradient segment, so compiled backward writes straight there.
-    payload: GradPayload
-
-    def refresh_layout() -> None:
-        nonlocal payload
-        payload = GradPayload(replica, nworkers, bucket_bytes)
-        _ws.bind_grad_sinks(payload.sinks(gview))
-
-    refresh_layout()
-
+    payload = GradPayload(replica)    # rebuilt on resync
     plans = PlanCache(max_entries=4)
-    cur = {"step": 0, "attempt": 0}
-
-    def send_bucket(index: int) -> None:
-        conn.send(("bucket", cur["step"], cur["attempt"], index))
-        beat()
-        if bucket_faults and bucket_faults[0].step <= cur["step"] \
-                and bucket_faults[0].bucket == index:
-            os._exit(17)
 
     def compiled_step(xb, yb):
         """Run the step through a compiled plan (capturing on first sight
-        of this shard shape).  Returns ``(loss, logits, launched, bound)``
-        where ``launched`` are bucket indices already announced from inside
-        the replay and ``bound`` the leaf ids whose gradients are already
-        in shared memory — or ``None`` if this shape is uncompilable."""
+        of this shard shape).  Returns ``(loss, logits)``, or ``None`` if
+        this shape is uncompilable."""
         key = (xb.shape, yb.shape)
         plan = plans.lookup(key)
         if plan is not None:
             loss, logits = plan.run(xb, yb)
-            return float(loss), logits, plan.comm_buckets(), \
-                plan.sink_bound_leaves()
+            return float(loss), logits
         if plans.sealed(key):
             return None
         plan, lt, lg, reason = capture_training_step(replica, xb, yb)
         plans.store(key, plan, reason)
+        # the capture's forward/loss WAS this step's eager computation
         lt.backward()
-        if plan is not None:
-            for b in payload.buckets:    # none at K = 1
-                lids = [id(payload.params[i]) for i in b.param_indices]
-                plan.add_comm_thunk(b.index, lids,
-                                    lambda i=b.index: send_bucket(i))
-        # the capture's forward/loss WAS this step's eager computation —
-        # gradients are in p.grad, nothing announced or in shared memory yet
-        return lt.item(), lg.data, frozenset(), frozenset()
+        return lt.item(), lg.data
 
     def run_step(step_idx: int, attempt: int, xb, yb) -> None:
-        cur["step"], cur["attempt"] = step_idx, attempt
         # the parameter broadcast, in place (surgery keeps parameter objects)
         payload.unpack_params(pview)
         stats_log.clear()
@@ -255,14 +211,9 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
             logits_t = replica(Tensor(xb))
             loss_t = F.cross_entropy(logits_t, yb)
             loss_t.backward()
-            res = loss_t.item(), logits_t.data, frozenset(), frozenset()
-        loss_val, logits, launched, bound = res
-        # pack what no bound sink wrote (everything on the eager and capture
-        # paths), then announce every bucket the replay did not
-        payload.pack_grads(gview, skip=bound)
-        for b in payload.buckets:
-            if b.index not in launched:
-                send_bucket(b.index)
+            res = loss_t.item(), logits_t.data
+        loss_val, logits = res
+        payload.pack_grads(gview)
         correct = int((logits.argmax(1) == yb).sum())
         beat()
         conn.send(("done", step_idx, attempt, loss_val, correct,
@@ -298,7 +249,7 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
                 if kind == "resync":
                     loads_state(msg[2], replica)  # bumps the plan generation:
                     rebuild_bn_map()              # stale plans purge on lookup
-                    refresh_layout()
+                    payload = GradPayload(replica)
                     beat()
                     conn.send(("resync_ack", step_idx))
                 elif kind == "step":
@@ -308,7 +259,6 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
         os._exit(1)
     finally:
         _norm_ops.set_bn_stats_sink(None)
-        _ws.clear_grad_sinks()
         conn.close()
 
 
@@ -330,15 +280,11 @@ class ElasticEngine:
     coordinator parameters' ``.grad`` exactly as
     :func:`~repro.distributed.worker.data_parallel_step` leaves them, so
     regularizers and the optimizer run unchanged on the coordinator.
-
-    ``bucket_bytes`` is the payload target of one gradient bucket (64 KiB
-    by default; models smaller than that exchange as a single bucket).
     """
 
     def __init__(self, model: Module, workers: int,
                  heartbeat_timeout: float = 30.0,
-                 fault_plan: Optional[FaultPlan] = None,
-                 bucket_bytes: int = BUCKET_BYTES):
+                 fault_plan: Optional[FaultPlan] = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if "fork" not in mp.get_all_start_methods():
@@ -349,9 +295,6 @@ class ElasticEngine:
         self.workers = int(workers)
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.fault_plan = fault_plan
-        self.bucket_bytes = int(bucket_bytes)
-        if self.bucket_bytes <= 0:
-            raise ValueError("bucket_bytes must be positive")
         self._ctx = mp.get_context("fork")
         self._handles: List[_Handle] = []
         self._started = False
@@ -410,8 +353,7 @@ class ElasticEngine:
             proc = self._ctx.Process(
                 target=_worker_main,
                 args=(rank, work_conn, self.model, grad_mm, self._param_mm,
-                      self._hb_mm, self._capacity, self.workers, faults,
-                      self.bucket_bytes),
+                      self._hb_mm, self._capacity, self.workers, faults),
                 daemon=True, name=f"elastic-worker-{rank}")
             proc.start()
             work_conn.close()   # child keeps its copy; EOF works both ways
@@ -476,8 +418,7 @@ class ElasticEngine:
     def _refresh_layout(self) -> None:
         """Rebuild the payload layout and the BN name map (valid until the
         next reconfiguration)."""
-        self._payload = GradPayload(self.model, self.workers,
-                                    self.bucket_bytes)
+        self._payload = GradPayload(self.model)
         self._bn = {name: m for name, m in self.model.named_modules()
                     if isinstance(m, BatchNorm2d)}
 
@@ -502,20 +443,18 @@ class ElasticEngine:
         # by the in-flight attempt defers the close harmlessly.
         self._close_grad_segment(h)
 
-    def _await(self, ranks: List[int], match, phase: str, on_other=None
+    def _await(self, ranks: List[int], match, phase: str
                ) -> Tuple[Dict[int, tuple], List[int], float]:
         """Collect one matching message per rank, with failure detection.
 
         Returns ``(results, failed_ranks, stall_seconds)``.  Failure checks
         run *before* each rank's pipe is drained, so a worker with a
         corrupted heartbeat is evicted deterministically even if its result
-        raced in.  Non-matching messages go to ``on_other(rank, msg)`` when
-        given (the step's bucket announcements) and are dropped otherwise
-        (stale attempts).  Between sweeps the
-        coordinator blocks in :func:`multiprocessing.connection.wait`
-        rather than sleep-polling.  ``stall`` is the wall time between the
-        first completion and the end of the wait — idle coordinator/
-        fast-worker time.
+        raced in.  Non-matching messages (stale attempts) are dropped.
+        Between sweeps the coordinator blocks in
+        :func:`multiprocessing.connection.wait` rather than sleep-polling.
+        ``stall`` is the wall time between the first completion and the end
+        of the wait — idle coordinator/fast-worker time.
         """
         pending = set(ranks)
         results: Dict[int, tuple] = {}
@@ -546,8 +485,6 @@ class ElasticEngine:
                             if t_first is None:
                                 t_first = time.monotonic()
                             break
-                        if on_other is not None:
-                            on_other(rank, msg)
                 except (EOFError, OSError):
                     # EOF usually reaches the blocking wait before the dead
                     # process is reapable; classify by the process itself so
@@ -619,26 +556,23 @@ class ElasticEngine:
             bounds = shard_bounds(len(x), len(active))
             participants = active[:len(bounds) - 1]
             want = self._step_idx
-            views = [self._handles[rank].grad_view[:payload.total]
-                     for rank in participants]
-            exchange = BucketExchange(payload, views,
-                                      tag=("bucket", want, attempt))
             for rank, lo, hi in zip(participants, bounds, bounds[1:]):
                 self._handles[rank].conn.send(
                     ("step", want, attempt, x[lo:hi], y[lo:hi]))
             results, failed, stall = self._await(
                 participants, lambda m: m[:3] == ("done", want, attempt),
-                "step", on_other=exchange.on_bucket)
+                "step")
             stall_total += stall
             if not failed:
                 break
-            # a failed participant voids the attempt — including any
-            # buckets already reduced in place: survivors re-execute the
-            # whole step and fully overwrite their payloads, so the result
-            # is exactly a clean smaller-K step
+            # a failed participant voids the attempt: survivors re-execute
+            # the whole step and fully overwrite their payloads, so the
+            # result is exactly a clean smaller-K step
             attempt += 1
 
-        comm_bytes = exchange.finish()
+        views = [self._handles[rank].grad_view[:payload.total]
+                 for rank in participants]
+        comm_bytes = exchange(views)
         payload.unpack_grads(views[0])
         # replay per-shard BN running-stat updates in shard order
         for rank in participants:
@@ -661,5 +595,4 @@ class ElasticEngine:
              for rank, size in zip(participants, np.diff(bounds))],
             comm_bytes, stall_seconds=stall_total,
             active_workers=len(self.active_ranks),
-            failures=len(self.failures) - failures_before,
-            buckets_overlapped=exchange.overlapped)
+            failures=len(self.failures) - failures_before)

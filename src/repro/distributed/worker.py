@@ -25,7 +25,7 @@ import numpy as np
 from ..nn.module import Module
 from ..tensor import Tensor
 from ..tensor import functional as F
-from .allreduce import BucketExchange, GradPayload
+from .allreduce import GradPayload, exchange
 
 
 def shard_bounds(n: int, workers: int) -> np.ndarray:
@@ -78,7 +78,7 @@ def data_parallel_step(model: Module, x: np.ndarray, y: np.ndarray,
     """
     bounds = shard_bounds(len(x), workers)
     k = len(bounds) - 1
-    payload = GradPayload(model, k)
+    payload = GradPayload(model)
     flats = np.empty((k, payload.total), np.float32)
     shards = []
     for flat, lo, hi in zip(flats, bounds, bounds[1:]):
@@ -90,6 +90,6 @@ def data_parallel_step(model: Module, x: np.ndarray, y: np.ndarray,
         payload.pack_grads(flat)
         shards.append((loss.item(), int((logits.data.argmax(1) == yb).sum()),
                        hi - lo))
-    comm_bytes = BucketExchange(payload, list(flats)).finish()
+    comm_bytes = exchange(list(flats))
     payload.unpack_grads(flats[0])
     return StepResult.aggregate(shards, comm_bytes), list(np.diff(bounds))

@@ -692,10 +692,6 @@ class Tape:
                                  [rec.kind for rec in bwd_recs])
             rec_last = {id(rec): i for i, rec in enumerate(bwd_recs)}
             plan._bwd_of = [rec_last.get(id(rec)) for rec in self.records]
-            plan._leaf_bwd_idx = {
-                lid: rec_last[rid]
-                for lid, rid in plan._leaf_sink_rec.items()
-                if rid in rec_last}
         else:
             self._assemble_levels(plan, pairs, bwd_nodes, sched)
         plan._logits_slot = self.slot_of[id(logits)]
@@ -779,16 +775,6 @@ class _PlanBuilder:
         #: parallel schedule (None -> serial plan; split convs return
         #: (dw, dx, fin) backward part tuples instead of one thunk)
         self.sched = sched
-        #: how many records consume each input tensor — a leaf gradient
-        #: sink may bind a zero-copy destination only when its parameter
-        #: feeds exactly one op (multi-use leaves accumulate across sinks,
-        #: which the in-place ``out=`` form cannot express safely)
-        self._input_uses: Dict[int, int] = {}
-        for _rec in tape.records:
-            for _inp in _rec.inputs:
-                if _inp is not None:
-                    self._input_uses[id(_inp)] = \
-                        self._input_uses.get(id(_inp), 0) + 1
 
     # -- the per-record allocator ------------------------------------------
     def _allocator(self, rec: _Record, alias: Tuple[int, ...] = ()):
@@ -807,9 +793,7 @@ class _PlanBuilder:
           or whole window (what the early part writes and the late reads);
         - ``"grad<i>"`` — the gradient donated toward input ``i``, written
           in this backward and consumed by that input's producer's backward
-          (``"dx"``: toward input 0, first written at the late tick);
-        - ``"leaf<i>"`` — the zero-copy destination of leaf input ``i``'s
-          gradient, or ``None`` (see below).
+          (``"dx"``: toward input 0, first written at the late tick).
 
         Point-lived forward staging lets every conv share one region, at
         the price of a per-step border memset (the same cost eager pays in
@@ -817,33 +801,13 @@ class _PlanBuilder:
         planner, and for a gradient that escapes the plan (a leaf's, kept by
         the optimizer), a buffer is a private ``np.empty``.  Tags get the op
         kind as a prefix; ``dtype`` defaults to the first input's.
-
-        A leaf destination exists when the process has bound a shared-memory
-        sink for that parameter (:func:`repro.tensor.workspace.
-        bind_grad_sinks` — the elastic worker's allreduce segment), the
-        parameter feeds this op alone, and shape and dtype agree: the
-        kernel then reduces straight into the bound array via ``out=`` and
-        ``_give_grad`` donates it as ``param.grad`` — the same values, only
-        the destination changes.
         """
-        tape, lt, mem, plan = self.tape, self.lt, self.mem, self.plan
-        uses, x_dtype = self._input_uses, rec.inputs[0].data.dtype
+        tape, lt, mem = self.tape, self.lt, self.mem
+        x_dtype = rec.inputs[0].data.dtype
 
         def alloc(shape: tuple, tag: str, phase: str,
-                  dtype=None) -> Optional[np.ndarray]:
+                  dtype=None) -> np.ndarray:
             dtype = x_dtype if dtype is None else dtype
-            if phase.startswith("leaf"):
-                t = rec.inputs[int(phase[4:])]
-                view = None if t is None else ws.grad_sink_for(id(t))
-                if (view is None or uses.get(id(t), 0) != 1
-                        or view.shape != t.data.shape
-                        or view.dtype != t.data.dtype):
-                    return None
-                plan._sink_bound[id(t)] = view
-                plan._leaf_sink_rec[id(t)] = id(rec)
-                if mem is not None:
-                    mem.note_external(id(t), view.nbytes)
-                return view
             tag = rec.kind + "." + tag
             if phase == "dx" or phase.startswith("grad"):
                 x = rec.inputs[0 if phase == "dx" else int(phase[4:])]
@@ -1149,12 +1113,9 @@ class _PlanBuilder:
         if not self.keep_ctx:
             return fwd, None
 
-        w_out = alloc(w_t.data.shape, "dw", "leaf1")
-        b_out = alloc((k,), "db", "leaf2")
         dense_dw, dense_dx = ks.dw, ks.dx
         if gate is None:
-            def weight_grad(xr: np.ndarray, g3: np.ndarray) -> np.ndarray:
-                return dense_dw(xr, g3, w_out)
+            weight_grad = dense_dw
         else:
             def weight_grad(xr: np.ndarray, g3: np.ndarray) -> np.ndarray:
                 # Compacts to the published live rows -- the GEMM shape the
@@ -1165,14 +1126,14 @@ class _PlanBuilder:
                         _sparse.runs_any_ch(g3, ds.out_dead_runs)
                         or _sparse.runs_any_ch(xr, ds.in_dead_runs)):
                     stats.dw_sparse_steps += 1
-                    return ks.dw_live(xr, g3, ds.out_live_runs, w_out)
+                    return ks.dw_live(xr, g3, ds.out_live_runs)
                 stats.dw_dense_steps += 1
-                return dense_dw(xr, g3, w_out)
+                return dense_dw(xr, g3)
 
         def dw_part(g: np.ndarray) -> None:
             _give_grad(w_t, weight_grad(rd_x(), g.reshape(n, k, -1)))
             if b_t is not None:
-                _give_grad(b_t, ks.db(g, b_out))
+                _give_grad(b_t, ks.db(g))
 
         dx_part = None
         if need_dx:
@@ -1231,22 +1192,6 @@ class StepPlan:
         self._conv_forms: List[tuple] = []
         self._workers = 1
         self._schedule = None
-        #: zero-copy gradient sinks baked into this plan's thunks:
-        #: ``id(leaf Tensor) -> bound destination array`` (the elastic
-        #: worker's shared-memory segment).  Empty when no binding was
-        #: installed at capture time.
-        self._sink_bound: Dict[int, np.ndarray] = {}
-        #: ``id(leaf Tensor) -> id(record)`` of the op whose backward
-        #: writes that leaf's gradient (single-use leaves only)
-        self._leaf_sink_rec: Dict[int, int] = {}
-        #: ``id(leaf Tensor) -> index into _bwd`` of the thunk after which
-        #: the leaf's gradient is final (serial plans; filled by the
-        #: assembler)
-        self._leaf_bwd_idx: Dict[int, int] = {}
-        #: comm-launch thunks spliced into serial replay: fired after the
-        #: given backward thunk
-        self._comm_at: Dict[int, List[Callable[[], None]]] = {}
-        self._comm_buckets: set = set()
         self.generation = ws.PLAN_GENERATION
         self.engine_sig = ws.config.plan_signature()
         #: forward plans captured with the per-sample Linear lowering
@@ -1284,7 +1229,6 @@ class StepPlan:
         self._bwd = []
         self._levels = None
         self._level_names = None
-        self._comm_at.clear()
         self._values = [None] * self.n_slots
         self._grads = [None] * self.n_slots
         self._ctxs = [None] * self.n_slots
@@ -1306,38 +1250,6 @@ class StepPlan:
             if t.data.shape != shape:
                 return "parameter shape changed since capture"
         return None
-
-    # -- plan-scheduled communication --------------------------------------
-    def add_comm_thunk(self, bucket: int, leaf_ids: List[int],
-                       fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` to run as soon as every listed leaf's gradient
-        is final during backward replay (the elastic worker's launch
-        notification for gradient bucket ``bucket``).
-
-        The bucket is scheduled — and listed by :meth:`comm_buckets` —
-        only if *every* leaf is both zero-copy bound (its gradient lands in
-        shared memory with no post-run copy) and tracked to a backward
-        thunk; otherwise the caller fires ``fn`` after the full replay.
-        Only serial training plans track leaves; a level-scheduled plan
-        (thunks of a level retire in any order) schedules nothing.
-        """
-        if self.kind != "train":
-            return
-        for lid in leaf_ids:
-            if lid not in self._sink_bound or lid not in self._leaf_bwd_idx:
-                return
-        idx = max(self._leaf_bwd_idx[lid] for lid in leaf_ids)
-        self._comm_at.setdefault(idx, []).append(fn)
-        self._comm_buckets.add(bucket)
-
-    def comm_buckets(self) -> frozenset:
-        """Buckets whose launch :meth:`add_comm_thunk` bound into replay."""
-        return frozenset(self._comm_buckets)
-
-    def sink_bound_leaves(self) -> frozenset:
-        """``id()`` of every leaf whose gradient replay writes straight
-        into its zero-copy sink (no post-run copy needed)."""
-        return frozenset(self._sink_bound)
 
     # -- memory reporting --------------------------------------------------
     def mem_metrics(self) -> Optional[Dict[str, float]]:
@@ -1375,17 +1287,8 @@ class StepPlan:
             loss = values[self._loss_slot]
             logits = values[self._logits_slot]
             grads[self._loss_slot] = np.ones_like(loss)
-            comm = self._comm_at
-            if comm:
-                for i, b in enumerate(self._bwd):
-                    b()
-                    fns = comm.get(i)
-                    if fns is not None:
-                        for fn in fns:
-                            fn()
-            else:
-                for b in self._bwd:
-                    b()
+            for b in self._bwd:
+                b()
         self._drop_step_refs()
         STATS.replays += 1
         STATS.replay_seconds += time.perf_counter() - t0
@@ -1467,12 +1370,10 @@ class StepPlan:
                 f()
                 seconds.append((kind, "fwd", clock() - t))
             grads[self._loss_slot] = np.ones_like(values[self._loss_slot])
-            for i, (kind, b) in enumerate(zip(bwd_kinds, self._bwd)):
+            for kind, b in zip(bwd_kinds, self._bwd):
                 t = clock()
                 b()
                 seconds.append((kind, "bwd", clock() - t))
-                for fn in self._comm_at.get(i, ()):
-                    fn()
         loss = values[self._loss_slot]
         logits = values[self._logits_slot]
         self._drop_step_refs()

@@ -196,9 +196,6 @@ class MemPlanner:
         self.peak_bytes = 0
         self.alias_buffers = 0
         self.solve_seconds = 0.0
-        #: bytes of leaf gradient sinks bound outside the arena (zero-copy
-        #: shared-memory segments), keyed by leaf id — see note_external
-        self._external: Dict[int, int] = {}
         #: the footprint report, frozen by :meth:`materialize`
         self._metrics: Optional[Dict[str, float]] = None
 
@@ -351,16 +348,13 @@ class MemPlanner:
             s.arr = view.view(s.dtype).reshape(s.shape)
         self.serving = True
         self._cursor = 0
-        # The layout is final and the planning pass has noted every
-        # external sink (the serve pass re-notes the same ones), so the
-        # report is computed once here: naive_bytes walks every slab, too
-        # much for a per-step query.
+        # The layout is final, so the report is computed once here:
+        # naive_bytes walks every slab, too much for a per-step query.
         self._metrics = {
             "arena_bytes": float(self.arena_bytes),
             "naive_bytes": float(self.naive_bytes),
             "peak_bytes": float(self.peak_bytes),
             "alias_buffers": float(self.alias_buffers),
-            "external_sink_bytes": float(sum(self._external.values())),
             "savings": self.savings}
         STATS.plans += 1
         STATS.solve_seconds += self.solve_seconds
@@ -392,19 +386,6 @@ class MemPlanner:
         self.arena = None
         self._handle = None
         self.released = True
-
-    def note_external(self, key: int, nbytes: int) -> None:
-        """Account a gradient-sink buffer served from *outside* the arena.
-
-        Zero-copy gradient exchange (:mod:`repro.distributed`) binds leaf
-        gradient sinks to shared-memory mmap segments whose offsets are
-        fixed by the communication layout — the plan builder writes those
-        gradients in place instead of requesting arena slabs, so the bytes
-        are reported here rather than in ``arena_bytes``.  Keyed by leaf
-        identity: both builder passes note the same sinks without double
-        counting.
-        """
-        self._external[key] = int(nbytes)
 
     # -- reporting ---------------------------------------------------------
     @property

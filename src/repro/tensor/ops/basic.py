@@ -2,9 +2,9 @@
 
 ``out=``-style: the eager layer (:mod:`repro.tensor.functional`) leaves the
 destinations ``None`` and gets fresh arrays, a compiled plan
-(:mod:`repro.tensor.compile`) passes its preplanned buffers and bound
-gradient sinks.  Either way the same NumPy operations run on the same values,
-which is what keeps eager and replay bit-identical.
+(:mod:`repro.tensor.compile`) passes its preplanned buffers.  Either way the
+same NumPy operations run on the same values, which is what keeps eager and
+replay bit-identical.
 """
 
 from __future__ import annotations
@@ -57,9 +57,8 @@ def linear_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
 
 
 def linear_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray,
-                    need_db: bool, dw_out: Optional[np.ndarray] = None,
-                    db_out: Optional[np.ndarray] = None
+                    need_db: bool
                     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Returns ``(dx, dw, db)``; ``db`` is ``None`` without a bias."""
-    return (np.matmul(g, w), np.matmul(g.T, x, out=dw_out),
-            g.sum(axis=0, out=db_out) if need_db else None)
+    return (np.matmul(g, w), np.matmul(g.T, x),
+            g.sum(axis=0) if need_db else None)

@@ -440,9 +440,9 @@ class ConvKernels:
     the forward buffers and builds ``fwd(x)``, which fills :attr:`y4` (bias
     included); :meth:`backward`, handed ``alloc`` again (the kernels keep no
     reference to it), requests the backward scratch and builds
-    ``dw(x, g3, out=None)`` — the ``(K, C, R, S)`` weight gradient of
-    ``g3 = dy (N, K, P)``, into ``out`` if given — and, with ``need_dx``,
-    ``dx(g)``, the input gradient.  ``db(g, out=None)`` is the bias gradient.
+    ``dw(x, g3)`` — the ``(K, C, R, S)`` weight gradient of ``g3 = dy (N, K,
+    P)``, a fresh array — and, with ``need_dx``, ``dx(g)``, the input
+    gradient.  ``db(g)`` is the bias gradient.
     A form whose ``dw`` and ``dx`` read common staging of ``dy``
     (:attr:`shared_backward`) builds ``stage_dy(g)`` as well, to run before
     both; it is ``None`` wherever the two share nothing.
@@ -473,7 +473,7 @@ class ConvKernels:
     saves FLOPs and gather bandwidth, not bytes, which is what makes a
     per-step fallback to the dense kernels free.  ``fwd_live(x)`` skips dead
     input channels and dead filters (exact while the dead weight groups are
-    zero, whatever ``x`` holds); ``dw_live(x, g3, row_runs, out=None)``
+    zero, whatever ``x`` holds); ``dw_live(x, g3, row_runs)``
     compacts the GEMM to the rows of ``g3`` listed in ``row_runs`` and the
     live input channels (exact iff the dropped rows of ``g3`` and the dead
     channels of ``x`` are zero), always in the form ``dw`` takes, or it could
@@ -532,9 +532,9 @@ class ConvKernels:
         raise NotImplementedError
 
     @staticmethod
-    def db(g: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Bias gradient of ``dy (N, K, Ho, Wo)`` (into ``out`` if given)."""
-        return g.sum(axis=(0, 2, 3), out=out)
+    def db(g: np.ndarray) -> np.ndarray:
+        """Bias gradient of ``dy (N, K, Ho, Wo)``, a fresh array."""
+        return g.sum(axis=(0, 2, 3))
 
 
 class _GatherKernels(ConvKernels):
@@ -638,28 +638,23 @@ class _GatherKernels(ConvKernels):
         regather = gb.dense if rezero else (lambda x: None)
         dense = gemm.kernel(gb.mat, k, crs)
 
-        def dw(x: np.ndarray, g3: np.ndarray,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
+        def dw(x: np.ndarray, g3: np.ndarray) -> np.ndarray:
             regather(x)
-            dw2 = dense(g3, None if out is None else out.reshape(k, crs))
-            return dw2.reshape(k, c, r, s) if out is None else out
+            return dense(g3).reshape(k, c, r, s)
         self.dw = dw
         if live:
             kl, cl = dead.out_live.size, dead.in_live.size
             crs_l = cl * r * s
             dtype = self.dtype
 
-            def dw_live(x: np.ndarray, g3: np.ndarray, row_runs,
-                        out: Optional[np.ndarray] = None) -> np.ndarray:
+            def dw_live(x: np.ndarray, g3: np.ndarray, row_runs
+                        ) -> np.ndarray:
                 km = sum(ln for _, _, ln in row_runs)
                 red_m = _prefix(red, (km, crs_l))
                 gb.live(x)
                 gemm.kernel(gb.mat_l, km, crs_l, row_runs)(g3, red_m)
                 red4 = red_m.reshape(km, cl, r, s)
-                if out is None:
-                    out = np.zeros((k, c, r, s), dtype)
-                else:
-                    out.fill(0)
+                out = np.zeros((k, c, r, s), dtype)
                 for dk, sk, nk in row_runs:
                     for dc, sc, nc in in_live_runs:
                         out[sk:sk + nk, sc:sc + nc] = red4[dk:dk + nk,
@@ -779,11 +774,9 @@ class _PointwiseKernels(ConvKernels):
         gemm = _DwGemm(n, k, c, p, alloc, tags=("bwd",) * 3)
         staged = None if self.xm is None else gemm.kernel(self.xm, k, c)
 
-        def dw(x: np.ndarray, g3: np.ndarray,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
+        def dw(x: np.ndarray, g3: np.ndarray) -> np.ndarray:
             run = staged or gemm.kernel(x.reshape(n, c, p), k, c)
-            dw2 = run(g3, None if out is None else out.reshape(k, c))
-            return dw2.reshape(k, c, 1, 1) if out is None else out
+            return run(g3).reshape(k, c, 1, 1)
         self.dw = dw
         if not need_dx:
             return
@@ -908,8 +901,8 @@ class _UnrolledKernels(ConvKernels):
         return run
 
     def _fold(self, dT: np.ndarray, dtaps: np.ndarray):
-        """``run(out=None)`` returns the ``(K, C, R, S)`` weight gradient of
-        ``dT`` (written into ``out`` if given): its blocks scatter-added back
+        """``run()`` returns the ``(K, C, R, S)`` weight gradient of ``dT``, a
+        fresh array: its blocks scatter-added back
         onto the extended taps ``dtaps`` — the adjoint of the unrolling —
         then the overlapping ones restored to filter layout, with exact
         zeros for taps that never overlap the map."""
@@ -919,16 +912,13 @@ class _UnrolledKernels(ConvKernels):
                  dT6[i, j].transpose(1, 2, 0, 3))
                 for i in range(ho) for j in range(wo)]
         grad = dtaps[self.ext].transpose(2, 3, 0, 1)
-        filt, clear = self.filt, self.span != (r, s)    # some taps never meet
+        filt = self.filt
 
-        def run(out: Optional[np.ndarray] = None) -> np.ndarray:
+        def run() -> np.ndarray:
             dtaps.fill(0)
             for window, blk in adds:
                 np.add(window, blk, out=window)
-            if out is None:
-                out = np.zeros((k, c, r, s), dT.dtype)
-            elif clear:
-                out.fill(0)
+            out = np.zeros((k, c, r, s), dT.dtype)
             np.copyto(out[filt], grad)
             return out
         return run
@@ -942,11 +932,10 @@ class _UnrolledKernels(ConvKernels):
         dtaps = alloc(self.taps_shape, "dtaps", "a")
         fold, g2aT = self._fold(dT, dtaps), g2a.T
 
-        def dw(x: np.ndarray, g3: np.ndarray,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
+        def dw(x: np.ndarray, g3: np.ndarray) -> np.ndarray:
             _to_pixel_major(g3.reshape(n, k, ho, wo), g2a)
             np.matmul(g2aT, x2, out=dT)
-            return fold(out)
+            return fold()
         self.dw = dw
         if not need_dx:
             return
@@ -1033,13 +1022,10 @@ class _SpanKernels(ConvKernels):
             gemm = _DwGemm(n, k, c * r * s, q, alloc).kernel(cols, k,
                                                              c * r * s)
 
-            def dw(x: np.ndarray, g3: np.ndarray,
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
+            def dw(x: np.ndarray, g3: np.ndarray) -> np.ndarray:
                 gx.gather(x)
                 gy.stage(g3.reshape(n, k, ho, wo))
-                dw2 = gemm(gy.centre,
-                           None if out is None else out.reshape(k, -1))
-                return dw2.reshape(k, c, r, s) if out is None else out
+                return gemm(gy.centre).reshape(k, c, r, s)
             self.dw = dw
             return
 
@@ -1054,12 +1040,10 @@ class _SpanKernels(ConvKernels):
         dtype = self.dtype
         self.stage_dy = gy.gather
 
-        def dw(x: np.ndarray, g3: np.ndarray,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
+        def dw(x: np.ndarray, g3: np.ndarray) -> np.ndarray:
             gx.stage(x)
             gemm(dyc, dwf2)
-            if out is None:
-                out = np.empty((k, c, r, s), dtype)
+            out = np.empty((k, c, r, s), dtype)
             np.copyto(out, unflip)
             return out
         self.dw = dw
@@ -1124,13 +1108,13 @@ class _Im2colKernels:
     def backward(self, alloc, need_dx: bool = True) -> None:
         """Nothing to stage."""
 
-    def dw(self, x: np.ndarray, g3: np.ndarray, out=None) -> np.ndarray:
+    def dw(self, x: np.ndarray, g3: np.ndarray) -> np.ndarray:
         # dy: (N, K, Ho*Wo) -> (N*Ho*Wo, K)
         self.dy_mat = np.ascontiguousarray(
             g3.transpose(0, 2, 1)).reshape(-1, g3.shape[1])
         return (self.dy_mat.T @ self.cols).reshape(self.w.shape)
 
-    def db(self, g: np.ndarray, out=None) -> np.ndarray:
+    def db(self, g: np.ndarray) -> np.ndarray:
         return self.dy_mat.sum(axis=0)
 
     def dx(self, g: np.ndarray) -> np.ndarray:

@@ -116,17 +116,15 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 def bn_coef_backward(dy: np.ndarray, cache: tuple, training: bool,
                      dx: np.ndarray, scratch: Optional[np.ndarray] = None,
-                     mask: Optional[np.ndarray] = None,
-                     dgamma_out: Optional[np.ndarray] = None,
-                     dbeta_out: Optional[np.ndarray] = None
+                     mask: Optional[np.ndarray] = None
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward of the affine-folded :func:`batchnorm_forward` (its ``cache``)
     into ``dx``; returns ``(dx, dgamma, dbeta)``.
 
     ``scratch`` (full size) and ``mask`` (bool, fused ReLU only) are work
-    buffers and ``dgamma_out`` / ``dbeta_out`` destinations; each is a fresh
-    array when ``None``.  Eager passes pooled ``dx`` / ``scratch``, a
-    compiled plan its preplanned buffers and bound gradient sinks.
+    buffers, each a fresh array when ``None``; ``dgamma`` and ``dbeta`` are
+    always fresh.  Eager passes pooled ``dx`` / ``scratch``, a compiled plan
+    its preplanned buffers.
     """
     # y: the rectified output of a fused ReLU (its sign is the mask) or None
     _, x, y, gamma, mu, inv_std, _ = cache
@@ -142,10 +140,10 @@ def bn_coef_backward(dy: np.ndarray, cache: tuple, training: bool,
     # axis gives NumPy long contiguous inner loops (H and W alone are tiny
     # at the late stages of a CIFAR net).
     g3 = g.reshape(n, c, h * w)
-    dbeta = np.add.reduce(g3, axis=(0, 2), out=dbeta_out)
+    dbeta = np.add.reduce(g3, axis=(0, 2))
     sgx = np.einsum("ncp,ncp->c", g3, x.reshape(n, c, h * w))
     # dgamma = sum(g * xhat) = inv_std * (sum(g*x) - mu * sum(g))
-    dgamma = np.multiply(sgx - mu * dbeta, inv_std, out=dgamma_out)
+    dgamma = np.multiply(sgx - mu * dbeta, inv_std)
     c1 = (gamma * inv_std).astype(dy.dtype, copy=False)
     if not training:
         # Running statistics were constants: dx = g * gamma * inv_std.

@@ -123,7 +123,7 @@ def _add_relu_bwd(g, y, attrs, bufs):
 
 
 # -- batch norm: attrs = (running_mean, running_var, momentum, eps, training,
-#    relu); bufs = (y, bn_coef_backward's dx, scratch, mask, dgamma, dbeta)
+#    relu); bufs = (y, bn_coef_backward's dx, scratch, mask)
 def _bn_buffers(shapes, dtypes, attrs, backward, row_stable, alloc):
     """The training-mode affine-folded BN(+ReLU) writes ``y``, its masked
     gradient and ``dx`` into planned buffers; every other BN (eval mode, the
@@ -138,9 +138,7 @@ def _bn_buffers(shapes, dtypes, attrs, backward, row_stable, alloc):
         return (y,)
     return (y, alloc(shape, "grad", "grad0", dtype),
             alloc(shape, "g", "ab", dtype),
-            alloc(shape, "mask", "ab", bool) if relu else None,
-            alloc(shapes[1], "dgamma", "leaf1"),
-            alloc(shapes[2], "dbeta", "leaf2"))
+            alloc(shape, "mask", "ab", bool) if relu else None)
 
 
 def _bn_fwd(x, gamma, beta, attrs, save, bufs):
@@ -156,17 +154,10 @@ def _bn_bwd(g, cache, attrs, bufs):
     return _norm.batchnorm_eval_backward(g, cache)
 
 
-# -- linear: bufs = (row-stable lowering, dw destination, db destination)
-_NO_LINEAR_BUFS = (False, None, None)
-
-
+# -- linear: bufs = (row-stable lowering,)
 def _linear_buffers(shapes, dtypes, attrs, backward, row_stable, alloc):
-    """Serving plans take the per-sample (row-stable) lowering; a training
-    plan may write the parameter gradients into bound sinks."""
-    if not backward:
-        return (row_stable,)
-    return (False, alloc(shapes[1], "dw", "leaf1"),
-            alloc(shapes[2], "db", "leaf2"))
+    """Serving plans take the per-sample (row-stable) lowering."""
+    return (row_stable and not backward,)
 
 
 def _linear_fwd(x, w, b, attrs, save, bufs):
@@ -176,8 +167,7 @@ def _linear_fwd(x, w, b, attrs, save, bufs):
 
 
 def _linear_bwd(g, saved, attrs, bufs):
-    _, dw, db = bufs or _NO_LINEAR_BUFS
-    return _basic.linear_backward(g, *saved, dw, db)
+    return _basic.linear_backward(g, *saved)
 
 
 #: op kind (the name capture records) -> row.  ``attrs`` per kind: the static

@@ -380,12 +380,11 @@ def _calibrate_conv(sig: tuple, x: np.ndarray, w: np.ndarray, ds: DeadSet,
         g3 = dy.reshape(n, k, p)
         for _, s0, ln in ds.out_dead_runs:
             g3[:, s0:s0 + ln] = 0
-        dw_ref, dw_out = alloc(w.shape), alloc(w.shape)
 
         def dw_live() -> None:
             runs_any_ch(g3, ds.out_dead_runs)     # the dy-zero row check
             runs_any_ch(x, ds.in_dead_runs)       # the x-zero column check
-            ks.dw_live(x, g3, ds.out_live_runs, dw_out)
+            ks.dw_live(x, g3, ds.out_live_runs)
 
         def dw_parity() -> bool:
             # The plan compacts to the published live rows and channels —
@@ -395,11 +394,10 @@ def _calibrate_conv(sig: tuple, x: np.ndarray, w: np.ndarray, ds: DeadSet,
             xz = x.copy()
             for _, s0, ln in ds.in_dead_runs:
                 xz[:, s0:s0 + ln] = 0
-            ks.dw(xz, g3, dw_ref)
-            ks.dw_live(xz, g3, ds.out_live_runs, dw_out)
-            return np.array_equal(dw_ref, dw_out)
+            return np.array_equal(ks.dw(xz, g3),
+                                  ks.dw_live(xz, g3, ds.out_live_runs))
 
-        use_dw = decide("dw", lambda: ks.dw(x, g3, dw_ref), dw_live,
+        use_dw = decide("dw", lambda: ks.dw(x, g3), dw_live,
                         dw_parity, n * k * crs_p, n * crs_p, cl / c,
                         n * kl * p)
 

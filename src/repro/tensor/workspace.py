@@ -298,40 +298,6 @@ def invalidate_plans() -> None:
         PLAN_GENERATION += 1
 
 
-# -- gradient-sink binding ---------------------------------------------------
-#: Leaf-tensor gradient destinations for zero-copy exchange: maps
-#: ``id(param Tensor)`` to the shared-memory array (shaped like the
-#: parameter) its gradient must land in.  Installed per process by an
-#: elastic worker before capturing its step plan; the plan builder
-#: (:mod:`repro.tensor.compile`) consults it at capture time and emits
-#: ``out=`` kernel forms that write parameter gradients straight into the
-#: bound arrays — which *are* the worker's allreduce mmap segments, so the
-#: backward pass is the gradient pack.  Empty everywhere else (trainer,
-#: tests, simulation); binding nothing recovers the private-buffer layout.
-_GRAD_SINKS: Dict[int, np.ndarray] = {}
-
-
-def bind_grad_sinks(mapping: Dict[int, np.ndarray]) -> None:
-    """Install the leaf-gradient destination map (replaces any previous).
-
-    Callers must invalidate existing plans themselves if the binding
-    changes between captures of the same generation (in practice the
-    binding only changes on resync, which already bumps the generation).
-    """
-    _GRAD_SINKS.clear()
-    _GRAD_SINKS.update(mapping)
-
-
-def clear_grad_sinks() -> None:
-    """Remove every leaf-gradient binding."""
-    _GRAD_SINKS.clear()
-
-
-def grad_sink_for(tensor_id: int):
-    """The bound gradient destination for a leaf tensor id, or ``None``."""
-    return _GRAD_SINKS.get(tensor_id)
-
-
 def acquire(shape: tuple, dtype=np.float32, zero: bool = False) -> np.ndarray:
     """Module-level alias for ``POOL.acquire``."""
     return POOL.acquire(shape, dtype, zero)

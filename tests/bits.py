@@ -1,9 +1,9 @@
 """Bit digests of the seeded numerics a refactor must not move.
 
     PYTHONPATH=src python tests/bits.py [conv] [ops] [prunetrain] [join] \
-        [layouts]
+        [layouts] [dp]
 
-prints one ``name sha256[:16]`` line per seeded case (all five sections
+prints one ``name sha256[:16]`` line per seeded case (all six sections
 when none is named):
 
 ``conv/<case>/kernel``
@@ -29,6 +29,12 @@ when none is named):
     ``fused_bnrelu`` off, whose residual joins are ``relu(add(out, shortcut))``.
 ``layout/<model>-<schedule>/{train,serve}``
     the five arena layouts ``test_plan_builder.py`` pins.
+``dp/k<K>/step<i>-n<N>[-pruned]``
+    the in-process data-parallel step at K = 2 and K = 3 over a miniature
+    PruneTrain schedule on a small ResNet-20 — a shrinking, odd batch, a
+    reconfiguration that removes a residual block (``-pruned``: the step
+    after it), then batch growth: the averaged gradients, the loss and the
+    comm bytes of each step.
 
 Only surfaces that outlive a refactor are used, so this copy of the script
 runs against any tree: ``PYTHONPATH=<tree>/src python tests/bits.py``.  Run
@@ -44,7 +50,12 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.data import make_synthetic
+from repro.distributed import data_parallel_step
 from repro.experiments.configs import QUICK, make_dataset, make_model
+from repro.nn import resnet20
+from repro.optim import SGD
+from repro.prune import prune_and_reconfigure
 from repro.tensor import Tensor, workspace
 from repro.tensor import compile as C
 from repro.tensor import functional as F
@@ -307,9 +318,57 @@ def layout_lines():
         workspace.invalidate()
 
 
+#: (global batch, reconfigure before the step) per data-parallel step
+DP_SCHEDULE = ((24, False), (17, False), (17, False), (17, True),
+               (32, False), (32, False))
+
+
+def _dp_prune(model, opt) -> None:
+    """Kill channel 0 of every prunable space and all of one residual
+    block's inner channels, then reconfigure: channels and a layer go."""
+    graph = model.graph
+
+    def kill(sid, channels):
+        for node in graph.writers(sid):
+            node.conv.weight.data[channels] *= 1e-9
+        for node in graph.readers(sid):
+            node.conv.weight.data[:, channels] *= 1e-9
+
+    for sid, space in list(graph.spaces.items()):
+        if not space.frozen:
+            kill(sid, [0])
+    sid = graph.conv_by_name("s2b1.conv1").out_space
+    kill(sid, list(range(graph.spaces[sid].size)))
+    rep = prune_and_reconfigure(model, opt, threshold=1e-3,
+                                remove_layers=True, zero_sparse=True)
+    if not (rep.channels_pruned > 0 and rep.removed_layers > 0):
+        raise RuntimeError("the dp schedule's reconfiguration pruned nothing")
+
+
+def dp_lines():
+    data = make_synthetic(10, 32, hw=8, noise=0.8, seed=0)
+    for k in (2, 3):
+        workspace.invalidate()
+        model = resnet20(10, width_mult=0.25, input_hw=8, seed=3)
+        model.train()
+        opt = SGD(model.parameters(), lr=0.05, momentum=0.9,
+                  weight_decay=5e-4)
+        for i, (n, prune) in enumerate(DP_SCHEDULE):
+            if prune:
+                _dp_prune(model, opt)
+            res, _ = data_parallel_step(model, data.x[:n], data.y[:n],
+                                        workers=k)
+            arrays = [np.float64([res.loss, res.comm_bytes_per_worker])]
+            arrays += [p.grad for p in model.parameters()]
+            yield (f"dp/k{k}/step{i}-n{n}{'-pruned' if prune else ''}",
+                   digest(arrays))
+            opt.step()
+    workspace.invalidate()
+
+
 SECTIONS = {"conv": conv_lines, "ops": ops_lines,
             "prunetrain": prunetrain_lines, "join": join_lines,
-            "layouts": layout_lines}
+            "layouts": layout_lines, "dp": dp_lines}
 
 
 def lines(sections=tuple(SECTIONS)):

@@ -1,18 +1,14 @@
-"""Overlapped zero-copy gradient exchange: bucketed-ring bit-exactness,
-bucket planning invariants, differential parity
-of the elastic engine (compiled workers, and the packed eager fallback a
-capture failure selects) against the simulation across the full PruneTrain
-schedule, mid-exchange fault recovery, and shared-memory teardown
-robustness."""
+"""The elastic engine's gradient exchange: differential parity of the
+engine (compiled workers, and the eager step a capture failure selects)
+against the simulation across the full PruneTrain schedule, fault recovery
+across a step, and shared-memory teardown robustness."""
 
 import numpy as np
 import pytest
 
 from repro.data import make_synthetic
 from repro.distributed import (COMM_STATS, ElasticEngine, FaultPlan,
-                               data_parallel_step, module_param_groups,
-                               plan_gradient_buckets, ring_allreduce,
-                               ring_allreduce_range)
+                               data_parallel_step)
 from repro.nn import resnet20
 from repro.optim import SGD
 from repro.prune import prune_and_reconfigure
@@ -94,11 +90,10 @@ def run_sim(batch, workers_at=lambda s: 2, **sched_kw):
     return m, opt, out
 
 
-def run_elastic(batch, workers=2, plan=None, timeout=10.0, sched_kw=None,
-                **engine_kw):
+def run_elastic(batch, workers=2, plan=None, timeout=10.0, sched_kw=None):
     m, opt = fresh()
     with ElasticEngine(m, workers=workers, heartbeat_timeout=timeout,
-                       fault_plan=plan, **engine_kw) as eng:
+                       fault_plan=plan) as eng:
         out = []
         for s, do_prune, xb, yb in schedule(batch, **(sched_kw or {})):
             if do_prune:
@@ -111,123 +106,41 @@ def run_elastic(batch, workers=2, plan=None, timeout=10.0, sched_kw=None,
     return m, opt, out, failures, active
 
 
-# -- bucketed ring == monolithic ring (the overlap correctness kernel) -------
-
-class TestBucketedRing:
-    def test_any_partition_any_order_matches_monolithic(self):
-        """Reducing a payload bucket by bucket — arbitrary cuts, shuffled
-        launch order, any worker count — must reproduce the monolithic
-        ring's bits exactly."""
-        rng = np.random.default_rng(7)
-        for p in (2, 3, 4, 5):
-            total = int(rng.integers(50, 400))
-            base = rng.standard_normal((p, total)).astype(np.float32)
-            mono = [b.copy() for b in base]
-            ring_allreduce(mono, average=True)
-            for trial in range(3):
-                ncuts = int(rng.integers(0, 6))
-                cuts = sorted(rng.integers(0, total + 1, size=ncuts))
-                bounds = [0] + list(cuts) + [total]
-                ranges = [(int(bounds[i]), int(bounds[i + 1]))
-                          for i in range(len(bounds) - 1)]
-                rng.shuffle(ranges)
-                bucketed = [b.copy() for b in base]
-                moved = sum(ring_allreduce_range(bucketed, total, lo, hi)
-                            for lo, hi in ranges)
-                for w in range(p):
-                    np.testing.assert_array_equal(bucketed[w], mono[w])
-                # bytes moved sums exactly to the monolithic total
-                assert moved == 2 * (p - 1) * total * 4
-
-    def test_range_validation(self):
-        flats = [np.zeros(8, np.float32) for _ in range(2)]
-        with pytest.raises(ValueError, match="bad range"):
-            ring_allreduce_range(flats, 8, 5, 3)
-        with pytest.raises(ValueError, match="bad range"):
-            ring_allreduce_range(flats, 8, 0, 9)
-        assert ring_allreduce_range(flats, 8, 4, 4) == 0
-        assert ring_allreduce_range([flats[0]], 8, 0, 8) == 0
-
-
-class TestBucketPlanning:
-    def test_buckets_cover_payload_in_backward_order(self):
-        m, _ = fresh()
-        params = m.parameters()
-        sizes = [p.data.size for p in params]
-        offsets = list(np.cumsum([0] + sizes[:-1]))
-        groups = module_param_groups(m)
-        buckets = plan_gradient_buckets(sizes, offsets, groups, 16384)
-        assert len(buckets) > 1
-        # backward order: bucket 0 holds the LAST parameters (produced
-        # first by backward), and together they tile the payload exactly
-        assert buckets[0].hi == sum(sizes)
-        assert buckets[-1].lo == 0
-        for a, b in zip(buckets, buckets[1:]):
-            assert b.hi == a.lo           # contiguous, descending
-        covered = sorted(i for b in buckets for i in b.param_indices)
-        assert covered == list(range(len(params)))
-        # module alignment: no group is split across buckets
-        owner = {}
-        for b in buckets:
-            for i in b.param_indices:
-                owner[i] = b.index
-        for g0, g1 in groups:
-            assert len({owner[i] for i in range(g0, g1)}) == 1
-
-    def test_bad_target_rejected(self):
-        with pytest.raises(ValueError, match="target_bytes"):
-            plan_gradient_buckets([4], [0], [(0, 1)], 0)
-
-
 # -- differential parity against the simulation -----------------------------
 
 class TestOverlapParity:
     def test_full_schedule_k2_equals_sim(self, batch):
-        """Pruning, layer removal, and batch growth: the overlapped
-        zero-copy engine reproduces the simulation bit for bit."""
+        """Pruning, layer removal, and batch growth: the elastic engine
+        reproduces the simulation bit for bit."""
         ms, opts, outs = run_sim(batch)
-        me, opte, oute, failures, active = run_elastic(
-            batch, bucket_bytes=16384)
+        me, opte, oute, failures, active = run_elastic(batch)
         assert failures == [] and active == 2
         assert metrics_equal(outs, oute)
         assert_state_equal(ms, opts, me, opte)
 
     def test_full_schedule_k3_overlap_equals_sim(self, batch):
         ms, opts, outs = run_sim(batch, workers_at=lambda s: 3)
-        me, opte, oute, failures, active = run_elastic(
-            batch, workers=3, bucket_bytes=16384)
+        me, opte, oute, failures, active = run_elastic(batch, workers=3)
         assert failures == [] and active == 3
         assert metrics_equal(outs, oute)
         assert_state_equal(ms, opts, me, opte)
 
-    def test_overlap_actually_buckets(self, batch):
-        """The engine exchanges bucket by bucket — several per step, each
-        announced by every worker — and reports the simulation's per-step
-        comm bytes."""
-        _, _, outs = run_sim(batch)
-        COMM_STATS.reset()
-        _, _, oute, _, _ = run_elastic(batch, bucket_bytes=16384)
-        assert COMM_STATS.buckets_reduced > len(oute)
-        assert COMM_STATS.bucket_launches == 2 * COMM_STATS.buckets_reduced
-        assert [t[2] for t in oute] == [t[2] for t in outs]
-
     def test_capture_failure_packs_eager_and_equals_sim(self, batch):
         """Workers whose capture fails — the seed conv lowering refuses it,
         and forked workers inherit the engine they were started under —
-        step eagerly, pack their gradients and announce after the pack:
-        still the simulation's bits under that same engine."""
+        step eagerly and pack their gradients: still the simulation's bits
+        under that same engine, one exchange per step."""
         with workspace.engine(conv_impl="im2col"):
             ms, opts, outs = run_sim(batch)
             COMM_STATS.reset()
-            me, opte, oute, failures, active = run_elastic(
-                batch, bucket_bytes=16384)
+            me, opte, oute, failures, active = run_elastic(batch)
         assert failures == [] and active == 2
-        assert COMM_STATS.buckets_reduced > len(oute)
+        assert COMM_STATS.allreduces == len(oute)
         assert metrics_equal(outs, oute)
         assert_state_equal(ms, opts, me, opte)
 
 
-# -- faults across the overlapped exchange -----------------------------------
+# -- faults across the exchange ---------------------------------------------
 
 class TestOverlapFaults:
     def test_kill_resume_across_overlap_boundary(self, batch):
@@ -237,24 +150,9 @@ class TestOverlapFaults:
                                  workers_at=lambda s: 2 if s < 2 else 1)
         plan = FaultPlan().kill(1, at_step=2)
         me, opte, oute, failures, active = run_elastic(
-            batch, plan=plan, timeout=5.0, bucket_bytes=16384)
+            batch, plan=plan, timeout=5.0)
         assert active == 1
         assert [(f.rank, f.step) for f in failures] == [(1, 2)]
-        assert metrics_equal(outs, oute)
-        assert_state_equal(ms, opts, me, opte)
-
-    def test_kill_between_bucket_launches(self, batch):
-        """A worker dying mid-backward — after announcing one bucket, with
-        that bucket possibly already reduced in place — voids the attempt;
-        the retry equals a clean smaller-K step."""
-        ms, opts, outs = run_sim(batch,
-                                 workers_at=lambda s: 2 if s < 1 else 1)
-        plan = FaultPlan().kill_after_bucket(1, at_step=1, bucket=1)
-        me, opte, oute, failures, active = run_elastic(
-            batch, plan=plan, timeout=5.0, bucket_bytes=16384)
-        assert active == 1
-        assert [(f.rank, f.step, f.reason, f.phase) for f in failures] == \
-            [(1, 1, "died", "step")]
         assert metrics_equal(outs, oute)
         assert_state_equal(ms, opts, me, opte)
 

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.costmodel import MemoryModel, ring_allreduce_bytes
+from repro.costmodel import (MemoryModel, gradient_payload_bytes,
+                             ring_allreduce_bytes)
 from repro.data import make_synthetic
-from repro.distributed import (BucketExchange, DynamicBatchAdjuster,
-                               GradPayload, data_parallel_step, ring_allreduce)
+from repro.distributed import (DynamicBatchAdjuster, GradPayload,
+                               data_parallel_step, exchange, ring_allreduce)
+from repro.distributed.worker import shard_bounds
 from repro.nn import Module, Parameter, resnet20
 from repro.optim import SGD
+from repro.prune import prune_and_reconfigure
+
+from ..conftest import sparsify_space
 
 SMALL = dict(width_mult=0.25, input_hw=8)
 
@@ -78,24 +83,23 @@ class _Layer(Module):
         self.w = Parameter(a)
 
 
-def exchange_vs_monolithic(p, sizes, bucket_bytes, seed, posted_frac=0.5):
-    """Reduce random per-worker gradient payloads with a BucketExchange —
-    some buckets posted by every rank (overlapped), the rest in
-    ``finish()`` — and with one monolithic ``ring_allreduce``."""
+def exchange_vs_monolithic(p, sizes, seed):
+    """Pack random per-worker gradients into their payloads and
+    :func:`exchange` them; also concatenate the same gradients by hand and
+    reduce those with one monolithic ``ring_allreduce``."""
     rng = np.random.default_rng(seed)
-    payload = GradPayload(_Layers([np.zeros(s, np.float32) for s in sizes]),
-                          p, bucket_bytes)
-    flats = [rng.normal(size=payload.total).astype(np.float32)
-             for _ in range(p)]
-    mono = [f.copy() for f in flats]
+    model = _Layers([np.zeros(s, np.float32) for s in sizes])
+    payload = GradPayload(model)
+    flats = np.empty((p, payload.total), np.float32)
+    mono = []
+    for flat in flats:
+        grads = [rng.normal(size=s).astype(np.float32) for s in sizes]
+        for param, g in zip(model.parameters(), grads):
+            param.grad = g
+        payload.pack_grads(flat)
+        mono.append(np.concatenate(grads))
     trace = ring_allreduce(mono)
-    ex = BucketExchange(payload, flats, tag=("bucket", 0, 0))
-    order = list(rng.permutation(len(payload.buckets)))
-    for index in order[:int(len(order) * posted_frac)]:
-        for rank in rng.permutation(p):
-            ex.on_bucket(int(rank), ("bucket", 0, 0, int(index)))
-    ex.on_bucket(0, ("bucket", 0, 1, 0))     # another attempt: ignored
-    return ex, ex.finish(), trace, flats, mono
+    return payload, exchange(list(flats)), trace, flats, mono
 
 
 class TestBucketExchange:
@@ -103,8 +107,7 @@ class TestBucketExchange:
         shapes = [(3, 4), (7,), (2, 2, 2)]
         rng = np.random.default_rng(0)
         model = _Layers([np.zeros(s, np.float32) for s in shapes])
-        payload = GradPayload(model, 3, bucket_bytes=16)
-        assert len(payload.buckets) > 1
+        payload = GradPayload(model)
         grads = [[rng.normal(size=s).astype(np.float32) for s in shapes]
                  for _ in range(3)]
         flats = np.empty((3, payload.total), np.float32)
@@ -112,25 +115,37 @@ class TestBucketExchange:
             for p, g in zip(model.parameters(), worker):
                 p.grad = g
             payload.pack_grads(flat)
-        BucketExchange(payload, list(flats)).finish()
+        exchange(list(flats))
         payload.unpack_grads(flats[1])
         for i, p in enumerate(model.parameters()):
             np.testing.assert_allclose(
                 p.grad, np.mean([g[i] for g in grads], axis=0), rtol=1e-6)
 
     def test_single_worker_zero_bytes(self):
-        payload = GradPayload(_Layers([np.zeros(4, np.float32)]), 2)
         flat = np.ones(4, np.float32)
-        assert BucketExchange(payload, [flat]).finish() == 0.0
+        assert exchange([flat]) == 0.0
         np.testing.assert_array_equal(flat, 1.0)
 
-    @pytest.mark.parametrize("posted", [0.0, 0.5, 1.0])
-    def test_buckets_posted_by_every_rank_reduce_early(self, posted):
-        ex, _, _, _, _ = exchange_vs_monolithic(
-            3, [5, 9, 2, 30, 1], bucket_bytes=16, seed=1, posted_frac=posted)
-        nb = len(ex.payload.buckets)
-        assert nb == 3 and ex.reduced == set(range(nb))
-        assert ex.overlapped == int(nb * posted)
+
+class TestShardBounds:
+    @given(n=st.integers(1, 600), workers=st.integers(1, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_property_contiguous_balanced_shards(self, n, workers):
+        """Odd batches and tail batches keep every participating worker
+        busy: exactly ``min(workers, n)`` non-empty contiguous shards that
+        tile ``[0, n)`` and differ in size by at most one sample."""
+        bounds = shard_bounds(n, workers)
+        assert bounds[0] == 0 and bounds[-1] == n
+        sizes = np.diff(bounds)
+        assert len(sizes) == min(workers, n)
+        assert (sizes > 0).all()
+        assert sizes.max() - sizes.min() <= 1
+
+    def test_rejects_no_workers_and_empty_batch(self):
+        with pytest.raises(ValueError, match="workers"):
+            shard_bounds(8, 0)
+        with pytest.raises(ValueError, match="empty batch"):
+            shard_bounds(0, 2)
 
 
 class TestDataParallelStep:
@@ -218,6 +233,32 @@ class TestDataParallelStep:
         data_parallel_step(m, ds.x, ds.y, workers=2)
         opt.step()
         assert not np.array_equal(before, m.stem.weight.data)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_measured_volume_is_the_fig11_model(self, k):
+        """The bytes a step moves are the cost model's ring volume over the
+        model's gradient payload (Fig. 11), and shrink with the payload when
+        reconfiguration prunes channels and layers."""
+        ds = make_synthetic(10, 12, hw=8, seed=0)
+        m = resnet20(10, **SMALL, seed=1)
+        opt = SGD(m.parameters(), 0.1)
+        volumes = []
+        for pruned in (False, True):
+            if pruned:
+                for sid, sp in list(m.graph.spaces.items()):
+                    if not sp.frozen:
+                        sparsify_space(m.graph, sid, [0, 1])
+                rep = prune_and_reconfigure(m, opt, threshold=1e-3,
+                                            remove_layers=True,
+                                            zero_sparse=True)
+                assert rep.channels_pruned > 0
+            res, _ = data_parallel_step(m, ds.x, ds.y, workers=k)
+            assert type(res.comm_bytes_per_worker) is float
+            assert res.comm_bytes_per_worker == pytest.approx(
+                ring_allreduce_bytes(gradient_payload_bytes(m.graph), k),
+                rel=1e-12)
+            volumes.append(res.comm_bytes_per_worker)
+        assert volumes[1] < volumes[0]
 
 
 class TestDynamicBatchAdjuster:
@@ -338,19 +379,17 @@ def test_property_allreduce_bytes_closed_form(p, n, dtype):
 
 
 @given(p=st.integers(2, 8),
-       sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5),
-       bucket_bytes=st.integers(4, 200), posted=st.floats(0.0, 1.0))
+       sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5))
 @settings(max_examples=40, deadline=None)
-def test_property_bucket_exchange_mean_and_bytes(p, sizes, bucket_bytes,
-                                                 posted):
-    """Uneven per-parameter payloads, any bucket cut, any mix of overlapped
-    and tail buckets: the exchange reproduces the monolithic ring's bits and
-    its per-worker bytes, the fused-payload closed form."""
-    ex, comm, trace, flats, mono = exchange_vs_monolithic(
-        p, sizes, bucket_bytes, seed=p * 7919 + sum(sizes) * 31,
-        posted_frac=posted)
+def test_property_bucket_exchange_mean_and_bytes(p, sizes):
+    """Uneven per-parameter payloads: pack then exchange reproduces the
+    monolithic ring's bits and its per-worker bytes, the fused-payload
+    closed form, as a Python ``float``."""
+    payload, comm, trace, flats, mono = exchange_vs_monolithic(
+        p, sizes, seed=p * 7919 + sum(sizes) * 31)
+    assert type(comm) is float
     assert comm == trace.bytes_per_worker
     assert comm == pytest.approx(
-        ring_allreduce_bytes(ex.payload.total * 4, p), rel=1e-12)
+        ring_allreduce_bytes(payload.total * 4, p), rel=1e-12)
     for got, want in zip(flats, mono):
         assert got.tobytes() == want.tobytes()

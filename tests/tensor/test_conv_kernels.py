@@ -222,8 +222,7 @@ def test_live_kernels_compute_the_dense_result(case, remat):
     dropped = ~g3.any(axis=(0, 2))
     rows = sparse.index_runs(np.flatnonzero(~dropped))
     dw = ks.dw(x, g3).copy()
-    out = np.full_like(w, np.nan)               # out= is fully overwritten
-    assert ks.dw_live(x, g3, rows, out) is out
+    out = ks.dw_live(x, g3, rows)
     np.testing.assert_allclose(out, dw, **close)
     assert not out[dropped].any() and not out[:, in_dead].any()
     assert np.array_equal(ks.dw_live(x, g3, rows), out)
@@ -339,8 +338,6 @@ def test_dw_forms_equal_eager_on_both_sides_of_the_predicate(shape, folds, n,
     ks.fwd(x)
     alloc.dirty()
     assert np.array_equal(ks.dw(x, g3), dw)
-    out = np.full_like(w, np.nan)
-    assert ks.dw(x, g3, out) is out and np.array_equal(out, dw)
 
 
 @pytest.mark.parametrize("hw", [1, 2])
@@ -437,12 +434,8 @@ def test_pointwise_kernels_equal_eager(case, remat):
         assert np.array_equal(ks.y4, y)
         alloc.dirty()
         assert np.array_equal(ks.dw(x, g3), dw)
-        out = np.full_like(w, np.nan)
-        assert ks.dw(x, g3, out) is out and np.array_equal(out, dw)
         if b is not None:
             assert np.array_equal(ks.db(dy), db)
-            db_out = np.full_like(b, np.nan)
-            assert ks.db(dy, db_out) is db_out and np.array_equal(db_out, db)
         alloc.dirty()
         got = ks.dx(dy)
         assert np.array_equal(got, dx)
@@ -530,8 +523,6 @@ def test_unrolled_kernels_equal_eager_on_both_sides_of_the_predicate(
         assert np.array_equal(ks.y4, y)
         _stage_dy(ks, alloc, dy)
         assert np.array_equal(ks.dw(x, g3), dw)
-        out = np.full_like(w, np.nan)               # fully overwritten
-        assert ks.dw(x, g3, out) is out and np.array_equal(out, dw)
         if b is not None:
             assert np.array_equal(ks.db(dy), db)
         if need_dx:
@@ -695,8 +686,7 @@ def test_span_kernels_equal_eager_on_both_sides_of_the_predicate(
             check_dx()
         assert (ks.dx is None) == (not need_dx)
         _stage_dy(ks, alloc, dy)
-        out = np.full_like(w, np.nan)               # fully overwritten
-        assert ks.dw(x, g3, out) is out and np.array_equal(out, dw)
+        assert np.array_equal(ks.dw(x, g3), dw)
         if b is not None:
             assert np.array_equal(ks.db(dy), db)
 

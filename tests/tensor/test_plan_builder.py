@@ -324,11 +324,18 @@ def test_a_plan_does_not_keep_its_builder_alive():
 
 def _layout(plan):
     """(digest over mem_metrics() and the ordered slab (tag, shape, dtype,
-    offset) list, arena bytes, aliased buffers, slab count)."""
+    offset) list, arena bytes, aliased buffers, slab count).
+
+    The recorded digests were taken while the report also carried
+    ``external_sink_bytes``, bytes of gradient destinations bound outside
+    the arena, which was 0.0 on every plan here (nothing bound them); the
+    digest still includes that 0.0 so the recordings keep pinning the same
+    layouts."""
     mem = plan._mem
     slabs = [(s.tag, list(s.shape), s.dtype.str, int(s.root().offset))
              for s in mem.slabs]
-    blob = json.dumps([sorted(plan.mem_metrics().items()), slabs])
+    metrics = {"external_sink_bytes": 0.0, **plan.mem_metrics()}
+    blob = json.dumps([sorted(metrics.items()), slabs])
     return (hashlib.sha256(blob.encode()).hexdigest()[:16],
             int(mem.arena_bytes), int(mem.alias_buffers), len(slabs))
 

@@ -325,9 +325,9 @@ class TestCompiledParity:
                 stage(alloc, need_dx)
                 real = ks.dw_live
 
-                def dw_live(x, g3, row_runs, out=None):
+                def dw_live(x, g3, row_runs):
                     calls.append((sig, sum(ln for *_, ln in row_runs)))
-                    return real(x, g3, row_runs, out)
+                    return real(x, g3, row_runs)
                 ks.dw_live = dw_live
             ks.backward = backward
             return ks

@@ -185,7 +185,7 @@ def test_only_engine_pins_write_the_engine_config():
 
 #: ``PROFILER.summary()``'s counter entries and how many keys each reports
 SUMMARY_LAYOUT = {"_workspace": 7, "_plans": 6, "_memplan": 10,
-                  "_parallel": 12, "_comm": 9, "_sparse": 11}
+                  "_parallel": 12, "_comm": 5, "_sparse": 11}
 
 
 def test_counters_keep_the_names_the_benchmark_reads():
