@@ -306,51 +306,8 @@ def _memplan_plan_pair(rng) -> tuple:
     return plan_on, run_on, peak_on, plan_off, run_off, peak_off
 
 
-def _batch_schedule_pair() -> dict:
-    """Compact PruneTrain run pair: analytical vs measured batch sizing.
-
-    Same model, data, capacity, and schedule; the only difference is the
-    adjuster's capacity signal.  The planner's measured bytes/sample is
-    below the analytical estimate, so at equal capacity the measured
-    schedule must grow the batch at least as fast (paper Sec. 4.3 driven
-    by real footprint).
-    """
-    from repro.costmodel import MemoryModel, iteration_memory_bytes
-    from repro.data import make_synthetic
-    from repro.distributed import DynamicBatchAdjuster
-    from repro.nn import resnet20
-    from repro.train import PruneTrainConfig, PruneTrainTrainer
-
-    def schedule(source: str) -> list:
-        train = make_synthetic(10, 192, hw=16, noise=0.8, seed=0, name="t")
-        val = make_synthetic(10, 64, hw=16, noise=0.8, seed=1, name="v")
-        model = resnet20(10, width_mult=0.375, input_hw=16, seed=0)
-        cfg = PruneTrainConfig(
-            epochs=4, batch_size=32, augment=False, log_every=0,
-            penalty_ratio=0.3, reconfig_interval=2, lambda_scale=400.0,
-            zero_sparse=True)
-        cap = iteration_memory_bytes(model.graph, 32) * 2
-        adj = DynamicBatchAdjuster(MemoryModel(cap), granularity=8,
-                                   max_batch=256, source=source)
-        trainer = PruneTrainTrainer(model, train, val, cfg,
-                                    batch_adjuster=adj)
-        log = trainer.train()
-        return [int(r.batch_size) for r in log.records]
-
-    analytical = schedule("analytical")
-    measured = schedule("measured")
-    workspace.invalidate()
-    return {
-        "analytical": analytical,
-        "measured": measured,
-        "measured_ge_analytical": all(m >= a for m, a
-                                      in zip(measured, analytical)),
-    }
-
-
 def run_memplan_bench(step_warmup: int = 3, step_iters: int = 5,
-                      step_rounds: int = 8,
-                      batch_schedule: bool = True) -> dict:
+                      step_rounds: int = 8) -> dict:
     """Planner on/off A/B; returns the BENCH_memplan.json payload.
 
     Compares the PR-3 compiled engine (every plan buffer private) against
@@ -403,8 +360,6 @@ def run_memplan_bench(step_warmup: int = 3, step_iters: int = 5,
         },
         "bit_identical": bit_identical,
     }
-    if batch_schedule:
-        payload["batch_schedule"] = _batch_schedule_pair()
     return payload
 
 

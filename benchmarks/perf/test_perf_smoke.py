@@ -71,8 +71,7 @@ def test_memplan_parity_and_savings_smoke():
     checks are deterministic and asserted at full strength.
     """
     results = bench_engine.run_memplan_bench(step_warmup=2, step_iters=3,
-                                             step_rounds=5,
-                                             batch_schedule=False)
+                                             step_rounds=5)
     path = bench_engine.write_results(results,
                                       bench_engine.OUT_PATH_MEMPLAN)
     assert os.path.exists(path)

@@ -16,7 +16,6 @@ Two distinct quantities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 from ..nn.graph import ModelGraph
 
@@ -84,72 +83,40 @@ def bn_traffic_bytes(graph: ModelGraph, batch_size: int,
     return total * batch_size
 
 
+#: Head-room kept free for workspace/fragmentation.
+RESERVE_FRACTION = 0.05
+
+
 @dataclass
 class MemoryModel:
     """A device memory-capacity model for dynamic mini-batch adjustment.
 
+    Sizing is the paper's analytical Sec. 4.3 model: the batch that fits is
+    read off the tensor shapes (:func:`iteration_memory_bytes`), never off a
+    measured allocation.
+
     Parameters
     ----------
     capacity_bytes:
-        Usable device memory (the paper's GPUs: 11 GB on a 1080 Ti).
-    reserve_fraction:
-        Head-room kept free for workspace/fragmentation.
+        Device memory (the paper's GPUs: 11 GB on a 1080 Ti), of which
+        ``RESERVE_FRACTION`` is kept free; the rest is ``usable_bytes``.
     """
 
     capacity_bytes: float
-    reserve_fraction: float = 0.05
-    #: exact transient bytes/sample observed from the memory planner's
-    #: arena (``StepPlan.mem_metrics``); None until :meth:`observe` runs
-    measured_per_sample: Optional[float] = None
-    #: fixed overhead paired with the measurement (model state estimate
-    #: unless the observer supplies a better number)
-    measured_fixed_bytes: Optional[float] = None
 
     @property
     def usable_bytes(self) -> float:
-        return self.capacity_bytes * (1.0 - self.reserve_fraction)
+        return self.capacity_bytes * (1.0 - RESERVE_FRACTION)
 
     def fits(self, graph: ModelGraph, batch_size: int) -> bool:
         return iteration_memory_bytes(graph, batch_size) <= self.usable_bytes
 
-    # -- measured capacity signal ------------------------------------------
-    def observe(self, per_sample_bytes: float,
-                fixed_bytes: Optional[float] = None) -> None:
-        """Record a *measured* footprint (planner arena bytes / batch).
-
-        The analytical ``activation_bytes_per_sample`` over-counts what a
-        liveness-planned step actually holds; feeding the planner's exact
-        number back lets ``max_batch(measured=True)`` refill capacity more
-        aggressively after each pruning reconfiguration.
-        """
-        if per_sample_bytes <= 0:
-            raise ValueError("per_sample_bytes must be positive")
-        self.measured_per_sample = float(per_sample_bytes)
-        self.measured_fixed_bytes = (float(fixed_bytes)
-                                     if fixed_bytes is not None else None)
-
-    def clear_measurement(self) -> None:
-        """Forget the measured signal (e.g. after a reconfiguration, until
-        the next capture re-measures the smaller model)."""
-        self.measured_per_sample = None
-        self.measured_fixed_bytes = None
-
     def max_batch(self, graph: ModelGraph, granularity: int = 32,
-                  ceiling: int = 4096, measured: bool = False) -> int:
-        """Largest batch (multiple of ``granularity``) fitting in memory.
-
-        With ``measured=True`` and an :meth:`observe`-d footprint, sizes
-        against the planner's exact bytes/sample instead of the analytical
-        estimate; falls back to analytical when nothing was observed.
-        """
+                  ceiling: int = 4096) -> int:
+        """Largest batch (multiple of ``granularity``) fitting in memory."""
         per_sample = activation_bytes_per_sample(graph)
-        fixed = model_state_bytes(graph)
-        if measured and self.measured_per_sample is not None:
-            per_sample = self.measured_per_sample
-            if self.measured_fixed_bytes is not None:
-                fixed = self.measured_fixed_bytes
         if per_sample <= 0:
             return ceiling
-        raw = (self.usable_bytes - fixed) / per_sample
+        raw = (self.usable_bytes - model_state_bytes(graph)) / per_sample
         batch = int(raw // granularity) * granularity
         return max(granularity, min(batch, ceiling))

@@ -6,28 +6,17 @@ import numpy as np
 
 
 class Augmenter:
-    """Random flip, random shift, and fresh-noise augmentation.
+    """Random horizontal flip and random shift.
 
     Fully vectorized: the flip is a masked slice-reverse; the shift applies a
-    single ``np.roll`` per sampled offset group.
-
-    ``noise_std`` adds white noise resampled at every presentation.  For the
-    synthetic tasks this is more than regularization: each presentation is a
-    fresh draw from the task's true distribution (prototype + noise), so a
-    small in-memory sample behaves like a much larger dataset and the model
-    must learn the class structure rather than memorize pixels — mirroring
-    what CIFAR-scale data does for the paper's runs.
+    single ``np.roll`` per sampled offset group.  Each call draws
+    ``rng.random(n)`` for the flip, then ``rng.integers(..., size=(n, 2))``
+    for the shift, so a resumed loader replays the same stream.
     """
 
-    def __init__(self, flip: bool = True, max_shift: int = 2,
-                 noise_std: float = 0.0):
+    def __init__(self, flip: bool = True, max_shift: int = 2):
         self.flip = flip
         self.max_shift = max_shift
-        self.noise_std = noise_std
-        #: reusable noise buffers (float64 draw + batch-dtype cast), sized
-        #: on first use and re-sized only when the batch shape/dtype changes
-        self._noise64: np.ndarray | None = None
-        self._noise_cast: np.ndarray | None = None
 
     def __call__(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         x = x.copy()
@@ -44,24 +33,4 @@ class Augmenter:
                     continue
                 sel = (shifts[:, 0] == dy) & (shifts[:, 1] == dx)
                 x[sel] = np.roll(x[sel], (int(dy), int(dx)), axis=(2, 3))
-        if self.noise_std > 0:
-            # Draw into reusable buffers instead of allocating a fresh
-            # full-batch float64 array plus a cast copy every call.
-            # ``std * standard_normal`` consumes the identical RNG stream
-            # as ``normal(0, std)`` and produces bit-identical values, and
-            # ``copyto(..., casting="unsafe")`` is exactly ``astype``, so
-            # resume bit-exactness is unaffected.
-            if self._noise64 is None or self._noise64.shape != x.shape:
-                self._noise64 = np.empty(x.shape, np.float64)
-            rng.standard_normal(out=self._noise64)
-            self._noise64 *= self.noise_std
-            if x.dtype == np.float64:
-                x += self._noise64
-            else:
-                if (self._noise_cast is None
-                        or self._noise_cast.shape != x.shape
-                        or self._noise_cast.dtype != x.dtype):
-                    self._noise_cast = np.empty(x.shape, x.dtype)
-                np.copyto(self._noise_cast, self._noise64, casting="unsafe")
-                x += self._noise_cast
         return x

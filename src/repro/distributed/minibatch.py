@@ -1,7 +1,8 @@
 """Dynamic mini-batch adjustment (paper Sec. 4.3, Fig. 9, Tab. 4).
 
 After each pruning reconfiguration the training-context volume shrinks;
-this adjuster monitors the modeled per-iteration memory requirement and
+this adjuster re-reads the *modeled* per-iteration memory requirement
+(:class:`~repro.costmodel.MemoryModel`, from tensor shapes alone) and
 grows the per-worker mini-batch (in units of ``granularity`` samples) to
 refill device memory.  When the batch grows by ratio ``r``, the learning
 rate is scaled by the same ``r`` (the linear scaling rule, after Smith et
@@ -12,7 +13,7 @@ delta over that work).  The batch never shrinks: pruning only frees memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List
 
 from ..costmodel.memory import MemoryModel, iteration_memory_bytes
 from ..nn.graph import ModelGraph
@@ -47,31 +48,19 @@ class DynamicBatchAdjuster:
     lr_rule:
         ``"linear"`` (the paper's rule: the LR scales with the batch) or
         ``"none"`` (the LR stays put — the no-rescale ablation).
-    source:
-        ``"analytical"`` (default) sizes from the cost-model estimate;
-        ``"measured"`` prefers the memory planner's observed bytes/sample
-        (``MemoryModel.observe``) when one is available.  Keep analytical
-        for bit-exactness studies: a measured schedule depends on whether
-        the planner ran, so planner on/off runs would diverge.
     """
 
     memory_model: MemoryModel
     granularity: int = 32
     max_batch: int = 1024
     lr_rule: str = "linear"
-    source: str = "analytical"
     history: List[BatchAdjustment] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.source not in ("analytical", "measured"):
-            raise ValueError(f"unknown source {self.source!r}")
 
     def propose(self, graph: ModelGraph, current_batch: int
                 ) -> BatchAdjustment:
         """Decide the new per-worker batch after a reconfiguration."""
         fit = self.memory_model.max_batch(graph, self.granularity,
-                                          ceiling=self.max_batch,
-                                          measured=self.source == "measured")
+                                          ceiling=self.max_batch)
         new_batch = min(max(fit, current_batch), self.max_batch)
         if self.lr_rule == "linear":
             scale = new_batch / current_batch

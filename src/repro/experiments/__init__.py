@@ -9,13 +9,13 @@ from . import (ablations, fig2, fig4, fig6_fig7, fig8, fig9_tab4, fig10,
                fig11, fig12, tab1, tab2, tab3)
 from .configs import (DATASETS, MODELS, PAPER, QUICK, SCALES, SMOKE, Scale,
                       epochs_for, interval_for, lambda_scale_for, make_dataset,
-                      make_model, threshold_for)
+                      make_model)
 from .runner import Runs, get_runs
 
 __all__ = [
     "Scale", "SMOKE", "QUICK", "PAPER", "SCALES",
     "make_model", "make_dataset", "MODELS", "DATASETS",
-    "epochs_for", "interval_for", "lambda_scale_for", "threshold_for",
+    "epochs_for", "interval_for", "lambda_scale_for",
     "Runs", "get_runs",
     "fig2", "fig4", "fig6_fig7", "fig8", "fig9_tab4", "fig10", "fig11",
     "fig12", "tab1", "tab2", "tab3", "ablations",

@@ -30,8 +30,6 @@ from ..nn import (resnet32, resnet50_cifar, resnet50_imagenet, resnet56,
 #: The paper's reference optimization horizon (CIFAR recipe):
 #: 182 epochs x ceil(50000/128) iterations.
 PAPER_REFERENCE_STEPS = 182 * (50_000 // 128)
-#: The paper's pruning threshold at reference scale.
-PAPER_THRESHOLD = 1e-4
 #: Empirical constant mapping the ideal time-rescaling onto the synthetic
 #: tasks (calibrated once on ResNet-32/cifar10s at the QUICK horizon; see
 #: DESIGN.md): with 0.3, ratio 0.25 prunes ~60-90% of FLOPs with no accuracy
@@ -53,15 +51,10 @@ LAMBDA_SCALE_MAX = 80.0
 
 def lambda_scale_for(epochs: int, iters_per_epoch: int,
                      reference_steps: int = PAPER_REFERENCE_STEPS) -> float:
-    """Horizon-compression factor for λ (and the threshold)."""
+    """Horizon-compression factor for λ."""
     steps = max(1, epochs * iters_per_epoch)
     raw = LAMBDA_CALIBRATION * reference_steps / steps
     return float(np.clip(raw, 1.0, LAMBDA_SCALE_MAX))
-
-
-def threshold_for(lambda_scale: float) -> float:
-    """Pruning threshold matching a compressed horizon's oscillation floor."""
-    return PAPER_THRESHOLD * lambda_scale
 
 
 @dataclass(frozen=True)
@@ -88,9 +81,6 @@ class Scale:
     def lambda_scale(self, epochs: int | None = None) -> float:
         return lambda_scale_for(epochs or self.epochs,
                                 self.iters_per_epoch())
-
-    def threshold(self, epochs: int | None = None) -> float:
-        return threshold_for(self.lambda_scale(epochs))
 
 
 #: Fast enough for unit/integration tests.

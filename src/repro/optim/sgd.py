@@ -111,7 +111,3 @@ class SGD:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
-
-    def scale_lr(self, factor: float) -> None:
-        """Multiply the learning rate (dynamic mini-batch linear scaling)."""
-        self.lr *= factor

@@ -13,8 +13,8 @@ generation and releases the old one.
 
 Request path (:meth:`ServedModel.forward`), in preference order: an
 **exact** cached plan replays; else the group is zero-**padded**
-(``BatchPadder``) up to the smallest cached batch ``B >= n`` within
-``pad_max_ratio`` and the first ``n`` rows are returned; else the
+(``BatchPadder``) up to the smallest cached batch ``B >= n`` no larger
+than ``_PAD_MAX_RATIO · n`` and the first ``n`` rows are returned; else the
 protocol's miss captures a row-stable **tail** plan for this shape, or its
 sealed failure runs **eager rows** (one batch-1 forward per sample).
 
@@ -42,6 +42,9 @@ from ..tensor.tensor import Tensor, no_grad
 
 __all__ = ["RegistryError", "ServedModel", "ModelRegistry"]
 
+#: Largest cached batch a request group of ``n`` is padded up to, over ``n``.
+_PAD_MAX_RATIO = 4.0
+
 
 class RegistryError(RuntimeError):
     """Registration or dispatch failure (unknown model, bad checkpoint)."""
@@ -50,8 +53,7 @@ class RegistryError(RuntimeError):
 class ServedModel:
     """One frozen model plus its pinned plan cache and batch padders."""
 
-    def __init__(self, name: str, model, generation: int,
-                 max_plans: int = 8, pad_max_ratio: float = 4.0):
+    def __init__(self, name: str, model, generation: int):
         model.eval()
         self.name = name
         self.model = model
@@ -59,8 +61,7 @@ class ServedModel:
         #: with a higher generation, so stale plans are structurally
         #: unreachable rather than runtime-checked
         self.generation = generation
-        self.plans = PlanCache(max_entries=max_plans, pinned=True)
-        self.pad_max_ratio = float(pad_max_ratio)
+        self.plans = PlanCache(pinned=True)
         self._padders: Dict[tuple, BatchPadder] = {}
         self._lock = threading.RLock()
         self.exact_replays = 0
@@ -98,7 +99,7 @@ class ServedModel:
                         dstr: str) -> Optional[np.ndarray]:
         """Replay the smallest cached larger-batch plan over a padded view."""
         best: Optional[tuple] = None
-        limit = max(n, 1) * self.pad_max_ratio
+        limit = max(n, 1) * _PAD_MAX_RATIO
         for bkey in self.plans.keys():
             b, ss, ds = bkey
             if ss != sshape or ds != dstr or b < n or b > limit:
@@ -185,13 +186,10 @@ class _Entry:
 class ModelRegistry:
     """LRU-bounded set of served models keyed by name."""
 
-    def __init__(self, max_models: int = 4, max_plans_per_model: int = 8,
-                 pad_max_ratio: float = 4.0):
+    def __init__(self, max_models: int = 4):
         if max_models < 1:
             raise ValueError("max_models must be >= 1")
         self.max_models = max_models
-        self.max_plans_per_model = max_plans_per_model
-        self.pad_max_ratio = pad_max_ratio
         #: insertion order == LRU order (dict preserves it; run() refreshes)
         self._entries: Dict[str, _Entry] = {}
         self._lock = threading.RLock()
@@ -226,9 +224,7 @@ class ModelRegistry:
                 self.evict(name)
             generation = self._next_generation
             self._next_generation += 1
-            served = ServedModel(name, model, generation=generation,
-                                 max_plans=self.max_plans_per_model,
-                                 pad_max_ratio=self.pad_max_ratio)
+            served = ServedModel(name, model, generation=generation)
             self._entries[name] = _Entry(name, served, path)
             while len(self._entries) > self.max_models:
                 coldest = next(k for k in self._entries if k != name)

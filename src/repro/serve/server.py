@@ -159,19 +159,26 @@ class InferenceServer:
                 self._execute(model, requests)
 
     def _execute(self, model: str, requests: List[_Request]) -> None:
-        try:
-            x = np.stack([r.sample for r in requests])
-            out = self.registry.run(model, x)
-            now = self._clock()
-            for i, r in enumerate(requests):
-                r.future._fulfill(np.array(out[i], copy=True), now)
-        except BaseException as e:  # noqa: BLE001 - forwarded to futures
-            now = self._clock()
-            self.errors += 1
-            for r in requests:
-                r.future._fail(e, now)
-            return
-        self.batches_run += 1
-        n = len(requests)
-        self.requests_served += n
-        self.batch_sizes[n] = self.batch_sizes.get(n, 0) + 1
+        """Run one batch as one registry call per ``(shape, dtype)`` group,
+        in arrival order: a malformed request fails only its own group, and
+        no sample is stacked with (and cast to) another dtype."""
+        groups: Dict[tuple, List[_Request]] = {}
+        for r in requests:
+            groups.setdefault((r.sample.shape, r.sample.dtype), []).append(r)
+        for group in groups.values():
+            try:
+                out = self.registry.run(
+                    model, np.stack([r.sample for r in group]))
+                now = self._clock()
+                for i, r in enumerate(group):
+                    r.future._fulfill(np.array(out[i], copy=True), now)
+            except BaseException as e:  # noqa: BLE001 - forwarded to futures
+                now = self._clock()
+                self.errors += 1
+                for r in group:
+                    r.future._fail(e, now)
+                continue
+            self.batches_run += 1
+            n = len(group)
+            self.requests_served += n
+            self.batch_sizes[n] = self.batch_sizes.get(n, 0) + 1

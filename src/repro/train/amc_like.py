@@ -30,13 +30,15 @@ from ..prune.sparsity import DEFAULT_THRESHOLD
 from .metrics import RunLog
 from .trainer import Trainer, TrainerConfig
 
+#: Fraction of the prunable channels zeroed per prune round.
+_PRUNE_FRACTION = 0.12
+
 
 @dataclass
 class AMCLikeConfig(TrainerConfig):
     """Iterative pruning schedule."""
 
     target_inference_ratio: float = 0.5   # stop at this fraction of dense FLOPs
-    prune_fraction_per_round: float = 0.12
     finetune_epochs: int = 4
     max_rounds: int = 12
     pretrain_epochs: int = 60
@@ -96,7 +98,7 @@ class AMCLikePruner:
         graph = self.model.graph
         scores = channel_importance(graph)
         total = len(scores)
-        k = max(1, int(total * self.cfg.prune_fraction_per_round))
+        k = max(1, int(total * _PRUNE_FRACTION))
         order = sorted(scores.items(), key=lambda kv: kv[1])
         picks: Dict[int, List[int]] = {}
         taken_per_space: Dict[int, int] = {}

@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..costmodel.memory import activation_bytes_per_sample
 from ..distributed import DynamicBatchAdjuster
 from ..nn.module import Module
 from ..prune import (ChannelTracker, DeadSetExporter, GroupLasso,
@@ -31,6 +30,10 @@ from ..prune.sparsity import DEFAULT_THRESHOLD
 from ..tensor import sparse as _tsparse
 from ..tensor import workspace as _tws
 from .trainer import Trainer, TrainerConfig
+
+#: Multiple of ``lr · λ`` the derived pruning threshold sits at (see
+#: ``PruneTrainConfig.threshold``).
+THRESHOLD_FLOOR_MULT = 3.0
 
 
 @dataclass
@@ -47,12 +50,11 @@ class PruneTrainConfig(TrainerConfig):
     penalty_ratio: float = 0.25
     reconfig_interval: int = 10
     #: Pruning threshold.  ``None`` (recommended) derives it at λ-setup time
-    #: as ``max(paper 1e-4, threshold_floor_mult · lr · λ)`` — the
+    #: as ``max(paper 1e-4, THRESHOLD_FLOOR_MULT · lr · λ)`` — the
     #: subgradient of a zeroed group oscillates within ~lr·λ of the origin,
     #: so the detection threshold must sit just above that floor, wherever
     #: λ ends up after horizon compression.
     threshold: Optional[float] = None
-    threshold_floor_mult: float = 3.0
     #: Horizon-compression factor for λ.  The sparsification depth of group
     #: lasso is ∝ λ · Σ_t lr_t (the group norm shrinks by ~lr·λ per step), so
     #: reproducing the paper's trajectory *shape* on a run with T× fewer
@@ -78,9 +80,6 @@ class PruneTrainConfig(TrainerConfig):
     remove_layers: bool = True
     zero_sparse: bool = False
     per_group_size_scaling: bool = False   # ablation: prior-work scaling
-    #: stop reconfiguring this many epochs before the end (final model
-    #: stabilization; pruning in the last LR phase has nothing left to give)
-    last_reconfig_margin: int = 0
 
 
 class PruneTrainTrainer(Trainer):
@@ -136,7 +135,7 @@ class PruneTrainTrainer(Trainer):
         if self.cfg.threshold is None:
             self._derived_threshold = max(
                 DEFAULT_THRESHOLD,
-                self.cfg.threshold_floor_mult * self.cfg.lr * self.lasso.lam)
+                THRESHOLD_FLOOR_MULT * self.cfg.lr * self.lasso.lam)
 
     def _rate_lambda(self) -> float:
         """Decay-budget λ (see ``PruneTrainConfig.lambda_mode``)."""
@@ -167,11 +166,10 @@ class PruneTrainTrainer(Trainer):
 
     def _reconfig_due(self, epoch: int) -> bool:
         """Whether a reconfiguration follows epoch ``epoch`` (0-based):
-        every ``reconfig_interval`` epochs, short of the final margin."""
+        every ``reconfig_interval`` epochs, never after the last one."""
         interval = self.cfg.reconfig_interval
-        last_ok = self.cfg.epochs - self.cfg.last_reconfig_margin
         return interval > 0 and (epoch + 1) % interval == 0 \
-            and (epoch + 1) < last_ok
+            and epoch + 1 < self.cfg.epochs
 
     def _publish_dead_sets(self) -> None:
         """Scan for stable dead channels and publish them to the sparse
@@ -200,7 +198,6 @@ class PruneTrainTrainer(Trainer):
                 if self.model.graph._active(node):
                     self.tracker.note_reconfigure(name, masks[node.out_space])
 
-        pre_ana = activation_bytes_per_sample(self.model.graph)
         report = prune_and_reconfigure(
             self.model, self.optimizer, self.threshold,
             remove_layers=self.cfg.remove_layers,
@@ -208,33 +205,11 @@ class PruneTrainTrainer(Trainer):
         self.reports.append(report)
 
         if self.batch_adjuster is not None:
-            self._feed_measured_footprint(pre_ana)
             adj = self.batch_adjuster.propose(self.model.graph,
                                               self.loader.batch_size)
             if adj.changed:
                 self.loader.set_batch_size(adj.new_batch)
                 self.lr_scale *= adj.lr_scale
-
-    def _feed_measured_footprint(self, pre_ana: float) -> None:
-        """Project the planner's measured bytes/sample onto the pruned graph.
-
-        The arena measurement (Sec. 4.3's capacity signal, made exact by the
-        memory planner) was taken on the *pre-prune* model; the plan for the
-        pruned model does not exist until the next captured batch.  The
-        planner footprint tracks activation volume, so scale the measured
-        bytes/sample by the analytical shrink factor and feed that to the
-        memory model — ``max_batch(measured=True)`` then sizes the new batch
-        from real, not estimated, transient memory.  No-op for analytical
-        adjusters (the default) and for eager/unplanned runs.
-        """
-        adj = self.batch_adjuster
-        mm = self._last_mem_metrics
-        if adj.source != "measured" or not mm or pre_ana <= 0:
-            return
-        batch = self.loader.batch_size
-        measured = mm["arena_bytes"] / batch
-        post_ana = activation_bytes_per_sample(self.model.graph)
-        adj.memory_model.observe(measured * (post_ana / pre_ana))
 
     # -- record extras ------------------------------------------------------
     def _make_record(self, epoch, train_loss, train_acc, comm_epoch):

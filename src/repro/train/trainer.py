@@ -33,6 +33,9 @@ from ..tensor.compile import (PlanCache, capture_forward,
                               capture_training_step)
 from .metrics import EpochRecord, RunLog
 
+#: devices whose modeled epoch time every :class:`EpochRecord` carries
+MODELED_DEVICES = ("1080ti", "v100")
+
 
 @dataclass
 class TrainerConfig:
@@ -51,16 +54,12 @@ class TrainerConfig:
     lr_gamma: float = 0.1
     workers: int = 1               # simulated data-parallel workers
     augment: bool = True
-    #: white-noise augmentation std (fresh corruption per presentation; for
-    #: synthetic tasks this emulates sampling a much larger dataset)
-    augment_noise_std: float = 0.0
     eval_batch: int = 256
     #: BN running-stat recalibration passes before each evaluation (0 = off).
     #: Short schedules need this: EMA stats lag the weights and the error
     #: compounds through deep networks (see repro.nn.bn_utils).
     bn_recal_batches: int = 3
     seed: int = 0
-    device_names: tuple = ("1080ti", "v100")
     log_every: int = 0             # epochs between stdout lines (0 = silent)
     #: measure per-op wall time / bytes each epoch (:mod:`repro.profiler`)
     #: and attach the summary to every :class:`EpochRecord`.  Off by default:
@@ -128,8 +127,7 @@ class Trainer:
             self.cfg.lr, milestones_for(self.cfg.epochs,
                                         self.cfg.lr_milestone_fractions),
             self.cfg.lr_gamma)
-        aug = Augmenter(noise_std=self.cfg.augment_noise_std) \
-            if self.cfg.augment else None
+        aug = Augmenter() if self.cfg.augment else None
         self.loader = DataLoader(train_set, self.cfg.batch_size, shuffle=True,
                                  seed=self.cfg.seed, augment=aug)
         #: multiplicative LR factor from dynamic mini-batch scaling
@@ -149,8 +147,7 @@ class Trainer:
         self._compile_enabled = bool(cs)
         #: arena metrics of the most recently captured full-batch training
         #: plan (``StepPlan.mem_metrics``, frozen at capture, so read once
-        #: when the plan is stored); feeds the epoch record and, for
-        #: PruneTrain's measured-capacity batch sizing, the memory model
+        #: when the plan is stored); feeds the epoch record
         self._last_mem_metrics: Optional[Dict] = None
         #: shape-keyed plan caches (one per batch shape, so dynamic batch
         #: growth and the short tail batch each get their own plan); entries
@@ -471,7 +468,7 @@ class Trainer:
             rec.dist_failures = len(self._elastic.failures)
         elif self.cfg.workers > 1:
             rec.dist_active_workers = self.cfg.workers
-        for dev in self.cfg.device_names:
+        for dev in MODELED_DEVICES:
             rec.epoch_time_model[dev] = epoch_time(
                 graph, len(self.train_set),
                 max(1, bs // max(self.cfg.workers, 1)),

@@ -78,32 +78,6 @@ class TestMemoryModel:
         mm = MemoryModel(capacity_bytes=1e6)
         assert mm.max_batch(m.graph, granularity=32) == 32
 
-    def test_max_batch_measured_overrides_analytical(self):
-        m = resnet20(10, **SMALL)
-        mm = MemoryModel(capacity_bytes=100e6)
-        analytical = mm.max_batch(m.graph, granularity=8)
-        # planner measured half the analytical bytes/sample -> ~2x batch
-        mm.observe(activation_bytes_per_sample(m.graph) / 2)
-        measured = mm.max_batch(m.graph, granularity=8, measured=True)
-        assert measured > analytical
-        # measured=False ignores the observation entirely
-        assert mm.max_batch(m.graph, granularity=8) == analytical
-        mm.clear_measurement()
-        assert mm.max_batch(m.graph, granularity=8,
-                            measured=True) == analytical
-
-    def test_max_batch_measured_fixed_bytes_and_validation(self):
-        m = resnet20(10, **SMALL)
-        mm = MemoryModel(capacity_bytes=100e6)
-        per = activation_bytes_per_sample(m.graph)
-        mm.observe(per, fixed_bytes=mm.usable_bytes - 10 * per)
-        b = mm.max_batch(m.graph, granularity=2, measured=True)
-        assert b == 10
-        with pytest.raises(ValueError):
-            mm.observe(0.0)
-        with pytest.raises(ValueError):
-            mm.observe(-5.0)
-
     def test_bn_traffic_proportional_to_batch_and_channels(self):
         m = vgg11(10, **SMALL)
         t1 = bn_traffic_bytes(m.graph, 32)

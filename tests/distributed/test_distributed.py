@@ -301,50 +301,6 @@ class TestDynamicBatchAdjuster:
         with pytest.raises(ValueError):
             adj.propose(m.graph, 64)
 
-    def test_unknown_source_raises(self):
-        with pytest.raises(ValueError):
-            self._adjuster(source="planned")
-
-    def test_measured_source_schedule_at_least_analytical(self):
-        """At equal capacity, a measured (planner) footprint below the
-        analytical estimate must never produce a *smaller* batch."""
-        from repro.costmodel.memory import activation_bytes_per_sample
-        m = resnet20(10, **SMALL)
-        cap = 80e6
-        ana = self._adjuster(cap=cap, granularity=8, max_batch=4096)
-        measured = DynamicBatchAdjuster(
-            MemoryModel(capacity_bytes=cap), granularity=8, max_batch=4096,
-            source="measured")
-        # planner measured 0.8x of the analytical estimate
-        measured.memory_model.observe(
-            0.8 * activation_bytes_per_sample(m.graph))
-        a = ana.propose(m.graph, 64)
-        b = measured.propose(m.graph, 64)
-        assert b.new_batch >= a.new_batch
-        assert b.new_batch > 64
-
-    def test_measured_source_without_observation_matches_analytical(self):
-        m = resnet20(10, **SMALL)
-        ana = self._adjuster(cap=80e6, granularity=8, max_batch=4096)
-        meas = self._adjuster(cap=80e6, granularity=8, max_batch=4096,
-                              source="measured")
-        assert (meas.propose(m.graph, 64).new_batch
-                == ana.propose(m.graph, 64).new_batch)
-
-    def test_measured_shrink_mode(self):
-        """A measured footprint far above the analytical estimate still
-        never shrinks the running batch."""
-        m = resnet20(10, **SMALL)
-        adj = self._adjuster(cap=80e6, granularity=8, max_batch=4096,
-                             source="measured")
-        from repro.costmodel.memory import activation_bytes_per_sample
-        adj.memory_model.observe(
-            20.0 * activation_bytes_per_sample(m.graph))
-        big = self._adjuster(cap=80e6, granularity=8,
-                             max_batch=4096).propose(m.graph, 64).new_batch
-        a = adj.propose(m.graph, big)
-        assert a.new_batch == big and a.lr_scale == 1.0
-
     def test_history_recorded(self):
         m = resnet20(10, **SMALL)
         adj = self._adjuster(cap=1e9)

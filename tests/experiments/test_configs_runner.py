@@ -5,7 +5,7 @@ import pytest
 
 from repro.experiments import (DATASETS, MODELS, PAPER, QUICK, SMOKE, Runs,
                                epochs_for, interval_for, lambda_scale_for,
-                               make_dataset, make_model, threshold_for)
+                               make_dataset, make_model)
 from repro.experiments.configs import (LAMBDA_SCALE_MAX,
                                        PAPER_REFERENCE_STEPS)
 from repro.experiments.format import pct, series, table
@@ -14,10 +14,8 @@ from repro.experiments.format import pct, series, table
 class TestLambdaCalibration:
     def test_paper_scale_is_identity(self):
         """At the paper's own horizon the compression factor ~ 1 (clamped
-        at 1 from below) and the threshold is the paper's 1e-4."""
-        s = lambda_scale_for(182, 50_000 // 128)
-        assert s == 1.0
-        assert threshold_for(s) == pytest.approx(1e-4)
+        at 1 from below)."""
+        assert lambda_scale_for(182, 50_000 // 128) == 1.0
 
     def test_shorter_runs_get_larger_lambda(self):
         s1 = lambda_scale_for(100, 100)
@@ -26,9 +24,6 @@ class TestLambdaCalibration:
 
     def test_clamped(self):
         assert lambda_scale_for(1, 1) == LAMBDA_SCALE_MAX
-
-    def test_threshold_scales_linearly(self):
-        assert threshold_for(50.0) == pytest.approx(50 * 1e-4)
 
     def test_reference_steps_value(self):
         assert PAPER_REFERENCE_STEPS == 182 * (50_000 // 128)

@@ -85,12 +85,6 @@ class TestSGD:
         opt.step()
         assert id(p.data) == arr_id  # in-place per the optimization guides
 
-    def test_scale_lr(self):
-        p = make_param()
-        opt = SGD([p], lr=0.1)
-        opt.scale_lr(2.0)
-        assert opt.lr == pytest.approx(0.2)
-
     def test_empty_params_raises(self):
         with pytest.raises(ValueError):
             SGD([], lr=0.1)

@@ -178,6 +178,39 @@ def test_one_channel_sample_keeps_its_channel_axis():
     assert np.array_equal(results[3], ref[0])
 
 
+def test_a_malformed_request_fails_only_its_own_group():
+    """One batch holding a good float32 request, a wrong-channel request, a
+    request of another size and a float64 request runs one registry call
+    per ``(shape, dtype)`` group: the bad request raises alone, and every
+    other comes back in its own dtype as its batch-1 eager row."""
+    model = make_model("resnet32", "cifar10s", SMOKE, seed=3)
+    registry = ModelRegistry(max_models=1)
+    registry.register_model("m", model)
+    rng = np.random.default_rng(4)
+    hw = SMOKE.hw
+    good = rng.normal(size=(2, 3, hw, hw)).astype(np.float32)
+    bad = rng.normal(size=(4, hw, hw)).astype(np.float32)
+    other = rng.normal(size=(3, hw + 1, hw + 1)).astype(np.float32)
+    wide = rng.normal(size=(3, hw, hw))
+    # a frozen clock: nothing is due until close() flushes one batch
+    with InferenceServer(registry, max_batch=8, latency_budget=60.0,
+                         clock=lambda: 0.0) as server:
+        futures = [server.submit("m", s)
+                   for s in (good[0], bad, other, wide, good[1])]
+    with pytest.raises(ValueError):
+        futures[1].result(timeout=30)
+    results = [futures[i].result(timeout=30) for i in (0, 4, 2, 3)]
+    refs = [_eager_rows(model, x)[0] for x in
+            (good[:1], good[1:], other[None], wide[None])]
+    for got, ref in zip(results, refs):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    assert results[0].dtype == np.float32 and results[3].dtype == np.float64
+    stats = server.stats()
+    assert stats["errors"] == 1
+    assert stats["batch_sizes"] == {1: 2, 2: 1}
+
+
 def test_seed_conv_lowering_is_refused_and_served_row_by_row(tmp_path,
                                                              monkeypatch):
     """The seed im2col conv is one 2-D ``cols @ W.T`` GEMM whose rows change

@@ -119,6 +119,51 @@ def test_switch_lattice_is_closed():
         assert flipped.plan_signature() != cfg.plan_signature(), f.name
 
 
+#: every setting a training or serving caller can pass, by owner.  A knob
+#: that no shipped caller varies is a constant in its module instead; a new
+#: one means editing this pin, as ``EngineConfig``'s ``== 8`` above does.
+CONFIG_SURFACE = {
+    "repro.train.TrainerConfig": (
+        "epochs", "batch_size", "lr", "momentum", "weight_decay",
+        "lr_milestone_fractions", "lr_gamma", "workers", "augment",
+        "eval_batch", "bn_recal_batches", "seed", "log_every", "profile",
+        "checkpoint_every", "checkpoint_dir", "checkpoint_keep",
+        "compile_step", "dist_engine", "dist_heartbeat_timeout",
+        "dist_fault_plan"),
+    "repro.train.PruneTrainConfig": (
+        "penalty_ratio", "reconfig_interval", "threshold", "lambda_scale",
+        "lambda_mode", "decay_budget", "remove_layers", "zero_sparse",
+        "per_group_size_scaling"),
+    "repro.train.AMCLikeConfig": (
+        "target_inference_ratio", "finetune_epochs", "max_rounds",
+        "pretrain_epochs"),
+    "repro.costmodel.MemoryModel": ("capacity_bytes",),
+    "repro.distributed.DynamicBatchAdjuster": (
+        "memory_model", "granularity", "max_batch", "lr_rule", "history"),
+    "repro.data.Augmenter": ("flip", "max_shift"),
+    "repro.serve.ServedModel": ("name", "model", "generation"),
+    "repro.serve.ModelRegistry": ("max_models",),
+}
+
+
+def test_configuration_surface_is_pinned():
+    """Dataclasses list their own fields (a config subclass only those it
+    adds to ``TrainerConfig``); other classes their ``__init__`` parameters."""
+    from repro.train import TrainerConfig
+    inherited = {f.name for f in dataclasses.fields(TrainerConfig)}
+    for qualname, expected in CONFIG_SURFACE.items():
+        modname, name = qualname.rsplit(".", 1)
+        cls = getattr(importlib.import_module(modname), name)
+        if not dataclasses.is_dataclass(cls):
+            got = tuple(inspect.signature(cls.__init__).parameters)[1:]
+        elif cls is TrainerConfig:
+            got = tuple(f.name for f in dataclasses.fields(cls))
+        else:
+            got = tuple(f.name for f in dataclasses.fields(cls)
+                        if f.name not in inherited)
+        assert got == expected, qualname
+
+
 def _config_writes(tree):
     """Lines of ``tree`` that assign to a field of ``workspace.config`` —
     ``config.f = v``, ``ws.config.f += v`` or ``setattr(config, ...)`` —

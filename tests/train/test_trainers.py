@@ -37,8 +37,8 @@ def tiny_cfg(**kw):
 
 #: non-default TrainerConfig fields a multi-phase run must hand every phase
 PHASE_FIELDS = dict(bn_recal_batches=0, compile_step=False, eval_batch=48,
-                    augment_noise_std=0.01, lr_milestone_fractions=(0.5,),
-                    lr_gamma=0.5, profile=True, dist_engine="sim")
+                    lr_milestone_fractions=(0.5,), lr_gamma=0.5, profile=True,
+                    dist_engine="sim")
 
 
 def _record_phase_configs(monkeypatch, module):
@@ -379,12 +379,6 @@ class TestPruneTrainTrainer:
                                track_convs=("s0b0.conv1",))
         tr.train()
         assert tr.tracker.matrix("s0b0.conv1").shape[0] == 3
-
-    def test_last_reconfig_margin(self, data):
-        tr = self._trainer(data, last_reconfig_margin=3)
-        tr.train()
-        assert tr.reports == []  # margin blocks all reconfigs in 3 epochs
-
 
 class TestDynamicBatch:
     def test_batch_grows_when_capacity_allows(self, data):
