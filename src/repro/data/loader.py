@@ -17,26 +17,18 @@ from .synthetic import Dataset
 
 
 class DataLoader:
-    """Iterates ``(x, y)`` mini-batches over a :class:`Dataset`.
-
-    Parameters
-    ----------
-    drop_last:
-        Drop a trailing partial batch (keeps per-iteration cost uniform,
-        matching the paper's fixed-iteration accounting).
-    """
+    """Iterates ``(x, y)`` mini-batches over a :class:`Dataset`; the last
+    batch of an epoch holds the remainder."""
 
     def __init__(self, dataset: Dataset, batch_size: int,
                  shuffle: bool = True, seed: int = 0,
-                 augment: Optional[Augmenter] = None,
-                 drop_last: bool = False):
+                 augment: Optional[Augmenter] = None):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.dataset = dataset
         self.batch_size = int(batch_size)
         self.shuffle = shuffle
         self.augment = augment
-        self.drop_last = drop_last
         self._rng = np.random.default_rng(seed)
         self._epoch = 0
 
@@ -67,10 +59,7 @@ class DataLoader:
         self._rng.bit_generator.state = state["rng_state"]
 
     def batches_per_epoch(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __len__(self) -> int:
         return self.batches_per_epoch()
@@ -81,9 +70,7 @@ class DataLoader:
         if self.shuffle:
             self._rng.shuffle(idx)
         self._epoch += 1
-        stop = (n // self.batch_size) * self.batch_size if self.drop_last \
-            else n
-        for start in range(0, stop, self.batch_size):
+        for start in range(0, n, self.batch_size):
             sel = idx[start:start + self.batch_size]
             xb = self.dataset.x[sel]
             yb = self.dataset.y[sel]

@@ -3,10 +3,12 @@
 The scale-out path of the paper's Sec. 2.2 ("Distributed Training"): K
 worker *processes* (stdlib ``multiprocessing``, fork start method) each hold
 a model replica and compute the gradients of one shard of the global batch.
-The step protocol — shard bounds, the flat gradient payload, the exchange
-and the result — is the simulation's
-(:func:`repro.distributed.worker.data_parallel_step`), stated once in
-``docs/ARCHITECTURE.md`` §9 and §12; only where shards run differs.  Here
+The step protocol — shard bounds, each shard's
+:func:`~repro.tensor.compile.train_step` (every worker replays its own
+compiled plans), the flat gradient payload, the exchange and the result —
+is the simulation's (:func:`repro.distributed.worker.data_parallel_step`),
+stated once in ``docs/ARCHITECTURE.md`` §9 and §12; only where shards run
+differs.  Here
 the payloads live in POSIX shared memory: each worker packs its gradients
 into its segment after backward and reports over a pipe, and once every
 participant has reported the coordinator averages the segments in place
@@ -48,10 +50,8 @@ from ..io.checkpoint import dumps_state, loads_state
 from ..nn.layers import BatchNorm2d
 from ..nn.module import Module
 from ..profiler import PROFILER
-from ..tensor import Tensor
-from ..tensor import functional as F
 from ..tensor import workspace as _ws
-from ..tensor.compile import PlanCache, capture_training_step
+from ..tensor.compile import PlanCache, train_step
 from ..tensor.ops import norm as _norm_ops
 from .allreduce import COMM_STATS, GradPayload, exchange
 from .worker import StepResult, shard_bounds
@@ -183,36 +183,13 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
     payload = GradPayload(replica)    # rebuilt on resync
     plans = PlanCache(max_entries=4)
 
-    def compiled_step(xb, yb):
-        """Run the step through a compiled plan (capturing on first sight
-        of this shard shape).  Returns ``(loss, logits)``, or ``None`` if
-        this shape is uncompilable."""
-        key = (xb.shape, yb.shape)
-        plan = plans.lookup(key)
-        if plan is not None:
-            loss, logits = plan.run(xb, yb)
-            return float(loss), logits
-        if plans.sealed(key):
-            return None
-        plan, lt, lg, reason = capture_training_step(replica, xb, yb)
-        plans.store(key, plan, reason)
-        # the capture's forward/loss WAS this step's eager computation
-        lt.backward()
-        return lt.item(), lg.data
-
     def run_step(step_idx: int, attempt: int, xb, yb) -> None:
         # the parameter broadcast, in place (surgery keeps parameter objects)
         payload.unpack_params(pview)
         stats_log.clear()
         replica.train()
         replica.zero_grad()
-        res = compiled_step(xb, yb)
-        if res is None:
-            logits_t = replica(Tensor(xb))
-            loss_t = F.cross_entropy(logits_t, yb)
-            loss_t.backward()
-            res = loss_t.item(), logits_t.data
-        loss_val, logits = res
+        loss_val, logits, _ = train_step(replica, xb, yb, plans)
         payload.pack_grads(gview)
         correct = int((logits.argmax(1) == yb).sum())
         beat()
@@ -578,11 +555,8 @@ class ElasticEngine:
         for rank in participants:
             for name, mu, var in results[rank][5]:
                 bn = self._bn[name]
-                m = bn.momentum
-                bn.running_mean *= 1.0 - m
-                bn.running_mean += m * mu
-                bn.running_var *= 1.0 - m
-                bn.running_var += m * var
+                _norm_ops.update_running_stats(
+                    bn.running_mean, bn.running_var, mu, var, bn.momentum)
 
         if PROFILER.enabled and stall_total:
             PROFILER.add("dist_stall", stall_total, 0)

@@ -4,8 +4,8 @@ sequentially in process.
 K logical workers each process a shard of the global mini-batch through one
 *shared* model (weights are identical across workers by construction, as
 in synchronous data parallelism).  The step protocol — shards
-(:func:`shard_bounds`), payload and exchange
-(:mod:`repro.distributed.allreduce`) and the result
+(:func:`shard_bounds`) that each run ``compile.train_step``, payload and
+exchange (:mod:`repro.distributed.allreduce`) and the result
 (:meth:`StepResult.aggregate`) — is stated in ``docs/ARCHITECTURE.md`` §9
 and §12; :class:`~repro.distributed.elastic.ElasticEngine` runs the same
 protocol with its shards in forked workers, bit for bit.
@@ -18,13 +18,12 @@ single-device large-batch training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..nn.module import Module
-from ..tensor import Tensor
-from ..tensor import functional as F
+from ..tensor.compile import PlanCache, train_step
 from .allreduce import GradPayload, exchange
 
 
@@ -69,12 +68,15 @@ class StepResult:
 
 
 def data_parallel_step(model: Module, x: np.ndarray, y: np.ndarray,
-                       workers: int) -> Tuple[StepResult, List[np.ndarray]]:
+                       workers: int, plans: Optional[PlanCache] = None
+                       ) -> Tuple[StepResult, List[np.ndarray]]:
     """Forward/backward a global batch split over ``workers`` shards.
 
-    Leaves the *averaged* gradients in each parameter's ``.grad`` (ready for
-    ``optimizer.step()``).  Returns the step result and the sizes of the
-    participating workers' shards (see :func:`shard_bounds`).
+    Each shard runs :func:`~repro.tensor.compile.train_step` through
+    ``plans`` (eager without one).  Leaves the *averaged* gradients in each
+    parameter's ``.grad`` (ready for ``optimizer.step()``).  Returns the
+    step result and the sizes of the participating workers' shards (see
+    :func:`shard_bounds`).
     """
     bounds = shard_bounds(len(x), workers)
     k = len(bounds) - 1
@@ -84,12 +86,9 @@ def data_parallel_step(model: Module, x: np.ndarray, y: np.ndarray,
     for flat, lo, hi in zip(flats, bounds, bounds[1:]):
         xb, yb = x[lo:hi], y[lo:hi]
         model.zero_grad()
-        logits = model(Tensor(xb))
-        loss = F.cross_entropy(logits, yb)
-        loss.backward()
+        loss, logits, _ = train_step(model, xb, yb, plans)
         payload.pack_grads(flat)
-        shards.append((loss.item(), int((logits.data.argmax(1) == yb).sum()),
-                       hi - lo))
+        shards.append((loss, int((logits.argmax(1) == yb).sum()), hi - lo))
     comm_bytes = exchange(list(flats))
     payload.unpack_grads(flats[0])
     return StepResult.aggregate(shards, comm_bytes), list(np.diff(bounds))

@@ -13,12 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..costmodel import MemoryModel, iteration_memory_bytes
 from ..distributed import DynamicBatchAdjuster
-from ..io.checkpoint import latest_checkpoint, read_meta
+from ..io.checkpoint import periodic_checkpoints, read_meta
 from ..train import (AMCLikeConfig, AMCLikePruner, OneTimeConfig,
                      OneTimeTrainer, PruneTrainConfig, PruneTrainTrainer,
                      RunLog, SSLConfig, SSLTrainer, Trainer, TrainerConfig)
@@ -58,36 +57,32 @@ class Runs:
         self._trainers: Dict[str, object] = {}
         self._datasets: Dict[str, tuple] = {}
 
-    def _attach_checkpointing(self, cfg, key: str) -> None:
-        """Point a trainer config at this run's checkpoint subdirectory."""
-        if not self.checkpoint_every:
-            return
-        cfg.checkpoint_every = self.checkpoint_every
-        cfg.checkpoint_dir = os.path.join(self.checkpoint_dir, key)
-        cfg.checkpoint_keep = self.checkpoint_keep
-
-    def _train_with_resume(self, trainer, key: str) -> RunLog:
-        """Run training, auto-resuming from the newest run checkpoint.
-
-        A checkpoint that fails to restore (e.g. written by an incompatible
-        older code version) is not fatal — the run restarts from scratch.
-        Partially written files are never seen here: writes are atomic and
-        ``latest_checkpoint`` ignores leftover ``*.tmp.npz`` files.
-        """
-        resume = None
+    def _checkpointed(self, cfg, key: str):
+        """``cfg`` pointed at this run's checkpoint subdirectory."""
         if self.checkpoint_every:
-            resume = latest_checkpoint(
-                os.path.join(self.checkpoint_dir, key))
-        if resume is not None:
-            # Pre-flight *before* touching the trainer: a checkpoint that
-            # doesn't parse or lacks run state must not leave the trainer
-            # half-restored when we fall back to a fresh run.
-            try:
-                ok = "train_state" in read_meta(resume)
-            except Exception:
-                ok = False
-            if ok:
-                return trainer.train(resume_from=resume)
+            cfg.checkpoint_every = self.checkpoint_every
+            cfg.checkpoint_dir = os.path.join(self.checkpoint_dir, key)
+            cfg.checkpoint_keep = self.checkpoint_keep
+        return cfg
+
+    @staticmethod
+    def _train_with_resume(trainer) -> RunLog:
+        """Run training, auto-resuming from the newest readable checkpoint.
+
+        The periodic checkpoints are tried newest first; one that fails the
+        pre-flight (truncated, corrupt, or without run state) is skipped,
+        and with none readable the run starts from scratch.  The pre-flight
+        reads every array before the trainer is touched, so a bad file
+        never leaves it half-restored.
+        """
+        if trainer.cfg.checkpoint_every:
+            for path in periodic_checkpoints(trainer.cfg.checkpoint_dir):
+                try:
+                    ok = "train_state" in read_meta(path)
+                except Exception:
+                    ok = False
+                if ok:
+                    return trainer.train(resume_from=path)
         return trainer.train()
 
     # -- plumbing ------------------------------------------------------------
@@ -134,25 +129,39 @@ class Runs:
             log_every=0)
 
     # -- run constructors ----------------------------------------------------
-    def dense(self, model_name: str, dataset: str,
-              need_model: bool = False) -> Tuple[str, RunLog]:
-        key = self._key(method="dense", model=model_name, ds=dataset)
+    def _run(self, key: str, build: Callable[[], tuple],
+             need_model: bool = False, cacheable: bool = True
+             ) -> Tuple[str, RunLog]:
+        """The one run recipe: an in-memory hit (holding the model when
+        ``need_model``), else a disk hit (when ``cacheable`` and no model is
+        needed), else ``build() -> (model, trainer, log)`` trains the run,
+        which is then cached in memory and on disk."""
         if key in self._logs and (not need_model or key in self._models):
             return key, self._logs[key]
-        if not need_model:
+        if cacheable and not need_model:
             hit = self._load_disk(key)
             if hit is not None:
                 self._logs[key] = hit
                 return key, hit
-        train, val = self.dataset(dataset)
-        model = make_model(model_name, dataset, self.scale,
-                           seed=self.scale.seed)
-        cfg = TrainerConfig(**self._base_cfg_kwargs(dataset))
-        self._attach_checkpointing(cfg, key)
-        tr = Trainer(model, train, val, cfg)
-        log = self._train_with_resume(tr, key)
-        self._finish(key, log, model, tr)
+        model, trainer, log = build()
+        self._logs[key] = log
+        self._models[key] = model
+        self._trainers[key] = trainer
+        self._store_disk(key, log)
         return key, log
+
+    def dense(self, model_name: str, dataset: str,
+              need_model: bool = False) -> Tuple[str, RunLog]:
+        key = self._key(method="dense", model=model_name, ds=dataset)
+
+        def build():
+            train, val = self.dataset(dataset)
+            model = make_model(model_name, dataset, self.scale,
+                               seed=self.scale.seed)
+            cfg = TrainerConfig(**self._base_cfg_kwargs(dataset))
+            tr = Trainer(model, train, val, self._checkpointed(cfg, key))
+            return model, tr, self._train_with_resume(tr)
+        return self._run(key, build, need_model)
 
     def prunetrain(self, model_name: str, dataset: str,
                    ratio: float = 0.25, interval: Optional[int] = None,
@@ -165,7 +174,6 @@ class Runs:
                    remove_layers: bool = True,
                    need_model: bool = False,
                    seed: Optional[int] = None) -> Tuple[str, RunLog]:
-        epochs = epochs_for(dataset, self.scale)
         interval = interval if interval is not None \
             else interval_for(dataset, self.scale)
         # Explicit lambda_scale selects the paper's Eq.-3 "ratio" mode (used
@@ -181,116 +189,98 @@ class Runs:
                         budget=PruneTrainConfig.decay_budget,
                         rl=remove_layers,
                         tracked=bool(track_convs), seed=seed)
-        if key in self._logs and (not need_model or key in self._models):
-            return key, self._logs[key]
-        if not need_model and not track_convs:
-            hit = self._load_disk(key)
-            if hit is not None:
-                self._logs[key] = hit
-                return key, hit
-        train, val = self.dataset(dataset)
-        model = make_model(model_name, dataset, self.scale,
-                           seed=seed if seed is not None else self.scale.seed)
-        base = self._base_cfg_kwargs(dataset)
-        if seed is not None:
-            base["seed"] = seed
-        cfg = PruneTrainConfig(
-            **base, penalty_ratio=ratio, reconfig_interval=interval,
-            threshold=None, lambda_scale=lam_scale, lambda_mode=lambda_mode,
-            zero_sparse=zero_sparse, remove_layers=remove_layers,
-            per_group_size_scaling=per_group_size_scaling)
-        cfg.workers = workers
-        adjuster = None
-        if dynamic_batch:
-            cap = memory_capacity or self._default_capacity(model)
-            adjuster = DynamicBatchAdjuster(
-                MemoryModel(capacity_bytes=cap),
-                granularity=max(8, self.scale.batch_size // 4),
-                max_batch=min(512, self.scale.n_train // 2))
-        self._attach_checkpointing(cfg, key)
-        tr = PruneTrainTrainer(model, train, val, cfg,
-                               batch_adjuster=adjuster,
-                               track_convs=track_convs)
-        log = self._train_with_resume(tr, key)
-        self._finish(key, log, model, tr)
-        return key, log
+
+        def build():
+            train, val = self.dataset(dataset)
+            model = make_model(model_name, dataset, self.scale,
+                               seed=seed if seed is not None
+                               else self.scale.seed)
+            base = self._base_cfg_kwargs(dataset)
+            if seed is not None:
+                base["seed"] = seed
+            cfg = PruneTrainConfig(
+                **base, penalty_ratio=ratio, reconfig_interval=interval,
+                threshold=None, lambda_scale=lam_scale,
+                lambda_mode=lambda_mode, zero_sparse=zero_sparse,
+                remove_layers=remove_layers,
+                per_group_size_scaling=per_group_size_scaling)
+            cfg.workers = workers
+            adjuster = None
+            if dynamic_batch:
+                cap = memory_capacity or self._default_capacity(model)
+                adjuster = DynamicBatchAdjuster(
+                    MemoryModel(capacity_bytes=cap),
+                    granularity=max(8, self.scale.batch_size // 4),
+                    max_batch=min(512, self.scale.n_train // 2))
+            tr = PruneTrainTrainer(model, train, val,
+                                   self._checkpointed(cfg, key),
+                                   batch_adjuster=adjuster,
+                                   track_convs=track_convs)
+            return model, tr, self._train_with_resume(tr)
+        return self._run(key, build, need_model,
+                         cacheable=not track_convs)
 
     def ssl(self, model_name: str, dataset: str, ratio: float = 0.25
             ) -> Tuple[str, RunLog]:
         key = self._key(method="ssl", model=model_name, ds=dataset,
                         ratio=ratio)
-        if key in self._logs:
-            return key, self._logs[key]
-        hit = self._load_disk(key)
-        if hit is not None:
-            self._logs[key] = hit
-            return key, hit
-        train, val = self.dataset(dataset)
-        epochs = epochs_for(dataset, self.scale)
-        # Phase 1 of SSL is exactly a dense training run of the same model;
-        # reuse the cached dense baseline (weights + cost accounting).
-        dense_key, dense_log = self.dense(model_name, dataset,
-                                          need_model=True)
-        dense_model = self.model_for(dense_key)
-        model = make_model(model_name, dataset, self.scale,
-                           seed=self.scale.seed)
-        model.load_state_dict(dense_model.state_dict())
-        cfg = SSLConfig(**self._base_cfg_kwargs(dataset),
-                        penalty_ratio=ratio,
-                        threshold=None, lambda_mode="rate",
-                        zero_sparse=True, pretrain_epochs=epochs)
-        tr = SSLTrainer(model, train, val, cfg, pretrained=True,
-                        pretrain_log=dense_log)
-        log = tr.train()
-        self._finish(key, log, model, tr)
-        return key, log
+
+        def build():
+            train, val = self.dataset(dataset)
+            # Phase 1 of SSL is exactly a dense training run of the same
+            # model; reuse the cached dense baseline (weights + cost
+            # accounting).
+            dense_key, dense_log = self.dense(model_name, dataset,
+                                              need_model=True)
+            model = make_model(model_name, dataset, self.scale,
+                               seed=self.scale.seed)
+            model.load_state_dict(self.model_for(dense_key).state_dict())
+            cfg = SSLConfig(**self._base_cfg_kwargs(dataset),
+                            penalty_ratio=ratio,
+                            threshold=None, lambda_mode="rate",
+                            zero_sparse=True,
+                            pretrain_epochs=epochs_for(dataset, self.scale))
+            tr = SSLTrainer(model, train, val, cfg,
+                            pretrained=True, pretrain_log=dense_log)
+            return model, tr, tr.train()
+        return self._run(key, build)
 
     def onetime(self, model_name: str, dataset: str, reconfig_epoch: int,
                 ratio: float = 0.25) -> Tuple[str, RunLog]:
         key = self._key(method="onetime", model=model_name, ds=dataset,
                         ratio=ratio, at=reconfig_epoch)
-        if key in self._logs:
-            return key, self._logs[key]
-        hit = self._load_disk(key)
-        if hit is not None:
-            self._logs[key] = hit
-            return key, hit
-        train, val = self.dataset(dataset)
-        model = make_model(model_name, dataset, self.scale,
-                           seed=self.scale.seed)
-        epochs = epochs_for(dataset, self.scale)
-        cfg = OneTimeConfig(**self._base_cfg_kwargs(dataset),
-                            penalty_ratio=ratio,
-                            threshold=None, lambda_mode="rate",
-                            zero_sparse=True, reconfig_epoch=reconfig_epoch)
-        self._attach_checkpointing(cfg, key)
-        tr = OneTimeTrainer(model, train, val, cfg)
-        log = self._train_with_resume(tr, key)
-        self._finish(key, log, model, tr)
-        return key, log
+
+        def build():
+            train, val = self.dataset(dataset)
+            model = make_model(model_name, dataset, self.scale,
+                               seed=self.scale.seed)
+            cfg = OneTimeConfig(**self._base_cfg_kwargs(dataset),
+                                penalty_ratio=ratio,
+                                threshold=None, lambda_mode="rate",
+                                zero_sparse=True,
+                                reconfig_epoch=reconfig_epoch)
+            tr = OneTimeTrainer(model, train, val,
+                                self._checkpointed(cfg, key))
+            return model, tr, self._train_with_resume(tr)
+        return self._run(key, build)
 
     def amc_like(self, model_name: str, dataset: str,
                  target_inference_ratio: float = 0.5) -> Tuple[str, RunLog]:
         key = self._key(method="amc", model=model_name, ds=dataset,
                         target=target_inference_ratio)
-        if key in self._logs:
-            return key, self._logs[key]
-        hit = self._load_disk(key)
-        if hit is not None:
-            self._logs[key] = hit
-            return key, hit
-        train, val = self.dataset(dataset)
-        model = make_model(model_name, dataset, self.scale,
-                           seed=self.scale.seed)
-        epochs = epochs_for(dataset, self.scale)
-        cfg = AMCLikeConfig(**self._base_cfg_kwargs(dataset),
-                            target_inference_ratio=target_inference_ratio,
-                            pretrain_epochs=epochs,
-                            finetune_epochs=max(1, epochs // 6))
-        pruner = AMCLikePruner(model, train, val, cfg)
-        log = pruner.run()
-        self._finish(key, log, model, pruner)
-        return key, log
+
+        def build():
+            train, val = self.dataset(dataset)
+            model = make_model(model_name, dataset, self.scale,
+                               seed=self.scale.seed)
+            epochs = epochs_for(dataset, self.scale)
+            cfg = AMCLikeConfig(**self._base_cfg_kwargs(dataset),
+                                target_inference_ratio=target_inference_ratio,
+                                pretrain_epochs=epochs,
+                                finetune_epochs=max(1, epochs // 6))
+            pruner = AMCLikePruner(model, train, val, cfg)
+            return model, pruner, pruner.run()
+        return self._run(key, build)
 
     # -- helpers ----------------------------------------------------------------
     def _default_capacity(self, model) -> float:
@@ -298,12 +288,6 @@ class Runs:
         ImageNet setup: start at the largest batch that fits)."""
         return iteration_memory_bytes(model.graph,
                                       self.scale.batch_size) * 1.1
-
-    def _finish(self, key: str, log: RunLog, model, trainer) -> None:
-        self._logs[key] = log
-        self._models[key] = model
-        self._trainers[key] = trainer
-        self._store_disk(key, log)
 
 
 #: Process-wide runner registry so every benchmark shares one cache.

@@ -44,7 +44,7 @@ import io
 import json
 import os
 import re
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +57,7 @@ FORMAT_VERSION = 2
 #: versions :func:`load_checkpoint` / :func:`restore_checkpoint` accept
 SUPPORTED_VERSIONS = (1, 2)
 
-#: filename pattern of periodic run checkpoints (see ``latest_checkpoint``)
+#: filename pattern of periodic run checkpoints (see ``periodic_checkpoints``)
 _CKPT_RE = re.compile(r"^ckpt-ep(\d+)\.npz$")
 
 
@@ -117,9 +117,9 @@ def save_checkpoint(path: str, model: Module,
                     optimizer: Optional[SGD] = None,
                     extra: Optional[Dict] = None,
                     train_state: Optional[Dict] = None,
-                    arrays: Optional[Dict[str, np.ndarray]] = None,
-                    atomic: bool = True) -> None:
-    """Serialize model (+optimizer, +run state) to a single ``.npz`` file.
+                    arrays: Optional[Dict[str, np.ndarray]] = None) -> None:
+    """Serialize model (+optimizer, +run state) to a single ``.npz`` file,
+    atomically.
 
     ``train_state`` must be JSON-serializable (the trainers build it via
     :meth:`repro.train.Trainer.save_run_checkpoint`); ``arrays`` holds
@@ -128,10 +128,7 @@ def save_checkpoint(path: str, model: Module,
     """
     blobs = _pack_blobs(model, optimizer, extra, train_state, arrays)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    if atomic:
-        _atomic_savez(path, blobs)
-    else:
-        np.savez(path, **blobs)
+    _atomic_savez(path, blobs)
 
 
 def dumps_state(model: Module, optimizer: Optional[SGD] = None) -> bytes:
@@ -282,29 +279,35 @@ def _restore_into(data, meta: Dict, model: Module,
 def read_meta(path: str) -> Dict:
     """Read a checkpoint's metadata dict without touching any model.
 
-    Cheap pre-flight for auto-resume: callers can verify the file parses
-    and carries a ``"train_state"`` *before* mutating a live trainer, so a
-    stale/incompatible checkpoint never leaves a run half-restored.
+    The auto-resume pre-flight: every array is read too, so a file that
+    does not parse or has a truncated member raises here, before a live
+    trainer is mutated.
     """
-    _, meta = _read(path)
+    data, meta = _read(path)
+    for key in data.files:
+        data[key]
     return meta
 
 
-def latest_checkpoint(directory: str) -> Optional[str]:
-    """Path of the newest periodic checkpoint in ``directory`` (or None).
+def periodic_checkpoints(directory: str) -> List[str]:
+    """Paths of the periodic checkpoints in ``directory``, newest first.
 
-    Recognizes the trainers' ``ckpt-ep<NNNNN>.npz`` naming and picks the
-    highest epoch.  Partial ``*.tmp.npz`` files from an interrupted write
-    are ignored.
+    Recognizes the trainers' ``ckpt-ep<NNNNN>.npz`` naming and orders by
+    epoch.  Partial ``*.tmp.npz`` files from an interrupted write are
+    ignored; a missing directory holds none.
     """
     if not os.path.isdir(directory):
-        return None
-    best: Tuple[int, Optional[str]] = (-1, None)
-    for fname in os.listdir(directory):
-        m = _CKPT_RE.match(fname)
-        if m and int(m.group(1)) > best[0]:
-            best = (int(m.group(1)), os.path.join(directory, fname))
-    return best[1]
+        return []
+    found = sorted(((int(m.group(1)), fname)
+                    for fname in os.listdir(directory)
+                    if (m := _CKPT_RE.match(fname))), reverse=True)
+    return [os.path.join(directory, fname) for _, fname in found]
+
+
+def latest_checkpoint(directory: str) -> Optional[str]:
+    """Path of the newest periodic checkpoint in ``directory`` (or None)."""
+    found = periodic_checkpoints(directory)
+    return found[0] if found else None
 
 
 def checkpoint_path(directory: str, epoch: int) -> str:
@@ -315,16 +318,10 @@ def checkpoint_path(directory: str, epoch: int) -> str:
 def prune_old_checkpoints(directory: str, keep: int) -> int:
     """Delete all but the newest ``keep`` periodic checkpoints; returns the
     number removed.  ``keep <= 0`` disables retention (keep everything)."""
-    if keep <= 0 or not os.path.isdir(directory):
+    if keep <= 0:
         return 0
-    found = []
-    for fname in os.listdir(directory):
-        m = _CKPT_RE.match(fname)
-        if m:
-            found.append((int(m.group(1)), os.path.join(directory, fname)))
-    found.sort()
     removed = 0
-    for _, fpath in found[:-keep] if len(found) > keep else []:
+    for fpath in periodic_checkpoints(directory)[keep:]:
         try:
             os.remove(fpath)
             removed += 1

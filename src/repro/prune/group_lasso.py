@@ -20,7 +20,7 @@ must stay dense) and the output neurons of the final FC layer (the logits).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -152,12 +152,3 @@ class GroupLasso:
         reg = self.loss()
         denom = classification_loss + reg
         return reg / denom if denom > 0 else 0.0
-
-    def per_layer_norm_summary(self) -> Dict[str, Tuple[float, float]]:
-        """Mean in/out group norm per conv (for monitoring sparsification)."""
-        out: Dict[str, Tuple[float, float]] = {}
-        for node in self.graph.active_convs():
-            norms = self.group_norms(node)
-            out[node.name] = (float(norms.in_norms.mean()),
-                              float(norms.out_norms.mean()))
-        return out

@@ -43,8 +43,8 @@ bumped by ``workspace.invalidate()`` (pruning reconfiguration — the same
 moment the buffer pool drops its cached shapes) and by
 ``Module.load_state_dict`` (checkpoint restore reassigns ``param.data``, so
 array references captured by a plan go stale).  Dynamic mini-batch growth
-needs no hook: the input shape is part of the trainer's plan-cache key, so a
-new batch size simply captures a new plan.
+needs no hook: the input shape is part of the plan-cache key
+(:func:`train_step`), so a new batch size simply captures a new plan.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from .functional import _give_grad, cross_entropy
 from .tensor import Tensor, backward_order, no_grad
 
 __all__ = ["Tape", "StepPlan", "PlanCache", "PlanStats", "STATS",
+           "train_step", "forward_step",
            "BatchPadder", "capture_training_step", "capture_forward"]
 
 
@@ -1418,13 +1419,13 @@ class StepPlan:
 
 
 class PlanCache:
-    """Shape-keyed LRU plan cache: the one statement of the compiled-step
-    protocol.  A call site replays what :meth:`lookup` returns; on ``None``
-    it stays eager if :meth:`sealed` names a recorded capture failure, and
-    otherwise captures and hands the outcome to :meth:`store` (a failure
-    is sealed, so an uncompilable step is attempted once per stationary
-    phase, not once per batch).  ``lookup`` itself drops a stale plan
-    (``StepPlan.invalid_reason``) and reads it as a miss.
+    """Shape-keyed LRU plan cache.  A caller (:func:`train_step`,
+    :func:`forward_step`, the serving registry) replays what :meth:`lookup`
+    returns; on ``None`` it stays eager if :meth:`sealed` names a recorded
+    capture failure, and otherwise captures and hands the outcome to
+    :meth:`store` (a failure is sealed, so an uncompilable step is attempted
+    once per stationary phase, not once per batch).  ``lookup`` itself drops
+    a stale plan (``StepPlan.invalid_reason``) and reads it as a miss.
 
     Stale-generation entries are purged on *every* access — ``store``
     included, so a store right after a reconfiguration can never re-stamp
@@ -1536,16 +1537,16 @@ class PlanCache:
 
 
 # ---------------------------------------------------------------------------
-# capture helpers (the trainer's entry points)
+# capture helpers
 # ---------------------------------------------------------------------------
 def capture_training_step(model, x: np.ndarray, targets: np.ndarray):
     """Run one eager forward+loss under capture and compile a train plan.
 
     Returns ``(plan, loss, logits, reason)``.  The forward/loss here *are*
     the step's eager computation (capture only observes), so on success or
-    failure alike the caller finishes the step with ``loss.backward()`` and
-    the optimizer — the captured batch is bit-identical to an uncaptured
-    one, and the plan takes over from the next batch.
+    failure alike :func:`train_step` finishes the step with
+    ``loss.backward()``: the captured batch is bit-identical to an
+    uncaptured one.
     """
     t0 = time.perf_counter()
     # cross_entropy re-wraps targets with np.asarray; pre-wrap here so the
@@ -1579,6 +1580,57 @@ def capture_forward(model, x: np.ndarray, *, row_stable: bool = False):
     plan, reason = tape.finalize_forward(logits, row_stable=row_stable)
     STATS.count_capture(plan, reason, t0)
     return plan, logits, reason
+
+
+# ---------------------------------------------------------------------------
+# the compiled-step protocol
+# ---------------------------------------------------------------------------
+def train_step(model, x: np.ndarray, y: np.ndarray,
+               plans: Optional[PlanCache] = None,
+               capture: Callable = capture_training_step):
+    """One training step's forward, loss and backward, as the trainer, the
+    simulated shards and the elastic workers all run it.
+
+    Replays the plan ``plans`` holds for the shapes and dtypes of ``x`` and
+    ``y``.  On a miss, ``capture`` runs the step's eager forward under
+    capture, its outcome is stored, and the step is finished by backprop
+    through the recorded tensors — never a second forward: BN running stats
+    were already updated.  A sealed key, or ``plans=None``, runs eager.
+    Returns ``(loss, logits, captured)``; ``captured`` is ``(plan, sealed
+    reason)`` when this call captured, else ``None``.  The caller zeroes
+    gradients before and steps the optimizer after.
+    """
+    key = (x.shape, x.dtype.str, y.shape, y.dtype.str)
+    if plans is not None:
+        plan = plans.lookup(key)
+        if plan is not None:
+            loss, logits = plan.run(x, y)
+            return float(loss), logits, None
+        if not plans.sealed(key):
+            plan, loss_t, logits_t, reason = capture(model, x, y)
+            captured = plan, plans.store(key, plan, reason)
+            loss_t.backward()
+            return loss_t.item(), logits_t.data, captured
+    logits_t = model(Tensor(x))
+    loss_t = cross_entropy(logits_t, y)
+    loss_t.backward()
+    return loss_t.item(), logits_t.data, None
+
+
+def forward_step(model, x: np.ndarray, plans: Optional[PlanCache] = None,
+                 capture: Callable = capture_forward):
+    """:func:`train_step`'s protocol for an inference forward (the model in
+    the caller's mode): returns ``(logits, captured)``."""
+    key = (x.shape, x.dtype.str)
+    if plans is not None:
+        plan = plans.lookup(key)
+        if plan is not None:
+            return plan.run_forward(x), None
+        if not plans.sealed(key):
+            plan, logits_t, reason = capture(model, x)
+            return logits_t.data, (plan, plans.store(key, plan, reason))
+    with no_grad():
+        return model(Tensor(x)).data, None
 
 
 class BatchPadder:

@@ -67,6 +67,15 @@ def _batch_stats(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return mu, var
 
 
+def update_running_stats(running_mean, running_var, mu, var,
+                         momentum: float) -> None:
+    """The running-statistic EMA, in place: ``r = (1 - m) r + m stat``."""
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
+
+
 def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                       running_mean: np.ndarray, running_var: np.ndarray,
                       momentum: float, eps: float, training: bool,
@@ -87,10 +96,7 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         mu, var = _batch_stats(x)
         if _BN_STATS_SINK is not None:
             _BN_STATS_SINK(running_mean, mu, var)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        update_running_stats(running_mean, running_var, mu, var, momentum)
     else:
         mu, var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + eps)

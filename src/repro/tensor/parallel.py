@@ -46,15 +46,13 @@ worker that happens to run a thunk is irrelevant to its result.
 
 Interaction with ``ElasticEngine``
 ----------------------------------
-Elastic data-parallel training forks worker *processes*; compiled replay
-(and therefore this pool) is bypassed on that path
-(``Trainer._compile_active`` requires ``workers == 1``).  The pool's
-daemon threads are safe to leave running across a fork — no pool lock is
-held between steps — but the forked child never inherits running threads,
-so an elastic worker that were to enable parallel replay would lazily
-build its own pool.  When combining elastic workers with multi-threaded
-BLAS, cap BLAS via ``OPENBLAS_NUM_THREADS`` in the environment instead:
-the per-replay limiter below only guards the replay window.
+Elastic data-parallel workers are forked *processes* that replay compiled
+plans with this pool off (the host's cores are already shared K ways).  The
+pool's daemon threads are safe to leave running across a fork — no pool
+lock is held between steps — and the child never inherits them.  When
+combining elastic workers with multi-threaded BLAS, cap BLAS via
+``OPENBLAS_NUM_THREADS`` in the environment instead: the per-replay limiter
+below only guards the replay window.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -26,11 +26,10 @@ from ..nn.module import Module
 from ..optim import SGD, LRSchedule, StepLR, milestones_for
 from ..profiler import PROFILER
 from ..prune.sparsity import model_channel_sparsity
-from ..tensor import Tensor, no_grad
-from ..tensor import functional as F
 from ..tensor import workspace as _ws
 from ..tensor.compile import (PlanCache, capture_forward,
-                              capture_training_step)
+                              capture_training_step, forward_step,
+                              train_step)
 from .metrics import EpochRecord, RunLog
 
 #: devices whose modeled epoch time every :class:`EpochRecord` carries
@@ -77,16 +76,16 @@ class TrainerConfig:
     #: capture-and-replay compiled steps (:mod:`repro.tensor.compile`):
     #: record the autograd tape on the first batch after each invalidation
     #: (pruning reconfiguration, batch growth, checkpoint restore) and
-    #: replay it as a flat kernel plan until the next one.  Replay is
-    #: bit-exact against eager.  ``None`` defers to the
-    #: ``REPRO_COMPILE_STEP`` env flag (default on).  Compilation is
-    #: bypassed automatically when ``profile=True`` (per-op counters need
-    #: the instrumented eager path) or ``workers > 1`` (the simulated
-    #: data-parallel step has its own execution path); any capture failure
-    #: falls back to eager with a logged reason.  Every other engine
-    #: switch (``mem_plan``, ``parallel_replay``, ``sparse_compute``, ...)
-    #: lives on the process-wide ``workspace.config`` only — pin it around
-    #: a run with ``workspace.engine(...)``; the trainer never writes it.
+    #: replay it, bit-exact against eager, as a flat kernel plan until the
+    #: next one.  ``None`` defers to the ``REPRO_COMPILE_STEP`` env flag
+    #: (default on).  A step, or each ``"sim"`` shard of one, runs
+    #: :func:`~repro.tensor.compile.train_step` as elastic workers do;
+    #: ``profile=True`` runs it eager (per-op counters need the
+    #: instrumented path), and a capture failure falls back to eager with
+    #: a logged reason.  Every other engine switch (``mem_plan``,
+    #: ``parallel_replay``, ``sparse_compute``, ...) lives on the
+    #: process-wide ``workspace.config`` only — pin it around a run with
+    #: ``workspace.engine(...)``; the trainer never writes it.
     compile_step: Optional[bool] = None
     #: multi-worker execution backend for ``workers > 1``: ``"elastic"``
     #: spawns true worker *processes* exchanging gradients through shared
@@ -145,9 +144,8 @@ class Trainer:
         if cs is None:
             cs = _ws._env_flag("REPRO_COMPILE_STEP", True)
         self._compile_enabled = bool(cs)
-        #: arena metrics of the most recently captured full-batch training
-        #: plan (``StepPlan.mem_metrics``, frozen at capture, so read once
-        #: when the plan is stored); feeds the epoch record
+        #: arena metrics of the newest captured full-batch training plan
+        #: (``StepPlan.mem_metrics``, read once at capture); feeds the record
         self._last_mem_metrics: Optional[Dict] = None
         #: shape-keyed plan caches (one per batch shape, so dynamic batch
         #: growth and the short tail batch each get their own plan); entries
@@ -179,52 +177,28 @@ class Trainer:
 
     # -- core loop ---------------------------------------------------------
     def _compile_active(self) -> bool:
-        """Compiled stepping applies only to the plain single-worker path."""
-        return (self._compile_enabled and self.cfg.workers == 1
-                and not self.cfg.profile)
+        """Compiled stepping is bypassed under profiling (per-op counters
+        need the instrumented eager path)."""
+        return self._compile_enabled and not self.cfg.profile
 
-    def _store(self, plans: PlanCache, key: tuple, plan, reason) -> None:
-        """Cache a capture's outcome; print each new fallback reason once."""
-        reason = plans.store(key, plan, reason)
-        if reason is not None and reason not in self._fallback_reasons:
+    def _note_capture(self, captured) -> None:
+        """Print each new capture-fallback reason once."""
+        reason = captured and captured[1]
+        if reason and reason not in self._fallback_reasons:
             self._fallback_reasons.add(reason)
             print(f"[{self.method_name}] compile_step fallback: {reason}")
 
-    def _step_eager(self, xb: np.ndarray, yb: np.ndarray
-                    ) -> tuple[float, float, float]:
-        logits = self.model(Tensor(xb))
-        loss = F.cross_entropy(logits, yb)
-        self.optimizer.zero_grad()
-        loss.backward()
-        acc = float((logits.data.argmax(1) == yb).mean())
-        return loss.item(), acc, 0.0
-
     def _step_single(self, xb: np.ndarray, yb: np.ndarray
                      ) -> tuple[float, float, float]:
-        if not self._compile_active():
-            return self._step_eager(xb, yb)
-        key = ("train", xb.shape, xb.dtype.str, yb.shape, yb.dtype.str)
-        plan = self._train_plans.lookup(key)
-        if plan is not None:
-            self.optimizer.zero_grad()
-            loss_arr, logits_arr = plan.run(xb, yb)
-            acc = float((logits_arr.argmax(1) == yb).mean())
-            return float(loss_arr), acc, 0.0
-        if self._train_plans.sealed(key):
-            return self._step_eager(xb, yb)
-        # Miss: capture this batch.  The capture *is* an eager step (same
-        # kernels, same results), so we finish it as one — backprop through
-        # the recorded tensors — and replay starts next batch.  Never re-run
-        # the forward: BN running stats were already updated in place.
         self.optimizer.zero_grad()
-        plan, loss_t, logits_t, reason = capture_training_step(
-            self.model, xb, yb)
-        self._store(self._train_plans, key, plan, reason)
-        if plan is not None and xb.shape[0] == self.loader.batch_size:
-            self._last_mem_metrics = plan.mem_metrics()
-        loss_t.backward()
-        acc = float((logits_t.data.argmax(1) == yb).mean())
-        return loss_t.item(), acc, 0.0
+        loss, logits, captured = train_step(
+            self.model, xb, yb,
+            self._train_plans if self._compile_active() else None,
+            capture_training_step)
+        self._note_capture(captured)
+        if captured and captured[0] and len(yb) == self.loader.batch_size:
+            self._last_mem_metrics = captured[0].mem_metrics()
+        return loss, float((logits.argmax(1) == yb).mean()), 0.0
 
     def _elastic_engine(self):
         if self._elastic is None:
@@ -241,7 +215,9 @@ class Trainer:
             r = self._elastic_engine().step(xb, yb)
             self._epoch_stall += r.stall_seconds
             return r.loss, r.accuracy, r.comm_bytes_per_worker
-        res, _ = data_parallel_step(self.model, xb, yb, self.cfg.workers)
+        res, _ = data_parallel_step(
+            self.model, xb, yb, self.cfg.workers,
+            self._train_plans if self._compile_active() else None)
         return res.loss, res.accuracy, res.comm_bytes_per_worker
 
     def shutdown(self) -> None:
@@ -405,36 +381,18 @@ class Trainer:
                        for i in range(self.cfg.bn_recal_batches)]
             recalibrate_bn(self.model, [b for b in batches if len(b)])
         self.model.eval()
+        plans = self._eval_plans if self._compile_active() else None
         correct = 0
         n = len(self.val_set)
-        with no_grad():
-            for lo in range(0, n, self.cfg.eval_batch):
-                xb = self.val_set.x[lo:lo + self.cfg.eval_batch]
-                yb = self.val_set.y[lo:lo + self.cfg.eval_batch]
-                if self._compile_active():
-                    logits_arr = self._forward_compiled(xb)
-                else:
-                    logits_arr = self.model(Tensor(xb)).data
-                correct += int((logits_arr.argmax(1) == yb).sum())
+        for lo in range(0, n, self.cfg.eval_batch):
+            xb = self.val_set.x[lo:lo + self.cfg.eval_batch]
+            yb = self.val_set.y[lo:lo + self.cfg.eval_batch]
+            logits, captured = forward_step(self.model, xb, plans,
+                                            capture_forward)
+            self._note_capture(captured)
+            correct += int((logits.argmax(1) == yb).sum())
         self.model.train(was_training)
         return correct / n
-
-    def _forward_compiled(self, xb: np.ndarray) -> np.ndarray:
-        """Inference logits via a cached forward-only plan (eval mode).
-
-        Captured with the model in eval mode, so BN uses running stats; the
-        plan reads them through in-place views, and any surgery or restore
-        that reassigns them bumps the plan generation.
-        """
-        key = ("eval", xb.shape, xb.dtype.str)
-        plan = self._eval_plans.lookup(key)
-        if plan is not None:
-            return plan.run_forward(xb)
-        if self._eval_plans.sealed(key):
-            return self.model(Tensor(xb)).data
-        plan, logits_t, reason = capture_forward(self.model, xb)
-        self._store(self._eval_plans, key, plan, reason)
-        return logits_t.data
 
     # -- instrumentation ------------------------------------------------------
     def _make_record(self, epoch: int, train_loss: float, train_acc: float,

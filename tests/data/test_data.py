@@ -86,16 +86,9 @@ class TestDataLoader:
         seen = sum(len(y) for _, y in loader)
         assert seen == 100
 
-    def test_drop_last(self):
-        ds = make_synthetic(5, 100, hw=8)
-        loader = DataLoader(ds, 32, drop_last=True)
-        sizes = [len(y) for _, y in loader]
-        assert sizes == [32, 32, 32]
-
     def test_batches_per_epoch(self):
         ds = make_synthetic(5, 100, hw=8)
         assert DataLoader(ds, 32).batches_per_epoch() == 4
-        assert DataLoader(ds, 32, drop_last=True).batches_per_epoch() == 3
         assert len(DataLoader(ds, 50)) == 2
 
     def test_shuffle_changes_order_per_epoch(self):

@@ -143,10 +143,3 @@ class TestSubgradient:
         node.conv.weight.grad = np.ones_like(node.conv.weight.data)
         gl.add_gradients()
         assert (node.conv.weight.grad != 1.0).any()
-
-    def test_per_layer_norm_summary(self):
-        m = resnet20(10, **SMALL)
-        gl = GroupLasso(m.graph)
-        summary = gl.per_layer_norm_summary()
-        assert "stem" in summary
-        assert all(v[0] >= 0 and v[1] > 0 for v in summary.values())

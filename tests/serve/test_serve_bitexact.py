@@ -6,8 +6,8 @@ The serving contract (row-stable forward plans, see
 single request, padded batch, and on-demand tail-shape batch alike, for
 dense and pruned checkpoints, at every CPU-tractable Scale.
 
-Against ``evaluate()``'s compiled forward plan (the trainer's
-``_forward_compiled``, standard batched GEMM lowering) the comparison is
+Against ``evaluate()``'s compiled forward plan (``forward_step`` over the
+trainer's eval plans, standard batched GEMM lowering) the comparison is
 bitwise at batch 1 and allclose + identical argmax at larger batches:
 2-D GEMM *rows* are not bit-stable across the batch dimension (BLAS
 blocks/kernels change with M), which is exactly why serve plans lower the
@@ -25,7 +25,7 @@ from repro.nn.resnet import ResNet
 from repro.prune import prune_and_reconfigure
 from repro.serve import InferenceServer, ModelRegistry
 from repro.tensor import Tensor, no_grad, workspace
-from repro.tensor.compile import StepPlan, capture_forward
+from repro.tensor.compile import StepPlan, capture_forward, forward_step
 from repro.train import Trainer, TrainerConfig
 
 from ..conftest import sparsify_space
@@ -121,14 +121,14 @@ class TestServedBitExact:
         model.eval()
         # batch 1: the standard and row-stable lowerings coincide bitwise
         served_1 = registry.run(variant, x[:1])
-        eval_1 = trainer._forward_compiled(x[:1])
+        eval_1, _ = forward_step(model, x[:1], trainer._eval_plans)
         assert np.array_equal(served_1, eval_1)
         # the eval path must have gone through a compiled plan, not eager
-        key = ("eval", x[:1].shape, x.dtype.str)
+        key = (x[:1].shape, x.dtype.str)
         assert isinstance(trainer._eval_plans.lookup(key), StepPlan)
         # batch > 1: allclose + identical argmax across lowerings
         served_n = registry.run(variant, x)
-        eval_n = trainer._forward_compiled(x)
+        eval_n, _ = forward_step(model, x, trainer._eval_plans)
         # (they sum in different orders, so they agree to a few ulps of the
         # largest logit -- ~100 on these untrained models -- not of each one)
         tol = dict(rtol=0, atol=8 * np.finfo(np.float32).eps

@@ -15,7 +15,8 @@ from repro.nn.module import Module
 from repro.optim import SGD
 from repro.tensor import Tensor, functional as F, no_grad, workspace
 from repro.tensor.compile import (STATS, PlanCache, StepPlan, Tape,
-                                  capture_forward, capture_training_step)
+                                  capture_forward, capture_training_step,
+                                  train_step)
 
 # Compiled plans exist only on the optimized engine; pin it so these tests
 # check the plans they are about, whatever engine the CI leg selected.
@@ -554,6 +555,79 @@ class TestPlanCache:
         assert cache.sealed(("old",)) is None
         assert cache.sealed(("new",)) == "fresh"
         assert len(cache) == 1
+
+
+class TestTrainStep:
+    """``train_step``'s four paths — capture-and-finish, replay, sealed key
+    and no cache — each leave loss, logits, ``.grad`` and BN running stats
+    bit-equal to an eager step on a twin model."""
+
+    @staticmethod
+    def _eager(model, x, y):
+        model.zero_grad()
+        logits = model(Tensor(x))
+        loss = F.cross_entropy(logits, y)
+        loss.backward()
+        return loss.item(), logits.data
+
+    @staticmethod
+    def _assert_equal(got, ref, model, twin):
+        assert got[0] == ref[0] and got[1].tobytes() == ref[1].tobytes()
+        for (name, p), (_, q) in zip(model.named_parameters(),
+                                     twin.named_parameters()):
+            assert p.grad.tobytes() == q.grad.tobytes(), name
+        state, twin_state = model.state_dict(), twin.state_dict()
+        for name in state:
+            assert state[name].tobytes() == twin_state[name].tobytes(), name
+
+    def test_four_paths_equal_eager(self):
+        x, y = _batch(np.random.default_rng(0))
+        model, twin = _model(), _model()
+        plans = PlanCache()
+        sealed = PlanCache()
+        sealed.store((x.shape, x.dtype.str, y.shape, y.dtype.str), None,
+                     "unsupported op")
+        paths = [("capture", plans), ("replay", plans),
+                 ("sealed", sealed), ("eager", None)]
+        for path, cache in paths:
+            captures, replays = STATS.captures, STATS.replays
+            model.zero_grad()
+            got = train_step(model, x, y, cache)
+            self._assert_equal(got, self._eager(twin, x, y), model, twin)
+            captured = got[2]
+            if path == "capture":
+                assert isinstance(captured[0], StepPlan)
+                assert captured[1] is None
+            else:
+                assert captured is None
+            assert STATS.captures == captures + (path == "capture"), path
+            assert STATS.replays == replays + (path == "replay"), path
+
+
+def test_one_step_protocol():
+    """The compiled-step protocol is written once: outside ``compile.py``
+    nothing in ``src/`` calls ``capture_training_step``, and only the
+    serving registry (which pads between the sealed check and the capture)
+    calls ``PlanCache.lookup/sealed/store``."""
+    import ast
+    import pathlib
+    from repro.tensor import compile as C
+    compile_py = pathlib.Path(C.__file__)
+    offenders = []
+    for path in sorted(compile_py.parents[1].rglob("*.py")):
+        if path == compile_py:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            cache_call = (isinstance(node.func, ast.Attribute)
+                          and node.func.attr in ("lookup", "sealed", "store")
+                          and path.parent.name + "/" + path.name
+                          != "serve/registry.py")
+            if func.endswith("capture_training_step") or cache_call:
+                offenders.append(f"{path.name}:{node.lineno} {func}")
+    assert not offenders, offenders
 
 
 def test_plan_cache_protocol_is_stated_only_in_compile():

@@ -38,7 +38,7 @@ def data():
     return train, val
 
 
-def _trainer(data, ckpt_dir, compile_step):
+def _trainer(data, ckpt_dir, compile_step, **dist):
     train, val = data
     model = resnet20(10, width_mult=0.375, input_hw=8, seed=0)
     # nudge one residual-path conv toward death so the first
@@ -49,7 +49,7 @@ def _trainer(data, ckpt_dir, compile_step):
         penalty_ratio=0.3, reconfig_interval=2, lambda_scale=400.0,
         threshold=None, zero_sparse=True,
         checkpoint_every=1, checkpoint_dir=ckpt_dir, checkpoint_keep=0,
-        compile_step=compile_step)
+        compile_step=compile_step, **dist)
     cap = iteration_memory_bytes(model.graph, 32) * 4
     adjuster = DynamicBatchAdjuster(MemoryModel(cap), granularity=8,
                                     max_batch=128)
@@ -232,3 +232,26 @@ class TestParallelReplayBitExact:
         assert_logs_identical(log_eager, log_p)
         assert_models_identical(eager.model, res_p.model)
         _assert_velocities_identical(eager, res_p)
+
+
+def test_sim_data_parallel_replays_and_equals_eager(data, tmp_path):
+    """``workers=2`` on the ``"sim"`` engine: every shard runs
+    ``train_step`` through the trainer's plan cache — the step an elastic
+    worker runs — so the run replays plans, and across pruning, layer
+    removal and batch growth it equals the eagerly stepped run bit for
+    bit."""
+    def run(compile_step):
+        t = _trainer(data, str(tmp_path / f"c{compile_step}"), compile_step,
+                     workers=2, dist_engine="sim")
+        return t, t.train()
+
+    eager, log_eager = run(False)
+    replays, fallbacks = STATS.replays, STATS.fallbacks
+    compiled, log_compiled = run(True)
+    assert eager.reports[0].removed_layers > 0
+    assert log_eager.records[-1].batch_size > 32
+    assert STATS.replays > replays
+    assert STATS.fallbacks == fallbacks, STATS.last_fallback_reason
+    assert_logs_identical(log_eager, log_compiled)
+    assert_models_identical(eager.model, compiled.model)
+    _assert_velocities_identical(eager, compiled)

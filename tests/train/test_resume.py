@@ -224,3 +224,61 @@ class TestRunnerAutoResume:
         assert calls["resume_from"].endswith(kept[-1])
         # the resumed sweep reproduces the reference trajectory exactly
         assert_logs_identical(log_ref, log2)
+
+    def test_corrupt_newest_checkpoint_resumes_from_previous(self, tmp_path):
+        """A newest checkpoint whose meta parses but whose arrays do not is
+        skipped: the run resumes from the previous checkpoint and equals
+        the uninterrupted run bit for bit."""
+        import zipfile
+
+        from repro.experiments import Runs
+        from repro.experiments.configs import SMOKE
+
+        kw = dict(cache_dir=str(tmp_path / "cache"), use_disk_cache=False,
+                  checkpoint_dir=str(tmp_path / "ckpts"),
+                  checkpoint_every=1, checkpoint_keep=2)
+        runs_ref = Runs(SMOKE, **kw)
+        key, log_ref = runs_ref.dense("resnet32", "cifar10s")
+        ckpt_dir = os.path.join(str(tmp_path / "ckpts"), key)
+        kept = sorted(os.listdir(ckpt_dir))
+        assert len(kept) == 2
+
+        # truncate one conv weight member of the newest; meta.json intact
+        newest = os.path.join(ckpt_dir, kept[-1])
+        with zipfile.ZipFile(newest) as zf:
+            members = {n: zf.read(n) for n in zf.namelist()}
+        victim = next(n for n in members
+                      if n.startswith("state/") and "conv" in n)
+        members[victim] = members[victim][:len(members[victim]) // 2]
+        with zipfile.ZipFile(newest, "w") as zf:
+            for name, blob in members.items():
+                zf.writestr(name, blob)
+
+        calls = []
+        orig = Trainer.train
+
+        def spying_train(self, resume_from=None):
+            calls.append(resume_from)
+            return orig(self, resume_from=resume_from)
+
+        Trainer.train = spying_train
+        try:
+            runs2 = Runs(SMOKE, **kw)
+            _, log2 = runs2.dense("resnet32", "cifar10s")
+        finally:
+            Trainer.train = orig
+        assert len(calls) == 1 and calls[0].endswith(kept[-2])
+
+        def records(log):
+            return [{k: v for k, v in r.items() if k != "wall_time"}
+                    for r in log.to_dict()["records"]]
+        assert records(log2) == records(log_ref)
+        ref, res = runs_ref.trainer_for(key), runs2.trainer_for(key)
+        ref_state, res_state = ref.model.state_dict(), res.model.state_dict()
+        assert ref_state.keys() == res_state.keys()
+        for name in ref_state:
+            assert ref_state[name].tobytes() == res_state[name].tobytes()
+        for (name, p1), (_, p2) in zip(ref.model.named_parameters(),
+                                       res.model.named_parameters()):
+            m1, m2 = ref.optimizer.state_for(p1), res.optimizer.state_for(p2)
+            assert m1.tobytes() == m2.tobytes(), name
