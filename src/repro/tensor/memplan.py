@@ -21,11 +21,10 @@ thunks use them exactly like the private buffers they replace, so results
 stay bit-identical while the plan's resident footprint drops from
 *sum-of-all-buffers* to the liveness peak (plus fragmentation).
 
-The planner's ``arena_bytes`` is also a *measured* capacity signal: divided
-by the capture batch size it yields exact peak transient bytes per sample,
-which :class:`repro.costmodel.memory.MemoryModel` can consume (via
-``observe``) so dynamic mini-batch growth is driven by planned footprint
-rather than the analytical estimate.
+The planner's report (``arena_bytes``, ``peak_bytes``, ``savings``) fills
+the memory fields of the trainer's ``EpochRecord`` and ``PROFILER.summary()
+["_memplan"]``; it is a report only: dynamic mini-batch growth is sized by
+the analytical Sec. 4.3 model.
 
 Lifecycle: arenas are owned by their plan.  Plans retire on
 ``workspace.PLAN_GENERATION`` bumps (pruning reconfiguration, checkpoint
@@ -36,6 +35,7 @@ currently resident without keeping any arena alive.
 
 from __future__ import annotations
 
+import math
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -59,6 +59,10 @@ class PlanError(Exception):
 
 def _align(n: int) -> int:
     return (n + ALIGN - 1) // ALIGN * ALIGN
+
+
+def _savings(arena: int, naive: int) -> float:
+    return 1.0 - arena / naive if naive else 0.0
 
 
 @dataclass
@@ -89,10 +93,11 @@ class Slab:
     #: serially-last toucher is not necessarily the one scheduled deepest,
     #: so a sound remap must span *all* touching thunks' levels.
     s_ticks: tuple = ()
+    #: byte size, computed once (the shape never changes)
+    nbytes: int = field(init=False)
 
-    @property
-    def nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
+    def __post_init__(self):
+        self.nbytes = int(math.prod(self.shape)) * self.dtype.itemsize
 
     def root(self) -> "Slab":
         s = self
@@ -272,7 +277,12 @@ class MemPlanner:
 
         Re-runnable: the arena growth guard for parallel schedules calls
         :meth:`remap` + ``solve`` repeatedly until the level-timed packing
-        fits; all per-solve state is reset here.
+        fits; all per-solve state is reset here, and ``solve_seconds``
+        accumulates over every call.
+
+        Sizes are read from ``Slab.nbytes``, computed once per request, and
+        placed slabs are kept as plain ``(offset, aligned end, start, end)``
+        tuples: the best-fit walk is quadratic in the slab count.
         """
         t0 = time.perf_counter()
         self.alias_buffers = 0
@@ -286,30 +296,29 @@ class MemPlanner:
             else:
                 roots.append(s)
         order = sorted(roots, key=lambda s: (-s.nbytes, s.start))
-        placed: List[Slab] = []
+        placed: List[Tuple[int, int, int, int]] = []
         arena_end = 0
         for s in order:
             if s.nbytes == 0:
                 s.offset = 0
                 continue
             need = _align(s.nbytes)
-            live = sorted((p for p in placed
-                           if p.start <= s.end and s.start <= p.end),
-                          key=lambda p: p.offset)
+            start, end = s.start, s.end
             best = None      # (gap_slack, offset)
             cursor = 0
-            for p in live:
-                if p.offset > cursor:
-                    gap = p.offset - cursor
+            for off, top, _, _ in sorted(p for p in placed
+                                         if p[2] <= end and start <= p[3]):
+                if off > cursor:
+                    gap = off - cursor
                     if gap >= need and (best is None or gap - need < best[0]):
                         best = (gap - need, cursor)
-                cursor = max(cursor, p.offset + _align(p.nbytes))
+                cursor = max(cursor, top)
             s.offset = best[1] if best is not None else cursor
-            placed.append(s)
-            arena_end = max(arena_end, s.offset + _align(s.nbytes))
+            placed.append((s.offset, s.offset + need, start, end))
+            arena_end = max(arena_end, s.offset + need)
         self.arena_bytes = arena_end
         self.peak_bytes = self._liveness_peak(roots)
-        self.solve_seconds = time.perf_counter() - t0
+        self.solve_seconds += time.perf_counter() - t0
         return arena_end
 
     def _liveness_peak(self, roots: List[Slab]) -> int:
@@ -350,16 +359,17 @@ class MemPlanner:
         self._cursor = 0
         # The layout is final, so the report is computed once here:
         # naive_bytes walks every slab, too much for a per-step query.
+        naive = self.naive_bytes
         self._metrics = {
             "arena_bytes": float(self.arena_bytes),
-            "naive_bytes": float(self.naive_bytes),
+            "naive_bytes": float(naive),
             "peak_bytes": float(self.peak_bytes),
             "alias_buffers": float(self.alias_buffers),
-            "savings": self.savings}
+            "savings": _savings(self.arena_bytes, naive)}
         STATS.plans += 1
         STATS.solve_seconds += self.solve_seconds
         STATS.arena_bytes = self.arena_bytes
-        STATS.naive_bytes = self.naive_bytes
+        STATS.naive_bytes = naive
         STATS.peak_bytes = self.peak_bytes
         STATS.alias_buffers = self.alias_buffers
 
@@ -391,8 +401,7 @@ class MemPlanner:
     @property
     def savings(self) -> float:
         """Fraction of the naive resident footprint the arena eliminates."""
-        naive = self.naive_bytes
-        return 1.0 - self.arena_bytes / naive if naive else 0.0
+        return _savings(self.arena_bytes, self.naive_bytes)
 
     def metrics(self) -> Dict[str, float]:
         """The materialized plan's footprint report (a fresh dict)."""

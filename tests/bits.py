@@ -29,6 +29,11 @@ when none is named):
     ``fused_bnrelu`` off, whose residual joins are ``relu(add(out, shortcut))``.
 ``layout/<model>-<schedule>/{train,serve}``
     the five arena layouts ``test_plan_builder.py`` pins.
+``layout/_r32-n<N>/train``, ``layout/vgg11-pruned/{train,forward}``
+    more serial layouts at shapes the benchmark captures: QUICK ResNet-32
+    at the grown batch N = 160 and at an odd N = 37, and a QUICK VGG-11 at
+    width 0.25 after one reconfiguration, its train plan and the
+    evaluation forward at N = 256.
 ``dp/k<K>/step<i>-n<N>[-pruned]``
     the in-process data-parallel step at K = 2 and K = 3 over a miniature
     PruneTrain schedule on a small ResNet-20 — a shrinking, odd batch, a
@@ -46,6 +51,7 @@ of a case must agree, which ``tests/tensor/test_bits.py`` asserts.
 
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -284,34 +290,89 @@ def join_lines():
     workspace.invalidate()
 
 
+def _kill(graph, sid, channels) -> None:
+    """Scale ``channels`` of space ``sid`` to below the pruning threshold."""
+    for node in graph.writers(sid):
+        node.conv.weight.data[channels] *= 1e-9
+    for node in graph.readers(sid):
+        node.conv.weight.data[:, channels] *= 1e-9
+
+
+def _r32_at(n):
+    def build():
+        return make_model("resnet32", "cifar10s", QUICK, seed=0), QUICK.hw, n
+    build.__name__ = f"_r32-n{n}"
+    return build
+
+
+def _pruned_vgg11():
+    """QUICK VGG-11 at width 0.25 after one reconfiguration that keeps a
+    different share of every prunable space, as the churn benchmark's
+    epochs leave it."""
+    model = make_model("vgg11", "cifar10s", replace(QUICK, width_mult=0.25),
+                       seed=0)
+    graph = model.graph
+    for i, (sid, space) in enumerate(list(graph.spaces.items())):
+        if not space.frozen:
+            _kill(graph, sid, list(range(0, space.size, 3 + i % 4)))
+    rep = prune_and_reconfigure(model, threshold=1e-3)
+    if rep.channels_pruned == 0:
+        raise RuntimeError("the vgg11 reconfiguration pruned nothing")
+    return model, QUICK.hw, 32
+
+
+_pruned_vgg11.__name__ = "vgg11-pruned"
+
+#: layouts beyond the pinned ones, at shapes the benchmark captures: the
+#: grown and an odd batch of ResNet-32 (train), and the pruned VGG-11 of the
+#: churn run (train, and its evaluation forward at the evaluation batch)
+EXTRA_LAYOUTS = ((_r32_at(160), None), (_r32_at(37), None),
+                 (_pruned_vgg11, (256, False)))
+
+
+def _capture_layouts(name, build, forward=None):
+    """The train plan's layout line and, for ``forward=(N, row_stable)``,
+    a forward plan's after it (on the training batch when N is None)."""
+    from tests.tensor.test_plan_builder import _layout
+    workspace.invalidate()
+    model, hw, n = build()
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, 3, hw, hw)).astype(np.float32)
+    y = rng.integers(0, 10, size=n)
+    plan, loss, _, reason = C.capture_training_step(model, x, y)
+    if plan is None:
+        raise RuntimeError(f"capture failed: {reason}")
+    loss.backward()
+    yield f"{name}/train", _layout(plan)[0]
+    if forward is not None:
+        fn, row_stable = forward
+        if fn is not None:
+            x = rng.standard_normal((fn, 3, hw, hw)).astype(np.float32)
+        model.eval()
+        fplan, _, reason = C.capture_forward(model, x, row_stable=row_stable)
+        if fplan is None:
+            raise RuntimeError(f"capture failed: {reason}")
+        yield f"{name}/{'serve' if row_stable else 'forward'}", \
+            _layout(fplan)[0]
+
+
 def layout_lines():
-    from tests.tensor.test_plan_builder import LAYOUTS, _layout
+    from tests.tensor.test_plan_builder import LAYOUTS
     cfg = workspace.config
     saved = (cfg.mem_plan, cfg.parallel_replay, cfg.replay_workers,
              cfg.sparse_compute)
     try:
-        for build, parallel in LAYOUTS:
-            cfg.mem_plan, cfg.parallel_replay = True, parallel
-            cfg.replay_workers, cfg.sparse_compute = 4, False
-            workspace.invalidate()
-            model, hw, n = build()
-            rng = np.random.default_rng(0)
-            x = rng.standard_normal((n, 3, hw, hw)).astype(np.float32)
-            y = rng.integers(0, 10, size=n)
+        cfg.mem_plan, cfg.replay_workers, cfg.sparse_compute = True, 4, False
+        for (build, parallel), (_, serve) in LAYOUTS.items():
+            cfg.parallel_replay = parallel
             name = f"layout/{build.__name__}-" \
                 f"{'parallel' if parallel else 'serial'}"
-            plan, loss, _, reason = C.capture_training_step(model, x, y)
-            if plan is None:
-                raise RuntimeError(f"capture failed: {reason}")
-            loss.backward()
-            yield f"{name}/train", _layout(plan)[0]
-            if LAYOUTS[build, parallel][1] is not None:
-                model.eval()
-                fplan, _, reason = C.capture_forward(model, x,
-                                                     row_stable=True)
-                if fplan is None:
-                    raise RuntimeError(f"capture failed: {reason}")
-                yield f"{name}/serve", _layout(fplan)[0]
+            yield from _capture_layouts(
+                name, build, None if serve is None else (None, True))
+        cfg.parallel_replay = False
+        for build, forward in EXTRA_LAYOUTS:
+            yield from _capture_layouts(f"layout/{build.__name__}", build,
+                                        forward)
     finally:
         (cfg.mem_plan, cfg.parallel_replay, cfg.replay_workers,
          cfg.sparse_compute) = saved
@@ -328,17 +389,11 @@ def _dp_prune(model, opt) -> None:
     block's inner channels, then reconfigure: channels and a layer go."""
     graph = model.graph
 
-    def kill(sid, channels):
-        for node in graph.writers(sid):
-            node.conv.weight.data[channels] *= 1e-9
-        for node in graph.readers(sid):
-            node.conv.weight.data[:, channels] *= 1e-9
-
     for sid, space in list(graph.spaces.items()):
         if not space.frozen:
-            kill(sid, [0])
+            _kill(graph, sid, [0])
     sid = graph.conv_by_name("s2b1.conv1").out_space
-    kill(sid, list(range(graph.spaces[sid].size)))
+    _kill(graph, sid, list(range(graph.spaces[sid].size)))
     rep = prune_and_reconfigure(model, opt, threshold=1e-3,
                                 remove_layers=True, zero_sparse=True)
     if not (rep.channels_pruned > 0 and rep.removed_layers > 0):

@@ -6,6 +6,9 @@ that planning engages, aliases fire, replay is bit-identical to the
 unplanned build, and every failure path falls back cleanly.
 """
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -253,3 +256,29 @@ class TestCompileIntegration:
         assert plan.mem_metrics() is None
         assert STATS.fallbacks == 1
         assert STATS.last_fallback_reason == "forced"
+
+    @pytest.mark.parametrize("parallel", [False, True],
+                             ids=["serial", "parallel"])
+    def test_capture_books_every_solve(self, monkeypatch, parallel):
+        """A parallel capture solves the serial layout, then each
+        level-timed one: ``STATS.solve_seconds`` books all of them.  Every
+        solve reads the fake clock twice, so it books exactly 1 s."""
+        from repro.tensor import memplan
+        ticks = itertools.count()
+        monkeypatch.setattr(memplan, "time", SimpleNamespace(
+            perf_counter=lambda: float(next(ticks))))
+        solves = []
+        real_solve = memplan.MemPlanner.solve
+
+        def counted(mem):
+            solves.append(mem)
+            return real_solve(mem)
+
+        monkeypatch.setattr(memplan.MemPlanner, "solve", counted)
+        STATS.reset()
+        with workspace.engine(parallel_replay=parallel, replay_workers=4):
+            self._capture()
+        assert len(solves) >= (2 if parallel else 1)
+        assert STATS.plans == 1
+        assert STATS.solve_seconds == float(len(solves))
+
