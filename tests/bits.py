@@ -1,9 +1,9 @@
 """Bit digests of the seeded numerics a refactor must not move.
 
-    PYTHONPATH=src python tests/bits.py [conv] [ops] [prunetrain] [join] \
-        [layouts] [dp]
+    PYTHONPATH=src python tests/bits.py [conv] [ops] [lasso] [prunetrain] \
+        [join] [layouts] [dp]
 
-prints one ``name sha256[:16]`` line per seeded case (all six sections
+prints one ``name sha256[:16]`` line per seeded case (all seven sections
 when none is named):
 
 ``conv/<case>/kernel``
@@ -21,9 +21,18 @@ when none is named):
     evaluation mode, with and without its fused ReLU, under either BN
     formulation (``fused_bnrelu``); ReLU; add-ReLU; and the linear head with
     and without a bias.
-``prunetrain/{eager,compiled}``
-    QUICK ResNet-32 PruneTrain, two epochs with a reconfiguration between
-    them: every epoch loss, parameter and momentum buffer.
+``ops/max_pool2d-k<k>[-ragged]/{eager,captured,planned,unplanned}``
+    the same four legs of a conv -> ReLU -> ``k x k`` max-pool -> pool ->
+    linear step, on a map ``k`` divides and on a ragged one.
+``lasso/{vgg11,r32}[-scaled]``
+    ``GroupLasso.add_gradients`` on QUICK VGG-11 and ResNet-32 with some
+    input and output groups zeroed (to ``+0.0`` and to ``-0.0``), into
+    absent and then into pre-filled gradients, without and with
+    ``per_group_size_scaling``.
+``prunetrain/{eager,compiled}``, ``prunetrain/vgg11/{eager,compiled}``
+    QUICK ResNet-32 and QUICK VGG-11 at width 0.25 PruneTrain, two epochs
+    with a reconfiguration between them: every epoch loss, parameter and
+    momentum buffer.
 ``join/resnet32-unfused-step``
     loss and every gradient of one eager QUICK ResNet-32 training step with
     ``fused_bnrelu`` off, whose residual joins are ``relu(add(out, shortcut))``.
@@ -61,7 +70,7 @@ from repro.distributed import data_parallel_step
 from repro.experiments.configs import QUICK, make_dataset, make_model
 from repro.nn import resnet20
 from repro.optim import SGD
-from repro.prune import prune_and_reconfigure
+from repro.prune import GroupLasso, prune_and_reconfigure
 from repro.tensor import Tensor, workspace
 from repro.tensor import compile as C
 from repro.tensor import functional as F
@@ -170,6 +179,8 @@ class _OpNet:
             h = F.relu(h)
         elif kind == "add_relu":
             h = F.add_relu(h, F.conv2d(x, w2, None, 1, 1, first_layer=True))
+        elif kind == "max_pool2d":
+            h = F.max_pool2d(F.relu(h), int(flags[0][1:]))
         return F.linear(F.global_avg_pool(h), fc,
                         fc_b if "bias" in flags else None)
 
@@ -180,12 +191,14 @@ class _OpNet:
         return out
 
 
-#: every variant of the ops with planned buffers; a batch-norm case ends in
+#: every variant of the ops with planned buffers, and the max-pool at both
+#: window sizes on a 6x6 map and a ragged 7x7 one; a batch-norm case ends in
 #: the BN formulation it runs under (``fused_bnrelu`` on / off)
 OP_CASES = [f"batch_norm-{mode}{relu}-{form}"
             for mode in ("train", "eval") for relu in ("", "-relu")
             for form in ("fused", "seed")] + [
-    "relu", "add_relu", "linear", "linear-bias"]
+    "relu", "add_relu", "linear", "linear-bias"] + [
+    f"max_pool2d-k{k}{edge}" for k in (2, 3) for edge in ("", "-ragged")]
 
 
 def _net_digests(fresh, batches) -> dict:
@@ -246,9 +259,10 @@ def ops_lines():
     try:
         for name in OP_CASES:
             cfg.fused_bnrelu = not name.endswith("-seed")
+            hw = 7 if name.endswith("-ragged") else 6
             for n in BATCHES:
                 rng = np.random.default_rng(n)
-                batches = [(rng.standard_normal((n, 3, 6, 6))
+                batches = [(rng.standard_normal((n, 3, hw, hw))
                             .astype(np.float32), rng.integers(0, 4, size=n))
                            for _ in range(3)]
                 for leg, d in _net_digests(lambda: _OpNet(name),
@@ -258,23 +272,62 @@ def ops_lines():
         cfg.fused_bnrelu = saved
 
 
-def prunetrain_lines():
-    train, val = make_dataset("cifar10s", QUICK, seed=0)
+def _zero_groups(graph) -> None:
+    """Zero every third output group of each conv to ``+0.0`` and every
+    fourth input group past the first conv's to ``-0.0``."""
+    for node in graph.active_convs():
+        w = node.conv.weight.data
+        w[::3] = 0.0
+        if not graph.spaces[node.in_space].frozen:
+            w[:, 1::4] *= -0.0
+
+
+def lasso_lines():
+    for name, model in (("vgg11", "vgg11"), ("r32", "resnet32")):
+        for scaled in (False, True):
+            net = make_model(model, "cifar10s", QUICK, seed=0)
+            graph = net.graph
+            _zero_groups(graph)
+            lasso = GroupLasso(graph, per_group_size_scaling=scaled)
+            lasso.set_coefficient(2.3, 0.25)
+            params = [n.conv.weight for n in graph.active_convs()]
+            for p in params:
+                p.grad = None
+            lasso.add_gradients()
+            arrays = [p.grad.copy() for p in params]
+            rng = np.random.default_rng(0)
+            for p in params:
+                p.grad = rng.standard_normal(p.data.shape).astype(
+                    p.data.dtype)
+            lasso.add_gradients()
+            arrays += [p.grad for p in params]
+            yield f"lasso/{name}{'-scaled' if scaled else ''}", \
+                digest(arrays)
+
+
+def _prunetrain(name, model, scale, train, val):
     for leg, compiled in (("eager", False), ("compiled", True)):
         workspace.invalidate()
-        model = make_model("resnet32", "cifar10s", QUICK, seed=0)
+        net = make_model(model, "cifar10s", scale, seed=0)
         cfg = PruneTrainConfig(
-            epochs=2, batch_size=QUICK.batch_size, augment=QUICK.augment,
+            epochs=2, batch_size=scale.batch_size, augment=scale.augment,
             seed=0, log_every=0, penalty_ratio=0.25, reconfig_interval=1,
             threshold=None, lambda_mode="rate", zero_sparse=True,
             compile_step=compiled)
-        trainer = PruneTrainTrainer(model, train, val, cfg)
+        trainer = PruneTrainTrainer(net, train, val, cfg)
         log = trainer.train()
         arrays = [np.float64([r.train_loss, r.val_acc]) for r in log.records]
-        for _, p in model.named_parameters():
+        for _, p in net.named_parameters():
             arrays += [p.data, trainer.optimizer.state_for(p)]
-        yield f"prunetrain/{leg}", digest(arrays)
+        yield f"{name}/{leg}", digest(arrays)
     workspace.invalidate()
+
+
+def prunetrain_lines():
+    train, val = make_dataset("cifar10s", QUICK, seed=0)
+    yield from _prunetrain("prunetrain", "resnet32", QUICK, train, val)
+    yield from _prunetrain("prunetrain/vgg11", "vgg11",
+                           replace(QUICK, width_mult=0.25), train, val)
 
 
 def join_lines():
@@ -421,7 +474,7 @@ def dp_lines():
     workspace.invalidate()
 
 
-SECTIONS = {"conv": conv_lines, "ops": ops_lines,
+SECTIONS = {"conv": conv_lines, "ops": ops_lines, "lasso": lasso_lines,
             "prunetrain": prunetrain_lines, "join": join_lines,
             "layouts": layout_lines, "dp": dp_lines}
 

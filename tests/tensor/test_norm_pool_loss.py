@@ -107,7 +107,8 @@ class TestMaxPool:
     @staticmethod
     def _reference_forward(x, k):
         """The formulation ``maxpool2d_forward`` replaced (reduce over the
-        window axes, argmax for the first max), kept as the oracle."""
+        window axes, argmax for the first max), kept as the oracle.  Its
+        mask is ``(N, C, Ho, k, Wo, k)``."""
         n, c, h, w = x.shape
         x = x[:, :, : (h // k) * k, : (w // k) * k]
         ho, wo = h // k, w // k
@@ -120,21 +121,65 @@ class TestMaxPool:
                           axis=-1)
         return y, mask.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5)
 
-    @pytest.mark.parametrize("k", [2, 3])
-    @pytest.mark.parametrize("shape", [(4, 3, 12, 12), (2, 5, 7, 11)])
-    def test_equals_reference_formulation(self, rng, k, shape):
+    @staticmethod
+    def _planes(mask, k):
+        """The oracle's mask in the kernel's window-major plane layout
+        ``(k*k, N, C, Ho, Wo)``: plane ``i*k + j`` is window cell
+        ``(i, j)``."""
+        n, c, ho, _, wo, _ = mask.shape
+        return mask.transpose(3, 5, 0, 1, 2, 4).reshape(k * k, n, c, ho, wo)
+
+    @staticmethod
+    def _reference_backward(dy, mask, k, x_shape):
+        """``dy`` routed through the oracle's mask; truncated rows and
+        columns of a ragged map stay zero."""
+        n, c, ho, _, wo, _ = mask.shape
+        dx = np.zeros(x_shape, dy.dtype)
+        dx[:, :, : ho * k, : wo * k] = (
+            mask * dy[:, :, :, None, :, None]).reshape(n, c, ho * k, wo * k)
+        return dx
+
+    @staticmethod
+    def _inputs(rng, shape):
         raw = rng.normal(size=shape).astype(np.float32)
         relu = np.maximum(raw, 0)       # post-ReLU: most windows hold ties
         relu[0, 0, 0, 0] = -0.0         # equal to +0.0, different bytes
+        relu[-1, 0, :2, :2] = -0.0      # a window of -0.0 and +0.0 ties
+        relu[-1, 0, 0, 1] = 0.0
         nan = relu.copy()
         nan[-1, -1, 1, 1] = np.nan
-        for x in (raw, relu, -relu, nan):
+        nan[0, -1, :3, :3] = np.nan     # a window holding only NaNs
+        return raw, relu, -relu, nan
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("shape", [(4, 3, 12, 12), (2, 5, 7, 11)])
+    def test_equals_reference_formulation(self, rng, k, shape):
+        """``y`` bytes and the mask, in plane layout, equal the oracle's on
+        ties, ``-0.0`` and NaN windows, with and without the mask."""
+        for x in self._inputs(rng, shape):
             y_ref, mask_ref = self._reference_forward(x, k)
             y, mask = maxpool2d_forward(x, k)
             assert y.tobytes() == y_ref.tobytes()
-            assert mask.dtype == np.bool_ and np.array_equal(mask, mask_ref)
+            assert mask.dtype == np.bool_
+            assert np.array_equal(mask, self._planes(mask_ref, k))
             y_only, no_mask = maxpool2d_forward(x, k, need_mask=False)
             assert no_mask is None and y_only.tobytes() == y_ref.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("shape", [(4, 3, 12, 12), (2, 5, 7, 11)])
+    def test_backward_equals_reference_routing(self, rng, k, shape):
+        """``dx`` bytes equal ``dy`` routed through the oracle's mask: the
+        sign of every zero, NaN gradients and the zero ragged edge."""
+        for x in self._inputs(rng, shape):
+            _, mask_ref = self._reference_forward(x, k)
+            _, mask = maxpool2d_forward(x, k)
+            dy = rng.normal(size=mask.shape[1:]).astype(np.float32)
+            dy[0, 0, 0, 0] = -0.0
+            dy[-1, -1, -1, -1] = np.nan
+            dx = maxpool2d_backward(dy, mask, k, x.shape)
+            want = self._reference_backward(dy, mask_ref, k, x.shape)
+            assert dx.shape == x.shape and dx.dtype == dy.dtype
+            assert dx.tobytes() == want.tobytes()
 
     def test_forward_only_builds_no_mask(self, rng, monkeypatch):
         """``F.max_pool2d`` under ``no_grad`` and forward-only plans ask for
