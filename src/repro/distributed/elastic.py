@@ -51,6 +51,8 @@ from ..nn.layers import BatchNorm2d
 from ..nn.module import Module
 from ..profiler import PROFILER
 from ..tensor import workspace as _ws
+from ..tensor.blas import (blas_threads, limit_blas_threads,
+                           per_worker_threads)
 from ..tensor.compile import PlanCache, train_step
 from ..tensor.ops import norm as _norm_ops
 from .allreduce import COMM_STATS, GradPayload, exchange
@@ -151,6 +153,8 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
 
     Runs in a forked child: ``replica`` is this process's private copy of
     the coordinator model at fork time; the three mmaps are shared pages.
+    Each step runs BLAS at the width its command names (the simulation's
+    ``per_worker_threads``), and its result reports the count.
     """
     hb = np.frombuffer(hb_mm, dtype=np.float64, count=nworkers)
     gview = np.frombuffer(grad_mm, dtype=np.float32, count=capacity)
@@ -183,18 +187,20 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
     payload = GradPayload(replica)    # rebuilt on resync
     plans = PlanCache(max_entries=4)
 
-    def run_step(step_idx: int, attempt: int, xb, yb) -> None:
+    def run_step(step_idx: int, attempt: int, xb, yb, width: int) -> None:
         # the parameter broadcast, in place (surgery keeps parameter objects)
         payload.unpack_params(pview)
         stats_log.clear()
         replica.train()
         replica.zero_grad()
-        loss_val, logits, _ = train_step(replica, xb, yb, plans)
+        with limit_blas_threads(width):
+            loss_val, logits, _ = train_step(replica, xb, yb, plans)
+            threads = blas_threads()
         payload.pack_grads(gview)
         correct = int((logits.argmax(1) == yb).sum())
         beat()
         conn.send(("done", step_idx, attempt, loss_val, correct,
-                   list(stats_log)))
+                   list(stats_log), threads))
 
     try:
         # The host's cores are already oversubscribed K ways by the worker
@@ -272,6 +278,9 @@ class ElasticEngine:
         self.workers = int(workers)
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.fault_plan = fault_plan
+        #: rank -> BLAS thread count the worker ran its last step at (None:
+        #: its BLAS has no controllable backend)
+        self.worker_blas_threads: Dict[int, Optional[int]] = {}
         self._ctx = mp.get_context("fork")
         self._handles: List[_Handle] = []
         self._started = False
@@ -514,6 +523,9 @@ class ElasticEngine:
         ``.grad``, applies every shard's BN running-stat updates to the
         coordinator model (in shard order), and returns the aggregated
         step result.  Retries with the survivors if participants fail.
+        Each participant, and the coordinator while it waits for them, runs
+        BLAS at ``per_worker_threads`` of the participant count, as the
+        simulation's shards do.
         """
         shard_bounds(len(x), self.workers)   # an empty batch fails unforked
         if not self._started:
@@ -533,12 +545,14 @@ class ElasticEngine:
             bounds = shard_bounds(len(x), len(active))
             participants = active[:len(bounds) - 1]
             want = self._step_idx
+            width = per_worker_threads(len(participants))
             for rank, lo, hi in zip(participants, bounds, bounds[1:]):
                 self._handles[rank].conn.send(
-                    ("step", want, attempt, x[lo:hi], y[lo:hi]))
-            results, failed, stall = self._await(
-                participants, lambda m: m[:3] == ("done", want, attempt),
-                "step")
+                    ("step", want, attempt, x[lo:hi], y[lo:hi], width))
+            with limit_blas_threads(width):
+                results, failed, stall = self._await(
+                    participants, lambda m: m[:3] == ("done", want, attempt),
+                    "step")
             stall_total += stall
             if not failed:
                 break
@@ -553,6 +567,7 @@ class ElasticEngine:
         payload.unpack_grads(views[0])
         # replay per-shard BN running-stat updates in shard order
         for rank in participants:
+            self.worker_blas_threads[rank] = results[rank][6]
             for name, mu, var in results[rank][5]:
                 bn = self._bn[name]
                 _norm_ops.update_running_stats(

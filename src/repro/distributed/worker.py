@@ -23,6 +23,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..nn.module import Module
+from ..tensor.blas import limit_blas_threads, per_worker_threads
 from ..tensor.compile import PlanCache, train_step
 from .allreduce import GradPayload, exchange
 
@@ -73,7 +74,10 @@ def data_parallel_step(model: Module, x: np.ndarray, y: np.ndarray,
     """Forward/backward a global batch split over ``workers`` shards.
 
     Each shard runs :func:`~repro.tensor.compile.train_step` through
-    ``plans`` (eager without one).  Leaves the *averaged* gradients in each
+    ``plans`` (eager without one), at the BLAS width a worker process of
+    ``k`` participants gets (:func:`~repro.tensor.blas.per_worker_threads`):
+    BLAS results may depend on the thread count, and the elastic engine's
+    workers run at that width.  Leaves the *averaged* gradients in each
     parameter's ``.grad`` (ready for ``optimizer.step()``).  Returns the
     step result and the sizes of the participating workers' shards (see
     :func:`shard_bounds`).
@@ -83,12 +87,14 @@ def data_parallel_step(model: Module, x: np.ndarray, y: np.ndarray,
     payload = GradPayload(model)
     flats = np.empty((k, payload.total), np.float32)
     shards = []
-    for flat, lo, hi in zip(flats, bounds, bounds[1:]):
-        xb, yb = x[lo:hi], y[lo:hi]
-        model.zero_grad()
-        loss, logits, _ = train_step(model, xb, yb, plans)
-        payload.pack_grads(flat)
-        shards.append((loss, int((logits.argmax(1) == yb).sum()), hi - lo))
+    with limit_blas_threads(per_worker_threads(k)):
+        for flat, lo, hi in zip(flats, bounds, bounds[1:]):
+            xb, yb = x[lo:hi], y[lo:hi]
+            model.zero_grad()
+            loss, logits, _ = train_step(model, xb, yb, plans)
+            payload.pack_grads(flat)
+            shards.append((loss, int((logits.argmax(1) == yb).sum()),
+                           hi - lo))
     comm_bytes = exchange(list(flats))
     payload.unpack_grads(flats[0])
     return StepResult.aggregate(shards, comm_bytes), list(np.diff(bounds))

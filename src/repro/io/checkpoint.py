@@ -49,6 +49,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..nn.graph import ModelGraph
+from ..nn.layers import BatchNorm2d
 from ..nn.module import Module
 from ..optim.sgd import SGD
 from ..prune.reconfigure import apply_space_masks
@@ -80,7 +81,16 @@ def _pack_blobs(model: Module, optimizer: Optional[SGD] = None,
                 arrays: Optional[Dict[str, np.ndarray]] = None
                 ) -> Dict[str, np.ndarray]:
     """Build the checkpoint's named-array dict (shared by file and bytes
-    serialization — one packing routine, two transports)."""
+    serialization — one packing routine, two transports).
+
+    Refuses a model with a folded batch-norm: its conv weights already carry
+    the BN statistics, so the archive would not load back into the model it
+    names."""
+    for name, m in model.named_modules():
+        if isinstance(m, BatchNorm2d) and m.folded:
+            raise ValueError(
+                f"cannot checkpoint a model whose batch-norm {name!r} is "
+                f"folded into its conv; save the model before serving it")
     graph: ModelGraph = model.graph
     blobs: Dict[str, np.ndarray] = {}
     for name, arr in model.state_dict().items():

@@ -63,11 +63,22 @@ class BatchNorm2d(Module):
         self.bias = Parameter(np.zeros(num_features, dtype=np.float32))
         self.running_mean = np.zeros(num_features, dtype=np.float32)
         self.running_var = np.ones(num_features, dtype=np.float32)
+        #: set by :func:`repro.nn.bn_utils.fold_batchnorm`: the evaluation
+        #: affine map now lives in the preceding conv's weight and bias
+        self.folded = False
 
     def forward(self, x: Tensor, relu: bool = False) -> Tensor:
         """Normalize ``x``; ``relu=True`` fuses the following rectifier into
         the same kernel (used by the models when
-        ``workspace.config.fused_bnrelu`` is on)."""
+        ``workspace.config.fused_bnrelu`` is on).  A folded layer passes
+        ``x`` through (rectified when ``relu``) and refuses training mode,
+        whose batch statistics the fold cannot express."""
+        if self.folded:
+            if self.training:
+                raise RuntimeError(
+                    f"{self!r} is folded into its convolution and runs in "
+                    f"evaluation mode only")
+            return F.relu(x) if relu else x
         return F.batch_norm(x, self.weight, self.bias, self.running_mean,
                             self.running_var, self.momentum, self.eps,
                             self.training, relu=relu)

@@ -11,6 +11,15 @@ served model is frozen after registration; any weight change must go
 through re-registration, which builds a fresh entry at a new entry
 generation and releases the old one.
 
+The served model is **folded**: registration folds every evaluation-mode
+batch-norm into the conv in front of it, once
+(:func:`repro.nn.bn_utils.fold_batchnorm`), so no request pays for BN.
+:meth:`ModelRegistry.register` folds the model it loaded from the
+checkpoint; :meth:`ModelRegistry.register_model` folds a copy and leaves
+the caller's model untouched.  :attr:`ServedModel.model` is that folded
+model — the subject of the serving contract below.  Its logits equal the
+unfolded model's up to float32 rounding of the fold, not bitwise.
+
 Request path (:meth:`ServedModel.forward`), in preference order: an
 **exact** cached plan replays; else the group is zero-**padded**
 (``BatchPadder``) up to the smallest cached batch ``B >= n`` no larger
@@ -19,9 +28,10 @@ protocol's miss captures a row-stable **tail** plan for this shape, or its
 sealed failure runs **eager rows** (one batch-1 forward per sample).
 
 Every path preserves the serving invariant: each request's logits are
-bit-identical to a batch-1 eager forward of that request alone, because
-serve plans use the row-stable Linear lowering (see
-``Tape.finalize_forward``) and all remaining ops are per-sample stable.
+bit-identical to a batch-1 eager forward of that request alone through the
+served (folded) model, because serve plans use the row-stable Linear
+lowering (see ``Tape.finalize_forward``) and all remaining ops are
+per-sample stable.
 
 Eviction is lease-counted: ``run`` holds a lease around the forward, and
 an evicted entry's plan buffers and arenas are released by whichever of
@@ -31,12 +41,14 @@ completes.
 """
 from __future__ import annotations
 
+import copy
 import threading
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..io.checkpoint import load_checkpoint
+from ..nn.bn_utils import fold_batchnorm
 from ..tensor.compile import BatchPadder, PlanCache, capture_forward
 from ..tensor.tensor import Tensor, no_grad
 
@@ -51,10 +63,15 @@ class RegistryError(RuntimeError):
 
 
 class ServedModel:
-    """One frozen model plus its pinned plan cache and batch padders."""
+    """One frozen model plus its pinned plan cache and batch padders.
+
+    Takes ``model`` over: puts it in evaluation mode and folds its
+    batch-norms into their convs, in place.
+    """
 
     def __init__(self, name: str, model, generation: int):
         model.eval()
+        fold_batchnorm(model)
         self.name = name
         self.model = model
         #: registry entry generation — re-registration makes a new wrapper
@@ -215,8 +232,13 @@ class ModelRegistry:
         return self._install(name, model, path=path)
 
     def register_model(self, name: str, model) -> ServedModel:
-        """Serve an already-constructed model (bench/test convenience)."""
-        return self._install(name, model, path=None)
+        """Serve a folded copy of an already-constructed model.
+
+        The caller's ``model`` is left untouched (weights, statistics,
+        mode), so it can keep training or be evaluated; the registry serves
+        ``served(name).model``, a deep copy with its batch-norms folded.
+        """
+        return self._install(name, copy.deepcopy(model), path=None)
 
     def _install(self, name: str, model, path: Optional[str]) -> ServedModel:
         with self._lock:

@@ -58,6 +58,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..profiler import Counters, register
+from . import blas as _blas
 from . import memplan as _mp
 from . import parallel as _par
 from . import sparse as _sparse
@@ -1317,7 +1318,8 @@ class StepPlan:
         stats = _par.STATS
         t0 = time.perf_counter()
         level_times: List[float] = []
-        with pool.caller_lock, _par.limit_blas_threads(1):
+        with pool.caller_lock, _blas.limit_blas_threads(1) as limited:
+            stats.blas_limited = limited
             for level in self._levels:
                 lt0 = time.perf_counter()
                 pool.run_level(level)

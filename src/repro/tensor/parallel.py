@@ -28,12 +28,9 @@ This module owns the machinery that is independent of the tape format:
     raising propagate the first exception to the caller after the level
     barrier.
 
-``limit_blas_threads``
-    Oversubscription guard: while the replay pool is active, each BLAS
-    call must not fan out to its own thread team (``pool_width x
-    blas_width`` threads thrash).  Uses :mod:`threadpoolctl` when
-    available, else talks to OpenBLAS directly via :mod:`ctypes` (the
-    bundled scipy-openblas), else degrades to a no-op.
+While the replay pool is active, each BLAS call must not fan out to its
+own thread team (``pool_width x blas_width`` threads thrash): the replay
+runs under :func:`repro.tensor.blas.limit_blas_threads` ``(1)``.
 
 Determinism contract
 --------------------
@@ -49,17 +46,14 @@ Interaction with ``ElasticEngine``
 Elastic data-parallel workers are forked *processes* that replay compiled
 plans with this pool off (the host's cores are already shared K ways).  The
 pool's daemon threads are safe to leave running across a fork — no pool
-lock is held between steps — and the child never inherits them.  When
-combining elastic workers with multi-threaded BLAS, cap BLAS via
-``OPENBLAS_NUM_THREADS`` in the environment instead: the per-replay limiter
-below only guards the replay window.
+lock is held between steps — and the child never inherits them.  Each
+elastic step runs its workers at
+:func:`repro.tensor.blas.per_worker_threads` BLAS threads.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -324,89 +318,3 @@ def close_pool() -> None:
         if _POOL is not None:
             _POOL.close()
             _POOL = None
-
-
-# ---------------------------------------------------------------------------
-# BLAS oversubscription guard
-# ---------------------------------------------------------------------------
-
-_blas_ctl = None        # resolved limiter backend, memoized
-_blas_resolved = False
-
-
-def _resolve_blas_control():
-    """Find a way to set the BLAS thread count; memoized.
-
-    Returns ``(get_fn, set_fn)`` or ``None``.  Preference order:
-    :mod:`threadpoolctl` (not bundled in this environment, but the right
-    tool where present), then the OpenBLAS C API out of whatever shared
-    object NumPy loaded (scipy-openblas here), found via
-    ``/proc/self/maps``.
-    """
-    global _blas_ctl, _blas_resolved
-    if _blas_resolved:
-        return _blas_ctl
-    _blas_resolved = True
-    try:
-        from threadpoolctl import threadpool_limits  # type: ignore
-
-        _blas_ctl = ("threadpoolctl", threadpool_limits)
-        return _blas_ctl
-    except ImportError:
-        pass
-    try:
-        import ctypes
-
-        paths = set()
-        with open("/proc/self/maps") as fh:
-            for line in fh:
-                part = line.rstrip("\n").split(" ", 5)[-1].strip()
-                if "openblas" in os.path.basename(part).lower():
-                    paths.add(part)
-        for path in sorted(paths):
-            lib = ctypes.CDLL(path)
-            # scipy-openblas (numpy's bundled BLAS) namespaces the API
-            for prefix in ("openblas", "scipy_openblas"):
-                for suffix in ("", "64_", "_64_"):
-                    base = f"{prefix}_%s_num_threads{suffix}"
-                    get = getattr(lib, base % "get", None)
-                    set_ = getattr(lib, base % "set", None)
-                    if get is not None and set_ is not None:
-                        get.restype = ctypes.c_int
-                        set_.argtypes = [ctypes.c_int]
-                        _blas_ctl = ("openblas", (get, set_))
-                        return _blas_ctl
-    except Exception:  # pragma: no cover - permissive: limiter is advisory
-        pass
-    _blas_ctl = None
-    return None
-
-
-@contextmanager
-def limit_blas_threads(n: int = 1):
-    """Pin the BLAS thread count to ``n`` for the duration of the block.
-
-    Replay threads each issue their own BLAS calls; letting every call
-    also spawn a BLAS team oversubscribes the machine (``levels x blas``
-    threads).  No-op when no controllable backend is found — recorded in
-    ``STATS.blas_limited`` either way so the profiler shows whether the
-    guard is live.
-    """
-    ctl = _resolve_blas_control()
-    if ctl is None:
-        STATS.blas_limited = False
-        yield
-        return
-    kind, impl = ctl
-    STATS.blas_limited = True
-    if kind == "threadpoolctl":
-        with impl(limits=n, user_api="blas"):
-            yield
-        return
-    get, set_ = impl
-    prev = int(get())
-    set_(int(n))
-    try:
-        yield
-    finally:
-        set_(prev)

@@ -1,9 +1,9 @@
 """Bit digests of the seeded numerics a refactor must not move.
 
     PYTHONPATH=src python tests/bits.py [conv] [ops] [lasso] [prunetrain] \
-        [join] [layouts] [dp]
+        [join] [layouts] [dp] [serve]
 
-prints one ``name sha256[:16]`` line per seeded case (all seven sections
+prints one ``name sha256[:16]`` line per seeded case (all eight sections
 when none is named):
 
 ``conv/<case>/kernel``
@@ -49,6 +49,12 @@ when none is named):
     reconfiguration that removes a residual block (``-pruned``: the step
     after it), then batch growth: the averaged gradients, the loss and the
     comm bytes of each step.
+``serve/<model>/b{1,16}``
+    the replies of the public ``ModelRegistry`` to 16 requests, sent one at
+    a time (``b1``) and as one group (``b16``), for QUICK ResNet-32 dense
+    and 50 %-pruned and QUICK VGG-11 at width 0.25, each with running
+    statistics recalibrated on random batches; within a model the two
+    lines are equal.
 
 Only surfaces that outlive a refactor are used, so this copy of the script
 runs against any tree: ``PYTHONPATH=<tree>/src python tests/bits.py``.  Run
@@ -69,8 +75,10 @@ from repro.data import make_synthetic
 from repro.distributed import data_parallel_step
 from repro.experiments.configs import QUICK, make_dataset, make_model
 from repro.nn import resnet20
+from repro.nn.bn_utils import recalibrate_bn
 from repro.optim import SGD
 from repro.prune import GroupLasso, prune_and_reconfigure
+from repro.serve import ModelRegistry
 from repro.tensor import Tensor, workspace
 from repro.tensor import compile as C
 from repro.tensor import functional as F
@@ -474,9 +482,50 @@ def dp_lines():
     workspace.invalidate()
 
 
+def _served_r32(prune):
+    model = make_model("resnet32", "cifar10s", QUICK, seed=3)
+    if prune:
+        rng = np.random.default_rng(0)
+        for sid, space in list(model.graph.spaces.items()):
+            if not space.frozen:
+                kill = rng.random(space.size) < 0.5
+                kill[0] = False
+                _kill(model.graph, sid, np.flatnonzero(kill))
+        if prune_and_reconfigure(model).channels_pruned == 0:
+            raise RuntimeError("the served r32 reconfiguration pruned nothing")
+    return model
+
+
+#: name -> builder of the served models' ``serve`` lines
+SERVED = {
+    "r32-dense": lambda: _served_r32(False),
+    "r32-pruned": lambda: _served_r32(True),
+    "vgg11-w0.25": lambda: make_model(
+        "vgg11", "cifar10s", replace(QUICK, width_mult=0.25), seed=3),
+}
+
+
+def serve_lines():
+    rng = np.random.default_rng(0)
+    hw = QUICK.hw
+    for name, build in SERVED.items():
+        workspace.invalidate()
+        model = build()
+        recalibrate_bn(model, [rng.standard_normal((32, 3, hw, hw))
+                               .astype(np.float32) for _ in range(2)])
+        registry = ModelRegistry(max_models=1)
+        registry.register_model(name, model)
+        x = rng.standard_normal((16, 3, hw, hw)).astype(np.float32)
+        b1 = [registry.run(name, x[i:i + 1]) for i in range(len(x))]
+        yield f"serve/{name}/b1", digest([np.concatenate(b1)])
+        yield f"serve/{name}/b16", digest([registry.run(name, x)])
+        registry.clear()
+    workspace.invalidate()
+
+
 SECTIONS = {"conv": conv_lines, "ops": ops_lines, "lasso": lasso_lines,
             "prunetrain": prunetrain_lines, "join": join_lines,
-            "layouts": layout_lines, "dp": dp_lines}
+            "layouts": layout_lines, "dp": dp_lines, "serve": serve_lines}
 
 
 def lines(sections=tuple(SECTIONS)):

@@ -2,6 +2,8 @@
 simulation, resync through pruning surgery, and deterministic fault
 injection (kill / hang / heartbeat corruption, graceful K -> K-1 -> 1)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.distributed import (ElasticEngine, FaultPlan, data_parallel_step)
 from repro.nn import resnet20
 from repro.optim import SGD
 from repro.prune import prune_and_reconfigure
+from repro.tensor import blas
 
 from ..conftest import sparsify_space
 
@@ -250,3 +253,28 @@ class TestEngineApi:
         eng.shutdown()
         eng.shutdown()
         assert eng.active_workers == 2  # back to configured (not started)
+
+    def test_blas_runs_at_each_workers_share_of_the_cpus(self, batch):
+        """Forked from a coordinator running one BLAS thread more than its
+        share, each of K = 2 workers runs its step at ``max(1, cpus // 2)``
+        threads and reports it, the coordinator waits for them at that
+        width, and its own count is restored after the step."""
+        if blas.blas_threads() is None:
+            pytest.skip("no controllable BLAS backend")
+        x, y = batch
+        want = max(1, len(os.sched_getaffinity(0)) // 2)
+        seen = []
+        m, _ = fresh()
+        with blas.limit_blas_threads(want + 1):
+            with ElasticEngine(m, workers=2) as eng:
+                real_await = eng._await
+
+                def spy(*args):
+                    seen.append(blas.blas_threads())
+                    return real_await(*args)
+
+                eng._await = spy
+                eng.step(x, y)
+                assert eng.worker_blas_threads == {0: want, 1: want}
+                assert seen == [want]
+                assert blas.blas_threads() == want + 1

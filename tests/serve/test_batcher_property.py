@@ -147,7 +147,8 @@ def test_full_batches_dispatch_without_budget_wait(seed):
 def test_padding_rows_never_leak_into_responses():
     """End-to-end: groups that get zero-padded to a larger plan batch
     return responses bit-identical to each request's own batch-1 eager
-    forward — pad rows cannot influence any real row."""
+    forward through the served (folded) model — pad rows cannot influence
+    any real row."""
     model = make_model("resnet32", "cifar10s", SMOKE, seed=3)
     registry = ModelRegistry(max_models=1)
     served = registry.register_model("m", model)
@@ -165,5 +166,5 @@ def test_padding_rows_never_leak_into_responses():
     assert served.padded_replays >= 1, "test did not exercise padding"
     for i in range(6):
         with no_grad():
-            ref = model(Tensor(samples[i:i + 1])).data[0]
+            ref = served.model(Tensor(samples[i:i + 1])).data[0]
         assert np.array_equal(results[i], ref), f"response {i} corrupted"

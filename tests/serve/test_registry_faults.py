@@ -194,7 +194,7 @@ class TestReRegister:
         out2 = registry.run("m", x)
         assert not np.array_equal(out1, out2)
         with no_grad():
-            ref = np.stack([m2(Tensor(x[i:i + 1])).data[0]
+            ref = np.stack([served2.model(Tensor(x[i:i + 1])).data[0]
                             for i in range(len(x))])
         assert np.array_equal(out2, ref)
         assert served2.captures == 1

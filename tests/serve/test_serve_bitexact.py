@@ -160,11 +160,12 @@ def test_padding_level_never_changes_logits(tmp_path):
 def test_one_channel_sample_keeps_its_channel_axis():
     """For a 1-channel model a ``(1, H, W)`` sample is one image, not a
     batch of one: the server strips the leading 1 only from a 4-D
-    ``(1, C, H, W)`` sample, and both forms serve the batch-1 eager row."""
+    ``(1, C, H, W)`` sample, and both forms serve the served model's
+    batch-1 eager row."""
     model = ResNet([1, 1, 1], [8, 8, 8], False, 10, input_hw=SMOKE.hw,
                    in_channels=1, seed=3)
     registry = ModelRegistry(max_models=1)
-    registry.register_model("gray", model)
+    model = registry.register_model("gray", model).model
     rng = np.random.default_rng(2)
     x = rng.normal(size=(3, 1, SMOKE.hw, SMOKE.hw)).astype(np.float32)
     with InferenceServer(registry, max_batch=4,
@@ -182,10 +183,11 @@ def test_a_malformed_request_fails_only_its_own_group():
     """One batch holding a good float32 request, a wrong-channel request, a
     request of another size and a float64 request runs one registry call
     per ``(shape, dtype)`` group: the bad request raises alone, and every
-    other comes back in its own dtype as its batch-1 eager row."""
+    other comes back in its own dtype as the served model's batch-1 eager
+    row."""
     model = make_model("resnet32", "cifar10s", SMOKE, seed=3)
     registry = ModelRegistry(max_models=1)
-    registry.register_model("m", model)
+    model = registry.register_model("m", model).model
     rng = np.random.default_rng(4)
     hw = SMOKE.hw
     good = rng.normal(size=(2, 3, hw, hw)).astype(np.float32)

@@ -30,3 +30,12 @@ def test_every_execution_mode_of_a_case_prints_one_digest():
             else {"eager", "captured", "planned", "unplanned"}
         assert set(legs) == want, case
         assert len(set(legs.values())) == 1, (case, legs)
+
+
+def test_serve_replies_do_not_depend_on_the_batch():
+    """Each served model replies to 16 requests sent one at a time with the
+    bytes it replies to them as one group."""
+    lines = dict(bits.lines(("serve",)))
+    assert len(lines) == 2 * len(bits.SERVED)
+    for name in bits.SERVED:
+        assert lines[f"serve/{name}/b1"] == lines[f"serve/{name}/b16"], name
