@@ -5,7 +5,8 @@ The paper times the final trained models on a TITAN Xp at batch sizes 10 and
 model goes behind a :class:`repro.serve.ModelRegistry` and is timed through
 batched forward-plan replays, the same code ``bench_serve.py`` and the
 inference server run — on the dense baseline vs the PruneTrain-compressed
-model (eval mode, best of several repeats after a warmup/compile replay).
+model (eval mode, replayed in alternation after a warmup/compile replay,
+best round of several per model).
 Absolute img/s is CPU-scale; the paper-shape claims are the *relative*
 speedup >1 and larger batches helping utilization.
 """
@@ -27,28 +28,38 @@ PAIRS = [("resnet32", "cifar100s"), ("resnet50", "cifar100s"),
 BATCHES = (10, 100)
 
 
-def _throughput(model, hw: int, batch: int, repeats: int = 3,
-                stats: Optional[Dict] = None) -> float:
-    """img/s of batched serve-path replays (plan compile excluded).
+def _throughputs(models, hw: int, batch: int, repeats: int = 3,
+                 stats: Optional[Dict] = None) -> List[float]:
+    """img/s of each model's batched serve-path replays (plan compile
+    excluded), timed round-robin.
 
-    The warmup call compiles and caches the forward plan; timed calls are
-    pure plan replays, exactly what the inference server executes per
-    dispatched batch.
+    Every model goes behind one registry and its warmup call compiles and
+    caches its forward plan; then each round replays every model once, and
+    each model's best round counts.  Timing the models in turn, best of
+    ``repeats`` each, let a slow stretch of a shared host land on one model
+    alone; interleaved, a stretch costs every model the same round.  Timed
+    calls are pure plan replays, exactly what the inference server executes
+    per dispatched batch.  ``stats`` receives the first model's serve
+    counters.
     """
-    registry = ModelRegistry(max_models=1)
-    served = registry.register_model("tab2", model)
+    registry = ModelRegistry(max_models=len(models))
+    names = [f"tab2.{i}" for i in range(len(models))]
+    served = [registry.register_model(name, model)
+              for name, model in zip(names, models)]
     x = np.random.default_rng(0).normal(
         size=(batch, 3, hw, hw)).astype(np.float32)
-    registry.run("tab2", x)  # warmup: capture + first replay
-    best = float("inf")
+    for name in names:
+        registry.run(name, x)  # warmup: capture + first replay
+    best = [float("inf")] * len(models)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        registry.run("tab2", x)
-        best = min(best, time.perf_counter() - t0)
+        for i, name in enumerate(names):
+            t0 = time.perf_counter()
+            registry.run(name, x)
+            best[i] = min(best[i], time.perf_counter() - t0)
     if stats is not None:
-        stats.update(served.stats())
+        stats.update(served[0].stats())
     registry.clear()
-    return batch / best
+    return [batch / t for t in best]
 
 
 def run(scale: Scale, ratio: float = 0.25) -> Dict:
@@ -63,8 +74,8 @@ def run(scale: Scale, ratio: float = 0.25) -> Dict:
         row = {"model": model_name, "dataset": dataset}
         serve_stats: Dict = {}
         for b in BATCHES:
-            base = _throughput(dense, hw, b, stats=serve_stats)
-            fast = _throughput(pruned, hw, b)
+            base, fast = _throughputs([dense, pruned], hw, b,
+                                      stats=serve_stats)
             row[f"base_{b}"] = base
             row[f"pruned_{b}"] = fast
             row[f"speedup_{b}"] = fast / base

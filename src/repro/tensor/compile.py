@@ -20,10 +20,13 @@ semantics exactly —
 - the forward thunks run in recorded (= eager execution) order;
 - the backward thunks run in the order ``Tensor.backward`` would visit them
   (reverse of the identical iterative DFS, captured at finalize time);
-- parameter gradients go through :func:`repro.tensor.functional._give_grad`
-  (the eager path itself), interior gradients mirror
-  ``Tensor._accumulate_donated`` / ``Tensor._accumulate`` — donate or
-  copy-on-first-touch, ``+=`` on later touches, pool release on consumption.
+- every input's gradient goes through one sink bound at build time, into
+  its gradient slot or straight into a leaf's ``.grad``: the step's first
+  write keeps the kernel's array (copies it where the op's row does not
+  donate), later writes ``+=`` into it — the accumulation
+  ``Tensor._accumulate_donated`` / ``Tensor._accumulate`` perform.  A plan's
+  kernels hand over plan buffers or fresh arrays, never pool-lent ones, so
+  replay makes no :mod:`repro.tensor.workspace` pool call.
 
 Capture mechanics
 -----------------
@@ -49,7 +52,6 @@ needs no hook: the input shape is part of the plan-cache key
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from dataclasses import dataclass
@@ -66,7 +68,7 @@ from . import workspace as ws
 from .ops import conv as _conv
 from .ops import table as _table
 from . import tensor as _tensor_mod
-from .functional import _give_grad, cross_entropy
+from .functional import cross_entropy
 from .tensor import Tensor, backward_order, no_grad
 
 __all__ = ["Tape", "StepPlan", "PlanCache", "PlanStats", "STATS",
@@ -198,10 +200,10 @@ class _Lifetimes:
 
     def grad_end(self, x: Tensor) -> Optional[int]:
         """Last use of a gradient buffer donated toward ``x``: the
-        backward thunk of x's producer consumes (and releases) it.
-        ``None`` means the buffer escapes the plan entirely — a leaf
-        gradient kept by ``F._give_grad`` for the optimizer — and must
-        stay a private allocation."""
+        backward thunk of x's producer consumes it.  ``None`` means the
+        buffer escapes the plan entirely — a leaf gradient kept as the
+        leaf's ``.grad`` for the optimizer — and must stay a private
+        allocation."""
         slot = self.tape.slot_of.get(id(x))
         if slot is None:
             return None
@@ -275,21 +277,7 @@ def _shared_backward(rec: _Record) -> bool:
 
 
 def _drop(arr) -> None:
-    """The gradient sink of an absent optional input."""
-
-
-def _release_fin(grads: list, o: int):
-    """Final part of a split backward: retire the output-grad slot.
-
-    Runs after both the ``dw`` and ``dx`` parts (the schedule adds both
-    edges), reproducing the tail of the unsplit thunk exactly.
-    """
-    def bwd_fin() -> None:
-        g = grads[o]
-        grads[o] = None
-        if g is not None:
-            ws.release(g)
-    return bwd_fin
+    """The gradient sink of an absent input or a leaf that takes none."""
 
 
 #: Arena growth tolerance for level-scheduled packing, relative to the
@@ -311,8 +299,8 @@ class _ParallelSchedule:
     Nodes: one per forward thunk, a loss-gradient seed node, and one per
     backward thunk — except split convs (:func:`_split_backward`), whose
     backward contributes three nodes (``dw`` weight-grad, ``dx``
-    input-grad, ``fin`` release).  Edges pin everything bit-exactness
-    depends on:
+    input-grad, ``fin`` retiring the output-grad slot).  Edges pin
+    everything bit-exactness depends on:
 
     - forward dataflow (consumer after producer);
     - every backward part after its op's forward thunk (it reads the
@@ -324,8 +312,8 @@ class _ParallelSchedule:
       parallel replay is bit-identical to serial replay;
     - writers into one *leaf* ``.grad`` chained the same way (weight
       sharing);
-    - ``fin`` after its ``dw``/``dx`` (it releases the gradient buffer
-      both read), and ``dw`` after ``dx`` where the ``dx`` part stages what
+    - ``fin`` after its ``dw``/``dx`` (it drops the gradient both read),
+      and ``dw`` after ``dx`` where the ``dx`` part stages what
       both read (:func:`_shared_backward`).
 
     Levels come from longest-path layering over these edges; all nodes of
@@ -768,7 +756,6 @@ class _PlanBuilder:
         self.plan = plan
         self.keep_ctx = keep_ctx
         self.row_stable = row_stable
-        self.pooling = ws.config.pooling
         self._leaves: Dict[int, Tensor] = {}
         #: liveness intervals and the arena planner (None -> every
         #: plan-owned buffer is a private allocation, the PR-3 layout)
@@ -874,46 +861,37 @@ class _PlanBuilder:
             raise _CaptureError("parameter input is not a graph leaf")
         return leaf
 
-    # -- gradient sinks (exact eager accumulation semantics) ---------------
-    def _sink_donate(self, t: Tensor) -> Callable[[np.ndarray], None]:
-        """Mirror ``functional._give_grad`` for a kernel-produced gradient."""
+    # -- the gradient sink ---------------------------------------------------
+    def _sink(self, t: Optional[Tensor], donate: bool = True
+              ) -> Callable[[np.ndarray], None]:
+        """Where a backward kernel's gradient toward input ``t`` goes: its
+        gradient slot, or a leaf's ``.grad`` itself.  The step's first write
+        keeps the array — a copy unless ``donate`` (the row's flag: the
+        kernel may hand back ``g`` itself, or one array to two inputs) —
+        and later writes ``+=`` into it, as ``Tensor._accumulate_donated``
+        and ``Tensor._accumulate`` do.  Keeping is sound because a kernel
+        hands a plan either a plan buffer live until the slot's consumer
+        has read it or a fresh array.  An absent input, or a leaf that takes
+        no gradient, drops it."""
+        if t is None:
+            return _drop
         slot, leaf = self._resolve(t)
-        if slot is None:
-            return functools.partial(_give_grad, leaf)
-        grads = self.plan._grads
-        release = ws.release
-        if self.pooling:
-            # Interior node: _give_grad always donates (first touch keeps
-            # the array itself; later touches += and return it to the pool).
-            def sink(arr: np.ndarray) -> None:
-                g0 = grads[slot]
-                if g0 is None:
-                    grads[slot] = arr
-                else:
-                    g0 += arr
-                    release(arr)
-        else:
-            # Seed-engine semantics: copy on first touch, no ownership
-            # transfer (release is a no-op with pooling off).
-            def sink(arr: np.ndarray) -> None:
-                g0 = grads[slot]
-                if g0 is None:
-                    grads[slot] = arr.copy()
-                else:
-                    g0 += arr
-        return sink
+        if leaf is not None:
+            if not leaf.requires_grad:
+                return _drop
 
-    def _sink_copy(self, t: Tensor) -> Callable[[np.ndarray], None]:
-        """Mirror ``Tensor._accumulate`` for possibly-aliased gradients."""
-        slot, leaf = self._resolve(t)
-        if slot is None:
-            return leaf._accumulate
+            def sink(arr: np.ndarray) -> None:
+                if leaf.grad is None:
+                    leaf.grad = arr if donate else arr.copy()
+                else:
+                    leaf.grad += arr
+            return sink
         grads = self.plan._grads
 
         def sink(arr: np.ndarray) -> None:
             g0 = grads[slot]
             if g0 is None:
-                grads[slot] = arr.copy()
+                grads[slot] = arr if donate else arr.copy()
             else:
                 g0 += arr
         return sink
@@ -944,8 +922,8 @@ class _PlanBuilder:
         through this record's allocator, and both kernels get what it
         returned (``None`` without a stage).  The forward's output is the
         slot value, what it saves rides in the slot's ctx, and each input's
-        gradient goes to a donating or a copying sink as the row says (an
-        absent optional input reads ``None`` and drops its gradient).
+        gradient goes to its :meth:`_sink`, donated or copied as the row says
+        (an absent optional input reads ``None`` and drops its gradient).
         ``attrs`` is a one-element box read per step (the loss's targets
         change every step; everything else is static).
         """
@@ -971,8 +949,7 @@ class _PlanBuilder:
             values[o], ctxs[o] = forward(*[rd() for rd in readers],
                                          attrs[0], True, bufs)
 
-        sinks = [_drop if t is None
-                 else self._sink_donate(t) if donate else self._sink_copy(t)
+        sinks = [self._sink(t, donate)
                  for t, donate in zip(rec.inputs, op.donate)]
 
         def bwd() -> None:
@@ -982,7 +959,6 @@ class _PlanBuilder:
             for sink, dg in zip(sinks, backward(g, ctxs[o], attrs[0], bufs)):
                 sink(dg)
             ctxs[o] = None
-            ws.release(g)
             grads[o] = None
         return fwd, bwd
 
@@ -1016,7 +992,9 @@ class _PlanBuilder:
                         for part in parts:
                             part(g)
                 return thunk
-            fin = _release_fin(grads, o)
+
+            def fin() -> None:
+                grads[o] = None
             if stage is None:
                 return guarded(dw_part), guarded(dx_part), fin
             return guarded(stage, dx_part), guarded(dw_part), fin
@@ -1030,7 +1008,6 @@ class _PlanBuilder:
             dw_part(g)
             if dx_part is not None:
                 dx_part(g)
-            ws.release(g)
             grads[o] = None
         return bwd
 
@@ -1132,14 +1109,16 @@ class _PlanBuilder:
                 stats.dw_dense_steps += 1
                 return dense_dw(xr, g3)
 
+        sink_w, sink_b = self._sink(weight), self._sink(bias)
+
         def dw_part(g: np.ndarray) -> None:
-            _give_grad(w_t, weight_grad(rd_x(), g.reshape(n, k, -1)))
+            sink_w(weight_grad(rd_x(), g.reshape(n, k, -1)))
             if b_t is not None:
-                _give_grad(b_t, ks.db(g))
+                sink_b(ks.db(g))
 
         dx_part = None
         if need_dx:
-            sink_x = self._sink_donate(x)
+            sink_x = self._sink(x)
             if gate is not None and gate.use_dx and ks.dx_live is not None:
                 def dx_part(g: np.ndarray) -> None:
                     if state.enabled:

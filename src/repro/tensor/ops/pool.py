@@ -18,10 +18,12 @@ the mask-free forward), while one restaging copy costs about one pass.  The
 mask-free forward (``no_grad``) has nothing to amortise the copy over and
 keeps the strided running max.
 
-The backward's ``dx`` is drawn from the :mod:`repro.tensor.workspace` pool:
-it is consumed synchronously by ``Tensor._accumulate`` and released by the
-autograd layer right after, so every iteration reuses the previous
-iteration's allocation.  The forward's planes are a transient of the call.
+Both backwards write ``dx`` into ``out``, a compiled plan's planned gradient
+buffer, or eager into one drawn from the :mod:`repro.tensor.workspace` pool
+(donated to the input's gradient, returned when autograd drops it).  Either
+may hold stale values, so the max-pool backward zeroes the rows and columns
+a ragged map truncated on every call.  The forward's planes are a transient
+of the call.
 """
 
 from __future__ import annotations
@@ -82,14 +84,20 @@ def maxpool2d_forward(x: np.ndarray, k: int, need_mask: bool = True
 
 
 def maxpool2d_backward(dy: np.ndarray, mask: np.ndarray, k: int,
-                       x_shape: Tuple[int, int, int, int]) -> np.ndarray:
+                       x_shape: Tuple[int, int, int, int],
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
     """Route ``dy`` to the cells ``mask`` marks: plane ``i*k + j`` of the
     mask times ``dy`` is written straight into window cell ``(i, j)`` of
-    ``dx``, one contiguous-read pass per cell and no temporary.  The rows
-    and columns a ragged map truncated get exactly zero."""
+    ``dx`` (``out``, else a pool buffer), one contiguous-read pass per cell
+    and no temporary.  The rows and columns a ragged map truncated are set
+    to exactly zero."""
     n, c, h, w = x_shape
     ho, wo = dy.shape[2], dy.shape[3]
-    dx = ws.acquire(x_shape, dy.dtype, zero=h != ho * k or w != wo * k)
+    dx = ws.acquire(x_shape, dy.dtype) if out is None else out
+    if h != ho * k:
+        dx[:, :, ho * k:].fill(0)
+    if w != wo * k:
+        dx[:, :, :, wo * k:].fill(0)
     dblocks = dx[:, :, : ho * k, : wo * k].reshape(n, c, ho, k, wo, k)
     for cell, m in enumerate(mask):
         np.multiply(m, dy, out=dblocks[:, :, :, cell // k, :, cell % k])
@@ -102,9 +110,13 @@ def global_avgpool_forward(x: np.ndarray) -> np.ndarray:
 
 
 def global_avgpool_backward(dy: np.ndarray,
-                            x_shape: Tuple[int, int, int, int]) -> np.ndarray:
+                            x_shape: Tuple[int, int, int, int],
+                            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``dy`` spread evenly over each map, into ``out`` (else a pool
+    buffer)."""
     n, c, h, w = x_shape
-    out = ws.acquire(x_shape, dy.dtype)
+    if out is None:
+        out = ws.acquire(x_shape, dy.dtype)
     out[:] = dy[:, :, None, None]
     out *= 1.0 / (h * w)
     return out

@@ -63,6 +63,11 @@ def _max_pool_fwd(x, k, save, bufs):
     return y, (mask, x.shape)
 
 
+# -- pools: bufs = the planned dx a training plan's backward writes
+def _pool_buffers(shapes, dtypes, attrs, backward, row_stable, alloc):
+    return alloc(shapes[0], "dx", "grad0", dtypes[0]) if backward else None
+
+
 def _gather_channels_bwd(g, x_shape, idx, bufs):
     full = np.zeros(x_shape, dtype=g.dtype)
     full[:, idx] = g
@@ -125,19 +130,19 @@ def _add_relu_bwd(g, y, attrs, bufs):
 # -- batch norm: attrs = (running_mean, running_var, momentum, eps, training,
 #    relu); bufs = (y, bn_coef_backward's dx, scratch, mask)
 def _bn_buffers(shapes, dtypes, attrs, backward, row_stable, alloc):
-    """The training-mode affine-folded BN(+ReLU) writes ``y``, its masked
-    gradient and ``dx`` into planned buffers; every other BN (eval mode, the
-    seed xhat formulation) runs the eager kernels on fresh and pooled
-    arrays."""
+    """The affine-folded BN(+ReLU) writes ``y``, its masked gradient and
+    ``dx`` into planned buffers — in a training plan in either mode, in a
+    forward plan (``y`` alone) in training mode; an evaluation forward and
+    the seed xhat formulation run the eager kernels on fresh arrays."""
     relu, training = attrs[5], attrs[4]
-    if not (training and (relu or config.fused_bnrelu)):
+    if not (relu or config.fused_bnrelu) or not (training or backward):
         return None
     shape, dtype = shapes[0], dtypes[0]
     y = alloc(shape, "y", "out", dtype)
     if not backward:
         return (y,)
     return (y, alloc(shape, "grad", "grad0", dtype),
-            alloc(shape, "g", "ab", dtype),
+            alloc(shape, "g", "ab", dtype) if training or relu else None,
             alloc(shape, "mask", "ab", bool) if relu else None)
 
 
@@ -148,7 +153,7 @@ def _bn_fwd(x, gamma, beta, attrs, save, bufs):
 
 def _bn_bwd(g, cache, attrs, bufs):
     if bufs is not None:
-        return _norm.bn_coef_backward(g, cache, True, *bufs[1:])
+        return _norm.bn_coef_backward(g, cache, attrs[4], *bufs[1:])
     if attrs[4]:
         return _norm.batchnorm_backward(g, cache)
     return _norm.batchnorm_eval_backward(g, cache)
@@ -180,13 +185,13 @@ OPS: Dict[str, Op] = {
     "max_pool2d": Op(
         _max_pool_fwd,
         lambda g, saved, k, bufs: (_pool.maxpool2d_backward(g, saved[0], k,
-                                                            saved[1]),),
-        (True,)),
+                                                            saved[1], bufs),),
+        (True,), _pool_buffers),
     "global_avg_pool": Op(
         lambda x, _, save, bufs: (_pool.global_avgpool_forward(x), x.shape),
-        lambda g, x_shape, _, bufs: (_pool.global_avgpool_backward(g,
-                                                                   x_shape),),
-        (True,)),
+        lambda g, x_shape, _, bufs: (_pool.global_avgpool_backward(
+            g, x_shape, bufs),),
+        (True,), _pool_buffers),
     "gather_channels": Op(
         lambda x, idx, save, bufs: (np.ascontiguousarray(x[:, idx]), x.shape),
         _gather_channels_bwd, (False,)),

@@ -167,12 +167,15 @@ class PoolStats(Counters):
 class WorkspacePool:
     """Shape/dtype-keyed free-list buffer pool.
 
-    Thread-safe: parallel plan replay (:mod:`repro.tensor.parallel`) runs
-    same-level thunks on worker threads, and backward thunks call
-    ``acquire``/``release`` concurrently.  A single mutex guards the free
-    lists, the lent map, and the stats counters; the critical sections are
-    dict/list operations only (allocation and zero-fill happen outside the
-    lock where possible).
+    The pool belongs to the eager engine: its kernels' per-call scratch and
+    gradients, :class:`PooledAlloc` for the eager conv and the sparse gate's
+    probe.  Compiled replay never calls it — a plan owns its buffers.  It
+    stays thread-safe because eager work still runs on more than one
+    thread: the inference server's dispatch thread runs eager forwards
+    (fallback rows, captures) while the caller's thread trains, evaluates or
+    serves.  A single mutex guards the free lists, the lent map, and the
+    stats counters; the critical sections are dict/list operations only
+    (allocation and zero-fill happen outside the lock where possible).
     """
 
     def __init__(self, max_per_key: int = 8):

@@ -1,8 +1,9 @@
 """Regression: Tab. 2 throughput measures the serve plan path and the
 paper-shape speedup invariant survives the reroute.
 
-``experiments.tab2._throughput`` used to time a hand-rolled eager forward
-loop; it now routes through ``repro.serve.ModelRegistry`` so Tab. 2 and
+Tab. 2's throughput (``experiments.tab2._throughputs``) was once timed on a
+hand-rolled eager forward loop; it routes through
+``repro.serve.ModelRegistry`` so Tab. 2 and
 ``BENCH_serve.json`` measure the same code.  This test pins (a) that the
 measurement really is plan replays (not an eager fallback), and (b) the
 Tab. 2 invariants — pruned >= 1x dense, and large-batch utilization not
@@ -38,7 +39,8 @@ def _heavily_pruned(seed=3, frac=0.6):
 def test_throughput_goes_through_serve_plans():
     dense = make_model("resnet32", "cifar10s", SMOKE, seed=3)
     stats = {}
-    thr = tab2._throughput(dense, SMOKE.hw, batch=10, repeats=3, stats=stats)
+    [thr] = tab2._throughputs([dense], SMOKE.hw, batch=10, repeats=3,
+                              stats=stats)
     assert thr > 0
     # one capture (warmup) then pure plan replays; never the eager fallback
     assert stats["captures"] == 1
@@ -50,10 +52,13 @@ def test_tab2_speedup_invariant_holds_on_serve_path():
     dense = make_model("resnet32", "cifar10s", SMOKE, seed=3)
     pruned = _heavily_pruned()
     b_small, b_large = 10, 100
-    base_small = tab2._throughput(dense, SMOKE.hw, b_small, repeats=5)
-    fast_small = tab2._throughput(pruned, SMOKE.hw, b_small, repeats=5)
-    base_large = tab2._throughput(dense, SMOKE.hw, b_large, repeats=5)
-    fast_large = tab2._throughput(pruned, SMOKE.hw, b_large, repeats=5)
+    # dense and pruned replay in alternation, so a slow stretch of a shared
+    # host costs both the same round (timed one after the other, pruned /
+    # dense read 0.875-1.64 at batch 10)
+    base_small, fast_small = tab2._throughputs([dense, pruned], SMOKE.hw,
+                                               b_small, repeats=5)
+    base_large, fast_large = tab2._throughputs([dense, pruned], SMOKE.hw,
+                                               b_large, repeats=5)
     # paper Tab. 2 shape: the pruned model serves more images/second
     assert fast_small / base_small > 1.0, (
         f"pruned slower at batch {b_small}: "
@@ -74,5 +79,5 @@ def test_tab2_run_reports_serve_evidence():
     # on one pair without training by calling the row pieces directly.
     dense = make_model("resnet32", "cifar10s", SMOKE, seed=3)
     stats = {}
-    tab2._throughput(dense, SMOKE.hw, 10, stats=stats)
+    tab2._throughputs([dense], SMOKE.hw, 10, stats=stats)
     assert set(stats) >= {"exact_replays", "captures", "eager_rows"}

@@ -366,14 +366,20 @@ def _r50():         # over half 1x1 convs, stride 1 and 2
 #: gathered ``dy`` lives through ``dw`` and ``dx``, so the ResNet-32 arenas
 #: grew from 4712448 (serial), 5277696 (parallel) and 1367040 (serving)
 #: bytes.  The ``_vgg13`` rows did not move: every conv there keeps its form.
+#: Every train layout was re-recorded when the pools' backwards stopped
+#: drawing ``dx`` from the workspace pool: each max-pool and the global
+#: average pool plans its ``dx`` as one more slab (ResNet-32 536 -> 537,
+#: VGG-13 140 -> 145, ResNet-50 573 -> 574), packed into the bytes the arenas
+#: already had — arena sizes and aliased buffers did not move, nor did any
+#: serving layout.
 LAYOUTS = {
-    (_r32, False): (("3b2cb01762dd870a", 6527232, 15, 536),
+    (_r32, False): (("cf403b35e0c5704b", 6527232, 15, 537),
                     ("a7acf8d8f6e1f63e", 1648128, 0, 150)),
-    (_r32, True): (("99552d6c2bfaa412", 6680064, 15, 536),
+    (_r32, True): (("dcd6afd534c97cfb", 6680064, 15, 537),
                    ("a7acf8d8f6e1f63e", 1648128, 0, 150)),
-    (_vgg13, False): (("286536746a2e721f", 21037056, 0, 140), None),
-    (_vgg13, True): (("1951c62d04b2270f", 30347264, 0, 140), None),
-    (_r50, False): (("679b987409aa4004", 5099520, 16, 573),
+    (_vgg13, False): (("ff0ee4ac87719a54", 21037056, 0, 145), None),
+    (_vgg13, True): (("741e703f2da4195d", 30347264, 0, 145), None),
+    (_r50, False): (("36e16060616b09c9", 5099520, 16, 574),
                     ("a6e71bb97bd670f7", 621568, 0, 124)),
 }
 
