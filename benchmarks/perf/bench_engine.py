@@ -78,10 +78,7 @@ def _conv_workload(n, ci, hw, co, k, stride, pad, rng) -> Callable[[], None]:
 
     def run():
         y, ctx = conv_ops.conv2d_forward(x, w, None, stride, pad)
-        dx, dw, db = conv_ops.conv2d_backward(dy, ctx, x.shape, w,
-                                              stride, pad)
-        workspace.release(dx)
-        conv_ops.release_ctx(ctx)
+        conv_ops.conv2d_backward(dy, ctx, x.shape, w, stride, pad)
 
     return run
 
@@ -331,7 +328,6 @@ def run_memplan_bench(step_warmup: int = 3, step_iters: int = 5,
     bit_identical = bool(np.array_equal(loss_on, loss_off)
                          and np.array_equal(logits_on, logits_off))
     m = plan_on.mem_metrics()
-    pool_cached = workspace.POOL.cached_bytes
     workspace.invalidate()
     payload = {
         "meta": {
@@ -356,7 +352,6 @@ def run_memplan_bench(step_warmup: int = 3, step_iters: int = 5,
             "alias_buffers": int(m["alias_buffers"]),
             "tracemalloc_peak_on_bytes": int(peak_on),
             "tracemalloc_peak_off_bytes": int(peak_off),
-            "pool_cached_bytes": int(pool_cached),
         },
         "bit_identical": bit_identical,
     }
@@ -772,11 +767,10 @@ def run_bench(repeats: int = 5, number: int = 3,
         "meta": {
             "workload": "resnet32 @ QUICK scale (hw=12, width_mult=0.375, "
                         "batch=32)",
-            "before": "seed engine (im2col conv, unfused BN/ReLU, no "
-                      "workspace pool)",
+            "before": "seed engine (im2col conv, unfused BN/ReLU)",
             "after": "optimized engine (gather-once batched-GEMM conv, "
-                     "fused BN-ReLU / add-ReLU, workspace pool, gradient "
-                     "donation, in-place SGD)",
+                     "fused BN-ReLU / add-ReLU, gradient donation, "
+                     "in-place SGD)",
             "methodology": "interleaved A/B rounds, best-of-N per engine "
                            "(robust to shared-host noise)",
         },
@@ -792,21 +786,19 @@ def run_bench(repeats: int = 5, number: int = 3,
         _bn_relu_workload, repeats, number)
 
     # End-to-end training step, steady-state: one model+optimizer instance
-    # per engine (so momentum buffers and pooled shapes stay stationary),
+    # per engine (so momentum buffers stay stationary),
     # warmed up, then timed in alternating rounds.
     with baseline_engine():
         run_before = _train_step_workload(np.random.default_rng(1))
     run_after = _train_step_workload(np.random.default_rng(1))
     step = _measure_interleaved(run_before, run_after,
                                 step_rounds, step_iters, warmup=step_warmup)
-    pool = workspace.POOL.stats.as_dict()
     workspace.invalidate()
 
     results["train_step"] = {
         "warmup_steps": step_warmup, "steps_per_round": step_iters,
         "rounds": step_rounds, **step,
     }
-    results["workspace_pool"] = pool
     return results
 
 

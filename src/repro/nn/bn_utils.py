@@ -84,5 +84,5 @@ def fold_batchnorm(model: Module) -> int:
         folded += 1
     if folded:
         # plans captured on this model hold the replaced weight arrays
-        workspace.invalidate_plans()
+        workspace.invalidate()
     return folded

@@ -130,4 +130,4 @@ class Module:
         # Parameter/buffer arrays were just reassigned: any compiled step
         # plan holding references to the old arrays is now stale, even
         # though every shape is unchanged (checkpoint restore).
-        workspace.invalidate_plans()
+        workspace.invalidate()

@@ -13,9 +13,7 @@ Updates are fully in-place (per the optimization guides): no per-step
 allocation beyond the gradient arrays autograd already produced.  The two
 per-parameter temporaries of the naive formulation (``wd * w`` and
 ``lr * v``) are staged through a per-parameter scratch buffer cached on the
-optimizer (parameters are tiny, so a dict lookup beats the workspace pool's
-acquire/release bookkeeping here), so a steady-state step allocates nothing
-at all.
+optimizer, so a steady-state step allocates nothing at all.
 """
 
 from __future__ import annotations

@@ -19,17 +19,14 @@ or scoped::
     with PROFILER.session():
         ...train...
 
-The ``bytes`` column counts the output arrays each op materializes; together
-with the workspace-pool hit/miss statistics (merged into :meth:`summary`)
-it shows how much of the engine's traffic the buffer pool absorbs.
+The ``bytes`` column counts the output arrays each op materializes.
 
 Engine counters
 ---------------
 Each engine module keeps one process-wide :class:`Counters` dataclass and
 hands it to :func:`register` at import under its summary key
-(``_workspace``, ``_plans``, ``_memplan``, ``_parallel``, ``_comm``,
-``_sparse``); :meth:`OpProfiler.summary` reports every registered set beside
-the op rows.
+(``_plans``, ``_memplan``, ``_parallel``, ``_comm``, ``_sparse``);
+:meth:`OpProfiler.summary` reports every registered set beside the op rows.
 :meth:`OpProfiler.reset` clears the op rows only — the counters are
 run-cumulative until their own ``reset()``.
 """

@@ -205,12 +205,10 @@ def apply_space_masks(model: Module, masks: Dict[int, np.ndarray],
     for sid, keep in masks.items():
         graph.spaces[sid].size = int(keep.sum())
 
-    # Channel surgery changed every activation shape in the model, so all
-    # workspace buffers cached for the old shapes are dead weight: drop them
-    # (the paper's "dense reconfiguration" moment — the pool re-populates at
-    # the new, smaller shapes on the next iteration).  invalidate() also
-    # bumps workspace.PLAN_GENERATION, which retires every compiled step
-    # plan (repro.tensor.compile): the trainer recaptures on its next batch
+    # Channel surgery changed every activation shape in the model (the
+    # paper's "dense reconfiguration" moment): invalidate() bumps
+    # workspace.PLAN_GENERATION, which retires every compiled step plan
+    # (repro.tensor.compile), and the trainer recaptures on its next batch
     # against the reconfigured network.
     workspace.invalidate()
 

@@ -7,9 +7,9 @@ Public surface:
 - :mod:`repro.tensor.functional` — conv2d, linear, batch_norm, pooling,
   activations, losses, and the channel gather/scatter ops used by the
   channel-gating baseline.
-- :mod:`repro.tensor.workspace` — the shape-keyed buffer pool the kernels
-  draw scratch from, plus the engine-optimization switchboard
-  (``workspace.config``, ``workspace.baseline_engine``).
+- :mod:`repro.tensor.workspace` — the engine-optimization switchboard
+  (``workspace.config``, ``workspace.baseline_engine``) and the plan
+  generation ``workspace.invalidate()`` bumps.
 - :mod:`repro.tensor.compile` — compiled training steps: capture one eager
   forward/backward as a flat kernel plan (:class:`~repro.tensor.compile.
   StepPlan`) and replay it bit-exactly until the next reconfiguration.
@@ -17,7 +17,7 @@ Public surface:
 
 from . import compile, functional, workspace
 from .tensor import Tensor, grad_enabled, no_grad
-from .workspace import WorkspacePool, baseline_engine
+from .workspace import baseline_engine
 
 __all__ = ["Tensor", "no_grad", "grad_enabled", "compile", "functional",
-           "workspace", "WorkspacePool", "baseline_engine"]
+           "workspace", "baseline_engine"]

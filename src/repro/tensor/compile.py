@@ -25,8 +25,7 @@ semantics exactly —
   write keeps the kernel's array (copies it where the op's row does not
   donate), later writes ``+=`` into it — the accumulation
   ``Tensor._accumulate_donated`` / ``Tensor._accumulate`` perform.  A plan's
-  kernels hand over plan buffers or fresh arrays, never pool-lent ones, so
-  replay makes no :mod:`repro.tensor.workspace` pool call.
+  kernels hand over plan buffers or fresh arrays.
 
 Capture mechanics
 -----------------
@@ -42,10 +41,9 @@ than baking a stale constant into the plan.
 Invalidation
 ------------
 Plans record ``workspace.PLAN_GENERATION`` at capture.  The counter is
-bumped by ``workspace.invalidate()`` (pruning reconfiguration — the same
-moment the buffer pool drops its cached shapes) and by
-``Module.load_state_dict`` (checkpoint restore reassigns ``param.data``, so
-array references captured by a plan go stale).  Dynamic mini-batch growth
+bumped by ``workspace.invalidate()``, which pruning reconfiguration calls,
+and so does ``Module.load_state_dict`` (checkpoint restore reassigns
+``param.data``, so array references captured by a plan go stale).  Dynamic mini-batch growth
 needs no hook: the input shape is part of the plan-cache key
 (:func:`train_step`), so a new batch size simply captures a new plan.
 """
@@ -785,8 +783,8 @@ class _PlanBuilder:
           (``"dx"``: toward input 0, first written at the late tick).
 
         Point-lived forward staging lets every conv share one region, at
-        the price of a per-step border memset (the same cost eager pays in
-        its zero-filled pool acquire) and a backward re-gather.  With no
+        the price of a per-step border memset (eager zero-fills each fresh
+        padded buffer once per call) and a backward re-gather.  With no
         planner, and for a gradient that escapes the plan (a leaf's, kept by
         the optimizer), a buffer is a private ``np.empty``.  Tags get the op
         kind as a prefix; ``dtype`` defaults to the first input's.
@@ -1015,14 +1013,14 @@ class _PlanBuilder:
         """Conv thunks over :class:`repro.tensor.ops.conv.ConvKernels`.
 
         This is where the plan beats eager on kernel-bound steps: every
-        staging buffer the eager kernel acquires per call (padded input,
+        staging buffer the eager kernel allocates per call (padded input,
         column tensor, output, dx) becomes a plan-owned array allocated once
         at capture, and every ``sliding_window_view`` / weight-reshape /
         transpose is precomputed as a view over those stable buffers.
         Replay performs the identical numpy operations on identical values
         (interiors and GEMM outputs are fully overwritten each step), so
         results stay bit-exact while the per-step view construction and
-        pool traffic disappear.  The kernel set states the lowering, RxS and
+        allocation disappear.  The kernel set states the lowering, RxS and
         1x1 alike; this builder supplies its buffers and wires the kernels
         to the plan's slots and sinks.
         """
@@ -1430,7 +1428,7 @@ class PlanCache:
         self.pinned = pinned
         self.evictions = 0
         # Lookups/stores may race a generation bump from another thread
-        # (ws.invalidate_plans is atomic on its side); RLock because
+        # (ws.invalidate is atomic on its side); RLock because
         # lookup/store call purge_stale internally.
         self._lock = threading.RLock()
 
@@ -1547,7 +1545,7 @@ def capture_forward(model, x: np.ndarray, *, row_stable: bool = False):
     """Run one inference forward under capture; compile a forward plan.
 
     Returns ``(plan, logits, reason)``.  Runs under ``no_grad`` (building a
-    graph that is never backwarded would strand pooled staging buffers).
+    graph that is never backwarded would keep every op's saved arrays alive).
     ``row_stable=True`` requests the serving lowering — see
     :meth:`Tape.finalize_forward`.  Note the returned ``logits`` come from
     the eager capture pass (standard lowering); a caller needing

@@ -12,18 +12,15 @@ below but one is a call to it), and :func:`conv2d`, which drives the conv's
 kernel set (:class:`repro.tensor.ops.conv.ConvKernels`).  Only those two
 build graph nodes or write capture records; ``Tensor`` itself has no ops.
 
-This layer owns three cross-cutting concerns of the performance overhaul:
+This layer owns three cross-cutting concerns of the engine:
 
-- **Workspace-buffer lifetimes.**  Kernels may return gradients in pooled
-  buffers and stash pooled staging in their forward context.  Kernel-produced
-  gradients are *donated* to the receiving tensor whenever possible
-  (:func:`_give_grad` / ``Tensor._accumulate_donated``): the array itself
-  becomes the gradient — no first-touch copy — and the backward pass returns
-  pooled buffers to the workspace when it drops interior gradients.  The one
-  case that still copies is a pooled gradient landing on a *leaf* tensor
-  (its grad outlives the backward pass, and a retained pool buffer would
-  stay lent forever).  Forward staging is released once backward has
-  consumed it (or immediately under ``no_grad``).
+- **Gradient ownership.**  Every kernel allocates fresh arrays, so a
+  kernel-produced gradient is *donated* to the receiving tensor
+  (``Tensor._accumulate_donated``): the array itself becomes the gradient,
+  no first-touch copy.  The one exception is a gradient a row hands to more
+  than one input (``add`` fans ``g`` out to both parents); its row's
+  ``donate`` flag is false and the receiver copies
+  (``Tensor._accumulate``).
 
 - **Op-level profiling.**  Both drivers bracket every op with
   ``repro.profiler.PROFILER`` guards (``<kind>_fwd`` / ``<kind>_bwd``); the
@@ -44,30 +41,9 @@ import numpy as np
 
 from ..profiler import PROFILER as _P
 from . import tensor as _tensor_mod
-from . import workspace as ws
 from .ops import conv as _conv
 from .ops.table import OPS
 from .tensor import Tensor, grad_enabled
-
-
-def _give_grad(t: Tensor, arr: np.ndarray) -> None:
-    """Hand a kernel-produced gradient (exact shape/dtype, unaliased) to ``t``.
-
-    Donates the array outright unless it is a pool buffer landing on a leaf
-    tensor — a leaf's grad survives the backward pass, so taking ownership
-    of a pooled buffer there would pin it in the pool's lent set; that case
-    copies and releases instead.
-    """
-    if not ws.config.pooling:
-        # Seed-engine semantics for honest A/B benchmarks: copy on first
-        # touch, no ownership transfer.
-        t._accumulate(arr)
-        ws.release(arr)
-    elif t._backward is not None or not ws.POOL.owns(arr):
-        t._accumulate_donated(arr)
-    else:
-        t._accumulate(arr)
-        ws.release(arr)
 
 
 def apply_op(kind: str, inputs: Tuple[Optional[Tensor], ...],
@@ -98,12 +74,8 @@ def apply_op(kind: str, inputs: Tuple[Optional[Tensor], ...],
             t0 = time.perf_counter()
         for t, donate, dg in zip(inputs, op.donate,
                                  op.backward(g, saved, attrs, None)):
-            if t is None:
-                continue
-            if donate:
-                _give_grad(t, dg)
-            else:
-                t._accumulate(dg)
+            if t is not None:
+                (t._accumulate_donated if donate else t._accumulate)(dg)
         if prof:
             _P.add(kind + "_bwd", time.perf_counter() - t0, 0)
 
@@ -146,7 +118,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     if prof:
         _P.add("conv2d_fwd", time.perf_counter() - t0, y.nbytes)
     if not grad_enabled():
-        _conv.release_ctx(ctx)
         out = Tensor(y)
         if _tensor_mod._TAPE is not None:
             _tensor_mod._TAPE.record("conv2d", (x, weight, bias), out,
@@ -166,11 +137,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
             need_dx=need_dx and not first_layer,
             need_db=bias is not None)
         if dx is not None:
-            _give_grad(x, dx)
-        _conv.release_ctx(ctx)
-        _give_grad(weight, dw)
+            x._accumulate_donated(dx)
+        weight._accumulate_donated(dw)
         if bias is not None:
-            _give_grad(bias, db)
+            bias._accumulate_donated(db)
         if prof:
             _P.add("conv2d_bwd", time.perf_counter() - t0, dw.nbytes)
 

@@ -5,8 +5,8 @@ Two lowerings, selected by ``workspace.config.conv_impl``:
 ``"einsum"`` (default, the optimized engine)
     A *gather-once, GEMM-everywhere* lowering, stated once as the kernel set
     :class:`ConvKernels` and driven three ways: per call by eager
-    :func:`conv2d_forward` / :func:`conv2d_backward` (buffers from the
-    workspace pool), once per plan by the plan builder
+    :func:`conv2d_forward` / :func:`conv2d_backward` (fresh arrays, as
+    NumPy allocates them), once per plan by the plan builder
     (:mod:`repro.tensor.compile`, buffers from the plan's arena) and by the
     sparse gate's calibration probe (:mod:`repro.tensor.sparse`).  A conv
     takes one of four forms, each one class, looked up in :data:`FORMS` by
@@ -30,7 +30,7 @@ Two lowerings, selected by ``workspace.config.conv_impl``:
     (:class:`_Im2colKernels`).  It shares no code with the forms above, which
     makes it — with finite differences — the reference their *values* are
     tested against; what the tests hold bitwise is the buffer-lifetime
-    property, the pooled per-call driver against the planned layout
+    property, the per-call driver's fresh arrays against the planned layout
     (``remat=True``, shared scratch).
 
 Layout conventions (PyTorch-compatible):
@@ -45,7 +45,6 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .. import workspace as ws
 from ..workspace import config
 
 
@@ -448,24 +447,27 @@ class ConvKernels:
     both; it is ``None`` wherever the two share nothing.
     ``phase`` names a buffer's lifetime, which each driver maps to storage:
 
-    ========  =============================  ==================  ============
-    phase     lifetime                       plan (planner on)   eager (pool)
-    ========  =============================  ==================  ============
-    ``out``   the output activation          value slab          fresh array
-    ``fwd``   inside ``fwd``                 point-lived         released when
-                                                                 forward returns
-    ``span``  ``fwd`` to the own backward    fwd..bwd slab       ``release_ctx``
-    ``a``     inside ``stage_dy`` + ``dw``   early backward tick released when
-    ``b``     inside ``dx``                  late backward tick  backward returns
-    ``ab``    written by ``stage_dy``, read  both backward ticks (with ``a``
-              by ``dw`` and ``dx``                               and ``b``)
-    ``dx``    handed to the input's producer grad slab           donated
-    ========  =============================  ==================  ============
+    ========  ===========================================  ==================
+    phase     lifetime                                     plan (planner on)
+    ========  ===========================================  ==================
+    ``out``   the output activation                        value slab
+    ``fwd``   inside ``fwd``                               point-lived
+    ``span``  ``fwd`` to the own backward                  fwd..bwd slab
+    ``a``     inside ``stage_dy`` + ``dw``                 early backward tick
+    ``b``     inside ``dx``                                late backward tick
+    ``ab``    written by ``stage_dy``, read by ``dw`` and  both backward ticks
+              ``dx``
+    ``dx``    handed to the input's producer               grad slab
+    ========  ===========================================  ==================
 
-    Every ``sliding_window_view``, reshape and transpose is precomputed over
-    those buffers: a plan replays bare kernel calls, eager performs the same
-    numpy operations on pooled buffers.  ``backward=False`` (forward-only
-    plans) says no second stage follows, so nothing need outlive ``fwd``.
+    Eager ignores the phase: every request is a fresh array, which NumPy
+    frees with its last reference — forward-only staging when the driver
+    drops ``fwd``, the rest with the kernel set (``ctx``) or, for ``dx``,
+    with the gradient it was donated as.  Every ``sliding_window_view``,
+    reshape and transpose is precomputed over those buffers: a plan replays
+    bare kernel calls, eager performs the same numpy operations on fresh
+    arrays.  ``backward=False`` (forward-only plans) says no second stage
+    follows, so nothing need outlive ``fwd``.
 
     With a ``dead`` set (:class:`repro.tensor.sparse.DeadSet`; the gather
     form only, the others refuse one) live-channel variants exist as well, on
@@ -1134,25 +1136,33 @@ class _Im2colKernels:
 
 # -- the eager driver ----------------------------------------------------------------
 
+def fresh_alloc(dtype):
+    """``alloc(shape, tag, phase)`` that returns a new array per request,
+    whatever its phase: the storage of the eager driver and of the sparse
+    gate's probe, which hold a kernel set for one call or one probe."""
+    return lambda shape, tag="", phase="": np.empty(shape, dtype)
+
+
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
                    stride: int, padding: int
                    ) -> Tuple[np.ndarray, object]:
     """Forward convolution.  Returns ``(y, ctx)``.
 
     ``ctx`` is the kernel set that computed ``y`` (the conv's form, or the
-    seed reference under im2col), built for this call over pooled buffers and
-    kept, opaque, for :func:`conv2d_backward`.  Forward staging is back in
-    the pool on return; what backward still reads stays lent until
-    :func:`release_ctx` (after backward, or at once under ``no_grad``).
+    seed reference under im2col), built for this call over fresh arrays and
+    kept, opaque, for :func:`conv2d_backward`; its buffers live as long as
+    it does.
     """
     if x.shape[1] != w.shape[1]:
         raise ValueError(f"channel mismatch: input has {x.shape[1]}, "
                          f"filters expect {w.shape[1]}")
     kernels = ConvKernels if config.conv_impl == "einsum" else _Im2colKernels
-    alloc = ws.PooledAlloc(x.dtype)
+    alloc = fresh_alloc(x.dtype)
     ctx = kernels(x.shape, w, stride, padding, x.dtype, alloc, bias=b)
     ctx.fwd(x)
-    alloc.release("fwd")
+    # ``fwd`` runs once per call: dropping it frees the forward-only staging
+    # (phase ``"fwd"``) before the next conv allocates its own.
+    ctx.fwd = None
     # Driver state: dw(x, g3) reads x where the form staged nothing, and the
     # kernels keep no reference to their allocator (a plan's holds its builder).
     ctx.x, ctx.alloc = x, alloc
@@ -1167,14 +1177,11 @@ def conv2d_backward(dy: np.ndarray, ctx,
                                Optional[np.ndarray]]:
     """Backward convolution.
 
-    Returns ``(dx, dw, db)``.  ``dx`` is ``None`` when ``need_dx`` is false
-    (first layer of a network); ``db`` is ``None`` when ``need_db`` is false
-    (bias-free convs — every conv followed by BN).  ``dw`` and ``db`` are
-    fresh arrays (leaf gradients outlive the step); ``dx`` may be a pooled
-    buffer — the caller must consume it synchronously and pass it to
-    ``workspace.release``.  The backward scratch — second stage of ``ctx``,
-    which knows the geometry the other arguments restate — is back in the
-    pool on return; ``ctx`` itself is not released (autograd owns it).
+    Returns ``(dx, dw, db)``, each a fresh array the caller owns.  ``dx`` is
+    ``None`` when ``need_dx`` is false (first layer of a network); ``db`` is
+    ``None`` when ``need_db`` is false (bias-free convs — every conv
+    followed by BN).  The backward scratch is the second stage of ``ctx``,
+    which knows the geometry the other arguments restate.
     """
     ctx.backward(ctx.alloc, need_dx)
     if ctx.stage_dy is not None:
@@ -1183,15 +1190,10 @@ def conv2d_backward(dy: np.ndarray, ctx,
     dw = ctx.dw(ctx.x, dy.reshape(n, k, -1))
     db = ctx.db(dy) if need_db else None
     dx = ctx.dx(dy) if need_dx else None
-    ctx.alloc.release("a", "b", "ab")
     return dx, dw, db
 
 
 def release_ctx(ctx) -> None:
-    """Return a forward context's staging buffers to the workspace pool.
-
-    Safe to call unconditionally: contexts that kept nothing pooled (a 1x1
-    conv at stride 1, the seed lowering) release nothing.
-    """
-    if ctx is not None:
-        ctx.alloc.release("span")
+    """No-op kept for ``benchmarks/e2e``, which calls it after a conv's
+    backward, until ROADMAP item 1 removes the call.  Nothing in ``src/``
+    calls it."""

@@ -31,7 +31,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .. import workspace as ws
 from ..workspace import config
 
 #: Optional observer called as ``sink(running_mean, mu, var)`` on every
@@ -129,7 +128,7 @@ def bn_coef_backward(dy: np.ndarray, cache: tuple, training: bool,
 
     ``scratch`` (full size) and ``mask`` (bool, fused ReLU only) are work
     buffers, each a fresh array when ``None``; ``dgamma`` and ``dbeta`` are
-    always fresh.  Eager passes pooled ``dx`` / ``scratch``, a compiled plan
+    always fresh.  Eager passes fresh ``dx`` / ``scratch``, a compiled plan
     its preplanned buffers.
     """
     # y: the rectified output of a fused ReLU (its sign is the mask) or None
@@ -166,24 +165,18 @@ def bn_coef_backward(dy: np.ndarray, cache: tuple, training: bool,
 
 def _coef_backward(dy: np.ndarray, cache: tuple, training: bool
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eager backward for the affine-folded cache: pooled ``dx`` (the caller
-    releases it), pooled scratch returned here."""
-    relu = cache[6]
-    dx = ws.acquire(dy.shape, dy.dtype)
-    scratch = ws.acquire(dy.shape, dy.dtype) \
-        if training and not relu else None
-    out = bn_coef_backward(dy, cache, training, dx, scratch)
-    ws.release(scratch)
-    return out
+    """Eager backward for the affine-folded cache, over fresh ``dx`` and
+    scratch."""
+    dx = np.empty(dy.shape, dy.dtype)
+    scratch = np.empty(dy.shape, dy.dtype) \
+        if training and not cache[6] else None
+    return bn_coef_backward(dy, cache, training, dx, scratch)
 
 
 def batchnorm_backward(dy: np.ndarray, cache: tuple
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns ``(dx, dgamma, dbeta)`` (training-mode statistics).
-
-    ``dx`` may be a pooled buffer — consume it synchronously and release it
-    via ``workspace.release`` (a no-op for unpooled arrays).
-    """
+    """Returns ``(dx, dgamma, dbeta)`` (training-mode statistics), fresh
+    arrays."""
     if cache[0] == "coef":
         return _coef_backward(dy, cache, training=True)
     _, xhat, gamma, inv_std = cache

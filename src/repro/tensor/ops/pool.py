@@ -19,9 +19,8 @@ mask-free forward (``no_grad``) has nothing to amortise the copy over and
 keeps the strided running max.
 
 Both backwards write ``dx`` into ``out``, a compiled plan's planned gradient
-buffer, or eager into one drawn from the :mod:`repro.tensor.workspace` pool
-(donated to the input's gradient, returned when autograd drops it).  Either
-may hold stale values, so the max-pool backward zeroes the rows and columns
+buffer, or eager into a fresh ``np.empty`` array (donated to the input's
+gradient).  Neither is zeroed, so the max-pool backward zeroes the rows and columns
 a ragged map truncated on every call.  The forward's planes are a transient
 of the call.
 """
@@ -31,8 +30,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-
-from .. import workspace as ws
 
 
 def maxpool2d_forward(x: np.ndarray, k: int, need_mask: bool = True
@@ -88,12 +85,12 @@ def maxpool2d_backward(dy: np.ndarray, mask: np.ndarray, k: int,
                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Route ``dy`` to the cells ``mask`` marks: plane ``i*k + j`` of the
     mask times ``dy`` is written straight into window cell ``(i, j)`` of
-    ``dx`` (``out``, else a pool buffer), one contiguous-read pass per cell
+    ``dx`` (``out``, else a fresh array), one contiguous-read pass per cell
     and no temporary.  The rows and columns a ragged map truncated are set
     to exactly zero."""
     n, c, h, w = x_shape
     ho, wo = dy.shape[2], dy.shape[3]
-    dx = ws.acquire(x_shape, dy.dtype) if out is None else out
+    dx = np.empty(x_shape, dy.dtype) if out is None else out
     if h != ho * k:
         dx[:, :, ho * k:].fill(0)
     if w != wo * k:
@@ -112,11 +109,11 @@ def global_avgpool_forward(x: np.ndarray) -> np.ndarray:
 def global_avgpool_backward(dy: np.ndarray,
                             x_shape: Tuple[int, int, int, int],
                             out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``dy`` spread evenly over each map, into ``out`` (else a pool
-    buffer)."""
+    """``dy`` spread evenly over each map, into ``out`` (else a fresh
+    array)."""
     n, c, h, w = x_shape
     if out is None:
-        out = ws.acquire(x_shape, dy.dtype)
+        out = np.empty(x_shape, dy.dtype)
     out[:] = dy[:, :, None, None]
     out *= 1.0 / (h * w)
     return out

@@ -8,7 +8,7 @@ and the plan builder's row driver (``repro.tensor.compile._PlanBuilder.
 _from_row``).  Adding an op is a kernel plus one row here.
 
 Every kernel takes ``bufs`` last.  Eager passes ``None``, and the kernel
-allocates fresh or pooled arrays as its ``out=None`` form always has.  A
+allocates fresh arrays as its ``out=None`` form always has.  A
 plan passes what the row's build-time ``buffers`` stage returned.  That stage
 runs once per captured record, is a function of the input shapes and dtypes,
 the attrs, whether a backward follows and the builder-wide ``row_stable``,

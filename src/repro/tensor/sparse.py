@@ -61,7 +61,7 @@ import numpy as np
 
 from ..profiler import Counters, register
 from . import workspace as ws
-from .ops.conv import ConvKernels, conv_form
+from .ops.conv import ConvKernels, conv_form, fresh_alloc
 
 __all__ = [
     "DeadSet", "ConvGate", "StepState", "SparseStats", "STATS",
@@ -242,7 +242,7 @@ def publish(entries, *, invalidate: bool = True) -> bool:
     STATS.publishes += 1
     if changed and invalidate:
         STATS.publish_invalidations += 1
-        ws.invalidate_plans()
+        ws.invalidate()
     return changed
 
 
@@ -251,7 +251,7 @@ def clear() -> None:
     global _published_fp
     if _REGISTRY:
         _REGISTRY.clear()
-        ws.invalidate_plans()
+        ws.invalidate()
     _published_fp = None
     _gate_memo.clear()
 
@@ -327,7 +327,7 @@ def _calibrate_conv(sig: tuple, x: np.ndarray, w: np.ndarray, ds: DeadSet,
     """Measure dense vs live-channel kernels on real data; probe bit-parity.
 
     The probe builds the very kernel set the plan builder binds
-    (:class:`repro.tensor.ops.conv.ConvKernels`, planned layout, pooled
+    (:class:`repro.tensor.ops.conv.ConvKernels`, planned layout, fresh
     buffers) and times those kernels plus the per-step guard scans the plan
     wraps around the live ones — the gate measures the code that runs.
     """
@@ -337,7 +337,7 @@ def _calibrate_conv(sig: tuple, x: np.ndarray, w: np.ndarray, ds: DeadSet,
     k, _, r, s = w.shape
     kl, cl = ds.out_live.size, ds.in_live.size
     min_gain = ws.config.sparse_min_gain
-    alloc = ws.PooledAlloc(x.dtype)
+    alloc = fresh_alloc(x.dtype)
 
     def decide(path: str, dense_fn, live_fn, parity_fn, work: float,
                cols: float, cols_kept: float, live_out: float) -> bool:
@@ -351,72 +351,70 @@ def _calibrate_conv(sig: tuple, x: np.ndarray, w: np.ndarray, ds: DeadSet,
             SPARSE_GEMM.calibrate(sig, path, dense_fn, live_fn, parity_fn,
                                   pred), min_gain)
 
-    try:
-        ks = ConvKernels(x.shape, w, stride, padding, x.dtype, alloc,
-                         dead=ds, remat=True)
-        y4 = ks.y4
-        p = y4.shape[2] * y4.shape[3]
-        crs_p = c * r * s * p
-        ref = alloc(y4.shape)
+    ks = ConvKernels(x.shape, w, stride, padding, x.dtype, alloc,
+                     dead=ds, remat=True)
+    y4 = ks.y4
+    p = y4.shape[2] * y4.shape[3]
+    crs_p = c * r * s * p
+    ref = alloc(y4.shape)
 
-        def fwd_live() -> None:
-            weights_dead(w, ds)                   # the per-step guard scan
-            ks.fwd_live(x)
+    def fwd_live() -> None:
+        weights_dead(w, ds)                   # the per-step guard scan
+        ks.fwd_live(x)
 
-        def fwd_parity() -> bool:
-            ks.fwd(x)
-            np.copyto(ref, y4)
-            ks.fwd_live(x)
-            return np.array_equal(ref, y4)
+    def fwd_parity() -> bool:
+        ks.fwd(x)
+        np.copyto(ref, y4)
+        ks.fwd_live(x)
+        return np.array_equal(ref, y4)
 
-        if not decide("fwd", lambda: ks.fwd(x), fwd_live, fwd_parity,
-                      n * k * crs_p, n * crs_p, cl / c, n * kl * p):
-            return False, False, False
+    if not decide("fwd", lambda: ks.fwd(x), fwd_live, fwd_parity,
+                  n * k * crs_p, n * crs_p, cl / c, n * kl * p):
+        return False, False, False
 
-        # -- dw: dy with dead rows zero (what training produces) -----------
-        ks.backward(alloc)
-        ks.fwd(x)                                 # realistic magnitudes
-        dy = y4
-        g3 = dy.reshape(n, k, p)
-        for _, s0, ln in ds.out_dead_runs:
-            g3[:, s0:s0 + ln] = 0
+    # -- dw: dy with dead rows zero (what training produces) -----------
+    ks.backward(alloc)
+    ks.fwd(x)                                 # realistic magnitudes
+    dy = y4
+    g3 = dy.reshape(n, k, p)
+    for _, s0, ln in ds.out_dead_runs:
+        g3[:, s0:s0 + ln] = 0
 
-        def dw_live() -> None:
-            runs_any_ch(g3, ds.out_dead_runs)     # the dy-zero row check
-            runs_any_ch(x, ds.in_dead_runs)       # the x-zero column check
-            ks.dw_live(x, g3, ds.out_live_runs)
+    def dw_live() -> None:
+        runs_any_ch(g3, ds.out_dead_runs)     # the dy-zero row check
+        runs_any_ch(x, ds.in_dead_runs)       # the x-zero column check
+        ks.dw_live(x, g3, ds.out_live_runs)
 
-        def dw_parity() -> bool:
-            # The plan compacts to the published live rows and channels —
-            # this GEMM shape — and only while the dead rows of dy and the
-            # dead in-channels of x are zero, which the per-step checks
-            # enforce at run time, so the probe compares on such operands.
-            xz = x.copy()
-            for _, s0, ln in ds.in_dead_runs:
-                xz[:, s0:s0 + ln] = 0
-            return np.array_equal(ks.dw(xz, g3),
-                                  ks.dw_live(xz, g3, ds.out_live_runs))
+    def dw_parity() -> bool:
+        # The plan compacts to the published live rows and channels —
+        # this GEMM shape — and only while the dead rows of dy and the
+        # dead in-channels of x are zero, which the per-step checks
+        # enforce at run time, so the probe compares on such operands.
+        xz = x.copy()
+        for _, s0, ln in ds.in_dead_runs:
+            xz[:, s0:s0 + ln] = 0
+        return np.array_equal(ks.dw(xz, g3),
+                              ks.dw_live(xz, g3, ds.out_live_runs))
 
-        use_dw = decide("dw", lambda: ks.dw(x, g3), dw_live,
-                        dw_parity, n * k * crs_p, n * crs_p, cl / c,
-                        n * kl * p)
+    use_dw = decide("dw", lambda: ks.dw(x, g3), dw_live,
+                    dw_parity, n * k * crs_p, n * crs_p, cl / c,
+                    n * kl * p)
 
-        # -- dx (transposed-conv form only): the one kernel whose compaction
-        # shrinks a GEMM *reduction* dimension (K*R*S), where BLAS
-        # accumulator pairing can change low bits — the parity probe is
-        # load-bearing here, not a formality.
-        use_dx = False
-        if ks.dx_live is not None:
-            dx_ref = alloc(x.shape)
+    # -- dx (transposed-conv form only): the one kernel whose compaction
+    # shrinks a GEMM *reduction* dimension (K*R*S), where BLAS
+    # accumulator pairing can change low bits — the parity probe is
+    # load-bearing here, not a formality.
+    use_dx = False
+    if ks.dx_live is not None:
+        dx_ref = alloc(x.shape)
 
-            def dx_parity() -> bool:
-                np.copyto(dx_ref, ks.dx(dy))
-                return np.array_equal(dx_ref, ks.dx_live(dy))
+        def dx_parity() -> bool:
+            np.copyto(dx_ref, ks.dx(dy))
+            return np.array_equal(dx_ref, ks.dx_live(dy))
 
-            krs_hw = k * r * s * h * wd
-            use_dx = decide("dx", lambda: ks.dx(dy), lambda: ks.dx_live(dy),
-                            dx_parity, n * c * krs_hw, n * krs_hw, kl / k,
-                            n * cl * h * wd)
-        return True, use_dw, use_dx
-    finally:
-        alloc.release()
+        krs_hw = k * r * s * h * wd
+        use_dx = decide("dx", lambda: ks.dx(dy), lambda: ks.dx_live(dy),
+                        dx_parity, n * c * krs_hw, n * krs_hw, kl / k,
+                        n * cl * h * wd)
+    return True, use_dw, use_dx
+

@@ -20,8 +20,6 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .workspace import release as _pool_release
-
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 #: Global autograd switch.  ``no_grad()`` flips this off so inference and
@@ -158,11 +156,10 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad`` into ``self.grad`` (allocating on first use).
 
-        Ownership contract: this method never retains a reference to
-        ``grad`` — it either copies it (first touch) or ``+=``-reduces it
-        into an array it already owns.  Backward kernels may therefore hand
-        in workspace-pool buffers and release them immediately after this
-        call returns (see :mod:`repro.tensor.workspace`).
+        This method never retains a reference to ``grad`` — it either copies
+        it (first touch) or ``+=``-reduces it into an array it already owns
+        — so the caller may keep using the array (an add hands the same
+        gradient to both parents).
         """
         if not self.requires_grad:
             return
@@ -181,11 +178,8 @@ class Tensor:
         The caller *donates* the array: it must match ``self.data`` in shape
         and dtype exactly, must not alias any other live gradient, and must
         not be used by the caller afterwards.  On first touch the array
-        itself becomes ``self.grad`` — a workspace-pool buffer stays lent
-        and is returned to the pool when :meth:`backward` drops the interior
-        gradient — so the kernels' gradient outputs reach the graph with
-        zero copies.  On later touches it is reduced in place and released
-        back to the pool (a no-op for unpooled arrays).
+        itself becomes ``self.grad``, so the kernels' gradient outputs reach
+        the graph with zero copies; on later touches it is reduced in place.
         """
         if not self.requires_grad:
             return
@@ -193,7 +187,6 @@ class Tensor:
             self.grad = grad
         else:
             self.grad += grad
-            _pool_release(grad)
 
     # ------------------------------------------------------------------
     # backward pass
@@ -219,10 +212,6 @@ class Tensor:
             if node.grad is not None:
                 node._backward(node.grad)
                 if node is not self:
-                    # Donated pool buffers (see _accumulate_donated) go
-                    # back to the workspace here — release is a no-op for
-                    # plain arrays.
-                    _pool_release(node.grad)
                     node.grad = None
             # Drop the closure and parent references even when this node
             # received no gradient (e.g. a conv that skips dx): a retained

@@ -1,38 +1,24 @@
-"""Process-wide workspace buffer pool and engine configuration.
+"""Engine configuration and the plan generation.
 
-PruneTrain's training loop is shape-stationary *between* reconfigurations:
-every iteration runs the same convolutions at the same shapes, so the im2col
-padded-input staging, col2im scatter scratch, and gradient buffers requested
-on iteration ``i`` are requested again — identically — on iteration ``i+1``.
-The :class:`WorkspacePool` exploits this by recycling buffers keyed by
-``(shape, dtype)`` instead of allocating fresh arrays in every kernel call,
-which converts the engine's hot path from allocator-bound to compute-bound.
+The :class:`EngineConfig` switchboard: the process-wide ``config`` every
+kernel and the plan builder read is the *one* place an engine switch is set
+— parsed from ``REPRO_*`` once at import, then pinned for a block with
+:func:`engine` (``baseline_engine()`` is its all-off preset, the seed
+engine's exact execution path, which is how ``benchmarks/perf`` measures
+honest before/after numbers in one process).  Every field is something a
+compiled plan is specialised on, so ``plan_signature()`` is the fields
+themselves.
 
-At a *reconfiguration* the stationarity assumption breaks on purpose: channel
-surgery (``repro.prune.reconfigure``) changes every activation shape in the
-model, which is exactly the paper's "dense reconfiguration" moment (Sec. 4.2).
-The surgery therefore calls :func:`invalidate` so the pool drops all cached
-buffers; the next iteration re-populates it at the new (smaller) shapes.
+:data:`PLAN_GENERATION` is the other half of a plan's validity: PruneTrain's
+training loop is shape-stationary *between* reconfigurations, so a captured
+plan replays until channel surgery (``repro.prune.reconfigure``) changes
+every activation shape — the paper's "dense reconfiguration" moment
+(Sec. 4.2) — or a checkpoint restore swaps the weight arrays; both call
+:func:`invalidate`.
 
-Ownership contract
-------------------
-``acquire`` hands out a buffer and records it as *lent*; ``release`` returns
-it to the free list.  Kernels that produce results consumed synchronously
-(gradients fed straight into ``Tensor._accumulate``) release their buffers in
-the autograd closure right after the accumulate; buffers that must survive
-from forward to backward (the padded conv input) are released by the backward
-closure itself.  ``release`` is a no-op for arrays the pool does not own, so
-callers never need to track provenance.  Under ``no_grad`` the functional
-layer releases forward staging immediately.
-
-The module also hosts the :class:`EngineConfig` switchboard: the
-process-wide ``config`` every kernel and the plan builder read is the *one*
-place an engine switch is set — parsed from ``REPRO_*`` once at import, then
-pinned for a block with :func:`engine` (``baseline_engine()`` is its
-all-off preset, the seed engine's exact execution path, which is how
-``benchmarks/perf`` measures honest before/after numbers in one process).
-Every field is something a compiled plan is specialised on, so
-``plan_signature()`` is the fields themselves.
+Eager kernels allocate fresh arrays, as NumPy does: a shape-keyed buffer
+cache would hold memory at shapes a reconfiguration has just retired, and
+that memory is what dynamic mini-batch growth (Sec. 4.3) spends.
 """
 
 from __future__ import annotations
@@ -41,11 +27,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Tuple
-
-import numpy as np
-
-from ..profiler import Counters, register
+from types import SimpleNamespace
 
 
 def _env_flag(name: str, default: bool) -> bool:
@@ -59,15 +41,12 @@ def _env_flag(name: str, default: bool) -> bool:
 class EngineConfig:
     """Feature switches for the optimized engine.
 
-    ``pooling``, ``fused_bnrelu`` and ``mem_plan`` default on and
-    ``conv_impl`` to ``"einsum"``; ``parallel_replay`` and
-    ``sparse_compute`` default off.  ``baseline_engine()`` (or
-    ``REPRO_WORKSPACE=0 REPRO_FUSED=0 REPRO_CONV_IMPL=im2col`` before
-    import) runs the seed-equivalent path.
+    ``fused_bnrelu`` and ``mem_plan`` default on and ``conv_impl`` to
+    ``"einsum"``; ``parallel_replay`` and ``sparse_compute`` default off.
+    ``baseline_engine()`` (or ``REPRO_FUSED=0 REPRO_CONV_IMPL=im2col``
+    before import) runs the seed-equivalent path.
     """
 
-    #: serve kernel scratch from the workspace pool instead of fresh allocs
-    pooling: bool = True
     #: fuse BatchNorm->ReLU into one kernel at BN call sites that allow it
     fused_bnrelu: bool = True
     #: convolution lowering: "einsum" (the three-form gather-once kernel set
@@ -114,7 +93,6 @@ class EngineConfig:
 
 
 config = EngineConfig(
-    pooling=_env_flag("REPRO_WORKSPACE", True),
     fused_bnrelu=_env_flag("REPRO_FUSED", True),
     conv_impl=os.environ.get("REPRO_CONV_IMPL", "einsum"),
     mem_plan=_env_flag("REPRO_MEM_PLAN", True),
@@ -144,134 +122,26 @@ def engine(**switches):
 
 def baseline_engine():
     """Temporarily run with every optimization off (the seed engine path)."""
-    return engine(pooling=False, fused_bnrelu=False, conv_impl="im2col",
+    return engine(fused_bnrelu=False, conv_impl="im2col",
                   mem_plan=False, parallel_replay=False, sparse_compute=False)
 
 
-@dataclass
-class PoolStats(Counters):
-    """Allocation accounting (``PROFILER.summary()["_workspace"]``)."""
-
-    hits: int = 0
-    misses: int = 0
-    bytes_reused: int = 0
-    bytes_allocated: int = 0
-    invalidations: int = 0
-    #: buffers silently dropped because a key's free list was already at
-    #: ``max_per_key`` — nonzero means the pool is undersized for the
-    #: workload (or a shape churns faster than it is reused)
-    evictions: int = 0
-    bytes_evicted: int = 0
+#: Kept for ``benchmarks/e2e``, which reads these counters of the deleted
+#: buffer pool, until ROADMAP item 1 removes the reads: all zero, never
+#: updated, and not part of ``PROFILER.summary()``.
+POOL = SimpleNamespace(stats=SimpleNamespace(
+    hits=0, misses=0, bytes_allocated=0, invalidations=0, evictions=0))
 
 
-class WorkspacePool:
-    """Shape/dtype-keyed free-list buffer pool.
+def release(arr) -> None:
+    """No-op kept for ``benchmarks/e2e``, which calls it on a conv's ``dx``,
+    until ROADMAP item 1 removes the call.  Nothing in ``src/`` calls it."""
 
-    The pool belongs to the eager engine: its kernels' per-call scratch and
-    gradients, :class:`PooledAlloc` for the eager conv and the sparse gate's
-    probe.  Compiled replay never calls it — a plan owns its buffers.  It
-    stays thread-safe because eager work still runs on more than one
-    thread: the inference server's dispatch thread runs eager forwards
-    (fallback rows, captures) while the caller's thread trains, evaluates or
-    serves.  A single mutex guards the free lists, the lent map, and the
-    stats counters; the critical sections are dict/list operations only
-    (allocation and zero-fill happen outside the lock where possible).
-    """
-
-    def __init__(self, max_per_key: int = 8):
-        self.max_per_key = max_per_key
-        self._free: Dict[Tuple[tuple, object], List[np.ndarray]] = {}
-        self._lent: Dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
-        self.stats = PoolStats()
-
-    # -- core API ----------------------------------------------------------
-    def acquire(self, shape: tuple, dtype=np.float32,
-                zero: bool = False) -> np.ndarray:
-        """Get a buffer of ``shape``/``dtype`` (contents arbitrary unless
-        ``zero``).  With pooling disabled this is a plain allocation."""
-        dtype = np.dtype(dtype)
-        if not config.pooling:
-            return np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
-        key = (tuple(shape), dtype)
-        with self._lock:
-            free = self._free.get(key)
-            buf = free.pop() if free else None
-            if buf is not None:
-                self.stats.hits += 1
-                self.stats.bytes_reused += buf.nbytes
-                self._lent[id(buf)] = buf
-        if buf is not None:
-            if zero:
-                buf.fill(0)
-            return buf
-        buf = np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
-        with self._lock:
-            self.stats.misses += 1
-            self.stats.bytes_allocated += buf.nbytes
-            self._lent[id(buf)] = buf
-        return buf
-
-    def release(self, arr: np.ndarray) -> None:
-        """Return a buffer (or a view into one) to the pool.
-
-        No-op for arrays the pool never lent — callers may release
-        unconditionally.
-        """
-        if arr is None or not config.pooling:
-            return
-        base = arr if arr.base is None else arr.base
-        with self._lock:
-            buf = self._lent.pop(id(base), None)
-            if buf is None:
-                return
-            key = (buf.shape, buf.dtype)
-            free = self._free.setdefault(key, [])
-            if len(free) < self.max_per_key:
-                free.append(buf)
-            else:
-                self.stats.evictions += 1
-                self.stats.bytes_evicted += buf.nbytes
-
-    def clear(self) -> None:
-        """Drop every cached and lent buffer (pruning reconfiguration)."""
-        with self._lock:
-            self._free.clear()
-            self._lent.clear()
-            self.stats.invalidations += 1
-
-    def owns(self, arr: np.ndarray) -> bool:
-        """Whether ``arr`` (or its base) is currently lent out by this pool."""
-        if arr is None:
-            return False
-        base = arr if arr.base is None else arr.base
-        return id(base) in self._lent
-
-    # -- introspection -----------------------------------------------------
-    @property
-    def lent_count(self) -> int:
-        return len(self._lent)
-
-    @property
-    def cached_bytes(self) -> int:
-        return sum(b.nbytes for bufs in self._free.values() for b in bufs)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"WorkspacePool(keys={len(self._free)}, "
-                f"cached={self.cached_bytes / 1e6:.1f}MB, "
-                f"lent={self.lent_count}, hits={self.stats.hits}, "
-                f"misses={self.stats.misses})")
-
-
-#: The process-wide pool every kernel draws from.
-POOL = WorkspacePool()
-register("_workspace", POOL.stats)
 
 #: Monotonic counter bumped whenever the shape-stationarity assumption is
-#: broken (pruning reconfiguration, checkpoint restore).  Compiled step
-#: plans (:mod:`repro.tensor.compile`) record the value at capture time and
-#: refuse to replay once it moves — the same moments that empty the buffer
-#: pool also invalidate every captured kernel schedule.
+#: broken (pruning reconfiguration, checkpoint restore, swapped weight
+#: arrays).  Compiled step plans (:mod:`repro.tensor.compile`) record the
+#: value at capture time and refuse to replay once it moves.
 PLAN_GENERATION = 0
 
 #: Guards PLAN_GENERATION bumps.  Replay worker threads never bump the
@@ -287,59 +157,15 @@ def plan_generation() -> int:
     return PLAN_GENERATION
 
 
-def invalidate_plans() -> None:
-    """Invalidate every captured step plan without touching the pool.
+def invalidate() -> None:
+    """Invalidate every captured step plan.
 
-    Called on its own for state mutations that keep activation shapes but
-    swap the underlying arrays (``Module.load_state_dict`` reassigns
-    ``param.data``, so array references captured by a plan go stale), and
-    as part of :func:`invalidate` for full reconfigurations.  Plan-owned
-    arenas (:mod:`repro.tensor.memplan`) die with their plans.
+    Called on pruning reconfiguration, when the model's activation shapes
+    change wholesale, and on state mutations that keep the shapes but swap
+    the underlying arrays (``Module.load_state_dict`` reassigns
+    ``param.data``, so array references captured by a plan go stale).
+    Plan-owned arenas (:mod:`repro.tensor.memplan`) die with their plans.
     """
     global PLAN_GENERATION
     with _generation_lock:
         PLAN_GENERATION += 1
-
-
-def acquire(shape: tuple, dtype=np.float32, zero: bool = False) -> np.ndarray:
-    """Module-level alias for ``POOL.acquire``."""
-    return POOL.acquire(shape, dtype, zero)
-
-
-def release(arr) -> None:
-    """Module-level alias for ``POOL.release`` (safe on foreign arrays)."""
-    POOL.release(arr)
-
-
-class PooledAlloc:
-    """``alloc(shape, tag, phase)`` over the workspace pool, for drivers that
-    hold a kernel set for one call (eager) or one probe (the sparse gate):
-    ``"out"`` is a fresh array its consumer owns, every other phase is lent
-    by the pool and remembered under its phase until :meth:`release` names
-    that phase — or names none, which returns everything (eager never names
-    ``"dx"``: the gradient is donated and its consumer releases it)."""
-
-    def __init__(self, dtype) -> None:
-        self.dtype = dtype
-        self.lent: dict = {}
-
-    def __call__(self, shape: tuple, tag: str = "", phase: str = ""
-                 ) -> np.ndarray:
-        if phase == "out":
-            return np.empty(shape, self.dtype)
-        buf = acquire(shape, self.dtype)
-        self.lent.setdefault(phase, []).append(buf)
-        return buf
-
-    def release(self, *phases: str) -> None:
-        for phase in phases or tuple(self.lent):
-            for buf in self.lent.pop(phase, ()):
-                release(buf)
-
-
-def invalidate() -> None:
-    """Drop all pooled buffers; called on pruning reconfiguration, when the
-    model's activation shapes change wholesale.  Also invalidates every
-    captured step plan (same stationarity assumption, same breaking point)."""
-    POOL.clear()
-    invalidate_plans()

@@ -126,10 +126,7 @@ def _kernel(x, w, b, dy, stride, padding) -> str:
     y, ctx = conv_ops.conv2d_forward(x, w, b, stride, padding)
     dx, dw, db = conv_ops.conv2d_backward(dy, ctx, x.shape, w, stride,
                                           padding)
-    out = digest((y, dw, db, dx))
-    workspace.release(dx)
-    conv_ops.release_ctx(ctx)
-    return out
+    return digest((y, dw, db, dx))
 
 
 class _Net:

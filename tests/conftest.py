@@ -14,27 +14,17 @@ def rng():
 
 @pytest.fixture(scope="module")
 def optimized_engine():
-    """Pin the optimized engine — pooled buffers, fused BN+ReLU, the einsum
-    conv lowering — whatever ``REPRO_*`` the CI leg exported.  For modules
+    """Pin the optimized engine — fused BN+ReLU, the einsum conv lowering —
+    whatever ``REPRO_*`` the CI leg exported.  For modules
     about that engine's fast paths or about compiled plans (which exist only
     on it): they test the engine they name instead of inheriting the leg's,
     where they would silently degrade or fail for an unrelated reason.
     Module-scoped, so module- and class-scoped fixtures that train or
     capture run inside the pin too."""
-    with workspace.engine(pooling=True, fused_bnrelu=True,
-                          conv_impl="einsum") as cfg:
+    with workspace.engine(fused_bnrelu=True, conv_impl="einsum") as cfg:
         workspace.invalidate()
         yield cfg
         workspace.invalidate()
-
-
-@pytest.fixture
-def fresh_pool(optimized_engine):
-    """The pinned optimized engine with an empty workspace pool (and no live
-    plan) before and after each test."""
-    workspace.invalidate()
-    yield optimized_engine
-    workspace.invalidate()
 
 
 @pytest.fixture(scope="session")

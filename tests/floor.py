@@ -5,11 +5,11 @@ whatever its batch.
 
 prints one line per case::
 
-    <case> python=<calls> c=<calls> pool=<calls>
+    <case> python=<calls> c=<calls>
 
 counted over one replay after a warm one: Python-level function calls and
-C-level (builtin and NumPy) calls as ``sys.setprofile`` reports them, and
-calls of the workspace pool's ``acquire`` / ``release`` / ``owns``.  Cases:
+C-level (builtin and NumPy) calls as ``sys.setprofile`` reports them.
+Cases:
 
 ``train/r32-n{1,32}``
     the QUICK ResNet-32 training plan (``StepPlan.run``) at N = 1 and 32.
@@ -36,25 +36,19 @@ from repro.experiments.configs import QUICK, make_model
 from repro.nn.bn_utils import fold_batchnorm
 from repro.tensor import compile as C
 from repro.tensor import workspace
-from repro.tensor.workspace import WorkspacePool
-
-_POOL_CODE = {WorkspacePool.acquire.__code__, WorkspacePool.release.__code__,
-              WorkspacePool.owns.__code__}
 
 
 def count(replay, prepare=lambda: None):
-    """``(python, c, pool)`` calls of one ``replay()`` after a warm one, each
-    after an uncounted ``prepare()``."""
+    """``(python, c)`` calls of one ``replay()`` after a warm one, each after
+    an uncounted ``prepare()``."""
     prepare()
     replay()
     prepare()
-    counts = [0, 0, 0]
+    counts = [0, 0]
 
     def profile(frame, event, arg):
         if event == "call":
             counts[0] += 1
-            if frame.f_code in _POOL_CODE:
-                counts[2] += 1
         elif event == "c_call":
             counts[1] += 1
 
@@ -111,5 +105,5 @@ CASES = {
 if __name__ == "__main__":
     for name in sys.argv[1:] or CASES:
         workspace.invalidate()
-        py, c, pool = count(*CASES[name]())
-        print(f"{name} python={py} c={c} pool={pool}")
+        py, c = count(*CASES[name]())
+        print(f"{name} python={py} c={c}")

@@ -477,7 +477,7 @@ class TestPlanCache:
     def test_generation_bump_clears(self):
         cache = PlanCache()
         cache.store(("k",), None, "x")
-        workspace.invalidate_plans()
+        workspace.invalidate()
         assert cache.sealed(("k",)) is None
         assert len(cache) == 0
 
@@ -501,7 +501,7 @@ class TestPlanCache:
             plan = _captured_plan()
             cache.store(("k",), plan, None)
             assert plan.pinned
-            workspace.invalidate_plans()     # pinned: no generation sweep
+            workspace.invalidate()     # pinned: no generation sweep
             assert cache.lookup(("k",)) is plan
             base = memplan.live_arena_count()
             with _flipped_engine():
@@ -518,7 +518,7 @@ class TestPlanCache:
             assert cache.sealed(("k",)) == "unsupported op"
         with _flipped_engine():
             assert cache.sealed(("k",)) == "unsupported op"
-        workspace.invalidate_plans()
+        workspace.invalidate()
         assert cache.sealed(("k",)) is None
 
     def test_entry_cap_evicts_least_recently_used(self):
@@ -550,7 +550,7 @@ class TestPlanCache:
         re-stamp plans captured in the previous generation as current."""
         cache = PlanCache()
         cache.store(("old",), None, "stale")
-        workspace.invalidate_plans()
+        workspace.invalidate()
         cache.store(("new",), None, "fresh")  # no lookup in between
         assert cache.sealed(("old",)) is None
         assert cache.sealed(("new",)) == "fresh"

@@ -1,14 +1,15 @@
 """Fast-path coverage for the optimized convolution lowering.
 
 Covers the 1x1 pointwise batched-matmul path, the ``need_dx=False``
-first-layer skip, the ``need_db=False`` bias-free skip, and the workspace
-ownership contract around the forward context (``release_ctx``).
+first-layer skip, the ``need_db=False`` bias-free skip, and the ownership
+of the gradients the eager driver returns (fresh arrays, which autograd
+takes over without a copy).
 """
 
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, workspace
+from repro.tensor import Tensor
 from repro.tensor import functional as F
 from repro.tensor.ops import conv as conv_ops
 from repro.tensor.workspace import baseline_engine
@@ -16,7 +17,7 @@ from repro.tensor.workspace import baseline_engine
 
 # These tests cover the optimized engine's fast paths, so they must not
 # silently degrade when the suite runs with REPRO_* overrides.
-pytestmark = pytest.mark.usefixtures("fresh_pool")
+pytestmark = pytest.mark.usefixtures("optimized_engine")
 
 
 def _run_both_engines(x, w, b, stride, pad, need_dx=True, need_db=True):
@@ -30,11 +31,7 @@ def _run_both_engines(x, w, b, stride, pad, need_dx=True, need_db=True):
         dx, dw, db = conv_ops.conv2d_backward(
             dy, ctx, x.shape, w, stride, pad,
             need_dx=need_dx, need_db=need_db)
-        out = (y.copy(), None if dx is None else dx.copy(),
-               dw.copy(), None if db is None else db.copy())
-        workspace.release(dx)
-        conv_ops.release_ctx(ctx)
-        return out
+        return y, dx, dw, db
 
     opt = run()
     with baseline_engine():
@@ -48,7 +45,6 @@ class TestPointwiseFastPath:
         w = rng.normal(size=(3, 5, 1, 1)).astype(np.float32)
         y, ctx = conv_ops.conv2d_forward(x, w, None, 1, 0)
         assert ctx.form == "pointwise"
-        conv_ops.release_ctx(ctx)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_matches_seed_engine(self, rng, stride):
@@ -62,17 +58,25 @@ class TestPointwiseFastPath:
         np.testing.assert_allclose(dw, dw0, rtol=1e-4, atol=1e-5)
         np.testing.assert_allclose(db, db0, rtol=1e-5, atol=1e-6)
 
-    def test_stride1_ctx_is_input_view(self, rng):
+    def test_stride1_ctx_is_input_view(self, rng, monkeypatch):
         """At stride 1 the pw path must not copy the input at all: the
-        forward stages nothing, so it never asks the pool for a buffer."""
+        forward stages nothing, so it asks for its output buffer only."""
         x = rng.normal(size=(2, 5, 6, 6)).astype(np.float32)
         w = rng.normal(size=(3, 5, 1, 1)).astype(np.float32)
-        stats = workspace.POOL.stats
-        asked = stats.hits + stats.misses
+        phases, fresh_alloc = [], conv_ops.fresh_alloc
+
+        def counting(dtype):
+            alloc = fresh_alloc(dtype)
+
+            def counted(shape, tag="", phase=""):
+                phases.append(phase)
+                return alloc(shape, tag, phase)
+            return counted
+
+        monkeypatch.setattr(conv_ops, "fresh_alloc", counting)
         _, ctx = conv_ops.conv2d_forward(x, w, None, 1, 0)
-        assert stats.hits + stats.misses == asked
+        assert phases == ["out"]
         assert ctx.x is x
-        conv_ops.release_ctx(ctx)
 
 
 class TestBackwardSkips:
@@ -94,7 +98,6 @@ class TestBackwardSkips:
         _, _, db = conv_ops.conv2d_backward(dy, ctx, x.shape, w, stride,
                                             pad, need_db=False)
         assert db is None
-        conv_ops.release_ctx(ctx)
 
     def test_first_layer_skips_input_grad(self, rng):
         """``first_layer=True`` never materializes dx, even for a grad-
@@ -128,28 +131,20 @@ class TestBackwardSkips:
         np.testing.assert_allclose(dw, dw0, rtol=1e-4, atol=1e-5)
 
 
-class TestWorkspaceContract:
+class TestGradientOwnership:
     @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1),
                                               (1, 1, 0), (1, 2, 0)])
-    def test_all_buffers_returned(self, rng, k, stride, pad):
-        """After fwd+bwd+release the pool must have zero buffers lent."""
+    def test_gradients_are_fresh_arrays(self, rng, k, stride, pad):
+        """``F.conv2d`` donates ``dx``, ``dw`` and ``db`` (the array becomes
+        the receiver's ``.grad``), which is sound only if none of them
+        shares memory with another or with anything the call was given."""
         x = rng.normal(size=(2, 4, 8, 8)).astype(np.float32)
         w = rng.normal(size=(4, 4, k, k)).astype(np.float32)
-        y, ctx = conv_ops.conv2d_forward(x, w, None, stride, pad)
+        b = rng.normal(size=4).astype(np.float32)
+        y, ctx = conv_ops.conv2d_forward(x, w, b, stride, pad)
         dy = np.ones_like(y)
-        dx, dw, db = conv_ops.conv2d_backward(dy, ctx, x.shape, w,
-                                              stride, pad)
-        workspace.release(dx)
-        conv_ops.release_ctx(ctx)
-        assert workspace.POOL.lent_count == 0
-
-    def test_second_call_hits_pool(self, rng):
-        x = rng.normal(size=(2, 4, 8, 8)).astype(np.float32)
-        w = rng.normal(size=(4, 4, 3, 3)).astype(np.float32)
-        for _ in range(2):
-            y, ctx = conv_ops.conv2d_forward(x, w, None, 1, 1)
-            dx, _, _ = conv_ops.conv2d_backward(np.ones_like(y), ctx,
-                                                x.shape, w, 1, 1)
-            workspace.release(dx)
-            conv_ops.release_ctx(ctx)
-        assert workspace.POOL.stats.hits > 0
+        grads = conv_ops.conv2d_backward(dy, ctx, x.shape, w, stride, pad)
+        assert [g.shape for g in grads] == [x.shape, w.shape, b.shape]
+        for i, g in enumerate(grads):
+            for other in (x, w, b, y, dy) + grads[i + 1:]:
+                assert not np.shares_memory(g, other)

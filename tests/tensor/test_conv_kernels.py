@@ -4,15 +4,15 @@ One kernel set serves eager, the plan builder and the sparse gate's probe, so
 its contract is checked here once, over generated shapes and dead masks, in
 all four forms (window gather, 1x1, unrolled, span) on both sides of the
 predicates that choose between them.  *Buffer lifetimes*: the eager driver
-(built per call over pooled buffers, nothing rematerialised) equals, bitwise,
+(built per call over fresh arrays, nothing rematerialised) equals, bitwise,
 the same kernels in the planned layout — ``remat=True``, every point-lived
 phase carved from one shared scratch region that is dirtied between kernel
 calls — so a buffer read after the lifetime its phase declares shows up as a
 NaN.  *Values*: every form agrees with the untouched im2col lowering and with
 finite differences.  The live-channel kernels skip only exact zeros and
 otherwise compute the dense values; they match dense *bitwise* exactly where
-the gate's parity probe says they do; and the probe returns every pooled
-buffer, also when a kernel raises.
+the gate's parity probe says they do; and a kernel that raises inside the
+probe fails the gate loudly.
 """
 
 import inspect
@@ -130,20 +130,14 @@ def _stage_dy(ks, alloc, dy):
 
 def _eager(x, w, dy, stride, padding, b=None, need_dx=True, form=None):
     """``(y, dw, dx, db)`` through the eager driver: kernels of the expected
-    ``form`` built for the call over pooled buffers, every one of which is
-    back afterwards."""
-    base = workspace.POOL.lent_count
+    ``form`` built for the call over fresh arrays."""
     y, ctx = conv_ops.conv2d_forward(x, w, b, stride, padding)
     assert form in (None, ctx.form)
     dx, dw, db = conv_ops.conv2d_backward(dy, ctx, x.shape, w, stride,
                                           padding, need_dx=need_dx,
                                           need_db=b is not None)
     assert (dx is not None) == need_dx
-    out = y, dw, None if dx is None else dx.copy(), db
-    workspace.release(dx)
-    conv_ops.release_ctx(ctx)
-    assert workspace.POOL.lent_count == base
-    return out
+    return y, dw, dx, db
 
 
 def _assert_close_to_im2col(x, w, b, dy, stride, padding, y, dw, dx, db):
@@ -254,9 +248,7 @@ def test_live_bit_equality_agrees_with_probe_verdicts(case):
     must be the truth about the kernels a plan would run."""
     x, w, dy, stride, padding, in_dead, out_dead = case
     wt = _published(case)
-    baseline = workspace.POOL.lent_count
     sparse.conv_gate_for(wt.data, x, stride, padding)
-    assert workspace.POOL.lent_count == baseline
     verdict = {d["path"]: d["parity"] for d in SPARSE_GEMM.decisions}
     assert "fwd" in verdict
     alloc = _private(x.dtype)
@@ -278,10 +270,9 @@ def test_live_bit_equality_agrees_with_probe_verdicts(case):
 
 @given(conv_cases(dead=True), st.sampled_from(["_put_ch", "_take_block"]))
 @settings(max_examples=10, deadline=None)
-def test_probe_returns_pooled_buffers_when_a_kernel_raises(case, victim):
+def test_probe_propagates_a_kernel_failure(case, victim):
     x, w, dy, stride, padding, in_dead, out_dead = case
     wt = _published(case)
-    baseline = workspace.POOL.lent_count
 
     def boom(*args):
         raise RuntimeError("injected kernel failure")
@@ -293,7 +284,6 @@ def test_probe_returns_pooled_buffers_when_a_kernel_raises(case, victim):
             sparse.conv_gate_for(wt.data, x, stride, padding)
     finally:
         setattr(conv_ops, victim, original)
-    assert workspace.POOL.lent_count == baseline
 
 
 # -- the two weight-gradient forms --------------------------------------------
@@ -352,7 +342,6 @@ def test_folded_dw_matches_finite_differences(hw, r, padding):
     y, ctx = conv_ops.conv2d_forward(x, w, None, 1, padding)
     _, dw, _ = conv_ops.conv2d_backward(dy, ctx, x.shape, w, 1, padding,
                                         need_dx=False, need_db=False)
-    conv_ops.release_ctx(ctx)
     eps, num = 1e-6, np.empty_like(w)
     for idx in np.ndindex(w.shape):
         wp, wm = w.copy(), w.copy()
@@ -360,8 +349,6 @@ def test_folded_dw_matches_finite_differences(hw, r, padding):
         wm[idx] -= eps
         yp, cp = conv_ops.conv2d_forward(x, wp, None, 1, padding)
         ym, cm = conv_ops.conv2d_forward(x, wm, None, 1, padding)
-        conv_ops.release_ctx(cp)
-        conv_ops.release_ctx(cm)
         num[idx] = ((yp - ym) * dy).sum() / (2 * eps)
     np.testing.assert_allclose(dw, num, rtol=1e-6, atol=1e-8)
 
@@ -551,7 +538,6 @@ def _assert_matches_finite_differences(form, c, k, h, w, r, padding, n=2):
     def loss(x_, w_):
         y, ctx = conv_ops.conv2d_forward(x_, w_, None, 1, padding)
         assert ctx.form == form
-        conv_ops.release_ctx(ctx)
         return (y * dy).sum()
 
     def numeric(arr, f):
@@ -566,7 +552,6 @@ def _assert_matches_finite_differences(form, c, k, h, w, r, padding, n=2):
     _, ctx = conv_ops.conv2d_forward(x, wt, None, 1, padding)
     dx, dw, _ = conv_ops.conv2d_backward(dy, ctx, x.shape, wt, 1, padding,
                                          need_db=False)
-    conv_ops.release_ctx(ctx)
     np.testing.assert_allclose(dw, numeric(wt, lambda v: loss(x, v)),
                                rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(dx, numeric(x, lambda v: loss(v, wt)),
@@ -701,3 +686,24 @@ def test_span_has_no_live_channel_form():
     x, w, _ = _case(4, 4, 4, 2)
     assert conv_ops.conv_form(4, 4, 3, 3, 1, 1, 4) == "span"
     _assert_no_live_channel_form(x, w, 1)
+
+
+#: id -> (c, k, hw, r, stride, padding): one geometry per form and side of
+#: the stride and padding branches.  26 filters keep a stride-1 3x3 conv
+#: with padding 1 on the window gather (``conv_spans``).
+FORM_GEOMETRIES = {
+    "gather-s1-p0": (6, 4, 6, 3, 1, 0),
+    "gather-s1-p1": (6, 26, 6, 3, 1, 1),
+    "gather-s2-p0": (6, 4, 7, 3, 2, 0),
+    "gather-s2-p1": (6, 4, 6, 3, 2, 1),
+    "pointwise-s1": (6, 4, 6, 1, 1, 0),
+    "pointwise-s2": (6, 4, 6, 1, 2, 0),
+    "unrolled": (6, 4, 2, 3, 1, 1),
+    "span": (6, 4, 6, 3, 1, 1),
+}
+
+
+def test_every_geometry_takes_the_form_it_is_named_for():
+    for name, (c, k, hw, r, stride, padding) in FORM_GEOMETRIES.items():
+        assert conv_ops.conv_form(hw, hw, r, r, stride, padding, k) == \
+            name.split("-")[0]

@@ -225,7 +225,6 @@ class TestCompileIntegration:
         bound so the slab cannot come back."""
         from repro.nn import vgg13
         monkeypatch.setattr(workspace.config, "conv_impl", "einsum")
-        monkeypatch.setattr(workspace.config, "pooling", True)
         # serial layout: level-timed packing trades bytes for concurrency
         monkeypatch.setattr(workspace.config, "parallel_replay", False)
         rng = np.random.default_rng(0)

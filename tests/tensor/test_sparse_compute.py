@@ -24,11 +24,13 @@ from ..conftest import sparsify_space
 
 
 @pytest.fixture(autouse=True)
-def sparse_engine(fresh_pool):
+def sparse_engine(optimized_engine):
     """Pin the optimized engine with sparse compute on and a zero gain bar
     (the gate then accepts whenever its bit-parity probe passes, which makes
-    engagement deterministic on a given machine)."""
-    cfg = fresh_pool
+    engagement deterministic on a given machine), with no live plan before
+    and after each test."""
+    cfg = optimized_engine
+    workspace.invalidate()
     sparse.clear()
     sparse.STATS.reset()
     # mem_plan / parallel_replay pinned where they are: tests flip them
@@ -38,6 +40,7 @@ def sparse_engine(fresh_pool):
         yield
     sparse.clear()
     sparse.STATS.reset()
+    workspace.invalidate()
 
 
 # -- run-coalesced selection --------------------------------------------------
@@ -138,10 +141,7 @@ class TestEagerStaysDense:
             dx, dw, _ = conv_ops.conv2d_backward(
                 dy, ctx, x.shape, wt.data, 1, 1,
                 need_dx=True, need_db=False)
-            out = (y.copy(), dx.copy(), dw.copy())
-            workspace.release(dx)
-            conv_ops.release_ctx(ctx)
-            return out
+            return y, dx, dw
 
         armed = run()
         workspace.config.sparse_compute = False

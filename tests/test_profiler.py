@@ -65,14 +65,11 @@ class TestOptIn:
         assert stats["batch_norm_fwd"]["bytes"] > 0
         PROFILER.reset()
 
-    def test_summary_includes_workspace_counters(self, rng):
+    def test_summary_includes_engine_counters(self, rng):
         with PROFILER.session():
             _one_forward_backward(rng)
             stats = PROFILER.summary()
-        assert "_workspace" in stats
-        assert stats["_workspace"]["hits"] >= 0
-        assert stats["_workspace"]["evictions"] >= 0
-        assert stats["_workspace"]["bytes_evicted"] >= 0
+        assert "_workspace" not in stats
         assert "_memplan" in stats
         for key in ("plans", "arena_bytes", "naive_bytes", "peak_bytes",
                     "fallbacks", "live_arenas", "live_arena_bytes"):

@@ -89,7 +89,6 @@ def test_version_string():
 ENV_SWITCHES = {
     "REPRO_COMPILE_STEP", "REPRO_CONV_IMPL", "REPRO_FUSED", "REPRO_MEM_PLAN",
     "REPRO_PARALLEL_REPLAY", "REPRO_SPARSE_COMPUTE", "REPRO_SPARSE_MIN_GAIN",
-    "REPRO_WORKSPACE",
 }
 
 
@@ -109,7 +108,7 @@ def test_switch_lattice_is_closed():
     # signature entry per field, and flipping any one retires the plan
     cfg = EngineConfig()
     fields = dataclasses.fields(cfg)
-    assert len(cfg.plan_signature()) == len(fields) == 8
+    assert len(cfg.plan_signature()) == len(fields) == 7
     other = {bool: lambda v: not v, int: lambda v: v + 1,
              float: lambda v: v + 1.0, str: lambda v: "im2col"}
     for f in fields:
@@ -121,7 +120,7 @@ def test_switch_lattice_is_closed():
 
 #: every setting a training or serving caller can pass, by owner.  A knob
 #: that no shipped caller varies is a constant in its module instead; a new
-#: one means editing this pin, as ``EngineConfig``'s ``== 8`` above does.
+#: one means editing this pin, as ``EngineConfig``'s ``== 7`` above does.
 CONFIG_SURFACE = {
     "repro.train.TrainerConfig": (
         "epochs", "batch_size", "lr", "momentum", "weight_decay",
@@ -220,7 +219,7 @@ def test_only_engine_pins_write_the_engine_config():
                       "from .workspace import config as c\n"
                       "import repro.tensor.workspace as w\n"
                       "_ws.config.mem_plan = False\n"
-                      "c.pooling += 1\n"
+                      "c.mem_plan += 1\n"
                       "setattr(c, 'fused_bnrelu', 0)\n"
                       "w.config.sparse_compute: bool = True\n"
                       "other.config.x = 1\n"
@@ -229,7 +228,7 @@ def test_only_engine_pins_write_the_engine_config():
 
 
 #: ``PROFILER.summary()``'s counter entries and how many keys each reports
-SUMMARY_LAYOUT = {"_workspace": 7, "_plans": 6, "_memplan": 10,
+SUMMARY_LAYOUT = {"_plans": 6, "_memplan": 10,
                   "_parallel": 12, "_comm": 5, "_sparse": 11}
 
 

@@ -147,10 +147,10 @@ class TestDenseTrainer:
                 raise RuntimeError("boom")
         assert cfg.plan_signature() == before
         with pytest.raises(TypeError, match="no_such_switch"):
-            with workspace.engine(pooling=not cfg.pooling, no_such_switch=1):
+            with workspace.engine(mem_plan=not cfg.mem_plan, no_such_switch=1):
                 pass
         with pytest.raises(ValueError, match="conv_impl"):
-            with workspace.engine(pooling=not cfg.pooling,
+            with workspace.engine(mem_plan=not cfg.mem_plan,
                                   conv_impl="winograd"):
                 pass
         assert cfg.plan_signature() == before
