@@ -1,8 +1,9 @@
 """Perf smoke test: the optimized engine must beat the seed engine.
 
 Runs a shortened version of the ``bench_engine`` harness (same workloads,
-fewer repetitions) and writes ``results/BENCH_engine.json`` so CI can upload
-it as an artifact.  The assertion bar here is deliberately below the
+fewer repetitions).  Each leg writes its smoke-size payload under pytest's
+``tmp_path`` — never over the committed full-size ``results/BENCH_*.json``
+— so CI uploads them from ``--basetemp``.  The assertion bar here is deliberately below the
 acceptance-grade 1.5x (measured by the full ``python
 benchmarks/perf/bench_engine.py`` run and committed in the results file):
 CI machines are noisy and a smoke test should not flake on scheduler
@@ -17,11 +18,12 @@ import bench_engine
 import bench_serve
 
 
-def test_engine_speedup_smoke():
+def test_engine_speedup_smoke(tmp_path):
     results = bench_engine.run_bench(repeats=3, number=2,
                                      step_warmup=2, step_iters=3,
                                      step_rounds=5)
-    path = bench_engine.write_results(results)
+    path = bench_engine.write_results(results,
+                                      str(tmp_path / "BENCH_engine.json"))
     assert os.path.exists(path)
     with open(path) as fh:
         written = json.load(fh)
@@ -35,7 +37,7 @@ def test_engine_speedup_smoke():
         assert row["before_ms"] > 0 and row["after_ms"] > 0, name
 
 
-def test_compiled_step_speedup_smoke():
+def test_compiled_step_speedup_smoke(tmp_path):
     """Compiled replay must never be slower than eager stepping.
 
     The acceptance-grade bar (>= 1.15x, measured by the full bench run) is
@@ -45,7 +47,7 @@ def test_compiled_step_speedup_smoke():
     results = bench_engine.run_compile_bench(step_warmup=2, step_iters=3,
                                              step_rounds=5)
     path = bench_engine.write_results(results,
-                                      bench_engine.OUT_PATH_COMPILE)
+                                      str(tmp_path / "BENCH_compile.json"))
     assert os.path.exists(path)
     with open(path) as fh:
         written = json.load(fh)
@@ -56,7 +58,7 @@ def test_compiled_step_speedup_smoke():
         f"compiled step slower than eager: {step}")
 
 
-def test_memplan_parity_and_savings_smoke():
+def test_memplan_parity_and_savings_smoke(tmp_path):
     """Arena-planned plans must match the private layout bit-for-bit,
     cut the resident plan footprint by >= 20%, and hold step parity.
 
@@ -68,7 +70,7 @@ def test_memplan_parity_and_savings_smoke():
     results = bench_engine.run_memplan_bench(step_warmup=2, step_iters=3,
                                              step_rounds=5)
     path = bench_engine.write_results(results,
-                                      bench_engine.OUT_PATH_MEMPLAN)
+                                      str(tmp_path / "BENCH_memplan.json"))
     assert os.path.exists(path)
     with open(path) as fh:
         written = json.load(fh)
@@ -82,7 +84,7 @@ def test_memplan_parity_and_savings_smoke():
         f"arena-planned step much slower than private layout: {step}")
 
 
-def test_elastic_overlap_parity_and_gap_smoke():
+def test_elastic_overlap_parity_and_gap_smoke(tmp_path):
     """The elastic engine must stay bit-identical to the in-process sim
     (asserted inside ``run_bench`` — a diverging engine fails here, not just
     slows down) and the elastic/sim step-time gap must stay closed.
@@ -95,7 +97,8 @@ def test_elastic_overlap_parity_and_gap_smoke():
     ``OPENBLAS_NUM_THREADS=1`` it is under 0.5x.)  The engine must also
     actually exchange."""
     results = bench_elastic.run_bench(warmup=2, iters=3, rounds=3)
-    path = bench_elastic.write_results(results)
+    path = bench_elastic.write_results(results,
+                                       str(tmp_path / "BENCH_elastic.json"))
     assert os.path.exists(path)
     with open(path) as fh:
         written = json.load(fh)
@@ -107,84 +110,7 @@ def test_elastic_overlap_parity_and_gap_smoke():
     assert step["comm"]["allreduces"] > 0
 
 
-def test_parallel_replay_parity_smoke():
-    """Level-scheduled replay must match serial replay bit-for-bit and the
-    schedule must expose real parallelism.
-
-    Bit-identity and the modeled critical-path speedup are deterministic
-    up to timing noise in the thunk samples and asserted at (near) full
-    strength — the acceptance-grade modeled bar is >= 1.25x at 4 workers
-    (committed ``results/BENCH_parallel.json``), smoke allows sampling
-    noise down to 1.15x.  The *measured* wall-clock guard is loose and
-    one-sided: CI hosts may have a single core, where threaded replay
-    legitimately pays dispatch overhead with no speedup available — it
-    only catches pathological (>2x) slowdowns.
-    """
-    results = bench_engine.run_parallel_bench(workers=4, bit_steps=2,
-                                              step_warmup=2, step_iters=3,
-                                              step_rounds=5)
-    path = bench_engine.write_results(results,
-                                      bench_engine.OUT_PATH_PARALLEL)
-    assert os.path.exists(path)
-    with open(path) as fh:
-        written = json.load(fh)
-
-    assert written["bit_identical"], "parallel/serial replays diverged"
-    model = written["schedule_model"]
-    assert model["max_width"] >= 2, model
-    assert model["parallel_levels"] > 0, model
-    assert model["modeled_speedup"] >= 1.15, (
-        f"schedule exposes too little parallelism: {model}")
-    assert written["pool"]["threads"] >= 4
-    step = written["train_step"]
-    assert step["speedup"] > 0.5, (
-        f"threaded replay pathologically slow: {step}")
-
-
-def test_sparse_compute_parity_smoke():
-    """Sparse compute paths: bit-identity at full strength, loose speed bar.
-
-    The schedule, kill/resume, and A/B-step bit-identity checks are
-    deterministic and asserted at full strength — a sparse path that
-    diverges from dense fails here, not just slows down.  So is the gate's
-    never-slower guarantee (an accepted decision whose own probe measured
-    the sparse pipeline >5% slower than dense would be a gate bug).  The
-    acceptance-grade speed bar (>= 1.10x at >= 40% dead channels) is
-    asserted on the committed ``results/BENCH_sparse.json`` from the full
-    bench run; the CI-smoke guard only catches the sparse engine becoming
-    pathologically slower than dense.
-    """
-    results = bench_engine.run_sparse_bench(step_warmup=2, step_iters=3,
-                                            step_rounds=5)
-    path = bench_engine.write_results(results, bench_engine.OUT_PATH_SPARSE)
-    assert os.path.exists(path)
-    with open(path) as fh:
-        written = json.load(fh)
-
-    assert written["schedule"]["bit_identical"], \
-        "sparse schedule diverged from dense"
-    assert written["schedule"]["resume_bit_identical"], \
-        "killed+resumed sparse run diverged"
-    assert written["step_bit_identical"], "sparse A/B step diverged"
-    assert written["gate_never_slower_ok"], (
-        "gate accepted a sparse pipeline its own probe measured >5% "
-        "slower than dense")
-    assert written["dead_state"]["channel_dead_fraction"] >= 0.4, \
-        written["dead_state"]
-    assert written["schedule"]["sparse_stats"]["publishes"] > 0
-    assert written["decisions"], "gate recorded no decisions"
-    step = written["train_step"]
-    assert step["before_ms"] > 0 and step["after_ms"] > 0
-    assert step["speedup"] > 0.9, (
-        f"sparse step pathologically slower than dense: {step}")
-
-    index = bench_engine.build_bench_index()
-    ipath = bench_engine.write_results(index, bench_engine.OUT_PATH_INDEX)
-    assert os.path.exists(ipath)
-    assert "sparse" in index["benchmarks"]
-
-
-def test_serve_parity_and_latency_smoke():
+def test_serve_parity_and_latency_smoke(tmp_path):
     """Serving benchmark at reduced load: the batched-vs-unbatched parity
     gate must be clean and the latency/QPS report well-formed.
 
@@ -198,7 +124,8 @@ def test_serve_parity_and_latency_smoke():
     results = bench_serve.run_serve_bench(n_requests=80,
                                           load_fracs=(0.25, 0.6),
                                           max_batch=8)
-    path = bench_serve.write_results(results)
+    path = bench_serve.write_results(results,
+                                     str(tmp_path / "BENCH_serve.json"))
     assert os.path.exists(path)
     with open(path) as fh:
         written = json.load(fh)

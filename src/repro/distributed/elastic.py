@@ -203,40 +203,37 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
                    list(stats_log), threads))
 
     try:
-        # The host's cores are already oversubscribed K ways by the worker
-        # processes — a per-worker replay thread pool would only fight them.
-        with _ws.engine(parallel_replay=False):
-            while True:
-                while not conn.poll(_IDLE_POLL):
-                    beat()
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    break
+        while True:
+            while not conn.poll(_IDLE_POLL):
                 beat()
-                kind = msg[0]
-                if kind == "stop":
-                    break
-                step_idx = msg[1]
-                # scripted faults fire on any step/resync command at/after
-                # their step index
-                while pending_faults and pending_faults[0].step <= step_idx:
-                    action = pending_faults.pop(0)
-                    if action.kind == "kill":
-                        os._exit(17)
-                    elif action.kind == "hang":
-                        time.sleep(min(action.duration, 3600.0))
-                    elif action.kind == "corrupt_heartbeat":
-                        corrupt = True
-                        hb[rank] = float("nan")
-                if kind == "resync":
-                    loads_state(msg[2], replica)  # bumps the plan generation:
-                    rebuild_bn_map()              # stale plans purge on lookup
-                    payload = GradPayload(replica)
-                    beat()
-                    conn.send(("resync_ack", step_idx))
-                elif kind == "step":
-                    run_step(*msg[1:])
+            try:
+                msg = conn.recv()
+            except (EOFError, OSError):
+                break
+            beat()
+            kind = msg[0]
+            if kind == "stop":
+                break
+            step_idx = msg[1]
+            # scripted faults fire on any step/resync command at/after
+            # their step index
+            while pending_faults and pending_faults[0].step <= step_idx:
+                action = pending_faults.pop(0)
+                if action.kind == "kill":
+                    os._exit(17)
+                elif action.kind == "hang":
+                    time.sleep(min(action.duration, 3600.0))
+                elif action.kind == "corrupt_heartbeat":
+                    corrupt = True
+                    hb[rank] = float("nan")
+            if kind == "resync":
+                loads_state(msg[2], replica)  # bumps the plan generation:
+                rebuild_bn_map()              # stale plans purge on lookup
+                payload = GradPayload(replica)
+                beat()
+                conn.send(("resync_ack", step_idx))
+            elif kind == "step":
+                run_step(*msg[1:])
     except Exception:  # pragma: no cover - worker bugs surface as eviction
         traceback.print_exc(file=sys.stderr)
         os._exit(1)

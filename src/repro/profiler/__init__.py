@@ -25,7 +25,7 @@ Engine counters
 ---------------
 Each engine module keeps one process-wide :class:`Counters` dataclass and
 hands it to :func:`register` at import under its summary key
-(``_plans``, ``_memplan``, ``_parallel``, ``_comm``, ``_sparse``);
+(``_plans``, ``_memplan``, ``_comm``);
 :meth:`OpProfiler.summary` reports every registered set beside the op rows.
 :meth:`OpProfiler.reset` clears the op rows only — the counters are
 run-cumulative until their own ``reset()``.

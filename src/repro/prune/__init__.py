@@ -9,7 +9,7 @@ from .reconfigure import (PruneReport, prune_and_reconfigure,
 from .sparsity import (DEFAULT_THRESHOLD, ConvSparsity, DensityReport,
                        all_conv_sparsity, conv_sparsity, density_report,
                        model_channel_sparsity, space_keep_masks)
-from .tracker import ChannelTracker, DeadSetExporter, RevivalStats
+from .tracker import ChannelTracker, RevivalStats
 from .union import JunctionInfo, junctions, union_redundancy
 
 __all__ = [
@@ -21,6 +21,6 @@ __all__ = [
     "zero_sparsified_groups",
     "PathPlan", "ConvPlan", "path_plan", "all_path_plans",
     "GatedPathRunner", "UnionPathRunner",
-    "ChannelTracker", "DeadSetExporter", "RevivalStats",
+    "ChannelTracker", "RevivalStats",
     "JunctionInfo", "junctions", "union_redundancy",
 ]

@@ -117,112 +117,3 @@ class ChannelTracker:
                 revived += 1
         return RevivalStats(k, ever_sparse, revived, max_post,
                             intervals=epochs)
-
-
-class DeadSetExporter:
-    """Stable dead-channel sets for the sparse compute paths, with hysteresis.
-
-    The sparse engine (:mod:`repro.tensor.sparse`) skips GEMM columns for
-    channels that are exactly zero, and respecializes compiled plans
-    whenever the published dead set *changes*.  A channel oscillating
-    across the lasso threshold would flip that set every scan and thrash
-    plans — the paper's Fig. 4 shows revivals are rare, but the engine must
-    not pay a plan rebuild for each one that does happen.
-
-    :meth:`scan` therefore reports a channel as dead only when it is
-
-    - **exactly zero now** (``zero_sparsified_groups`` hard-zeroed it — the
-      soundness condition for bit-exact skipping), and
-    - **below threshold in the last** ``hysteresis`` **consecutive scans**
-      (the stability condition — a freshly-dipped channel waits one more
-      scan before entering the set, and a revived one leaves immediately).
-
-    Per-conv scan history is keyed by conv name and resets when surgery
-    changes the channel count, so post-reconfiguration masks are never
-    compared against stale indexing.
-    """
-
-    def __init__(self, hysteresis: int = 2):
-        self.hysteresis = max(1, int(hysteresis))
-        #: conv name -> most recent (in_below, out_below) mask pairs,
-        #: oldest first, at most ``hysteresis`` entries
-        self._hist: Dict[str, List[tuple]] = {}
-
-    def scan(self, graph: ModelGraph,
-             threshold: float = DEFAULT_THRESHOLD) -> List[tuple]:
-        """One sparsity scan; returns ``[(node, stable_in, stable_out)]``.
-
-        The returned masks are ready for :func:`repro.tensor.sparse.publish`
-        as ``(node.conv.weight, stable_in, stable_out)`` entries.
-        """
-        from .sparsity import conv_sparsity
-
-        out: List[tuple] = []
-        for node in graph.active_convs():
-            w = getattr(node.conv, "weight", None)
-            if w is None or w.data.ndim != 4:
-                continue
-            sp = conv_sparsity(node, threshold)
-            in_below = np.asarray(sp.in_sparse, dtype=bool).copy()
-            out_below = np.asarray(sp.out_sparse, dtype=bool).copy()
-            hist = self._hist.get(node.name, [])
-            if hist and (hist[-1][0].size != in_below.size
-                         or hist[-1][1].size != out_below.size):
-                hist = []          # surgery changed shapes: restart history
-            hist = hist[-(self.hysteresis - 1):] if self.hysteresis > 1 \
-                else []
-            hist.append((in_below, out_below))
-            self._hist[node.name] = hist
-            stable_in, stable_out = self._stable_masks(w, hist)
-            out.append((node, stable_in, stable_out))
-        return out
-
-    def current(self, graph: ModelGraph) -> List[tuple]:
-        """Stable masks from the *stored* history, without a new scan.
-
-        Used on checkpoint resume: the restored history already contains
-        the pre-kill scans, so re-scanning would double-count the last
-        epoch and desynchronize from the uninterrupted run.  Convs whose
-        stored masks no longer match the weight shapes (surgery between
-        checkpoints) report all-False.
-        """
-        out: List[tuple] = []
-        for node in graph.active_convs():
-            w = getattr(node.conv, "weight", None)
-            if w is None or w.data.ndim != 4:
-                continue
-            k, c = w.data.shape[:2]
-            hist = self._hist.get(node.name, [])
-            if hist and (hist[-1][0].size != c or hist[-1][1].size != k):
-                hist = []
-            if not hist:
-                out.append((node, np.zeros(c, dtype=bool),
-                            np.zeros(k, dtype=bool)))
-                continue
-            stable_in, stable_out = self._stable_masks(w, hist)
-            out.append((node, stable_in, stable_out))
-        return out
-
-    def _stable_masks(self, w, hist: List[tuple]) -> tuple:
-        """AND the history window, then clear any not-exactly-zero channel."""
-        in_below, out_below = hist[-1]
-        if len(hist) < self.hysteresis:
-            return (np.zeros_like(in_below), np.zeros_like(out_below))
-        stable_in = in_below.copy()
-        stable_out = out_below.copy()
-        for ib, ob in hist[:-1]:
-            stable_in &= ib
-            stable_out &= ob
-        # Soundness: only channels that are *exactly* zero right now may
-        # be skipped bit-exactly.
-        wd = w.data
-        for ch in np.flatnonzero(stable_out):
-            if wd[ch].any():
-                stable_out[ch] = False
-        for ch in np.flatnonzero(stable_in):
-            if wd[:, ch].any():
-                stable_in[ch] = False
-        return stable_in, stable_out
-
-    def reset(self) -> None:
-        self._hist.clear()

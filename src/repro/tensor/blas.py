@@ -2,8 +2,8 @@
 
 Every process that issues BLAS calls may also get one BLAS thread team per
 call.  Where several executors already share the host's cores — the
-elastic engine's K worker processes (:mod:`repro.distributed.elastic`),
-the parallel replay pool's threads — those teams oversubscribe it:
+elastic engine's K worker processes (:mod:`repro.distributed.elastic`) —
+those teams oversubscribe it:
 K two-thread pools on two CPUs measured 2-4x slower than K one-thread ones.
 
 ``limit_blas_threads(n)``

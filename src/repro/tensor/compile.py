@@ -58,10 +58,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..profiler import Counters, register
-from . import blas as _blas
 from . import memplan as _mp
-from . import parallel as _par
-from . import sparse as _sparse
 from . import workspace as ws
 from .ops import conv as _conv
 from .ops import table as _table
@@ -181,21 +178,6 @@ class _Lifetimes:
             end = max(end, self.fwd_t[id(c)] + 1, self._end_of(c))
         return end
 
-    def value_ticks(self, rec: _Record) -> List[int]:
-        """Every timeline position that touches ``rec``'s output value —
-        the same set :meth:`value_end` maxes over.  Level-scheduled replay
-        needs the full set: the serially-last toucher is not necessarily
-        the deepest-scheduled one, so the remapped slab must span all of
-        their levels (see :meth:`memplan.MemPlanner.remap`)."""
-        slot = self.tape.slot_of[id(rec.out)]
-        ticks = [self.fwd_t[id(rec)], self._end_of(rec)]
-        if slot in self._escaping:
-            ticks.append(self.horizon)
-        for c in self.consumers.get(slot, ()):
-            ticks.append(self.fwd_t[id(c)] + 1)
-            ticks.append(self._end_of(c))
-        return ticks
-
     def grad_end(self, x: Tensor) -> Optional[int]:
         """Last use of a gradient buffer donated toward ``x``: the
         backward thunk of x's producer consumes it.  ``None`` means the
@@ -254,201 +236,8 @@ class _Record:
         self.attrs = attrs
 
 
-def _split_backward(rec: _Record) -> bool:
-    """Whether ``rec``'s backward thunk is split into dw/dx/fin parts for
-    level scheduling.  Only the conv qualifies: its weight-gradient GEMM
-    (plus column regather) is independent of the ``dx`` chain the rest of
-    the backward waits on, so splitting takes it off the critical path.
-    Requires ``need_dx`` — without a dx the whole thunk is already a leaf
-    of the gradient dataflow."""
-    return rec.kind == "conv2d" and bool(rec.attrs[2])
-
-
-def _shared_backward(rec: _Record) -> bool:
-    """Whether the split conv ``rec`` is of a form whose ``dw`` and ``dx``
-    read common staging (``ConvKernels.shared_backward``): the ``dx`` part
-    then stages and ``dw`` follows it — still off the critical path."""
-    (x, w), (stride, padding) = rec.inputs[:2], rec.attrs[:2]
-    form = _conv.conv_form(*x.data.shape[2:], *w.data.shape[2:], stride,
-                           padding, w.data.shape[0])
-    return _conv.FORMS[form].shared_backward
-
-
 def _drop(arr) -> None:
     """The gradient sink of an absent input or a leaf that takes none."""
-
-
-#: Arena growth tolerance for level-scheduled packing, relative to the
-#: serial solve of the same slabs.  Concurrent thunks may never share
-#: bytes, so the parallel arena is naturally larger; past this cap the
-#: schedule trades parallelism back (serializing the widest level) rather
-#: than growing the arena unboundedly.
-_ARENA_GROWTH_CAP = 2.0
-
-#: Absolute slack on top of the relative cap: tiny plans (a few hundred
-#: KB of slabs) should never trade parallelism over rounding-sized
-#: inflation, so the cap is floored at serial + this many bytes.
-_ARENA_GROWTH_FLOOR = 1 << 20
-
-
-class _ParallelSchedule:
-    """Dependency levels for one train plan's thunks.
-
-    Nodes: one per forward thunk, a loss-gradient seed node, and one per
-    backward thunk — except split convs (:func:`_split_backward`), whose
-    backward contributes three nodes (``dw`` weight-grad, ``dx``
-    input-grad, ``fin`` retiring the output-grad slot).  Edges pin
-    everything bit-exactness depends on:
-
-    - forward dataflow (consumer after producer);
-    - every backward part after its op's forward thunk (it reads the
-      forward's staged values/ctx);
-    - every backward part after the *last writer* of the gradient slot it
-      consumes, with multiple writers into one slot **chained in serial
-      backward order** — this is the deterministic-reduction guarantee:
-      ``+=`` into a gradient buffer happens in the exact eager order, so
-      parallel replay is bit-identical to serial replay;
-    - writers into one *leaf* ``.grad`` chained the same way (weight
-      sharing);
-    - ``fin`` after its ``dw``/``dx`` (it drops the gradient both read),
-      and ``dw`` after ``dx`` where the ``dx`` part stages what
-      both read (:func:`_shared_backward`).
-
-    Levels come from longest-path layering over these edges; all nodes of
-    one level are mutually independent and may run concurrently.  The
-    schedule also re-times memory-plan slabs onto the level timeline
-    (:meth:`map_interval`) so the arena packer can never share bytes
-    between co-scheduled thunks.
-    """
-
-    def __init__(self, tape: "Tape", bwd_nodes: List[Tensor],
-                 lt: _Lifetimes, loss: Tensor):
-        g = _par.LevelSchedule()
-        self.graph = g
-        records = tape.records
-        n_fwd = len(records)
-        fwd_idx = {id(rec): i for i, rec in enumerate(records)}
-        slot_producer: Dict[int, int] = {}
-        self.fwd_node: List[int] = []
-        for i, rec in enumerate(records):
-            self.fwd_node.append(g.add_node(f"f{i}:{rec.kind}"))
-            slot_producer[tape.slot_of[id(rec.out)]] = i
-        for i, rec in enumerate(records):
-            for t in rec.inputs:
-                if t is None:
-                    continue
-                slot = tape.slot_of.get(id(t))
-                if slot is not None and slot in slot_producer:
-                    g.add_edge(self.fwd_node[slot_producer[slot]],
-                               self.fwd_node[i])
-        # The loss-gradient seed (grads[loss] = ones_like(loss)) reads the
-        # loss value, so it follows the loss op's forward.
-        self.seed_node = g.add_node("seed")
-        loss_rec = tape.rec_of[id(loss)]
-        g.add_edge(self.fwd_node[fwd_idx[id(loss_rec)]], self.seed_node)
-
-        self.split = {id(tape.rec_of[id(n)]) for n in bwd_nodes
-                      if _split_backward(tape.rec_of[id(n)])}
-        self.bwd_parts: List[tuple] = []
-        writers: Dict[int, List[int]] = {
-            tape.slot_of[id(loss)]: [self.seed_node]}
-        leaf_writers: Dict[int, List[int]] = {}
-        for j, bn in enumerate(bwd_nodes):
-            rec = tape.rec_of[id(bn)]
-            o_slot = tape.slot_of[id(rec.out)]
-            if id(rec) in self.split:
-                shared = _shared_backward(rec)
-                order = ("dx", "dw", "fin") if shared else ("dw", "dx", "fin")
-                nodes = {part: g.add_node(f"b{j}.{part}:{rec.kind}")
-                         for part in order}
-                parts = tuple(nodes.values())
-                dw, dx, fin = nodes["dw"], nodes["dx"], nodes["fin"]
-                g.add_edge(dw, fin)
-                g.add_edge(dx, fin)
-                if shared:
-                    g.add_edge(dx, dw)
-                slot_writer, leaf_writer = dx, dw
-            else:
-                nd = g.add_node(f"b{j}:{rec.kind}")
-                parts = (nd,)
-                slot_writer = leaf_writer = nd
-            self.bwd_parts.append(parts)
-            f_node = self.fwd_node[fwd_idx[id(rec)]]
-            wlist = writers.get(o_slot)
-            for p in parts:
-                g.add_edge(f_node, p)
-                if wlist:
-                    g.add_edge(wlist[-1], p)
-            for t in rec.inputs:
-                if t is None:
-                    continue
-                slot = tape.slot_of.get(id(t))
-                if slot is not None:
-                    lst = writers.setdefault(slot, [])
-                    if lst:
-                        g.add_edge(lst[-1], slot_writer)
-                    lst.append(slot_writer)
-                else:
-                    lst = leaf_writers.setdefault(id(t), [])
-                    if lst:
-                        g.add_edge(lst[-1], leaf_writer)
-                    lst.append(leaf_writer)
-        g.compute_levels()
-        #: serial thunk index -> its schedule nodes (fwd thunks first,
-        #: then backward thunks, matching the _Lifetimes timeline)
-        self._thunk_nodes: List[List[int]] = \
-            [[n] for n in self.fwd_node] + [list(p) for p in self.bwd_parts]
-        self._horizon = lt.horizon
-        self._refresh_spans()
-        _par.STATS.schedules += 1
-        _par.STATS.max_width = max(_par.STATS.max_width,
-                                   max(len(l) for l in g.levels))
-
-    # -- level/tick bookkeeping -------------------------------------------
-    def _refresh_spans(self) -> None:
-        level_of = self.graph.level_of
-        self._lmin = [min(level_of[n] for n in nodes)
-                      for nodes in self._thunk_nodes]
-        self._lmax = [max(level_of[n] for n in nodes)
-                      for nodes in self._thunk_nodes]
-        self.n_levels = len(self.graph.levels)
-
-    def map_interval(self, ticks) -> Tuple[int, int]:
-        """Map a slab's serial touch ticks onto the level timeline.
-
-        Each touched thunk contributes its full level span (a split
-        backward spans ``dw``..``fin``); the slab must stay live across
-        all of them.  Ticks at/past the horizon (escaping buffers) pin to
-        a past-the-end level.
-        """
-        lo = hi = None
-        for t in ticks:
-            if t >= self._horizon:
-                a, b = 2 * self.n_levels, 2 * self.n_levels + 1
-            else:
-                n = t // 2
-                a, b = 2 * self._lmin[n], 2 * self._lmax[n] + 1
-            lo = a if lo is None or a < lo else lo
-            hi = b if hi is None or b > hi else hi
-        return lo, hi
-
-    def serialize_widest(self) -> bool:
-        """Chain the widest level's nodes (arena growth guard); returns
-        False when no level has width > 1 (nothing left to trade)."""
-        li = self.graph.widest_level()
-        if li < 0:
-            return False
-        self.graph.serialize_level(li)
-        self._refresh_spans()
-        _par.STATS.levels_serialized += 1
-        return True
-
-    def info(self) -> Dict[str, object]:
-        g = self.graph
-        return {"nodes": g.n_nodes,
-                "levels": len(g.levels),
-                "widths": [len(l) for l in g.levels],
-                "level_names": [[g.names[n] for n in l] for l in g.levels]}
 
 
 class Tape:
@@ -600,24 +389,20 @@ class Tape:
         if len(self._input_slots) != 1:
             raise _CaptureError("exactly one marked input is required")
         lt = _Lifetimes(self, bwd_nodes, kind, loss, logits)
-        sched = None
-        if (kind == "train" and ws.config.parallel_replay
-                and ws.config.replay_workers >= 2):
-            sched = _ParallelSchedule(self, bwd_nodes, lt, loss)
         if ws.config.mem_plan:
             try:
                 return self._build_planned(kind, bwd_nodes, loss, logits,
-                                           lt, sched, row_stable)
+                                           lt, row_stable)
             except _mp.PlanError as e:
                 _mp.STATS.fallbacks += 1
                 _mp.STATS.last_fallback_reason = str(e)
         return self._assemble(kind, bwd_nodes, loss, logits, lt, mem=None,
-                              sched=sched, row_stable=row_stable)
+                              row_stable=row_stable)
 
     def _build_planned(self, kind: str, bwd_nodes: List[Tensor],
                        loss: Optional[Tensor], logits: Tensor,
-                       lt: _Lifetimes, sched,
-                       row_stable: bool = False) -> "StepPlan":
+                       lt: _Lifetimes, row_stable: bool = False
+                       ) -> "StepPlan":
         """Two-pass build: size the arena, then assemble thunks over it.
 
         Pass 1 runs the builder in *plan* mode — every plan-owned buffer
@@ -628,114 +413,44 @@ class Tape:
         mode, so the kept thunks close over arena views instead of
         private arrays.  Any divergence raises ``PlanError`` and
         :meth:`_build` falls back to unplanned buffers.
-
-        With a parallel schedule the packing becomes concurrency-aware:
-        slabs are re-timed onto the level timeline (same-level thunks get
-        overlapping intervals, so they never share bytes) and the solve
-        iterates against the arena growth guard — when the level-timed
-        arena exceeds ``_ARENA_GROWTH_CAP`` times the serial solve, the
-        widest level is serialized and the layout re-solved, trading
-        parallelism for footprint instead of growing unboundedly.
         """
         mem = _mp.MemPlanner()
         scratch = StepPlan(kind=kind, n_slots=self._n_slots,
                            input_slot=self._input_slots[0])
         sizer = _PlanBuilder(self, scratch, keep_ctx=(kind == "train"),
-                             lt=lt, mem=mem, sched=sched,
-                             row_stable=row_stable)
+                             lt=lt, mem=mem, row_stable=row_stable)
         for rec in self.records:
             sizer.build(rec)
-        if sched is None:
-            mem.solve()
-        else:
-            serial_arena = mem.solve()
-            cap = max(int(serial_arena * _ARENA_GROWTH_CAP),
-                      serial_arena + _ARENA_GROWTH_FLOOR)
-            while True:
-                mem.remap(sched.map_interval)
-                if mem.solve() <= cap or not sched.serialize_widest():
-                    break
+        mem.solve()
         mem.materialize(ws.PLAN_GENERATION)
         plan = self._assemble(kind, bwd_nodes, loss, logits, lt, mem=mem,
-                              sched=sched, row_stable=row_stable)
+                              row_stable=row_stable)
         mem.finish()
         return plan
 
     def _assemble(self, kind: str, bwd_nodes: List[Tensor],
                   loss: Optional[Tensor], logits: Tensor,
-                  lt: _Lifetimes, mem, sched=None,
-                  row_stable: bool = False) -> "StepPlan":
+                  lt: _Lifetimes, mem, row_stable: bool = False
+                  ) -> "StepPlan":
         plan = StepPlan(kind=kind, n_slots=self._n_slots,
                         input_slot=self._input_slots[0])
         plan.row_stable = row_stable
         builder = _PlanBuilder(self, plan, keep_ctx=(kind == "train"),
-                               lt=lt, mem=mem, sched=sched,
-                               row_stable=row_stable)
+                               lt=lt, mem=mem, row_stable=row_stable)
         pairs = {id(rec): builder.build(rec) for rec in self.records}
+        bwd_recs = [self.rec_of[id(n)] for n in bwd_nodes]
         plan._fwd = [pairs[id(rec)][0] for rec in self.records]
-        if sched is None:
-            bwd_recs = [self.rec_of[id(n)] for n in bwd_nodes]
-            plan._bwd = [pairs[id(rec)][1] for rec in bwd_recs]
-            plan._thunk_kinds = ([rec.kind for rec in self.records],
-                                 [rec.kind for rec in bwd_recs])
-            rec_last = {id(rec): i for i, rec in enumerate(bwd_recs)}
-            plan._bwd_of = [rec_last.get(id(rec)) for rec in self.records]
-        else:
-            self._assemble_levels(plan, pairs, bwd_nodes, sched)
+        plan._bwd = [pairs[id(rec)][1] for rec in bwd_recs]
+        plan._thunk_kinds = ([rec.kind for rec in self.records],
+                             [rec.kind for rec in bwd_recs])
+        rec_last = {id(rec): i for i, rec in enumerate(bwd_recs)}
+        plan._bwd_of = [rec_last.get(id(rec)) for rec in self.records]
         plan._logits_slot = self.slot_of[id(logits)]
         plan._loss_slot = self.slot_of[id(loss)] if loss is not None else -1
         plan._leaf_shapes = builder.leaf_shapes()
         plan._n_ops = len(self.records)
         plan._mem = mem
         return plan
-
-    def _assemble_levels(self, plan: "StepPlan", pairs, bwd_nodes, sched
-                         ) -> None:
-        """Bind schedule nodes to thunks and group them into levels.
-
-        ``plan._bwd`` still receives the flat part sequence in serial
-        order (``dw``, ``dx``, ``fin`` for split convs).  On an
-        *unplanned* build executing it serially is bit-equivalent to the
-        unsplit thunks, which tests use to cross-check the split itself.
-        On a planned build the arena is packed against *level* liveness,
-        which the flat serial order does not respect — every replay of a
-        planned parallel plan must go through the levels
-        (:meth:`StepPlan._run_levels` / :meth:`StepPlan.replay_timed`).
-        """
-        node_fn: Dict[int, Callable[[], None]] = {}
-        for i, rec in enumerate(self.records):
-            node_fn[sched.fwd_node[i]] = pairs[id(rec)][0]
-        values, grads = plan._values, plan._grads
-
-        def seed() -> None:
-            grads[plan._loss_slot] = np.ones_like(values[plan._loss_slot])
-
-        node_fn[sched.seed_node] = seed
-        bwd_flat: List[Callable[[], None]] = []
-        for j, n in enumerate(bwd_nodes):
-            rec = self.rec_of[id(n)]
-            thunks = pairs[id(rec)][1]
-            parts = sched.bwd_parts[j]
-            if len(parts) == 3:
-                if not (isinstance(thunks, tuple) and len(thunks) == 3):
-                    raise _CaptureError(
-                        f"schedule split {rec.kind} but builder did not")
-                for nd, fn in zip(parts, thunks):
-                    node_fn[nd] = fn
-                bwd_flat.extend(thunks)
-            else:
-                if isinstance(thunks, tuple):
-                    raise _CaptureError(
-                        f"builder split {rec.kind} but schedule did not")
-                node_fn[parts[0]] = thunks
-                bwd_flat.append(thunks)
-        plan._bwd = bwd_flat
-        plan._levels = [[node_fn[nd] for nd in lvl]
-                        for lvl in sched.graph.levels]
-        plan._level_names = [[sched.graph.names[nd] for nd in lvl]
-                             for lvl in sched.graph.levels]
-        plan._workers = ws.config.replay_workers
-        plan._schedule = sched
 
 
 class _PlanBuilder:
@@ -748,7 +463,7 @@ class _PlanBuilder:
     """
 
     def __init__(self, tape: Tape, plan: "StepPlan", keep_ctx: bool,
-                 lt: Optional[_Lifetimes] = None, mem=None, sched=None,
+                 lt: Optional[_Lifetimes] = None, mem=None,
                  row_stable: bool = False):
         self.tape = tape
         self.plan = plan
@@ -759,9 +474,6 @@ class _PlanBuilder:
         #: plan-owned buffer is a private allocation, the PR-3 layout)
         self.lt = lt
         self.mem = mem
-        #: parallel schedule (None -> serial plan; split convs return
-        #: (dw, dx, fin) backward part tuples instead of one thunk)
-        self.sched = sched
 
     # -- the per-record allocator ------------------------------------------
     def _allocator(self, rec: _Record, alias: Tuple[int, ...] = ()):
@@ -814,8 +526,7 @@ class _PlanBuilder:
                                    if lt.alias_ok(rec.inputs[i], rec)), None)
                 return mem.alloc(shape, dtype, tick, lt.value_end(rec),
                                  tag=tag, out_slot=tape.slot_of[id(rec.out)],
-                                 alias_slot=alias_slot,
-                                 ticks=lt.value_ticks(rec))
+                                 alias_slot=alias_slot)
             if phase == "fwd":
                 return mem.alloc(shape, dtype, tick, tick, tag=tag)
             if phase == "span":
@@ -965,50 +676,6 @@ class _PlanBuilder:
         return self._from_row(rec, _table.OPS["cross_entropy"],
                               self.plan._tbox)
 
-    def _conv_backward(self, rec: _Record, dw_part, dx_part, stage):
-        """Assemble a conv backward from its ``dw_part(g)`` (weight and bias
-        gradients) and ``dx_part(g)`` (input gradient, or ``None``), after
-        ``stage(g)`` where the form has staging both read.
-
-        A serial plan gets one thunk running the parts in that order — the
-        arena may lay the phase-"b" dx staging over the weight-gradient
-        scratch, so dw/db are extracted first — then retiring the
-        output-grad slot.  Level scheduling takes the parts separately as
-        ``(dw, dx, fin)`` (the weight-grad GEMM is off the dx critical
-        chain) or, with a ``stage``, ``(stage + dx, dw, fin)``, the order
-        :class:`_ParallelSchedule` gives such a conv; in either order they
-        perform the identical kernel calls on identical operands, so the
-        split never changes bits.
-        """
-        o = self.tape.slot_of[id(rec.out)]
-        grads = self.plan._grads
-        if self.sched is not None and id(rec) in self.sched.split:
-            def guarded(*parts):
-                def thunk() -> None:
-                    g = grads[o]
-                    if g is not None:
-                        for part in parts:
-                            part(g)
-                return thunk
-
-            def fin() -> None:
-                grads[o] = None
-            if stage is None:
-                return guarded(dw_part), guarded(dx_part), fin
-            return guarded(stage, dx_part), guarded(dw_part), fin
-
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            if stage is not None:
-                stage(g)
-            dw_part(g)
-            if dx_part is not None:
-                dx_part(g)
-            grads[o] = None
-        return bwd
-
     def _build_conv2d(self, rec: _Record):
         """Conv thunks over :class:`repro.tensor.ops.conv.ConvKernels`.
 
@@ -1033,56 +700,23 @@ class _PlanBuilder:
         rd_x = self._reader(x)
         w_t = self._leaf(weight)
         b_t = self._leaf(bias)
-        n, c = x.data.shape[:2]
-        k, _c2, r, s = weight.data.shape
+        n = x.data.shape[0]
+        k = weight.data.shape[0]
         dtype = x.data.dtype
         o = self.tape.slot_of[id(rec.out)]
-        values = self.plan._values
-
-        # Measured gate: a dead set published for this weight AND a probe
-        # that proved the live-channel kernels bit-identical and profitable
-        # at this exact signature (repro.tensor.sparse.conv_gate_for; None
-        # with sparse_compute off and for every conv whose form is not the
-        # window gather).  The decision is memoized per (signature, dead
-        # set), so the memory planner's sizer/assembler double build and any
-        # plan rebuild within the interval see the same verdict.
-        gate = _sparse.conv_gate_for(w_t.data, x.data, stride, padding)
+        values, grads = self.plan._values, self.plan._grads
 
         alloc = self._allocator(rec)
         ks = _conv.ConvKernels(
             x.data.shape, w_t.data, stride, padding, dtype, alloc,
             bias=b_t.data if b_t is not None else None,
-            dead=gate.ds if gate is not None else None,
             remat=self.mem is not None, backward=self.keep_ctx,
             row_stable=self.row_stable and not self.keep_ctx)
         if self.keep_ctx:
             ks.backward(alloc, need_dx)
         self.plan._conv_forms.append((x.data.shape, w_t.data.shape, stride,
                                       padding, ks.form))
-        y4 = ks.y4
-        if gate is None:
-            conv = ks.fwd
-        else:
-            # Per-step guards around the live kernels; any failure runs the
-            # dense kernels of the same set, on the same buffers, so the
-            # plan stays valid.
-            ds, w4 = gate.ds, w_t.data
-            state, stats = _sparse.StepState(), _sparse.STATS
-            skipped = (c - ds.in_live.size) * r * s
-
-            def conv(xr: np.ndarray) -> None:
-                if state.enabled and _sparse.weights_dead(w4, ds):
-                    ks.fwd_live(xr)
-                    stats.fwd_sparse_steps += 1
-                    stats.skipped_cols += skipped
-                else:
-                    # Sticky: a revived dead channel makes every later
-                    # sparse step unsound, so the conv drops to dense for
-                    # the rest of this plan's life (the next publish
-                    # rebuilds it).
-                    state.enabled = False
-                    ks.fwd(xr)
-                    stats.fwd_dense_fallbacks += 1
+        conv, y4 = ks.fwd, ks.y4
 
         def fwd() -> None:
             conv(rd_x())
@@ -1090,23 +724,7 @@ class _PlanBuilder:
         if not self.keep_ctx:
             return fwd, None
 
-        dense_dw, dense_dx = ks.dw, ks.dx
-        if gate is None:
-            weight_grad = dense_dw
-        else:
-            def weight_grad(xr: np.ndarray, g3: np.ndarray) -> np.ndarray:
-                # Compacts to the published live rows -- the GEMM shape the
-                # gate's parity probe ran -- which is exact while the
-                # published dead rows of dy (zero BN gamma on a killed
-                # channel) and the dead in-channels of x are exactly zero.
-                if gate.use_dw and state.enabled and not (
-                        _sparse.runs_any_ch(g3, ds.out_dead_runs)
-                        or _sparse.runs_any_ch(xr, ds.in_dead_runs)):
-                    stats.dw_sparse_steps += 1
-                    return ks.dw_live(xr, g3, ds.out_live_runs)
-                stats.dw_dense_steps += 1
-                return dense_dw(xr, g3)
-
+        weight_grad, input_grad, stage = ks.dw, ks.dx, ks.stage_dy
         sink_w, sink_b = self._sink(weight), self._sink(bias)
 
         def dw_part(g: np.ndarray) -> None:
@@ -1117,17 +735,23 @@ class _PlanBuilder:
         dx_part = None
         if need_dx:
             sink_x = self._sink(x)
-            if gate is not None and gate.use_dx and ks.dx_live is not None:
-                def dx_part(g: np.ndarray) -> None:
-                    if state.enabled:
-                        sink_x(ks.dx_live(g))
-                        stats.dx_sparse_steps += 1
-                    else:
-                        sink_x(dense_dx(g))
-            else:
-                def dx_part(g: np.ndarray) -> None:
-                    sink_x(dense_dx(g))
-        return fwd, self._conv_backward(rec, dw_part, dx_part, ks.stage_dy)
+
+            def dx_part(g: np.ndarray) -> None:
+                sink_x(input_grad(g))
+
+        # dw/db first: the arena may lay the phase-"b" dx staging over the
+        # weight-gradient scratch.  Then the output-grad slot retires.
+        def bwd() -> None:
+            g = grads[o]
+            if g is None:
+                return
+            if stage is not None:
+                stage(g)
+            dw_part(g)
+            if dx_part is not None:
+                dx_part(g)
+            grads[o] = None
+        return fwd, bwd
 
 
 class StepPlan:
@@ -1157,20 +781,13 @@ class StepPlan:
         #: the arena planner backing this plan's buffers (None when the
         #: plan was built unplanned — mem_plan off or planner fallback)
         self._mem = None
-        #: level-scheduled replay (:mod:`repro.tensor.parallel`): thunks
-        #: grouped into dependency levels, or None for serial replay.
-        #: ``_bwd`` always holds the flat serial order regardless.
-        self._levels: Optional[List[List[Callable[[], None]]]] = None
-        self._level_names: Optional[List[List[str]]] = None
-        #: serial plans: op kind of each ``_fwd`` / ``_bwd`` thunk, in order
+        #: op kind of each ``_fwd`` / ``_bwd`` thunk, in order
         self._thunk_kinds: Tuple[List[str], List[str]] = ([], [])
-        #: serial plans: per ``_fwd`` thunk, the index into ``_bwd`` of the
-        #: thunk that differentiates it (None: its backward never runs)
+        #: per ``_fwd`` thunk, the index into ``_bwd`` of the thunk that
+        #: differentiates it (None: its backward never runs)
         self._bwd_of: List[Optional[int]] = []
         #: ``(x_shape, w_shape, stride, padding, form)`` per conv, op order
         self._conv_forms: List[tuple] = []
-        self._workers = 1
-        self._schedule = None
         self.generation = ws.PLAN_GENERATION
         self.engine_sig = ws.config.plan_signature()
         #: forward plans captured with the per-sample Linear lowering
@@ -1206,8 +823,6 @@ class StepPlan:
         self._released = True
         self._fwd = []
         self._bwd = []
-        self._levels = None
-        self._level_names = None
         self._values = [None] * self.n_slots
         self._grads = [None] * self.n_slots
         self._ctxs = [None] * self.n_slots
@@ -1256,18 +871,13 @@ class StepPlan:
         grads = self._grads
         values[self._input_slot] = x
         self._tbox[0] = targets
-        if self._levels is not None:
-            self._run_levels()
-            loss = values[self._loss_slot]
-            logits = values[self._logits_slot]
-        else:
-            for f in self._fwd:
-                f()
-            loss = values[self._loss_slot]
-            logits = values[self._logits_slot]
-            grads[self._loss_slot] = np.ones_like(loss)
-            for b in self._bwd:
-                b()
+        for f in self._fwd:
+            f()
+        loss = values[self._loss_slot]
+        logits = values[self._logits_slot]
+        grads[self._loss_slot] = np.ones_like(loss)
+        for b in self._bwd:
+            b()
         self._drop_step_refs()
         STATS.replays += 1
         STATS.replay_seconds += time.perf_counter() - t0
@@ -1283,47 +893,12 @@ class StepPlan:
             ctxs[i] = None
         self._tbox[0] = None
 
-    def _run_levels(self) -> None:
-        """Level-scheduled replay on the worker pool.
-
-        Each level's thunks are mutually independent (the schedule proves
-        it); levels execute in order with a barrier between them.  BLAS is
-        clamped to one thread per call while the pool is active so the
-        replay threads don't oversubscribe cores that BLAS already uses.
-        """
-        pool = _par.get_pool(self._workers)
-        stats = _par.STATS
-        t0 = time.perf_counter()
-        level_times: List[float] = []
-        with pool.caller_lock, _blas.limit_blas_threads(1) as limited:
-            stats.blas_limited = limited
-            for level in self._levels:
-                lt0 = time.perf_counter()
-                pool.run_level(level)
-                level_times.append(time.perf_counter() - lt0)
-        stats.replays += 1
-        stats.levels_run += len(self._levels)
-        stats.thunks_run += sum(len(lvl) for lvl in self._levels)
-        stats.replay_seconds += time.perf_counter() - t0
-        stats.last_levels = [(len(self._levels[i]), dt)
-                             for i, dt in enumerate(level_times)]
-
     def replay_timed(self, x: np.ndarray, targets: np.ndarray):
-        """Replay one training step on the calling thread, timing every
-        thunk.  Returns ``(loss, logits, seconds)``; the replay computes
-        exactly what :meth:`run` computes.
-
-        Serial plan: ``seconds`` is a flat list of ``(op kind, "fwd" |
-        "bwd", seconds)`` in execution order — the per-thunk attribution of
-        a step (which conv backward, which pool, dominates it).
-
-        Parallel plan: executes level by level (nodes of one level in
-        order) — level order is a valid topological order, and, unlike the
-        flat serial order, respects the level-timed arena layout the plan
-        was packed against.  ``seconds[i][j]`` is the wall time of level
-        ``i``'s ``j``-th thunk — the per-level input for the benchmark's
-        critical-path schedule model.
-        """
+        """Replay one training step, timing every thunk.  Returns ``(loss,
+        logits, seconds)``; the replay computes exactly what :meth:`run`
+        computes.  ``seconds`` is a flat list of ``(op kind, "fwd" | "bwd",
+        seconds)`` in execution order — the per-thunk attribution of a step
+        (which conv backward, which pool, dominates it)."""
         if self._released:
             raise RuntimeError("cannot replay a released plan")
         if self.kind != "train":
@@ -1333,27 +908,17 @@ class StepPlan:
         values[self._input_slot] = x
         self._tbox[0] = targets
         clock = time.perf_counter
-        if self._levels is not None:
-            seconds: list = []
-            for level in self._levels:
-                times = []
-                for fn in level:
-                    t = clock()
-                    fn()
-                    times.append(clock() - t)
-                seconds.append(times)
-        else:
-            fwd_kinds, bwd_kinds = self._thunk_kinds
-            seconds = []
-            for kind, f in zip(fwd_kinds, self._fwd):
-                t = clock()
-                f()
-                seconds.append((kind, "fwd", clock() - t))
-            grads[self._loss_slot] = np.ones_like(values[self._loss_slot])
-            for kind, b in zip(bwd_kinds, self._bwd):
-                t = clock()
-                b()
-                seconds.append((kind, "bwd", clock() - t))
+        fwd_kinds, bwd_kinds = self._thunk_kinds
+        seconds = []
+        for kind, f in zip(fwd_kinds, self._fwd):
+            t = clock()
+            f()
+            seconds.append((kind, "fwd", clock() - t))
+        grads[self._loss_slot] = np.ones_like(values[self._loss_slot])
+        for kind, b in zip(bwd_kinds, self._bwd):
+            t = clock()
+            b()
+            seconds.append((kind, "bwd", clock() - t))
         loss = values[self._loss_slot]
         logits = values[self._logits_slot]
         self._drop_step_refs()
@@ -1361,12 +926,10 @@ class StepPlan:
 
     def conv_profile(self, x: np.ndarray, targets: np.ndarray):
         """:meth:`conv_forms` joined with one :meth:`replay_timed` step of a
-        serial training plan.  Returns ``(loss, logits, rows)`` with one
+        training plan.  Returns ``(loss, logits, rows)`` with one
         ``(x_shape, w_shape, stride, padding, form, fwd_s, bwd_s)`` per conv
         in op order — where a step's conv time goes, by shape and form
         (``bwd_s`` is 0.0 for a conv whose backward never runs)."""
-        if self._levels is not None:
-            raise RuntimeError("conv_profile requires a serial plan")
         loss, logits, seconds = self.replay_timed(x, targets)
         fwd_s, bwd_s = seconds[:len(self._fwd)], seconds[len(self._fwd):]
         convs = [i for i, kind in enumerate(self._thunk_kinds[0])
@@ -1427,9 +990,9 @@ class PlanCache:
         self.max_entries = max_entries
         self.pinned = pinned
         self.evictions = 0
-        # Lookups/stores may race a generation bump from another thread
-        # (ws.invalidate is atomic on its side); RLock because
-        # lookup/store call purge_stale internally.
+        # The serving tier's dispatch thread looks up and stores while
+        # another thread may bump the generation (ws.invalidate is atomic on
+        # its side); RLock because lookup/store call purge_stale internally.
         self._lock = threading.RLock()
 
     def purge_stale(self) -> None:

@@ -81,18 +81,6 @@ class Slab:
     alias_of: Optional["Slab"] = None
     offset: int = -1
     arr: Optional[np.ndarray] = None
-    #: the original *serial* liveness interval as recorded by the builder.
-    #: ``start``/``end`` above are what :meth:`MemPlanner.solve` packs on
-    #: and may be rewritten by :meth:`MemPlanner.remap` (level-scheduled
-    #: replay re-times every slab onto the level timeline); the serial
-    #: ticks are kept so remapping is repeatable and auditable.
-    s_start: int = -1
-    s_end: int = -1
-    #: every serial tick at which some thunk touches this buffer (defaults
-    #: to the endpoints).  Needed for remapping: on the level timeline the
-    #: serially-last toucher is not necessarily the one scheduled deepest,
-    #: so a sound remap must span *all* touching thunks' levels.
-    s_ticks: tuple = ()
     #: byte size, computed once (the shape never changes)
     nbytes: int = field(init=False)
 
@@ -208,16 +196,13 @@ class MemPlanner:
     def alloc(self, shape: tuple, dtype, start: int, end: int, *,
               tag: str = "",
               out_slot: Optional[int] = None,
-              alias_slot: Optional[int] = None,
-              ticks=None) -> np.ndarray:
+              alias_slot: Optional[int] = None) -> np.ndarray:
         """Request (pass 1) or fetch (pass 2) one plan-owned buffer.
 
         ``out_slot`` registers the buffer as the value of a plan slot so a
         later shape-preserving consumer can alias onto it via
         ``alias_slot``.  Aliasing is honored only when the target slab
         exists with identical shape/dtype.
-        ``ticks`` optionally lists every timeline position that touches
-        the buffer (for :meth:`remap`); defaults to the endpoints.
         """
         dtype = np.dtype(dtype)
         if self.serving:
@@ -231,9 +216,7 @@ class MemPlanner:
                     f"serve pass diverged from planning pass: "
                     f"{slab.shape}/{slab.dtype} vs {tuple(shape)}/{dtype}")
             return slab.arr
-        slab = Slab(tuple(shape), dtype, start, end, tag=tag,
-                    s_start=start, s_end=end,
-                    s_ticks=tuple(ticks) if ticks else (start, end))
+        slab = Slab(tuple(shape), dtype, start, end, tag=tag)
         if alias_slot is not None:
             target = self._by_slot.get(alias_slot)
             if (target is not None and target.shape == slab.shape
@@ -247,26 +230,6 @@ class MemPlanner:
         return np.empty(shape, dtype)
 
     # -- layout ------------------------------------------------------------
-    def remap(self, fn) -> None:
-        """Re-time every slab's packing interval from its serial ticks.
-
-        ``fn(s_ticks) -> (start, end)`` maps the recorded touch ticks onto
-        a new timeline — parallel replay maps each touched thunk to its
-        *level* span and takes the min/max, so slabs of thunks
-        co-scheduled in one level get overlapping intervals and
-        :meth:`solve` can never share bytes between them.  Call before
-        every :meth:`solve`
-        when iterating on a schedule (``fn=None`` restores the recorded
-        serial intervals).
-        """
-        if self.serving:
-            raise PlanError("cannot remap a materialized plan")
-        for s in self.slabs:
-            if fn is None:
-                s.start, s.end = s.s_start, s.s_end
-            else:
-                s.start, s.end = fn(s.s_ticks)
-
     def solve(self) -> int:
         """Assign arena offsets (greedy best-fit); returns arena bytes.
 
@@ -274,11 +237,6 @@ class MemPlanner:
         of the group's intervals.  Roots are placed largest-first; each
         goes into the tightest gap among already-placed slabs whose
         intervals overlap its own (best fit), or extends the arena.
-
-        Re-runnable: the arena growth guard for parallel schedules calls
-        :meth:`remap` + ``solve`` repeatedly until the level-timed packing
-        fits; all per-solve state is reset here, and ``solve_seconds``
-        accumulates over every call.
 
         Sizes are read from ``Slab.nbytes``, computed once per request, and
         placed slabs are kept as plain ``(offset, aligned end, start, end)``

@@ -6,9 +6,8 @@ Two lowerings, selected by ``workspace.config.conv_impl``:
     A *gather-once, GEMM-everywhere* lowering, stated once as the kernel set
     :class:`ConvKernels` and driven three ways: per call by eager
     :func:`conv2d_forward` / :func:`conv2d_backward` (fresh arrays, as
-    NumPy allocates them), once per plan by the plan builder
-    (:mod:`repro.tensor.compile`, buffers from the plan's arena) and by the
-    sparse gate's calibration probe (:mod:`repro.tensor.sparse`).  A conv
+    NumPy allocates them) and once per plan by the plan builder
+    (:mod:`repro.tensor.compile`, buffers from the plan's arena).  A conv
     takes one of four forms, each one class, looked up in :data:`FORMS` by
     :func:`conv_form` of its geometry: the window gather
     (:class:`_GatherKernels`), the 1x1 case (:class:`_PointwiseKernels` —
@@ -21,8 +20,8 @@ Two lowerings, selected by ``workspace.config.conv_impl``:
     choose — :func:`conv_unrolls` and :func:`conv_spans` the form,
     :func:`dw_folds` the weight-gradient shape — are closed-form and
     ``N``-free, each derived where it is defined, and every form is written
-    exactly once, so eager, captured, planned and sparse-probed convs are
-    bit-identical by construction.
+    exactly once, so eager, captured and planned convs are bit-identical by
+    construction.
 
 ``"im2col"`` (the seed engine, kept for A/B benchmarking)
     Patches are extracted into a column matrix and multiplied against the
@@ -39,7 +38,6 @@ Layout conventions (PyTorch-compatible):
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -116,8 +114,8 @@ def dw_folds(k: int, crs: int, p: int) -> bool:
     feature maps.
 
     The two forms sum the batch in different orders, so it has one reader,
-    :class:`_DwGemm`, through which every ``dw`` kernel (dense, live and 1x1)
-    goes.  It deliberately ignores ``N``: batch growth, tail batches and
+    :class:`_DwGemm`, through which every ``dw`` kernel (the gather's, the
+    span's and the 1x1's) goes.  It deliberately ignores ``N``: batch growth, tail batches and
     data-parallel shards must never flip the form mid-run.
     """
     return k * crs > p * (crs + k)
@@ -173,7 +171,7 @@ def conv_form(h: int, w: int, r: int, s: int, stride: int, padding: int,
               k: int) -> str:
     """Which form a conv takes — the key :class:`ConvKernels` looks its class
     up by in :data:`FORMS`: ``"pointwise"``, ``"unrolled"``, ``"span"`` or
-    ``"gather"`` (only the last has live-channel kernels)."""
+    ``"gather"``."""
     if _is_pointwise(r, s, padding):
         return "pointwise"
     if conv_unrolls(h, w, r, s, stride):
@@ -186,33 +184,6 @@ def _windows(xp: np.ndarray, r: int, s: int, stride: int) -> np.ndarray:
     if stride > 1:
         wdw = wdw[:, :, ::stride, ::stride]
     return wdw
-
-
-def _prefix(buf: np.ndarray, shape: tuple) -> np.ndarray:
-    """Contiguous leading view of ``buf`` reshaped to ``shape``."""
-    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
-
-
-def _take_ch(dst: np.ndarray, src: np.ndarray, runs) -> None:
-    """Gather run-selected channels (axis 1) of ``src`` into compact ``dst``."""
-    for d0, s0, ln in runs:
-        dst[:, d0:d0 + ln] = src[:, s0:s0 + ln]
-
-
-def _put_ch(dst: np.ndarray, src: np.ndarray, live_runs, dead_runs) -> None:
-    """Scatter compact channels back to the dense layout; dead channels get
-    the exact zeros the dense GEMM would produce."""
-    for _, s0, ln in dead_runs:
-        dst[:, s0:s0 + ln] = 0
-    for d0, s0, ln in live_runs:
-        dst[:, s0:s0 + ln] = src[:, d0:d0 + ln]
-
-
-def _take_block(dst: np.ndarray, src: np.ndarray, row_runs, col_runs) -> None:
-    """Gather the run-selected (axis 0 x axis 1) block of a filter tensor."""
-    for dr, sr, nr in row_runs:
-        for dc, sc, nc in col_runs:
-            dst[dr:dr + nr, dc:dc + nc] = src[sr:sr + nr, sc:sc + nc]
 
 
 def _to_pixel_major(a4: np.ndarray, a2: np.ndarray) -> None:
@@ -243,33 +214,22 @@ class _Gather:
     backward re-gather lands in the layout that GEMM reads with no second
     pass.  Either way the trailing ``Wo`` axis is stride-1 in the source.
 
-    ``dense(src)`` gathers every channel.  ``live(src)`` (built when ``runs``
-    is given) copies the run-selected channels into the *prefix* of the same
-    padded buffer and gathers into the prefix of the same column tensor
-    (:attr:`mat_l`), so both layouts run on one worst-case-dense allocation.
-    ``rezero`` clears the padded borders on every dense call — needed when
-    the buffer is shared scratch or alternates between layouts (stale border
-    bytes of the other layout are the one way the two could diverge);
-    otherwise the owner zeroes it once.  ``live`` always clears them.
+    ``dense(src)`` gathers.  ``rezero`` clears the padded borders on every
+    call — needed when the buffer is shared scratch; otherwise the owner
+    zeroes it once.
     """
 
-    __slots__ = ("dense", "live", "mat", "mat_l")
+    __slots__ = ("dense", "mat")
 
     def __init__(self, cols6: np.ndarray, pad: Optional[np.ndarray],
                  src_shape: tuple, r: int, s: int, stride: int, ph: int,
-                 pw: int, rezero: bool, runs=None,
-                 cmajor: bool = False) -> None:
+                 pw: int, rezero: bool, cmajor: bool = False) -> None:
         n, c, h, w = src_shape
         ho, wo = cols6.shape[4:]
         # window view (N, C, Ho, Wo, R, S) -> the column tensor's axis order
         axes = (1, 4, 5, 0, 2, 3) if cmajor else (0, 1, 4, 5, 2, 3)
-
-        def operand(cols: np.ndarray, ch: int) -> np.ndarray:
-            if cmajor:
-                return cols.reshape(ch * r * s, n * ho * wo)
-            return cols.reshape(n, ch * r * s, ho * wo)
-
-        self.mat = operand(cols6, c)
+        self.mat = cols6.reshape(c * r * s, n * ho * wo) if cmajor \
+            else cols6.reshape(n, c * r * s, ho * wo)
         if pad is None:
             def dense(src: np.ndarray) -> None:
                 np.copyto(cols6, _windows(src, r, s, stride).transpose(axes))
@@ -286,23 +246,6 @@ class _Gather:
                     np.copyto(core, src)
                     np.copyto(cols6, wdwT)
         self.dense = dense
-        self.live = self.mat_l = None
-        if runs is not None:
-            cl = sum(ln for _, _, ln in runs)
-            pad_l = _prefix(pad, (n, cl) + pad.shape[2:])
-            core_l = pad_l[:, :, ph:ph + h, pw:pw + w]
-            wdwT_l = _windows(pad_l, r, s, stride).transpose(axes)
-            cols6_l = _prefix(cols6, (cl, r, s, n, ho, wo) if cmajor
-                              else (n, cl, r, s, ho, wo))
-            self.mat_l = operand(cols6_l, cl)
-            borders = bool(ph or pw)
-
-            def live(src: np.ndarray) -> None:
-                if borders:
-                    pad.fill(0)
-                _take_ch(core_l, src, runs)
-                np.copyto(cols6_l, wdwT_l)
-            self.live = live
 
 
 class _Span:
@@ -352,8 +295,8 @@ class _Span:
 class _DwGemm:
     """The weight-gradient contraction of ``dy (N, K, P)`` with staged
     columns, in the form :func:`dw_folds` picks from ``(K, CRS, P)`` — the
-    one place the two forms are written, for the window gather (dense and
-    live) and the 1x1 case alike.
+    one place the two forms are written, for every form that gathers and
+    the 1x1 case alike.
 
     *Per-sample*: ``N`` GEMMs ``dy (K, P) @ cols^T (P, CRS)`` into the
     ``(N, K, CRS)`` slab, summed over the batch.  *Batch-folded*: ``dy`` and
@@ -361,61 +304,49 @@ class _DwGemm:
     ``colsT (CRS, N, P)``, then one GEMM over ``N*P``; with ``cmajor`` the
     columns arrive channel-major already (a backward re-gather lands there)
     and no ``colsT`` exists.  Construction requests the scratch, all phase
-    ``"a"``; ``live`` adds the compacted ``dy`` of the per-sample live form.
+    ``"a"``.
     """
 
-    __slots__ = ("fold", "n", "p", "dyT", "colsT", "slab", "dym")
+    __slots__ = ("fold", "n", "k", "crs", "p", "dyT", "colsT", "slab")
 
     def __init__(self, n: int, k: int, crs: int, p: int, alloc,
-                 tags=("dyT", "colsT", "bwd"), cmajor: bool = False,
-                 live: bool = False) -> None:
-        self.n, self.p = n, p
+                 tags=("dyT", "colsT", "bwd"), cmajor: bool = False) -> None:
+        self.n, self.k, self.crs, self.p = n, k, crs, p
         self.fold = dw_folds(k, crs, p)
-        self.dyT = self.colsT = self.slab = self.dym = None
+        self.dyT = self.colsT = self.slab = None
         if self.fold:
             self.dyT = alloc((k, n, p), tags[0], "a")
             if not cmajor:
                 self.colsT = alloc((crs, n, p), tags[1], "a")
         else:
             self.slab = alloc((n, k, crs), tags[2], "a")
-            if live:
-                self.dym = alloc((n, k, p), "sp.dym", "a")
 
-    def kernel(self, mat: np.ndarray, km: int, rows: int, row_runs=None):
-        """``run(g3, out2=None)`` returns the ``(km, rows)`` gradient of
-        ``g3`` against the columns ``mat`` — ``(N, rows, P)``, or
-        ``(rows, N*P)`` when they arrive channel-major — written into
-        ``out2`` if given.  ``row_runs`` compacts ``g3`` to the ``km`` rows
-        it lists; compacted operands are prefix views of the dense scratch."""
-        n, p = self.n, self.p
+    def kernel(self, mat: np.ndarray):
+        """``run(g3, out2=None)`` returns the ``(K, CRS)`` gradient of
+        ``g3`` against the columns ``mat`` — ``(N, CRS, P)``, or
+        ``(CRS, N*P)`` when they arrive channel-major — written into
+        ``out2`` if given."""
+        n, k, crs, p = self.n, self.k, self.crs, self.p
         if not self.fold:
-            slab, rhs = _prefix(self.slab, (n, km, rows)), mat.transpose(0, 2, 1)
-            dym = None if row_runs is None else _prefix(self.dym, (n, km, p))
+            slab, rhs = self.slab, mat.transpose(0, 2, 1)
 
             def run(g3: np.ndarray, out2=None) -> np.ndarray:
-                if dym is not None:
-                    _take_ch(dym, g3, row_runs)
-                    g3 = dym
                 np.matmul(g3, rhs, out=slab)
                 return np.add.reduce(slab, axis=0, out=out2)
             return run
 
-        dyT = _prefix(self.dyT, (km, n, p))
-        lhs = dyT.reshape(km, n * p)
+        dyT = self.dyT
+        lhs = dyT.reshape(k, n * p)
         if self.colsT is None:
             buf, rhs = None, mat.T
         else:
-            buf, src = _prefix(self.colsT, (rows, n, p)), mat.transpose(1, 0, 2)
-            rhs = buf.reshape(rows, n * p).T
+            buf, src = self.colsT, mat.transpose(1, 0, 2)
+            rhs = buf.reshape(crs, n * p).T
 
         def run(g3: np.ndarray, out2=None) -> np.ndarray:
             if buf is not None:
                 np.copyto(buf, src)
-            if row_runs is None:
-                np.copyto(dyT, g3.transpose(1, 0, 2))
-            else:
-                for d0, s0, ln in row_runs:
-                    dyT[d0:d0 + ln] = g3[:, s0:s0 + ln].transpose(1, 0, 2)
+            np.copyto(dyT, g3.transpose(1, 0, 2))
             return np.matmul(lhs, rhs, out=out2)
         return run
 
@@ -425,9 +356,8 @@ class _DwGemm:
 class ConvKernels:
     """The einsum conv lowering as kernels over caller-supplied buffers:
     each form stated once, driven by eager :func:`conv2d_forward` /
-    :func:`conv2d_backward`, by the plan builder
-    (:mod:`repro.tensor.compile`) and by the sparse gate's calibration probe
-    (:mod:`repro.tensor.sparse`).  ``ConvKernels(...)`` builds the class
+    :func:`conv2d_backward` and by the plan builder
+    (:mod:`repro.tensor.compile`).  ``ConvKernels(...)`` builds the class
     :data:`FORMS` registers under :func:`conv_form` of the geometry;
     :attr:`form` names it.
 
@@ -442,9 +372,9 @@ class ConvKernels:
     ``dw(x, g3)`` — the ``(K, C, R, S)`` weight gradient of ``g3 = dy (N, K,
     P)``, a fresh array — and, with ``need_dx``, ``dx(g)``, the input
     gradient.  ``db(g)`` is the bias gradient.
-    A form whose ``dw`` and ``dx`` read common staging of ``dy``
-    (:attr:`shared_backward`) builds ``stage_dy(g)`` as well, to run before
-    both; it is ``None`` wherever the two share nothing.
+    A form whose ``dw`` and ``dx`` read common staging of ``dy`` builds
+    ``stage_dy(g)`` as well, to run before both; it is ``None`` wherever the
+    two share nothing.
     ``phase`` names a buffer's lifetime, which each driver maps to storage:
 
     ========  ===========================================  ==================
@@ -469,21 +399,6 @@ class ConvKernels:
     arrays.  ``backward=False`` (forward-only plans) says no second stage
     follows, so nothing need outlive ``fwd``.
 
-    With a ``dead`` set (:class:`repro.tensor.sparse.DeadSet`; the gather
-    form only, the others refuse one) live-channel variants exist as well, on
-    contiguous prefix views of the *same* worst-case-dense buffers — sparse
-    saves FLOPs and gather bandwidth, not bytes, which is what makes a
-    per-step fallback to the dense kernels free.  ``fwd_live(x)`` skips dead
-    input channels and dead filters (exact while the dead weight groups are
-    zero, whatever ``x`` holds); ``dw_live(x, g3, row_runs)``
-    compacts the GEMM to the rows of ``g3`` listed in ``row_runs`` and the
-    live input channels (exact iff the dropped rows of ``g3`` and the dead
-    channels of ``x`` are zero), always in the form ``dw`` takes, or it could
-    not match it bitwise; ``dx_live(g)`` (transposed-convolution form only)
-    shrinks the GEMM *reduction* dimension, where BLAS accumulator pairing
-    can change low bits, so callers engage it only where a parity probe
-    passed.  Callers own those guards; the kernels only compute.
-
     ``remat=True`` (the memory planner's layout: forward staging is
     point-lived scratch shared with other ops) changes :class:`_GatherKernels`
     only, ``row_stable=True`` (forward-only serving plans)
@@ -492,11 +407,6 @@ class ConvKernels:
 
     #: the :func:`conv_form` this class is registered under in :data:`FORMS`
     form = ""
-    #: whether the form accepts a ``dead`` set
-    has_live = False
-    #: whether a conv that wants ``dx`` has a ``stage_dy`` (phase ``"ab"``):
-    #: a level schedule then runs it with ``dx`` and orders ``dw`` after them
-    shared_backward = False
 
     def __new__(cls, x_shape: tuple, w: np.ndarray, stride: int,
                 padding: int, *args, **kwargs):
@@ -506,31 +416,27 @@ class ConvKernels:
         return super().__new__(cls)
 
     def __init__(self, x_shape: tuple, w: np.ndarray, stride: int,
-                 padding: int, dtype, alloc, *, bias=None, dead=None,
+                 padding: int, dtype, alloc, *, bias=None,
                  remat: bool = False, backward: bool = True,
                  row_stable: bool = False) -> None:
-        if dead is not None and not self.has_live:
-            raise ValueError(
-                f"the {self.form} lowering has no live-channel form")
         self.x_shape, self.w, self.stride, self.padding = \
             x_shape, w, stride, padding
-        self.dtype, self.dead, self.remat = dtype, dead, remat
+        self.dtype, self.remat = dtype, remat
         self.b4 = None if bias is None else bias[None, :, None, None]
         (_, _, h, wd), (k, _, r, s) = x_shape, w.shape
         #: ``(n, c, h, w, k, r, s, ho, wo)``
         self.dims = (*x_shape, k, r, s,
                      *conv_out_size(h, wd, r, s, stride, padding))
-        self.fwd_live = self.dw = self.dw_live = self.dx = self.dx_live = None
-        self.stage_dy = None
+        self.dw = self.dx = self.stage_dy = None
         self._forward(alloc, backward, row_stable)
 
     def _forward(self, alloc, backward: bool, row_stable: bool) -> None:
-        """First stage: request forward buffers; set ``y4``, ``fwd[_live]``."""
+        """First stage: request forward buffers; set ``y4`` and ``fwd``."""
         raise NotImplementedError
 
     def backward(self, alloc, need_dx: bool = True) -> None:
-        """Second stage: request the backward scratch; set ``dw[_live]`` and,
-        with ``need_dx``, ``dx[_live]`` (and ``stage_dy``, if they share)."""
+        """Second stage: request the backward scratch; set ``dw`` and, with
+        ``need_dx``, ``dx`` (and ``stage_dy``, if they share)."""
         raise NotImplementedError
 
     @staticmethod
@@ -557,44 +463,31 @@ class _GatherKernels(ConvKernels):
     windows into its own phase-``"a"`` scratch instead of keeping the column
     tensor (RxS times the feature map) alive across the step — channel-major
     when ``dw`` folds, so the re-gather lands in the layout the folded GEMM
-    reads.  A dual-layout set (``dead``) re-gathers either way: the forward
-    may have staged the other layout.
+    reads.
     """
 
     form = "gather"
-    has_live = True
 
     def _forward(self, alloc, backward: bool, row_stable: bool) -> None:
         n, c, h, wd, k, r, s, ho, wo = self.dims
-        w, dead, padding, b4 = self.w, self.dead, self.padding, self.b4
+        w, padding, b4, remat = self.w, self.padding, self.b4, self.remat
         p, crs = ho * wo, c * r * s
-        hp, wp = h + 2 * padding, wd + 2 * padding
-        live = dead is not None
-        rezero = self.rezero = self.remat or live
         w3 = w.reshape(k, crs)
-        in_live_runs, out_live_runs = self.runs = \
-            (dead.in_live_runs, dead.out_live_runs) if live else (None, None)
 
         # Request order is part of the arena layout (the planner breaks size
-        # ties by it), so both variants keep the order they always had.
+        # ties by it).
         cols6 = alloc((n, c, r, s, ho, wo), "cols_f",
-                      "fwd" if self.remat else "span")
-        xp = None
-        if live:
-            # The live gather needs contiguous staging even at padding == 0
-            # (a channel gather cannot be a view); without remat the backward
-            # re-gathers through it.
-            xp = alloc((n, c, hp, wp), "xp", "fwd" if self.remat else "span")
-            yl = alloc((n, dead.out_live.size, p), "sp.yl", "fwd")
+                      "fwd" if remat else "span")
         y4 = self.y4 = alloc((n, k, ho, wo), "y", "out")
         y3 = y4.reshape(n, k, p)
-        if not live and padding:
-            xp = alloc((n, c, hp, wp), "xp", "fwd")
-            if not rezero:
+        xp = None
+        if padding:
+            xp = alloc((n, c, h + 2 * padding, wd + 2 * padding), "xp", "fwd")
+            if not remat:
                 xp.fill(0)
         self.xp = xp
         gx = self.gx = _Gather(cols6, xp, self.x_shape, r, s, self.stride,
-                               padding, padding, rezero, in_live_runs)
+                               padding, padding, remat)
         gather, cols3 = gx.dense, gx.mat
 
         def fwd(x: np.ndarray) -> None:
@@ -603,66 +496,30 @@ class _GatherKernels(ConvKernels):
             if b4 is not None:
                 np.add(y4, b4, out=y4)
         self.fwd = fwd
-        if live:
-            kl, cl = dead.out_live.size, dead.in_live.size
-            wl = np.empty((kl, cl * r * s), self.dtype)
-            wl4 = wl.reshape(kl, cl, r, s)
-
-            def fwd_live(x: np.ndarray) -> None:
-                gx.live(x)
-                _take_block(wl4, w, out_live_runs, in_live_runs)
-                np.matmul(wl, gx.mat_l, out=yl)
-                _put_ch(y3, yl, out_live_runs, dead.out_dead_runs)
-                if b4 is not None:
-                    np.add(y4, b4, out=y4)
-            self.fwd_live = fwd_live
 
     def backward(self, alloc, need_dx: bool = True) -> None:
         n, c, h, wd, k, r, s, ho, wo = self.dims
-        w, dead, remat = self.w, self.dead, self.remat
+        w, remat = self.w, self.remat
         stride, padding, gx, xp = self.stride, self.padding, self.gx, self.xp
         p, crs = ho * wo, c * r * s
-        live, rezero = dead is not None, self.rezero
-        in_live_runs, out_live_runs = self.runs
 
         # -- dw (phase "a") ------------------------------------------------
-        gemm = _DwGemm(n, k, crs, p, alloc, cmajor=remat, live=live)
-        if live:
-            red = alloc((k, crs), "sp.red", "a")
+        gemm = _DwGemm(n, k, crs, p, alloc, cmajor=remat)
         if remat:
             cols_b6 = alloc((c, r, s, n, ho, wo) if gemm.fold
                             else (n, c, r, s, ho, wo), "cols_b", "a")
             xpb = alloc(xp.shape, "xpb", "a") if xp is not None else None
             gb = _Gather(cols_b6, xpb, self.x_shape, r, s, stride, padding,
-                         padding, True, in_live_runs, cmajor=gemm.fold)
+                         padding, True, cmajor=gemm.fold)
+            regather = gb.dense
         else:
-            gb = gx
-        regather = gb.dense if rezero else (lambda x: None)
-        dense = gemm.kernel(gb.mat, k, crs)
+            gb, regather = gx, (lambda x: None)
+        dense = gemm.kernel(gb.mat)
 
         def dw(x: np.ndarray, g3: np.ndarray) -> np.ndarray:
             regather(x)
             return dense(g3).reshape(k, c, r, s)
         self.dw = dw
-        if live:
-            kl, cl = dead.out_live.size, dead.in_live.size
-            crs_l = cl * r * s
-            dtype = self.dtype
-
-            def dw_live(x: np.ndarray, g3: np.ndarray, row_runs
-                        ) -> np.ndarray:
-                km = sum(ln for _, _, ln in row_runs)
-                red_m = _prefix(red, (km, crs_l))
-                gb.live(x)
-                gemm.kernel(gb.mat_l, km, crs_l, row_runs)(g3, red_m)
-                red4 = red_m.reshape(km, cl, r, s)
-                out = np.zeros((k, c, r, s), dtype)
-                for dk, sk, nk in row_runs:
-                    for dc, sc, nc in in_live_runs:
-                        out[sk:sk + nk, sc:sc + nc] = red4[dk:dk + nk,
-                                                           dc:dc + nc]
-                return out
-            self.dw_live = dw_live
         if not need_dx:
             return
 
@@ -680,12 +537,11 @@ class _GatherKernels(ConvKernels):
             dx4 = dx3.reshape(n, c, h, wd)
             dyc6 = alloc((n, k, r, s, h, wd), "dyc", "b")
             dyp = None
-            if live or pr or ps:
+            if pr or ps:
                 dyp = alloc((n, k, ho + 2 * pr, wo + 2 * ps), "dyp", "b")
-                if not rezero:
+                if not remat:
                     dyp.fill(0)
-            gy = _Gather(dyc6, dyp, (n, k, ho, wo), r, s, 1, pr, ps, rezero,
-                         out_live_runs)
+            gy = _Gather(dyc6, dyp, (n, k, ho, wo), r, s, 1, pr, ps, remat)
             wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             gather_dy, dyc3 = gy.dense, gy.mat
 
@@ -694,23 +550,10 @@ class _GatherKernels(ConvKernels):
                 np.copyto(wf4, wflip)
                 np.matmul(wf2, dyc3, out=dx3)
                 return dx4
-            if live:
-                dxl = alloc((n, cl, h * wd), "sp.dxl", "b")
-                wfl2 = _prefix(wf4, (cl, kl * r * s))
-                wfl4 = wfl2.reshape(cl, kl, r, s)
-
-                def dx_live(g: np.ndarray) -> np.ndarray:
-                    gy.live(g)
-                    _take_block(wfl4, wflip, in_live_runs, out_live_runs)
-                    np.matmul(wfl2, gy.mat_l, out=dxl)
-                    _put_ch(dx3, dxl, in_live_runs, dead.in_dead_runs)
-                    return dx4
-                self.dx_live = dx_live
         else:
             # Strided scatter-add: per-patch gradients in one batched GEMM,
             # then R*S strided slice additions into the padded dx, of which
-            # the caller gets the interior view.  Dense only — no compacted
-            # form is calibrated for the scatter lowering.
+            # the caller gets the interior view.
             w3T = w.reshape(k, crs).T
             dcols = alloc((n, crs, p), "dcols", "b")
             d6 = dcols.reshape(n, c, r, s, ho, wo)
@@ -774,10 +617,10 @@ class _PointwiseKernels(ConvKernels):
         stride, p = self.stride, ho * wo
         # the staged input stands in for the column tensor
         gemm = _DwGemm(n, k, c, p, alloc, tags=("bwd",) * 3)
-        staged = None if self.xm is None else gemm.kernel(self.xm, k, c)
+        staged = None if self.xm is None else gemm.kernel(self.xm)
 
         def dw(x: np.ndarray, g3: np.ndarray) -> np.ndarray:
-            run = staged or gemm.kernel(x.reshape(n, c, p), k, c)
+            run = staged or gemm.kernel(x.reshape(n, c, p))
             return run(g3).reshape(k, c, 1, 1)
         self.dw = dw
         if not need_dx:
@@ -830,8 +673,8 @@ class _UnrolledKernels(ConvKernels):
 
     ``x2`` and ``T`` are ``"span"``-lived — ``T`` is batch-independent,
     unlike a column tensor, so keeping it costs ``H*W*Ho*Wo`` filter planes
-    however large ``N`` grows.  ``dw`` and ``dx`` share no scratch (a level
-    schedule runs them side by side): each restages ``dy`` for itself.
+    however large ``N`` grows.  ``dw`` and ``dx`` share no scratch: each
+    restages ``dy`` for itself.
     ``row_stable=True`` takes the forward product one sample at a time, as
     ``ops.basic.linear_forward`` does: a GEMM folded over the batch is not
     bit-stable across ``N`` (BLAS blocks by M).
@@ -980,7 +823,6 @@ class _SpanKernels(ConvKernels):
     """
 
     form = "span"
-    shared_backward = True
 
     def _forward(self, alloc, backward: bool, row_stable: bool) -> None:
         n, c, h, wd, k, r, s, ho, wo = self.dims
@@ -1021,8 +863,7 @@ class _SpanKernels(ConvKernels):
             cols = alloc((n, c * r * s, q), "cols_b", "a")
             gx, gy = _Span(xpb, self.x_shape, r, s, p, cols), \
                 _Span(dyp, (n, k, ho, wo), r, s, p)
-            gemm = _DwGemm(n, k, c * r * s, q, alloc).kernel(cols, k,
-                                                             c * r * s)
+            gemm = _DwGemm(n, k, c * r * s, q, alloc).kernel(cols)
 
             def dw(x: np.ndarray, g3: np.ndarray) -> np.ndarray:
                 gx.gather(x)
@@ -1034,8 +875,7 @@ class _SpanKernels(ConvKernels):
         dyc = alloc((n, k * r * s, q), "dyc", "ab")
         gx, gy = _Span(xpb, self.x_shape, r, s, p), \
             _Span(dyp, (n, k, ho, wo), r, s, p, dyc)
-        gemm = _DwGemm(n, k * r * s, c, q, alloc).kernel(gx.centre,
-                                                         k * r * s, c)
+        gemm = _DwGemm(n, k * r * s, c, q, alloc).kernel(gx.centre)
         dwf = alloc((k, r, s, c), "dwf", "a")
         dwf2, unflip = dwf.reshape(-1, c), \
             dwf[:, ::-1, ::-1].transpose(0, 3, 1, 2)
@@ -1138,8 +978,8 @@ class _Im2colKernels:
 
 def fresh_alloc(dtype):
     """``alloc(shape, tag, phase)`` that returns a new array per request,
-    whatever its phase: the storage of the eager driver and of the sparse
-    gate's probe, which hold a kernel set for one call or one probe."""
+    whatever its phase: the storage of the eager driver, which holds a
+    kernel set for one call."""
     return lambda shape, tag="", phase="": np.empty(shape, dtype)
 
 

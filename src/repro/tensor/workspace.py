@@ -42,9 +42,8 @@ class EngineConfig:
     """Feature switches for the optimized engine.
 
     ``fused_bnrelu`` and ``mem_plan`` default on and ``conv_impl`` to
-    ``"einsum"``; ``parallel_replay`` and ``sparse_compute`` default off.
-    ``baseline_engine()`` (or ``REPRO_FUSED=0 REPRO_CONV_IMPL=im2col``
-    before import) runs the seed-equivalent path.
+    ``"einsum"``.  ``baseline_engine()`` (or ``REPRO_FUSED=0
+    REPRO_CONV_IMPL=im2col`` before import) runs the seed-equivalent path.
     """
 
     #: fuse BatchNorm->ReLU into one kernel at BN call sites that allow it
@@ -59,25 +58,6 @@ class EngineConfig:
     #: buffers into one liveness-shared arena instead of private arrays.
     #: Bit-exact either way; off recovers the PR-3 per-buffer layout.
     mem_plan: bool = True
-    #: replay compiled *training* plans on a level-scheduled worker thread
-    #: pool (:mod:`repro.tensor.parallel`) instead of the serial thunk loop.
-    #: Bit-exact vs serial replay by construction (pinned accumulation
-    #: order); off keeps the PR-3/PR-5 single-threaded replay.
-    parallel_replay: bool = False
-    #: total executor threads for parallel replay (the calling thread
-    #: counts as one; ``replay_workers - 1`` daemon workers are spawned).
-    #: Values < 2 disable parallel scheduling even if ``parallel_replay``.
-    replay_workers: int = 4
-    #: sparsity-aware compute paths (:mod:`repro.tensor.sparse`): skip
-    #: published dead channels in the conv GEMM lowering and run
-    #: live-row-compacted backward GEMMs, gated per shape by the
-    #: cost-model calibration (parity probe + measured gain).  Dense stays
-    #: the default and the bit-exact reference; sparse engages only for
-    #: shapes the gate accepts.
-    sparse_compute: bool = False
-    #: minimum measured dense/sparse step-time ratio the gate demands
-    #: before selecting a sparse path for a shape (1.05 = 5% faster)
-    sparse_min_gain: float = 1.05
 
     def __post_init__(self) -> None:
         if self.conv_impl not in ("einsum", "im2col"):
@@ -96,10 +76,12 @@ config = EngineConfig(
     fused_bnrelu=_env_flag("REPRO_FUSED", True),
     conv_impl=os.environ.get("REPRO_CONV_IMPL", "einsum"),
     mem_plan=_env_flag("REPRO_MEM_PLAN", True),
-    parallel_replay=_env_flag("REPRO_PARALLEL_REPLAY", False),
-    sparse_compute=_env_flag("REPRO_SPARSE_COMPUTE", False),
-    sparse_min_gain=float(os.environ.get("REPRO_SPARSE_MIN_GAIN", "1.05")),
 )
+# Kept for benchmarks/e2e until ROADMAP 1(a): the benchmark pins these on
+# ``config`` around its ladder rungs.  Plain attributes, read by nothing:
+# not fields, so not in plan_signature(), and engine() refuses them.
+config.parallel_replay = False
+config.sparse_compute = False
 
 
 @contextmanager
@@ -122,8 +104,7 @@ def engine(**switches):
 
 def baseline_engine():
     """Temporarily run with every optimization off (the seed engine path)."""
-    return engine(fused_bnrelu=False, conv_impl="im2col",
-                  mem_plan=False, parallel_replay=False, sparse_compute=False)
+    return engine(fused_bnrelu=False, conv_impl="im2col", mem_plan=False)
 
 
 #: Kept for ``benchmarks/e2e``, which reads these counters of the deleted
@@ -144,11 +125,10 @@ def release(arr) -> None:
 #: value at capture time and refuse to replay once it moves.
 PLAN_GENERATION = 0
 
-#: Guards PLAN_GENERATION bumps.  Replay worker threads never bump the
-#: generation themselves, but plan-cache maintenance may race a bump from
-#: the driver (e.g. a test thread invalidating while another looks up), so
-#: the read-modify-write must be atomic.  Plain reads of the counter are a
-#: single bytecode and need no lock.
+#: Guards PLAN_GENERATION bumps.  The serving tier's dispatch thread looks
+#: plans up while another thread may invalidate (a model load, a test
+#: thread), so the read-modify-write must be atomic.  Plain reads of the
+#: counter are a single bytecode and need no lock.
 _generation_lock = threading.Lock()
 
 

@@ -28,7 +28,7 @@ class OneTimeTrainer(PruneTrainTrainer):
     """Group-lasso training with a single reconfiguration point.
 
     Only the schedule differs from PruneTrain; the epoch hook (channel
-    tracking, dead-set publishing) is the parent's.  Whether the one
+    tracking) is the parent's.  Whether the one
     reconfiguration has happened is read off ``reports``, which checkpoints
     carry, so a resumed run never repeats it."""
 

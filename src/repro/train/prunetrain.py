@@ -24,11 +24,9 @@ import numpy as np
 
 from ..distributed import DynamicBatchAdjuster
 from ..nn.module import Module
-from ..prune import (ChannelTracker, DeadSetExporter, GroupLasso,
-                     PruneReport, prune_and_reconfigure)
+from ..prune import (ChannelTracker, GroupLasso, PruneReport,
+                     prune_and_reconfigure)
 from ..prune.sparsity import DEFAULT_THRESHOLD
-from ..tensor import sparse as _tsparse
-from ..tensor import workspace as _tws
 from .trainer import Trainer, TrainerConfig
 
 #: Multiple of ``lr · λ`` the derived pruning threshold sits at (see
@@ -101,10 +99,6 @@ class PruneTrainTrainer(Trainer):
         self.tracker = ChannelTracker(model.graph, track_convs) \
             if track_convs else None
         self.reports: List[PruneReport] = []
-        #: stable dead-channel exporter for the sparse compute paths
-        #: (:mod:`repro.tensor.sparse`); scanned every epoch, published only
-        #: when ``workspace.config.sparse_compute`` is on.
-        self._dead_exporter = DeadSetExporter()
         #: threshold derived at λ-setup time when ``cfg.threshold`` is None.
         #: Kept on the trainer — not written back into the config — so a
         #: :class:`PruneTrainConfig` reused across runs (sweep presets)
@@ -162,7 +156,6 @@ class PruneTrainTrainer(Trainer):
             self.tracker.record()
         if self._reconfig_due(epoch):
             self._reconfigure(epoch)
-        self._publish_dead_sets()
 
     def _reconfig_due(self, epoch: int) -> bool:
         """Whether a reconfiguration follows epoch ``epoch`` (0-based):
@@ -170,21 +163,6 @@ class PruneTrainTrainer(Trainer):
         interval = self.cfg.reconfig_interval
         return interval > 0 and (epoch + 1) % interval == 0 \
             and epoch + 1 < self.cfg.epochs
-
-    def _publish_dead_sets(self) -> None:
-        """Scan for stable dead channels and publish them to the sparse
-        engine.  Runs at the end of *every* epoch — not only reconfig
-        epochs — so the exporter's hysteresis window fills between
-        reconfigurations and ``zero_sparse`` runs can engage the sparse
-        compute paths as soon as the zeroed channels prove stable.
-        Publishing an unchanged set is free (no plan invalidation), and the
-        whole hook is a no-op unless sparse compute is enabled.
-        """
-        if not _tws.config.sparse_compute:
-            return
-        scanned = self._dead_exporter.scan(self.model.graph, self.threshold)
-        _tsparse.publish([(node.conv.weight, si, so)
-                          for node, si, so in scanned])
 
     def _reconfigure(self, epoch: int) -> None:
         def on_masks(masks):
@@ -227,8 +205,6 @@ class PruneTrainTrainer(Trainer):
         }
         if self.tracker is not None:
             state["tracker"] = {"orig_k": dict(self.tracker._orig_k)}
-        state["dead_hist"] = {name: len(hist) for name, hist
-                              in self._dead_exporter._hist.items()}
         return state
 
     def _extra_arrays(self):
@@ -238,10 +214,6 @@ class PruneTrainTrainer(Trainer):
                 arrays[f"tracker/history/{name}"] = self.tracker.matrix(name)
                 arrays[f"tracker/alive/{name}"] = \
                     self.tracker._alive_idx[name]
-        for name, hist in self._dead_exporter._hist.items():
-            for i, (ib, ob) in enumerate(hist):
-                arrays[f"dead_hist/{name}/{i}/in"] = ib
-                arrays[f"dead_hist/{name}/{i}/out"] = ob
         return arrays
 
     def _restore_extra(self, train_state, arrays):
@@ -255,19 +227,6 @@ class PruneTrainTrainer(Trainer):
                 self.tracker.history[name] = [row.copy() for row in hist]
                 self.tracker._alive_idx[name] = np.asarray(
                     arrays[f"tracker/alive/{name}"], dtype=np.int64)
-        self._dead_exporter.reset()
-        for name, n in train_state.get("dead_hist", {}).items():
-            self._dead_exporter._hist[name] = [
-                (np.asarray(arrays[f"dead_hist/{name}/{i}/in"], dtype=bool),
-                 np.asarray(arrays[f"dead_hist/{name}/{i}/out"], dtype=bool))
-                for i in range(n)]
-        if _tws.config.sparse_compute:
-            # Republish from the restored history (no fresh scan — that
-            # would double-count the checkpoint epoch) so the resumed run
-            # re-engages the sparse paths where the original run had them.
-            cur = self._dead_exporter.current(self.model.graph)
-            _tsparse.publish([(node.conv.weight, si, so)
-                              for node, si, so in cur])
 
     @staticmethod
     def _report_to_dict(report: PruneReport) -> dict:

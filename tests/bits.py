@@ -36,10 +36,10 @@ when none is named):
 ``join/resnet32-unfused-step``
     loss and every gradient of one eager QUICK ResNet-32 training step with
     ``fused_bnrelu`` off, whose residual joins are ``relu(add(out, shortcut))``.
-``layout/<model>-<schedule>/{train,serve}``
-    the five arena layouts ``test_plan_builder.py`` pins.
+``layout/<model>-serial/{train,serve}``
+    the three arena layouts ``test_plan_builder.py`` pins.
 ``layout/_r32-n<N>/train``, ``layout/vgg11-pruned/{train,forward}``
-    more serial layouts at shapes the benchmark captures: QUICK ResNet-32
+    more layouts at shapes the benchmark captures: QUICK ResNet-32
     at the grown batch N = 160 and at an odd N = 37, and a QUICK VGG-11 at
     width 0.25 after one reconfiguration, its train plan and the
     evaluation forward at N = 256.
@@ -214,10 +214,10 @@ def _net_digests(fresh, batches) -> dict:
         seen += [loss.data.copy()] + net.take_grads()
     out = {"eager": digest(seen)}
     cfg = workspace.config
-    saved = (cfg.mem_plan, cfg.parallel_replay)
+    saved = cfg.mem_plan
     try:
         for name, mem in (("planned", True), ("unplanned", False)):
-            cfg.mem_plan, cfg.parallel_replay = mem, False
+            cfg.mem_plan = mem
             workspace.invalidate()
             net = fresh()
             (x0, y0), rest = batches[0], batches[1:]
@@ -235,7 +235,7 @@ def _net_digests(fresh, batches) -> dict:
             replayed = [plan.run(x0, y0)[0].copy()] + net.take_grads()
             out[name] = digest(replayed + seen[len(first):])
     finally:
-        cfg.mem_plan, cfg.parallel_replay = saved
+        cfg.mem_plan = saved
         workspace.invalidate()
     return out
 
@@ -417,23 +417,20 @@ def _capture_layouts(name, build, forward=None):
 def layout_lines():
     from tests.tensor.test_plan_builder import LAYOUTS
     cfg = workspace.config
-    saved = (cfg.mem_plan, cfg.parallel_replay, cfg.replay_workers,
-             cfg.sparse_compute)
+    saved = cfg.mem_plan
     try:
-        cfg.mem_plan, cfg.replay_workers, cfg.sparse_compute = True, 4, False
-        for (build, parallel), (_, serve) in LAYOUTS.items():
-            cfg.parallel_replay = parallel
-            name = f"layout/{build.__name__}-" \
-                f"{'parallel' if parallel else 'serial'}"
+        cfg.mem_plan = True
+        # "-serial": these lines keep the names they had when a parallel
+        # layout was recorded beside each, so outputs diff across trees
+        for build, (_, serve) in LAYOUTS.items():
             yield from _capture_layouts(
-                name, build, None if serve is None else (None, True))
-        cfg.parallel_replay = False
+                f"layout/{build.__name__}-serial", build,
+                None if serve is None else (None, True))
         for build, forward in EXTRA_LAYOUTS:
             yield from _capture_layouts(f"layout/{build.__name__}", build,
                                         forward)
     finally:
-        (cfg.mem_plan, cfg.parallel_replay, cfg.replay_workers,
-         cfg.sparse_compute) = saved
+        cfg.mem_plan = saved
         workspace.invalidate()
 
 

@@ -7,6 +7,8 @@ thunks, and retires itself (``invalid_reason``) whenever the network is
 reconfigured, the engine switchboard changes, or parameter shapes move.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -190,26 +192,20 @@ class TestUnrolledStages:
     """Nets whose convs take every form of the lowering side by side
     (``ops.conv.conv_form``), in eager and in the plan alike."""
 
-    SCHEDULES = pytest.mark.parametrize("mem_plan, parallel", [
-        (False, False), (True, False), (False, True), (True, True)])
+    SCHEDULES = pytest.mark.parametrize("mem_plan", [False, True])
 
     @SCHEDULES
-    def test_three_sgd_steps_match_eager(self, monkeypatch, mem_plan,
-                                         parallel):
-        self._three_steps(monkeypatch, mem_plan, parallel, _vgg_tail)
+    def test_three_sgd_steps_match_eager(self, monkeypatch, mem_plan):
+        self._three_steps(monkeypatch, mem_plan, _vgg_tail)
 
     @SCHEDULES
     def test_three_sgd_steps_match_eager_on_quick_resnet32(
-            self, monkeypatch, mem_plan, parallel):
-        self._three_steps(monkeypatch, mem_plan, parallel, _quick_r32)
+            self, monkeypatch, mem_plan):
+        self._three_steps(monkeypatch, mem_plan, _quick_r32)
 
     @staticmethod
-    def _three_steps(monkeypatch, mem_plan, parallel, build):
-        cfg = workspace.config
-        monkeypatch.setattr(cfg, "mem_plan", mem_plan)
-        monkeypatch.setattr(cfg, "parallel_replay", parallel)
-        monkeypatch.setattr(cfg, "replay_workers", 4)
-        monkeypatch.setattr(cfg, "sparse_compute", False)
+    def _three_steps(monkeypatch, mem_plan, build):
+        monkeypatch.setattr(workspace.config, "mem_plan", mem_plan)
         rng = np.random.default_rng(7)
         m_e, hw, classes, forms = build()
         batches = [(rng.standard_normal((8, 3, hw, hw)).astype(np.float32),
@@ -225,7 +221,6 @@ class TestUnrolledStages:
         assert reason is None, reason
         assert [f[-1] for f in plan.conv_forms()] == forms
         assert (plan.mem_metrics() is not None) == mem_plan
-        assert (plan._levels is not None) == parallel
         loss_t.backward()
         o_c.step()
         losses_c = [float(loss_t.data)]
@@ -242,8 +237,7 @@ class TestUnrolledStages:
 
 
 class TestReplayTimed:
-    def test_serial_plan_reports_every_thunk(self, monkeypatch):
-        monkeypatch.setattr(workspace.config, "parallel_replay", False)
+    def test_serial_plan_reports_every_thunk(self):
         rng = np.random.default_rng(4)
         x0, y0 = _batch(rng)
         x, y = _batch(rng)
@@ -286,7 +280,7 @@ class TestReplayTimed:
         """One row per conv, in ``conv_forms()`` order, carrying exactly the
         seconds ``replay_timed`` attributes to that conv's two thunks (under
         a scripted clock the two are the same numbers), from a replay that
-        computes what ``run`` computes; serial training plans only."""
+        computes what ``run`` computes; training plans only."""
         from repro.tensor import compile as compile_mod
 
         class Clock:                    # ticks by 1, 2, ... 7, 1, 2, ...
@@ -298,7 +292,6 @@ class TestReplayTimed:
                 self.now += self.calls % 7 + 1
                 return self.now
 
-        monkeypatch.setattr(workspace.config, "parallel_replay", False)
         rng = np.random.default_rng(6)
         x0, y0 = _batch(rng)
         x, y = _batch(rng)
@@ -336,15 +329,6 @@ class TestReplayTimed:
         fplan, _, _ = capture_forward(model, x)
         with pytest.raises(RuntimeError, match="training plan"):
             fplan.conv_profile(x, y)
-        monkeypatch.setattr(workspace.config, "parallel_replay", True)
-        monkeypatch.setattr(workspace.config, "replay_workers", 4)
-        model.train()
-        workspace.invalidate()
-        pplan, loss_t, _, reason = capture_training_step(model, x0, y0)
-        assert reason is None and pplan._levels is not None
-        loss_t.backward()
-        with pytest.raises(RuntimeError, match="serial plan"):
-            pplan.conv_profile(x, y)
 
 
 class TestForwardPlan:
@@ -555,6 +539,43 @@ class TestPlanCache:
         assert cache.sealed(("old",)) is None
         assert cache.sealed(("new",)) == "fresh"
         assert len(cache) == 1
+
+    def test_generation_bumps_race_plan_cache(self):
+        """Concurrent invalidate + PlanCache traffic, as the serving tier's
+        dispatch thread makes it: no lost bumps, no stale entries surviving
+        a bump observed by the cache."""
+        cache = PlanCache(max_entries=16)
+        start = workspace.plan_generation()
+        bumps = 200
+        stop = threading.Event()
+        errors = []
+
+        def bumper():
+            for _ in range(bumps):
+                workspace.invalidate()
+            stop.set()
+
+        def churner():
+            i = 0
+            try:
+                while not stop.is_set():
+                    cache.store(("k", i % 4), None, "unsupported op")
+                    cache.lookup(("k", (i + 1) % 4))
+                    len(cache)
+                    i += 1
+            except Exception as e:  # pragma: no cover - failure path
+                errors.append(e)
+
+        threads = [threading.Thread(target=bumper)] + \
+            [threading.Thread(target=churner) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not errors
+        assert workspace.plan_generation() == start + bumps
+        cache.purge_stale()
+        assert cache._generation == workspace.plan_generation()
 
 
 class TestTrainStep:

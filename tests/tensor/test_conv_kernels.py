@@ -1,18 +1,14 @@
 """Property tests of the staged conv kernel set (ops.conv.ConvKernels).
 
-One kernel set serves eager, the plan builder and the sparse gate's probe, so
-its contract is checked here once, over generated shapes and dead masks, in
-all four forms (window gather, 1x1, unrolled, span) on both sides of the
+One kernel set serves eager and the plan builder, so its contract is checked
+here once, over generated shapes, in all four forms (window gather, 1x1, unrolled, span) on both sides of the
 predicates that choose between them.  *Buffer lifetimes*: the eager driver
 (built per call over fresh arrays, nothing rematerialised) equals, bitwise,
 the same kernels in the planned layout — ``remat=True``, every point-lived
 phase carved from one shared scratch region that is dirtied between kernel
 calls — so a buffer read after the lifetime its phase declares shows up as a
 NaN.  *Values*: every form agrees with the untouched im2col lowering and with
-finite differences.  The live-channel kernels skip only exact zeros and
-otherwise compute the dense values; they match dense *bitwise* exactly where
-the gate's parity probe says they do; and a kernel that raises inside the
-probe fails the gate loudly.
+finite differences.
 """
 
 import inspect
@@ -22,37 +18,27 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.costmodel.time import SPARSE_GEMM
-from repro.tensor import Tensor, sparse, workspace
+from repro.tensor import workspace
 from repro.tensor.ops import conv as conv_ops
 from repro.tensor.ops.conv import ConvKernels
 
-
-@pytest.fixture(autouse=True)
-def einsum_sparse_engine(optimized_engine):
-    """The kernel set is the einsum lowering; pin it (the seed CI leg flips
-    the eager reference to im2col) and arm the gate with a zero gain bar so
-    its verdicts are its parity probes."""
-    with workspace.engine(sparse_compute=True, sparse_min_gain=0.0):
-        yield
-    sparse.clear()
-    sparse.STATS.reset()
-    SPARSE_GEMM.reset()
+# The kernel set is the einsum lowering; pin it (the seed CI leg flips the
+# eager reference to im2col).
+pytestmark = pytest.mark.usefixtures("optimized_engine")
 
 
 @st.composite
-def conv_cases(draw, dead=False):
+def conv_cases(draw):
     r = draw(st.sampled_from([3, 5]))
     stride = draw(st.sampled_from([1, 2]))
     padding = draw(st.sampled_from([0, 1, 2]))
     n = draw(st.integers(1, 3))
-    c = draw(st.integers(2 if dead else 1, 6))
-    k = draw(st.integers(2 if dead else 1, 6))
+    c = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 6))
     # A stride-1 same-size conv this narrow takes the span form; enough more
-    # filters put it on the other side of ``conv_spans`` — always, for the
-    # live-channel kernels (only the window gather has them).
+    # filters put it on the other side of ``conv_spans``.
     if conv_ops.conv_spans(k, r, r, stride, padding) and \
-            (dead or draw(st.booleans())):
+            draw(st.booleans()):
         k += conv_ops._SPAN_MACS_PER_RUN // (r - 1)
     lo = max(1, r - 2 * padding)
     h = draw(st.integers(lo, lo + 5))
@@ -62,24 +48,7 @@ def conv_cases(draw, dead=False):
     wt = (rng.standard_normal((k, c, r, r)) * 0.2).astype(np.float32)
     ho, wo = conv_ops.conv_out_size(h, w, r, r, stride, padding)
     dy = rng.standard_normal((n, k, ho, wo)).astype(np.float32)
-    if not dead:
-        return x, wt, dy, stride, padding
-    assume(conv_ops.conv_form(h, w, r, r, stride, padding, k) == "gather")
-    in_dead = np.array(draw(st.lists(st.booleans(), min_size=c, max_size=c)))
-    out_dead = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
-    assume(not in_dead.all() and not out_dead.all())
-    assume(in_dead.any() or out_dead.any())
-    # the state the guards admit: dead weight groups, the dy rows of dead
-    # outputs and the x channels of dead inputs are all exactly zero
-    wt[:, in_dead] = 0.0
-    wt[out_dead] = 0.0
-    dy[:, out_dead] = 0.0
-    x[:, in_dead] = 0.0
-    return x, wt, dy, stride, padding, in_dead, out_dead
-
-
-def _private(dtype):
-    return lambda shape, tag, phase: np.empty(shape, dtype)
+    return x, wt, dy, stride, padding
 
 
 class _SharedScratch:
@@ -176,116 +145,6 @@ def test_dense_kernels_equal_eager(case, remat):
         assert np.array_equal(ks.dx(dy), dx)
 
 
-def _probe_dy(ks, x, out_dead):
-    """The gradient the gate's probe uses: the layer's own output with the
-    dead rows zero (what training produces)."""
-    ks.fwd(x)
-    g = ks.y4.copy()
-    g[:, out_dead] = 0.0
-    return g, sparse.index_runs(np.flatnonzero(
-        g.reshape(g.shape[0], g.shape[1], -1).any(axis=(0, 2))))
-
-
-@given(conv_cases(dead=True), st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_live_kernels_compute_the_dense_result(case, remat):
-    """What the live kernels skip is exactly zero and what they keep is the
-    dense value up to BLAS accumulation order (whether the low bits agree
-    too is shape-dependent — the next test pins that to the gate)."""
-    x, w, dy, stride, padding, in_dead, out_dead = case
-    ds = sparse.DeadSet.from_masks(in_dead, out_dead)
-    alloc = _private(x.dtype)
-    ks = ConvKernels(x.shape, w, stride, padding, x.dtype, alloc, dead=ds,
-                     remat=remat)
-    ks.backward(alloc)
-    n, k = dy.shape[:2]
-    g3 = dy.reshape(n, k, -1)
-    close = dict(rtol=1e-4, atol=1e-5)
-    # Forward skipping needs only the dead weights zero, whatever the dead
-    # channels of x hold.
-    x_dirty = x.copy()
-    x_dirty[:, in_dead] = 1.0
-    ks.fwd(x_dirty)
-    y = ks.y4.copy()
-    ks.fwd_live(x_dirty)
-    np.testing.assert_allclose(ks.y4, y, **close)
-    assert not ks.y4[:, out_dead].any()
-    # dw: the *measured* zero rows are the compaction (ReLU-sparse); they
-    # may exceed the published dead set.
-    g3[:, 0] = 0.0
-    dropped = ~g3.any(axis=(0, 2))
-    rows = sparse.index_runs(np.flatnonzero(~dropped))
-    dw = ks.dw(x, g3).copy()
-    out = ks.dw_live(x, g3, rows)
-    np.testing.assert_allclose(out, dw, **close)
-    assert not out[dropped].any() and not out[:, in_dead].any()
-    assert np.array_equal(ks.dw_live(x, g3, rows), out)
-    if ks.dx_live is not None:
-        dx = ks.dx(dy).copy()
-        np.testing.assert_allclose(ks.dx_live(dy), dx, **close)
-        assert not ks.dx_live(dy)[:, in_dead].any()
-    # the dense kernels of a dual-layout set still work after live ones ran
-    ks.fwd(x_dirty)
-    assert np.array_equal(ks.y4, y)
-    assert np.array_equal(ks.dw(x, g3), dw)
-
-
-def _published(case):
-    x, w, dy, stride, padding, in_dead, out_dead = case
-    wt = Tensor(w)
-    sparse.clear()
-    SPARSE_GEMM.reset()
-    sparse.publish([(wt, in_dead, out_dead)])
-    return wt
-
-
-@given(conv_cases(dead=True))
-@settings(max_examples=40, deadline=None)
-def test_live_bit_equality_agrees_with_probe_verdicts(case):
-    """Compaction changes GEMM shapes, and BLAS may pair accumulators (or
-    pick a kernel) differently for them, so bit-equality of a live kernel
-    with its dense twin is shape-dependent.  The gate's parity verdicts
-    must be the truth about the kernels a plan would run."""
-    x, w, dy, stride, padding, in_dead, out_dead = case
-    wt = _published(case)
-    sparse.conv_gate_for(wt.data, x, stride, padding)
-    verdict = {d["path"]: d["parity"] for d in SPARSE_GEMM.decisions}
-    assert "fwd" in verdict
-    alloc = _private(x.dtype)
-    ks = ConvKernels(x.shape, w, stride, padding, x.dtype, alloc,
-                     dead=sparse.dead_set_for(wt.data), remat=True)
-    ks.backward(alloc)
-    g, rows = _probe_dy(ks, x, out_dead)
-    y = ks.y4.copy()
-    ks.fwd_live(x)
-    assert np.array_equal(ks.y4, y) == verdict["fwd"]
-    if "dw" in verdict:
-        g3 = g.reshape(g.shape[0], g.shape[1], -1)
-        dw = ks.dw(x, g3).copy()
-        assert np.array_equal(ks.dw_live(x, g3, rows), dw) == verdict["dw"]
-    if "dx" in verdict:
-        dx = ks.dx(g).copy()
-        assert np.array_equal(ks.dx_live(g), dx) == verdict["dx"]
-
-
-@given(conv_cases(dead=True), st.sampled_from(["_put_ch", "_take_block"]))
-@settings(max_examples=10, deadline=None)
-def test_probe_propagates_a_kernel_failure(case, victim):
-    x, w, dy, stride, padding, in_dead, out_dead = case
-    wt = _published(case)
-
-    def boom(*args):
-        raise RuntimeError("injected kernel failure")
-
-    original = getattr(conv_ops, victim)
-    setattr(conv_ops, victim, boom)
-    try:
-        with pytest.raises(RuntimeError, match="injected"):
-            sparse.conv_gate_for(wt.data, x, stride, padding)
-    finally:
-        setattr(conv_ops, victim, original)
-
-
 # -- the two weight-gradient forms --------------------------------------------
 
 #: (c, k, hw) of a 3x3/pad-1 conv on each side of ``dw_folds``: few input
@@ -353,25 +212,6 @@ def test_folded_dw_matches_finite_differences(hw, r, padding):
     np.testing.assert_allclose(dw, num, rtol=1e-6, atol=1e-8)
 
 
-def test_gate_accepts_dw_live_where_the_predicate_folds():
-    """The gate's decision log must show a parity-passed accept for ``dw`` at
-    a folding shape.  Dropping dead *output* rows never touches a reduction,
-    so the live kernel can only differ from the dense one by using the other
-    weight-gradient form — which must fail CI here, not silently leave
-    sparse ``dw`` off (a parity reject just means "stay dense")."""
-    c, k, hw = FOLDED
-    x, w, dy = _case(c, k, hw, 8)
-    out_dead = np.zeros(k, bool)
-    out_dead[::3] = True
-    w[out_dead] = 0.0
-    wt = Tensor(w)
-    sparse.publish([(wt, np.zeros(c, bool), out_dead)])
-    gate = sparse.conv_gate_for(wt.data, x, 1, 1)
-    dw_log = [d for d in SPARSE_GEMM.decisions if d["path"] == "dw"]
-    assert len(dw_log) == 1 and dw_log[0]["parity"] and dw_log[0]["accepted"]
-    assert gate is not None and gate.use_dw
-
-
 # -- the R = S = 1 case ---------------------------------------------------------
 
 @st.composite
@@ -427,25 +267,6 @@ def test_pointwise_kernels_equal_eager(case, remat):
         got = ks.dx(dy)
         assert np.array_equal(got, dx)
         got += 1.0              # a consumer accumulated into the donated dx
-
-
-def _assert_no_live_channel_form(x, w, padding):
-    in_dead, out_dead = np.array([True, False, False, False]), np.zeros(4, bool)
-    with pytest.raises(ValueError, match="no live-channel form"):
-        ConvKernels(x.shape, w, 1, padding, x.dtype, _private(x.dtype),
-                    dead=sparse.DeadSet.from_masks(in_dead, out_dead))
-    wt = Tensor(w)
-    sparse.publish([(wt, in_dead, out_dead)])
-    assert sparse.dead_set_for(wt.data) is not None
-    assert sparse.conv_gate_for(wt.data, x, 1, padding) is None
-    assert not SPARSE_GEMM.decisions
-
-
-def test_pointwise_has_no_live_channel_form():
-    """The sparse gate is not consulted for a 1x1 conv, and the kernel set
-    refuses a dead set for one instead of silently ignoring it."""
-    x, w, _ = _case(4, 4, 4, 2, r=1, padding=0)
-    _assert_no_live_channel_form(x, w, 0)
 
 
 # -- the map-smaller-than-window case ------------------------------------------------
@@ -585,13 +406,6 @@ def test_the_unroll_predicate_never_reads_the_batch():
         assert (n, c, 3, 3, hw, hw) not in shapes
 
 
-def test_unrolled_has_no_live_channel_form():
-    """As for 1x1: the gate is not consulted for an unrolled conv, and the
-    kernel set refuses a dead set for one instead of silently ignoring it."""
-    x, w, _ = _case(4, 4, 2, 2)
-    _assert_no_live_channel_form(x, w, 1)
-
-
 # -- the whole-row-run case ----------------------------------------------------------
 
 SPAN_MACS = conv_ops._SPAN_MACS_PER_RUN
@@ -679,13 +493,6 @@ def test_span_kernels_equal_eager_on_both_sides_of_the_predicate(
 @pytest.mark.parametrize("r, padding, h, w, k", SPANS[:3] + SPANS[6:8])
 def test_span_form_matches_finite_differences(r, padding, h, w, k):
     _assert_matches_finite_differences("span", 3, k, h, w, r, padding)
-
-
-def test_span_has_no_live_channel_form():
-    """As for 1x1 and unrolled: no gate, and a dead set is refused."""
-    x, w, _ = _case(4, 4, 4, 2)
-    assert conv_ops.conv_form(4, 4, 3, 3, 1, 1, 4) == "span"
-    _assert_no_live_channel_form(x, w, 1)
 
 
 #: id -> (c, k, hw, r, stride, padding): one geometry per form and side of

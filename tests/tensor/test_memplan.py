@@ -225,8 +225,6 @@ class TestCompileIntegration:
         bound so the slab cannot come back."""
         from repro.nn import vgg13
         monkeypatch.setattr(workspace.config, "conv_impl", "einsum")
-        # serial layout: level-timed packing trades bytes for concurrency
-        monkeypatch.setattr(workspace.config, "parallel_replay", False)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((32, 3, 16, 16)).astype(np.float32)
         y = rng.integers(0, 10, size=32)
@@ -256,12 +254,10 @@ class TestCompileIntegration:
         assert STATS.fallbacks == 1
         assert STATS.last_fallback_reason == "forced"
 
-    @pytest.mark.parametrize("parallel", [False, True],
-                             ids=["serial", "parallel"])
-    def test_capture_books_every_solve(self, monkeypatch, parallel):
-        """A parallel capture solves the serial layout, then each
-        level-timed one: ``STATS.solve_seconds`` books all of them.  Every
-        solve reads the fake clock twice, so it books exactly 1 s."""
+    def test_capture_books_every_solve(self, monkeypatch):
+        """A capture solves its layout once and ``STATS.solve_seconds``
+        books it.  A solve reads the fake clock twice, so it books exactly
+        1 s."""
         from repro.tensor import memplan
         ticks = itertools.count()
         monkeypatch.setattr(memplan, "time", SimpleNamespace(
@@ -275,9 +271,8 @@ class TestCompileIntegration:
 
         monkeypatch.setattr(memplan.MemPlanner, "solve", counted)
         STATS.reset()
-        with workspace.engine(parallel_replay=parallel, replay_workers=4):
-            self._capture()
-        assert len(solves) >= (2 if parallel else 1)
+        self._capture()
+        assert len(solves) == 1
         assert STATS.plans == 1
         assert STATS.solve_seconds == float(len(solves))
 

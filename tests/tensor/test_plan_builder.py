@@ -116,7 +116,6 @@ def _assert_row_runs_alike(monkeypatch, case, mem_plans):
     ``replay_timed`` under its kind."""
     kind, op, bias, fused = ROW_CASES[case]
     monkeypatch.setitem(OPS, "leaky", Op(_leaky_fwd, _leaky_bwd, (True,)))
-    monkeypatch.setattr(workspace.config, "parallel_replay", False)
     monkeypatch.setattr(workspace.config, "fused_bnrelu", fused)
     net = _ToyNet(op, bias)
     x, y = _toy_batch()
@@ -353,19 +352,18 @@ def _r50():         # over half 1x1 convs, stride 1 and 2
 
 
 #: recorded at the parent of the commit that moved the kernels out of the
-#: builder: (model, parallel replay) -> layout of the train plan and, where
-#: given, of the row-stable forward plan.  The ``_vgg13`` and ``_r50`` rows
+#: builder: model -> layout of the train plan and, where given, of the
+#: row-stable forward plan.  The ``_vgg13`` and ``_r50`` rows
 #: were re-recorded when convs on maps smaller than their window took the
 #: unrolled form (four of VGG-13's ten convs, seven of this ResNet-50's 53):
 #: those convs keep ``T`` and the restaged input from forward to backward and
-#: request no column tensor, so the serial train arenas grew from 16662528
+#: request no column tensor, so the train arenas grew from 16662528
 #: and 4141056 bytes.  Both ``_r32`` rows and the ``_r50`` row were re-recorded
 #: when narrow same-size convs took the span form and maps *equal* to the
 #: window the unrolled one (20 + 9 of this ResNet-32's 33 convs, 6 of the
 #: ResNet-50's 53): a span conv's column tensors are ``Wp/Wo`` wider and its
 #: gathered ``dy`` lives through ``dw`` and ``dx``, so the ResNet-32 arenas
-#: grew from 4712448 (serial), 5277696 (parallel) and 1367040 (serving)
-#: bytes.  The ``_vgg13`` rows did not move: every conv there keeps its form.
+#: grew from 4712448 (train) and 1367040 (serving) bytes.  The ``_vgg13`` rows did not move: every conv there keeps its form.
 #: Every train layout was re-recorded when the pools' backwards stopped
 #: drawing ``dx`` from the workspace pool: each max-pool and the global
 #: average pool plans its ``dx`` as one more slab (ResNet-32 536 -> 537,
@@ -373,30 +371,22 @@ def _r50():         # over half 1x1 convs, stride 1 and 2
 #: already had — arena sizes and aliased buffers did not move, nor did any
 #: serving layout.
 LAYOUTS = {
-    (_r32, False): (("cf403b35e0c5704b", 6527232, 15, 537),
-                    ("a7acf8d8f6e1f63e", 1648128, 0, 150)),
-    (_r32, True): (("dcd6afd534c97cfb", 6680064, 15, 537),
-                   ("a7acf8d8f6e1f63e", 1648128, 0, 150)),
-    (_vgg13, False): (("ff0ee4ac87719a54", 21037056, 0, 145), None),
-    (_vgg13, True): (("741e703f2da4195d", 30347264, 0, 145), None),
-    (_r50, False): (("36e16060616b09c9", 5099520, 16, 574),
-                    ("a6e71bb97bd670f7", 621568, 0, 124)),
+    _r32: (("cf403b35e0c5704b", 6527232, 15, 537),
+           ("a7acf8d8f6e1f63e", 1648128, 0, 150)),
+    _vgg13: (("ff0ee4ac87719a54", 21037056, 0, 145), None),
+    _r50: (("36e16060616b09c9", 5099520, 16, 574),
+           ("a6e71bb97bd670f7", 621568, 0, 124)),
 }
 
 
-@pytest.mark.parametrize("build, parallel", list(LAYOUTS),
-                         ids=lambda v: getattr(v, "__name__", str(v)))
-def test_arena_layouts_are_the_recorded_ones(monkeypatch, build, parallel):
-    cfg = workspace.config
-    monkeypatch.setattr(cfg, "mem_plan", True)
-    monkeypatch.setattr(cfg, "parallel_replay", parallel)
-    monkeypatch.setattr(cfg, "replay_workers", 4)
-    monkeypatch.setattr(cfg, "sparse_compute", False)
+@pytest.mark.parametrize("build", list(LAYOUTS), ids=lambda v: v.__name__)
+def test_arena_layouts_are_the_recorded_ones(monkeypatch, build):
+    monkeypatch.setattr(workspace.config, "mem_plan", True)
     model, hw, n = build()
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, 3, hw, hw)).astype(np.float32)
     y = rng.integers(0, 10, size=n)
-    train, serve = LAYOUTS[build, parallel]
+    train, serve = LAYOUTS[build]
     plan, loss_t, _, reason = C.capture_training_step(model, x, y)
     assert reason is None, reason
     loss_t.backward()

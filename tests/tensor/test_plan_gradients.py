@@ -27,7 +27,6 @@ def _resnet32():
 #: the engine settings a training plan is captured under
 SETTINGS = {
     "default": {},
-    "parallel_replay": {"parallel_replay": True},
     "mem_plan-off": {"mem_plan": False},
 }
 
@@ -73,8 +72,11 @@ POISONED = {
 
 
 @pytest.mark.parametrize("name", POISONED)
-def test_a_poisoned_arena_changes_no_bit(name):
-    """Every replay reads only plan bytes it wrote this step."""
+def test_a_poisoned_arena_changes_no_bit(name, monkeypatch):
+    """Every replay reads only plan bytes it wrote this step.  The arena
+    is the planner's, so the planner is pinned on whatever
+    ``REPRO_MEM_PLAN`` says."""
+    monkeypatch.setattr(workspace.config, "mem_plan", True)
     build, hw = POISONED[name]
     model = build()
     rng = np.random.default_rng(0)
