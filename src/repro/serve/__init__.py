@@ -4,7 +4,7 @@ The product of PruneTrain is the compact pruned model; this package is
 where it earns its keep.  ``ModelRegistry`` loads checkpoints through
 ``repro.io`` and keeps row-stable forward ``StepPlan``s hot per model;
 ``InferenceServer`` coalesces concurrent single-image requests through a
-latency-budget ``DynamicBatcher``; ``traffic`` generates deterministic
+work-conserving ``DynamicBatcher``; ``traffic`` generates deterministic
 open-loop load for the ``BENCH_serve.json`` benchmark.
 
 Serving invariant (pinned by ``tests/serve/``): every response is

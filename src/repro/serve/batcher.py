@@ -1,21 +1,27 @@
 """Dynamic request batcher — a pure, virtual-time dispatch state machine.
 
-The batcher decides *when* a group of queued single-image requests becomes
-a batch: immediately once ``max_batch`` requests for one model are queued,
-or when the oldest queued request has waited ``latency_budget`` seconds.
-It owns no clock and no threads — every method takes ``now`` explicitly —
-so tests drive it deterministically in virtual time and the
-:class:`~repro.serve.server.InferenceServer` drives it with
+The batcher decides *which* queued single-image requests form the next
+batch.  Dispatch is work-conserving: whenever the worker is free it takes
+whatever is queued, so batch size follows load by itself — a lone request
+at light load runs alone, and a queue that built up behind a running batch
+leaves as full batches.  It owns no clock and no threads — every method
+takes ``now`` explicitly — so tests drive it deterministically in virtual
+time and the :class:`~repro.serve.server.InferenceServer` drives it with
 ``time.perf_counter``.
+
+``latency_budget`` is the queue-wait objective, not a hold: a request
+dispatched later than ``arrival + latency_budget`` is counted in
+:attr:`DynamicBatcher.late`.
 
 Dispatch invariants (pinned by ``tests/serve/test_batcher_property.py``):
 
 - every submitted request appears in exactly one dispatched batch;
 - no batch exceeds ``max_batch`` and never mixes models;
 - per-model FIFO order is preserved within and across batches;
-- a request is dispatchable no later than ``arrival + latency_budget``
-  (the wall-clock wait additionally includes at most one in-flight batch
-  window, since the single worker drains one batch at a time).
+- batches leave in the arrival order of their oldest request, across
+  models;
+- an idle worker never leaves a request queued, so a request waits only
+  for the batches taken ahead of it.
 """
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ __all__ = ["BatcherConfig", "DynamicBatcher"]
 class BatcherConfig:
     #: hard cap on requests coalesced into one plan replay
     max_batch: int = 8
-    #: seconds a lone request may wait for company before dispatch
+    #: seconds a request may wait queued before it counts as late
     latency_budget: float = 0.005
 
     def __post_init__(self):
@@ -41,7 +47,7 @@ class BatcherConfig:
 
 
 class DynamicBatcher:
-    """Latency-budget queue coalescing requests per model.
+    """Work-conserving queue coalescing requests per model.
 
     Items are opaque to the batcher; callers attach whatever state they
     need (the server enqueues request objects carrying futures).
@@ -54,6 +60,8 @@ class DynamicBatcher:
         self.submitted = 0
         self.dispatched = 0
         self.batches = 0
+        #: requests dispatched later than ``arrival + latency_budget``
+        self.late = 0
 
     # -- producer side -----------------------------------------------------
     def submit(self, model: str, item: object, now: float) -> None:
@@ -66,42 +74,21 @@ class DynamicBatcher:
         """Total requests queued across all models."""
         return sum(len(q) for q in self._queues.values())
 
-    def next_deadline(self) -> Optional[float]:
-        """Earliest time a currently-queued request must dispatch by, or
-        ``None`` when nothing is queued.  A full queue's deadline is its
-        head arrival time (it is already overdue)."""
-        deadline = None
+    def take(self, now: float) -> Optional[Tuple[str, List[object]]]:
+        """Pop the next batch for a worker that is free at time ``now``:
+        up to ``max_batch`` requests, FIFO, of the model whose oldest
+        queued request arrived first.  Returns ``(model, [item, ...])``,
+        or ``None`` when nothing is queued."""
+        if not self._queues:
+            return None
+        model = min(self._queues, key=lambda m: self._queues[m][0][0])
+        q = self._queues[model]
+        taken = [q.popleft() for _ in range(min(len(q),
+                                                self.config.max_batch))]
+        if not q:
+            del self._queues[model]
         budget = self.config.latency_budget
-        for q in self._queues.values():
-            if not q:
-                continue
-            head = q[0][0]
-            due = head if len(q) >= self.config.max_batch else head + budget
-            if deadline is None or due < deadline:
-                deadline = due
-        return deadline
-
-    def take(self, now: float, flush: bool = False
-             ) -> List[Tuple[str, List[object]]]:
-        """Pop every batch that is due at time ``now``.
-
-        Full batches dispatch unconditionally; a partial group dispatches
-        once its oldest request has waited the latency budget (or always,
-        with ``flush=True`` — the server's shutdown drain).  Returns
-        ``[(model, [item, ...]), ...]`` in deterministic model-insertion /
-        FIFO order; may be empty.
-        """
-        cfg = self.config
-        batches: List[Tuple[str, List[object]]] = []
-        for model, q in self._queues.items():
-            while len(q) >= cfg.max_batch:
-                batches.append(
-                    (model, [q.popleft()[1] for _ in range(cfg.max_batch)]))
-            if q and (flush or now >= q[0][0] + cfg.latency_budget):
-                batches.append((model, [t[1] for t in q]))
-                q.clear()
-        for empty in [m for m, q in self._queues.items() if not q]:
-            del self._queues[empty]
-        self.batches += len(batches)
-        self.dispatched += sum(len(items) for _, items in batches)
-        return batches
+        self.late += sum(1 for t, _ in taken if now - t > budget)
+        self.batches += 1
+        self.dispatched += len(taken)
+        return model, [item for _, item in taken]

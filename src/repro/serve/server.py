@@ -2,7 +2,8 @@
 
 :class:`InferenceServer` accepts single-image requests from any thread,
 queues them in a :class:`~repro.serve.batcher.DynamicBatcher`, and runs
-one worker thread that drains due batches through the
+one worker thread that, whenever it is free, takes the next batch of
+whatever is queued and runs it through the
 :class:`~repro.serve.registry.ModelRegistry`.  A single worker serializes
 plan replays, which keeps the (mutable-buffer) StepPlans thread-safe
 without per-replay locking; batching, not parallelism, is the
@@ -70,9 +71,10 @@ class _Request:
 class InferenceServer:
     """Dynamic-batching server over a model registry.
 
-    ``clock`` is injectable for tests; it must be monotonic.  ``close()``
-    drains every queued request (flush dispatch) before the worker exits,
-    so no submitted future is ever abandoned.
+    ``clock`` is injectable for tests; it must be monotonic.  The worker
+    never sleeps while a request is queued, so ``close()`` drains every
+    queued request before the worker exits and no submitted future is ever
+    abandoned.  ``latency_budget`` only counts ``late`` dispatches.
     """
 
     def __init__(self, registry: ModelRegistry, max_batch: int = 8,
@@ -133,6 +135,7 @@ class InferenceServer:
                 "errors": self.errors,
                 "batch_sizes": dict(sorted(self.batch_sizes.items())),
                 "submitted": self.batcher.submitted,
+                "late": self.batcher.late,
                 "mean_batch": (self.requests_served / self.batches_run
                                if self.batches_run else 0.0)}
 
@@ -140,23 +143,12 @@ class InferenceServer:
     def _run(self) -> None:
         while True:
             with self._cond:
-                while True:
-                    closing = self._closed
-                    batches = self.batcher.take(self._clock(), flush=closing)
-                    if batches:
-                        break
-                    if closing:
+                while not self.batcher.pending():
+                    if self._closed:
                         return
-                    deadline = self.batcher.next_deadline()
-                    if deadline is None:
-                        self._cond.wait()
-                    else:
-                        # +0.1ms guard: Condition.wait may return a hair
-                        # early; overshooting re-loops harmlessly.
-                        self._cond.wait(
-                            max(deadline - self._clock(), 0.0) + 1e-4)
-            for model, requests in batches:
-                self._execute(model, requests)
+                    self._cond.wait()
+                model, requests = self.batcher.take(self._clock())
+            self._execute(model, requests)
 
     def _execute(self, model: str, requests: List[_Request]) -> None:
         """Run one batch as one registry call per ``(shape, dtype)`` group,

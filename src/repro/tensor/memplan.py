@@ -303,7 +303,12 @@ class MemPlanner:
         """Allocate the arena and turn every slab into a view into it."""
         if self.arena is not None:
             raise PlanError("arena already materialized")
-        self.arena = np.empty(max(self.arena_bytes, 1), dtype=np.uint8)
+        # np.empty aligns to 16 bytes only: over-allocate and start the
+        # arena at the first ALIGN-aligned byte, so every slab is aligned.
+        size = max(self.arena_bytes, 1)
+        raw = np.empty(size + ALIGN, dtype=np.uint8)
+        skip = -raw.ctypes.data % ALIGN
+        self.arena = raw[skip:skip + size]
         self._handle = _ArenaHandle(self.arena, generation)
         _LIVE_ARENAS.append(weakref.ref(self._handle))
         for s in self.slabs:

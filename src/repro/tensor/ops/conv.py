@@ -617,11 +617,16 @@ class _PointwiseKernels(ConvKernels):
         stride, p = self.stride, ho * wo
         # the staged input stands in for the column tensor
         gemm = _DwGemm(n, k, c, p, alloc, tags=("bwd",) * 3)
-        staged = None if self.xm is None else gemm.kernel(self.xm)
+        # At stride 1 the GEMM reads x itself: it is bound on first sight of
+        # an input array and kept while the same array comes back (a plan's
+        # stable input slab), so replays do not rebuild it.
+        rebind = self.xm is None
+        bound = [None, None if rebind else gemm.kernel(self.xm)]
 
         def dw(x: np.ndarray, g3: np.ndarray) -> np.ndarray:
-            run = staged or gemm.kernel(x.reshape(n, c, p))
-            return run(g3).reshape(k, c, 1, 1)
+            if rebind and bound[0] is not x:
+                bound[:] = x, gemm.kernel(x.reshape(n, c, p))
+            return bound[1](g3).reshape(k, c, 1, 1)
         self.dw = dw
         if not need_dx:
             return

@@ -7,14 +7,17 @@ check the dispatch invariants exhaustively:
 - every submitted request is dispatched exactly once;
 - no batch exceeds ``max_batch`` and no batch mixes models;
 - per-model FIFO order is preserved;
-- the batcher itself never holds a request past ``arrival +
-  latency_budget`` — with an idle worker, every request dispatches by its
-  deadline; with a busy worker, the only extra wait is the service window
-  of batches already executing (at most one batch window at the modeled
-  sub-capacity load);
+- batches leave in the arrival order of their oldest request, across
+  models;
+- dispatch is work-conserving: with an instant worker nobody waits, and
+  with a busy worker the only wait is the service windows of the batches
+  taken ahead of the request — full batches are never held;
+- ``late`` counts exactly the waits above ``latency_budget``;
 - padding rows never leak into responses (checked end-to-end through a
   real server, since padding happens at the plan-replay layer).
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -35,57 +38,41 @@ def _arrival_process(seed, n_req, n_models, mean_gap):
 
 
 def _drive(batcher, arrivals, models, service=0.0):
-    """Deterministic event loop: submit arrivals on schedule, take batches
-    when due and the (virtual) worker is idle; each batch occupies the
-    worker for ``service`` seconds.  Returns per-request dispatch records
-    ``rid -> (model, dispatch_time, batch_id)`` and batch metadata.
+    """Deterministic event loop: submit arrivals on schedule; whenever the
+    (virtual) worker is free and a request is queued, take one batch, which
+    occupies the worker for ``service`` seconds.  A request arriving at the
+    instant the worker frees up is queued first.  Returns per-request
+    dispatch records ``rid -> (model, dispatch_time, batch_id)`` and batch
+    metadata ``(model, items, start)`` in dispatch order.
     """
     n = len(arrivals)
-    INF = float("inf")
     i = 0
     now = 0.0
-    busy_until = 0.0
+    free_at = 0.0
     dispatch = {}
     batch_meta = []
     while i < n or batcher.pending():
-        next_arrival = arrivals[i] if i < n else INF
-        deadline = batcher.next_deadline()
-        # a full queue's deadline is its (past) head arrival; virtual time
-        # never runs backwards, so clamp the take to `now`
-        next_take = (max(deadline, busy_until, now)
-                     if deadline is not None else INF)
-        if next_arrival <= next_take:
-            now = next_arrival
-            while i < n and arrivals[i] <= now:
-                batcher.submit(models[i], i, now=arrivals[i])
-                i += 1
-            # a full batch formed by this arrival dispatches as soon as
-            # the worker is free, checked on the next loop turn
+        if i < n and (not batcher.pending() or arrivals[i] <= free_at):
+            now = max(now, arrivals[i])
+            batcher.submit(models[i], i, now=arrivals[i])
+            i += 1
             continue
-        t = now = next_take
-        start = max(t, busy_until)
-        for model, items in batcher.take(t):
-            bid = len(batch_meta)
-            for item in items:
-                assert item not in dispatch, "request dispatched twice"
-                dispatch[item] = (model, start, bid)
-            batch_meta.append((model, items, start))
-            start += service
-            busy_until = start
+        now = max(now, free_at)
+        model, items = batcher.take(now)
+        bid = len(batch_meta)
+        for item in items:
+            assert item not in dispatch, "request dispatched twice"
+            dispatch[item] = (model, now, bid)
+        batch_meta.append((model, items, now))
+        free_at = now + service
+    assert batcher.take(now) is None
     return dispatch, batch_meta
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_batcher_invariants_idle_worker(seed):
-    cfg = BatcherConfig(max_batch=8, latency_budget=5.0)
-    batcher = DynamicBatcher(cfg)
-    arrivals, models = _arrival_process(seed, n_req=400, n_models=3,
-                                        mean_gap=1.0)
-    dispatch, batch_meta = _drive(batcher, arrivals, models, service=0.0)
-
+def _check_dispatch(cfg, arrivals, models, dispatch, batch_meta):
+    """The invariants every schedule keeps, whatever the service time."""
     # exactly once
     assert sorted(dispatch) == list(range(len(arrivals)))
-    assert batcher.pending() == 0
     # batch caps and model purity
     for model, items, _t in batch_meta:
         assert 1 <= len(items) <= cfg.max_batch
@@ -95,17 +82,33 @@ def test_batcher_invariants_idle_worker(seed):
         order = [i for _, items, _t in batch_meta
                  for i in items if models[i] == m]
         assert order == sorted(order)
-    # with an idle worker, nobody waits past the latency budget
+    # batches leave in the arrival order of their oldest request
+    heads = [items[0] for _m, items, _t in batch_meta]
+    assert heads == sorted(heads)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batcher_invariants_idle_worker(seed):
+    """An instant worker is always free: every request dispatches on
+    arrival, however loose the budget."""
+    cfg = BatcherConfig(max_batch=8, latency_budget=5.0)
+    batcher = DynamicBatcher(cfg)
+    arrivals, models = _arrival_process(seed, n_req=400, n_models=3,
+                                        mean_gap=1.0)
+    dispatch, batch_meta = _drive(batcher, arrivals, models, service=0.0)
+
+    _check_dispatch(cfg, arrivals, models, dispatch, batch_meta)
+    assert batcher.pending() == 0
     for rid, (_m, t_dispatch, _b) in dispatch.items():
-        wait = t_dispatch - arrivals[rid]
-        assert wait <= cfg.latency_budget + 1e-9, (
-            f"request {rid} waited {wait:.3f} > budget")
+        assert t_dispatch == arrivals[rid], f"request {rid} waited"
+    assert batcher.late == 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batcher_wait_bound_busy_worker(seed):
-    """With a busy worker at sub-capacity load, waits exceed the budget by
-    at most one batch window (the batch executing / just taken ahead)."""
+    """With a busy worker, a request waits only while the worker runs the
+    batches taken ahead of it: it arrived during a batch and the worker
+    stayed busy until it was taken."""
     service = 2.0
     cfg = BatcherConfig(max_batch=8, latency_budget=5.0)
     batcher = DynamicBatcher(cfg)
@@ -114,34 +117,73 @@ def test_batcher_wait_bound_busy_worker(seed):
                                         mean_gap=1.0)
     dispatch, batch_meta = _drive(batcher, arrivals, models, service=service)
 
-    assert sorted(dispatch) == list(range(len(arrivals)))
-    for model, items, _t in batch_meta:
-        assert len(items) <= cfg.max_batch
-        assert all(models[i] == model for i in items)
-    window = service  # one batch occupies the worker for `service` seconds
-    for rid, (_m, t_dispatch, _b) in dispatch.items():
+    _check_dispatch(cfg, arrivals, models, dispatch, batch_meta)
+    starts = [t for _m, _items, t in batch_meta]
+    assert any(dispatch[r][1] > arrivals[r] for r in dispatch), \
+        "the worker was never busy"
+    for rid, (_m, t_dispatch, bid) in dispatch.items():
         wait = t_dispatch - arrivals[rid]
-        assert wait <= cfg.latency_budget + 2 * window + 1e-9, (
-            f"request {rid} waited {wait:.3f}s — more than budget + "
-            f"one in-flight window + one same-take window")
+        ahead = [t for t in starts[:bid] if t + service > arrivals[rid]]
+        assert wait <= service * len(ahead) + 1e-9, (
+            f"request {rid} waited {wait:.3f}s behind {len(ahead)} batches")
+        if wait > 0:
+            # back to back from the batch running at its arrival
+            assert ahead and ahead[0] <= arrivals[rid]
+            assert t_dispatch == pytest.approx(ahead[0]
+                                               + service * len(ahead))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_full_batches_dispatch_without_budget_wait(seed):
-    """Back-to-back arrivals form full batches dispatched at formation
-    time, never held for the latency budget."""
+    """Arrivals faster than the worker form full batches, each dispatched
+    the moment the worker frees up, never held for the latency budget."""
+    service = 0.1
     cfg = BatcherConfig(max_batch=4, latency_budget=100.0)
     batcher = DynamicBatcher(cfg)
     rng = np.random.default_rng(seed)
     arrivals = np.cumsum(rng.exponential(0.01, size=64))
     models = ["m0"] * 64
-    dispatch, batch_meta = _drive(batcher, arrivals, models, service=0.0)
+    dispatch, batch_meta = _drive(batcher, arrivals, models, service=service)
+    _check_dispatch(cfg, arrivals, models, dispatch, batch_meta)
     full = [items for _m, items, _t in batch_meta if len(items) == 4]
-    assert len(full) == 16
+    assert len(full) >= 12
+    free_at = 0.0
     for _m, items, t in batch_meta:
-        formed = arrivals[items[-1]] if len(items) == cfg.max_batch else None
-        if formed is not None:
-            assert t == pytest.approx(formed), "full batch was held back"
+        assert t == max(free_at, arrivals[items[0]]), "batch was held back"
+        free_at = t + service
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_late_counts_the_waits_above_the_budget(seed):
+    """The budget no longer holds a batch; it counts the requests a busy
+    worker dispatched after ``arrival + latency_budget``."""
+    arrivals, models = _arrival_process(seed, n_req=300, n_models=2,
+                                        mean_gap=1.0)
+    loose = DynamicBatcher(BatcherConfig(max_batch=8, latency_budget=100.0))
+    _drive(loose, arrivals, models, service=2.0)
+    assert loose.late == 0
+
+    tight = DynamicBatcher(BatcherConfig(max_batch=8, latency_budget=0.5))
+    dispatch, _ = _drive(tight, arrivals, models, service=2.0)
+    waits = [t - arrivals[rid] for rid, (_m, t, _b) in dispatch.items()]
+    assert tight.late == sum(1 for w in waits if w > 0.5) > 0
+
+
+def test_batches_leave_in_arrival_order_across_models():
+    """A request of one model is not queued behind full batches of another
+    that formed from later arrivals: the oldest request's batch goes next,
+    whatever order the models' queues were created in."""
+    cfg = BatcherConfig(max_batch=4, latency_budget=0.0)
+    batcher = DynamicBatcher(cfg)
+    # request 0 keeps the worker busy until t=1; meanwhile "a" queues one
+    # request, then "b" one, then "a" seven more: two full batches of "a",
+    # the second formed wholly after "b" arrived
+    arrivals = [0.0, 0.1, 0.2] + [0.3 + 0.05 * j for j in range(7)]
+    models = ["a", "a", "b"] + ["a"] * 7
+    _dispatch, batch_meta = _drive(batcher, arrivals, models, service=1.0)
+    assert [(m, items) for m, items, _t in batch_meta] == [
+        ("a", [0]), ("a", [1, 3, 4, 5]), ("b", [2]), ("a", [6, 7, 8, 9])]
+    assert [t for _m, _items, t in batch_meta] == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_padding_rows_never_leak_into_responses():
@@ -168,3 +210,20 @@ def test_padding_rows_never_leak_into_responses():
         with no_grad():
             ref = served.model(Tensor(samples[i:i + 1])).data[0]
         assert np.array_equal(results[i], ref), f"response {i} corrupted"
+
+
+@pytest.mark.parametrize("budget, late", [(0.5, 3), (1e9, 0)])
+def test_server_stats_report_late_dispatches(budget, late):
+    """``InferenceServer.stats()["late"]`` is the batcher's count: under a
+    clock that ticks by one second per read, every request is dispatched at
+    least a second after it arrived."""
+    ticks = itertools.count()
+    registry = ModelRegistry(max_models=1)
+    registry.register_model("m", make_model("resnet32", "cifar10s", SMOKE,
+                                            seed=3))
+    x = np.zeros((3, 3, SMOKE.hw, SMOKE.hw), dtype=np.float32)
+    with InferenceServer(registry, max_batch=4, latency_budget=budget,
+                         clock=lambda: float(next(ticks))) as server:
+        for f in [server.submit("m", s) for s in x]:
+            f.result(timeout=30)
+    assert server.stats()["late"] == late

@@ -194,11 +194,12 @@ def test_a_malformed_request_fails_only_its_own_group():
     bad = rng.normal(size=(4, hw, hw)).astype(np.float32)
     other = rng.normal(size=(3, hw + 1, hw + 1)).astype(np.float32)
     wide = rng.normal(size=(3, hw, hw))
-    # a frozen clock: nothing is due until close() flushes one batch
-    with InferenceServer(registry, max_batch=8, latency_budget=60.0,
-                         clock=lambda: 0.0) as server:
-        futures = [server.submit("m", s)
-                   for s in (good[0], bad, other, wide, good[1])]
+    # submitted under the server's (re-entrant) lock, so the worker can
+    # take nothing before all five are queued: it takes them as one batch
+    with InferenceServer(registry, max_batch=8) as server:
+        with server._cond:
+            futures = [server.submit("m", s)
+                       for s in (good[0], bad, other, wide, good[1])]
     with pytest.raises(ValueError):
         futures[1].result(timeout=30)
     results = [futures[i].result(timeout=30) for i in (0, 4, 2, 3)]

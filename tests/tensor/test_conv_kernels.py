@@ -269,6 +269,39 @@ def test_pointwise_kernels_equal_eager(case, remat):
         got += 1.0              # a consumer accumulated into the donated dx
 
 
+def test_a_replay_binds_no_pointwise_weight_gradient(monkeypatch):
+    """Over half the convs of a bottleneck ResNet are stride-1 1x1s, whose
+    ``dw`` GEMM reads the input itself: a plan binds it once, on the input
+    slab, so a warm replay builds no ``_DwGemm`` kernel at all — and its
+    gradients stay those of the first replay."""
+    from repro.nn import ResNet
+    from repro.tensor.compile import capture_training_step
+    model = ResNet([1, 1], [16, 32], True, 10, input_hw=8, seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
+    y = rng.integers(0, 10, size=4)
+    plan, loss, _, reason = capture_training_step(model, x, y)
+    assert reason is None, reason
+    loss.backward()
+    forms = [f[-1] for f in plan.conv_forms()]
+    assert forms.count("pointwise") * 2 > len(forms)
+    for p in model.parameters():
+        p.grad = None
+    plan.run(x, y)
+    first = [np.array(p.grad, copy=True) for p in model.parameters()]
+    calls = []
+    kernel = conv_ops._DwGemm.kernel
+    monkeypatch.setattr(conv_ops._DwGemm, "kernel",
+                        lambda self, mat: calls.append(mat) or
+                        kernel(self, mat))
+    for p in model.parameters():
+        p.grad = None
+    plan.run(x, y)
+    assert calls == []
+    for p, g in zip(model.parameters(), first):
+        assert np.array_equal(p.grad, g)
+
+
 # -- the map-smaller-than-window case ------------------------------------------------
 
 #: (r, padding, h, w): 3x3 on 1x1 / 1x2 / 2x1 / 2x2 / 1x4 maps and 5x5 on 3x3 /

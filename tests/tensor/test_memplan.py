@@ -194,6 +194,17 @@ class TestCompileIntegration:
         assert m["savings"] > 0.2
         assert STATS.plans == 1 and STATS.fallbacks == 0
 
+    def test_every_slab_is_align_aligned(self):
+        """``np.empty`` aligns to 16 bytes only; the arena starts at an
+        ``ALIGN`` boundary so every slab view is cache-line aligned."""
+        for seed in range(3):
+            _, plan, _, _ = self._capture(seed)
+            slabs = [s for s in plan._mem.slabs if s.nbytes]
+            assert slabs
+            for s in slabs:
+                assert s.arr.ctypes.data % ALIGN == 0, s
+            assert plan._mem.arena.nbytes == plan._mem.arena_bytes
+
     def test_residual_alias_buffers_fire(self):
         # The test model (see test_compile._model) has a residual
         # add+relu join: at least one alias must have been taken.

@@ -141,6 +141,9 @@ CONFIG_SURFACE = {
     "repro.data.Augmenter": ("flip", "max_shift"),
     "repro.serve.ServedModel": ("name", "model", "generation"),
     "repro.serve.ModelRegistry": ("max_models",),
+    "repro.serve.InferenceServer": (
+        "registry", "max_batch", "latency_budget", "clock"),
+    "repro.serve.BatcherConfig": ("max_batch", "latency_budget"),
 }
 
 
