@@ -1,13 +1,11 @@
-"""Perf smoke test: the optimized engine must beat the seed engine.
+"""Perf smoke tests: shortened runs of the ``benchmarks/perf`` harnesses.
 
-Runs a shortened version of the ``bench_engine`` harness (same workloads,
-fewer repetitions).  Each leg writes its smoke-size payload under pytest's
-``tmp_path`` — never over the committed full-size ``results/BENCH_*.json``
-— so CI uploads them from ``--basetemp``.  The assertion bar here is deliberately below the
-acceptance-grade 1.5x (measured by the full ``python
-benchmarks/perf/bench_engine.py`` run and committed in the results file):
-CI machines are noisy and a smoke test should not flake on scheduler
-jitter — it only guards against the optimizations regressing to parity.
+Each leg writes its smoke-size payload under pytest's ``tmp_path`` — never
+over the committed full-size ``results/BENCH_*.json`` — so CI uploads them
+from ``--basetemp``.  The speed bars here are deliberately below the
+acceptance-grade ones the full runs commit to the results files: CI
+machines are noisy and a smoke test should not flake on scheduler jitter —
+it only guards against an optimization regressing to parity.
 """
 
 import json
@@ -18,31 +16,12 @@ import bench_engine
 import bench_serve
 
 
-def test_engine_speedup_smoke(tmp_path):
-    results = bench_engine.run_bench(repeats=3, number=2,
-                                     step_warmup=2, step_iters=3,
-                                     step_rounds=5)
-    path = bench_engine.write_results(results,
-                                      str(tmp_path / "BENCH_engine.json"))
-    assert os.path.exists(path)
-    with open(path) as fh:
-        written = json.load(fh)
-
-    step = written["train_step"]
-    assert step["before_ms"] > 0 and step["after_ms"] > 0
-    assert step["speedup"] > 1.15, (
-        f"optimized engine no faster than seed: {step}")
-
-    for name, row in written["micro"].items():
-        assert row["before_ms"] > 0 and row["after_ms"] > 0, name
-
-
 def test_compiled_step_speedup_smoke(tmp_path):
     """Compiled replay must never be slower than eager stepping.
 
     The acceptance-grade bar (>= 1.15x, measured by the full bench run) is
     asserted on the committed ``results/BENCH_compile.json``; at CI-smoke
-    repetition counts the guard is parity, same rationale as above.
+    repetition counts the guard is parity.
     """
     results = bench_engine.run_compile_bench(step_warmup=2, step_iters=3,
                                              step_rounds=5)

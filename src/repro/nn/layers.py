@@ -69,10 +69,9 @@ class BatchNorm2d(Module):
 
     def forward(self, x: Tensor, relu: bool = False) -> Tensor:
         """Normalize ``x``; ``relu=True`` fuses the following rectifier into
-        the same kernel (used by the models when
-        ``workspace.config.fused_bnrelu`` is on).  A folded layer passes
-        ``x`` through (rectified when ``relu``) and refuses training mode,
-        whose batch statistics the fold cannot express."""
+        the same kernel (every BN+ReLU of the shipped models).  A folded
+        layer passes ``x`` through (rectified when ``relu``) and refuses
+        training mode, whose batch statistics the fold cannot express."""
         if self.folded:
             if self.training:
                 raise RuntimeError(

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..tensor import Tensor
 from ..tensor import functional as F
-from ..tensor.workspace import config as _engine
 from .graph import ModelGraph
 from .layers import (BatchNorm2d, Conv2d, GlobalAvgPool, Linear, MaxPool2d,
                      ReLU)
@@ -28,21 +27,6 @@ from .module import Module
 
 def _scale(c: int, width_mult: float) -> int:
     return max(1, int(round(c * width_mult)))
-
-
-def _bn_relu(bn: BatchNorm2d, relu: ReLU, x: Tensor) -> Tensor:
-    """BN followed by ReLU, fused into one kernel when the engine allows."""
-    if _engine.fused_bnrelu:
-        return bn(x, relu=True)
-    return relu(bn(x))
-
-
-def _join(relu: ReLU, out: Tensor, shortcut: Tensor) -> Tensor:
-    """Residual join ``relu(out + shortcut)``, fused when the engine allows
-    (the ``fused_bnrelu`` switch governs all elementwise kernel fusion)."""
-    if _engine.fused_bnrelu:
-        return F.add_relu(out, shortcut)
-    return relu(F.add(out, shortcut))
 
 
 class BasicBlock(Module):
@@ -69,9 +53,9 @@ class BasicBlock(Module):
             shortcut = self.proj_bn(self.proj(x))
         if not self.active:
             return self.relu(shortcut)
-        out = _bn_relu(self.bn1, self.relu, self.conv1(x))
+        out = self.bn1(self.conv1(x), relu=True)
         out = self.bn2(self.conv2(out))
-        return _join(self.relu, out, shortcut)
+        return F.add_relu(out, shortcut)
 
 
 class Bottleneck(Module):
@@ -100,10 +84,10 @@ class Bottleneck(Module):
             shortcut = self.proj_bn(self.proj(x))
         if not self.active:
             return self.relu(shortcut)
-        out = _bn_relu(self.bn1, self.relu, self.conv1(x))
-        out = _bn_relu(self.bn2, self.relu, self.conv2(out))
+        out = self.bn1(self.conv1(x), relu=True)
+        out = self.bn2(self.conv2(out), relu=True)
         out = self.bn3(self.conv3(out))
-        return _join(self.relu, out, shortcut)
+        return F.add_relu(out, shortcut)
 
 
 class ResNet(Module):
@@ -141,7 +125,6 @@ class ResNet(Module):
         stem_stride = 2 if imagenet_stem else 1
         self.stem = Conv2d(in_channels, stem_ch, 3, stem_stride, 1, rng=rng)
         self.stem_bn = BatchNorm2d(stem_ch)
-        self.stem_relu = ReLU()
         hw //= stem_stride
         self.stem_pool = MaxPool2d(2) if imagenet_stem else None
 
@@ -201,7 +184,7 @@ class ResNet(Module):
         g.validate()
 
     def forward(self, x: Tensor) -> Tensor:
-        out = _bn_relu(self.stem_bn, self.stem_relu, self.stem(x))
+        out = self.stem_bn(self.stem(x), relu=True)
         if self.stem_pool is not None:
             out = self.stem_pool(out)
         for stage in self.stages:

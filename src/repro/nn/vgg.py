@@ -15,7 +15,6 @@ from typing import List, Union
 import numpy as np
 
 from ..tensor import Tensor
-from ..tensor.workspace import config as _engine
 from .graph import ModelGraph
 from .layers import (BatchNorm2d, Conv2d, GlobalAvgPool, Linear, MaxPool2d,
                      ReLU)
@@ -77,8 +76,8 @@ class VGG(Module):
         i, n = 0, len(self.features)
         while i < n:
             layer = self.features[i]
-            # Fuse every conv-BN-ReLU triple's tail when the engine allows.
-            if (_engine.fused_bnrelu and isinstance(layer, BatchNorm2d)
+            # Every conv-BN-ReLU triple's tail runs as one fused BN+ReLU.
+            if (isinstance(layer, BatchNorm2d)
                     and i + 1 < n and isinstance(self.features[i + 1], ReLU)):
                 out = layer(out, relu=True)
                 i += 2

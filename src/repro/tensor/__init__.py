@@ -7,8 +7,8 @@ Public surface:
 - :mod:`repro.tensor.functional` — conv2d, linear, batch_norm, pooling,
   activations, losses, and the channel gather/scatter ops used by the
   channel-gating baseline.
-- :mod:`repro.tensor.workspace` — the engine-optimization switchboard
-  (``workspace.config``, ``workspace.baseline_engine``) and the plan
+- :mod:`repro.tensor.workspace` — the engine switchboard
+  (``workspace.config``, pinned with ``workspace.engine``) and the plan
   generation ``workspace.invalidate()`` bumps.
 - :mod:`repro.tensor.compile` — compiled training steps: capture one eager
   forward/backward as a flat kernel plan (:class:`~repro.tensor.compile.

@@ -200,7 +200,7 @@ class _Lifetimes:
         Safe iff ``rec`` is x's *only* consumer and x's producer's
         backward never reads its own output, so the overwritten value is
         provably dead after ``rec``'s forward.  Convolution and the
-        affine-folded BN (without fused ReLU) qualify; ReLU-family
+        training-mode BN (without fused ReLU) qualify; ReLU-family
         producers re-derive their backward mask from their output and do
         not.  The requesting ops themselves (ReLU, residual add+ReLU)
         read only their output at backward time, never ``x``.
@@ -219,8 +219,7 @@ class _Lifetimes:
             return True
         if prod.kind == "batch_norm":
             _rm, _rv, _mom, _eps, training, relu_flag = prod.attrs
-            coef_path = training and (relu_flag or ws.config.fused_bnrelu)
-            return coef_path and not relu_flag
+            return training and not relu_flag
         return False
 
 
@@ -691,10 +690,6 @@ class _PlanBuilder:
         1x1 alike; this builder supplies its buffers and wires the kernels
         to the plan's slots and sinks.
         """
-        if ws.config.conv_impl != "einsum":
-            # The seed im2col GEMM is neither staged nor row-stable.
-            raise _CaptureError(
-                "compiled plans require the einsum conv lowering")
         x, weight, bias = rec.inputs
         stride, padding, need_dx = rec.attrs
         rd_x = self._reader(x)

@@ -6,7 +6,7 @@ primitives the ``repro.nn`` layer classes call.
 
 The numerics live in ``repro.tensor.ops`` and are stated there once, and
 this layer has two drivers of them: :func:`apply_op`, which runs any op from
-its row of :data:`repro.tensor.ops.table.OPS` (add, batch-norm, ReLU,
+its row of :data:`repro.tensor.ops.table.OPS` (batch-norm, ReLU,
 add-ReLU, linear, pools, channel gather/scatter, the loss — every wrapper
 below but one is a call to it), and :func:`conv2d`, which drives the conv's
 kernel set (:class:`repro.tensor.ops.conv.ConvKernels`).  Only those two
@@ -17,9 +17,8 @@ This layer owns three cross-cutting concerns of the engine:
 - **Gradient ownership.**  Every kernel allocates fresh arrays, so a
   kernel-produced gradient is *donated* to the receiving tensor
   (``Tensor._accumulate_donated``): the array itself becomes the gradient,
-  no first-touch copy.  The one exception is a gradient a row hands to more
-  than one input (``add`` fans ``g`` out to both parents); its row's
-  ``donate`` flag is false and the receiver copies
+  no first-touch copy.  A row whose ``donate`` flag is false (the channel
+  gather/scatter of the gating baseline) has the receiver copy instead
   (``Tensor._accumulate``).
 
 - **Op-level profiling.**  Both drivers bracket every op with
@@ -85,23 +84,18 @@ def apply_op(kind: str, inputs: Tuple[Optional[Tensor], ...],
     return out
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise ``a + b`` of two tensors of one shape and dtype (the seed
-    engine's residual join; nothing broadcasts)."""
-    if a.data.shape != b.data.shape or a.data.dtype != b.data.dtype:
-        raise ValueError(f"add of {a.data.shape}/{a.data.dtype} and "
-                         f"{b.data.shape}/{b.data.dtype}")
-    return apply_op("add", (a, b))
-
-
 def relu(x: Tensor) -> Tensor:
     """Elementwise rectifier (single-pass; mask recovered from output sign)."""
     return apply_op("relu", (x,))
 
 
 def add_relu(a: Tensor, b: Tensor) -> Tensor:
-    """Fused residual join ``relu(a + b)`` (one graph node, a donated masked
-    gradient per parent)."""
+    """Fused residual join ``relu(a + b)`` of two tensors of one shape and
+    dtype (one graph node, a donated masked gradient per parent; nothing
+    broadcasts)."""
+    if a.data.shape != b.data.shape or a.data.dtype != b.data.dtype:
+        raise ValueError(f"add_relu of {a.data.shape}/{a.data.dtype} and "
+                         f"{b.data.shape}/{b.data.dtype}")
     return apply_op("add_relu", (a, b))
 
 

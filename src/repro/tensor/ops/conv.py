@@ -1,36 +1,29 @@
 """Vectorized 2-D convolution kernels.
 
-Two lowerings, selected by ``workspace.config.conv_impl``:
+A *gather-once, GEMM-everywhere* lowering, stated once as the kernel set
+:class:`ConvKernels` and driven three ways: per call by eager
+:func:`conv2d_forward` / :func:`conv2d_backward` (fresh arrays, as NumPy
+allocates them) and once per plan by the plan builder
+(:mod:`repro.tensor.compile`, buffers from the plan's arena).  A conv takes
+one of four forms, each one class, looked up in :data:`FORMS` by
+:func:`conv_form` of its geometry: the window gather
+(:class:`_GatherKernels`), the 1x1 case (:class:`_PointwiseKernels` — over
+half the layers of a bottleneck ResNet), the unrolled form for maps no
+larger than the filter window (:class:`_UnrolledKernels` — the tail of a
+CIFAR VGG, the last stage of a small-input ResNet) and the span form for
+narrow stride-1 same-size convs on larger maps (:class:`_SpanKernels` — the
+first two stages of a CIFAR ResNet, whose cost is the gather's short runs,
+not its GEMMs).  The predicates that choose — :func:`conv_unrolls` and
+:func:`conv_spans` the form, :func:`dw_folds` the weight-gradient shape —
+are closed-form and ``N``-free, each derived where it is defined, and every
+form is written exactly once, so eager, captured and planned convs are
+bit-identical by construction.
 
-``"einsum"`` (default, the optimized engine)
-    A *gather-once, GEMM-everywhere* lowering, stated once as the kernel set
-    :class:`ConvKernels` and driven three ways: per call by eager
-    :func:`conv2d_forward` / :func:`conv2d_backward` (fresh arrays, as
-    NumPy allocates them) and once per plan by the plan builder
-    (:mod:`repro.tensor.compile`, buffers from the plan's arena).  A conv
-    takes one of four forms, each one class, looked up in :data:`FORMS` by
-    :func:`conv_form` of its geometry: the window gather
-    (:class:`_GatherKernels`), the 1x1 case (:class:`_PointwiseKernels` —
-    over half the layers of a bottleneck ResNet), the unrolled form for
-    maps no larger than the filter window (:class:`_UnrolledKernels` — the
-    tail of a CIFAR VGG, the last stage of a small-input ResNet) and the
-    span form for narrow stride-1 same-size convs on larger maps
-    (:class:`_SpanKernels` — the first two stages of a CIFAR ResNet, whose
-    cost is the gather's short runs, not its GEMMs).  The predicates that
-    choose — :func:`conv_unrolls` and :func:`conv_spans` the form,
-    :func:`dw_folds` the weight-gradient shape — are closed-form and
-    ``N``-free, each derived where it is defined, and every form is written
-    exactly once, so eager, captured and planned convs are bit-identical by
-    construction.
-
-``"im2col"`` (the seed engine, kept for A/B benchmarking)
-    Patches are extracted into a column matrix and multiplied against the
-    flattened filter bank; the column matrix is retained for backward
-    (:class:`_Im2colKernels`).  It shares no code with the forms above, which
-    makes it — with finite differences — the reference their *values* are
-    tested against; what the tests hold bitwise is the buffer-lifetime
-    property, the per-call driver's fresh arrays against the planned layout
-    (``remat=True``, shared scratch).
+What the tests hold bitwise is the buffer-lifetime property, the per-call
+driver's fresh arrays against the planned layout (``remat=True``, shared
+scratch); the *values* are held against finite differences and the float64
+column-matrix reference in ``tests/oracle.py``, which shares no code with
+the forms.
 
 Layout conventions (PyTorch-compatible):
   activations ``(N, C, H, W)``, filters ``(K, C, R, S)``.
@@ -43,7 +36,6 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from ..workspace import config
 
 
 def conv_out_size(h: int, w: int, r: int, s: int, stride: int,
@@ -54,55 +46,12 @@ def conv_out_size(h: int, w: int, r: int, s: int, stride: int,
     return ho, wo
 
 
-def im2col(x: np.ndarray, r: int, s: int, stride: int,
-           padding: int) -> np.ndarray:
-    """Extract convolution patches as a matrix.
-
-    Returns an array of shape ``(N*Ho*Wo, C*R*S)``.  The returned matrix is a
-    contiguous copy (the GEMM needs contiguity anyway); the patch extraction
-    itself is a strided view.
-    """
-    n, c, h, w = x.shape
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # (N, C, Ho', Wo', R, S) where Ho' spans all window starts
-    windows = sliding_window_view(x, (r, s), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    n_, c_, ho, wo = windows.shape[:4]
-    # -> (N, Ho, Wo, C, R, S) -> (N*Ho*Wo, C*R*S)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n_ * ho * wo, c_ * r * s)
-    return np.ascontiguousarray(cols)
-
-
-def col2im(dcols: np.ndarray, x_shape: Tuple[int, int, int, int], r: int,
-           s: int, stride: int, padding: int) -> np.ndarray:
-    """Inverse of :func:`im2col` — scatter-add patch gradients back.
-
-    ``dcols`` has shape ``(N*Ho*Wo, C*R*S)``.
-    """
-    n, c, h, w = x_shape
-    ho, wo = conv_out_size(h, w, r, s, stride, padding)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    dxp = np.zeros((n, c, hp, wp), dtype=dcols.dtype)
-    # (N, Ho, Wo, C, R, S)
-    d6 = dcols.reshape(n, ho, wo, c, r, s).transpose(0, 3, 4, 5, 1, 2)
-    # now (N, C, R, S, Ho, Wo); accumulate each (r, s) offset as one strided add
-    for ri in range(r):
-        h_end = ri + stride * ho
-        for si in range(s):
-            w_end = si + stride * wo
-            dxp[:, :, ri:h_end:stride, si:w_end:stride] += d6[:, :, ri, si]
-    if padding > 0:
-        return dxp[:, :, padding:padding + h, padding:padding + w]
-    return dxp
-
-
 def _is_pointwise(r: int, s: int, padding: int) -> bool:
     return r == 1 and s == 1 and padding == 0
 
 
 def dw_folds(k: int, crs: int, p: int) -> bool:
-    """Which of the two weight-gradient forms a conv uses (einsum lowering).
+    """Which of the two weight-gradient forms a conv uses.
 
     ``True``: batch-folded — one GEMM ``dy (K, N*P) @ cols (N*P, C*R*S)``
     after restaging ``dy`` and the columns channel-major.  ``False``:
@@ -354,7 +303,7 @@ class _DwGemm:
 # -- the kernel set ----------------------------------------------------------------
 
 class ConvKernels:
-    """The einsum conv lowering as kernels over caller-supplied buffers:
+    """The conv lowering as kernels over caller-supplied buffers:
     each form stated once, driven by eager :func:`conv2d_forward` /
     :func:`conv2d_backward` and by the plan builder
     (:mod:`repro.tensor.compile`).  ``ConvKernels(...)`` builds the class
@@ -917,68 +866,6 @@ FORMS = {cls.form: cls
                      _SpanKernels)}
 
 
-class _Im2colKernels:
-    """The seed lowering behind the surface of :class:`ConvKernels`, for the
-    eager driver only: ``cols @ W.T`` on the column matrix, which ``fwd``
-    keeps for backward.  Every array is fresh (``alloc`` goes unused).  ``dw``
-    restages ``dy`` as the ``(N*P, K)`` matrix that ``db`` and ``dx`` then
-    read, so they run in the driver's order."""
-
-    form = "im2col"
-    stage_dy = None
-
-    def __init__(self, x_shape: tuple, w: np.ndarray, stride: int,
-                 padding: int, dtype, alloc, *, bias=None) -> None:
-        self.x_shape, self.w, self.stride, self.padding = \
-            x_shape, w, stride, padding
-        self.bias = bias
-
-    def fwd(self, x: np.ndarray) -> None:
-        n, c, h, wd = x.shape
-        k, _, r, s = self.w.shape
-        stride, padding = self.stride, self.padding
-        ho, wo = conv_out_size(h, wd, r, s, stride, padding)
-        if _is_pointwise(r, s, padding):
-            # the "patch tensor" is just a (strided) view of the input
-            xs = x[:, :, ::stride, ::stride] if stride > 1 else x
-            cols = np.ascontiguousarray(
-                xs.transpose(0, 2, 3, 1)).reshape(n * ho * wo, c)
-        else:
-            cols = im2col(x, r, s, stride, padding)    # (N*Ho*Wo, C*R*S)
-        self.cols = cols
-        y = cols @ self.w.reshape(k, -1).T                 # (N*Ho*Wo, K)
-        if self.bias is not None:
-            y += self.bias
-        self.y4 = np.ascontiguousarray(
-            y.reshape(n, ho, wo, k).transpose(0, 3, 1, 2))
-
-    def backward(self, alloc, need_dx: bool = True) -> None:
-        """Nothing to stage."""
-
-    def dw(self, x: np.ndarray, g3: np.ndarray) -> np.ndarray:
-        # dy: (N, K, Ho*Wo) -> (N*Ho*Wo, K)
-        self.dy_mat = np.ascontiguousarray(
-            g3.transpose(0, 2, 1)).reshape(-1, g3.shape[1])
-        return (self.dy_mat.T @ self.cols).reshape(self.w.shape)
-
-    def db(self, g: np.ndarray) -> np.ndarray:
-        return self.dy_mat.sum(axis=0)
-
-    def dx(self, g: np.ndarray) -> np.ndarray:
-        n, c, h, wd = self.x_shape
-        k, _, r, s = self.w.shape
-        stride, padding = self.stride, self.padding
-        dcols = self.dy_mat @ self.w.reshape(k, c * r * s)  # (N*Ho*Wo, C*R*S)
-        if not _is_pointwise(r, s, padding):
-            return col2im(dcols, self.x_shape, r, s, stride, padding)
-        d4 = dcols.reshape(n, *g.shape[2:], c).transpose(0, 3, 1, 2)
-        if stride == 1:
-            return np.ascontiguousarray(d4)
-        dx = np.zeros(self.x_shape, dtype=dcols.dtype)
-        dx[:, :, ::stride, ::stride] = d4
-        return dx
-
-
 # -- the eager driver ----------------------------------------------------------------
 
 def fresh_alloc(dtype):
@@ -993,17 +880,15 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
                    ) -> Tuple[np.ndarray, object]:
     """Forward convolution.  Returns ``(y, ctx)``.
 
-    ``ctx`` is the kernel set that computed ``y`` (the conv's form, or the
-    seed reference under im2col), built for this call over fresh arrays and
-    kept, opaque, for :func:`conv2d_backward`; its buffers live as long as
-    it does.
+    ``ctx`` is the kernel set of the conv's form that computed ``y``, built
+    for this call over fresh arrays and kept, opaque, for
+    :func:`conv2d_backward`; its buffers live as long as it does.
     """
     if x.shape[1] != w.shape[1]:
         raise ValueError(f"channel mismatch: input has {x.shape[1]}, "
                          f"filters expect {w.shape[1]}")
-    kernels = ConvKernels if config.conv_impl == "einsum" else _Im2colKernels
     alloc = fresh_alloc(x.dtype)
-    ctx = kernels(x.shape, w, stride, padding, x.dtype, alloc, bias=b)
+    ctx = ConvKernels(x.shape, w, stride, padding, x.dtype, alloc, bias=b)
     ctx.fwd(x)
     # ``fwd`` runs once per call: dropping it frees the forward-only staging
     # (phase ``"fwd"``) before the next conv allocates its own.

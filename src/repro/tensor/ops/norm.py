@@ -20,9 +20,8 @@ When ``relu=True`` the ReLU is applied in place on the BN output and its
 backward mask is recovered from the output sign, so the fused layer saves a
 full activation allocation, a bool mask, and an extra graph node.
 
-With ``workspace.config.fused_bnrelu`` disabled the seed engine's xhat-cache
-formulation runs instead (kept for honest before/after benchmarking); both
-cache formats are handled transparently by the backward kernels.
+This is the engine's only formulation; the textbook ``xhat`` one, which it
+is checked against, is the float64 reference ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-
-from ..workspace import config
 
 #: Optional observer called as ``sink(running_mean, mu, var)`` on every
 #: *training-mode* BN forward, with the layer's running-mean array (an
@@ -85,11 +82,11 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     Running statistics are updated **in place** during training (no
     reallocation per step).  With ``relu=True`` the output is rectified in
     place (fused BN+ReLU).  Returns ``(y, cache)``; the cache is opaque and
-    consumed by :func:`batchnorm_backward` / :func:`batchnorm_eval_backward`.
+    consumed by :func:`batchnorm_backward` / :func:`bn_coef_backward`.
 
-    The affine-folded formulation writes ``y`` into ``out`` when given (a
-    compiled plan's preplanned activation buffer; eager leaves it ``None``
-    and gets a fresh array) — same operations, same values either way.
+    ``y`` is written into ``out`` when given (a compiled plan's preplanned
+    activation buffer; eager leaves it ``None`` and gets a fresh array) —
+    same operations, same values either way.
     """
     if training:
         mu, var = _batch_stats(x)
@@ -100,31 +97,22 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         mu, var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + eps)
 
-    if not relu and not config.fused_bnrelu:
-        # Seed engine formulation (xhat materialized, four passes).
-        xhat = x * inv_std[None, :, None, None]
-        xhat -= (mu * inv_std)[None, :, None, None]
-        y = xhat * gamma[None, :, None, None]
-        y += beta[None, :, None, None]
-        return y, ("xhat", xhat, gamma, inv_std)
-
-    # Affine-folded formulation: y = x*a + b in two passes, no xhat.
+    # y = x*a + b in two passes, no xhat
     a = gamma * inv_std
     b = beta - mu * a
     y = np.multiply(x, a[None, :, None, None], out=out)
     y += b[None, :, None, None]
     if relu:
         np.maximum(y, 0, out=y)
-    cache = ("coef", x, y if relu else None, gamma, mu, inv_std, relu)
-    return y, cache
+    return y, (x, y if relu else None, gamma, mu, inv_std, relu)
 
 
 def bn_coef_backward(dy: np.ndarray, cache: tuple, training: bool,
                      dx: np.ndarray, scratch: Optional[np.ndarray] = None,
                      mask: Optional[np.ndarray] = None
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward of the affine-folded :func:`batchnorm_forward` (its ``cache``)
-    into ``dx``; returns ``(dx, dgamma, dbeta)``.
+    """Backward of :func:`batchnorm_forward` (its ``cache``) into ``dx``;
+    returns ``(dx, dgamma, dbeta)``.
 
     ``scratch`` (full size) and ``mask`` (bool, fused ReLU only) are work
     buffers, each a fresh array when ``None``; ``dgamma`` and ``dbeta`` are
@@ -132,7 +120,7 @@ def bn_coef_backward(dy: np.ndarray, cache: tuple, training: bool,
     its preplanned buffers.
     """
     # y: the rectified output of a fused ReLU (its sign is the mask) or None
-    _, x, y, gamma, mu, inv_std, _ = cache
+    x, y, gamma, mu, inv_std, _ = cache
     n, c, h, w = dy.shape
     m = n * h * w
     if y is not None:
@@ -163,43 +151,11 @@ def bn_coef_backward(dy: np.ndarray, cache: tuple, training: bool,
     return dx, dgamma, dbeta
 
 
-def _coef_backward(dy: np.ndarray, cache: tuple, training: bool
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eager backward for the affine-folded cache, over fresh ``dx`` and
-    scratch."""
+def batchnorm_backward(dy: np.ndarray, cache: tuple, training: bool = True
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Returns ``(dx, dgamma, dbeta)`` over fresh arrays; ``training=False``
+    when the forward used the running statistics."""
     dx = np.empty(dy.shape, dy.dtype)
     scratch = np.empty(dy.shape, dy.dtype) \
-        if training and not cache[6] else None
+        if training and not cache[5] else None
     return bn_coef_backward(dy, cache, training, dx, scratch)
-
-
-def batchnorm_backward(dy: np.ndarray, cache: tuple
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns ``(dx, dgamma, dbeta)`` (training-mode statistics), fresh
-    arrays."""
-    if cache[0] == "coef":
-        return _coef_backward(dy, cache, training=True)
-    _, xhat, gamma, inv_std = cache
-    n, c, h, w = dy.shape
-    m = n * h * w
-    dgamma = (dy * xhat).sum(axis=(0, 2, 3))
-    dbeta = dy.sum(axis=(0, 2, 3))
-    # dx = (gamma*inv_std/m) * (m*dy - dbeta - xhat*dgamma)
-    dx = (gamma * inv_std)[None, :, None, None] / m * (
-        m * dy
-        - dbeta[None, :, None, None]
-        - xhat * dgamma[None, :, None, None]
-    )
-    return dx, dgamma, dbeta
-
-
-def batchnorm_eval_backward(dy: np.ndarray, cache: tuple
-                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward when forward used running statistics (rarely needed)."""
-    if cache[0] == "coef":
-        return _coef_backward(dy, cache, training=False)
-    _, xhat, gamma, inv_std = cache
-    dgamma = (dy * xhat).sum(axis=(0, 2, 3))
-    dbeta = dy.sum(axis=(0, 2, 3))
-    dx = dy * (gamma * inv_std)[None, :, None, None]
-    return dx, dgamma, dbeta

@@ -29,7 +29,6 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..workspace import config
 from . import basic as _basic
 from . import loss as _loss
 from . import norm as _norm
@@ -130,12 +129,12 @@ def _add_relu_bwd(g, y, attrs, bufs):
 # -- batch norm: attrs = (running_mean, running_var, momentum, eps, training,
 #    relu); bufs = (y, bn_coef_backward's dx, scratch, mask)
 def _bn_buffers(shapes, dtypes, attrs, backward, row_stable, alloc):
-    """The affine-folded BN(+ReLU) writes ``y``, its masked gradient and
-    ``dx`` into planned buffers — in a training plan in either mode, in a
-    forward plan (``y`` alone) in training mode; an evaluation forward and
-    the seed xhat formulation run the eager kernels on fresh arrays."""
+    """BN(+ReLU) writes ``y``, its masked gradient and ``dx`` into planned
+    buffers — in a training plan in either mode, in a forward plan (``y``
+    alone) in training mode; an evaluation forward runs the eager kernels on
+    fresh arrays."""
     relu, training = attrs[5], attrs[4]
-    if not (relu or config.fused_bnrelu) or not (training or backward):
+    if not (training or backward):
         return None
     shape, dtype = shapes[0], dtypes[0]
     y = alloc(shape, "y", "out", dtype)
@@ -154,9 +153,7 @@ def _bn_fwd(x, gamma, beta, attrs, save, bufs):
 def _bn_bwd(g, cache, attrs, bufs):
     if bufs is not None:
         return _norm.bn_coef_backward(g, cache, attrs[4], *bufs[1:])
-    if attrs[4]:
-        return _norm.batchnorm_backward(g, cache)
-    return _norm.batchnorm_eval_backward(g, cache)
+    return _norm.batchnorm_backward(g, cache, attrs[4])
 
 
 # -- linear: bufs = (row-stable lowering,)
@@ -180,8 +177,6 @@ def _linear_bwd(g, saved, attrs, bufs):
 #: ``idx`` / ``(idx, total)``, the integer targets of the loss, the BN tuple
 #: above; ``None`` otherwise.
 OPS: Dict[str, Op] = {
-    "add": Op(lambda a, b, _, save, bufs: (a + b, None),
-              lambda g, _s, _a, bufs: (g, g), (False, False)),
     "max_pool2d": Op(
         _max_pool_fwd,
         lambda g, saved, k, bufs: (_pool.maxpool2d_backward(g, saved[0], k,

@@ -158,16 +158,16 @@ class Tensor:
 
         This method never retains a reference to ``grad`` — it either copies
         it (first touch) or ``+=``-reduces it into an array it already owns
-        — so the caller may keep using the array (an add hands the same
-        gradient to both parents).
+        — so the caller may keep using the array (a node may hand the same
+        gradient to several parents).
         """
         if not self.requires_grad:
             return
         grad = np.asarray(grad, dtype=self.data.dtype)
         if self.grad is None:
             # Always copy: the incoming array may be aliased by other nodes
-            # (e.g. an add fans the same gradient out to both parents), and
-            # later in-place accumulation must not corrupt their values.
+            # (one gradient fanned out to several parents), and later
+            # in-place accumulation must not corrupt their values.
             self.grad = grad.copy()
         else:
             self.grad += grad

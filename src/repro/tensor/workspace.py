@@ -1,13 +1,14 @@
 """Engine configuration and the plan generation.
 
-The :class:`EngineConfig` switchboard: the process-wide ``config`` every
-kernel and the plan builder read is the *one* place an engine switch is set
-— parsed from ``REPRO_*`` once at import, then pinned for a block with
-:func:`engine` (``baseline_engine()`` is its all-off preset, the seed
-engine's exact execution path, which is how ``benchmarks/perf`` measures
-honest before/after numbers in one process).  Every field is something a
-compiled plan is specialised on, so ``plan_signature()`` is the fields
-themselves.
+The :class:`EngineConfig` switchboard: the process-wide ``config`` the plan
+builder reads is the *one* place an engine switch is set — parsed from
+``REPRO_MEM_PLAN`` once at import, then pinned for a block with
+:func:`engine`.  Every field is something a compiled plan is specialised
+on, so ``plan_signature()`` is the fields themselves.  There is one engine:
+every conv runs :class:`repro.tensor.ops.conv.ConvKernels` and every
+batch-norm the affine-folded kernels of :mod:`repro.tensor.ops.norm`; the
+independent reference they are checked against is the float64 oracle under
+``tests/``, not a second runtime path.
 
 :data:`PLAN_GENERATION` is the other half of a plan's validity: PruneTrain's
 training loop is shape-stationary *between* reconfigurations, so a captured
@@ -39,31 +40,13 @@ def _env_flag(name: str, default: bool) -> bool:
 
 @dataclass
 class EngineConfig:
-    """Feature switches for the optimized engine.
+    """Feature switches for the engine: ``mem_plan`` defaults on."""
 
-    ``fused_bnrelu`` and ``mem_plan`` default on and ``conv_impl`` to
-    ``"einsum"``.  ``baseline_engine()`` (or ``REPRO_FUSED=0
-    REPRO_CONV_IMPL=im2col`` before import) runs the seed-equivalent path.
-    """
-
-    #: fuse BatchNorm->ReLU into one kernel at BN call sites that allow it
-    fused_bnrelu: bool = True
-    #: convolution lowering: "einsum" (the three-form gather-once kernel set
-    #: ``ops.conv.ConvKernels``, which eager steps drive per call and
-    #: compiled plans bind once) or "im2col" (seed column-matrix + GEMM;
-    #: eager only — capture fails closed under it)
-    conv_impl: str = "einsum"
     #: static memory planning for compiled step plans
     #: (:mod:`repro.tensor.memplan`): assign all plan-owned transient
     #: buffers into one liveness-shared arena instead of private arrays.
     #: Bit-exact either way; off recovers the PR-3 per-buffer layout.
     mem_plan: bool = True
-
-    def __post_init__(self) -> None:
-        if self.conv_impl not in ("einsum", "im2col"):
-            raise ValueError(
-                f"conv_impl must be \"einsum\" or \"im2col\", not "
-                f"{self.conv_impl!r} (REPRO_CONV_IMPL sets it at import)")
 
     def plan_signature(self) -> tuple:
         """The switches compiled plans are specialised on: a
@@ -72,11 +55,7 @@ class EngineConfig:
         return tuple(getattr(self, f.name) for f in fields(self))
 
 
-config = EngineConfig(
-    fused_bnrelu=_env_flag("REPRO_FUSED", True),
-    conv_impl=os.environ.get("REPRO_CONV_IMPL", "einsum"),
-    mem_plan=_env_flag("REPRO_MEM_PLAN", True),
-)
+config = EngineConfig(mem_plan=_env_flag("REPRO_MEM_PLAN", True))
 # Kept for benchmarks/e2e until ROADMAP 1(a): the benchmark pins these on
 # ``config`` around its ladder rungs.  Plain attributes, read by nothing:
 # not fields, so not in plan_signature(), and engine() refuses them.
@@ -88,9 +67,8 @@ config.sparse_compute = False
 def engine(**switches):
     """Run a block with the named :class:`EngineConfig` fields pinned on the
     process-wide ``config``; the previous values come back on exit, normal
-    or not.  An unknown name is a ``TypeError`` and a bad value the
-    ``ValueError`` of ``EngineConfig`` itself, both before anything is set.
-    Live plans notice the change through ``plan_signature()``."""
+    or not.  An unknown name is a ``TypeError``, raised before anything is
+    set.  Live plans notice the change through ``plan_signature()``."""
     replace(config, **switches)
     saved = {name: getattr(config, name) for name in switches}
     try:
@@ -103,8 +81,11 @@ def engine(**switches):
 
 
 def baseline_engine():
-    """Temporarily run with every optimization off (the seed engine path)."""
-    return engine(fused_bnrelu=False, conv_impl="im2col", mem_plan=False)
+    """``engine(mem_plan=False)``, kept until ROADMAP 1(a) for
+    ``benchmarks/e2e``, whose ladder times its ``seed`` rung under it.  Inert
+    there: that rung steps eagerly, and eager steps do not read
+    ``mem_plan``."""
+    return engine(mem_plan=False)
 
 
 #: Kept for ``benchmarks/e2e``, which reads these counters of the deleted

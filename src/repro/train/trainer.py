@@ -82,9 +82,8 @@ class TrainerConfig:
     #: :func:`~repro.tensor.compile.train_step` as elastic workers do;
     #: ``profile=True`` runs it eager (per-op counters need the
     #: instrumented path), and a capture failure falls back to eager with
-    #: a logged reason.  Every other engine switch (``fused_bnrelu``,
-    #: ``conv_impl``, ``mem_plan``) lives on the
-    #: process-wide ``workspace.config`` only — pin it around a run with
+    #: a logged reason.  The other engine switch, ``mem_plan``, lives on
+    #: the process-wide ``workspace.config`` only — pin it around a run with
     #: ``workspace.engine(...)``; the trainer never writes it.
     compile_step: Optional[bool] = None
     #: multi-worker execution backend for ``workers > 1``: ``"elastic"``

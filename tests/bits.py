@@ -1,9 +1,9 @@
 """Bit digests of the seeded numerics a refactor must not move.
 
     PYTHONPATH=src python tests/bits.py [conv] [ops] [lasso] [prunetrain] \
-        [join] [layouts] [dp] [serve]
+        [layouts] [dp] [serve]
 
-prints one ``name sha256[:16]`` line per seeded case (all eight sections
+prints one ``name sha256[:16]`` line per seeded case (all seven sections
 when none is named):
 
 ``conv/<case>/kernel``
@@ -18,9 +18,10 @@ when none is named):
 ``ops/<case>/{eager,captured,planned,unplanned}``
     the same four legs of a conv -> op -> pool -> linear step for every
     variant of the ops with planned buffers: batch-norm in training and
-    evaluation mode, with and without its fused ReLU, under either BN
-    formulation (``fused_bnrelu``); ReLU; add-ReLU; and the linear head with
-    and without a bias.
+    evaluation mode, with and without its fused ReLU (``-fused``: the
+    affine-folded formulation, named when the seed engine's ``xhat`` one ran
+    beside it); ReLU; add-ReLU; and the linear head with and without a
+    bias.
 ``ops/max_pool2d-k<k>[-ragged]/{eager,captured,planned,unplanned}``
     the same four legs of a conv -> ReLU -> ``k x k`` max-pool -> pool ->
     linear step, on a map ``k`` divides and on a ragged one.
@@ -33,9 +34,6 @@ when none is named):
     QUICK ResNet-32 and QUICK VGG-11 at width 0.25 PruneTrain, two epochs
     with a reconfiguration between them: every epoch loss, parameter and
     momentum buffer.
-``join/resnet32-unfused-step``
-    loss and every gradient of one eager QUICK ResNet-32 training step with
-    ``fused_bnrelu`` off, whose residual joins are ``relu(add(out, shortcut))``.
 ``layout/<model>-serial/{train,serve}``
     the three arena layouts ``test_plan_builder.py`` pins.
 ``layout/_r32-n<N>/train``, ``layout/vgg11-pruned/{train,forward}``
@@ -197,11 +195,9 @@ class _OpNet:
 
 
 #: every variant of the ops with planned buffers, and the max-pool at both
-#: window sizes on a 6x6 map and a ragged 7x7 one; a batch-norm case ends in
-#: the BN formulation it runs under (``fused_bnrelu`` on / off)
-OP_CASES = [f"batch_norm-{mode}{relu}-{form}"
-            for mode in ("train", "eval") for relu in ("", "-relu")
-            for form in ("fused", "seed")] + [
+#: window sizes on a 6x6 map and a ragged 7x7 one
+OP_CASES = [f"batch_norm-{mode}{relu}-fused"
+            for mode in ("train", "eval") for relu in ("", "-relu")] + [
     "relu", "add_relu", "linear", "linear-bias"] + [
     f"max_pool2d-k{k}{edge}" for k in (2, 3) for edge in ("", "-ragged")]
 
@@ -259,22 +255,15 @@ def conv_lines():
 
 
 def ops_lines():
-    cfg = workspace.config
-    saved = cfg.fused_bnrelu
-    try:
-        for name in OP_CASES:
-            cfg.fused_bnrelu = not name.endswith("-seed")
-            hw = 7 if name.endswith("-ragged") else 6
-            for n in BATCHES:
-                rng = np.random.default_rng(n)
-                batches = [(rng.standard_normal((n, 3, hw, hw))
-                            .astype(np.float32), rng.integers(0, 4, size=n))
-                           for _ in range(3)]
-                for leg, d in _net_digests(lambda: _OpNet(name),
-                                           batches).items():
-                    yield f"ops/{name}-n{n}/{leg}", d
-    finally:
-        cfg.fused_bnrelu = saved
+    for name in OP_CASES:
+        hw = 7 if name.endswith("-ragged") else 6
+        for n in BATCHES:
+            rng = np.random.default_rng(n)
+            batches = [(rng.standard_normal((n, 3, hw, hw))
+                        .astype(np.float32), rng.integers(0, 4, size=n))
+                       for _ in range(3)]
+            for leg, d in _net_digests(lambda: _OpNet(name), batches).items():
+                yield f"ops/{name}-n{n}/{leg}", d
 
 
 def _zero_groups(graph) -> None:
@@ -333,19 +322,6 @@ def prunetrain_lines():
     yield from _prunetrain("prunetrain", "resnet32", QUICK, train, val)
     yield from _prunetrain("prunetrain/vgg11", "vgg11",
                            replace(QUICK, width_mult=0.25), train, val)
-
-
-def join_lines():
-    workspace.invalidate()
-    with workspace.engine(fused_bnrelu=False):
-        model = make_model("resnet32", "cifar10s", QUICK, seed=0)
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((8, 3, QUICK.hw, QUICK.hw)).astype(np.float32)
-        loss = F.cross_entropy(model(Tensor(x)), rng.integers(0, 10, size=8))
-        loss.backward()
-        arrays = [loss.data] + [p.grad for _, p in model.named_parameters()]
-        yield "join/resnet32-unfused-step", digest(arrays)
-    workspace.invalidate()
 
 
 def _kill(graph, sid, channels) -> None:
@@ -518,8 +494,7 @@ def serve_lines():
 
 
 SECTIONS = {"conv": conv_lines, "ops": ops_lines, "lasso": lasso_lines,
-            "prunetrain": prunetrain_lines, "join": join_lines,
-            "layouts": layout_lines, "dp": dp_lines, "serve": serve_lines}
+            "prunetrain": prunetrain_lines, "layouts": layout_lines, "dp": dp_lines, "serve": serve_lines}
 
 
 def lines(sections=tuple(SECTIONS)):

@@ -4,27 +4,13 @@ import numpy as np
 import pytest
 
 from repro.data import make_synthetic
-from repro.tensor import workspace
+from repro.nn.resnet import ResNet
+from repro.tensor import Tensor
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-@pytest.fixture(scope="module")
-def optimized_engine():
-    """Pin the optimized engine — fused BN+ReLU, the einsum conv lowering —
-    whatever ``REPRO_*`` the CI leg exported.  For modules
-    about that engine's fast paths or about compiled plans (which exist only
-    on it): they test the engine they name instead of inheriting the leg's,
-    where they would silently degrade or fail for an unrelated reason.
-    Module-scoped, so module- and class-scoped fixtures that train or
-    capture run inside the pin too."""
-    with workspace.engine(fused_bnrelu=True, conv_impl="einsum") as cfg:
-        workspace.invalidate()
-        yield cfg
-        workspace.invalidate()
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +31,24 @@ def sparsify_space(graph, sid, kill, factor=1e-9):
         node.conv.weight.data[kill] *= factor
     for node in graph.readers(sid):
         node.conv.weight.data[:, kill] *= factor
+
+
+#: why a compiled step or a serving plan refuses :func:`uncapturable` models
+UNRECORDED = "op input produced by an unrecorded op"
+
+
+class _UncapturableResNet(ResNet):
+    """A ResNet whose forward hands the stem a fresh ``Tensor`` over the
+    input's array: the same values, but no recorded op produced it, so
+    capture fails closed (:data:`UNRECORDED`) and every step and forward
+    runs eagerly — with the plain model's numerics."""
+
+    def forward(self, x: Tensor) -> Tensor:
+        return super().forward(Tensor(x.data))
+
+
+def uncapturable(model: ResNet) -> ResNet:
+    """``model`` made a :class:`_UncapturableResNet` (a module-level class,
+    so a forked elastic worker or a deep copy keeps it)."""
+    model.__class__ = _UncapturableResNet
+    return model

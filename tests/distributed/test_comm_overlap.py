@@ -12,9 +12,9 @@ from repro.distributed import (COMM_STATS, ElasticEngine, FaultPlan,
 from repro.nn import resnet20
 from repro.optim import SGD
 from repro.prune import prune_and_reconfigure
-from repro.tensor import workspace
+from repro.tensor.compile import capture_training_step
 
-from ..conftest import sparsify_space
+from ..conftest import UNRECORDED, sparsify_space, uncapturable
 
 pytestmark = pytest.mark.distributed
 
@@ -28,8 +28,8 @@ def batch():
     return ds.x, ds.y
 
 
-def fresh():
-    m = resnet20(10, **SMALL, seed=3)
+def fresh(wrap=lambda m: m):
+    m = wrap(resnet20(10, **SMALL, seed=3))
     m.train()
     return m, SGD(m.parameters(), **SGD_KW)
 
@@ -78,8 +78,8 @@ def schedule(batch, steps=7, prune_at=3, grow_at=5):
         yield s, (s == prune_at), x[:n], y[:n]
 
 
-def run_sim(batch, workers_at=lambda s: 2, **sched_kw):
-    m, opt = fresh()
+def run_sim(batch, workers_at=lambda s: 2, wrap=lambda m: m, **sched_kw):
+    m, opt = fresh(wrap)
     out = []
     for s, do_prune, xb, yb in schedule(batch, **sched_kw):
         if do_prune:
@@ -90,8 +90,9 @@ def run_sim(batch, workers_at=lambda s: 2, **sched_kw):
     return m, opt, out
 
 
-def run_elastic(batch, workers=2, plan=None, timeout=10.0, sched_kw=None):
-    m, opt = fresh()
+def run_elastic(batch, workers=2, plan=None, timeout=10.0, sched_kw=None,
+                wrap=lambda m: m):
+    m, opt = fresh(wrap)
     with ElasticEngine(m, workers=workers, heartbeat_timeout=timeout,
                        fault_plan=plan) as eng:
         out = []
@@ -126,14 +127,17 @@ class TestOverlapParity:
         assert_state_equal(ms, opts, me, opte)
 
     def test_capture_failure_packs_eager_and_equals_sim(self, batch):
-        """Workers whose capture fails — the seed conv lowering refuses it,
-        and forked workers inherit the engine they were started under —
-        step eagerly and pack their gradients: still the simulation's bits
-        under that same engine, one exchange per step."""
-        with workspace.engine(conv_impl="im2col"):
-            ms, opts, outs = run_sim(batch)
-            COMM_STATS.reset()
-            me, opte, oute, failures, active = run_elastic(batch)
+        """Workers whose capture fails — on a model capture cannot record,
+        which forked workers inherit with the rest of the model — step
+        eagerly and pack their gradients: still the simulation's bits on
+        that same model, one exchange per step."""
+        x, y = batch
+        assert capture_training_step(fresh(uncapturable)[0], x, y)[3] \
+            == UNRECORDED
+        ms, opts, outs = run_sim(batch, wrap=uncapturable)
+        COMM_STATS.reset()
+        me, opte, oute, failures, active = run_elastic(batch,
+                                                       wrap=uncapturable)
         assert failures == [] and active == 2
         assert COMM_STATS.allreduces == len(oute)
         assert metrics_equal(outs, oute)

@@ -36,8 +36,6 @@ from repro.tensor import Tensor, no_grad
 
 from ..conftest import sparsify_space
 
-pytestmark = pytest.mark.usefixtures("optimized_engine")
-
 EPS32 = float(np.finfo(np.float32).eps)
 FORMS = {"pointwise", "unrolled", "span", "gather"}
 N_MAX = 16

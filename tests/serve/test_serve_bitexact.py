@@ -24,11 +24,11 @@ from repro.io import save_checkpoint
 from repro.nn.resnet import ResNet
 from repro.prune import prune_and_reconfigure
 from repro.serve import InferenceServer, ModelRegistry
-from repro.tensor import Tensor, no_grad, workspace
+from repro.tensor import Tensor, no_grad
 from repro.tensor.compile import StepPlan, capture_forward, forward_step
 from repro.train import Trainer, TrainerConfig
 
-from ..conftest import sparsify_space
+from ..conftest import UNRECORDED, sparsify_space, uncapturable
 
 #: PAPER is excluded by repo convention (documented GPU-scale; see configs).
 SCALES = [pytest.param(SMOKE, id="smoke"), pytest.param(QUICK, id="quick")]
@@ -46,9 +46,10 @@ def _sparsify(model, frac=0.5, seed=0):
         sparsify_space(g, sid, kill)
 
 
-def _checkpointed_model(scale, variant, tmp_path):
+def _checkpointed_model(scale, variant, tmp_path, wrap=lambda m: m):
     """Build (and for 'pruned': surgically compress) a model, round-trip it
-    through the repro.io checkpoint format, and register it for serving."""
+    through the repro.io checkpoint format, and register it for serving —
+    the one the registry builds passed through ``wrap``."""
     m = make_model("resnet32", "cifar10s", scale, seed=3)
     if variant == "pruned":
         _sparsify(m)
@@ -56,8 +57,8 @@ def _checkpointed_model(scale, variant, tmp_path):
     path = str(tmp_path / f"{variant}.npz")
     save_checkpoint(path, m)
     registry = ModelRegistry(max_models=2)
-    registry.register(variant, path,
-                      lambda: make_model("resnet32", "cifar10s", scale, seed=3))
+    registry.register(variant, path, lambda: wrap(
+        make_model("resnet32", "cifar10s", scale, seed=3)))
     return registry, registry.served(variant).model
 
 
@@ -214,20 +215,18 @@ def test_a_malformed_request_fails_only_its_own_group():
     assert stats["batch_sizes"] == {1: 2, 2: 1}
 
 
-def test_seed_conv_lowering_is_refused_and_served_row_by_row(tmp_path,
-                                                             monkeypatch):
-    """The seed im2col conv is one 2-D ``cols @ W.T`` GEMM whose rows change
-    bits with the batch, so no row-stable plan can be built on it: capture
-    fails closed, the registry seals the failure and serves every request
-    through its per-row eager fallback — the contract holds at every padding
-    level instead of silently breaking."""
-    monkeypatch.setattr(workspace.config, "conv_impl", "im2col")
-    registry, model = _checkpointed_model(SMOKE, "dense", tmp_path)
+def test_an_uncapturable_model_is_refused_and_served_row_by_row(tmp_path):
+    """A model whose forward capture cannot record gets no serving plan:
+    capture fails closed, the registry seals the failure and serves every
+    request through its per-row eager fallback — the contract holds at
+    every padding level instead of silently breaking."""
+    registry, model = _checkpointed_model(SMOKE, "dense", tmp_path,
+                                          uncapturable)
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, 3, SMOKE.hw, SMOKE.hw)).astype(np.float32)
     plan, _, reason = capture_forward(model, x, row_stable=True)
     assert plan is None
-    assert reason == "compiled plans require the einsum conv lowering"
+    assert reason == UNRECORDED
     served = registry.served("dense")
     ref = _eager_rows(model, x)
     for batch in (4, 8):
@@ -243,7 +242,7 @@ def test_seed_conv_lowering_is_refused_and_served_row_by_row(tmp_path,
 
 @pytest.mark.parametrize("hw", [1, 2, 3])
 @pytest.mark.parametrize("batch", [4, 8, 16])
-def test_unrolled_conv_serving_lowering_is_row_stable(optimized_engine, hw,
+def test_unrolled_conv_serving_lowering_is_row_stable(hw,
                                                       batch):
     """SMOKE models end on a 2x2 stage and QUICK ones on a 3x3 stage, whose
     convs are one GEMM against the unrolled filter.  Folded over the batch
@@ -255,7 +254,7 @@ def test_unrolled_conv_serving_lowering_is_row_stable(optimized_engine, hw,
 
 @pytest.mark.parametrize("c, k, hw", [(6, 6, 12), (12, 24, 6), (3, 16, 4)])
 @pytest.mark.parametrize("batch", [4, 8, 16])
-def test_span_conv_serving_lowering_is_row_stable(optimized_engine, batch, c,
+def test_span_conv_serving_lowering_is_row_stable(batch, c,
                                                   k, hw):
     """The span form multiplies one sample at a time (``N`` GEMMs of one
     shape on the padded-width grid), so it is row-stable as it stands."""

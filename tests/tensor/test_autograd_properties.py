@@ -18,11 +18,13 @@ def finite(shape, lo=-3.0, hi=3.0):
 @given(finite((4, 3)), finite((3, 3)))
 @settings(max_examples=25, deadline=None)
 def test_sum_rule(a, b):
-    """d(f+g) = df + dg: one input reaching an add along two paths."""
+    """d(f+g) = df + dg: one input reaching the residual join along two
+    paths, each gradient masked by the join's rectifier."""
     ta = Tensor(a, requires_grad=True)
-    F.add(F.relu(ta), F.linear(ta, Tensor(b), None)).backward(
+    F.add_relu(F.relu(ta), F.linear(ta, Tensor(b), None)).backward(
         np.ones((4, 3)))
-    np.testing.assert_allclose(ta.grad, (a > 0) + np.ones((4, 3)) @ b,
+    mask = (np.maximum(a, 0) + a @ b.T) > 0
+    np.testing.assert_allclose(ta.grad, mask * (a > 0) + mask @ b,
                                rtol=1e-5, atol=1e-5)
 
 

@@ -4,11 +4,8 @@ every execution mode of a case must print the same one."""
 
 import collections
 
-import pytest
 
 from .. import bits
-
-pytestmark = pytest.mark.usefixtures("optimized_engine")
 
 
 def test_every_execution_mode_of_a_case_prints_one_digest():

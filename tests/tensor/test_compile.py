@@ -20,10 +20,6 @@ from repro.tensor.compile import (STATS, PlanCache, StepPlan, Tape,
                                   capture_forward, capture_training_step,
                                   train_step)
 
-# Compiled plans exist only on the optimized engine; pin it so these tests
-# check the plans they are about, whatever engine the CI leg selected.
-pytestmark = pytest.mark.usefixtures("optimized_engine")
-
 
 def _model(seed=3):
     return resnet20(6, width_mult=0.25, input_hw=8, seed=seed)
@@ -364,10 +360,7 @@ class TestInvalidation:
         plan, loss_t, _, _ = capture_training_step(_model(), x, y)
         loss_t.backward()
         assert plan.invalid_reason() is None
-        # flip one switchboard field directly (baseline_engine() would be a
-        # no-op when the suite already runs the baseline configuration)
-        with workspace.engine(
-                fused_bnrelu=not workspace.config.fused_bnrelu):
+        with workspace.engine(mem_plan=not workspace.config.mem_plan):
             assert "engine configuration" in plan.invalid_reason()
         assert plan.invalid_reason() is None
 
@@ -439,7 +432,7 @@ def _captured_plan(seed=7):
 
 def _flipped_engine():
     """Pin one switchboard field to its other value (stales every plan)."""
-    return workspace.engine(fused_bnrelu=not workspace.config.fused_bnrelu)
+    return workspace.engine(mem_plan=not workspace.config.mem_plan)
 
 
 class TestPlanCache:

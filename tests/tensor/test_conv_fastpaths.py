@@ -1,9 +1,9 @@
-"""Fast-path coverage for the optimized convolution lowering.
+"""Fast-path coverage for the convolution lowering.
 
 Covers the 1x1 pointwise batched-matmul path, the ``need_dx=False``
 first-layer skip, the ``need_db=False`` bias-free skip, and the ownership
 of the gradients the eager driver returns (fresh arrays, which autograd
-takes over without a copy).
+takes over without a copy).  Values are held against the float64 oracle.
 """
 
 import numpy as np
@@ -12,31 +12,22 @@ import pytest
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 from repro.tensor.ops import conv as conv_ops
-from repro.tensor.workspace import baseline_engine
+
+from .. import oracle
 
 
-# These tests cover the optimized engine's fast paths, so they must not
-# silently degrade when the suite runs with REPRO_* overrides.
-pytestmark = pytest.mark.usefixtures("optimized_engine")
-
-
-def _run_both_engines(x, w, b, stride, pad, need_dx=True, need_db=True):
-    """fwd+bwd under the optimized and the seed engine; returns both tuples."""
-    dy = np.random.default_rng(7).normal(
-        size=conv_ops.conv2d_forward(x, w, b, stride, pad)[0].shape
-    ).astype(x.dtype)
-
-    def run():
-        y, ctx = conv_ops.conv2d_forward(x, w, b, stride, pad)
-        dx, dw, db = conv_ops.conv2d_backward(
-            dy, ctx, x.shape, w, stride, pad,
-            need_dx=need_dx, need_db=need_db)
-        return y, dx, dw, db
-
-    opt = run()
-    with baseline_engine():
-        seed = run()
-    return opt, seed
+def _run_with_oracle(x, w, b, stride, pad, need_dx=True, need_db=True):
+    """fwd+bwd through the engine and through the float64 oracle; returns
+    both ``(y, dx, dw, db)`` tuples."""
+    y, ctx = conv_ops.conv2d_forward(x, w, b, stride, pad)
+    dy = np.random.default_rng(7).normal(size=y.shape).astype(x.dtype)
+    dx, dw, db = conv_ops.conv2d_backward(dy, ctx, x.shape, w, stride, pad,
+                                          need_dx=need_dx, need_db=need_db)
+    y0, cache = oracle.conv_forward(
+        x.astype(np.float64), w.astype(np.float64),
+        None if b is None else b.astype(np.float64), stride, pad)
+    dx0, dw0, db0 = oracle.conv_backward(dy.astype(np.float64), cache)
+    return (y, dx, dw, db), (y0, dx0, dw0, db0)
 
 
 class TestPointwiseFastPath:
@@ -47,11 +38,11 @@ class TestPointwiseFastPath:
         assert ctx.form == "pointwise"
 
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_matches_seed_engine(self, rng, stride):
+    def test_matches_the_oracle(self, rng, stride):
         x = rng.normal(size=(2, 5, 6, 6)).astype(np.float32)
         w = rng.normal(size=(3, 5, 1, 1)).astype(np.float32)
         b = rng.normal(size=3).astype(np.float32)
-        (y, dx, dw, db), (y0, dx0, dw0, db0) = _run_both_engines(
+        (y, dx, dw, db), (y0, dx0, dw0, db0) = _run_with_oracle(
             x, w, b, stride, 0)
         np.testing.assert_allclose(y, y0, rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(dx, dx0, rtol=1e-5, atol=1e-6)
@@ -84,7 +75,7 @@ class TestBackwardSkips:
     def test_need_dx_false_returns_none(self, rng, k, stride, pad):
         x = rng.normal(size=(2, 4, 8, 8)).astype(np.float32)
         w = rng.normal(size=(4, 4, k, k)).astype(np.float32)
-        (_, dx, dw, _), (_, _, dw0, _) = _run_both_engines(
+        (_, dx, dw, _), (_, _, dw0, _) = _run_with_oracle(
             x, w, None, stride, pad, need_dx=False)
         assert dx is None
         np.testing.assert_allclose(dw, dw0, rtol=1e-4, atol=1e-5)
@@ -125,8 +116,9 @@ class TestBackwardSkips:
             return x.grad.copy(), w.grad.copy()
 
         dx, dw = grads()
-        with baseline_engine():
-            dx0, dw0 = grads()
+        _, cache = oracle.conv_forward(xd.astype(np.float64),
+                                       wd.astype(np.float64), None, 1, 1)
+        dx0, dw0, _ = oracle.conv_backward(np.ones((2, 4, 6, 6)), cache)
         np.testing.assert_allclose(dx, dx0, rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(dw, dw0, rtol=1e-4, atol=1e-5)
 

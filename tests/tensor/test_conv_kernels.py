@@ -7,8 +7,8 @@ predicates that choose between them.  *Buffer lifetimes*: the eager driver
 the same kernels in the planned layout — ``remat=True``, every point-lived
 phase carved from one shared scratch region that is dirtied between kernel
 calls — so a buffer read after the lifetime its phase declares shows up as a
-NaN.  *Values*: every form agrees with the untouched im2col lowering and with
-finite differences.
+NaN.  *Values*: every form agrees with the float64 im2col reference in
+``tests/oracle.py`` and with finite differences.
 """
 
 import inspect
@@ -18,13 +18,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.tensor import workspace
 from repro.tensor.ops import conv as conv_ops
 from repro.tensor.ops.conv import ConvKernels
 
-# The kernel set is the einsum lowering; pin it (the seed CI leg flips the
-# eager reference to im2col).
-pytestmark = pytest.mark.usefixtures("optimized_engine")
+from .. import oracle
 
 
 @st.composite
@@ -109,13 +106,13 @@ def _eager(x, w, dy, stride, padding, b=None, need_dx=True, form=None):
     return y, dw, dx, db
 
 
-def _assert_close_to_im2col(x, w, b, dy, stride, padding, y, dw, dx, db):
-    """Values against the seed lowering, which shares no code with the
-    forms."""
-    with workspace.baseline_engine():
-        y0, ctx0 = conv_ops.conv2d_forward(x, w, b, stride, padding)
-        dx0, dw0, db0 = conv_ops.conv2d_backward(dy, ctx0, x.shape, w,
-                                                 stride, padding)
+def _assert_close_to_oracle(x, w, b, dy, stride, padding, y, dw, dx, db):
+    """Values against the float64 im2col reference, which shares no code
+    with the forms."""
+    def f64(a):
+        return None if a is None else a.astype(np.float64)
+    y0, cache = oracle.conv_forward(f64(x), f64(w), f64(b), stride, padding)
+    dx0, dw0, db0 = oracle.conv_backward(f64(dy), cache)
     close = dict(rtol=1e-4, atol=1e-4)
     np.testing.assert_allclose(y, y0, **close)
     np.testing.assert_allclose(dw, dw0, **close)
@@ -130,7 +127,7 @@ def _assert_close_to_im2col(x, w, b, dy, stride, padding, y, dw, dx, db):
 def test_dense_kernels_equal_eager(case, remat):
     x, w, dy, stride, padding = case
     y, dw, dx, _ = _eager(x, w, dy, stride, padding)
-    _assert_close_to_im2col(x, w, None, dy, stride, padding, y, dw, dx, None)
+    _assert_close_to_oracle(x, w, None, dy, stride, padding, y, dw, dx, None)
     alloc = _SharedScratch(x.dtype, shared=remat)
     ks = ConvKernels(x.shape, w, stride, padding, x.dtype, alloc, remat=remat)
     ks.backward(alloc)
@@ -240,12 +237,12 @@ def pointwise_cases(draw):
 def test_pointwise_kernels_equal_eager(case, remat):
     """``fwd`` / ``dw`` / ``db`` / ``dx`` of the 1x1 case in the planned
     layout equal the eager driver bitwise, ``out=`` and returned, whatever
-    ``remat`` says, and both agree with im2col; the staging is a view at
+    ``remat`` says, and both agree with the oracle; the staging is a view at
     stride 1 and one forward-to-backward buffer otherwise — never a
     re-gather."""
     x, w, b, dy, stride = case
     y, dw, dx, db = _eager(x, w, dy, stride, 0, b, form="pointwise")
-    _assert_close_to_im2col(x, w, b, dy, stride, 0, y, dw, dx, db)
+    _assert_close_to_oracle(x, w, b, dy, stride, 0, y, dw, dx, db)
     alloc = _SharedScratch(x.dtype)
     ks = ConvKernels(x.shape, w, stride, 0, x.dtype, alloc, bias=b,
                      remat=remat)
@@ -342,8 +339,7 @@ def test_unrolled_kernels_equal_eager_on_both_sides_of_the_predicate(
         case, remat, need_dx):
     """On both sides of ``conv_unrolls``: the kernels in the planned layout
     equal the eager driver bitwise (``out=`` and returned, with and without
-    ``dx``, whatever ``remat`` says), eager agrees with the untouched im2col
-    lowering, and a tap that never overlaps the map gets an exactly-zero
+    ``dx``, whatever ``remat`` says), eager agrees with the oracle, and a tap that never overlaps the map gets an exactly-zero
     gradient."""
     x, w, b, dy, padding = case
     (n, c, h, wd), (k, r) = x.shape, w.shape[::2]
@@ -379,7 +375,7 @@ def test_unrolled_kernels_equal_eager_on_both_sides_of_the_predicate(
     if (h, wd) == (1, 1):       # a 1x1 map only ever meets the centre tap
         assert never.sum() == r * r - 1
     assert not dw[:, :, never].any()
-    _assert_close_to_im2col(x, w, b, dy, 1, padding, y, dw, dx, db)
+    _assert_close_to_oracle(x, w, b, dy, 1, padding, y, dw, dx, db)
 
 
 def _assert_matches_finite_differences(form, c, k, h, w, r, padding, n=2):
@@ -473,8 +469,8 @@ def test_span_kernels_equal_eager_on_both_sides_of_the_predicate(
         case, remat, need_dx):
     """On both sides of ``conv_spans``: the kernels in the planned layout
     equal the eager driver bitwise (``out=`` and returned, with and without
-    ``dx``, whatever ``remat`` says) and eager agrees with the untouched
-    im2col lowering.  Everything the planned layout shares is NaN between
+    ``dx``, whatever ``remat`` says) and eager agrees with the oracle.
+    Everything the planned layout shares is NaN between
     calls, so a garbage column of the padded-width grid (``yq``, ``dxq``,
     ``dyc``) read into a result, or staging read past its phase, shows."""
     x, w, b, dy, padding = case
@@ -483,7 +479,7 @@ def test_span_kernels_equal_eager_on_both_sides_of_the_predicate(
     assert conv_ops.conv_spans(k, r, r, 1, padding) == spans
     form = "span" if spans else "gather"
     y, dw, dx, db = _eager(x, w, dy, 1, padding, b, need_dx, form)
-    _assert_close_to_im2col(x, w, b, dy, 1, padding, y, dw, dx, db)
+    _assert_close_to_oracle(x, w, b, dy, 1, padding, y, dw, dx, db)
 
     alloc = _SharedScratch(x.dtype, shared=remat)
     ks = ConvKernels(x.shape, w, 1, padding, x.dtype, alloc, bias=b,

@@ -1,12 +1,16 @@
-"""Convolution kernels: im2col/col2im correctness and gradient exactness."""
+"""Convolution kernels against a naive loop and the float64 oracle, the
+oracle's im2col/col2im against each other, and gradient exactness."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tensor.ops.conv import (col2im, conv2d_backward, conv2d_forward,
-                                   conv_out_size, im2col)
+from repro.tensor.ops.conv import (conv2d_backward, conv2d_forward,
+                                   conv_out_size)
+
+from .. import oracle
+from ..oracle import col2im, im2col
 
 
 def reference_conv(x, w, b, stride, pad):
@@ -33,8 +37,11 @@ class TestForward:
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=4)
         y, _ = conv2d_forward(x, w, b, stride, pad)
-        np.testing.assert_allclose(y, reference_conv(x, w, b, stride, pad),
-                                   rtol=1e-10, atol=1e-12)
+        y_loop = reference_conv(x, w, b, stride, pad)
+        np.testing.assert_allclose(y, y_loop, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(oracle.conv_forward(x, w, b, stride,
+                                                       pad)[0],
+                                   y_loop, rtol=1e-10, atol=1e-12)
 
     def test_1x1_conv(self, rng):
         x = rng.normal(size=(2, 5, 4, 4))

@@ -1,12 +1,13 @@
 """Dtype guard: every op preserves float32 forward *and* through gradients.
 
-The optimized engine routes activations and gradients through pooled
-buffers, fused kernels, and donated arrays; an accidental promotion to
-float64 anywhere (a Python-scalar multiply, an un-dtyped ``np.zeros``)
-would silently double memory traffic and desynchronize the pool's
-shape/dtype keys.  These tests run each op in ``repro.tensor.functional``
-on float32 inputs under both engine configurations and assert the output
-and every accumulated gradient stay float32.
+The engine routes activations and gradients through fused kernels and
+donated arrays; an accidental promotion to float64 anywhere (a
+Python-scalar multiply, an un-dtyped ``np.zeros``) would silently double
+memory traffic.  These tests run each op in ``repro.tensor.functional`` on
+float32 inputs and assert the output and every accumulated gradient stay
+float32 — by default, and under ``workspace.baseline_engine()``
+(``engine(mem_plan=False)``), the preset ``benchmarks/e2e`` enters for its
+ladder's ``seed`` rung until ROADMAP item 1(a) deletes it.
 """
 
 import numpy as np
@@ -21,9 +22,8 @@ F32 = np.float32
 
 
 @pytest.fixture(params=["optimized", "baseline"])
-def engine(request, optimized_engine):
-    """Run the test body under the optimized or the seed engine config
-    (pinned explicitly so REPRO_* env overrides cannot collapse the two)."""
+def engine(request):
+    """Run the test body as configured or under ``baseline_engine()``."""
     if request.param == "baseline":
         with baseline_engine():
             yield request.param

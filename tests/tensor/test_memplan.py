@@ -22,10 +22,6 @@ from .test_compile import _batch, _model
 
 F32 = np.float32
 
-# Compiled plans exist only on the optimized engine; pin it so these tests
-# check the plans they are about, whatever engine the CI leg selected.
-pytestmark = pytest.mark.usefixtures("optimized_engine")
-
 
 def _planned(mem):
     """Run solve+materialize and flip into serve mode."""
@@ -228,14 +224,12 @@ class TestCompileIntegration:
                 assert np.array_equal(p1.grad.data, p2.grad.data), n
                 p1.grad = p2.grad = None
 
-    def test_vgg13_training_arena_has_no_per_sample_dw_slab(self,
-                                                            monkeypatch):
+    def test_vgg13_training_arena_has_no_per_sample_dw_slab(self):
         """The planned VGG-13 (width 0.5, batch 32, hw 16) training arena was
         85 065 728 B while every conv weight gradient staged an (N, K, C*R*S)
         slab; with the wide layers' dw batch-folded it is ~17 MB.  Guard the
         bound so the slab cannot come back."""
         from repro.nn import vgg13
-        monkeypatch.setattr(workspace.config, "conv_impl", "einsum")
         rng = np.random.default_rng(0)
         x = rng.standard_normal((32, 3, 16, 16)).astype(np.float32)
         y = rng.integers(0, 10, size=32)

@@ -205,10 +205,7 @@ class TestMaxPool:
         assert x.grad.sum() == 2 * 3 * 2 * 2
 
         from repro.nn import vgg11
-        from repro.tensor import workspace
         from repro.tensor.compile import capture_forward
-        # plans exist only on the einsum lowering (the seed CI leg: im2col)
-        monkeypatch.setattr(workspace.config, "conv_impl", "einsum")
         model = vgg11(10, width_mult=0.125, input_hw=8, seed=0)
         model.eval()
         xs = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)

@@ -30,8 +30,6 @@ from repro.tensor import functional as F
 from repro.tensor import tensor as tensor_mod
 from repro.tensor.ops.table import OPS, Op
 
-pytestmark = pytest.mark.usefixtures("optimized_engine")
-
 
 # -- an op is one table row -----------------------------------------------------
 
@@ -94,19 +92,19 @@ def _add_relu(net, h, x):
     return F.add_relu(h, F.conv2d(x, net.w2, None, 1, 1, first_layer=True))
 
 
-#: case -> (kind, op, head bias, fused_bnrelu): a toy row that plans no
-#: buffers, and every row that plans some, in each variant
+#: case -> (kind, op, head bias): a toy row that plans no buffers, and every
+#: row that plans some, in each variant ("-fused" names the affine-folded
+#: batch-norm, which was one of two formulations when the cases were named)
 ROW_CASES = {
     "leaky": ("leaky", lambda net, h, x: F.apply_op("leaky", (h,), 0.1),
-              False, True),
-    **{f"bn-{mode}{'-relu' if relu else ''}-{form}":
-       ("batch_norm", _bn(mode == "train", relu), False, form == "fused")
-       for mode in ("train", "eval") for relu in (False, True)
-       for form in ("fused", "seed")},
-    "relu": ("relu", lambda net, h, x: F.relu(h), False, True),
-    "add_relu": ("add_relu", _add_relu, False, True),
-    "linear": ("linear", lambda net, h, x: h, False, True),
-    "linear-bias": ("linear", lambda net, h, x: h, True, True),
+              False),
+    **{f"bn-{mode}{'-relu' if relu else ''}-fused":
+       ("batch_norm", _bn(mode == "train", relu), False)
+       for mode in ("train", "eval") for relu in (False, True)},
+    "relu": ("relu", lambda net, h, x: F.relu(h), False),
+    "add_relu": ("add_relu", _add_relu, False),
+    "linear": ("linear", lambda net, h, x: h, False),
+    "linear-bias": ("linear", lambda net, h, x: h, True),
 }
 
 
@@ -114,9 +112,8 @@ def _assert_row_runs_alike(monkeypatch, case, mem_plans):
     """Eager, the capturing step, a replay and a timed replay, under each
     memory-planner setting, agree bit for bit, and the op shows up in
     ``replay_timed`` under its kind."""
-    kind, op, bias, fused = ROW_CASES[case]
+    kind, op, bias = ROW_CASES[case]
     monkeypatch.setitem(OPS, "leaky", Op(_leaky_fwd, _leaky_bwd, (True,)))
-    monkeypatch.setattr(workspace.config, "fused_bnrelu", fused)
     net = _ToyNet(op, bias)
     x, y = _toy_batch()
     loss = F.cross_entropy(net(Tensor(x)), y)
@@ -225,14 +222,11 @@ def _training_step(model, hw):
 
 def test_every_row_is_run_by_a_shipped_model():
     """The table holds the ops the paper's models run and nothing else:
-    a ResNet-32 and a VGG-11 training step under the default engine and the
-    unfused one, plus the gating runner's forward, record every row."""
-    kinds = set()
-    for fused in (True, False):
-        with workspace.engine(fused_bnrelu=fused):
-            kinds |= _recorded_kinds(_training_step(_r32()[0], QUICK.hw))
-            kinds |= _recorded_kinds(_training_step(
-                vgg11(10, width_mult=0.25, input_hw=16, seed=0), 16))
+    a ResNet-32 and a VGG-11 training step, plus the gating runner's
+    forward, record every row."""
+    kinds = _recorded_kinds(_training_step(_r32()[0], QUICK.hw))
+    kinds |= _recorded_kinds(_training_step(
+        vgg11(10, width_mult=0.25, input_hw=16, seed=0), 16))
     model = resnet50_cifar(10, width_mult=0.25, input_hw=8, seed=0)
     graph = model.graph
     path = next(iter(graph.paths.values()))
@@ -241,7 +235,6 @@ def test_every_row_is_run_by_a_shipped_model():
     x = np.zeros((2, cin, 8, 8), np.float32)
     kinds |= _recorded_kinds(lambda tape: runner.forward(tape.input(x)))
     assert kinds == set(OPS) | {"conv2d"}
-
 
 
 def test_plan_builder_holds_no_numpy_arithmetic():
@@ -257,13 +250,14 @@ def test_plan_builder_holds_no_numpy_arithmetic():
 def test_the_eager_conv_drives_kernels_it_does_not_restate():
     """``ops/conv.py`` states each conv form once: GEMMs and reductions
     (``np.matmul``, ``@``, ``np.add.reduce``, ``.sum(``) appear only in the
-    form classes, the ``dw`` helper they share and the im2col reference;
+    form classes and the ``dw`` helper they share;
     ``conv2d_forward`` / ``conv2d_backward`` / ``release_ctx`` build a kernel
     set and call it — no NumPy call, no string-kind or ``ctx[0]`` dispatch.
     At the parent of the commit that made eager a driver there were 39 such
     sites, 19 of them outside ``ConvKernels`` (7 in ``conv2d_backward``
-    alone); there were 19 after it, and the span form added its two GEMMs
-    (its ``dw`` goes through ``_DwGemm``)."""
+    alone); there were 19 after it, the span form added its two GEMMs (its
+    ``dw`` goes through ``_DwGemm``) and deleting the seed im2col lowering
+    took its four away."""
     from repro.tensor.ops import conv as conv_ops
     tree = ast.parse(inspect.getsource(conv_ops))
     owners, drivers = {}, {}
@@ -281,9 +275,8 @@ def test_the_eager_conv_drives_kernels_it_does_not_restate():
                         and isinstance(node.op, ast.MatMult)):
                 owners[top.name] = owners.get(top.name, 0) + 1
     forms = {cls.__name__ for cls in conv_ops.FORMS.values()}
-    assert set(owners) <= forms | {"ConvKernels", "_DwGemm",
-                                   "_Im2colKernels", "im2col", "col2im"}
-    assert forms <= set(owners) and sum(owners.values()) <= 21, owners
+    assert set(owners) <= forms | {"ConvKernels", "_DwGemm"}
+    assert forms <= set(owners) and sum(owners.values()) <= 17, owners
     assert len(drivers) == 3
     for name, fn in drivers.items():
         for node in ast.walk(fn):

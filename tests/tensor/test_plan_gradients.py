@@ -17,8 +17,6 @@ from repro.nn import vgg11
 from repro.tensor import Tensor, functional as F, workspace
 from repro.tensor import compile as C
 
-pytestmark = pytest.mark.usefixtures("optimized_engine")
-
 
 def _resnet32():
     return make_model("resnet32", "cifar10s", QUICK, seed=0)

@@ -3,9 +3,9 @@
 ``Tensor`` is graph plumbing with no ops of its own, so these tests build
 their graphs from ``repro.tensor.functional`` and seed ``backward(g)``.
 Where a graph needs a shape no shipped op has (a reduction, a transpose, a
-constant operand), it is made from :func:`_node`, a test-local op built the
-way ``functional.apply_op`` builds every real one: the tests check what
-``Tensor._make`` / ``_accumulate`` / ``backward`` do with it."""
+constant operand, a plain sum), it is made from :func:`_node`, a test-local
+op built the way ``functional.apply_op`` builds every real one: the tests
+check what ``Tensor._make`` / ``_accumulate`` / ``backward`` do with it."""
 
 import numpy as np
 import pytest
@@ -31,11 +31,17 @@ def _node(data, parents, *vjps):
     return Tensor._make(np.asarray(data), parents, backward)
 
 
+def _add(a, b):
+    """``a + b``, handing the one gradient ``g`` to both parents (which
+    ``_accumulate`` copies on first touch)."""
+    return _node(a.data + b.data, (a, b), lambda g: g, lambda g: g)
+
+
 class TestBasicOps:
     def test_add_backward(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0, 4.0], requires_grad=True)
-        F.add(a, b).backward(np.ones(2))
+        _add(a, b).backward(np.ones(2))
         np.testing.assert_allclose(a.grad, [1, 1])
         np.testing.assert_allclose(b.grad, [1, 1])
         a.grad[0] = 7.0  # the fanned-out gradient was copied per parent
@@ -67,7 +73,7 @@ class TestBasicOps:
         q = _node(d.data / b.data, (d, b), lambda g: g / b.data,
                   lambda g: -g * d.data / (b.data * b.data))
         n = _node(-a.data, (a,), lambda g: -g)
-        F.add(q, n).backward(np.ones(1))
+        _add(q, n).backward(np.ones(1))
         np.testing.assert_allclose(a.grad, [1 / 2 - 1])
         np.testing.assert_allclose(b.grad, [-1 / 2 - (4 - 2) / 4])
         assert d.grad is None and q.grad is None and n.grad is None
@@ -107,7 +113,7 @@ class TestBroadcasting:
         a = Tensor(np.ones((3, 4)), requires_grad=True)
         b = Tensor(np.ones((4,)), requires_grad=True)
         with pytest.raises(ValueError):
-            F.add(a, b)
+            F.add_relu(a, b)
 
     def test_broadcast_keepdim_axis(self):
         a = Tensor(np.ones((2, 1, 3)), requires_grad=True)
@@ -120,7 +126,7 @@ class TestBroadcasting:
         a = Tensor(2.0, requires_grad=True)
         b = Tensor(np.ones((3, 3)), requires_grad=True)
         with pytest.raises(ValueError):
-            F.add(a, b)
+            F.add_relu(a, b)
         with pytest.raises(ValueError):
             F.relu(b).backward(1.0)
 
@@ -144,7 +150,7 @@ class TestReductions:
         def total():
             return _node(a.data.sum(axis=1, keepdims=True), (a,),
                          lambda g: np.broadcast_to(g, a.shape))
-        F.add(total(), total()).backward(np.ones((2, 1)))
+        _add(total(), total()).backward(np.ones((2, 1)))
         first = a.grad
         np.testing.assert_allclose(first, np.full((2, 3), 2.0))
         total().backward(np.ones((2, 1)))
@@ -196,7 +202,7 @@ class TestShapeOps:
                 full[sl] = g
                 return full
             return _node(a.data[sl], (a,), vjp)
-        F.add(take(slice(2, 5)), take(slice(3, 6))).backward(np.ones(3))
+        _add(take(slice(2, 5)), take(slice(3, 6))).backward(np.ones(3))
         np.testing.assert_allclose(a.grad, [0, 0, 1, 2, 2, 1, 0, 0, 0, 0])
 
 
@@ -204,13 +210,13 @@ class TestGraphMechanics:
     def test_diamond_graph_accumulates(self):
         # y = relu(a) + a  -> dy/da = 2 where a > 0
         a = Tensor([3.0, -1.0], requires_grad=True)
-        F.add(F.relu(a), a).backward(np.ones(2))
+        _add(F.relu(a), a).backward(np.ones(2))
         np.testing.assert_allclose(a.grad, [2.0, 1.0])
 
     def test_reused_node(self):
         a = Tensor([2.0], requires_grad=True)
         b = F.relu(a)
-        F.add(b, b).backward(np.ones(1))
+        _add(b, b).backward(np.ones(1))
         np.testing.assert_allclose(a.grad, [2.0])
 
     def test_no_grad_blocks_graph(self):
@@ -283,7 +289,7 @@ def test_tensor_defines_no_op_methods():
 def test_add_refuses_mixed_dtypes():
     a = Tensor(np.ones(3, np.float32))
     with pytest.raises(ValueError):
-        F.add(a, Tensor(np.ones(3, np.float64)))
+        F.add_relu(a, Tensor(np.ones(3, np.float64)))
 
 
 @given(_finite_arrays((3, 4)), _finite_arrays((3, 4)))
@@ -291,7 +297,7 @@ def test_add_refuses_mixed_dtypes():
 def test_property_add_grad_is_ones(a, b):
     ta = Tensor(a, requires_grad=True)
     tb = Tensor(b, requires_grad=True)
-    F.add(ta, tb).backward(np.ones_like(a))
+    _add(ta, tb).backward(np.ones_like(a))
     np.testing.assert_allclose(ta.grad, np.ones_like(a))
     np.testing.assert_allclose(tb.grad, np.ones_like(b))
 
@@ -346,7 +352,7 @@ class TestGraphReleasedAfterBackward:
     def test_node_fields_cleared_in_place(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0, 4.0], requires_grad=True)
-        c = F.add(a, b)
+        c = _add(a, b)
         s = F.relu(c)
         s.backward(np.ones(2))
         for node in (c, s):

@@ -13,7 +13,7 @@ import numpy as np
 from repro.data import make_synthetic
 from repro.nn import resnet20
 from repro.profiler import COUNTERS, PROFILER, Counters, OpProfiler
-from repro.tensor import Tensor, workspace
+from repro.tensor import Tensor
 from repro.tensor import functional as F
 from repro.train import Trainer, TrainerConfig
 
@@ -50,15 +50,14 @@ class TestOptIn:
 
     def test_a_table_op_reports_under_its_kind(self, rng):
         """``apply_op`` brackets every row, so an eager ResNet step reports
-        batch-norm (fused ReLU or not), the residual join (fused or not) and
-        the head under their kinds, beside the conv."""
+        batch-norm (fused ReLU or not), the residual join and the head under
+        their kinds, beside the conv."""
         model = resnet20(4, width_mult=0.25, input_hw=8)
         x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
         with PROFILER.session():
             F.cross_entropy(model(Tensor(x)), np.array([0, 1])).backward()
             stats = PROFILER.summary()
-        join = "add_relu" if workspace.config.fused_bnrelu else "relu"
-        for kind in ("batch_norm", join, "linear", "cross_entropy",
+        for kind in ("batch_norm", "add_relu", "linear", "cross_entropy",
                      "conv2d"):
             assert stats[f"{kind}_fwd"]["calls"] > 0, kind
             assert stats[f"{kind}_bwd"]["calls"] > 0, kind

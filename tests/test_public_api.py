@@ -87,9 +87,7 @@ def test_version_string():
 #: every ``REPRO_*`` variable ``src/`` reads.  A new one needs a row in the
 #: README's switch table and a line here — the configuration lattice the CI
 #: matrix has to keep honest grows with each.
-ENV_SWITCHES = {
-    "REPRO_COMPILE_STEP", "REPRO_CONV_IMPL", "REPRO_FUSED", "REPRO_MEM_PLAN",
-}
+ENV_SWITCHES = {"REPRO_COMPILE_STEP", "REPRO_MEM_PLAN"}
 
 
 def test_switch_lattice_is_closed():
@@ -108,18 +106,16 @@ def test_switch_lattice_is_closed():
     # signature entry per field, and flipping any one retires the plan
     cfg = EngineConfig()
     fields = dataclasses.fields(cfg)
-    assert len(cfg.plan_signature()) == len(fields) == 3
-    other = {bool: lambda v: not v, str: lambda v: "im2col"}
+    assert len(cfg.plan_signature()) == len(fields) == 1
     for f in fields:
-        value = getattr(cfg, f.name)
         flipped = dataclasses.replace(
-            cfg, **{f.name: other[type(value)](value)})
+            cfg, **{f.name: not getattr(cfg, f.name)})
         assert flipped.plan_signature() != cfg.plan_signature(), f.name
 
 
 #: every setting a training or serving caller can pass, by owner.  A knob
 #: that no shipped caller varies is a constant in its module instead; a new
-#: one means editing this pin, as ``EngineConfig``'s ``== 3`` above does.
+#: one means editing this pin, as ``EngineConfig``'s ``== 1`` above does.
 CONFIG_SURFACE = {
     "repro.train.TrainerConfig": (
         "epochs", "batch_size", "lr", "momentum", "weight_decay",
@@ -222,7 +218,7 @@ def test_only_engine_pins_write_the_engine_config():
                       "import repro.tensor.workspace as w\n"
                       "_ws.config.mem_plan = False\n"
                       "c.mem_plan += 1\n"
-                      "setattr(c, 'fused_bnrelu', 0)\n"
+                      "setattr(c, 'mem_plan', 0)\n"
                       "w.config.mem_plan: bool = True\n"
                       "other.config.x = 1\n"
                       "cfg = _ws.config\n")
@@ -237,8 +233,9 @@ def test_counters_keep_the_names_the_benchmark_reads():
     """``benchmarks/e2e/wl_train.py`` reads engine counters by attribute,
     and the summary's counter entries are what ``profile=True`` logs.
     ``benchmarks/e2e/layer_probes.py`` also pins two inert names on
-    ``workspace.config`` and calls ``sparse.publish``/``sparse.clear``:
-    they must stay settable, callable and without effect on plans."""
+    ``workspace.config``, calls ``sparse.publish``/``sparse.clear`` and
+    enters ``workspace.baseline_engine()``: they must stay settable,
+    callable and without effect on plans or on eager bits."""
     import repro.train  # noqa: F401  (imports every counter set)
     from repro.profiler import PROFILER
     from repro.tensor import compile as tcompile
@@ -273,8 +270,26 @@ def test_counters_keep_the_names_the_benchmark_reads():
                      np.zeros(2, bool), np.ones(2, bool))])
     sparse.clear()
     assert workspace.plan_generation() == gen
-    with workspace.baseline_engine() as base:
-        assert base.conv_impl == "im2col" and not base.mem_plan
+
+    # baseline_engine(), which the ladder's "seed" rung enters, is inert: a
+    # context manager that restores the signature and moves no eager bit
+    from repro.nn import resnet20
+    from repro.tensor import Tensor
+    from repro.tensor import functional as F
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
+
+    def eager_step():
+        model = resnet20(10, width_mult=0.25, input_hw=8, seed=0)
+        loss = F.cross_entropy(model(Tensor(x)), np.arange(4))
+        loss.backward()
+        return [loss.data] + [p.grad for p in model.parameters()]
+
+    plain = eager_step()
+    with workspace.baseline_engine():
+        pinned = eager_step()
+    assert cfg.plan_signature() == sig
+    assert all(np.array_equal(a, b) for a, b in zip(plain, pinned))
 
 
 def test_captures_go_through_the_names_the_benchmark_wraps(monkeypatch):
@@ -287,7 +302,6 @@ def test_captures_go_through_the_names_the_benchmark_wraps(monkeypatch):
     from repro.nn import resnet20
     from repro.serve import ModelRegistry
     from repro.serve import registry as registry_mod
-    from repro.tensor import workspace
     from repro.train import Trainer, TrainerConfig
     from repro.train import trainer as trainer_mod
     calls = []
@@ -304,14 +318,13 @@ def test_captures_go_through_the_names_the_benchmark_wraps(monkeypatch):
     spy(trainer_mod, "capture_forward")
     spy(registry_mod, "capture_forward")
     data = make_synthetic(10, 32, hw=8, noise=0.8, seed=0, name="api")
-    with workspace.engine(conv_impl="einsum"):
-        tr = Trainer(resnet20(10, width_mult=0.25, input_hw=8), data, data,
-                     TrainerConfig(epochs=1, batch_size=16, augment=False,
-                                   bn_recal_batches=0, compile_step=True))
-        tr.train()
-        registry = ModelRegistry()
-        registry.register_model("m", tr.model)
-        registry.run("m", data.x[:4])
+    tr = Trainer(resnet20(10, width_mult=0.25, input_hw=8), data, data,
+                 TrainerConfig(epochs=1, batch_size=16, augment=False,
+                               bn_recal_batches=0, compile_step=True))
+    tr.train()
+    registry = ModelRegistry()
+    registry.register_model("m", tr.model)
+    registry.run("m", data.x[:4])
     assert calls == ["repro.train.trainer.capture_training_step",
                      "repro.train.trainer.capture_forward",
                      "repro.serve.registry.capture_forward"]

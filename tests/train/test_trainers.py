@@ -98,60 +98,52 @@ class TestDenseTrainer:
                 mp.setattr(workspace.EngineConfig, "__setattr__", forbid)
                 return tr.train().records
 
-        # arena bytes are a property of compiled plans, which exist only on
-        # the einsum lowering (the seed CI leg selects im2col)
-        with workspace.engine(conv_impl="einsum", mem_plan=False):
+        with workspace.engine(mem_plan=False):
             assert all(r.arena_bytes == 0 for r in run())
             with workspace.engine(mem_plan=True):
                 assert all(r.arena_bytes > 0 for r in run())
             assert workspace.config.mem_plan is False
 
-    def test_seed_conv_seals_one_capture_attempt_per_key(self, data,
-                                                          capsys):
-        """Capture fails closed on the seed conv lowering.  The plan cache
+    def test_a_failed_capture_seals_one_attempt_per_key(self, data, capsys):
+        """Capture fails closed on a model it cannot record.  The plan cache
         seals each failure per (train/eval, batch shape) key, so a 2-epoch
         run attempts one capture per key, prints each reason once and
         otherwise steps and evaluates eagerly — bit for bit the run with
         compiled stepping off."""
         from repro.tensor.compile import STATS
+        from ..conftest import UNRECORDED, uncapturable
         from .test_resume import assert_logs_identical
         train, val = data
 
         def run(compile_step):
-            tr = Trainer(resnet20(10, width_mult=0.25, input_hw=8), train,
-                         val, TrainerConfig(**tiny_cfg(
+            tr = Trainer(uncapturable(resnet20(10, width_mult=0.25,
+                                               input_hw=8)),
+                         train, val, TrainerConfig(**tiny_cfg(
                              epochs=2, batch_size=48, eval_batch=48,
                              compile_step=compile_step)))
             return tr.train()
 
-        with workspace.engine(conv_impl="im2col"):
-            eager = run(False)
-            capsys.readouterr()
-            before = STATS.fallbacks
-            compiled = run(True)
-            # train batches 48, 48, 32 and eval batches 48, 16: four keys
-            assert STATS.fallbacks - before == 4
+        eager = run(False)
+        capsys.readouterr()
+        before = STATS.fallbacks
+        compiled = run(True)
+        # train batches 48, 48, 32 and eval batches 48, 16: four keys
+        assert STATS.fallbacks - before == 4
         lines = [line for line in capsys.readouterr().out.splitlines()
                  if "compile_step fallback:" in line]
-        assert lines == ["[dense] compile_step fallback: compiled plans "
-                         "require the einsum conv lowering"]
+        assert lines == [f"[dense] compile_step fallback: {UNRECORDED}"]
         assert_logs_identical(eager, compiled)
 
     def test_engine_pin_restores_and_rejects_unknown_switches(self):
         cfg = workspace.config
         before = cfg.plan_signature()
         with pytest.raises(RuntimeError, match="boom"):
-            with workspace.engine(mem_plan=not cfg.mem_plan,
-                                  fused_bnrelu=not cfg.fused_bnrelu):
+            with workspace.engine(mem_plan=not cfg.mem_plan):
                 assert cfg.plan_signature() != before
                 raise RuntimeError("boom")
         assert cfg.plan_signature() == before
         with pytest.raises(TypeError, match="no_such_switch"):
             with workspace.engine(mem_plan=not cfg.mem_plan, no_such_switch=1):
-                pass
-        with pytest.raises(ValueError, match="conv_impl"):
-            with workspace.engine(mem_plan=not cfg.mem_plan,
-                                  conv_impl="winograd"):
                 pass
         assert cfg.plan_signature() == before
 
