@@ -3,19 +3,19 @@ in one process.
 
 * ``results/BENCH_compile.json`` — the eager define-by-run step against the
   compiled StepPlan replay (:mod:`repro.tensor.compile`);
-* ``results/BENCH_memplan.json`` — compiled plans with the memory planner
-  off and on: bit identity, resident bytes and step time.
+* ``results/BENCH_memplan.json`` — the arena-planned compiled step against
+  its eager twin: bit identity and resident plan bytes.
 
 ``results/BENCH_engine.json`` is history: the seed engine (im2col conv,
 unfused BN/ReLU) against the optimized one, measured while the seed engine
 existed.  The seed engine is deleted, so nothing regenerates it.
 
-Measurement methodology: the two sides are timed in *interleaved* rounds
-(before round, after round, repeat) and each side's best round is
-reported.  On a shared host, absolute wall times for identical code can
-drift by tens of percent between measurement windows; interleaving puts
-both sides in the same windows so the *ratio* stays meaningful, and
-best-of-N discards the rounds that caught external noise.
+Measurement methodology: the two sides of the compile A/B are timed in
+*interleaved* rounds (before round, after round, repeat) and each side's
+best round is reported.  On a shared host, absolute wall times for
+identical code can drift by tens of percent between measurement windows;
+interleaving puts both sides in the same windows so the *ratio* stays
+meaningful, and best-of-N discards the rounds that caught external noise.
 
 Run directly::
 
@@ -137,95 +137,84 @@ def run_compile_bench(step_warmup: int = 3, step_iters: int = 5,
     }
 
 
-def _memplan_plan_pair(rng) -> tuple:
-    """Build twin compiled steps, one with the memory planner off/on each.
+def run_memplan_bench() -> dict:
+    """The arena-planned step against its eager twin; returns the
+    BENCH_memplan.json payload.
 
-    Returns ``(plan_on, run_on, peak_on, plan_off, run_off, peak_off)``
-    where the ``peak_*`` entries are tracemalloc peaks (bytes) covering
-    capture + two replays — the allocation cost of building and running
-    each plan layout.
+    Eager stepping allocates every buffer fresh, the private-buffer layout
+    the arena replaces.  Both twins take three steps from the same seed (the
+    plan's capture step and two replays), then one more on a new batch,
+    whose loss, logits and parameter gradients must agree to the bit.
+    Reports the plan's resident footprint (arena vs sum-of-private-buffers)
+    and the tracemalloc peak of capture plus the replays; raises unless the
+    arena saves at least 20 % of the private bytes.
     """
     import tracemalloc
 
     from repro.tensor.compile import capture_training_step
 
+    rng = np.random.default_rng(1)
     xb = rng.standard_normal((32, 3, 12, 12), dtype=np.float32)
     yb = rng.integers(0, 10, size=32)
 
-    def build(mem_plan: bool) -> tuple:
-        with workspace.engine(mem_plan=mem_plan):
-            tracemalloc.start()
-            try:
-                m = resnet32(num_classes=10, width_mult=0.375, input_hw=12,
-                             seed=0)
-                o = SGD(m.parameters(), lr=0.1, momentum=0.9,
-                        weight_decay=5e-4)
-                o.zero_grad()
-                plan, loss_t, _, reason = capture_training_step(m, xb, yb)
-                if plan is None:
-                    raise RuntimeError(f"step capture failed: {reason}")
-                loss_t.backward()
-                o.step()
+    def twin():
+        m = resnet32(num_classes=10, width_mult=0.375, input_hw=12, seed=0)
+        return m, SGD(m.parameters(), lr=0.1, momentum=0.9,
+                      weight_decay=5e-4)
 
-                def run():
-                    o.zero_grad()
-                    plan.run(xb, yb)
-                    o.step()
+    def eager_step(m, o, x, y):
+        logits = m(Tensor(x))
+        loss = F.cross_entropy(logits, y)
+        o.zero_grad()
+        loss.backward()
+        return loss.data, logits.data
 
-                for _ in range(2):
-                    run()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        return plan, run, peak
+    tracemalloc.start()
+    try:
+        m_p, o_p = twin()
+        o_p.zero_grad()
+        plan, loss_t, _, reason = capture_training_step(m_p, xb, yb)
+        if plan is None:
+            raise RuntimeError(f"step capture failed: {reason}")
+        loss_t.backward()
+        o_p.step()
+        for _ in range(2):
+            o_p.zero_grad()
+            plan.run(xb, yb)
+            o_p.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m_e, o_e = twin()
+    for _ in range(3):
+        eager_step(m_e, o_e, xb, yb)
+        o_e.step()
 
-    plan_off, run_off, peak_off = build(False)
-    plan_on, run_on, peak_on = build(True)
-    if plan_on.mem_metrics() is None:
-        raise RuntimeError("memory planner did not engage")
-    return plan_on, run_on, peak_on, plan_off, run_off, peak_off
-
-
-def run_memplan_bench(step_warmup: int = 3, step_iters: int = 5,
-                      step_rounds: int = 8) -> dict:
-    """Planner on/off A/B; returns the BENCH_memplan.json payload.
-
-    Compares the PR-3 compiled engine (every plan buffer private) against
-    the arena-planned layout on the acceptance workload: replay speed
-    (interleaved, best-of-N), resident plan footprint (arena vs
-    sum-of-private-buffers), tracemalloc peaks, and — since the layouts
-    must never change values — a bit-identity check of the two replays.
-    """
-    (plan_on, run_on, peak_on,
-     plan_off, run_off, peak_off) = _memplan_plan_pair(
-        np.random.default_rng(1))
-    step = _measure_interleaved(
-        run_off, run_on, step_rounds, step_iters, warmup=step_warmup)
-    # Both twins have now replayed the same number of steps from the same
-    # seed, so their next losses must agree to the bit.
     rng = np.random.default_rng(7)
     xb = rng.standard_normal((32, 3, 12, 12), dtype=np.float32)
     yb = rng.integers(0, 10, size=32)
-    loss_on, logits_on = plan_on.run(xb, yb)
-    loss_off, logits_off = plan_off.run(xb, yb)
-    bit_identical = bool(np.array_equal(loss_on, loss_off)
-                         and np.array_equal(logits_on, logits_off))
-    m = plan_on.mem_metrics()
+    o_p.zero_grad()
+    planned = plan.run(xb, yb)
+    eager = eager_step(m_e, o_e, xb, yb)
+    bit_identical = all(np.array_equal(a, b) for a, b in zip(
+        [*planned, *(p.grad for p in m_p.parameters())],
+        [*eager, *(p.grad for p in m_e.parameters())]))
+    m = plan.mem_metrics()
     workspace.invalidate()
-    payload = {
+    if m["savings"] < 0.20:
+        raise RuntimeError(f"the arena saves under 20 % of the private "
+                           f"bytes: {m}")
+    return {
         "meta": {
             "workload": "resnet32 @ QUICK scale (hw=12, width_mult=0.375, "
                         "batch=32)",
-            "before": "compiled StepPlan, private per-buffer layout "
-                      "(planner off)",
-            "after": "compiled StepPlan, liveness-planned shared arena "
-                     "(planner on)",
-            "methodology": "interleaved A/B rounds, best-of-N per side; "
-                           "layouts verified bit-identical",
-        },
-        "train_step": {
-            "warmup_steps": step_warmup, "steps_per_round": step_iters,
-            "rounds": step_rounds, **step,
+            "before": "eager step, every buffer a fresh array "
+                      "(private per-buffer layout)",
+            "after": "compiled StepPlan, liveness-planned shared arena",
+            "methodology": "twins from one seed; the step after "
+                           "three warm steps compared bitwise "
+                           "(loss, logits, every parameter gradient); "
+                           "times are in BENCH_compile.json",
         },
         "memory": {
             "arena_bytes": int(m["arena_bytes"]),
@@ -233,12 +222,10 @@ def run_memplan_bench(step_warmup: int = 3, step_iters: int = 5,
             "plan_private_bytes": int(m["naive_bytes"]),
             "savings_fraction": round(m["savings"], 4),
             "alias_buffers": int(m["alias_buffers"]),
-            "tracemalloc_peak_on_bytes": int(peak_on),
-            "tracemalloc_peak_off_bytes": int(peak_off),
+            "tracemalloc_peak_bytes": int(peak),
         },
         "bit_identical": bit_identical,
     }
-    return payload
 
 
 def write_results(results: dict, path: str) -> str:
@@ -259,12 +246,9 @@ def main() -> None:
 
     memplan_results = run_memplan_bench()
     mpath = write_results(memplan_results, OUT_PATH_MEMPLAN)
-    mstep = memplan_results["train_step"]
     mem = memplan_results["memory"]
-    print(f"planned step: {mstep['before_ms']:.1f} ms (private) -> "
-          f"{mstep['after_ms']:.1f} ms (arena) ({mstep['speedup']:.2f}x), "
-          f"{mem['plan_private_bytes'] / 1e6:.1f} MB -> "
-          f"{mem['arena_bytes'] / 1e6:.1f} MB "
+    print(f"planned step: {mem['plan_private_bytes'] / 1e6:.1f} MB "
+          f"(private) -> {mem['arena_bytes'] / 1e6:.1f} MB (arena) "
           f"({100 * mem['savings_fraction']:.1f}% saved), "
           f"bit_identical={memplan_results['bit_identical']}")
     print(f"wrote {mpath}")

@@ -38,29 +38,22 @@ def test_compiled_step_speedup_smoke(tmp_path):
 
 
 def test_memplan_parity_and_savings_smoke(tmp_path):
-    """Arena-planned plans must match the private layout bit-for-bit,
-    cut the resident plan footprint by >= 20%, and hold step parity.
-
-    The acceptance-grade speed bar (>= 1.0x) is asserted on the committed
-    ``results/BENCH_memplan.json`` from the full bench run; the CI-smoke
-    speed guard allows 10% scheduler noise.  The bit-identity and savings
-    checks are deterministic and asserted at full strength.
-    """
-    results = bench_engine.run_memplan_bench(step_warmup=2, step_iters=3,
-                                             step_rounds=5)
+    """The arena-planned step must match its eager twin bit-for-bit and
+    cut the resident plan footprint by >= 20% (``run_memplan_bench`` also
+    raises below that).  Both checks are deterministic and asserted at
+    full strength; the planned step's time is the compile leg's."""
+    results = bench_engine.run_memplan_bench()
     path = bench_engine.write_results(results,
                                       str(tmp_path / "BENCH_memplan.json"))
     assert os.path.exists(path)
     with open(path) as fh:
         written = json.load(fh)
 
-    assert written["bit_identical"], "planner on/off replays diverged"
+    assert written["bit_identical"], "planned step diverged from eager"
     mem = written["memory"]
+    assert mem["savings_fraction"] >= 0.20, mem
     assert mem["arena_bytes"] <= 0.8 * mem["plan_private_bytes"], mem
     assert mem["liveness_peak_bytes"] <= mem["arena_bytes"]
-    step = written["train_step"]
-    assert step["speedup"] > 0.9, (
-        f"arena-planned step much slower than private layout: {step}")
 
 
 def test_elastic_overlap_parity_and_gap_smoke(tmp_path):

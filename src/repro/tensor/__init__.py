@@ -7,17 +7,16 @@ Public surface:
 - :mod:`repro.tensor.functional` — conv2d, linear, batch_norm, pooling,
   activations, losses, and the channel gather/scatter ops used by the
   channel-gating baseline.
-- :mod:`repro.tensor.workspace` — the engine switchboard
-  (``workspace.config``, pinned with ``workspace.engine``) and the plan
-  generation ``workspace.invalidate()`` bumps.
+- :mod:`repro.tensor.workspace` — the plan generation
+  ``workspace.invalidate()`` bumps.
 - :mod:`repro.tensor.compile` — compiled training steps: capture one eager
   forward/backward as a flat kernel plan (:class:`~repro.tensor.compile.
-  StepPlan`) and replay it bit-exactly until the next reconfiguration.
+  StepPlan`) over one liveness-planned arena (:mod:`repro.tensor.memplan`)
+  and replay it bit-exactly until the next reconfiguration.
 """
 
 from . import compile, functional, workspace
 from .tensor import Tensor, grad_enabled, no_grad
-from .workspace import baseline_engine
 
 __all__ = ["Tensor", "no_grad", "grad_enabled", "compile", "functional",
-           "workspace", "baseline_engine"]
+           "workspace"]

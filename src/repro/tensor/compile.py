@@ -385,23 +385,6 @@ class Tape:
     def _build(self, kind: str, bwd_nodes: List[Tensor],
                loss: Optional[Tensor], logits: Tensor,
                row_stable: bool = False) -> "StepPlan":
-        if len(self._input_slots) != 1:
-            raise _CaptureError("exactly one marked input is required")
-        lt = _Lifetimes(self, bwd_nodes, kind, loss, logits)
-        if ws.config.mem_plan:
-            try:
-                return self._build_planned(kind, bwd_nodes, loss, logits,
-                                           lt, row_stable)
-            except _mp.PlanError as e:
-                _mp.STATS.fallbacks += 1
-                _mp.STATS.last_fallback_reason = str(e)
-        return self._assemble(kind, bwd_nodes, loss, logits, lt, mem=None,
-                              row_stable=row_stable)
-
-    def _build_planned(self, kind: str, bwd_nodes: List[Tensor],
-                       loss: Optional[Tensor], logits: Tensor,
-                       lt: _Lifetimes, row_stable: bool = False
-                       ) -> "StepPlan":
         """Two-pass build: size the arena, then assemble thunks over it.
 
         Pass 1 runs the builder in *plan* mode — every plan-owned buffer
@@ -409,10 +392,12 @@ class Tape:
         interval and yields a throwaway array; the thunks it builds are
         discarded.  After solving the layout and materializing the
         arena, pass 2 replays the identical request sequence in *serve*
-        mode, so the kept thunks close over arena views instead of
-        private arrays.  Any divergence raises ``PlanError`` and
-        :meth:`_build` falls back to unplanned buffers.
+        mode, so the kept thunks close over arena views.  Any divergence
+        raises ``PlanError``, and the capture fails closed with it.
         """
+        if len(self._input_slots) != 1:
+            raise _CaptureError("exactly one marked input is required")
+        lt = _Lifetimes(self, bwd_nodes, kind, loss, logits)
         mem = _mp.MemPlanner()
         scratch = StepPlan(kind=kind, n_slots=self._n_slots,
                            input_slot=self._input_slots[0])
@@ -420,17 +405,20 @@ class Tape:
                              lt=lt, mem=mem, row_stable=row_stable)
         for rec in self.records:
             sizer.build(rec)
-        mem.solve()
-        mem.materialize(ws.PLAN_GENERATION)
-        plan = self._assemble(kind, bwd_nodes, loss, logits, lt, mem=mem,
-                              row_stable=row_stable)
-        mem.finish()
+        try:
+            mem.solve()
+            mem.materialize(ws.PLAN_GENERATION)
+            plan = self._assemble(kind, bwd_nodes, loss, logits, lt, mem,
+                                  row_stable)
+            mem.finish()
+        except _mp.PlanError as e:
+            raise _CaptureError(f"memory plan: {e}") from e
         return plan
 
     def _assemble(self, kind: str, bwd_nodes: List[Tensor],
                   loss: Optional[Tensor], logits: Tensor,
-                  lt: _Lifetimes, mem, row_stable: bool = False
-                  ) -> "StepPlan":
+                  lt: _Lifetimes, mem: _mp.MemPlanner,
+                  row_stable: bool = False) -> "StepPlan":
         plan = StepPlan(kind=kind, n_slots=self._n_slots,
                         input_slot=self._input_slots[0])
         plan.row_stable = row_stable
@@ -462,15 +450,14 @@ class _PlanBuilder:
     """
 
     def __init__(self, tape: Tape, plan: "StepPlan", keep_ctx: bool,
-                 lt: Optional[_Lifetimes] = None, mem=None,
+                 lt: _Lifetimes, mem: _mp.MemPlanner,
                  row_stable: bool = False):
         self.tape = tape
         self.plan = plan
         self.keep_ctx = keep_ctx
         self.row_stable = row_stable
         self._leaves: Dict[int, Tensor] = {}
-        #: liveness intervals and the arena planner (None -> every
-        #: plan-owned buffer is a private allocation, the PR-3 layout)
+        #: liveness intervals and the arena planner they feed
         self.lt = lt
         self.mem = mem
 
@@ -495,10 +482,10 @@ class _PlanBuilder:
 
         Point-lived forward staging lets every conv share one region, at
         the price of a per-step border memset (eager zero-fills each fresh
-        padded buffer once per call) and a backward re-gather.  With no
-        planner, and for a gradient that escapes the plan (a leaf's, kept by
-        the optimizer), a buffer is a private ``np.empty``.  Tags get the op
-        kind as a prefix; ``dtype`` defaults to the first input's.
+        padded buffer once per call) and a backward re-gather.  A gradient
+        that escapes the plan (a leaf's, kept by the optimizer) is a private
+        ``np.empty``.  Tags get the op kind as a prefix; ``dtype`` defaults
+        to the first input's.
         """
         tape, lt, mem = self.tape, self.lt, self.mem
         x_dtype = rec.inputs[0].data.dtype
@@ -509,15 +496,13 @@ class _PlanBuilder:
             tag = rec.kind + "." + tag
             if phase == "dx" or phase.startswith("grad"):
                 x = rec.inputs[0 if phase == "dx" else int(phase[4:])]
-                end = lt.grad_end(x) if mem is not None else None
+                end = lt.grad_end(x)
                 if end is None:
                     return np.empty(shape, dtype)
                 lo, hi = lt.bwd_window(rec)
                 return mem.alloc(shape, dtype,
                                  min(hi if phase == "dx" else lo, end), end,
                                  tag=tag)
-            if mem is None:
-                return np.empty(shape, dtype)
             tick = lt.fwd_t[id(rec)]
             if phase == "out":
                 alias_slot = next((tape.slot_of[id(rec.inputs[i])]
@@ -705,7 +690,7 @@ class _PlanBuilder:
         ks = _conv.ConvKernels(
             x.data.shape, w_t.data, stride, padding, dtype, alloc,
             bias=b_t.data if b_t is not None else None,
-            remat=self.mem is not None, backward=self.keep_ctx,
+            remat=True, backward=self.keep_ctx,
             row_stable=self.row_stable and not self.keep_ctx)
         if self.keep_ctx:
             ks.backward(alloc, need_dx)
@@ -755,8 +740,8 @@ class StepPlan:
     ``kind == "train"`` plans run forward + loss + backward and leave
     parameter gradients exactly where the eager step would (``param.grad``);
     ``kind == "forward"`` plans run inference only.  A plan is bound to the
-    capture-time batch shape, engine configuration, and parameter shapes —
-    :meth:`invalid_reason` performs the cheap per-replay stationarity check.
+    capture-time batch shape and parameter shapes — :meth:`invalid_reason`
+    performs the cheap per-replay stationarity check.
     """
 
     def __init__(self, kind: str, n_slots: int, input_slot: int):
@@ -773,9 +758,9 @@ class StepPlan:
         self._loss_slot = -1
         self._leaf_shapes: List[Tuple[Tensor, tuple]] = []
         self._n_ops = 0
-        #: the arena planner backing this plan's buffers (None when the
-        #: plan was built unplanned — mem_plan off or planner fallback)
-        self._mem = None
+        #: the arena planner backing this plan's buffers (set by
+        #: ``Tape._assemble``)
+        self._mem: _mp.MemPlanner
         #: op kind of each ``_fwd`` / ``_bwd`` thunk, in order
         self._thunk_kinds: Tuple[List[str], List[str]] = ([], [])
         #: per ``_fwd`` thunk, the index into ``_bwd`` of the thunk that
@@ -784,7 +769,6 @@ class StepPlan:
         #: ``(x_shape, w_shape, stride, padding, form)`` per conv, op order
         self._conv_forms: List[tuple] = []
         self.generation = ws.PLAN_GENERATION
-        self.engine_sig = ws.config.plan_signature()
         #: forward plans captured with the per-sample Linear lowering
         #: (see Tape.finalize_forward) — the serving tier's contract bit
         self.row_stable = False
@@ -801,8 +785,8 @@ class StepPlan:
         bumps the *global* plan generation, which would purge model A's
         plans whenever model B loads.  A pinned plan trusts its owner (the
         serve registry) to guarantee the captured model is frozen — the
-        engine-signature and parameter-shape checks still apply, only the
-        generation comparison is skipped.  Never pin a training plan.
+        parameter-shape check still applies, only the generation comparison
+        is skipped.  Never pin a training plan.
         """
         self.pinned = True
         return self
@@ -822,9 +806,7 @@ class StepPlan:
         self._grads = [None] * self.n_slots
         self._ctxs = [None] * self.n_slots
         self._leaf_shapes = []
-        if self._mem is not None:
-            self._mem.release()
-            self._mem = None
+        self._mem.release()
 
     # -- validation --------------------------------------------------------
     def invalid_reason(self) -> Optional[str]:
@@ -833,18 +815,15 @@ class StepPlan:
             return "plan buffers released (plan was evicted)"
         if not self.pinned and self.generation != ws.PLAN_GENERATION:
             return "model reconfigured since capture"
-        if ws.config.plan_signature() != self.engine_sig:
-            return "engine configuration changed since capture"
         for t, shape in self._leaf_shapes:
             if t.data.shape != shape:
                 return "parameter shape changed since capture"
         return None
 
     # -- memory reporting --------------------------------------------------
-    def mem_metrics(self) -> Optional[Dict[str, float]]:
-        """The arena planner's exact footprint numbers, or ``None`` for
-        an unplanned build."""
-        return self._mem.metrics() if self._mem is not None else None
+    def mem_metrics(self) -> Dict[str, float]:
+        """The arena planner's exact footprint numbers."""
+        return self._mem.metrics()
 
     def conv_forms(self) -> List[tuple]:
         """``(x_shape, w_shape, stride, padding, form)`` of every conv in op

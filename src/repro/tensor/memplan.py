@@ -17,9 +17,11 @@ single pre-allocated byte arena by greedy best-fit: slabs whose intervals
 do not overlap share memory, and shape-preserving ops (ReLU, the residual
 add+ReLU join) may *alias* their output directly onto their input's slab.
 :meth:`MemPlanner.materialize` carves the arena into ndarray views; replay
-thunks use them exactly like the private buffers they replace, so results
-stay bit-identical while the plan's resident footprint drops from
-*sum-of-all-buffers* to the liveness peak (plus fragmentation).
+thunks use them exactly like the fresh arrays the eager step allocates, so
+results stay bit-identical while the plan's resident footprint drops from
+*sum-of-all-buffers* to the liveness peak (plus fragmentation).  Every
+compiled plan is laid out this way: a :class:`PlanError` fails the capture
+closed (reason ``"memory plan: <msg>"``) and the step runs eagerly.
 
 The planner's report (``arena_bytes``, ``peak_bytes``, ``savings``) fills
 the memory fields of the trainer's ``EpochRecord`` and ``PROFILER.summary()
@@ -106,9 +108,6 @@ class MemPlanStats(Counters):
     naive_bytes: int = 0
     peak_bytes: int = 0
     alias_buffers: int = 0
-    #: planning attempts that fell back to unplanned buffers
-    fallbacks: int = 0
-    last_fallback_reason: str = ""
 
     def derived(self) -> Dict[str, object]:
         return {"live_arenas": live_arena_count(),
@@ -172,9 +171,8 @@ class MemPlanner:
         mem.finish()         # asserts pass 2 consumed every request
 
     The two passes must make identical requests (the builder is a pure
-    function of the captured tape and engine config); any divergence
-    raises :class:`PlanError` and the capture falls back to unplanned
-    buffers.
+    function of the captured tape); any divergence raises
+    :class:`PlanError` and the capture fails closed: the step runs eagerly.
     """
 
     def __init__(self):
@@ -296,7 +294,7 @@ class MemPlanner:
 
     @property
     def naive_bytes(self) -> int:
-        """What the unplanned builder would allocate: every buffer private."""
+        """One private array per buffer, as eager allocates: every slab."""
         return sum(s.nbytes for s in self.slabs)
 
     def materialize(self, generation: int) -> None:

@@ -1,21 +1,19 @@
-"""Engine configuration and the plan generation.
+"""The plan generation, and the inert names the frozen benchmark still reads.
 
-The :class:`EngineConfig` switchboard: the process-wide ``config`` the plan
-builder reads is the *one* place an engine switch is set — parsed from
-``REPRO_MEM_PLAN`` once at import, then pinned for a block with
-:func:`engine`.  Every field is something a compiled plan is specialised
-on, so ``plan_signature()`` is the fields themselves.  There is one engine:
-every conv runs :class:`repro.tensor.ops.conv.ConvKernels` and every
-batch-norm the affine-folded kernels of :mod:`repro.tensor.ops.norm`; the
-independent reference they are checked against is the float64 oracle under
-``tests/``, not a second runtime path.
-
-:data:`PLAN_GENERATION` is the other half of a plan's validity: PruneTrain's
+:data:`PLAN_GENERATION` is what keeps a compiled plan valid: PruneTrain's
 training loop is shape-stationary *between* reconfigurations, so a captured
 plan replays until channel surgery (``repro.prune.reconfigure``) changes
 every activation shape — the paper's "dense reconfiguration" moment
 (Sec. 4.2) — or a checkpoint restore swaps the weight arrays; both call
 :func:`invalidate`.
+
+The engine has no switches.  Every conv runs
+:class:`repro.tensor.ops.conv.ConvKernels` and every batch-norm the
+affine-folded kernels of :mod:`repro.tensor.ops.norm`; every compiled plan
+lays its buffers out in one liveness-planned arena
+(:mod:`repro.tensor.memplan`).  The independent reference the kernels are
+checked against is the float64 oracle under ``tests/``, not a second
+runtime path.
 
 Eager kernels allocate fresh arrays, as NumPy does: a shape-keyed buffer
 cache would hold memory at shapes a reconfiguration has just retired, and
@@ -24,68 +22,21 @@ that memory is what dynamic mini-batch growth (Sec. 4.3) spends.
 
 from __future__ import annotations
 
-import os
 import threading
-from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from contextlib import nullcontext
 from types import SimpleNamespace
 
-
-def _env_flag(name: str, default: bool) -> bool:
-    val = os.environ.get(name)
-    if val is None:
-        return default
-    return val.strip().lower() not in ("0", "false", "no", "off")
-
-
-@dataclass
-class EngineConfig:
-    """Feature switches for the engine: ``mem_plan`` defaults on."""
-
-    #: static memory planning for compiled step plans
-    #: (:mod:`repro.tensor.memplan`): assign all plan-owned transient
-    #: buffers into one liveness-shared arena instead of private arrays.
-    #: Bit-exact either way; off recovers the PR-3 per-buffer layout.
-    mem_plan: bool = True
-
-    def plan_signature(self) -> tuple:
-        """The switches compiled plans are specialised on: a
-        :class:`~repro.tensor.compile.StepPlan` records this at capture and
-        replays only while it still matches."""
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-
-config = EngineConfig(mem_plan=_env_flag("REPRO_MEM_PLAN", True))
-# Kept for benchmarks/e2e until ROADMAP 1(a): the benchmark pins these on
-# ``config`` around its ladder rungs.  Plain attributes, read by nothing:
-# not fields, so not in plan_signature(), and engine() refuses them.
-config.parallel_replay = False
-config.sparse_compute = False
-
-
-@contextmanager
-def engine(**switches):
-    """Run a block with the named :class:`EngineConfig` fields pinned on the
-    process-wide ``config``; the previous values come back on exit, normal
-    or not.  An unknown name is a ``TypeError``, raised before anything is
-    set.  Live plans notice the change through ``plan_signature()``."""
-    replace(config, **switches)
-    saved = {name: getattr(config, name) for name in switches}
-    try:
-        for name, value in switches.items():
-            setattr(config, name, value)
-        yield config
-    finally:
-        for name, value in saved.items():
-            setattr(config, name, value)
+#: Kept for ``benchmarks/e2e`` until ROADMAP 1(a): its ladder pins these on
+#: ``config`` around its rungs.  Plain attributes that nothing in ``src/``
+#: reads, so writing them changes no plan and no bit.
+config = SimpleNamespace(mem_plan=True, parallel_replay=False,
+                         sparse_compute=False)
 
 
 def baseline_engine():
-    """``engine(mem_plan=False)``, kept until ROADMAP 1(a) for
-    ``benchmarks/e2e``, whose ladder times its ``seed`` rung under it.  Inert
-    there: that rung steps eagerly, and eager steps do not read
-    ``mem_plan``."""
-    return engine(mem_plan=False)
+    """A no-op context manager, kept until ROADMAP 1(a) for
+    ``benchmarks/e2e``, whose ladder times its ``seed`` rung under it."""
+    return nullcontext()
 
 
 #: Kept for ``benchmarks/e2e``, which reads these counters of the deleted

@@ -9,6 +9,7 @@ ratios.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, fields
 from typing import Dict, Optional
@@ -26,7 +27,6 @@ from ..nn.module import Module
 from ..optim import SGD, LRSchedule, StepLR, milestones_for
 from ..profiler import PROFILER
 from ..prune.sparsity import model_channel_sparsity
-from ..tensor import workspace as _ws
 from ..tensor.compile import (PlanCache, capture_forward,
                               capture_training_step, forward_step,
                               train_step)
@@ -34,6 +34,13 @@ from .metrics import EpochRecord, RunLog
 
 #: devices whose modeled epoch time every :class:`EpochRecord` carries
 MODELED_DEVICES = ("1080ti", "v100")
+
+
+def _env_flag(name: str, default: bool) -> bool:
+    val = os.environ.get(name)
+    if val is None:
+        return default
+    return val.strip().lower() not in ("0", "false", "no", "off")
 
 
 @dataclass
@@ -81,10 +88,10 @@ class TrainerConfig:
     #: (default on).  A step, or each ``"sim"`` shard of one, runs
     #: :func:`~repro.tensor.compile.train_step` as elastic workers do;
     #: ``profile=True`` runs it eager (per-op counters need the
-    #: instrumented path), and a capture failure falls back to eager with
-    #: a logged reason.  The other engine switch, ``mem_plan``, lives on
-    #: the process-wide ``workspace.config`` only — pin it around a run with
-    #: ``workspace.engine(...)``; the trainer never writes it.
+    #: instrumented path), and a capture failure (an unrecorded op, a
+    #: memory-plan error) falls back to eager with a logged reason.  A plan
+    #: lays its buffers out in one liveness-planned arena
+    #: (:mod:`repro.tensor.memplan`); there is no other layout to pick.
     compile_step: Optional[bool] = None
     #: multi-worker execution backend for ``workers > 1``: ``"elastic"``
     #: spawns true worker *processes* exchanging gradients through shared
@@ -141,7 +148,7 @@ class Trainer:
         self._first_batch_done = False
         cs = self.cfg.compile_step
         if cs is None:
-            cs = _ws._env_flag("REPRO_COMPILE_STEP", True)
+            cs = _env_flag("REPRO_COMPILE_STEP", True)
         self._compile_enabled = bool(cs)
         #: arena metrics of the newest captured full-batch training plan
         #: (``StepPlan.mem_metrics``, read once at capture); feeds the record

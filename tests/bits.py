@@ -10,20 +10,20 @@ when none is named):
     ``(y, dw, db, dx)`` of one conv through ``conv2d_forward`` /
     ``conv2d_backward`` — every form (window gather, 1x1, unrolled, span)
     x weight-gradient form x stride x N in {1, 7, 32}.
-``conv/<case>/{eager,captured,planned,unplanned}``
+``conv/<case>/{eager,captured,planned}``
     loss and every gradient of a conv -> conv -> pool -> linear step whose
     second conv is the case, over three batches: stepped eagerly, on the
-    capturing step plus two replays (``captured``), and replayed with the
-    memory planner on and off.
-``ops/<case>/{eager,captured,planned,unplanned}``
-    the same four legs of a conv -> op -> pool -> linear step for every
+    capturing step plus two replays (``captured``), and replayed
+    (``planned``: the capturing batch again, then the other two).
+``ops/<case>/{eager,captured,planned}``
+    the same three legs of a conv -> op -> pool -> linear step for every
     variant of the ops with planned buffers: batch-norm in training and
     evaluation mode, with and without its fused ReLU (``-fused``: the
     affine-folded formulation, named when the seed engine's ``xhat`` one ran
     beside it); ReLU; add-ReLU; and the linear head with and without a
     bias.
-``ops/max_pool2d-k<k>[-ragged]/{eager,captured,planned,unplanned}``
-    the same four legs of a conv -> ReLU -> ``k x k`` max-pool -> pool ->
+``ops/max_pool2d-k<k>[-ragged]/{eager,captured,planned}``
+    the same three legs of a conv -> ReLU -> ``k x k`` max-pool -> pool ->
     linear step, on a map ``k`` divides and on a ragged one.
 ``lasso/{vgg11,r32}[-scaled]``
     ``GroupLasso.add_gradients`` on QUICK VGG-11 and ResNet-32 with some
@@ -58,8 +58,8 @@ Only surfaces that outlive a refactor are used, so this copy of the script
 runs against any tree: ``PYTHONPATH=<tree>/src python tests/bits.py``.  Run
 it on the parent and on the change; the diff is empty unless the PR declares
 a bit move.  No digest is committed — BLAS low bits are host-specific —
-but within one run ``eager``, ``captured``, ``planned`` and ``unplanned``
-of a case must agree, which ``tests/tensor/test_bits.py`` asserts.
+but within one run ``eager``, ``captured`` and ``planned`` of a case must
+agree, which ``tests/tensor/test_bits.py`` asserts.
 """
 
 import hashlib
@@ -209,30 +209,22 @@ def _net_digests(fresh, batches) -> dict:
         loss.backward()
         seen += [loss.data.copy()] + net.take_grads()
     out = {"eager": digest(seen)}
-    cfg = workspace.config
-    saved = cfg.mem_plan
-    try:
-        for name, mem in (("planned", True), ("unplanned", False)):
-            cfg.mem_plan = mem
-            workspace.invalidate()
-            net = fresh()
-            (x0, y0), rest = batches[0], batches[1:]
-            plan, loss, _, reason = C.capture_training_step(net, x0, y0)
-            if plan is None:
-                raise RuntimeError(f"capture failed: {reason}")
-            loss.backward()
-            first = [loss.data.copy()] + net.take_grads()
-            seen = list(first)
-            for x, y in rest:
-                seen += [plan.run(x, y)[0].copy()] + net.take_grads()
-            if mem:
-                out["captured"] = digest(seen)
-            # the capturing batch again, now replayed
-            replayed = [plan.run(x0, y0)[0].copy()] + net.take_grads()
-            out[name] = digest(replayed + seen[len(first):])
-    finally:
-        cfg.mem_plan = saved
-        workspace.invalidate()
+    workspace.invalidate()
+    net = fresh()
+    (x0, y0), rest = batches[0], batches[1:]
+    plan, loss, _, reason = C.capture_training_step(net, x0, y0)
+    if plan is None:
+        raise RuntimeError(f"capture failed: {reason}")
+    loss.backward()
+    first = [loss.data.copy()] + net.take_grads()
+    seen = list(first)
+    for x, y in rest:
+        seen += [plan.run(x, y)[0].copy()] + net.take_grads()
+    out["captured"] = digest(seen)
+    # the capturing batch again, now replayed
+    replayed = [plan.run(x0, y0)[0].copy()] + net.take_grads()
+    out["planned"] = digest(replayed + seen[len(first):])
+    workspace.invalidate()
     return out
 
 
@@ -392,10 +384,7 @@ def _capture_layouts(name, build, forward=None):
 
 def layout_lines():
     from tests.tensor.test_plan_builder import LAYOUTS
-    cfg = workspace.config
-    saved = cfg.mem_plan
     try:
-        cfg.mem_plan = True
         # "-serial": these lines keep the names they had when a parallel
         # layout was recorded beside each, so outputs diff across trees
         for build, (_, serve) in LAYOUTS.items():
@@ -406,7 +395,6 @@ def layout_lines():
             yield from _capture_layouts(f"layout/{build.__name__}", build,
                                         forward)
     finally:
-        cfg.mem_plan = saved
         workspace.invalidate()
 
 

@@ -23,8 +23,7 @@ Cases:
 Counts depend on the code, not on the host or the timing, so a diff between
 two trees is a change in per-step dispatch.  Only surfaces that outlive a
 refactor are used, so this copy runs against any tree:
-``PYTHONPATH=<tree>/src python tests/floor.py``.  Run it under the default
-engine (no ``REPRO_*`` switch set).
+``PYTHONPATH=<tree>/src python tests/floor.py``.
 """
 
 import sys

@@ -26,7 +26,6 @@ from repro.io import save_checkpoint
 from repro.serve import ModelRegistry, RegistryError
 from repro.tensor import Tensor, no_grad
 from repro.tensor import memplan
-from repro.tensor import workspace as ws
 from repro.tensor.compile import StepPlan
 
 HW = SMOKE.hw
@@ -47,7 +46,6 @@ class TestEvictUnderLoad:
         served = registry.register_model("m", _model())
         x = _x()
         assert served.warm(4, x.shape[1:])
-        planned = ws.config.mem_plan
         base = memplan.live_arena_count()
 
         entered = threading.Event()
@@ -70,8 +68,7 @@ class TestEvictUnderLoad:
         # the in-flight lease defers the release: plans still cached,
         # arenas still live, the running batch keeps its buffers
         assert len(served.plans) == 1
-        if planned:
-            assert memplan.live_arena_count() == base
+        assert memplan.live_arena_count() == base
 
         gate.set()
         worker.join(10)
@@ -84,8 +81,7 @@ class TestEvictUnderLoad:
         # ... and the last lease drain released everything, without any
         # gc.collect(): the weakref registry must already be empty
         assert len(served.plans) == 0
-        if planned:
-            assert memplan.live_arena_count() == base - 1
+        assert memplan.live_arena_count() == base - 1
         with pytest.raises(RegistryError):
             registry.run("m", x)
 
@@ -101,8 +97,7 @@ class TestEvictUnderLoad:
         registry.evict("m")
         assert len(served.plans) == 0
         assert plan._released
-        if ws.config.mem_plan:
-            assert memplan.live_arena_count() == base - 1
+        assert memplan.live_arena_count() == base - 1
         with pytest.raises(RuntimeError):
             plan.run_forward(x)
 
@@ -212,7 +207,6 @@ class TestReRegister:
             registry.run(f"m{k}", x)
         assert registry.evictions == 1
         assert registry.models() == ["m1", "m2"]
-        if ws.config.mem_plan:
-            assert memplan.live_arena_count() == base + 2
+        assert memplan.live_arena_count() == base + 2
         with pytest.raises(RegistryError):
             registry.run("m0", x)

@@ -11,9 +11,9 @@ from .. import bits
 def test_every_execution_mode_of_a_case_prints_one_digest():
     """Per conv case (every form x ``dw`` form x stride x N) and per variant
     of the ops with planned buffers and of the max-pool (x N): the step run
-    eagerly, on the capturing step, and replayed with the planner on and
-    off; and QUICK ResNet-32 and VGG-11 PruneTrain, eager and compiled.  The
-    arena layouts are pinned by value in ``test_plan_builder.py``."""
+    eagerly, on the capturing step, and replayed; and QUICK ResNet-32 and
+    VGG-11 PruneTrain, eager and compiled.  The arena layouts are pinned by
+    value in ``test_plan_builder.py``."""
     cases = collections.defaultdict(dict)
     for name, value in bits.lines(("conv", "ops", "prunetrain")):
         case, leg = name.rsplit("/", 1)
@@ -24,7 +24,7 @@ def test_every_execution_mode_of_a_case_prints_one_digest():
         kernel = legs.pop("kernel", None)
         assert (kernel is not None) == case.startswith("conv/"), case
         want = {"eager", "compiled"} if case.startswith("prunetrain") \
-            else {"eager", "captured", "planned", "unplanned"}
+            else {"eager", "captured", "planned"}
         assert set(legs) == want, case
         assert len(set(legs.values())) == 1, (case, legs)
 

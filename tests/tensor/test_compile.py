@@ -4,10 +4,11 @@ The contract under test (repro.tensor.compile): a StepPlan captured from one
 eager step replays the *identical* floating-point computation — losses,
 parameter gradients, BN running stats, everything — as a flat list of kernel
 thunks, and retires itself (``invalid_reason``) whenever the network is
-reconfigured, the engine switchboard changes, or parameter shapes move.
+reconfigured or parameter shapes move.
 """
 
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -137,14 +138,11 @@ class TestPointwiseWeightGradient:
     """The 1x1 plan thunk states its own dw; it must pick the form eager
     picks (``ops.conv.dw_folds``) on both sides of the predicate."""
 
-    @pytest.mark.parametrize("mem_plan", [False, True])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("c, k, hw, folds", [(4, 6, 8, False),
                                                  (12, 10, 2, True)])
-    def test_replay_matches_eager(self, monkeypatch, c, k, hw, folds, stride,
-                                  mem_plan):
+    def test_replay_matches_eager(self, c, k, hw, folds, stride):
         from repro.tensor.ops.conv import conv_out_size, dw_folds
-        monkeypatch.setattr(workspace.config, "mem_plan", mem_plan)
         ho, wo = conv_out_size(hw, hw, 1, 1, stride, 0)
         assert dw_folds(k, c, ho * wo) == folds
         rng = np.random.default_rng(11)
@@ -188,20 +186,14 @@ class TestUnrolledStages:
     """Nets whose convs take every form of the lowering side by side
     (``ops.conv.conv_form``), in eager and in the plan alike."""
 
-    SCHEDULES = pytest.mark.parametrize("mem_plan", [False, True])
+    def test_three_sgd_steps_match_eager(self):
+        self._three_steps(_vgg_tail)
 
-    @SCHEDULES
-    def test_three_sgd_steps_match_eager(self, monkeypatch, mem_plan):
-        self._three_steps(monkeypatch, mem_plan, _vgg_tail)
-
-    @SCHEDULES
-    def test_three_sgd_steps_match_eager_on_quick_resnet32(
-            self, monkeypatch, mem_plan):
-        self._three_steps(monkeypatch, mem_plan, _quick_r32)
+    def test_three_sgd_steps_match_eager_on_quick_resnet32(self):
+        self._three_steps(_quick_r32)
 
     @staticmethod
-    def _three_steps(monkeypatch, mem_plan, build):
-        monkeypatch.setattr(workspace.config, "mem_plan", mem_plan)
+    def _three_steps(build):
         rng = np.random.default_rng(7)
         m_e, hw, classes, forms = build()
         batches = [(rng.standard_normal((8, 3, hw, hw)).astype(np.float32),
@@ -216,7 +208,6 @@ class TestUnrolledStages:
         plan, loss_t, _, reason = capture_training_step(m_c, *batches[0])
         assert reason is None, reason
         assert [f[-1] for f in plan.conv_forms()] == forms
-        assert (plan.mem_metrics() is not None) == mem_plan
         loss_t.backward()
         o_c.step()
         losses_c = [float(loss_t.data)]
@@ -354,16 +345,6 @@ class TestInvalidation:
         workspace.invalidate()          # what channel surgery calls
         assert "reconfigured" in plan.invalid_reason()
 
-    def test_engine_config_change_retires_plan(self):
-        rng = np.random.default_rng(5)
-        x, y = _batch(rng)
-        plan, loss_t, _, _ = capture_training_step(_model(), x, y)
-        loss_t.backward()
-        assert plan.invalid_reason() is None
-        with workspace.engine(mem_plan=not workspace.config.mem_plan):
-            assert "engine configuration" in plan.invalid_reason()
-        assert plan.invalid_reason() is None
-
     def test_parameter_shape_change_retires_plan(self):
         rng = np.random.default_rng(6)
         x, y = _batch(rng)
@@ -430,9 +411,17 @@ def _captured_plan(seed=7):
     return plan
 
 
-def _flipped_engine():
-    """Pin one switchboard field to its other value (stales every plan)."""
-    return workspace.engine(mem_plan=not workspace.config.mem_plan)
+@contextmanager
+def _reshaped(plan):
+    """Shrink one of ``plan``'s parameters for a block, as surgery without
+    an ``invalidate()`` would: the plan is stale until the shape is back."""
+    param, _ = plan._leaf_shapes[0]
+    old = param.data
+    param.data = old[:-1]
+    try:
+        yield
+    finally:
+        param.data = old
 
 
 class TestPlanCache:
@@ -459,12 +448,12 @@ class TestPlanCache:
         assert len(cache) == 0
 
     def test_lookup_drops_stale_plan(self):
-        """A plan the engine switch staled is never returned: the lookup
-        drops it, so it stays gone once the switch is restored."""
+        """A plan a parameter reshape staled is never returned: the lookup
+        drops it, so it stays gone once the shape is restored."""
         cache = PlanCache()
         plan = _captured_plan()
         cache.store(("k",), plan, None)
-        with _flipped_engine():
+        with _reshaped(plan):
             assert cache.lookup(("k",)) is None
         assert plan.invalid_reason() is None
         assert cache.lookup(("k",)) is None and len(cache) == 0
@@ -473,27 +462,24 @@ class TestPlanCache:
 
     def test_pinned_cache_releases_dropped_plan(self):
         from repro.tensor import memplan
-        with workspace.engine(mem_plan=True):
-            cache = PlanCache(pinned=True)
-            plan = _captured_plan()
-            cache.store(("k",), plan, None)
-            assert plan.pinned
-            workspace.invalidate()     # pinned: no generation sweep
-            assert cache.lookup(("k",)) is plan
-            base = memplan.live_arena_count()
-            with _flipped_engine():
-                assert cache.lookup(("k",)) is None
-                assert plan._released
-                assert memplan.live_arena_count() == base - 1
-            assert len(cache) == 0
+        cache = PlanCache(pinned=True)
+        plan = _captured_plan()
+        cache.store(("k",), plan, None)
+        assert plan.pinned
+        workspace.invalidate()     # pinned: no generation sweep
+        assert cache.lookup(("k",)) is plan
+        base = memplan.live_arena_count()
+        with _reshaped(plan):
+            assert cache.lookup(("k",)) is None
+            assert plan._released
+            assert memplan.live_arena_count() == base - 1
+        assert len(cache) == 0
 
     def test_sealed_reason_survives_lookup_until_generation_bump(self):
         cache = PlanCache()
         cache.store(("k",), None, "unsupported op")
         for _ in range(3):
             assert cache.lookup(("k",)) is None
-            assert cache.sealed(("k",)) == "unsupported op"
-        with _flipped_engine():
             assert cache.sealed(("k",)) == "unsupported op"
         workspace.invalidate()
         assert cache.sealed(("k",)) is None

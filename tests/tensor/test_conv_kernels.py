@@ -54,10 +54,11 @@ class _SharedScratch:
     forward staging, ``dw`` scratch and ``dx`` scratch overlap one another as
     they do with other ops' scratch in an arena; ``dirty()`` stands in for
     those other ops.  ``"span"``, ``"out"`` and ``"dx"`` buffers are private
-    — as is everything with ``shared=False``, the layout of a plan built with
-    the planner off.  ``"ab"`` buffers (what ``stage_dy`` writes for ``dw``
-    and ``dx`` to read) are dirtied too, except between those calls
-    (``inside_backward``).  Records every ``(shape, phase)`` requested."""
+    — as is everything with ``shared=False``, which drives ``remat=False``
+    (eager's kernels) over private buffers.  ``"ab"`` buffers (what
+    ``stage_dy`` writes for ``dw`` and ``dx`` to read) are dirtied too,
+    except between those calls (``inside_backward``).  Records every
+    ``(shape, phase)`` requested."""
 
     def __init__(self, dtype, shared=True, nbytes=1 << 23):
         self.dtype = np.dtype(dtype)

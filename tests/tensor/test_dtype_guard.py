@@ -5,9 +5,7 @@ donated arrays; an accidental promotion to float64 anywhere (a
 Python-scalar multiply, an un-dtyped ``np.zeros``) would silently double
 memory traffic.  These tests run each op in ``repro.tensor.functional`` on
 float32 inputs and assert the output and every accumulated gradient stay
-float32 — by default, and under ``workspace.baseline_engine()``
-(``engine(mem_plan=False)``), the preset ``benchmarks/e2e`` enters for its
-ladder's ``seed`` rung until ROADMAP item 1(a) deletes it.
+float32.
 """
 
 import numpy as np
@@ -15,21 +13,8 @@ import pytest
 
 from repro.tensor import Tensor
 from repro.tensor import functional as F
-from repro.tensor import workspace
-from repro.tensor.workspace import baseline_engine
 
 F32 = np.float32
-
-
-@pytest.fixture(params=["optimized", "baseline"])
-def engine(request):
-    """Run the test body as configured or under ``baseline_engine()``."""
-    if request.param == "baseline":
-        with baseline_engine():
-            yield request.param
-    else:
-        yield request.param
-    workspace.invalidate()
 
 
 def t32(rng, *shape, grad=True):
@@ -47,7 +32,7 @@ def assert_f32(*tensors):
 class TestConv:
     @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1),
                                               (1, 1, 0), (1, 2, 0)])
-    def test_conv2d(self, rng, engine, k, stride, pad):
+    def test_conv2d(self, rng, k, stride, pad):
         x = t32(rng, 2, 3, 8, 8)
         w = t32(rng, 4, 3, k, k)
         b = t32(rng, 4)
@@ -56,7 +41,7 @@ class TestConv:
         y.backward(np.ones(y.shape, dtype=F32))
         assert_f32(x, w, b)
 
-    def test_conv2d_no_bias(self, rng, engine):
+    def test_conv2d_no_bias(self, rng):
         x = t32(rng, 2, 3, 6, 6)
         w = t32(rng, 4, 3, 3, 3)
         y = F.conv2d(x, w, None, stride=1, padding=1)
@@ -67,7 +52,7 @@ class TestConv:
 class TestNormAndElementwise:
     @pytest.mark.parametrize("relu", [False, True])
     @pytest.mark.parametrize("training", [True, False])
-    def test_batch_norm(self, rng, engine, relu, training):
+    def test_batch_norm(self, rng, relu, training):
         x = t32(rng, 4, 3, 5, 5)
         gamma = Tensor(np.ones(3, dtype=F32), requires_grad=True)
         beta = Tensor(np.zeros(3, dtype=F32), requires_grad=True)
@@ -80,13 +65,13 @@ class TestNormAndElementwise:
         y.backward(np.ones(y.shape, dtype=F32))
         assert_f32(x, gamma, beta)
 
-    def test_relu(self, rng, engine):
+    def test_relu(self, rng):
         x = t32(rng, 3, 7)
         y = F.relu(x)
         y.backward(np.ones(y.shape, dtype=F32))
         assert_f32(x)
 
-    def test_add_relu(self, rng, engine):
+    def test_add_relu(self, rng):
         a = t32(rng, 2, 3, 4, 4)
         b = t32(rng, 2, 3, 4, 4)
         y = F.add_relu(a, b)
@@ -97,19 +82,19 @@ class TestNormAndElementwise:
 
 class TestPoolLinearLoss:
     @pytest.mark.parametrize("op", [F.max_pool2d])
-    def test_pool2d(self, rng, engine, op):
+    def test_pool2d(self, rng, op):
         x = t32(rng, 2, 3, 6, 6)
         y = op(x, 2)
         y.backward(np.ones(y.shape, dtype=F32))
         assert_f32(x)
 
-    def test_global_avg_pool(self, rng, engine):
+    def test_global_avg_pool(self, rng):
         x = t32(rng, 2, 3, 4, 4)
         y = F.global_avg_pool(x)
         y.backward(np.ones(y.shape, dtype=F32))
         assert_f32(x)
 
-    def test_linear(self, rng, engine):
+    def test_linear(self, rng):
         x = t32(rng, 5, 8)
         w = t32(rng, 3, 8)
         b = t32(rng, 3)
@@ -117,7 +102,7 @@ class TestPoolLinearLoss:
         y.backward(np.ones(y.shape, dtype=F32))
         assert_f32(x, w, b)
 
-    def test_cross_entropy(self, rng, engine):
+    def test_cross_entropy(self, rng):
         logits = t32(rng, 6, 4)
         targets = rng.integers(0, 4, size=6)
         loss = F.cross_entropy(logits, targets)
@@ -127,14 +112,14 @@ class TestPoolLinearLoss:
 
 
 class TestChannelOps:
-    def test_pad_channels(self, rng, engine):
+    def test_pad_channels(self, rng):
         # zero-padding the channel dim is a scatter into the leading lanes
         x = t32(rng, 2, 3, 4, 4)
         y = F.scatter_channels(x, np.arange(3), 5)
         y.backward(np.ones(y.shape, dtype=F32))
         assert_f32(x)
 
-    def test_gather_scatter_channels(self, rng, engine):
+    def test_gather_scatter_channels(self, rng):
         x = t32(rng, 2, 4, 3, 3)
         y = F.gather_channels(x, np.array([0, 2]))
         z = F.scatter_channels(y, np.array([1, 3]), 4)
@@ -143,7 +128,7 @@ class TestChannelOps:
         assert_f32(x)
 
 
-def test_end_to_end_step_stays_f32(rng, engine):
+def test_end_to_end_step_stays_f32(rng):
     """A whole ResNet training step keeps every grad and buffer float32."""
     from repro.nn import resnet20
     from repro.optim import SGD

@@ -24,7 +24,7 @@ import repro
 from repro.experiments.configs import QUICK, make_model
 from repro.nn import resnet50_cifar, vgg11, vgg13
 from repro.prune import GatedPathRunner
-from repro.tensor import Tensor, no_grad, workspace
+from repro.tensor import Tensor, no_grad
 from repro.tensor import compile as C
 from repro.tensor import functional as F
 from repro.tensor import tensor as tensor_mod
@@ -108,10 +108,9 @@ ROW_CASES = {
 }
 
 
-def _assert_row_runs_alike(monkeypatch, case, mem_plans):
-    """Eager, the capturing step, a replay and a timed replay, under each
-    memory-planner setting, agree bit for bit, and the op shows up in
-    ``replay_timed`` under its kind."""
+def _assert_row_runs_alike(monkeypatch, case):
+    """Eager, the capturing step, a replay and a timed replay agree bit for
+    bit, and the op shows up in ``replay_timed`` under its kind."""
     kind, op, bias = ROW_CASES[case]
     monkeypatch.setitem(OPS, "leaky", Op(_leaky_fwd, _leaky_bwd, (True,)))
     net = _ToyNet(op, bias)
@@ -119,34 +118,30 @@ def _assert_row_runs_alike(monkeypatch, case, mem_plans):
     loss = F.cross_entropy(net(Tensor(x)), y)
     loss.backward()
     eager = [loss.data.copy()] + net.grads()
-    for mem_plan in mem_plans:
-        monkeypatch.setattr(workspace.config, "mem_plan", mem_plan)
-        plan, loss_t, _, reason = C.capture_training_step(net, x, y)
-        assert reason is None, reason
-        loss_t.backward()
-        captured = [loss_t.data.copy()] + net.grads()
-        loss_r, _ = plan.run(x, y)
-        replayed = [loss_r.copy()] + net.grads()
-        loss_p, _, seconds = plan.replay_timed(x, y)
-        timed = [loss_p.copy()] + net.grads()
-        for other in (captured, replayed, timed):
-            assert len(other) == len(eager)
-            for a, b in zip(eager, other):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-        kinds = [(kind_, phase) for kind_, phase, _ in seconds]
-        assert (kind, "fwd") in kinds and (kind, "bwd") in kinds
-        assert (plan.mem_metrics() is not None) == mem_plan
+    plan, loss_t, _, reason = C.capture_training_step(net, x, y)
+    assert reason is None, reason
+    loss_t.backward()
+    captured = [loss_t.data.copy()] + net.grads()
+    loss_r, _ = plan.run(x, y)
+    replayed = [loss_r.copy()] + net.grads()
+    loss_p, _, seconds = plan.replay_timed(x, y)
+    timed = [loss_p.copy()] + net.grads()
+    for other in (captured, replayed, timed):
+        assert len(other) == len(eager)
+        for a, b in zip(eager, other):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    kinds = [(kind_, phase) for kind_, phase, _ in seconds]
+    assert (kind, "fwd") in kinds and (kind, "bwd") in kinds
 
 
-@pytest.mark.parametrize("mem_plan", [False, True])
-def test_a_table_row_alone_makes_an_op(monkeypatch, mem_plan):
+def test_a_table_row_alone_makes_an_op(monkeypatch):
     """A row the builder has never heard of is enough to plan an op."""
-    _assert_row_runs_alike(monkeypatch, "leaky", (mem_plan,))
+    _assert_row_runs_alike(monkeypatch, "leaky")
 
 
 @pytest.mark.parametrize("case", [c for c in ROW_CASES if c != "leaky"])
 def test_every_buffer_planning_row_runs_alike(monkeypatch, case):
-    _assert_row_runs_alike(monkeypatch, case, (True, False))
+    _assert_row_runs_alike(monkeypatch, case)
 
 
 @pytest.mark.parametrize("bias", [False, True])
@@ -373,8 +368,7 @@ LAYOUTS = {
 
 
 @pytest.mark.parametrize("build", list(LAYOUTS), ids=lambda v: v.__name__)
-def test_arena_layouts_are_the_recorded_ones(monkeypatch, build):
-    monkeypatch.setattr(workspace.config, "mem_plan", True)
+def test_arena_layouts_are_the_recorded_ones(build):
     model, hw, n = build()
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, 3, hw, hw)).astype(np.float32)

@@ -14,19 +14,12 @@ import pytest
 
 from repro.experiments.configs import QUICK, make_model
 from repro.nn import vgg11
-from repro.tensor import Tensor, functional as F, workspace
+from repro.tensor import Tensor, functional as F
 from repro.tensor import compile as C
 
 
 def _resnet32():
     return make_model("resnet32", "cifar10s", QUICK, seed=0)
-
-
-#: the engine settings a training plan is captured under
-SETTINGS = {
-    "default": {},
-    "mem_plan-off": {"mem_plan": False},
-}
 
 
 def _batch(rng, hw, n=8):
@@ -70,16 +63,12 @@ POISONED = {
 
 
 @pytest.mark.parametrize("name", POISONED)
-def test_a_poisoned_arena_changes_no_bit(name, monkeypatch):
-    """Every replay reads only plan bytes it wrote this step.  The arena
-    is the planner's, so the planner is pinned on whatever
-    ``REPRO_MEM_PLAN`` says."""
-    monkeypatch.setattr(workspace.config, "mem_plan", True)
+def test_a_poisoned_arena_changes_no_bit(name):
+    """Every replay reads only plan bytes it wrote this step."""
     build, hw = POISONED[name]
     model = build()
     rng = np.random.default_rng(0)
     plan = _capture(model, *_batch(rng, hw))
-    assert plan.mem_metrics() is not None
     for _ in range(3):
         x, y = _batch(rng, hw)
         eager = [_eager_step(model, x, y)] + _grads(model)
@@ -90,15 +79,13 @@ def test_a_poisoned_arena_changes_no_bit(name, monkeypatch):
         model.zero_grad()
 
 
-@pytest.mark.parametrize("setting", SETTINGS)
-def test_two_replays_without_zero_grad_accumulate_like_eager(setting):
+def test_two_replays_without_zero_grad_accumulate_like_eager():
     model, hw = _resnet32(), QUICK.hw
     rng = np.random.default_rng(0)
     batches = [_batch(rng, hw) for _ in range(2)]
-    with workspace.engine(**SETTINGS[setting]):
-        plan = _capture(model, *batches[0])
-        eager = [_eager_step(model, x, y) for x, y in batches]
-        eager += _grads(model)
-        model.zero_grad()
-        replayed = [plan.run(x, y)[0].copy() for x, y in batches]
-        _assert_bitwise(eager, replayed + _grads(model))
+    plan = _capture(model, *batches[0])
+    eager = [_eager_step(model, x, y) for x, y in batches]
+    eager += _grads(model)
+    model.zero_grad()
+    replayed = [plan.run(x, y)[0].copy() for x, y in batches]
+    _assert_bitwise(eager, replayed + _grads(model))

@@ -71,7 +71,7 @@ class TestOptIn:
         assert "_workspace" not in stats
         assert "_memplan" in stats
         for key in ("plans", "arena_bytes", "naive_bytes", "peak_bytes",
-                    "fallbacks", "live_arenas", "live_arena_bytes"):
+                    "live_arenas", "live_arena_bytes"):
             assert key in stats["_memplan"]
         PROFILER.reset()
 

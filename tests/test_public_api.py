@@ -1,7 +1,7 @@
 """Public API surface: everything the README documents must import and have
-docstrings, every engine switch must be in the README's table and in the
-plan signature, and only ``workspace.engine`` may write the engine config —
-a guard against silent API drift."""
+docstrings, every ``REPRO_*`` switch must be in the README's table, and the
+``workspace.config`` namespace the benchmark still writes is read by
+nothing — a guard against silent API drift."""
 
 import ast
 import dataclasses
@@ -87,11 +87,10 @@ def test_version_string():
 #: every ``REPRO_*`` variable ``src/`` reads.  A new one needs a row in the
 #: README's switch table and a line here — the configuration lattice the CI
 #: matrix has to keep honest grows with each.
-ENV_SWITCHES = {"REPRO_COMPILE_STEP", "REPRO_MEM_PLAN"}
+ENV_SWITCHES = {"REPRO_COMPILE_STEP"}
 
 
 def test_switch_lattice_is_closed():
-    from repro.tensor.workspace import EngineConfig
     root = pathlib.Path(__file__).resolve().parents[1]
     read = set()
     for path in (root / "src").rglob("*.py"):
@@ -102,20 +101,11 @@ def test_switch_lattice_is_closed():
     for name in ENV_SWITCHES:
         assert any(f"`{name}`" in row for row in table), \
             f"{name} has no row in README's switch table"
-    # every EngineConfig field is something a plan is specialised on: one
-    # signature entry per field, and flipping any one retires the plan
-    cfg = EngineConfig()
-    fields = dataclasses.fields(cfg)
-    assert len(cfg.plan_signature()) == len(fields) == 1
-    for f in fields:
-        flipped = dataclasses.replace(
-            cfg, **{f.name: not getattr(cfg, f.name)})
-        assert flipped.plan_signature() != cfg.plan_signature(), f.name
 
 
 #: every setting a training or serving caller can pass, by owner.  A knob
 #: that no shipped caller varies is a constant in its module instead; a new
-#: one means editing this pin, as ``EngineConfig``'s ``== 1`` above does.
+#: one means editing this pin.
 CONFIG_SURFACE = {
     "repro.train.TrainerConfig": (
         "epochs", "batch_size", "lr", "momentum", "weight_decay",
@@ -161,81 +151,111 @@ def test_configuration_surface_is_pinned():
         assert got == expected, qualname
 
 
-def _config_writes(tree):
-    """Lines of ``tree`` that assign to a field of ``workspace.config`` —
-    ``config.f = v``, ``ws.config.f += v`` or ``setattr(config, ...)`` —
-    whatever names the module imported the workspace or its config as."""
-    ws_names, cfg_names = set(), set()
+def _config_reads(tree, module_scope=False):
+    """Lines of ``tree`` that touch ``workspace.config`` — import it, or
+    name it as an attribute of the workspace module (``ws.config``,
+    ``repro.tensor.workspace.config``, ``getattr(ws, "config")``), whatever
+    names the module imported the workspace as.  ``module_scope``: the tree
+    is ``workspace.py`` itself, where any load of ``config`` counts."""
+    ws_names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            for a in node.names:
-                if a.name == "workspace":
-                    ws_names.add(a.asname or a.name)
-                elif a.name == "config" and \
-                        (node.module or "").endswith("workspace"):
-                    cfg_names.add(a.asname or a.name)
+            ws_names.update(a.asname or a.name for a in node.names
+                            if a.name == "workspace")
         elif isinstance(node, ast.Import):
             ws_names.update(a.asname for a in node.names
                             if a.asname and a.name.endswith(".workspace"))
 
-    def is_config(expr):
-        if isinstance(expr, ast.Name):
-            return expr.id in cfg_names
-        return (isinstance(expr, ast.Attribute) and expr.attr == "config"
-                and isinstance(expr.value, ast.Name)
-                and expr.value.id in ws_names)
+    def is_workspace(expr):
+        return ((isinstance(expr, ast.Name) and expr.id in ws_names)
+                or (isinstance(expr, ast.Attribute)
+                    and expr.attr == "workspace"))
 
     lines = []
     for node in ast.walk(tree):
-        targets = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id == "setattr" and node.args
-              and is_config(node.args[0])):
-            lines.append(node.lineno)
-        lines += [t.lineno for t in targets
-                  if isinstance(t, ast.Attribute) and is_config(t.value)]
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").endswith("workspace") and \
+                    any(a.name == "config" for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute):
+            if node.attr == "config" and is_workspace(node.value):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            if (isinstance(node.func, ast.Name) and node.func.id == "getattr"
+                    and len(node.args) > 1 and is_workspace(node.args[0])
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value == "config"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Name):
+            if module_scope and node.id == "config" and \
+                    isinstance(node.ctx, ast.Load):
+                lines.append(node.lineno)
     return lines
 
 
-def test_only_engine_pins_write_the_engine_config():
-    """``workspace.engine(...)`` is the one writer of ``workspace.config``:
-    no other module of ``src/`` assigns to one of its fields."""
+def test_nothing_reads_the_inert_engine_config():
+    """``workspace.config`` is a plain namespace kept only for
+    ``benchmarks/e2e``'s ladder, which writes ``mem_plan``,
+    ``parallel_replay`` and ``sparse_compute`` on it: no module of ``src/``
+    reads it, and writing any of them leaves a live plan valid, its arena
+    intact and its replay bit for bit the same."""
     root = pathlib.Path(__file__).resolve().parents[1] / "src"
-    writes = {}
+    reads = {}
     for path in root.rglob("*.py"):
         rel = path.relative_to(root).as_posix()
-        lines = _config_writes(ast.parse(path.read_text()))
-        if lines and rel != "repro/tensor/workspace.py":
-            writes[rel] = lines
-    assert writes == {}
+        lines = _config_reads(ast.parse(path.read_text()),
+                              rel == "repro/tensor/workspace.py")
+        if lines:
+            reads[rel] = lines
+    assert reads == {}
     # the guard sees every spelling it claims to
     probe = ast.parse("from ..tensor import workspace as _ws\n"
                       "from .workspace import config as c\n"
                       "import repro.tensor.workspace as w\n"
-                      "_ws.config.mem_plan = False\n"
-                      "c.mem_plan += 1\n"
-                      "setattr(c, 'mem_plan', 0)\n"
-                      "w.config.mem_plan: bool = True\n"
+                      "on = _ws.config.mem_plan\n"
+                      "w.config.sparse_compute = True\n"
+                      "getattr(_ws, 'config')\n"
+                      "repro.tensor.workspace.config\n"
                       "other.config.x = 1\n"
-                      "cfg = _ws.config\n")
-    assert sorted(_config_writes(probe)) == [4, 5, 6, 7]
+                      "_ws.configure()\n")
+    assert sorted(_config_reads(probe)) == [2, 4, 5, 6, 7]
+    assert _config_reads(ast.parse("config = 1\nx = config\n"), True) == [2]
+
+    from repro.nn import resnet20
+    from repro.tensor import compile as C
+    from repro.tensor import workspace
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
+    y = np.arange(4)
+    model = resnet20(10, width_mult=0.25, input_hw=8, seed=0)
+    plan, loss_t, _, reason = C.capture_training_step(model, x, y)
+    assert reason is None, reason
+    loss_t.backward()
+    arena, metrics = plan._mem.arena, plan.mem_metrics()
+    before = plan.run(x, y)[0].copy()
+    cfg = workspace.config
+    saved = vars(cfg).copy()
+    try:
+        cfg.mem_plan, cfg.parallel_replay, cfg.sparse_compute = \
+            False, True, True
+        assert plan.invalid_reason() is None
+        assert plan._mem.arena is arena and plan.mem_metrics() == metrics
+        assert np.array_equal(plan.run(x, y)[0], before)
+    finally:
+        vars(cfg).update(saved)
 
 
 #: ``PROFILER.summary()``'s counter entries and how many keys each reports
-SUMMARY_LAYOUT = {"_plans": 6, "_memplan": 10, "_comm": 5}
+SUMMARY_LAYOUT = {"_plans": 6, "_memplan": 8, "_comm": 5}
 
 
 def test_counters_keep_the_names_the_benchmark_reads():
     """``benchmarks/e2e/wl_train.py`` reads engine counters by attribute,
     and the summary's counter entries are what ``profile=True`` logs.
-    ``benchmarks/e2e/layer_probes.py`` also pins two inert names on
-    ``workspace.config``, calls ``sparse.publish``/``sparse.clear`` and
-    enters ``workspace.baseline_engine()``: they must stay settable,
-    callable and without effect on plans or on eager bits."""
+    ``benchmarks/e2e/layer_probes.py`` also calls
+    ``sparse.publish``/``sparse.clear`` and enters
+    ``workspace.baseline_engine()``: they must stay callable and without
+    effect on plans or on eager bits."""
     import repro.train  # noqa: F401  (imports every counter set)
     from repro.profiler import PROFILER
     from repro.tensor import compile as tcompile
@@ -253,18 +273,6 @@ def test_counters_keep_the_names_the_benchmark_reads():
               if key.startswith("_")}
     assert layout == SUMMARY_LAYOUT
 
-    cfg = workspace.config
-    sig = cfg.plan_signature()
-    for name in ("parallel_replay", "sparse_compute"):
-        saved = getattr(cfg, name)
-        try:
-            setattr(cfg, name, not saved)
-            assert cfg.plan_signature() == sig, name
-        finally:
-            setattr(cfg, name, saved)
-        with pytest.raises(TypeError):
-            with workspace.engine(**{name: True}):
-                pass
     gen = workspace.plan_generation()
     sparse.publish([(np.zeros((2, 2, 3, 3), np.float32),
                      np.zeros(2, bool), np.ones(2, bool))])
@@ -272,7 +280,7 @@ def test_counters_keep_the_names_the_benchmark_reads():
     assert workspace.plan_generation() == gen
 
     # baseline_engine(), which the ladder's "seed" rung enters, is inert: a
-    # context manager that restores the signature and moves no eager bit
+    # context manager that moves no eager bit
     from repro.nn import resnet20
     from repro.tensor import Tensor
     from repro.tensor import functional as F
@@ -288,7 +296,6 @@ def test_counters_keep_the_names_the_benchmark_reads():
     plain = eager_step()
     with workspace.baseline_engine():
         pinned = eager_step()
-    assert cfg.plan_signature() == sig
     assert all(np.array_equal(a, b) for a, b in zip(plain, pinned))
 
 

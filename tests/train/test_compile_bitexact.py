@@ -21,7 +21,6 @@ from repro.data import make_synthetic
 from repro.distributed import DynamicBatchAdjuster
 from repro.io import checkpoint_path
 from repro.nn import resnet20
-from repro.tensor import workspace
 from repro.tensor.compile import STATS
 from repro.train import PruneTrainConfig, PruneTrainTrainer
 
@@ -55,12 +54,10 @@ def _trainer(data, ckpt_dir, compile_step, **dist):
                              track_convs=("s0b0.conv1",))
 
 
-def _run(data, ckpt_dir, resume_from=None, **switches):
-    """Train the fixture trainer, compiled, under ``workspace.engine(
-    **switches)``; returns ``(trainer, log)``."""
+def _run(data, ckpt_dir, resume_from=None):
+    """Train the fixture trainer, compiled; returns ``(trainer, log)``."""
     t = _trainer(data, ckpt_dir, compile_step=True)
-    with workspace.engine(**switches):
-        return t, t.train(resume_from=resume_from)
+    return t, t.train(resume_from=resume_from)
 
 
 def _assert_velocities_identical(t1, t2):
@@ -76,10 +73,8 @@ def runs(data, tmp_path_factory):
                      compile_step=False)
     log_eager = eager.train()
     STATS.reset()
-    # mem_plan pinned on (not left to the REPRO_MEM_PLAN default): the
-    # planner-vs-off differential below must hold on every CI matrix leg
     compiled, log_compiled = _run(
-        data, str(tmp_path_factory.mktemp("compiled")), mem_plan=True)
+        data, str(tmp_path_factory.mktemp("compiled")))
     return eager, log_eager, compiled, log_compiled
 
 
@@ -118,27 +113,10 @@ class TestCompiledPruneTrainBitExact:
 
 
 class TestMemPlanBitExact:
-    """The memory planner changes *where* plan buffers live, never values.
-
-    The compiled run above already exercises planner-on (mem_plan pinned
-    on) across pruning, layer removal, batch growth, and
-    kill/resume; here the same schedule runs with the planner forced off
-    and every bit must agree — plus the planner-on run must actually have
-    planned (per-epoch arena metrics recorded).
-    """
-
-    @pytest.fixture(scope="class")
-    def planner_off(self, data, tmp_path_factory):
-        return _run(data, str(tmp_path_factory.mktemp("noplan")),
-                    mem_plan=False)
-
-    def test_planner_on_off_bit_identical(self, runs, planner_off):
-        _, log_eager, compiled, log_on = runs
-        off, log_off = planner_off
-        assert_logs_identical(log_on, log_off)
-        assert_logs_identical(log_eager, log_off)
-        assert_models_identical(compiled.model, off.model)
-        _assert_velocities_identical(compiled, off)
+    """The memory planner changes *where* plan buffers live, never values:
+    the compiled run above, bit-identical to the eager one across pruning,
+    layer removal, batch growth and kill/resume, planned every plan it
+    replayed (per-epoch arena metrics recorded)."""
 
     def test_planner_on_recorded_arena_metrics(self, runs):
         _, _, _, log_on = runs
@@ -152,21 +130,6 @@ class TestMemPlanBitExact:
         first, last = log_on.records[0], log_on.records[-1]
         assert (last.arena_bytes / last.batch_size
                 < first.arena_bytes / first.batch_size)
-
-    def test_planner_off_recorded_no_metrics(self, planner_off):
-        _, log_off = planner_off
-        assert all(r.arena_bytes == 0 for r in log_off.records)
-
-    def test_resume_across_planner_configs(self, runs, data, tmp_path):
-        """A checkpoint written by a planner-on run resumes bit-exactly in
-        a planner-off trainer: plan layout is not run state."""
-        eager, log_eager, compiled, _ = runs
-        ckpt = checkpoint_path(compiled.cfg.checkpoint_dir, 2)
-        resumed, log_res = _run(data, str(tmp_path / "res-noplan"),
-                                resume_from=ckpt, mem_plan=False)
-        assert_logs_identical(log_eager, log_res)
-        assert_models_identical(eager.model, resumed.model)
-        _assert_velocities_identical(eager, resumed)
 
 
 class TestCheckpointCompat:

@@ -15,7 +15,6 @@ from repro.costmodel import MemoryModel, iteration_memory_bytes
 from repro.data import make_synthetic
 from repro.distributed import DynamicBatchAdjuster
 from repro.nn import resnet20, resnet50_cifar, vgg11
-from repro.tensor import workspace
 from repro.train import (AMCLikeConfig, AMCLikePruner, OneTimeConfig,
                          OneTimeTrainer, PruneTrainConfig, PruneTrainTrainer,
                          RunLog, SSLConfig, SSLTrainer, Trainer,
@@ -80,30 +79,6 @@ class TestDenseTrainer:
         assert "1080ti" in rec.epoch_time_model
         assert 0 <= rec.val_acc <= 1
 
-    def test_train_never_writes_engine_config(self, data, monkeypatch):
-        """``workspace.config`` is the one place an engine switch is set
-        and ``workspace.engine(...)`` the way to pin one around a run: the
-        trainer reads it and never writes it, so a run under an unplanned
-        engine trains unplanned whatever the ``REPRO_*`` defaults say."""
-        train, val = data
-
-        def forbid(self, name, value):
-            raise AssertionError(f"Trainer.train() set config.{name}")
-
-        def run():
-            tr = Trainer(resnet20(10, width_mult=0.25, input_hw=8), train,
-                         val, TrainerConfig(**tiny_cfg(
-                             epochs=1, compile_step=True)))
-            with monkeypatch.context() as mp:
-                mp.setattr(workspace.EngineConfig, "__setattr__", forbid)
-                return tr.train().records
-
-        with workspace.engine(mem_plan=False):
-            assert all(r.arena_bytes == 0 for r in run())
-            with workspace.engine(mem_plan=True):
-                assert all(r.arena_bytes > 0 for r in run())
-            assert workspace.config.mem_plan is False
-
     def test_a_failed_capture_seals_one_attempt_per_key(self, data, capsys):
         """Capture fails closed on a model it cannot record.  The plan cache
         seals each failure per (train/eval, batch shape) key, so a 2-epoch
@@ -133,19 +108,6 @@ class TestDenseTrainer:
                  if "compile_step fallback:" in line]
         assert lines == [f"[dense] compile_step fallback: {UNRECORDED}"]
         assert_logs_identical(eager, compiled)
-
-    def test_engine_pin_restores_and_rejects_unknown_switches(self):
-        cfg = workspace.config
-        before = cfg.plan_signature()
-        with pytest.raises(RuntimeError, match="boom"):
-            with workspace.engine(mem_plan=not cfg.mem_plan):
-                assert cfg.plan_signature() != before
-                raise RuntimeError("boom")
-        assert cfg.plan_signature() == before
-        with pytest.raises(TypeError, match="no_such_switch"):
-            with workspace.engine(mem_plan=not cfg.mem_plan, no_such_switch=1):
-                pass
-        assert cfg.plan_signature() == before
 
     def test_profiled_run_that_raises_disables_profiler(self, data):
         """A profiled run that raises must not leave the process-wide
