@@ -22,17 +22,20 @@ semantics exactly —
   (reverse of the identical iterative DFS, captured at finalize time);
 - every input's gradient goes through one sink bound at build time, into
   its gradient slot or straight into a leaf's ``.grad``: the step's first
-  write keeps the kernel's array (copies it where the op's row does not
-  donate), later writes ``+=`` into it — the accumulation
-  ``Tensor._accumulate_donated`` / ``Tensor._accumulate`` perform.  A plan's
-  kernels hand over plan buffers or fresh arrays.
+  write keeps the kernel's array, later writes ``+=`` into it — the
+  accumulation ``Tensor._accumulate_donated`` performs.  A plan's kernels
+  hand over plan buffers or fresh arrays (every row donates), and a
+  ``None`` gradient is skipped, as eager skips it.
 
 Capture mechanics
 -----------------
 ``Tape`` installs itself as ``repro.tensor.tensor._TAPE``; each functional
-op then appends an execution record (``functional.apply_op`` for a row of
-``ops.table.OPS``, ``functional.conv2d`` for the conv — nothing else makes
-graph nodes).
+op then appends an execution record (``functional.apply_op``, the one maker
+of graph nodes, runs every op from its row of ``ops.table.OPS``), and the
+plan builder drives the same rows (``_PlanBuilder._from_row``).  A record is
+``(kind, inputs, out, attrs)`` with the attrs the eager driver passed: the
+conv's ``need_dx`` is decided by ``functional.conv2d`` at forward time, so
+the record carries it.
 ``Tensor.__init__`` reports every tensor created during capture, so an input
 produced by an *unhooked* op is recognized at finalize time and the capture
 fails closed — the trainer falls back to eager with a logged reason rather
@@ -239,6 +242,15 @@ def _drop(arr) -> None:
     """The gradient sink of an absent input or a leaf that takes none."""
 
 
+def _conv_form(rec: _Record) -> tuple:
+    """``(x_shape, w_shape, stride, padding, form)`` of a conv record: the
+    form its kernel set takes (``ops.conv.conv_form``)."""
+    (x, w, _), (stride, padding, _) = rec.inputs, rec.attrs
+    xs, ws = x.data.shape, w.data.shape
+    return (xs, ws, stride, padding,
+            _conv.conv_form(*xs[2:], *ws[2:], stride, padding, ws[0]))
+
+
 class Tape:
     """Records one eager step's op sequence for compilation into a plan.
 
@@ -260,7 +272,6 @@ class Tape:
         self._keepalive: List[Tensor] = []
         self._input_slots: List[int] = []
         self._n_slots = 0
-        self.failed_reason: Optional[str] = None
         self._active = False
 
     # -- capture lifecycle -------------------------------------------------
@@ -287,33 +298,12 @@ class Tape:
         self._fresh.add(id(t))
         self._keepalive.append(t)
 
-    def fail(self, reason: str) -> None:
-        if self.failed_reason is None:
-            self.failed_reason = reason
-
     def record(self, kind: str, inputs: tuple, out: Tensor, attrs) -> None:
-        """Hook from the functional layer: append one op invocation.
-
-        Must never raise into the forward pass — any internal problem marks
-        the tape failed and the trainer falls back to eager.
-        """
-        try:
-            if kind == "conv2d":
-                # Fold the eager backward's need_dx decision in at capture
-                # time (parents' _backward fields are still intact here,
-                # and reverse-topological execution means they still are
-                # when the eager closure would evaluate the same test).
-                x, weight, bias = inputs
-                stride, padding, first_layer = attrs
-                need_dx = (x.requires_grad or x._backward is not None) \
-                    and not first_layer
-                attrs = (stride, padding, need_dx)
-            rec = _Record(kind, inputs, out, attrs)
-            self.records.append(rec)
-            slot = self._new_slot(out)
-            self.rec_of[id(out)] = rec
-        except Exception as e:  # pragma: no cover - defensive
-            self.fail(f"record error: {e!r}")
+        """Hook from the functional layer: append one op invocation."""
+        rec = _Record(kind, inputs, out, attrs)
+        self.records.append(rec)
+        self._new_slot(out)
+        self.rec_of[id(out)] = rec
 
     def _new_slot(self, t: Tensor) -> int:
         slot = self._n_slots
@@ -335,8 +325,6 @@ class Tape:
         """
         if self._active:
             return None, "tape still active (exit the capture context first)"
-        if self.failed_reason is not None:
-            return None, self.failed_reason
         if id(loss) not in self.slot_of or id(logits) not in self.slot_of:
             return None, "loss/logits were not produced by recorded ops"
         loss_rec = self.rec_of.get(id(loss))
@@ -371,8 +359,6 @@ class Tape:
         """
         if self._active:
             return None, "tape still active (exit the capture context first)"
-        if self.failed_reason is not None:
-            return None, self.failed_reason
         if id(logits) not in self.slot_of:
             return None, "logits were not produced by recorded ops"
         try:
@@ -435,6 +421,8 @@ class Tape:
         plan._logits_slot = self.slot_of[id(logits)]
         plan._loss_slot = self.slot_of[id(loss)] if loss is not None else -1
         plan._leaf_shapes = builder.leaf_shapes()
+        plan._conv_forms = [_conv_form(rec) for rec in self.records
+                            if rec.kind == "conv2d"]
         plan._n_ops = len(self.records)
         plan._mem = mem
         return plan
@@ -464,9 +452,9 @@ class _PlanBuilder:
     # -- the per-record allocator ------------------------------------------
     def _allocator(self, rec: _Record, alias: Tuple[int, ...] = ()):
         """``alloc(shape, tag, phase, dtype=None)`` for ``rec``: the one way a
-        thunk's buffers are requested, by the conv's kernel set and by table
-        rows alike.  ``phase`` names the buffer class, which fixes its
-        liveness interval on the step timeline (:class:`_Lifetimes`):
+        thunk's buffers are requested, by every row's ``buffers`` stage.
+        ``phase`` names the buffer class, which fixes its liveness interval
+        on the step timeline (:class:`_Lifetimes`):
 
         - ``"out"`` — the output value, from this forward to the last
           forward/backward that reads it; it overwrites the first input in
@@ -545,27 +533,25 @@ class _PlanBuilder:
             return lambda: values[slot]
         return lambda: leaf.data
 
-    def _leaf(self, t: Optional[Tensor]) -> Optional[Tensor]:
-        """Require a parameter-style input to be a graph leaf."""
+    def _param(self, t: Optional[Tensor]) -> Optional[np.ndarray]:
+        """The array of a parameter input (a row's ``params``), bound once:
+        it must be a graph leaf, or the capture fails closed."""
         if t is None:
             return None
         slot, leaf = self._resolve(t)
         if slot is not None:
             raise _CaptureError("parameter input is not a graph leaf")
-        return leaf
+        return leaf.data
 
     # -- the gradient sink ---------------------------------------------------
-    def _sink(self, t: Optional[Tensor], donate: bool = True
-              ) -> Callable[[np.ndarray], None]:
+    def _sink(self, t: Optional[Tensor]) -> Callable[[np.ndarray], None]:
         """Where a backward kernel's gradient toward input ``t`` goes: its
         gradient slot, or a leaf's ``.grad`` itself.  The step's first write
-        keeps the array — a copy unless ``donate`` (the row's flag: the
-        kernel may hand back ``g`` itself, or one array to two inputs) —
-        and later writes ``+=`` into it, as ``Tensor._accumulate_donated``
-        and ``Tensor._accumulate`` do.  Keeping is sound because a kernel
-        hands a plan either a plan buffer live until the slot's consumer
-        has read it or a fresh array.  An absent input, or a leaf that takes
-        no gradient, drops it."""
+        keeps the array and later writes ``+=`` into it, as
+        ``Tensor._accumulate_donated`` does.  Keeping is sound because every
+        row donates: a kernel hands a plan either a plan buffer live until
+        the slot's consumer has read it or a fresh array.  An absent input,
+        or a leaf that takes no gradient, drops it."""
         if t is None:
             return _drop
         slot, leaf = self._resolve(t)
@@ -575,7 +561,7 @@ class _PlanBuilder:
 
             def sink(arr: np.ndarray) -> None:
                 if leaf.grad is None:
-                    leaf.grad = arr if donate else arr.copy()
+                    leaf.grad = arr
                 else:
                     leaf.grad += arr
             return sink
@@ -584,7 +570,7 @@ class _PlanBuilder:
         def sink(arr: np.ndarray) -> None:
             g0 = grads[slot]
             if g0 is None:
-                grads[slot] = arr if donate else arr.copy()
+                grads[slot] = arr
             else:
                 g0 += arr
         return sink
@@ -595,11 +581,11 @@ class _PlanBuilder:
     # -- thunk builders ----------------------------------------------------
     # A builder maps plan buffers, value/gradient slots and sinks onto
     # kernels stated under ``repro.tensor.ops`` -- the same ones the eager
-    # layer runs.  It defines no arithmetic of its own.  There are two: the
-    # row driver, for every op of ``ops.table.OPS``, and the conv's.
+    # layer runs.  It defines no arithmetic of its own.  There is one: the
+    # row driver, for every op of ``ops.table.OPS``.
     def build(self, rec: _Record):
         """``(fwd, bwd)`` thunks of one record: from ``_build_<kind>`` where
-        one exists (the conv, the loss), else from the op's table row."""
+        one exists (the loss), else from the op's table row."""
         builder = getattr(self, "_build_" + rec.kind, None)
         if builder is not None:
             return builder(rec)
@@ -611,46 +597,52 @@ class _PlanBuilder:
     def _from_row(self, rec: _Record, op: "_table.Op", attrs: list):
         """The row driver: thunks derived from a table row.
 
-        The row's build-time stage, if it has one, requests the buffers
-        through this record's allocator, and both kernels get what it
-        returned (``None`` without a stage).  The forward's output is the
-        slot value, what it saves rides in the slot's ctx, and each input's
-        gradient goes to its :meth:`_sink`, donated or copied as the row says
-        (an absent optional input reads ``None`` and drops its gradient).
-        ``attrs`` is a one-element box read per step (the loss's targets
-        change every step; everything else is static).
+        The row's ``params`` are bound once (:meth:`_param`); every other
+        input is read per step.  The row's build-time stage, if it has one,
+        requests the buffers through this record's allocator, and both
+        kernels get what it returned (``None`` without a stage).  The
+        forward's output is the slot value, what it saves rides in the
+        slot's ctx, and each input's gradient goes to its :meth:`_sink` (a
+        ``None`` gradient is skipped).  ``attrs`` is a one-element box read
+        per step (the loss's targets change every step; everything else is
+        static).
         """
-        readers = [self._reader(t) for t in rec.inputs]
+        inputs = rec.inputs
+        n_read = len(inputs) - len(op.params)
+        readers = [self._reader(t) for t in inputs[:n_read]]
+        params = tuple(self._param(t) for t in inputs[n_read:])
         bufs = None
         if op.buffers is not None:
             bufs = op.buffers(
-                [None if t is None else t.data.shape for t in rec.inputs],
-                [None if t is None else t.data.dtype for t in rec.inputs],
-                attrs[0], self.keep_ctx, self.row_stable,
+                [None if t is None else t.data.shape for t in inputs],
+                [None if t is None else t.data.dtype for t in inputs],
+                params, attrs[0], self.keep_ctx, self.row_stable,
                 self._allocator(rec, op.alias))
         o = self.tape.slot_of[id(rec.out)]
         values, ctxs, grads = (self.plan._values, self.plan._ctxs,
                                self.plan._grads)
-        forward, backward = op.forward, op.backward
-        if not self.keep_ctx:
+        forward, backward, save = op.forward, op.backward, self.keep_ctx
+        if n_read == 1:     # the conv, pools, ReLU: no per-step argument list
+            rd, = readers
+
             def fwd() -> None:
-                values[o] = forward(*[rd() for rd in readers], attrs[0],
-                                    False, bufs)[0]
+                values[o], ctxs[o] = forward(rd(), *params, attrs[0], save,
+                                             bufs)
+        else:
+            def fwd() -> None:
+                values[o], ctxs[o] = forward(*[r() for r in readers],
+                                             *params, attrs[0], save, bufs)
+        if not save:
             return fwd, None
-
-        def fwd() -> None:
-            values[o], ctxs[o] = forward(*[rd() for rd in readers],
-                                         attrs[0], True, bufs)
-
-        sinks = [self._sink(t, donate)
-                 for t, donate in zip(rec.inputs, op.donate)]
+        sinks = [self._sink(t) for t in inputs]
 
         def bwd() -> None:
             g = grads[o]
             if g is None:
                 return
             for sink, dg in zip(sinks, backward(g, ctxs[o], attrs[0], bufs)):
-                sink(dg)
+                if dg is not None:
+                    sink(dg)
             ctxs[o] = None
             grads[o] = None
         return fwd, bwd
@@ -659,79 +651,6 @@ class _PlanBuilder:
         # The table row, with the step's targets in place of the captured.
         return self._from_row(rec, _table.OPS["cross_entropy"],
                               self.plan._tbox)
-
-    def _build_conv2d(self, rec: _Record):
-        """Conv thunks over :class:`repro.tensor.ops.conv.ConvKernels`.
-
-        This is where the plan beats eager on kernel-bound steps: every
-        staging buffer the eager kernel allocates per call (padded input,
-        column tensor, output, dx) becomes a plan-owned array allocated once
-        at capture, and every ``sliding_window_view`` / weight-reshape /
-        transpose is precomputed as a view over those stable buffers.
-        Replay performs the identical numpy operations on identical values
-        (interiors and GEMM outputs are fully overwritten each step), so
-        results stay bit-exact while the per-step view construction and
-        allocation disappear.  The kernel set states the lowering, RxS and
-        1x1 alike; this builder supplies its buffers and wires the kernels
-        to the plan's slots and sinks.
-        """
-        x, weight, bias = rec.inputs
-        stride, padding, need_dx = rec.attrs
-        rd_x = self._reader(x)
-        w_t = self._leaf(weight)
-        b_t = self._leaf(bias)
-        n = x.data.shape[0]
-        k = weight.data.shape[0]
-        dtype = x.data.dtype
-        o = self.tape.slot_of[id(rec.out)]
-        values, grads = self.plan._values, self.plan._grads
-
-        alloc = self._allocator(rec)
-        ks = _conv.ConvKernels(
-            x.data.shape, w_t.data, stride, padding, dtype, alloc,
-            bias=b_t.data if b_t is not None else None,
-            remat=True, backward=self.keep_ctx,
-            row_stable=self.row_stable and not self.keep_ctx)
-        if self.keep_ctx:
-            ks.backward(alloc, need_dx)
-        self.plan._conv_forms.append((x.data.shape, w_t.data.shape, stride,
-                                      padding, ks.form))
-        conv, y4 = ks.fwd, ks.y4
-
-        def fwd() -> None:
-            conv(rd_x())
-            values[o] = y4
-        if not self.keep_ctx:
-            return fwd, None
-
-        weight_grad, input_grad, stage = ks.dw, ks.dx, ks.stage_dy
-        sink_w, sink_b = self._sink(weight), self._sink(bias)
-
-        def dw_part(g: np.ndarray) -> None:
-            sink_w(weight_grad(rd_x(), g.reshape(n, k, -1)))
-            if b_t is not None:
-                sink_b(ks.db(g))
-
-        dx_part = None
-        if need_dx:
-            sink_x = self._sink(x)
-
-            def dx_part(g: np.ndarray) -> None:
-                sink_x(input_grad(g))
-
-        # dw/db first: the arena may lay the phase-"b" dx staging over the
-        # weight-gradient scratch.  Then the output-grad slot retires.
-        def bwd() -> None:
-            g = grads[o]
-            if g is None:
-                return
-            if stage is not None:
-                stage(g)
-            dw_part(g)
-            if dx_part is not None:
-                dx_part(g)
-            grads[o] = None
-        return fwd, bwd
 
 
 class StepPlan:
@@ -918,13 +837,11 @@ class StepPlan:
         if self._released:
             raise RuntimeError("cannot replay a released plan")
         t0 = time.perf_counter()
-        values = self._values
-        values[self._input_slot] = x
+        self._values[self._input_slot] = x
         for f in self._fwd:
             f()
-        logits = values[self._logits_slot]
-        for i in range(self.n_slots):
-            values[i] = None
+        logits = self._values[self._logits_slot]
+        self._drop_step_refs()
         STATS.replays += 1
         STATS.replay_seconds += time.perf_counter() - t0
         return logits

@@ -4,24 +4,21 @@ Each function takes and returns :class:`~repro.tensor.tensor.Tensor` objects
 and records the backward closure on the output node.  These are the
 primitives the ``repro.nn`` layer classes call.
 
-The numerics live in ``repro.tensor.ops`` and are stated there once, and
-this layer has two drivers of them: :func:`apply_op`, which runs any op from
-its row of :data:`repro.tensor.ops.table.OPS` (batch-norm, ReLU,
-add-ReLU, linear, pools, channel gather/scatter, the loss — every wrapper
-below but one is a call to it), and :func:`conv2d`, which drives the conv's
-kernel set (:class:`repro.tensor.ops.conv.ConvKernels`).  Only those two
-build graph nodes or write capture records; ``Tensor`` itself has no ops.
+The numerics live in ``repro.tensor.ops`` and are stated there once, each op
+as one row of :data:`repro.tensor.ops.table.OPS`, and this layer has one
+driver of them: :func:`apply_op`, which runs any op from its row.  Every
+wrapper below is a call to it, and it alone builds graph nodes or writes
+capture records; ``Tensor`` itself has no ops.
 
 This layer owns three cross-cutting concerns of the engine:
 
-- **Gradient ownership.**  Every kernel allocates fresh arrays, so a
-  kernel-produced gradient is *donated* to the receiving tensor
+- **Gradient ownership.**  Every kernel allocates fresh arrays, so every
+  gradient a row's backward returns is *donated* to the receiving tensor
   (``Tensor._accumulate_donated``): the array itself becomes the gradient,
-  no first-touch copy.  A row whose ``donate`` flag is false (the channel
-  gather/scatter of the gating baseline) has the receiver copy instead
-  (``Tensor._accumulate``).
+  no first-touch copy.  A ``None`` gradient (an input that takes none) is
+  skipped.
 
-- **Op-level profiling.**  Both drivers bracket every op with
+- **Op-level profiling.**  :func:`apply_op` brackets every op with
   ``repro.profiler.PROFILER`` guards (``<kind>_fwd`` / ``<kind>_bwd``); the
   disabled cost is one attribute check per call.
 
@@ -40,7 +37,6 @@ import numpy as np
 
 from ..profiler import PROFILER as _P
 from . import tensor as _tensor_mod
-from .ops import conv as _conv
 from .ops.table import OPS
 from .tensor import Tensor, grad_enabled
 
@@ -49,8 +45,8 @@ def apply_op(kind: str, inputs: Tuple[Optional[Tensor], ...],
              attrs=None) -> Tensor:
     """Run the op ``kind`` eagerly, as its row of
     :data:`repro.tensor.ops.table.OPS` states it: the forward kernel over the
-    inputs' arrays, a backward closure that routes the backward kernel's
-    gradients (donated or copied per input, as the row says), a
+    inputs' arrays, a backward closure that donates each gradient of the
+    backward kernel to its input (skipping a ``None`` one), a
     ``<kind>_fwd`` / ``<kind>_bwd`` profiler bracket, and a capture record
     under the same name — which is all a compiled plan needs to replay the
     op from the same row.  An absent optional input (``bias=None``) reaches
@@ -71,10 +67,9 @@ def apply_op(kind: str, inputs: Tuple[Optional[Tensor], ...],
         prof = _P.enabled
         if prof:
             t0 = time.perf_counter()
-        for t, donate, dg in zip(inputs, op.donate,
-                                 op.backward(g, saved, attrs, None)):
-            if t is not None:
-                (t._accumulate_donated if donate else t._accumulate)(dg)
+        for t, dg in zip(inputs, op.backward(g, saved, attrs, None)):
+            if dg is not None:
+                t._accumulate_donated(dg)
         if prof:
             _P.add(kind + "_bwd", time.perf_counter() - t0, 0)
 
@@ -102,47 +97,11 @@ def add_relu(a: Tensor, b: Tensor) -> Tensor:
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
            stride: int = 1, padding: int = 0, first_layer: bool = False
            ) -> Tensor:
-    """2-D convolution, NCHW.  ``first_layer`` skips dx for the input layer."""
-    prof = _P.enabled
-    if prof:
-        t0 = time.perf_counter()
-    y, ctx = _conv.conv2d_forward(
-        x.data, weight.data, bias.data if bias is not None else None,
-        stride, padding)
-    if prof:
-        _P.add("conv2d_fwd", time.perf_counter() - t0, y.nbytes)
-    if not grad_enabled():
-        out = Tensor(y)
-        if _tensor_mod._TAPE is not None:
-            _tensor_mod._TAPE.record("conv2d", (x, weight, bias), out,
-                                     (stride, padding, first_layer))
-        return out
-    x_shape = x.data.shape
-    w_data = weight.data
-    parents = (x, weight) + ((bias,) if bias is not None else ())
-
-    def backward(g: np.ndarray) -> None:
-        prof = _P.enabled
-        if prof:
-            t0 = time.perf_counter()
-        need_dx = x.requires_grad or x._backward is not None
-        dx, dw, db = _conv.conv2d_backward(
-            g, ctx, x_shape, w_data, stride, padding,
-            need_dx=need_dx and not first_layer,
-            need_db=bias is not None)
-        if dx is not None:
-            x._accumulate_donated(dx)
-        weight._accumulate_donated(dw)
-        if bias is not None:
-            bias._accumulate_donated(db)
-        if prof:
-            _P.add("conv2d_bwd", time.perf_counter() - t0, dw.nbytes)
-
-    out = Tensor._make(y, parents, backward)
-    if _tensor_mod._TAPE is not None:
-        _tensor_mod._TAPE.record("conv2d", (x, weight, bias), out,
-                                 (stride, padding, first_layer))
-    return out
+    """2-D convolution, NCHW.  ``first_layer`` skips dx for the input layer,
+    as does an input that takes no gradient (decided here, at forward time:
+    the record a plan is built from carries the decision)."""
+    return apply_op("conv2d", (x, weight, bias),
+                    (stride, padding, x.requires_grad and not first_layer))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:

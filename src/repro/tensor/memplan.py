@@ -168,7 +168,7 @@ class MemPlanner:
         # pass 2 — the builder runs again in *serve* mode: alloc() replays
         # the recorded request sequence and hands out the arena views
         ... builder pass 2 ...
-        mem.finish()         # asserts pass 2 consumed every request
+        mem.finish()         # asserts pass 2 took every request; books STATS
 
     The two passes must make identical requests (the builder is a pure
     function of the captured tape); any divergence raises
@@ -327,19 +327,21 @@ class MemPlanner:
             "peak_bytes": float(self.peak_bytes),
             "alias_buffers": float(self.alias_buffers),
             "savings": _savings(self.arena_bytes, naive)}
-        STATS.plans += 1
-        STATS.solve_seconds += self.solve_seconds
-        STATS.arena_bytes = self.arena_bytes
-        STATS.naive_bytes = naive
-        STATS.peak_bytes = self.peak_bytes
-        STATS.alias_buffers = self.alias_buffers
 
     def finish(self) -> None:
-        """Assert the serve pass consumed exactly the recorded requests."""
+        """Assert the serve pass consumed exactly the recorded requests,
+        then book the plan in :data:`STATS` — only a plan that is kept
+        counts, never one whose capture fails closed."""
         if self.serving and self._cursor != len(self.slabs):
             raise PlanError(
                 f"serve pass consumed {self._cursor} of "
                 f"{len(self.slabs)} planned buffers")
+        STATS.plans += 1
+        STATS.solve_seconds += self.solve_seconds
+        STATS.arena_bytes = self.arena_bytes
+        STATS.naive_bytes = self.naive_bytes
+        STATS.peak_bytes = self.peak_bytes
+        STATS.alias_buffers = self.alias_buffers
 
     def release(self) -> None:
         """Drop the arena, its handle, and every slab view.

@@ -1,14 +1,14 @@
 """Vectorized 2-D convolution kernels.
 
 A *gather-once, GEMM-everywhere* lowering, stated once as the kernel set
-:class:`ConvKernels` and driven three ways: per call by eager
+:class:`ConvKernels` and driven two ways by the conv's row of
+:data:`repro.tensor.ops.table.OPS`: per call by eager
 :func:`conv2d_forward` / :func:`conv2d_backward` (fresh arrays, as NumPy
-allocates them) and once per plan by the plan builder
-(:mod:`repro.tensor.compile`, buffers from the plan's arena).  A conv takes
-one of four forms, each one class, looked up in :data:`FORMS` by
-:func:`conv_form` of its geometry: the window gather
-(:class:`_GatherKernels`), the 1x1 case (:class:`_PointwiseKernels` — over
-half the layers of a bottleneck ResNet), the unrolled form for maps no
+allocates them) and once per plan by the row's build-time stage (buffers
+from the plan's arena).  A conv takes one of four forms, each one class,
+looked up in :data:`FORMS` by :func:`conv_form` of its geometry: the window
+gather (:class:`_GatherKernels`), the 1x1 case (:class:`_PointwiseKernels` —
+over half the layers of a bottleneck ResNet), the unrolled form for maps no
 larger than the filter window (:class:`_UnrolledKernels` — the tail of a
 CIFAR VGG, the last stage of a small-input ResNet) and the span form for
 narrow stride-1 same-size convs on larger maps (:class:`_SpanKernels` — the
@@ -305,8 +305,8 @@ class _DwGemm:
 class ConvKernels:
     """The conv lowering as kernels over caller-supplied buffers:
     each form stated once, driven by eager :func:`conv2d_forward` /
-    :func:`conv2d_backward` and by the plan builder
-    (:mod:`repro.tensor.compile`).  ``ConvKernels(...)`` builds the class
+    :func:`conv2d_backward` and by the conv row's plan stage
+    (:mod:`repro.tensor.ops.table`).  ``ConvKernels(...)`` builds the class
     :data:`FORMS` registers under :func:`conv_form` of the geometry;
     :attr:`form` names it.
 
@@ -323,7 +323,7 @@ class ConvKernels:
     gradient.  ``db(g)`` is the bias gradient.
     A form whose ``dw`` and ``dx`` read common staging of ``dy`` builds
     ``stage_dy(g)`` as well, to run before both; it is ``None`` wherever the
-    two share nothing.
+    two share nothing.  :meth:`grads` runs the second stage, in both drivers.
     ``phase`` names a buffer's lifetime, which each driver maps to storage:
 
     ========  ===========================================  ==================
@@ -392,6 +392,20 @@ class ConvKernels:
     def db(g: np.ndarray) -> np.ndarray:
         """Bias gradient of ``dy (N, K, Ho, Wo)``, a fresh array."""
         return g.sum(axis=(0, 2, 3))
+
+    def grads(self, x: np.ndarray, g: np.ndarray, need_dx: bool,
+              need_db: bool) -> Tuple[Optional[np.ndarray], np.ndarray,
+                                      Optional[np.ndarray]]:
+        """``(dx, dw, db)`` of ``dy = g`` and the forward's input ``x``
+        (``None`` where ``need_dx`` / ``need_db`` is false), computed in the
+        one order ``stage_dy``, ``dw``, ``db``, ``dx``: a plan's arena may
+        lay the ``dx`` staging over the ``dw`` scratch."""
+        if self.stage_dy is not None:
+            self.stage_dy(g)
+        n, k = g.shape[:2]
+        dw = self.dw(x, g.reshape(n, k, -1))
+        db = self.db(g) if need_db else None
+        return (self.dx(g) if need_dx else None), dw, db
 
 
 class _GatherKernels(ConvKernels):
@@ -914,13 +928,7 @@ def conv2d_backward(dy: np.ndarray, ctx,
     which knows the geometry the other arguments restate.
     """
     ctx.backward(ctx.alloc, need_dx)
-    if ctx.stage_dy is not None:
-        ctx.stage_dy(dy)
-    n, k = dy.shape[:2]
-    dw = ctx.dw(ctx.x, dy.reshape(n, k, -1))
-    db = ctx.db(dy) if need_db else None
-    dx = ctx.dx(dy) if need_dx else None
-    return dx, dw, db
+    return ctx.grads(ctx.x, dy, need_dx, need_db)
 
 
 def release_ctx(ctx) -> None:

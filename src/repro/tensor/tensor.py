@@ -3,8 +3,8 @@
 A :class:`Tensor` holds an array, its gradient and, when it is an op's
 output, references to its parents and a closure that accumulates gradients
 into them.  It defines no operator of its own: every op is a row of
-:data:`repro.tensor.ops.table.OPS` or the convolution, both run by
-:mod:`repro.tensor.functional`, which builds the nodes through
+:data:`repro.tensor.ops.table.OPS`, run by
+:func:`repro.tensor.functional.apply_op`, which builds the nodes through
 :meth:`Tensor._make`.  Calling :meth:`Tensor.backward` runs a topological
 sort over the recorded graph and invokes the closures in reverse order.
 

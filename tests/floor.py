@@ -101,8 +101,13 @@ CASES = {
 }
 
 
-if __name__ == "__main__":
-    for name in sys.argv[1:] or CASES:
+def lines(cases=tuple(CASES)):
+    """``(case, python calls, C calls)`` per named case, in order."""
+    for name in cases:
         workspace.invalidate()
-        py, c = count(*CASES[name]())
+        yield (name, *count(*CASES[name]()))
+
+
+if __name__ == "__main__":
+    for name, py, c in lines(sys.argv[1:] or tuple(CASES)):
         print(f"{name} python={py} c={c}")

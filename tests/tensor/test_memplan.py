@@ -251,6 +251,27 @@ class TestCompileIntegration:
         assert_logs_identical(log_eager, log_stepped)
         assert_models_identical(eager.model, stepped.model)
 
+    def test_a_capture_failing_at_finish_books_no_plan(self, monkeypatch):
+        """``finish()`` runs after the arena is materialized; a capture that
+        fails closed there counts a fallback and no plan: every memplan
+        counter keeps its value."""
+        import dataclasses
+        from repro.tensor import compile as C, memplan
+
+        def boom(self):
+            raise PlanError("forced")
+
+        self._capture(seed=1)               # a plan booked before
+        monkeypatch.setattr(memplan.MemPlanner, "finish", boom)
+        booked = dataclasses.asdict(STATS)
+        fallbacks = C.STATS.fallbacks
+        x, y = _batch(np.random.default_rng(3))
+        plan, loss_t, _, reason = capture_training_step(_model(), x, y)
+        assert (plan, reason) == (None, "memory plan: forced")
+        assert dataclasses.asdict(STATS) == booked
+        assert C.STATS.fallbacks == fallbacks + 1
+        loss_t.backward()
+
     def test_capture_books_every_solve(self, monkeypatch):
         """A capture solves its layout once and ``STATS.solve_seconds``
         books it.  A solve reads the fake clock twice, so it books exactly

@@ -1,13 +1,14 @@
 """The plan builder binds kernels it does not define.
 
-Guards on that design: every op but the conv is one table row, a row
-alone runs an op eager, captured, replayed and planned alike (an op with
-neither a row nor a builder fails capture closed), and every row is one a
-shipped model runs; the builder has two drivers and ``functional`` two,
-the only node and record makers in the package; ``_PlanBuilder`` contains
-no NumPy arithmetic; and rebinding the builder to shared kernels moved no
-byte of any plan's arena — the layouts below were recorded at the commit
-before the kernels were shared.
+Guards on that design: every op, the conv included, is one table row, a
+row alone runs an op eager, captured, replayed and planned alike (an op
+with neither a row nor a builder fails capture closed), and every row is
+one a shipped model runs; the builder has one driver, apart from the loss's
+per-step targets, and ``functional`` one, ``apply_op``, the only node and
+record maker in the package; ``_PlanBuilder`` contains no NumPy arithmetic;
+and rebinding the builder to shared kernels moved no byte of any plan's
+arena — the layouts below were recorded at the commit before the kernels
+were shared.
 """
 
 import ast
@@ -112,7 +113,7 @@ def _assert_row_runs_alike(monkeypatch, case):
     """Eager, the capturing step, a replay and a timed replay agree bit for
     bit, and the op shows up in ``replay_timed`` under its kind."""
     kind, op, bias = ROW_CASES[case]
-    monkeypatch.setitem(OPS, "leaky", Op(_leaky_fwd, _leaky_bwd, (True,)))
+    monkeypatch.setitem(OPS, "leaky", Op(_leaky_fwd, _leaky_bwd))
     net = _ToyNet(op, bias)
     x, y = _toy_batch()
     loss = F.cross_entropy(net(Tensor(x)), y)
@@ -171,21 +172,108 @@ def test_an_op_with_neither_row_nor_builder_fails_capture_closed():
     loss_t.backward()                   # the eager step still completes
 
 
-# -- two drivers, no arithmetic in the builder ------------------------------------
+# -- the conv's need_dx is decided at forward time --------------------------------
 
-def test_only_the_conv_and_the_loss_have_builders_of_their_own():
-    """Every other op is driven from its table row by ``_from_row``."""
+def _two_convs(first, second):
+    """conv -> ReLU -> conv -> pool -> linear, the convs' ``first_layer``
+    flags as given; returns the net and its weights."""
+    rng = np.random.default_rng(0)
+    w1, w2, fc = [Tensor(a.astype(np.float32), requires_grad=True)
+                  for a in (rng.standard_normal((4, 3, 3, 3)) * 0.3,
+                            rng.standard_normal((4, 4, 3, 3)) * 0.3,
+                            rng.standard_normal((4, 4)) * 0.3)]
+
+    def net(x):
+        h = F.relu(F.conv2d(x, w1, None, 1, 1, first_layer=first))
+        h = F.conv2d(h, w2, None, 1, 1, first_layer=second)
+        return F.linear(F.global_avg_pool(h), fc, None)
+    return net, (w1, w2, fc)
+
+
+def _dx_requests(monkeypatch):
+    """id(conv weight) -> how many phase-``"dx"`` buffers that conv's
+    stage requests, over both builder passes of every capture."""
+    counts = collections.Counter()
+    real = C._PlanBuilder._allocator
+
+    def allocator(self, rec, alias=()):
+        alloc = real(self, rec, alias)
+
+        def logged(shape, tag, phase, dtype=None):
+            if rec.kind == "conv2d":
+                counts[id(rec.inputs[1])] += phase == "dx"
+            return alloc(shape, tag, phase, dtype)
+        return logged
+    monkeypatch.setattr(C._PlanBuilder, "_allocator", allocator)
+    return counts
+
+
+def test_a_conv_on_an_input_without_gradient_computes_no_dx(monkeypatch):
+    """Not a first layer, but its input takes no gradient: eager leaves
+    ``x.grad`` unset, and the plan requests no ``dx`` buffer for it (the
+    conv after it, on an activation, requests one)."""
+    counts = _dx_requests(monkeypatch)
+    net, (w1, w2, fc) = _two_convs(False, False)
+    x, y = _toy_batch()
+    xt = Tensor(x)
+    F.cross_entropy(net(xt), y).backward()
+    assert xt.grad is None
+    eager = [w.grad for w in (w1, w2, fc)]
+    for w in (w1, w2, fc):
+        w.grad = None
+    plan, loss_t, _, reason = C.capture_training_step(net, x, y)
+    assert reason is None, reason
+    loss_t.backward()
+    assert counts[id(w1)] == 0 and counts[id(w2)] > 0
+    for w in (w1, w2, fc):
+        w.grad = None
+    plan.run(x, y)
+    for w, g in zip((w1, w2, fc), eager):
+        assert np.array_equal(w.grad, g)
+
+
+def test_a_first_layer_skips_dx_on_an_input_with_gradient(monkeypatch):
+    """``first_layer`` wins over an input that takes a gradient: neither
+    driver computes ``dx`` (so nothing upstream gets a gradient), and a
+    second backward without ``zero_grad`` runs and accumulates."""
+    counts = _dx_requests(monkeypatch)
+    net, (w1, w2, fc) = _two_convs(True, True)
+    x, y = _toy_batch()
+    xt = Tensor(x, requires_grad=True)
+    for _ in range(2):
+        F.cross_entropy(net(xt), y).backward()
+    assert xt.grad is None and w1.grad is None
+    eager = [w2.grad, fc.grad]
+    w2.grad = fc.grad = None
+    plan, loss_t, _, reason = C.capture_training_step(net, x, y)
+    assert reason is None, reason
+    loss_t.backward()
+    assert sum(counts.values()) == 0
+    w2.grad = fc.grad = None
+    for _ in range(2):
+        plan.run(x, y)
+    assert w1.grad is None
+    for w, g in zip((w2, fc), eager):
+        assert np.array_equal(w.grad, g)
+
+
+# -- one driver each, no arithmetic in the builder --------------------------------
+
+def test_only_the_loss_has_a_builder_of_its_own():
+    """Every other op, the conv included, is driven from its table row by
+    ``_from_row``; the loss's builder only swaps in the step's targets."""
     tree = ast.parse(inspect.getsource(C._PlanBuilder))
     builders = {node.name for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef)
                 and node.name.startswith("_build_")}
-    assert builders == {"_build_conv2d", "_build_cross_entropy"}
+    assert builders == {"_build_cross_entropy"}
 
 
-def test_only_apply_op_and_conv2d_make_nodes_or_records():
+def test_only_apply_op_makes_nodes_or_records():
     """Nothing under ``src/repro`` builds a graph node or writes a capture
-    record but the two functional drivers: the eager wrappers of table ops
-    are thin ``apply_op`` calls, and ``Tensor`` has no ops of its own."""
+    record but the one functional driver: every eager wrapper, the conv's
+    included, is a thin ``apply_op`` call, and ``Tensor`` has no ops of its
+    own."""
     root = pathlib.Path(repro.__file__).parent
     makers = set()
     for path in sorted(root.rglob("*.py")):
@@ -196,8 +284,7 @@ def test_only_apply_op_and_conv2d_make_nodes_or_records():
                         ast.unparse(node.func) == "Tensor._make"
                         or ast.unparse(node.func).endswith("_TAPE.record")):
                     makers.add((module.as_posix(), getattr(top, "name", None)))
-    assert makers == {("repro/tensor/functional", "apply_op"),
-                      ("repro/tensor/functional", "conv2d")}
+    assert makers == {("repro/tensor/functional", "apply_op")}
 
 
 def _recorded_kinds(run):
@@ -229,7 +316,18 @@ def test_every_row_is_run_by_a_shipped_model():
     cin = graph.spaces[graph.conv_by_name(path.conv_names[0]).in_space].size
     x = np.zeros((2, cin, 8, 8), np.float32)
     kinds |= _recorded_kinds(lambda tape: runner.forward(tape.input(x)))
-    assert kinds == set(OPS) | {"conv2d"}
+    assert kinds == set(OPS)
+
+
+def test_row_params_are_the_trailing_inputs():
+    """The row driver reads a record's inputs up to its row's ``params`` and
+    binds the rest, so ``params`` must name the trailing inputs."""
+    with C.Tape() as tape:
+        _training_step(_r32()[0], QUICK.hw)(tape)
+    assert any(OPS[rec.kind].params for rec in tape.records)
+    for rec in tape.records:
+        n, params = len(rec.inputs), OPS[rec.kind].params
+        assert params == tuple(range(n - len(params), n)), rec.kind
 
 
 def test_plan_builder_holds_no_numpy_arithmetic():
