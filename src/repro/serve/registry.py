@@ -30,7 +30,7 @@ sealed failure runs **eager rows** (one batch-1 forward per sample).
 Every path preserves the serving invariant: each request's logits are
 bit-identical to a batch-1 eager forward of that request alone through the
 served (folded) model, because serve plans use the row-stable Linear
-lowering (see ``Tape.finalize_forward``) and all remaining ops are
+lowering (see ``Tape.finalize``) and all remaining ops are
 per-sample stable.
 
 Eviction is lease-counted: ``run`` holds a lease around the forward, and
@@ -49,7 +49,7 @@ import numpy as np
 
 from ..io.checkpoint import load_checkpoint
 from ..nn.bn_utils import fold_batchnorm
-from ..tensor.compile import BatchPadder, PlanCache, capture_forward
+from ..tensor.compile import PlanCache, capture_forward
 from ..tensor.tensor import Tensor, no_grad
 
 __all__ = ["RegistryError", "ServedModel", "ModelRegistry"]
@@ -60,6 +60,38 @@ _PAD_MAX_RATIO = 4.0
 
 class RegistryError(RuntimeError):
     """Registration or dispatch failure (unknown model, bad checkpoint)."""
+
+
+class BatchPadder:
+    """Reusable zero-padded staging buffer for one (batch, sample) shape.
+
+    A served model replays a cached plan of batch ``B`` on ``n <= B``
+    requests by staging them into this buffer; rows ``[n:B)`` are zeros.
+    Under the row-stable plan contract pad rows cannot perturb real rows,
+    but they are still re-zeroed after a larger previous stage so replay
+    inputs are a pure function of the current request group.
+    """
+
+    def __init__(self, batch: int, sample_shape: tuple, dtype):
+        self.batch = int(batch)
+        self.sample_shape = tuple(sample_shape)
+        self.buf = np.zeros((self.batch,) + self.sample_shape,
+                            dtype=np.dtype(dtype))
+        self._dirty = 0
+
+    def stage(self, x: np.ndarray) -> np.ndarray:
+        """Copy ``x`` (``n <= batch`` samples) in; return the full buffer."""
+        n = x.shape[0]
+        if n > self.batch:
+            raise ValueError(f"group of {n} exceeds padder batch {self.batch}")
+        if tuple(x.shape[1:]) != self.sample_shape:
+            raise ValueError(f"sample shape {x.shape[1:]} != "
+                             f"{self.sample_shape}")
+        self.buf[:n] = x
+        if self._dirty > n:
+            self.buf[n:self._dirty] = 0
+        self._dirty = n
+        return self.buf
 
 
 class ServedModel:
@@ -145,7 +177,6 @@ class ServedModel:
         if plan is None:
             self.capture_failures += 1
             return self._eager_rows(x)
-        plan.serve_generation = self.generation
         self.captures += 1
         # The capture pass's own logits use the standard batched lowering;
         # replay through the row-stable thunks for the serving contract.

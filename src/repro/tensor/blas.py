@@ -8,9 +8,9 @@ K two-thread pools on two CPUs measured 2-4x slower than K one-thread ones.
 
 ``limit_blas_threads(n)``
     Pins the BLAS thread count to ``n`` for the duration of a block, and
-    yields whether a controllable backend was found.  Uses
-    :mod:`threadpoolctl` when available, else talks to OpenBLAS directly via
-    :mod:`ctypes` (the bundled scipy-openblas), else degrades to a no-op.
+    yields whether a controllable backend was found.  Talks to OpenBLAS
+    directly via :mod:`ctypes` (the bundled scipy-openblas), else degrades
+    to a no-op.
 ``blas_threads()``
     The thread count in force, or ``None`` without such a backend.
 ``per_worker_threads(workers)``
@@ -23,30 +23,21 @@ import os
 from contextlib import contextmanager
 from typing import Optional
 
-_blas_ctl = None        # resolved limiter backend, memoized
+_blas_ctl = None        # resolved (get, set) pair, memoized
 _blas_resolved = False
 
 
 def _resolve_blas_control():
     """Find a way to set the BLAS thread count; memoized.
 
-    Returns ``(kind, impl)`` or ``None``.  Preference order:
-    :mod:`threadpoolctl` (not bundled in this environment, but the right
-    tool where present), then the OpenBLAS C API out of whatever shared
-    object NumPy loaded (scipy-openblas here), found via
-    ``/proc/self/maps``.
+    Returns the ``(get, set)`` pair of the OpenBLAS C API out of whatever
+    shared object NumPy loaded (scipy-openblas, NumPy's bundled BLAS), found
+    via ``/proc/self/maps``, or ``None``.
     """
     global _blas_ctl, _blas_resolved
     if _blas_resolved:
         return _blas_ctl
     _blas_resolved = True
-    try:
-        from threadpoolctl import threadpool_limits  # type: ignore
-
-        _blas_ctl = ("threadpoolctl", threadpool_limits)
-        return _blas_ctl
-    except ImportError:
-        pass
     try:
         import ctypes
 
@@ -67,7 +58,7 @@ def _resolve_blas_control():
                     if get is not None and set_ is not None:
                         get.restype = ctypes.c_int
                         set_.argtypes = [ctypes.c_int]
-                        _blas_ctl = ("openblas", (get, set_))
+                        _blas_ctl = (get, set_)
                         return _blas_ctl
     except Exception:  # pragma: no cover - permissive: limiter is advisory
         pass
@@ -78,17 +69,7 @@ def _resolve_blas_control():
 def blas_threads() -> Optional[int]:
     """The BLAS thread count now in force (``None``: no backend found)."""
     ctl = _resolve_blas_control()
-    if ctl is None:
-        return None
-    kind, impl = ctl
-    if kind == "threadpoolctl":
-        from threadpoolctl import threadpool_info  # type: ignore
-
-        counts = [i["num_threads"] for i in threadpool_info()
-                  if i.get("user_api") == "blas"]
-        return min(counts) if counts else None
-    get, _ = impl
-    return int(get())
+    return None if ctl is None else int(ctl[0]())
 
 
 def per_worker_threads(workers: int) -> int:
@@ -115,12 +96,7 @@ def limit_blas_threads(n: int = 1):
     if ctl is None:
         yield False
         return
-    kind, impl = ctl
-    if kind == "threadpoolctl":
-        with impl(limits=n, user_api="blas"):
-            yield True
-        return
-    get, set_ = impl
+    get, set_ = ctl
     prev = int(get())
     set_(int(n))
     try:

@@ -29,25 +29,26 @@ semantics exactly —
 
 Capture mechanics
 -----------------
-``Tape`` installs itself as ``repro.tensor.tensor._TAPE``; each functional
-op then appends an execution record (``functional.apply_op``, the one maker
-of graph nodes, runs every op from its row of ``ops.table.OPS``), and the
-plan builder drives the same rows (``_PlanBuilder._from_row``).  A record is
-``(kind, inputs, out, attrs)`` with the attrs the eager driver passed: the
-conv's ``need_dx`` is decided by ``functional.conv2d`` at forward time, so
-the record carries it.
+``Tape`` installs itself as the calling thread's tape
+(``repro.tensor.tensor._STATE.tape``); each op that thread runs then appends
+a record ``(kind, inputs, out, attrs)`` (``functional.apply_op``, the one
+maker of graph nodes, runs every op from its row of ``ops.table.OPS``; the
+attrs are the eager driver's, so a conv's ``need_dx`` rides along).
 ``Tensor.__init__`` reports every tensor created during capture, so an input
-produced by an *unhooked* op is recognized at finalize time and the capture
-fails closed — the trainer falls back to eager with a logged reason rather
-than baking a stale constant into the plan.
+produced by an *unhooked* op is recognized and the capture fails closed —
+the trainer falls back to eager with a logged reason rather than baking a
+stale constant into the plan.  One :meth:`Tape.finalize` compiles either
+plan kind: one ``_PlanBuilder`` drives the same rows over the records in
+three passes, *stage* (the rows' buffer requests), *pack* (the arena
+layout) and *bind* (readers, sinks and thunks over arena views).
 
 Invalidation
 ------------
 Plans record ``workspace.PLAN_GENERATION`` at capture.  The counter is
 bumped by ``workspace.invalidate()``, which pruning reconfiguration calls,
 and so does ``Module.load_state_dict`` (checkpoint restore reassigns
-``param.data``, so array references captured by a plan go stale).  Dynamic mini-batch growth
-needs no hook: the input shape is part of the plan-cache key
+``param.data``, so array references captured by a plan go stale).  Dynamic
+mini-batch growth needs no hook: the input shape is part of the plan-cache key
 (:func:`train_step`), so a new batch size simply captures a new plan.
 """
 
@@ -65,13 +66,12 @@ from . import memplan as _mp
 from . import workspace as ws
 from .ops import conv as _conv
 from .ops import table as _table
-from . import tensor as _tensor_mod
 from .functional import cross_entropy
-from .tensor import Tensor, backward_order, no_grad
+from .tensor import _STATE, Tensor, backward_order, no_grad
 
 __all__ = ["Tape", "StepPlan", "PlanCache", "PlanStats", "STATS",
            "train_step", "forward_step",
-           "BatchPadder", "capture_training_step", "capture_forward"]
+           "capture_training_step", "capture_forward"]
 
 
 @dataclass
@@ -242,22 +242,14 @@ def _drop(arr) -> None:
     """The gradient sink of an absent input or a leaf that takes none."""
 
 
-def _conv_form(rec: _Record) -> tuple:
-    """``(x_shape, w_shape, stride, padding, form)`` of a conv record: the
-    form its kernel set takes (``ops.conv.conv_form``)."""
-    (x, w, _), (stride, padding, _) = rec.inputs, rec.attrs
-    xs, ws = x.data.shape, w.data.shape
-    return (xs, ws, stride, padding,
-            _conv.conv_form(*xs[2:], *ws[2:], stride, padding, ws[0]))
-
-
 class Tape:
     """Records one eager step's op sequence for compilation into a plan.
 
     Use as a context manager around the step's forward (+ loss) code; the
-    ops record themselves via the ``_TAPE`` hook.  Recording never changes
-    the computation — the captured step's own results are the eager
-    results, and the plan only takes effect on *subsequent* steps.
+    ops the same thread runs record themselves via the ``_STATE.tape`` hook.
+    Recording never changes the computation — the captured step's own
+    results are the eager results, and the plan only takes effect on
+    *subsequent* steps.
     """
 
     def __init__(self) -> None:
@@ -276,14 +268,14 @@ class Tape:
 
     # -- capture lifecycle -------------------------------------------------
     def __enter__(self) -> "Tape":
-        if _tensor_mod._TAPE is not None:
+        if _STATE.tape is not None:
             raise RuntimeError("a capture tape is already active")
-        _tensor_mod._TAPE = self
+        _STATE.tape = self
         self._active = True
         return self
 
     def __exit__(self, *exc) -> None:
-        _tensor_mod._TAPE = None
+        _STATE.tape = None
         self._active = False
 
     def input(self, arr: np.ndarray) -> Tensor:
@@ -313,123 +305,71 @@ class Tape:
         return slot
 
     # -- finalization ------------------------------------------------------
-    def finalize_training(self, loss: Tensor, logits: Tensor,
-                          targets: np.ndarray
-                          ) -> Tuple[Optional["StepPlan"], Optional[str]]:
-        """Compile a full train-step plan (forward + loss + backward).
+    def finalize(self, logits: Tensor, loss: Optional[Tensor] = None,
+                 targets: Optional[np.ndarray] = None,
+                 row_stable: bool = False
+                 ) -> Tuple[Optional["StepPlan"], Optional[str]]:
+        """Compile the recorded step: a training plan (forward, ``loss`` on
+        ``targets``, backward) when a loss is given, else a forward-only
+        plan ending at ``logits``.  Returns ``(plan, None)`` or ``(None,
+        reason)``.
 
-        Must run *after* the forward and loss are computed but *before*
-        ``loss.backward()`` — backward destroys the closures and parent
-        links this method walks to replicate the eager execution order.
-        Returns ``(plan, None)`` or ``(None, reason)``.
+        A training capture finalizes *after* the forward and loss but
+        *before* ``loss.backward()``, which destroys the closures and parent
+        links walked here to replicate the eager backward order.
+        ``row_stable=True`` (forward plans) lowers batch-sensitive ops (the
+        final Linear's GEMM) per sample, so every row of the replayed
+        logits is bit-equal to a batch-1 eager forward of that sample alone
+        — the serving tier's padding/tail contract.
         """
         if self._active:
             return None, "tape still active (exit the capture context first)"
-        if id(loss) not in self.slot_of or id(logits) not in self.slot_of:
+        if any(id(t) not in self.slot_of for t in (logits, loss)
+               if t is not None):
             return None, "loss/logits were not produced by recorded ops"
-        loss_rec = self.rec_of.get(id(loss))
-        if loss_rec is None or loss_rec.kind != "cross_entropy":
-            return None, "training plans require a cross_entropy loss"
-        if loss_rec.attrs is not targets:
-            return None, "loss does not consume the step's targets"
-        for rec in self.records:
-            if rec.kind == "cross_entropy" and rec is not loss_rec:
-                return None, "multiple cross_entropy ops in one step"
-
-        bwd_nodes = [n for n in backward_order(loss)
-                     if n._backward is not None]
-        for n in bwd_nodes:
-            if id(n) not in self.slot_of:
-                return None, "graph contains an op without a capture hook"
-        try:
-            return self._build(kind="train", bwd_nodes=bwd_nodes,
-                               loss=loss, logits=logits), None
-        except _CaptureError as e:
-            return None, str(e)
-
-    def finalize_forward(self, logits: Tensor, *, row_stable: bool = False
-                         ) -> Tuple[Optional["StepPlan"], Optional[str]]:
-        """Compile a forward-only (inference) plan ending at ``logits``.
-
-        ``row_stable=True`` lowers batch-sensitive ops (the final Linear's
-        GEMM) per sample, so every row of the replayed logits is bit-equal
-        to a batch-1 eager forward of that sample alone — the serving
-        tier's padding/tail contract.  Slightly slower per batch; training
-        and evaluation captures keep the standard batched lowering.
-        """
-        if self._active:
-            return None, "tape still active (exit the capture context first)"
-        if id(logits) not in self.slot_of:
-            return None, "logits were not produced by recorded ops"
-        try:
-            return self._build(kind="forward", bwd_nodes=[],
-                               loss=None, logits=logits,
-                               row_stable=row_stable), None
-        except _CaptureError as e:
-            return None, str(e)
-
-    def _build(self, kind: str, bwd_nodes: List[Tensor],
-               loss: Optional[Tensor], logits: Tensor,
-               row_stable: bool = False) -> "StepPlan":
-        """Two-pass build: size the arena, then assemble thunks over it.
-
-        Pass 1 runs the builder in *plan* mode — every plan-owned buffer
-        request records a :class:`memplan.Slab` with its liveness
-        interval and yields a throwaway array; the thunks it builds are
-        discarded.  After solving the layout and materializing the
-        arena, pass 2 replays the identical request sequence in *serve*
-        mode, so the kept thunks close over arena views.  Any divergence
-        raises ``PlanError``, and the capture fails closed with it.
-        """
         if len(self._input_slots) != 1:
-            raise _CaptureError("exactly one marked input is required")
-        lt = _Lifetimes(self, bwd_nodes, kind, loss, logits)
-        mem = _mp.MemPlanner()
-        scratch = StepPlan(kind=kind, n_slots=self._n_slots,
-                           input_slot=self._input_slots[0])
-        sizer = _PlanBuilder(self, scratch, keep_ctx=(kind == "train"),
-                             lt=lt, mem=mem, row_stable=row_stable)
-        for rec in self.records:
-            sizer.build(rec)
+            return None, "exactly one marked input is required"
+        bwd_nodes: List[Tensor] = []
+        if loss is not None:
+            loss_rec = self.rec_of.get(id(loss))
+            if loss_rec is None or loss_rec.kind != "cross_entropy":
+                return None, "training plans require a cross_entropy loss"
+            if loss_rec.attrs is not targets:
+                return None, "loss does not consume the step's targets"
+            for rec in self.records:
+                if rec.kind == "cross_entropy" and rec is not loss_rec:
+                    return None, "multiple cross_entropy ops in one step"
+            bwd_nodes = [n for n in backward_order(loss)
+                         if n._backward is not None]
+            if any(id(n) not in self.slot_of for n in bwd_nodes):
+                return None, "graph contains an op without a capture hook"
+        kind = "train" if loss is not None else "forward"
+        builder = _PlanBuilder(self, _Lifetimes(self, bwd_nodes, kind, loss,
+                                                logits), row_stable)
         try:
-            mem.solve()
-            mem.materialize(ws.PLAN_GENERATION)
-            plan = self._assemble(kind, bwd_nodes, loss, logits, lt, mem,
-                                  row_stable)
-            mem.finish()
+            builder.stage()
+            builder.pack()
+            plan = builder.bind(bwd_nodes, loss, logits)
+            builder.mem.finish()
+        except _CaptureError as e:
+            return None, str(e)
         except _mp.PlanError as e:
-            raise _CaptureError(f"memory plan: {e}") from e
-        return plan
-
-    def _assemble(self, kind: str, bwd_nodes: List[Tensor],
-                  loss: Optional[Tensor], logits: Tensor,
-                  lt: _Lifetimes, mem: _mp.MemPlanner,
-                  row_stable: bool = False) -> "StepPlan":
-        plan = StepPlan(kind=kind, n_slots=self._n_slots,
-                        input_slot=self._input_slots[0])
-        plan.row_stable = row_stable
-        builder = _PlanBuilder(self, plan, keep_ctx=(kind == "train"),
-                               lt=lt, mem=mem, row_stable=row_stable)
-        pairs = {id(rec): builder.build(rec) for rec in self.records}
-        bwd_recs = [self.rec_of[id(n)] for n in bwd_nodes]
-        plan._fwd = [pairs[id(rec)][0] for rec in self.records]
-        plan._bwd = [pairs[id(rec)][1] for rec in bwd_recs]
-        plan._thunk_kinds = ([rec.kind for rec in self.records],
-                             [rec.kind for rec in bwd_recs])
-        rec_last = {id(rec): i for i, rec in enumerate(bwd_recs)}
-        plan._bwd_of = [rec_last.get(id(rec)) for rec in self.records]
-        plan._logits_slot = self.slot_of[id(logits)]
-        plan._loss_slot = self.slot_of[id(loss)] if loss is not None else -1
-        plan._leaf_shapes = builder.leaf_shapes()
-        plan._conv_forms = [_conv_form(rec) for rec in self.records
-                            if rec.kind == "conv2d"]
-        plan._n_ops = len(self.records)
-        plan._mem = mem
-        return plan
+            return None, f"memory plan: {e}"
+        return plan, None
 
 
 class _PlanBuilder:
-    """Compiles tape records into zero-argument forward/backward thunks.
+    """Compiles tape records into zero-argument forward/backward thunks, in
+    three passes over the records, each run once by :meth:`Tape.finalize`.
+
+    :meth:`stage` runs every row's build-time stage with the planner in
+    *plan* mode, so each plan-owned buffer request records a
+    :class:`memplan.Slab` with its liveness interval; :meth:`pack` solves
+    the layout and materializes the arena; :meth:`bind` runs the stages
+    again in *serve* mode, handed the identical request sequence's arena
+    views, and builds the readers, sinks and thunks of the one
+    :class:`StepPlan` over them.  A ``PlanError`` (a divergence included)
+    fails the capture closed.
 
     Thunks close over the plan's preallocated ``values`` / ``grads`` /
     ``ctxs`` lists, so replay is a straight-line sequence of kernel calls
@@ -437,17 +377,57 @@ class _PlanBuilder:
     allocated per step.
     """
 
-    def __init__(self, tape: Tape, plan: "StepPlan", keep_ctx: bool,
-                 lt: _Lifetimes, mem: _mp.MemPlanner,
-                 row_stable: bool = False):
+    def __init__(self, tape: Tape, lt: _Lifetimes, row_stable: bool):
         self.tape = tape
-        self.plan = plan
-        self.keep_ctx = keep_ctx
+        self.keep_ctx = lt.kind == "train"
         self.row_stable = row_stable
         self._leaves: Dict[int, Tensor] = {}
         #: liveness intervals and the arena planner they feed
         self.lt = lt
-        self.mem = mem
+        self.mem = _mp.MemPlanner()
+        self.plan: Optional[StepPlan] = None        # filled by bind()
+
+    # -- the three passes ----------------------------------------------------
+    def stage(self) -> None:
+        """Pass 1: every record's row stage, its buffer requests recorded
+        as slabs; nothing is read, sunk or bound into a thunk."""
+        for rec in self.tape.records:
+            op = _table.OPS.get(rec.kind)
+            if op is None:
+                raise _CaptureError(f"no plan builder for op {rec.kind!r}")
+            self._stage(rec, op)
+
+    def pack(self) -> None:
+        """Pass 2: lay the recorded slabs out in one arena."""
+        self.mem.solve()
+        self.mem.materialize()
+
+    def bind(self, bwd_nodes: List[Tensor], loss: Optional[Tensor],
+             logits: Tensor) -> "StepPlan":
+        """Pass 3: the stages again, now over arena views, and the thunks
+        of the one plan over what they return.  An input no recorded op
+        produced fails the capture closed here (:meth:`_resolve`)."""
+        tape = self.tape
+        plan = self.plan = StepPlan(kind=self.lt.kind, n_slots=tape._n_slots,
+                                    input_slot=tape._input_slots[0])
+        plan.row_stable = self.row_stable
+        pairs = {id(rec): self.build(rec) for rec in tape.records}
+        bwd_recs = [tape.rec_of[id(n)] for n in bwd_nodes]
+        plan._fwd = [pairs[id(rec)][0] for rec in tape.records]
+        plan._bwd = [pairs[id(rec)][1] for rec in bwd_recs]
+        plan._thunk_kinds = ([rec.kind for rec in tape.records],
+                             [rec.kind for rec in bwd_recs])
+        plan._logits_slot = tape.slot_of[id(logits)]
+        plan._loss_slot = tape.slot_of[id(loss)] if loss is not None else -1
+        plan._leaf_shapes = [(t, t.data.shape) for t in self._leaves.values()]
+        convs = [(r.inputs[0].data.shape, r.inputs[1].data.shape, *r.attrs[:2])
+                 for r in tape.records if r.kind == "conv2d"]
+        plan._conv_forms = [
+            (xs, ws, st, p, _conv.conv_form(*xs[2:], *ws[2:], st, p, ws[0]))
+            for xs, ws, st, p in convs]
+        plan._n_ops = len(tape.records)
+        plan._mem = self.mem
+        return plan
 
     # -- the per-record allocator ------------------------------------------
     def _allocator(self, rec: _Record, alias: Tuple[int, ...] = ()):
@@ -469,8 +449,8 @@ class _PlanBuilder:
           (``"dx"``: toward input 0, first written at the late tick).
 
         Point-lived forward staging lets every conv share one region, at
-        the price of a per-step border memset (eager zero-fills each fresh
-        padded buffer once per call) and a backward re-gather.  A gradient
+        the price of a per-call border memset and a backward re-gather (the
+        one gather schedule eager runs too).  A gradient
         that escapes the plan (a leaf's, kept by the optimizer) is a private
         ``np.empty``.  Tags get the op kind as a prefix; ``dtype`` defaults
         to the first input's.
@@ -575,49 +555,48 @@ class _PlanBuilder:
                 g0 += arr
         return sink
 
-    def leaf_shapes(self) -> List[Tuple[Tensor, tuple]]:
-        return [(t, t.data.shape) for t in self._leaves.values()]
-
     # -- thunk builders ----------------------------------------------------
     # A builder maps plan buffers, value/gradient slots and sinks onto
     # kernels stated under ``repro.tensor.ops`` -- the same ones the eager
     # layer runs.  It defines no arithmetic of its own.  There is one: the
     # row driver, for every op of ``ops.table.OPS``.
+    def _stage(self, rec: _Record, op: "_table.Op"):
+        """``(params, bufs)`` of one record: its row's ``params`` bound
+        (:meth:`_param`), and what the row's build-time stage returned over
+        this record's allocator (``None`` without a stage)."""
+        inputs = rec.inputs
+        params = tuple(self._param(t)
+                       for t in inputs[len(inputs) - len(op.params):])
+        if op.buffers is None:
+            return params, None
+        return params, op.buffers(
+            [None if t is None else t.data.shape for t in inputs],
+            [None if t is None else t.data.dtype for t in inputs],
+            params, rec.attrs, self.keep_ctx, self.row_stable,
+            self._allocator(rec, op.alias))
+
     def build(self, rec: _Record):
         """``(fwd, bwd)`` thunks of one record: from ``_build_<kind>`` where
         one exists (the loss), else from the op's table row."""
         builder = getattr(self, "_build_" + rec.kind, None)
         if builder is not None:
             return builder(rec)
-        op = _table.OPS.get(rec.kind)
-        if op is None:
-            raise _CaptureError(f"no plan builder for op {rec.kind!r}")
-        return self._from_row(rec, op, [rec.attrs])
+        return self._from_row(rec, _table.OPS[rec.kind], [rec.attrs])
 
     def _from_row(self, rec: _Record, op: "_table.Op", attrs: list):
         """The row driver: thunks derived from a table row.
 
-        The row's ``params`` are bound once (:meth:`_param`); every other
-        input is read per step.  The row's build-time stage, if it has one,
-        requests the buffers through this record's allocator, and both
-        kernels get what it returned (``None`` without a stage).  The
-        forward's output is the slot value, what it saves rides in the
+        The row's stage (:meth:`_stage`) binds the ``params``; every other
+        input is read per step, and both kernels get the stage's buffers.
+        The forward's output is the slot value, what it saves rides in the
         slot's ctx, and each input's gradient goes to its :meth:`_sink` (a
         ``None`` gradient is skipped).  ``attrs`` is a one-element box read
-        per step (the loss's targets change every step; everything else is
-        static).
+        per step (the loss's targets change every step; nothing else does).
         """
         inputs = rec.inputs
         n_read = len(inputs) - len(op.params)
         readers = [self._reader(t) for t in inputs[:n_read]]
-        params = tuple(self._param(t) for t in inputs[n_read:])
-        bufs = None
-        if op.buffers is not None:
-            bufs = op.buffers(
-                [None if t is None else t.data.shape for t in inputs],
-                [None if t is None else t.data.dtype for t in inputs],
-                params, attrs[0], self.keep_ctx, self.row_stable,
-                self._allocator(rec, op.alias))
+        params, bufs = self._stage(rec, op)
         o = self.tape.slot_of[id(rec.out)]
         values, ctxs, grads = (self.plan._values, self.plan._ctxs,
                                self.plan._grads)
@@ -677,19 +656,15 @@ class StepPlan:
         self._loss_slot = -1
         self._leaf_shapes: List[Tuple[Tensor, tuple]] = []
         self._n_ops = 0
-        #: the arena planner backing this plan's buffers (set by
-        #: ``Tape._assemble``)
+        #: the arena planner backing this plan's buffers (set by ``bind``)
         self._mem: _mp.MemPlanner
         #: op kind of each ``_fwd`` / ``_bwd`` thunk, in order
         self._thunk_kinds: Tuple[List[str], List[str]] = ([], [])
-        #: per ``_fwd`` thunk, the index into ``_bwd`` of the thunk that
-        #: differentiates it (None: its backward never runs)
-        self._bwd_of: List[Optional[int]] = []
         #: ``(x_shape, w_shape, stride, padding, form)`` per conv, op order
         self._conv_forms: List[tuple] = []
         self.generation = ws.PLAN_GENERATION
         #: forward plans captured with the per-sample Linear lowering
-        #: (see Tape.finalize_forward) — the serving tier's contract bit
+        #: (see Tape.finalize) — the serving tier's contract bit
         self.row_stable = False
         #: pinned plans skip the global generation check (see pin())
         self.pinned = False
@@ -816,21 +791,6 @@ class StepPlan:
         logits = values[self._logits_slot]
         self._drop_step_refs()
         return loss, logits, seconds
-
-    def conv_profile(self, x: np.ndarray, targets: np.ndarray):
-        """:meth:`conv_forms` joined with one :meth:`replay_timed` step of a
-        training plan.  Returns ``(loss, logits, rows)`` with one
-        ``(x_shape, w_shape, stride, padding, form, fwd_s, bwd_s)`` per conv
-        in op order — where a step's conv time goes, by shape and form
-        (``bwd_s`` is 0.0 for a conv whose backward never runs)."""
-        loss, logits, seconds = self.replay_timed(x, targets)
-        fwd_s, bwd_s = seconds[:len(self._fwd)], seconds[len(self._fwd):]
-        convs = [i for i, kind in enumerate(self._thunk_kinds[0])
-                 if kind == "conv2d"]
-        rows = [(*form, fwd_s[i][2],
-                 0.0 if self._bwd_of[i] is None else bwd_s[self._bwd_of[i]][2])
-                for form, i in zip(self._conv_forms, convs)]
-        return loss, logits, rows
 
     def run_forward(self, x: np.ndarray) -> np.ndarray:
         """Replay a forward-only plan; returns the logits array."""
@@ -990,7 +950,7 @@ def capture_training_step(model, x: np.ndarray, targets: np.ndarray):
         xt = tape.input(x)
         logits = model(xt)
         loss = cross_entropy(logits, targets)
-    plan, reason = tape.finalize_training(loss, logits, targets)
+    plan, reason = tape.finalize(logits, loss, targets)
     STATS.count_capture(plan, reason, t0)
     return plan, loss, logits, reason
 
@@ -1001,7 +961,7 @@ def capture_forward(model, x: np.ndarray, *, row_stable: bool = False):
     Returns ``(plan, logits, reason)``.  Runs under ``no_grad`` (building a
     graph that is never backwarded would keep every op's saved arrays alive).
     ``row_stable=True`` requests the serving lowering — see
-    :meth:`Tape.finalize_forward`.  Note the returned ``logits`` come from
+    :meth:`Tape.finalize`.  Note the returned ``logits`` come from
     the eager capture pass (standard lowering); a caller needing
     row-stable outputs must replay the plan.
     """
@@ -1010,7 +970,7 @@ def capture_forward(model, x: np.ndarray, *, row_stable: bool = False):
     with tape, no_grad():
         xt = tape.input(x)
         logits = model(xt)
-    plan, reason = tape.finalize_forward(logits, row_stable=row_stable)
+    plan, reason = tape.finalize(logits, row_stable=row_stable)
     STATS.count_capture(plan, reason, t0)
     return plan, logits, reason
 
@@ -1065,38 +1025,3 @@ def forward_step(model, x: np.ndarray, plans: Optional[PlanCache] = None,
     with no_grad():
         return model(Tensor(x)).data, None
 
-
-class BatchPadder:
-    """Reusable zero-padded staging buffer for one (batch, sample) shape.
-
-    The serving tier replays a cached plan of batch ``B`` on ``n <= B``
-    requests by staging them into this buffer; rows ``[n:B)`` are zeros.
-    Under the row-stable plan contract pad rows cannot perturb real rows,
-    but they are still re-zeroed after a larger previous stage so replay
-    inputs are a pure function of the current request group.
-    """
-
-    def __init__(self, batch: int, sample_shape: tuple, dtype):
-        self.batch = int(batch)
-        self.sample_shape = tuple(sample_shape)
-        self.buf = np.zeros((self.batch,) + self.sample_shape,
-                            dtype=np.dtype(dtype))
-        self._dirty = 0
-        self.staged = 0
-        self.padded_rows = 0
-
-    def stage(self, x: np.ndarray) -> np.ndarray:
-        """Copy ``x`` (``n <= batch`` samples) in; return the full buffer."""
-        n = x.shape[0]
-        if n > self.batch:
-            raise ValueError(f"group of {n} exceeds padder batch {self.batch}")
-        if tuple(x.shape[1:]) != self.sample_shape:
-            raise ValueError(f"sample shape {x.shape[1:]} != "
-                             f"{self.sample_shape}")
-        self.buf[:n] = x
-        if self._dirty > n:
-            self.buf[n:self._dirty] = 0
-        self._dirty = n
-        self.staged += 1
-        self.padded_rows += self.batch - n
-        return self.buf

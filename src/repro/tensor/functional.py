@@ -22,10 +22,10 @@ This layer owns three cross-cutting concerns of the engine:
   ``repro.profiler.PROFILER`` guards (``<kind>_fwd`` / ``<kind>_bwd``); the
   disabled cost is one attribute check per call.
 
-- **Step capture.**  When a :class:`repro.tensor.compile.Tape` is active
-  (``repro.tensor.tensor._TAPE``), every op appends an execution record so
-  the step can be replayed as a flat kernel plan.  The disabled cost is one
-  ``is not None`` check per call, same pattern as the profiler guard.
+- **Step capture.**  When a :class:`repro.tensor.compile.Tape` is active in
+  the calling thread (``repro.tensor.tensor._STATE.tape``), every op appends
+  an execution record so the step can be replayed as a flat kernel plan.
+  The disabled cost is one thread-local read per call.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..profiler import PROFILER as _P
-from . import tensor as _tensor_mod
 from .ops.table import OPS
-from .tensor import Tensor, grad_enabled
+from .tensor import _STATE, Tensor
 
 
 def apply_op(kind: str, inputs: Tuple[Optional[Tensor], ...],
@@ -59,7 +58,7 @@ def apply_op(kind: str, inputs: Tuple[Optional[Tensor], ...],
     parents = tuple(t for t in inputs if t is not None)
     y, saved = op.forward(
         *[None if t is None else t.data for t in inputs], attrs,
-        grad_enabled() and any(t.requires_grad for t in parents), None)
+        _STATE.grad and any(t.requires_grad for t in parents), None)
     if prof:
         _P.add(kind + "_fwd", time.perf_counter() - t0, y.nbytes)
 
@@ -74,8 +73,8 @@ def apply_op(kind: str, inputs: Tuple[Optional[Tensor], ...],
             _P.add(kind + "_bwd", time.perf_counter() - t0, 0)
 
     out = Tensor._make(y, parents, backward)
-    if _tensor_mod._TAPE is not None:
-        _tensor_mod._TAPE.record(kind, inputs, out, attrs)
+    if _STATE.tape is not None:
+        _STATE.tape.record(kind, inputs, out, attrs)
     return out
 
 

@@ -7,21 +7,23 @@ performance quantity.  The compiled :class:`~repro.tensor.compile.StepPlan`
 gives us the exact dataflow of one training step — every buffer, every
 def/use — which makes the footprint *plannable* instead of merely observed.
 
-This module provides the planner.  The plan builder describes each
-plan-owned buffer as a :class:`Slab` with a **liveness interval** on the
-step's execution timeline (forward thunks ``0..F-1``, then backward thunks
-``F..F+B-1``): first definition to last use, honoring gradient donation
-(a donated buffer lives until the producing op's backward consumes it).
-:meth:`MemPlanner.solve` then assigns every slab an offset in a
-single pre-allocated byte arena by greedy best-fit: slabs whose intervals
-do not overlap share memory, and shape-preserving ops (ReLU, the residual
-add+ReLU join) may *alias* their output directly onto their input's slab.
-:meth:`MemPlanner.materialize` carves the arena into ndarray views; replay
-thunks use them exactly like the fresh arrays the eager step allocates, so
-results stay bit-identical while the plan's resident footprint drops from
-*sum-of-all-buffers* to the liveness peak (plus fragmentation).  Every
-compiled plan is laid out this way: a :class:`PlanError` fails the capture
-closed (reason ``"memory plan: <msg>"``) and the step runs eagerly.
+This module provides the planner.  The plan builder's *stage* pass
+describes each plan-owned buffer as a :class:`Slab` with a **liveness
+interval** on the step's execution timeline (forward thunks ``0..F-1``, then
+backward thunks ``F..F+B-1``): first definition to last use, honoring
+gradient donation (a donated buffer lives until the producing op's backward
+consumes it).  Its *pack* pass is :meth:`MemPlanner.solve`, which assigns
+every slab an offset in a single pre-allocated byte arena by greedy
+best-fit — slabs whose intervals do not overlap share memory, and
+shape-preserving ops (ReLU, the residual add+ReLU join) may *alias* their
+output directly onto their input's slab — and :meth:`MemPlanner.materialize`,
+which carves the arena into ndarray views.  Its *bind* pass hands those to
+the kernels; replay thunks use them exactly like the fresh arrays the eager
+step allocates, so results stay bit-identical while the plan's resident
+footprint drops from *sum-of-all-buffers* to the liveness peak (plus
+fragmentation).  Every compiled plan is laid out this way: a
+:class:`PlanError` fails the capture closed (reason ``"memory plan:
+<msg>"``) and the step runs eagerly.
 
 The planner's report (``arena_bytes``, ``peak_bytes``, ``savings``) fills
 the memory fields of the trainer's ``EpochRecord`` and ``PROFILER.summary()
@@ -121,11 +123,10 @@ class _ArenaHandle:
     """Weakref-able owner of one arena allocation (plain ndarrays cannot
     be weakly referenced)."""
 
-    __slots__ = ("buf", "generation", "__weakref__")
+    __slots__ = ("buf", "__weakref__")
 
-    def __init__(self, buf: np.ndarray, generation: int):
+    def __init__(self, buf: np.ndarray):
         self.buf = buf
-        self.generation = generation
 
 
 _LIVE_ARENAS: List["weakref.ref[_ArenaHandle]"] = []
@@ -157,21 +158,24 @@ def live_arena_count() -> int:
 class MemPlanner:
     """Liveness-driven arena allocator for one step plan.
 
-    Life of a planner (driven by the plan builder in two passes)::
+    Life of a planner (driven by the plan builder's three passes)::
 
         mem = MemPlanner()
-        # pass 1 — the builder runs once in *plan* mode: every alloc()
-        # records a Slab and returns a throwaway array of the right shape
-        ... builder pass 1 ...
+        # stage — every row's build-time stage runs in *plan* mode: each
+        # alloc() records a Slab and returns a throwaway array of the
+        # right shape; no thunk is built
+        ... builder.stage() ...
+        # pack
         mem.solve()          # greedy best-fit offset assignment
-        mem.materialize(gen) # one arena; slabs become views into it
-        # pass 2 — the builder runs again in *serve* mode: alloc() replays
-        # the recorded request sequence and hands out the arena views
-        ... builder pass 2 ...
-        mem.finish()         # asserts pass 2 took every request; books STATS
+        mem.materialize()    # one arena; slabs become views into it
+        # bind — the stages run again in *serve* mode: alloc() replays the
+        # recorded request sequence and hands out the arena views, which
+        # the plan's thunks close over
+        ... builder.bind() ...
+        mem.finish()         # asserts bind took every request; books STATS
 
-    The two passes must make identical requests (the builder is a pure
-    function of the captured tape); any divergence raises
+    The two runs of the stages must make identical requests (each stage is
+    a pure function of the captured tape); any divergence raises
     :class:`PlanError` and the capture fails closed: the step runs eagerly.
     """
 
@@ -195,7 +199,7 @@ class MemPlanner:
               tag: str = "",
               out_slot: Optional[int] = None,
               alias_slot: Optional[int] = None) -> np.ndarray:
-        """Request (pass 1) or fetch (pass 2) one plan-owned buffer.
+        """Request (stage) or fetch (bind) one plan-owned buffer.
 
         ``out_slot`` registers the buffer as the value of a plan slot so a
         later shape-preserving consumer can alias onto it via
@@ -223,8 +227,8 @@ class MemPlanner:
         self.slabs.append(slab)
         if out_slot is not None:
             self._by_slot[out_slot] = slab
-        # Throwaway array for the (discarded) pass-1 thunks: the builder
-        # only needs the right shape/dtype to precompute its views.
+        # Throwaway array for the (discarded) staged buffers: a stage only
+        # needs the right shape/dtype to precompute its views.
         return np.empty(shape, dtype)
 
     # -- layout ------------------------------------------------------------
@@ -297,7 +301,7 @@ class MemPlanner:
         """One private array per buffer, as eager allocates: every slab."""
         return sum(s.nbytes for s in self.slabs)
 
-    def materialize(self, generation: int) -> None:
+    def materialize(self) -> None:
         """Allocate the arena and turn every slab into a view into it."""
         if self.arena is not None:
             raise PlanError("arena already materialized")
@@ -307,7 +311,7 @@ class MemPlanner:
         raw = np.empty(size + ALIGN, dtype=np.uint8)
         skip = -raw.ctypes.data % ALIGN
         self.arena = raw[skip:skip + size]
-        self._handle = _ArenaHandle(self.arena, generation)
+        self._handle = _ArenaHandle(self.arena)
         _LIVE_ARENAS.append(weakref.ref(self._handle))
         for s in self.slabs:
             root = s.root()

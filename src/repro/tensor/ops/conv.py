@@ -19,11 +19,13 @@ are closed-form and ``N``-free, each derived where it is defined, and every
 form is written exactly once, so eager, captured and planned convs are
 bit-identical by construction.
 
-What the tests hold bitwise is the buffer-lifetime property, the per-call
-driver's fresh arrays against the planned layout (``remat=True``, shared
-scratch); the *values* are held against finite differences and the float64
-column-matrix reference in ``tests/oracle.py``, which shares no code with
-the forms.
+Both drivers run one gather schedule: forward staging is point-lived (the
+kernel set keeps no reference to it), and a backward that needs the columns
+re-gathers them.  What the tests hold bitwise is the buffer-lifetime
+property, the per-call driver's fresh arrays against the planned layout
+(shared scratch); the *values* are held against finite differences and the
+float64 column-matrix reference in ``tests/oracle.py``, which shares no
+code with the forms.
 
 Layout conventions (PyTorch-compatible):
   activations ``(N, C, H, W)``, filters ``(K, C, R, S)``.
@@ -163,16 +165,15 @@ class _Gather:
     backward re-gather lands in the layout that GEMM reads with no second
     pass.  Either way the trailing ``Wo`` axis is stride-1 in the source.
 
-    ``dense(src)`` gathers.  ``rezero`` clears the padded borders on every
-    call — needed when the buffer is shared scratch; otherwise the owner
-    zeroes it once.
+    ``dense(src)`` gathers, clearing the padded borders on every call: the
+    padded buffer is point-lived scratch.
     """
 
     __slots__ = ("dense", "mat")
 
     def __init__(self, cols6: np.ndarray, pad: Optional[np.ndarray],
                  src_shape: tuple, r: int, s: int, stride: int, ph: int,
-                 pw: int, rezero: bool, cmajor: bool = False) -> None:
+                 pw: int, cmajor: bool = False) -> None:
         n, c, h, w = src_shape
         ho, wo = cols6.shape[4:]
         # window view (N, C, Ho, Wo, R, S) -> the column tensor's axis order
@@ -185,15 +186,11 @@ class _Gather:
         else:
             core = pad[:, :, ph:ph + h, pw:pw + w]
             wdwT = _windows(pad, r, s, stride).transpose(axes)
-            if rezero and (ph or pw):
-                def dense(src: np.ndarray) -> None:
-                    pad.fill(0)
-                    np.copyto(core, src)
-                    np.copyto(cols6, wdwT)
-            else:
-                def dense(src: np.ndarray) -> None:
-                    np.copyto(core, src)
-                    np.copyto(cols6, wdwT)
+
+            def dense(src: np.ndarray) -> None:
+                pad.fill(0)
+                np.copyto(core, src)
+                np.copyto(cols6, wdwT)
         self.dense = dense
 
 
@@ -346,12 +343,9 @@ class ConvKernels:
     reshape and transpose is precomputed over those buffers: a plan replays
     bare kernel calls, eager performs the same numpy operations on fresh
     arrays.  ``backward=False`` (forward-only plans) says no second stage
-    follows, so nothing need outlive ``fwd``.
-
-    ``remat=True`` (the memory planner's layout: forward staging is
-    point-lived scratch shared with other ops) changes :class:`_GatherKernels`
-    only, ``row_stable=True`` (forward-only serving plans)
-    :class:`_UnrolledKernels` only; see there.
+    follows, so nothing need outlive ``fwd``.  ``row_stable=True``
+    (forward-only serving plans) changes :class:`_UnrolledKernels` only; see
+    there.
     """
 
     #: the :func:`conv_form` this class is registered under in :data:`FORMS`
@@ -366,11 +360,10 @@ class ConvKernels:
 
     def __init__(self, x_shape: tuple, w: np.ndarray, stride: int,
                  padding: int, dtype, alloc, *, bias=None,
-                 remat: bool = False, backward: bool = True,
-                 row_stable: bool = False) -> None:
+                 backward: bool = True, row_stable: bool = False) -> None:
         self.x_shape, self.w, self.stride, self.padding = \
             x_shape, w, stride, padding
-        self.dtype, self.remat = dtype, remat
+        self.dtype = dtype
         self.b4 = None if bias is None else bias[None, :, None, None]
         (_, _, h, wd), (k, _, r, s) = x_shape, w.shape
         #: ``(n, c, h, w, k, r, s, ho, wo)``
@@ -419,10 +412,8 @@ class _GatherKernels(ConvKernels):
     stride (~2x faster than patch-scatter), the strided scatter-add form
     otherwise.
 
-    Without ``remat`` the backward GEMM reads the forward's column tensor
-    directly (``"span"``), through a channel-major restage when ``dw`` folds.
-    With it the forward staging is point-lived: padded borders are re-zeroed
-    per step and the backward re-stages ``x`` and re-gathers the identical
+    The forward staging is point-lived: padded borders are re-zeroed per
+    call, and the backward re-stages ``x`` and re-gathers the identical
     windows into its own phase-``"a"`` scratch instead of keeping the column
     tensor (RxS times the feature map) alive across the step — channel-major
     when ``dw`` folds, so the re-gather lands in the layout the folded GEMM
@@ -433,24 +424,19 @@ class _GatherKernels(ConvKernels):
 
     def _forward(self, alloc, backward: bool, row_stable: bool) -> None:
         n, c, h, wd, k, r, s, ho, wo = self.dims
-        w, padding, b4, remat = self.w, self.padding, self.b4, self.remat
+        w, padding, b4 = self.w, self.padding, self.b4
         p, crs = ho * wo, c * r * s
         w3 = w.reshape(k, crs)
 
         # Request order is part of the arena layout (the planner breaks size
         # ties by it).
-        cols6 = alloc((n, c, r, s, ho, wo), "cols_f",
-                      "fwd" if remat else "span")
+        cols6 = alloc((n, c, r, s, ho, wo), "cols_f", "fwd")
         y4 = self.y4 = alloc((n, k, ho, wo), "y", "out")
         y3 = y4.reshape(n, k, p)
-        xp = None
-        if padding:
-            xp = alloc((n, c, h + 2 * padding, wd + 2 * padding), "xp", "fwd")
-            if not remat:
-                xp.fill(0)
-        self.xp = xp
-        gx = self.gx = _Gather(cols6, xp, self.x_shape, r, s, self.stride,
-                               padding, padding, remat)
+        xp = alloc((n, c, h + 2 * padding, wd + 2 * padding), "xp", "fwd") \
+            if padding else None
+        gx = _Gather(cols6, xp, self.x_shape, r, s, self.stride, padding,
+                     padding)
         gather, cols3 = gx.dense, gx.mat
 
         def fwd(x: np.ndarray) -> None:
@@ -462,22 +448,18 @@ class _GatherKernels(ConvKernels):
 
     def backward(self, alloc, need_dx: bool = True) -> None:
         n, c, h, wd, k, r, s, ho, wo = self.dims
-        w, remat = self.w, self.remat
-        stride, padding, gx, xp = self.stride, self.padding, self.gx, self.xp
+        w, stride, padding = self.w, self.stride, self.padding
         p, crs = ho * wo, c * r * s
 
         # -- dw (phase "a") ------------------------------------------------
-        gemm = _DwGemm(n, k, crs, p, alloc, cmajor=remat)
-        if remat:
-            cols_b6 = alloc((c, r, s, n, ho, wo) if gemm.fold
-                            else (n, c, r, s, ho, wo), "cols_b", "a")
-            xpb = alloc(xp.shape, "xpb", "a") if xp is not None else None
-            gb = _Gather(cols_b6, xpb, self.x_shape, r, s, stride, padding,
-                         padding, True, cmajor=gemm.fold)
-            regather = gb.dense
-        else:
-            gb, regather = gx, (lambda x: None)
-        dense = gemm.kernel(gb.mat)
+        gemm = _DwGemm(n, k, crs, p, alloc, cmajor=True)
+        cols_b6 = alloc((c, r, s, n, ho, wo) if gemm.fold
+                        else (n, c, r, s, ho, wo), "cols_b", "a")
+        xpb = alloc((n, c, h + 2 * padding, wd + 2 * padding), "xpb", "a") \
+            if padding else None
+        gb = _Gather(cols_b6, xpb, self.x_shape, r, s, stride, padding,
+                     padding, cmajor=gemm.fold)
+        regather, dense = gb.dense, gemm.kernel(gb.mat)
 
         def dw(x: np.ndarray, g3: np.ndarray) -> np.ndarray:
             regather(x)
@@ -499,12 +481,9 @@ class _GatherKernels(ConvKernels):
             dx3 = alloc((n, c, h * wd), "grad", "dx")
             dx4 = dx3.reshape(n, c, h, wd)
             dyc6 = alloc((n, k, r, s, h, wd), "dyc", "b")
-            dyp = None
-            if pr or ps:
-                dyp = alloc((n, k, ho + 2 * pr, wo + 2 * ps), "dyp", "b")
-                if not remat:
-                    dyp.fill(0)
-            gy = _Gather(dyc6, dyp, (n, k, ho, wo), r, s, 1, pr, ps, remat)
+            dyp = alloc((n, k, ho + 2 * pr, wo + 2 * ps), "dyp", "b") \
+                if pr or ps else None
+            gy = _Gather(dyc6, dyp, (n, k, ho, wo), r, s, 1, pr, ps)
             wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             gather_dy, dyc3 = gy.dense, gy.mat
 
@@ -787,7 +766,7 @@ class _SpanKernels(ConvKernels):
     nothing gathers ``dy``: ``dw`` contracts its centre run with the
     re-gathered columns of ``x`` (``C*R*S`` rows, not ``K*R*S``).  Either
     way the contraction goes through :class:`_DwGemm`.  Nothing outlives
-    ``fwd``, so ``remat`` changes nothing here.
+    ``fwd``.
     """
 
     form = "span"

@@ -186,7 +186,7 @@ def _conv_buffers(shapes, dtypes, params, attrs, backward, row_stable, alloc):
     forward."""
     (w, b), (stride, padding, need_dx) = params, attrs
     ks = _conv.ConvKernels(shapes[0], w, stride, padding, dtypes[0], alloc,
-                           bias=b, remat=True, backward=backward,
+                           bias=b, backward=backward,
                            row_stable=row_stable and not backward)
     if backward:
         ks.backward(alloc, need_dx)

@@ -8,6 +8,11 @@ into them.  It defines no operator of its own: every op is a row of
 :meth:`Tensor._make`.  Calling :meth:`Tensor.backward` runs a topological
 sort over the recorded graph and invokes the closures in reverse order.
 
+Whether ops record graph nodes (:class:`no_grad`) and whether they record a
+capture (the active tape) are per-thread state: a serving thread's
+``no_grad`` forward neither switches off the trainer's gradients nor lands
+in another thread's capture.
+
 The engine is deliberately eager and define-by-run (the PruneTrain paper's
 substrate is PyTorch, which works the same way): network reconfiguration can
 therefore change tensor shapes between iterations without any graph
@@ -16,40 +21,50 @@ recompilation step.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-#: Global autograd switch.  ``no_grad()`` flips this off so inference and
-#: optimizer updates do not record graph nodes.
-_GRAD_ENABLED = True
 
-#: Active capture tape (:class:`repro.tensor.compile.Tape`) or ``None``.
-#: While set, every op appends an execution record so the step can later be
-#: replayed as a flat kernel plan; the disabled cost is one global load per
-#: op.  Set/cleared only by ``Tape.__enter__``/``__exit__``.
-_TAPE = None
+class _EngineState(threading.local):
+    """The engine's switches, one set per thread (the serving worker is a
+    thread): another thread's ``no_grad`` or capture never reaches this
+    one's ops."""
+
+    #: autograd switch; ``no_grad()`` flips it off so inference and
+    #: optimizer updates do not record graph nodes
+    grad = True
+    #: active capture tape (:class:`repro.tensor.compile.Tape`) or ``None``.
+    #: While set, every op appends an execution record so the step can later
+    #: be replayed as a flat kernel plan; the disabled cost is one
+    #: thread-local read per op.  Set/cleared only by ``Tape.__enter__`` /
+    #: ``__exit__``.
+    tape = None
+
+
+_STATE = _EngineState()
 
 
 class no_grad:
-    """Context manager disabling graph recording (like ``torch.no_grad``)."""
+    """Context manager disabling graph recording in this thread (like
+    ``torch.no_grad``)."""
 
     def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _STATE.grad
+        _STATE.grad = False
         return self
 
     def __exit__(self, *exc) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _STATE.grad = self._prev
 
 
 def grad_enabled() -> bool:
-    """Return whether operations currently record autograd graph nodes."""
-    return _GRAD_ENABLED
+    """Return whether this thread's operations record autograd graph
+    nodes."""
+    return _STATE.grad
 
 
 def backward_order(root: "Tensor") -> list["Tensor"]:
@@ -98,12 +113,12 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _STATE.grad
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: tuple = ()
         self.name = name
-        if _TAPE is not None:
-            _TAPE.saw_fresh(self)
+        if _STATE.tape is not None:
+            _STATE.tape.saw_fresh(self)
 
     # ------------------------------------------------------------------
     # basic introspection
@@ -146,7 +161,7 @@ class Tensor:
               backward: Callable[[np.ndarray], None]) -> "Tensor":
         """Create a graph node.  ``backward(grad)`` must accumulate into parents."""
         parents = tuple(parents)
-        req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        req = _STATE.grad and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=req)
         if req:
             out._parents = parents

@@ -157,7 +157,6 @@ class TestReRegister:
         key = (4, tuple(x.shape[1:]), x.dtype.str)
         plan1 = served1.plans.lookup(key)
         assert isinstance(plan1, StepPlan)
-        assert plan1.serve_generation == served1.generation
 
         registry.evict("m")
         served2 = registry.register("m", path, _model)
@@ -165,12 +164,15 @@ class TestReRegister:
         assert served2.generation > served1.generation
         out2 = registry.run("m", x)
         plan2 = served2.plans.lookup(key)
-        # recompiled, not reused: new plan object at the new generation,
-        # old plan's buffers are gone
+        # recompiled, not reused: a new plan in the new entry's own cache,
+        # the old plan's buffers are gone
         assert isinstance(plan2, StepPlan) and plan2 is not plan1
-        assert plan2.serve_generation == served2.generation
-        assert plan1._released
+        assert served2.plans is not served1.plans
+        assert len(served1.plans) == 0 and plan1._released
         assert served2.captures == 1
+        # ... and the next batch replays from that cache
+        assert np.array_equal(registry.run("m", x), out2)
+        assert served2.exact_replays == 1 and served2.captures == 1
         # identical weights -> identical logits through the fresh plan
         assert np.array_equal(out1, out2)
 

@@ -1,7 +1,7 @@
 """Differential tests: served logits vs eager forward vs eval plan.
 
 The serving contract (row-stable forward plans, see
-``Tape.finalize_forward``) guarantees every served request's logits are
+``Tape.finalize``) guarantees every served request's logits are
 **bit-identical** to a batch-1 eager forward of that request alone —
 single request, padded batch, and on-demand tail-shape batch alike, for
 dense and pruned checkpoints, at every CPU-tractable Scale.

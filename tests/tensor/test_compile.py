@@ -263,60 +263,6 @@ class TestReplayTimed:
         with pytest.raises(RuntimeError, match="training plan"):
             plan.replay_timed(x, y)
 
-    def test_conv_profile_joins_forms_with_thunk_times(self, monkeypatch):
-        """One row per conv, in ``conv_forms()`` order, carrying exactly the
-        seconds ``replay_timed`` attributes to that conv's two thunks (under
-        a scripted clock the two are the same numbers), from a replay that
-        computes what ``run`` computes; training plans only."""
-        from repro.tensor import compile as compile_mod
-
-        class Clock:                    # ticks by 1, 2, ... 7, 1, 2, ...
-            def __init__(self):
-                self.now, self.calls = 0.0, 0
-
-            def perf_counter(self):
-                self.calls += 1
-                self.now += self.calls % 7 + 1
-                return self.now
-
-        rng = np.random.default_rng(6)
-        x0, y0 = _batch(rng)
-        x, y = _batch(rng)
-        model = _model()
-        plan, loss_t, _, reason = capture_training_step(model, x0, y0)
-        assert reason is None, reason
-        loss_t.backward()
-        model.zero_grad()
-        loss, logits = plan.run(x, y)
-        grads = [p.grad.copy() for p in model.parameters()]
-
-        monkeypatch.setattr(compile_mod, "time", Clock())
-        _, _, seconds = plan.replay_timed(x, y)
-        model.zero_grad()
-        monkeypatch.setattr(compile_mod, "time", Clock())
-        loss_p, logits_p, rows = plan.conv_profile(x, y)
-        assert np.array_equal(loss_p, loss)
-        assert np.array_equal(logits_p, logits)
-        for p, g in zip(model.parameters(), grads):
-            assert np.array_equal(p.grad, g)
-        assert [row[:5] for row in rows] == plan.conv_forms()
-        for phase, col in (("fwd", 5), ("bwd", 6)):
-            thunks = [s for kind, ph, s in seconds
-                      if kind == "conv2d" and ph == phase]
-            assert len(thunks) == len(rows)
-            got = [row[col] for row in rows]
-            assert got == thunks if phase == "fwd" \
-                else sorted(got) == sorted(thunks)
-        # the last conv in op order is differentiated first
-        first_bwd = next(s for kind, ph, s in seconds
-                         if kind == "conv2d" and ph == "bwd")
-        assert rows[-1][6] == first_bwd
-
-        model.eval()
-        fplan, _, _ = capture_forward(model, x)
-        with pytest.raises(RuntimeError, match="training plan"):
-            fplan.conv_profile(x, y)
-
 
 class TestForwardPlan:
     def test_eval_replay_matches_eager(self):
@@ -401,6 +347,52 @@ class TestFallback:
         plan, loss_t, _, reason = capture_training_step(_model(), x, y)
         assert reason is None
         loss_t.backward()
+
+
+class TestPerThreadState:
+    def test_another_threads_no_grad_op_stays_in_its_thread(self):
+        """Autograd's switch and the capture tape belong to the thread that
+        set them.  A second thread that runs an op under ``no_grad`` in the
+        middle of this thread's captured training step neither lands in the
+        capture (which would fail closed: its input was produced by no
+        recorded op) nor switches off this thread's gradients."""
+        x, y = _batch(np.random.default_rng(9))
+        go, ran, release = (threading.Event() for _ in range(3))
+
+        def other():
+            with no_grad():
+                go.wait(10)
+                F.relu(Tensor(x))
+                ran.set()
+                release.wait(10)        # no_grad stays on through the step
+
+        class Interleaved(Module):
+            def __init__(self):
+                super().__init__()
+                self.inner = _model()
+
+            def forward(self, t):
+                go.set()
+                ran.wait(10)
+                return self.inner(t)
+
+        model = Interleaved()
+        thread = threading.Thread(target=other)
+        thread.start()
+        try:
+            plan, loss_t, _, reason = capture_training_step(model, x, y)
+            loss_t.backward()
+        finally:
+            release.set()
+            thread.join(10)
+        assert ran.is_set() and not thread.is_alive()
+        lost = [name for name, p in model.named_parameters() if p.grad is None]
+        assert (reason, lost) == (None, [])
+        grads = [p.grad for p in model.parameters()]
+        model.zero_grad()
+        plan.run(x, y)
+        for p, g in zip(model.parameters(), grads):
+            assert np.array_equal(p.grad, g)
 
 
 def _captured_plan(seed=7):

@@ -1,10 +1,10 @@
 """Property tests of the staged conv kernel set (ops.conv.ConvKernels).
 
 One kernel set serves eager and the plan builder, so its contract is checked
-here once, over generated shapes, in all four forms (window gather, 1x1, unrolled, span) on both sides of the
-predicates that choose between them.  *Buffer lifetimes*: the eager driver
-(built per call over fresh arrays, nothing rematerialised) equals, bitwise,
-the same kernels in the planned layout — ``remat=True``, every point-lived
+here once, over generated shapes, in all four forms (window gather, 1x1,
+unrolled, span) on both sides of the predicates that choose between them.
+*Buffer lifetimes*: the eager driver (built per call over fresh arrays)
+equals, bitwise, the same kernels in the planned layout — every point-lived
 phase carved from one shared scratch region that is dirtied between kernel
 calls — so a buffer read after the lifetime its phase declares shows up as a
 NaN.  *Values*: every form agrees with the float64 im2col reference in
@@ -54,8 +54,8 @@ class _SharedScratch:
     forward staging, ``dw`` scratch and ``dx`` scratch overlap one another as
     they do with other ops' scratch in an arena; ``dirty()`` stands in for
     those other ops.  ``"span"``, ``"out"`` and ``"dx"`` buffers are private
-    — as is everything with ``shared=False``, which drives ``remat=False``
-    (eager's kernels) over private buffers.  ``"ab"`` buffers (what
+    — as is everything with ``shared=False``, which drives the kernels over
+    private buffers, as eager does.  ``"ab"`` buffers (what
     ``stage_dy`` writes for ``dw`` and ``dx`` to read) are dirtied too,
     except between those calls (``inside_backward``).  Records every
     ``(shape, phase)`` requested."""
@@ -125,12 +125,12 @@ def _assert_close_to_oracle(x, w, b, dy, stride, padding, y, dw, dx, db):
 
 @given(conv_cases(), st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_dense_kernels_equal_eager(case, remat):
+def test_dense_kernels_equal_eager(case, shared):
     x, w, dy, stride, padding = case
     y, dw, dx, _ = _eager(x, w, dy, stride, padding)
     _assert_close_to_oracle(x, w, None, dy, stride, padding, y, dw, dx, None)
-    alloc = _SharedScratch(x.dtype, shared=remat)
-    ks = ConvKernels(x.shape, w, stride, padding, x.dtype, alloc, remat=remat)
+    alloc = _SharedScratch(x.dtype, shared=shared)
+    ks = ConvKernels(x.shape, w, stride, padding, x.dtype, alloc)
     ks.backward(alloc)
     for _ in range(2):          # twice: staging state survives a replay
         alloc.dirty()
@@ -162,24 +162,25 @@ def _case(c, k, hw, n, r=3, padding=1, dtype=np.float32, seed=0):
 
 
 @pytest.mark.parametrize("n", [1, 32, 7])            # batch-1, full, tail
-@pytest.mark.parametrize("remat", [False, True])
+@pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("shape, folds", [(PER_SAMPLE, False), (FOLDED, True)])
 def test_dw_forms_equal_eager_on_both_sides_of_the_predicate(shape, folds, n,
-                                                             remat):
+                                                             shared):
     c, k, hw = shape
     x, w, dy = _case(c, k, hw, n)
     assert conv_ops.dw_folds(k, c * 9, hw * hw) == folds
     _, dw, _, _ = _eager(x, w, dy, 1, 1, form="gather")
-    alloc = _SharedScratch(x.dtype, shared=remat)
-    ks = ConvKernels(x.shape, w, 1, 1, x.dtype, alloc, remat=remat)
+    alloc = _SharedScratch(x.dtype, shared=shared)
+    ks = ConvKernels(x.shape, w, 1, 1, x.dtype, alloc)
     assert not any(ph in "ab" for _, ph in alloc.requests)  # stage 1: forward
     ks.backward(alloc)
     # The (N, K, CRS) slab exists only on the per-sample side — at every N,
     # because the predicate never sees N.
     assert (((n, k, c * 9), "a") in alloc.requests) == (not folds)
-    # Without remat the backward reads the forward's column tensor, so the
-    # phase that names its lifetime has to say so.
-    assert ((n, c, 3, 3, hw, hw), "fwd" if remat else "span") \
+    # The forward's column tensor is point-lived: the backward re-gathers,
+    # channel-major where the GEMM folds.
+    assert ((n, c, 3, 3, hw, hw), "fwd") in alloc.requests
+    assert (((c, 3, 3, n, hw, hw) if folds else (n, c, 3, 3, hw, hw)), "a") \
         in alloc.requests
     g3 = dy.reshape(n, k, -1)
     ks.fwd(x)
@@ -235,18 +236,17 @@ def pointwise_cases(draw):
 
 @given(pointwise_cases(), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_pointwise_kernels_equal_eager(case, remat):
+def test_pointwise_kernels_equal_eager(case, shared):
     """``fwd`` / ``dw`` / ``db`` / ``dx`` of the 1x1 case in the planned
-    layout equal the eager driver bitwise, ``out=`` and returned, whatever
-    ``remat`` says, and both agree with the oracle; the staging is a view at
-    stride 1 and one forward-to-backward buffer otherwise — never a
-    re-gather."""
+    layout equal the eager driver bitwise, ``out=`` and returned, over shared
+    scratch or private buffers, and both agree with the oracle; the staging
+    is a view at stride 1 and one forward-to-backward buffer otherwise —
+    never a re-gather."""
     x, w, b, dy, stride = case
     y, dw, dx, db = _eager(x, w, dy, stride, 0, b, form="pointwise")
     _assert_close_to_oracle(x, w, b, dy, stride, 0, y, dw, dx, db)
-    alloc = _SharedScratch(x.dtype)
-    ks = ConvKernels(x.shape, w, stride, 0, x.dtype, alloc, bias=b,
-                     remat=remat)
+    alloc = _SharedScratch(x.dtype, shared=shared)
+    ks = ConvKernels(x.shape, w, stride, 0, x.dtype, alloc, bias=b)
     ks.backward(alloc)
     phases = [ph for _, ph in alloc.requests]
     assert "fwd" not in phases
@@ -337,10 +337,11 @@ def small_map_cases(draw):
 @given(small_map_cases(), st.booleans(), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_unrolled_kernels_equal_eager_on_both_sides_of_the_predicate(
-        case, remat, need_dx):
+        case, shared, need_dx):
     """On both sides of ``conv_unrolls``: the kernels in the planned layout
     equal the eager driver bitwise (``out=`` and returned, with and without
-    ``dx``, whatever ``remat`` says), eager agrees with the oracle, and a tap that never overlaps the map gets an exactly-zero
+    ``dx``, over shared scratch or private buffers), eager agrees with the
+    oracle, and a tap that never overlaps the map gets an exactly-zero
     gradient."""
     x, w, b, dy, padding = case
     (n, c, h, wd), (k, r) = x.shape, w.shape[::2]
@@ -349,9 +350,8 @@ def test_unrolled_kernels_equal_eager_on_both_sides_of_the_predicate(
     form = "unrolled" if unrolls else "span"        # at most six filters
     y, dw, dx, db = _eager(x, w, dy, 1, padding, b, need_dx, form)
 
-    alloc = _SharedScratch(x.dtype, shared=remat)
-    ks = ConvKernels(x.shape, w, 1, padding, x.dtype, alloc, bias=b,
-                     remat=remat)
+    alloc = _SharedScratch(x.dtype, shared=shared)
+    ks = ConvKernels(x.shape, w, 1, padding, x.dtype, alloc, bias=b)
     ks.backward(alloc, need_dx)
     assert ks.form == form
     g3 = dy.reshape(n, k, -1)
@@ -467,10 +467,11 @@ def span_cases(draw):
 @given(span_cases(), st.booleans(), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_span_kernels_equal_eager_on_both_sides_of_the_predicate(
-        case, remat, need_dx):
+        case, shared, need_dx):
     """On both sides of ``conv_spans``: the kernels in the planned layout
     equal the eager driver bitwise (``out=`` and returned, with and without
-    ``dx``, whatever ``remat`` says) and eager agrees with the oracle.
+    ``dx``, over shared scratch or private buffers) and eager agrees with
+    the oracle.
     Everything the planned layout shares is NaN between
     calls, so a garbage column of the padded-width grid (``yq``, ``dxq``,
     ``dyc``) read into a result, or staging read past its phase, shows."""
@@ -482,9 +483,8 @@ def test_span_kernels_equal_eager_on_both_sides_of_the_predicate(
     y, dw, dx, db = _eager(x, w, dy, 1, padding, b, need_dx, form)
     _assert_close_to_oracle(x, w, b, dy, 1, padding, y, dw, dx, db)
 
-    alloc = _SharedScratch(x.dtype, shared=remat)
-    ks = ConvKernels(x.shape, w, 1, padding, x.dtype, alloc, bias=b,
-                     remat=remat)
+    alloc = _SharedScratch(x.dtype, shared=shared)
+    ks = ConvKernels(x.shape, w, 1, padding, x.dtype, alloc, bias=b)
     assert not any(ph in ("a", "b", "ab") for _, ph in alloc.requests)
     ks.backward(alloc, need_dx)
     assert ks.form == form

@@ -12,7 +12,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.tensor import workspace
 from repro.tensor.memplan import (ALIGN, MemPlanner, PlanError, STATS,
                                   live_arena_bytes, live_arena_count)
 from repro.tensor.compile import capture_training_step
@@ -26,7 +25,7 @@ F32 = np.float32
 def _planned(mem):
     """Run solve+materialize and flip into serve mode."""
     mem.solve()
-    mem.materialize(workspace.PLAN_GENERATION)
+    mem.materialize()
     return mem
 
 
@@ -137,7 +136,7 @@ class TestSolver:
         mem.alloc((4,), F32, 0, 1)
         _planned(mem)
         with pytest.raises(PlanError):
-            mem.materialize(workspace.PLAN_GENERATION)
+            mem.materialize()
 
 
 def _align_up(n):

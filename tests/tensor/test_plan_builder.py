@@ -161,7 +161,7 @@ def test_a_row_stable_linear_is_batch_one_eager_row_by_row(bias):
 def test_an_op_with_neither_row_nor_builder_fails_capture_closed():
     def mystery(net, t, x):
         out = Tensor._make(t.data * 2, (t,), lambda g: t._accumulate(g * 2))
-        tensor_mod._TAPE.record("mystery", (t,), out, None)
+        tensor_mod._STATE.tape.record("mystery", (t,), out, None)
         return out
 
     x, y = _toy_batch()
@@ -192,7 +192,8 @@ def _two_convs(first, second):
 
 def _dx_requests(monkeypatch):
     """id(conv weight) -> how many phase-``"dx"`` buffers that conv's
-    stage requests, over both builder passes of every capture."""
+    stage requests, over both runs of the stages (stage and bind) of every
+    capture."""
     counts = collections.Counter()
     real = C._PlanBuilder._allocator
 
@@ -282,7 +283,8 @@ def test_only_apply_op_makes_nodes_or_records():
             for node in ast.walk(top):
                 if isinstance(node, ast.Call) and (
                         ast.unparse(node.func) == "Tensor._make"
-                        or ast.unparse(node.func).endswith("_TAPE.record")):
+                        or ast.unparse(node.func).endswith(
+                            "_STATE.tape.record")):
                     makers.add((module.as_posix(), getattr(top, "name", None)))
     assert makers == {("repro/tensor/functional", "apply_op")}
 
@@ -403,6 +405,68 @@ def test_a_plan_does_not_keep_its_builder_alive():
         assert not alive & {"_PlanBuilder", "Tape"}
     finally:
         gc.enable()
+
+
+def test_one_capture_runs_one_builder_into_one_plan(monkeypatch):
+    """A capture is three passes of one builder (stage, pack, bind), and
+    bind fills the plan the capture returns: no scratch plan, no second
+    builder.  One ``finalize`` serves both plan kinds, and nothing is left
+    of the per-conv profile or of a second gather schedule."""
+    made = []
+    for cls in (C._PlanBuilder, C.StepPlan):
+        def init(self, *args, _init=cls.__init__, **kwargs):
+            made.append(self)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+    model, hw, n = _r32()
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, 3, hw, hw)).astype(np.float32)
+    plan, loss_t, _, reason = C.capture_training_step(
+        model, x, rng.integers(0, 10, size=n))
+    assert reason is None, reason
+    loss_t.backward()
+    assert [type(o) for o in made] == [C._PlanBuilder, C.StepPlan]
+    assert made[1] is plan
+    assert [name for name in dir(C.Tape) if "finalize" in name] == \
+        ["finalize"]
+    assert not hasattr(plan, "conv_profile") and not hasattr(plan, "_bwd_of")
+    from repro.tensor.ops.conv import ConvKernels
+    assert "remat" not in inspect.signature(ConvKernels).parameters
+
+
+def test_a_capture_failing_in_bind_books_nothing(monkeypatch):
+    """An input no recorded op produced is found in bind, after pack
+    materialized the arena: the capture fails closed with one fallback, and
+    no memory-plan counter moves and no arena outlives it (by reference
+    count: the collector is off)."""
+    import dataclasses
+    import gc
+    from repro.tensor import memplan
+    from ..conftest import UNRECORDED, uncapturable
+    packed = []
+    materialize = memplan.MemPlanner.materialize
+    monkeypatch.setattr(memplan.MemPlanner, "materialize",
+                        lambda mem: packed.append(mem) or materialize(mem))
+    model, hw, n = _r32()
+    uncapturable(model)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, 3, hw, hw)).astype(np.float32)
+    gc.collect()
+    gc.disable()
+    try:
+        booked = dataclasses.asdict(memplan.STATS)
+        arenas, fallbacks = memplan.live_arena_count(), C.STATS.fallbacks
+        plan, loss_t, _, reason = C.capture_training_step(
+            model, x, rng.integers(0, 10, size=n))
+        assert (plan, reason) == (None, UNRECORDED)
+        assert len(packed) == 1
+        del packed[:]
+        assert dataclasses.asdict(memplan.STATS) == booked
+        assert memplan.live_arena_count() == arenas
+        assert C.STATS.fallbacks == fallbacks + 1
+    finally:
+        gc.enable()
+    loss_t.backward()                   # the eager step still completes
 
 
 # -- no byte of any arena moved ---------------------------------------------------
