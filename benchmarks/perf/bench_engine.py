@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.nn import resnet32
 from repro.optim import SGD
-from repro.tensor import Tensor, workspace
+from repro.tensor import Tensor
 from repro.tensor import functional as F
 
 RESULTS_DIR = os.path.join(
@@ -115,7 +115,6 @@ def run_compile_bench(step_warmup: int = 3, step_iters: int = 5,
     run_eager, run_compiled = _compiled_step_pair(np.random.default_rng(1))
     step = _measure_interleaved(
         run_eager, run_compiled, step_rounds, step_iters, warmup=step_warmup)
-    workspace.invalidate()
     return {
         "meta": {
             "workload": "resnet32 @ QUICK scale (hw=12, width_mult=0.375, "
@@ -200,7 +199,6 @@ def run_memplan_bench() -> dict:
         [*planned, *(p.grad for p in m_p.parameters())],
         [*eager, *(p.grad for p in m_e.parameters())]))
     m = plan.mem_metrics()
-    workspace.invalidate()
     if m["savings"] < 0.20:
         raise RuntimeError(f"the arena saves under 20 % of the private "
                            f"bytes: {m}")

@@ -19,8 +19,9 @@ The coordinator owns the model, the optimizer and the regularizer state;
 workers are stateless gradient engines.  Each worker ships its per-shard
 BN batch statistics home (:func:`repro.tensor.ops.norm.set_bn_stats_sink`)
 and the coordinator replays the running-stat updates in shard order.  A
-``workspace.PLAN_GENERATION`` bump (pruning surgery, checkpoint restore)
-makes the next step resync every replica through
+move of the model's plan generation (pruning surgery, or a checkpoint
+restore, which replays the recorded surgery) makes the next step resync
+every replica through
 :func:`repro.io.checkpoint.dumps_state` / ``loads_state``.
 
 Fault model: a worker whose process died, whose pipe closed or whose
@@ -50,7 +51,6 @@ from ..io.checkpoint import dumps_state, loads_state
 from ..nn.layers import BatchNorm2d
 from ..nn.module import Module
 from ..profiler import PROFILER
-from ..tensor import workspace as _ws
 from ..tensor.blas import (blas_threads, limit_blas_threads,
                            per_worker_threads)
 from ..tensor.compile import PlanCache, train_step
@@ -185,7 +185,7 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
     rebuild_bn_map()
 
     payload = GradPayload(replica)    # rebuilt on resync
-    plans = PlanCache(max_entries=4)
+    plans = PlanCache(replica, max_entries=4)
 
     def run_step(step_idx: int, attempt: int, xb, yb, width: int) -> None:
         # the parameter broadcast, in place (surgery keeps parameter objects)
@@ -227,7 +227,7 @@ def _worker_main(rank: int, conn, replica: Module, grad_mm, param_mm, hb_mm,
                     corrupt = True
                     hb[rank] = float("nan")
             if kind == "resync":
-                loads_state(msg[2], replica)  # bumps the plan generation:
+                loads_state(msg[2], replica)  # replays surgery: the replica's
                 rebuild_bn_map()              # stale plans purge on lookup
                 payload = GradPayload(replica)
                 beat()
@@ -345,7 +345,7 @@ class ElasticEngine:
                 np.frombuffer(grad_mm, dtype=np.float32,
                               count=self._capacity)))
         self._started = True
-        self._generation = _ws.PLAN_GENERATION
+        self._generation = self.model.plan_generation
 
     def shutdown(self) -> None:
         """Stop and reap all workers, releasing every shared-memory segment
@@ -422,7 +422,7 @@ class ElasticEngine:
         except OSError:  # pragma: no cover
             pass
         # The worker may have died mid-write; its segment is never read
-        # again (the attempt is voided), so release it now.  A view pinned
+        # again (the attempt is voided), so release it now.  A view held
         # by the in-flight attempt defers the close harmlessly.
         self._close_grad_segment(h)
 
@@ -493,9 +493,10 @@ class ElasticEngine:
     def _resync(self) -> None:
         """Rebuild every replica from the coordinator's serialized state.
 
-        Triggered by a ``workspace.PLAN_GENERATION`` bump — the same signal
-        that retires compiled step plans fires whenever pruning surgery or
-        a checkpoint restore changed the model under the engine.
+        Triggered by a move of the model's plan generation — the same
+        signal that retires its compiled step plans, raised by the pruning
+        surgery that a reconfiguration or a checkpoint restore runs on the
+        model under the engine.
         """
         self._refresh_layout()
         if self._payload.total > self._capacity:  # pragma: no cover - shrink-only
@@ -510,7 +511,7 @@ class ElasticEngine:
         self.total_stall_seconds += stall
         if not self.active_ranks:
             raise RuntimeError("all elastic workers failed during resync")
-        self._generation = _ws.PLAN_GENERATION
+        self._generation = self.model.plan_generation
 
     # -- the step ----------------------------------------------------------
     def step(self, x: np.ndarray, y: np.ndarray) -> ElasticStepResult:
@@ -527,7 +528,7 @@ class ElasticEngine:
         shard_bounds(len(x), self.workers)   # an empty batch fails unforked
         if not self._started:
             self.start()
-        if self._generation != _ws.PLAN_GENERATION:
+        if self._generation != self.model.plan_generation:
             self._resync()
         failures_before = len(self.failures)
         stall_total = 0.0

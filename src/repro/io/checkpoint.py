@@ -216,18 +216,12 @@ def load_checkpoint(path: str, model_factory: Callable[[], Module],
     """
     data, meta = _read(path)
     model = model_factory()
-    _replay_structure(model, meta)
-    _load_model_arrays(model, data)
-
     optimizer = None
     if with_optimizer:
         if "optimizer" not in meta:
             raise ValueError("checkpoint has no optimizer state")
-        cfg = meta["optimizer"]
-        optimizer = SGD(model.parameters(), lr=cfg["lr"],
-                        momentum=cfg["momentum"],
-                        weight_decay=cfg["weight_decay"])
-        _load_momentum(optimizer, model, data)
+        optimizer = SGD(model.parameters(), **meta["optimizer"])
+    _restore_into(data, meta, model, optimizer)
     return model, optimizer, meta["extra"]
 
 

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..tensor import Tensor, no_grad, workspace
+from ..tensor import Tensor, no_grad
 from .layers import BatchNorm2d
 from .module import Module, Parameter
 
@@ -83,6 +83,5 @@ def fold_batchnorm(model: Module) -> int:
         bn.folded = True
         folded += 1
     if folded:
-        # plans captured on this model hold the replaced weight arrays
-        workspace.invalidate()
+        model.invalidate_plans()
     return folded

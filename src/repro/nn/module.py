@@ -6,6 +6,12 @@ Parameters are :class:`~repro.tensor.Tensor` objects with
 ``param.data`` (and the optimizer's momentum buffer, keyed by parameter
 identity) with channel-sliced arrays, so "all training variables of the
 remaining channels are kept as is" (Sec. 4.2) falls out naturally.
+
+Compiled step plans (:mod:`repro.tensor.compile`) are scoped to the model
+they were captured on: a model's :attr:`Module.plan_generation` moves when
+:meth:`Module.invalidate_plans` is called on it (channel surgery, the
+batch-norm fold), which retires the plans of that model's caches and of no
+other model's.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..tensor import Tensor, workspace
+from ..tensor import Tensor
 
 
 class Parameter(Tensor):
@@ -31,6 +37,10 @@ class Module:
     ``__init__``; those are discovered by attribute scan, so there is no
     registration boilerplate.
     """
+
+    #: bumped by :meth:`invalidate_plans`; a ``PlanCache`` over this model
+    #: drops every entry it holds once the value moves
+    plan_generation = 0
 
     def __init__(self) -> None:
         self.training = True
@@ -93,6 +103,12 @@ class Module:
         for p in self.parameters():
             p.grad = None
 
+    def invalidate_plans(self) -> None:
+        """Retire every compiled plan captured on this model: called by
+        whatever changes its structure (channel surgery, the batch-norm
+        fold) on the model it changed."""
+        self.plan_generation += 1
+
     # -- (de)serialization -------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copy of all parameters and buffers, keyed by dotted path."""
@@ -107,27 +123,21 @@ class Module:
         return out
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load arrays saved by :meth:`state_dict` (shapes must match)."""
-        params = dict(self.named_parameters())
-        buffers: Dict[str, Tuple[Module, str]] = {}
+        """Load arrays saved by :meth:`state_dict` into the existing
+        parameter and buffer arrays.  Every entry is checked (name and
+        shape) before any is written, so a bad ``state`` loads nothing.
+        The arrays keep their identity, so a compiled plan bound to them
+        stays valid and reads the loaded values."""
+        arrays = {name: p.data for name, p in self.named_parameters()}
         for mod_name, mod in self.named_modules():
             for key, value in vars(mod).items():
                 if isinstance(value, np.ndarray):
-                    path = f"{mod_name}.{key}" if mod_name else key
-                    buffers[path] = (mod, key)
+                    arrays[f"{mod_name}.{key}" if mod_name else key] = value
         for name, arr in state.items():
-            if name in params:
-                if params[name].data.shape != arr.shape:
-                    raise ValueError(
-                        f"shape mismatch for {name}: "
-                        f"{params[name].data.shape} vs {arr.shape}")
-                params[name].data = arr.copy()
-            elif name in buffers:
-                mod, key = buffers[name]
-                setattr(mod, key, arr.copy())
-            else:
+            if name not in arrays:
                 raise KeyError(f"unexpected state entry {name!r}")
-        # Parameter/buffer arrays were just reassigned: any compiled step
-        # plan holding references to the old arrays is now stale, even
-        # though every shape is unchanged (checkpoint restore).
-        workspace.invalidate()
+            if arrays[name].shape != arr.shape:
+                raise ValueError(f"shape mismatch for {name}: "
+                                 f"{arrays[name].shape} vs {arr.shape}")
+        for name, arr in state.items():
+            np.copyto(arrays[name], arr)

@@ -27,7 +27,6 @@ import numpy as np
 
 from ..nn.graph import ConvNode, ModelGraph
 from ..nn.module import Module, Parameter
-from ..tensor import workspace
 from .sparsity import DEFAULT_THRESHOLD, conv_sparsity, space_keep_masks
 
 
@@ -206,11 +205,10 @@ def apply_space_masks(model: Module, masks: Dict[int, np.ndarray],
         graph.spaces[sid].size = int(keep.sum())
 
     # Channel surgery changed every activation shape in the model (the
-    # paper's "dense reconfiguration" moment): invalidate() bumps
-    # workspace.PLAN_GENERATION, which retires every compiled step plan
-    # (repro.tensor.compile), and the trainer recaptures on its next batch
-    # against the reconfigured network.
-    workspace.invalidate()
+    # paper's "dense reconfiguration" moment): this retires the model's
+    # compiled step plans (repro.tensor.compile), and the trainer recaptures
+    # on its next batch against the reconfigured network.
+    model.invalidate_plans()
 
 
 def zero_sparsified_groups(graph: ModelGraph,

@@ -7,7 +7,7 @@ where it earns its keep.  ``ModelRegistry`` loads checkpoints through
 work-conserving ``DynamicBatcher``; ``traffic`` generates deterministic
 open-loop load for the ``BENCH_serve.json`` benchmark.
 
-Serving invariant (pinned by ``tests/serve/``): every response is
+Serving invariant (held by ``tests/serve/``): every response is
 bit-identical to a batch-1 eager forward of that request alone, no matter
 how requests were batched, padded, or tail-compiled.
 """

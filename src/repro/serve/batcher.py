@@ -13,7 +13,7 @@ time and the :class:`~repro.serve.server.InferenceServer` drives it with
 dispatched later than ``arrival + latency_budget`` is counted in
 :attr:`DynamicBatcher.late`.
 
-Dispatch invariants (pinned by ``tests/serve/test_batcher_property.py``):
+Dispatch invariants (held by ``tests/serve/test_batcher_property.py``):
 
 - every submitted request appears in exactly one dispatched batch;
 - no batch exceeds ``max_batch`` and never mixes models;

@@ -2,14 +2,13 @@
 
 A :class:`ModelRegistry` owns every served model.  Each registered model
 gets a :class:`ServedModel` wrapper holding its own forward-plan cache —
-``PlanCache(pinned=True)``, which follows the compiled-step protocol of
-docs/ARCHITECTURE.md ("Trainer wiring") but pins its plans and skips the
-generation sweep — and one memplan arena per cached plan shape, so loading
-model B (whose ``load_state_dict`` bumps the global plan generation) can
-never purge model A's hot plans.  The registry's contract in exchange: a
-served model is frozen after registration; any weight change must go
-through re-registration, which builds a fresh entry at a new entry
-generation and releases the old one.
+a ``PlanCache`` over that model, which follows the compiled-step protocol
+of docs/ARCHITECTURE.md ("Trainer wiring") — and one memplan arena per
+cached plan shape.  Plan validity is per model, so loading or
+reconfiguring model B never touches model A's hot plans.  A served model
+is frozen after registration; a weight change goes through
+re-registration, which builds a fresh wrapper (and cache) and releases
+the old one.
 
 The served model is **folded**: registration folds every evaluation-mode
 batch-norm into the conv in front of it, once
@@ -95,22 +94,18 @@ class BatchPadder:
 
 
 class ServedModel:
-    """One frozen model plus its pinned plan cache and batch padders.
+    """One frozen model plus its plan cache and batch padders.
 
     Takes ``model`` over: puts it in evaluation mode and folds its
     batch-norms into their convs, in place.
     """
 
-    def __init__(self, name: str, model, generation: int):
+    def __init__(self, name: str, model):
         model.eval()
         fold_batchnorm(model)
         self.name = name
         self.model = model
-        #: registry entry generation — re-registration makes a new wrapper
-        #: with a higher generation, so stale plans are structurally
-        #: unreachable rather than runtime-checked
-        self.generation = generation
-        self.plans = PlanCache(pinned=True)
+        self.plans = PlanCache(model)
         self._padders: Dict[tuple, BatchPadder] = {}
         self._lock = threading.RLock()
         self.exact_replays = 0
@@ -207,7 +202,7 @@ class ServedModel:
     def release(self) -> None:
         """Free every cached plan's buffers and arenas (evict path)."""
         with self._lock:
-            self.plans.clear(release=True)
+            self.plans.clear()
             self._padders.clear()
 
     def stats(self) -> Dict[str, int]:
@@ -241,7 +236,6 @@ class ModelRegistry:
         #: insertion order == LRU order (dict preserves it; run() refreshes)
         self._entries: Dict[str, _Entry] = {}
         self._lock = threading.RLock()
-        self._next_generation = 1
         self.evictions = 0
 
     # -- registration ------------------------------------------------------
@@ -275,9 +269,7 @@ class ModelRegistry:
         with self._lock:
             if name in self._entries:
                 self.evict(name)
-            generation = self._next_generation
-            self._next_generation += 1
-            served = ServedModel(name, model, generation=generation)
+            served = ServedModel(name, model)
             self._entries[name] = _Entry(name, served, path)
             while len(self._entries) > self.max_models:
                 coldest = next(k for k in self._entries if k != name)

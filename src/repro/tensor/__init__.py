@@ -7,12 +7,12 @@ Public surface:
 - :mod:`repro.tensor.functional` — conv2d, linear, batch_norm, pooling,
   activations, losses, and the channel gather/scatter ops used by the
   channel-gating baseline.
-- :mod:`repro.tensor.workspace` — the plan generation
-  ``workspace.invalidate()`` bumps.
+- :mod:`repro.tensor.workspace` — inert names the frozen benchmark reads.
 - :mod:`repro.tensor.compile` — compiled training steps: capture one eager
   forward/backward as a flat kernel plan (:class:`~repro.tensor.compile.
   StepPlan`) over one liveness-planned arena (:mod:`repro.tensor.memplan`)
-  and replay it bit-exactly until the next reconfiguration.
+  and replay it bit-exactly until the model it was captured on is next
+  reconfigured.
 """
 
 from . import compile, functional, workspace

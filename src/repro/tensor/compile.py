@@ -44,12 +44,16 @@ layout) and *bind* (readers, sinks and thunks over arena views).
 
 Invalidation
 ------------
-Plans record ``workspace.PLAN_GENERATION`` at capture.  The counter is
-bumped by ``workspace.invalidate()``, which pruning reconfiguration calls,
-and so does ``Module.load_state_dict`` (checkpoint restore reassigns
-``param.data``, so array references captured by a plan go stale).  Dynamic
-mini-batch growth needs no hook: the input shape is part of the plan-cache key
-(:func:`train_step`), so a new batch size simply captures a new plan.
+A plan is valid for the model it was captured on, and only while every
+leaf it bound still holds the array it bound (:meth:`StepPlan.
+invalid_reason`): SGD and ``Module.load_state_dict`` write into those
+arrays, a ``param.data`` swap replaces one.  A :class:`PlanCache` belongs
+to one model and drops everything it holds when that model's
+``plan_generation`` moves (``Module.invalidate_plans``, which pruning
+reconfiguration and the batch-norm fold call), so reconfiguring one model
+retires no other model's plans.  Dynamic mini-batch growth needs no hook:
+the input shape is part of the plan-cache key (:func:`train_step`), so a
+new batch size simply captures a new plan.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ import numpy as np
 
 from ..profiler import Counters, register
 from . import memplan as _mp
-from . import workspace as ws
 from .ops import conv as _conv
 from .ops import table as _table
 from .functional import cross_entropy
@@ -419,7 +422,7 @@ class _PlanBuilder:
                              [rec.kind for rec in bwd_recs])
         plan._logits_slot = tape.slot_of[id(logits)]
         plan._loss_slot = tape.slot_of[id(loss)] if loss is not None else -1
-        plan._leaf_shapes = [(t, t.data.shape) for t in self._leaves.values()]
+        plan._leaf_arrays = [(t, t.data) for t in self._leaves.values()]
         convs = [(r.inputs[0].data.shape, r.inputs[1].data.shape, *r.attrs[:2])
                  for r in tape.records if r.kind == "conv2d"]
         plan._conv_forms = [
@@ -638,8 +641,8 @@ class StepPlan:
     ``kind == "train"`` plans run forward + loss + backward and leave
     parameter gradients exactly where the eager step would (``param.grad``);
     ``kind == "forward"`` plans run inference only.  A plan is bound to the
-    capture-time batch shape and parameter shapes — :meth:`invalid_reason`
-    performs the cheap per-replay stationarity check.
+    capture-time batch shape and to the arrays of the leaves it read —
+    :meth:`invalid_reason` performs the cheap per-replay identity check.
     """
 
     def __init__(self, kind: str, n_slots: int, input_slot: int):
@@ -654,7 +657,8 @@ class StepPlan:
         self._bwd: List[Callable[[], None]] = []
         self._logits_slot = -1
         self._loss_slot = -1
-        self._leaf_shapes: List[Tuple[Tensor, tuple]] = []
+        #: ``(leaf, the array it held at capture)`` for every leaf read
+        self._leaf_arrays: List[Tuple[Tensor, np.ndarray]] = []
         self._n_ops = 0
         #: the arena planner backing this plan's buffers (set by ``bind``)
         self._mem: _mp.MemPlanner
@@ -662,31 +666,15 @@ class StepPlan:
         self._thunk_kinds: Tuple[List[str], List[str]] = ([], [])
         #: ``(x_shape, w_shape, stride, padding, form)`` per conv, op order
         self._conv_forms: List[tuple] = []
-        self.generation = ws.PLAN_GENERATION
         #: forward plans captured with the per-sample Linear lowering
         #: (see Tape.finalize) — the serving tier's contract bit
         self.row_stable = False
-        #: pinned plans skip the global generation check (see pin())
-        self.pinned = False
         #: buffers released via release_buffers(); replay must fail loudly
         self._released = False
 
     # -- serving lifecycle -------------------------------------------------
-    def pin(self) -> "StepPlan":
-        """Exempt this plan from global-generation invalidation.
-
-        The serving tier registers many models; every ``load_state_dict``
-        bumps the *global* plan generation, which would purge model A's
-        plans whenever model B loads.  A pinned plan trusts its owner (the
-        serve registry) to guarantee the captured model is frozen — the
-        parameter-shape check still applies, only the generation comparison
-        is skipped.  Never pin a training plan.
-        """
-        self.pinned = True
-        return self
-
     def release_buffers(self) -> None:
-        """Deterministically free this plan's buffers (serve eviction).
+        """Deterministically free this plan's buffers (a cache drop).
 
         Drops the thunk lists (whose closures hold the arena views) and
         releases the memplan arena handle, so ``live_arena_count()`` and
@@ -699,7 +687,7 @@ class StepPlan:
         self._values = [None] * self.n_slots
         self._grads = [None] * self.n_slots
         self._ctxs = [None] * self.n_slots
-        self._leaf_shapes = []
+        self._leaf_arrays = []
         self._mem.release()
 
     # -- validation --------------------------------------------------------
@@ -707,11 +695,9 @@ class StepPlan:
         """Cheap stationarity check; ``None`` means the plan may replay."""
         if self._released:
             return "plan buffers released (plan was evicted)"
-        if not self.pinned and self.generation != ws.PLAN_GENERATION:
-            return "model reconfigured since capture"
-        for t, shape in self._leaf_shapes:
-            if t.data.shape != shape:
-                return "parameter shape changed since capture"
+        for t, arr in self._leaf_arrays:
+            if t.data is not arr:
+                return "parameter array replaced since capture"
         return None
 
     # -- memory reporting --------------------------------------------------
@@ -808,56 +794,52 @@ class StepPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"StepPlan(kind={self.kind!r}, ops={self._n_ops}, "
-                f"slots={self.n_slots}, generation={self.generation})")
+                f"slots={self.n_slots})")
 
 
 class PlanCache:
-    """Shape-keyed LRU plan cache.  A caller (:func:`train_step`,
-    :func:`forward_step`, the serving registry) replays what :meth:`lookup`
-    returns; on ``None`` it stays eager if :meth:`sealed` names a recorded
-    capture failure, and otherwise captures and hands the outcome to
-    :meth:`store` (a failure is sealed, so an uncompilable step is attempted
-    once per stationary phase, not once per batch).  ``lookup`` itself drops
-    a stale plan (``StepPlan.invalid_reason``) and reads it as a miss.
+    """Shape-keyed LRU cache of the plans captured on one ``model``.  A
+    caller (:func:`train_step`, :func:`forward_step`, the serving registry)
+    replays what :meth:`lookup` returns; on ``None`` it stays eager if
+    :meth:`sealed` names a recorded capture failure, and otherwise captures
+    and hands the outcome to :meth:`store` (a failure is sealed, so an
+    uncompilable step is attempted once per stationary phase, not once per
+    batch).  ``lookup`` itself drops a stale plan
+    (``StepPlan.invalid_reason``) and reads it as a miss.
 
-    Stale-generation entries are purged on *every* access — ``store``
-    included, so a store right after a reconfiguration can never re-stamp
-    dead plans (and their arenas) with the new generation.  ``max_entries``
-    bounds growth across dynamic-batch tails by LRU eviction.
-
-    ``pinned=True`` (the serving registry's per-model cache) pins what it
-    stores and skips the generation sweep — those plans' validity is scoped
-    to the registry entry, and loading one model must not purge another's
-    hot plans.  Such a cache owns its plans' buffers and releases every
-    plan it drops (stale, evicted or cleared) at once.
+    When ``model.plan_generation`` moves (``Module.invalidate_plans``) every
+    entry goes, sealed failures included, on *every* access — ``store``
+    too, so a store right after a reconfiguration never keeps a dead plan
+    beside the new one.  ``max_entries`` bounds growth across dynamic-batch
+    tails by LRU eviction.  The cache owns its plans' buffers and releases
+    every plan it drops (stale, evicted or cleared) at once.
     """
 
-    def __init__(self, max_entries: int = 8, pinned: bool = False) -> None:
+    def __init__(self, model, max_entries: int = 8) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         #: ``key -> StepPlan`` or ``key -> str`` (a sealed failure reason)
         self._plans: Dict[tuple, object] = {}
-        self._generation = ws.PLAN_GENERATION
+        self._model = model
+        self._generation = model.plan_generation
         self.max_entries = max_entries
-        self.pinned = pinned
         self.evictions = 0
-        # The serving tier's dispatch thread looks up and stores while
-        # another thread may bump the generation (ws.invalidate is atomic on
-        # its side); RLock because lookup/store call purge_stale internally.
+        # The serving tier's dispatch thread and a caller's thread may both
+        # reach one cache; RLock because lookup/store call purge_stale.
         self._lock = threading.RLock()
 
     def purge_stale(self) -> None:
-        """Drop every entry captured before the current plan generation."""
-        if self.pinned:
-            return
+        """Drop every entry captured before the model's current plan
+        generation."""
         with self._lock:
-            gen = ws.plan_generation()
+            gen = self._model.plan_generation
             if self._generation != gen:
-                self._plans.clear()
+                self.clear()
                 self._generation = gen
 
-    def _discard(self, value) -> None:
-        if self.pinned and isinstance(value, StepPlan):
+    @staticmethod
+    def _discard(value) -> None:
+        if isinstance(value, StepPlan):
             value.release_buffers()
 
     def _get(self, key: tuple):
@@ -896,27 +878,24 @@ class PlanCache:
         sealed reason, ``None`` when a plan was stored."""
         if plan is not None:
             reason = None
-            if self.pinned:
-                plan.pin()
         else:
             reason = reason or "capture failed"
         with self._lock:
             self.purge_stale()
-            self._plans.pop(key, None)
+            old = self._plans.pop(key, None)
+            if old is not plan:
+                self._discard(old)
             self._plans[key] = plan if plan is not None else reason
             while len(self._plans) > self.max_entries:
                 self._discard(self._plans.pop(next(iter(self._plans))))
                 self.evictions += 1
         return reason
 
-    def clear(self, release: bool = False) -> None:
-        """Drop every entry; ``release=True`` also frees plan buffers
-        (the serve registry's evict path)."""
+    def clear(self) -> None:
+        """Drop every entry, freeing every plan's buffers."""
         with self._lock:
-            if release:
-                for v in self._plans.values():
-                    if isinstance(v, StepPlan):
-                        v.release_buffers()
+            for v in self._plans.values():
+                self._discard(v)
             self._plans.clear()
 
     def keys(self) -> List[tuple]:

@@ -30,11 +30,12 @@ the memory fields of the trainer's ``EpochRecord`` and ``PROFILER.summary()
 ["_memplan"]``; it is a report only: dynamic mini-batch growth is sized by
 the analytical Sec. 4.3 model.
 
-Lifecycle: arenas are owned by their plan.  Plans retire on
-``workspace.PLAN_GENERATION`` bumps (pruning reconfiguration, checkpoint
-restore) and are dropped by the trainer's ``PlanCache``; the weakref
-registry here lets :func:`live_arena_bytes` report how many arena bytes are
-currently resident without keeping any arena alive.
+Lifecycle: arenas are owned by their plan.  A plan retires when its
+model is reconfigured (``Module.invalidate_plans``) or a leaf it bound
+holds a new array, and the ``PlanCache`` that drops it releases its arena
+at once; the weakref registry here lets :func:`live_arena_bytes` report
+how many arena bytes are currently resident without keeping any arena
+alive.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
-"""The plan generation, and the inert names the frozen benchmark still reads.
+"""Inert names the frozen benchmark still reads, and where plan validity
+lives instead.
 
-:data:`PLAN_GENERATION` is what keeps a compiled plan valid: PruneTrain's
-training loop is shape-stationary *between* reconfigurations, so a captured
-plan replays until channel surgery (``repro.prune.reconfigure``) changes
-every activation shape — the paper's "dense reconfiguration" moment
-(Sec. 4.2) — or a checkpoint restore swaps the weight arrays; both call
-:func:`invalidate`.
+A compiled plan's validity is scoped to its model: each
+:class:`~repro.nn.module.Module` carries its own ``plan_generation``, which
+:meth:`~repro.nn.module.Module.invalidate_plans` bumps (channel surgery,
+the batch-norm fold), and each plan checks that every leaf it bound still
+holds the same array (see :mod:`repro.tensor.compile`).  Nothing here is
+process-wide.
 
 The engine has no switches.  Every conv runs
 :class:`repro.tensor.ops.conv.ConvKernels` and every batch-norm the
@@ -22,7 +23,6 @@ that memory is what dynamic mini-batch growth (Sec. 4.3) spends.
 
 from __future__ import annotations
 
-import threading
 from contextlib import nullcontext
 from types import SimpleNamespace
 
@@ -51,33 +51,7 @@ def release(arr) -> None:
     until ROADMAP item 1 removes the call.  Nothing in ``src/`` calls it."""
 
 
-#: Monotonic counter bumped whenever the shape-stationarity assumption is
-#: broken (pruning reconfiguration, checkpoint restore, swapped weight
-#: arrays).  Compiled step plans (:mod:`repro.tensor.compile`) record the
-#: value at capture time and refuse to replay once it moves.
-PLAN_GENERATION = 0
-
-#: Guards PLAN_GENERATION bumps.  The serving tier's dispatch thread looks
-#: plans up while another thread may invalidate (a model load, a test
-#: thread), so the read-modify-write must be atomic.  Plain reads of the
-#: counter are a single bytecode and need no lock.
-_generation_lock = threading.Lock()
-
-
-def plan_generation() -> int:
-    """Atomic read of the current plan generation."""
-    return PLAN_GENERATION
-
-
 def invalidate() -> None:
-    """Invalidate every captured step plan.
-
-    Called on pruning reconfiguration, when the model's activation shapes
-    change wholesale, and on state mutations that keep the shapes but swap
-    the underlying arrays (``Module.load_state_dict`` reassigns
-    ``param.data``, so array references captured by a plan go stale).
-    Plan-owned arenas (:mod:`repro.tensor.memplan`) die with their plans.
-    """
-    global PLAN_GENERATION
-    with _generation_lock:
-        PLAN_GENERATION += 1
+    """No-op kept for ``benchmarks/e2e``, which calls it after its ladder,
+    until ROADMAP item 1 removes the call.  Plans retire per model
+    (``Module.invalidate_plans``); nothing in ``src/`` calls this."""

@@ -155,9 +155,9 @@ class Trainer:
         self._last_mem_metrics: Optional[Dict] = None
         #: shape-keyed plan caches (one per batch shape, so dynamic batch
         #: growth and the short tail batch each get their own plan); entries
-        #: self-invalidate on workspace.PLAN_GENERATION bumps
-        self._train_plans = PlanCache()
-        self._eval_plans = PlanCache()
+        #: retire when the model's plan generation moves (surgery)
+        self._train_plans = PlanCache(model)
+        self._eval_plans = PlanCache(model)
         self._fallback_reasons: set = set()
         if self.cfg.dist_engine not in ("elastic", "sim"):
             raise ValueError(

@@ -77,7 +77,7 @@ from repro.nn.bn_utils import recalibrate_bn
 from repro.optim import SGD
 from repro.prune import GroupLasso, prune_and_reconfigure
 from repro.serve import ModelRegistry
-from repro.tensor import Tensor, workspace
+from repro.tensor import Tensor
 from repro.tensor import compile as C
 from repro.tensor import functional as F
 from repro.tensor.ops import conv as conv_ops
@@ -209,7 +209,6 @@ def _net_digests(fresh, batches) -> dict:
         loss.backward()
         seen += [loss.data.copy()] + net.take_grads()
     out = {"eager": digest(seen)}
-    workspace.invalidate()
     net = fresh()
     (x0, y0), rest = batches[0], batches[1:]
     plan, loss, _, reason = C.capture_training_step(net, x0, y0)
@@ -224,7 +223,6 @@ def _net_digests(fresh, batches) -> dict:
     # the capturing batch again, now replayed
     replayed = [plan.run(x0, y0)[0].copy()] + net.take_grads()
     out["planned"] = digest(replayed + seen[len(first):])
-    workspace.invalidate()
     return out
 
 
@@ -293,7 +291,6 @@ def lasso_lines():
 
 def _prunetrain(name, model, scale, train, val):
     for leg, compiled in (("eager", False), ("compiled", True)):
-        workspace.invalidate()
         net = make_model(model, "cifar10s", scale, seed=0)
         cfg = PruneTrainConfig(
             epochs=2, batch_size=scale.batch_size, augment=scale.augment,
@@ -306,7 +303,6 @@ def _prunetrain(name, model, scale, train, val):
         for _, p in net.named_parameters():
             arrays += [p.data, trainer.optimizer.state_for(p)]
         yield f"{name}/{leg}", digest(arrays)
-    workspace.invalidate()
 
 
 def prunetrain_lines():
@@ -360,7 +356,6 @@ def _capture_layouts(name, build, forward=None):
     """The train plan's layout line and, for ``forward=(N, row_stable)``,
     a forward plan's after it (on the training batch when N is None)."""
     from tests.tensor.test_plan_builder import _layout
-    workspace.invalidate()
     model, hw, n = build()
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, 3, hw, hw)).astype(np.float32)
@@ -384,18 +379,15 @@ def _capture_layouts(name, build, forward=None):
 
 def layout_lines():
     from tests.tensor.test_plan_builder import LAYOUTS
-    try:
-        # "-serial": these lines keep the names they had when a parallel
-        # layout was recorded beside each, so outputs diff across trees
-        for build, (_, serve) in LAYOUTS.items():
-            yield from _capture_layouts(
-                f"layout/{build.__name__}-serial", build,
-                None if serve is None else (None, True))
-        for build, forward in EXTRA_LAYOUTS:
-            yield from _capture_layouts(f"layout/{build.__name__}", build,
-                                        forward)
-    finally:
-        workspace.invalidate()
+    # "-serial": these lines keep the names they had when a parallel
+    # layout was recorded beside each, so outputs diff across trees
+    for build, (_, serve) in LAYOUTS.items():
+        yield from _capture_layouts(
+            f"layout/{build.__name__}-serial", build,
+            None if serve is None else (None, True))
+    for build, forward in EXTRA_LAYOUTS:
+        yield from _capture_layouts(f"layout/{build.__name__}", build,
+                                    forward)
 
 
 #: (global batch, reconfigure before the step) per data-parallel step
@@ -422,7 +414,6 @@ def _dp_prune(model, opt) -> None:
 def dp_lines():
     data = make_synthetic(10, 32, hw=8, noise=0.8, seed=0)
     for k in (2, 3):
-        workspace.invalidate()
         model = resnet20(10, width_mult=0.25, input_hw=8, seed=3)
         model.train()
         opt = SGD(model.parameters(), lr=0.05, momentum=0.9,
@@ -437,7 +428,6 @@ def dp_lines():
             yield (f"dp/k{k}/step{i}-n{n}{'-pruned' if prune else ''}",
                    digest(arrays))
             opt.step()
-    workspace.invalidate()
 
 
 def _served_r32(prune):
@@ -467,7 +457,6 @@ def serve_lines():
     rng = np.random.default_rng(0)
     hw = QUICK.hw
     for name, build in SERVED.items():
-        workspace.invalidate()
         model = build()
         recalibrate_bn(model, [rng.standard_normal((32, 3, hw, hw))
                                .astype(np.float32) for _ in range(2)])
@@ -478,7 +467,6 @@ def serve_lines():
         yield f"serve/{name}/b1", digest([np.concatenate(b1)])
         yield f"serve/{name}/b16", digest([registry.run(name, x)])
         registry.clear()
-    workspace.invalidate()
 
 
 SECTIONS = {"conv": conv_lines, "ops": ops_lines, "lasso": lasso_lines,

@@ -34,7 +34,6 @@ import numpy as np
 from repro.experiments.configs import QUICK, make_model
 from repro.nn.bn_utils import fold_batchnorm
 from repro.tensor import compile as C
-from repro.tensor import workspace
 
 
 def count(replay, prepare=lambda: None):
@@ -104,7 +103,6 @@ CASES = {
 def lines(cases=tuple(CASES)):
     """``(case, python calls, C calls)`` per named case, in order."""
     for name in cases:
-        workspace.invalidate()
         yield (name, *count(*CASES[name]()))
 
 

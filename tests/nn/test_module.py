@@ -86,6 +86,21 @@ class TestStateDict:
         with pytest.raises(ValueError, match="shape mismatch"):
             b.load_state_dict(sd)
 
+    def test_buffer_shape_mismatch_raises(self):
+        """A checkpoint comes from outside the program: a buffer of the
+        wrong shape is refused like a parameter, and nothing is loaded."""
+        a, b = Toy(), Toy()
+        for p in a.parameters():
+            p.data = p.data + 1.0
+        before = b.state_dict()
+        sd = a.state_dict()
+        sd["bn.running_mean"] = np.zeros(sd["bn.running_mean"].size + 3,
+                                         np.float32)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            b.load_state_dict(sd)
+        after = b.state_dict()
+        assert all(np.array_equal(after[k], v) for k, v in before.items())
+
     def test_unknown_key_raises(self):
         toy = Toy()
         with pytest.raises(KeyError):

@@ -9,7 +9,7 @@ Pins the three failure-path behaviors the serving tier promises:
 - **corrupt / truncated checkpoint**: registration fails with a clean
   :class:`RegistryError` and the registry is left exactly as it was — no
   partial entry, and an existing entry under the same name survives;
-- **re-register after evict**: a fresh entry at a higher generation is
+- **re-register after evict**: a fresh entry with its own plan cache is
   built and plans are recompiled — the evicted entry's plans are released,
   never reused, and re-registration with different weights changes the
   served outputs.
@@ -161,7 +161,6 @@ class TestReRegister:
         registry.evict("m")
         served2 = registry.register("m", path, _model)
         assert served2 is not served1
-        assert served2.generation > served1.generation
         out2 = registry.run("m", x)
         plan2 = served2.plans.lookup(key)
         # recompiled, not reused: a new plan in the new entry's own cache,

@@ -151,7 +151,7 @@ def test_padding_level_never_changes_logits(tmp_path):
     served = registry.served("dense")
     assert served.warm(4, x.shape[1:])
     out_pad4 = registry.run("dense", x)
-    served.plans.clear(release=True)
+    served.plans.clear()
     assert served.warm(8, x.shape[1:])
     out_pad8 = registry.run("dense", x)
     assert np.array_equal(out_pad4, out_pad8)

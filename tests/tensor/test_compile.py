@@ -3,8 +3,9 @@
 The contract under test (repro.tensor.compile): a StepPlan captured from one
 eager step replays the *identical* floating-point computation — losses,
 parameter gradients, BN running stats, everything — as a flat list of kernel
-thunks, and retires itself (``invalid_reason``) whenever the network is
-reconfigured or parameter shapes move.
+thunks, and retires whenever the model it was captured on is reconfigured
+(its ``PlanCache`` sees the model's generation move) or a leaf it bound no
+longer holds the bound array (``invalid_reason``).
 """
 
 import threading
@@ -16,7 +17,9 @@ import pytest
 from repro.nn import resnet20
 from repro.nn.module import Module
 from repro.optim import SGD
-from repro.tensor import Tensor, functional as F, no_grad, workspace
+from repro.prune import prune_and_reconfigure
+from repro.serve import ModelRegistry
+from repro.tensor import Tensor, functional as F, memplan, no_grad
 from repro.tensor.compile import (STATS, PlanCache, StepPlan, Tape,
                                   capture_forward, capture_training_step,
                                   train_step)
@@ -281,15 +284,20 @@ class TestForwardPlan:
 
 
 class TestInvalidation:
+    @staticmethod
+    def _step(model, x, y, cache):
+        model.zero_grad()
+        return train_step(model, x, y, cache)
+
     def test_generation_bump_retires_plan(self):
         rng = np.random.default_rng(4)
         x, y = _batch(rng)
-        plan, loss_t, _, reason = capture_training_step(_model(), x, y)
-        assert reason is None
-        loss_t.backward()
-        assert plan.invalid_reason() is None
-        workspace.invalidate()          # what channel surgery calls
-        assert "reconfigured" in plan.invalid_reason()
+        model = _model()
+        cache = PlanCache(model)
+        plan = self._step(model, x, y, cache)[2][0]
+        assert cache.lookup(_key(x, y)) is plan
+        model.invalidate_plans()          # what channel surgery calls
+        assert cache.lookup(_key(x, y)) is None and plan._released
 
     def test_parameter_shape_change_retires_plan(self):
         rng = np.random.default_rng(6)
@@ -300,15 +308,61 @@ class TestInvalidation:
         p = model.parameters()[0]
         old = p.data
         p.data = old[:-1]               # simulate surgery without invalidate
-        assert "parameter shape" in plan.invalid_reason()
+        assert "parameter array" in plan.invalid_reason()
         p.data = old
+        assert plan.invalid_reason() is None
 
-    def test_load_state_dict_bumps_generation(self):
+    def test_same_shape_array_swap_retires_plan(self):
+        """A plan binds weight arrays, so a ``param.data`` swap that keeps
+        the shape retires it: the next step recaptures and equals an eager
+        step on the swapped weights, never a replay of the old ones."""
+        x, y = _batch(np.random.default_rng(8))
+        model, twin = _model(), _model()
+        cache = PlanCache(model)
+        plan = self._step(model, x, y, cache)[2][0]
+        TestTrainStep._eager(twin, x, y)
+        for m in (model, twin):
+            conv = m.parameters()[0]
+            conv.data = conv.data * 0.5
+        assert "parameter array" in plan.invalid_reason()
+        captures = STATS.captures
+        got = self._step(model, x, y, cache)
+        TestTrainStep._assert_equal(got, TestTrainStep._eager(twin, x, y),
+                                    model, twin)
+        assert got[2] is not None and STATS.captures == captures + 1
+
+    def test_load_state_dict_keeps_the_live_plan(self):
+        """``load_state_dict`` writes into the arrays a plan bound: the plan
+        stays live, and its next replay equals an eager step on the loaded
+        weights bit for bit."""
+        x, y = _batch(np.random.default_rng(9))
         model = _model()
-        state = model.state_dict()
-        gen = workspace.PLAN_GENERATION
-        model.load_state_dict(state)
-        assert workspace.PLAN_GENERATION > gen
+        cache = PlanCache(model)
+        plan = self._step(model, x, y, cache)[2][0]
+        donor, twin = _model(seed=11), _model(seed=11)
+        model.load_state_dict(donor.state_dict())
+        assert plan.invalid_reason() is None
+        captures, replays = STATS.captures, STATS.replays
+        got = self._step(model, x, y, cache)
+        TestTrainStep._assert_equal(got, TestTrainStep._eager(twin, x, y),
+                                    model, twin)
+        assert got[2] is None
+        assert (STATS.captures, STATS.replays) == (captures, replays + 1)
+
+    def test_other_models_changes_leave_plans_live(self):
+        """Reconfiguring, loading or serving model B retires none of model
+        A's plans: A's next step replays, with no capture."""
+        x, y = _batch(np.random.default_rng(10))
+        a, b = _model(), _model(seed=12)
+        cache = PlanCache(a)
+        plan = self._step(a, x, y, cache)[2][0]
+        prune_and_reconfigure(b)
+        b.load_state_dict(b.state_dict())
+        ModelRegistry().register_model("b", b)
+        captures, replays = STATS.captures, STATS.replays
+        assert self._step(a, x, y, cache)[2] is None
+        assert (STATS.captures, STATS.replays) == (captures, replays + 1)
+        assert cache.lookup(_key(x, y)) is plan
 
 
 class TestFallback:
@@ -395,9 +449,14 @@ class TestPerThreadState:
             assert np.array_equal(p.grad, g)
 
 
-def _captured_plan(seed=7):
+def _key(x, y):
+    """``train_step``'s cache key for a batch."""
+    return (x.shape, x.dtype.str, y.shape, y.dtype.str)
+
+
+def _captured_plan(model=None, seed=7):
     x, y = _batch(np.random.default_rng(seed))
-    plan, loss_t, _, reason = capture_training_step(_model(), x, y)
+    plan, loss_t, _, reason = capture_training_step(model or _model(), x, y)
     assert reason is None
     loss_t.backward()
     return plan
@@ -406,8 +465,9 @@ def _captured_plan(seed=7):
 @contextmanager
 def _reshaped(plan):
     """Shrink one of ``plan``'s parameters for a block, as surgery without
-    an ``invalidate()`` would: the plan is stale until the shape is back."""
-    param, _ = plan._leaf_shapes[0]
+    ``invalidate_plans()`` would: the plan is stale until the array is
+    back."""
+    param, _ = plan._leaf_arrays[0]
     old = param.data
     param.data = old[:-1]
     try:
@@ -418,13 +478,14 @@ def _reshaped(plan):
 
 class TestPlanCache:
     def test_store_lookup_and_sentinels(self):
-        cache = PlanCache()
+        model = _model()
+        cache = PlanCache(model)
         key = ("train", (8, 3, 8, 8))
         assert cache.store(key, None, "unsupported op") == "unsupported op"
         assert cache.lookup(key) is None
         assert cache.sealed(key) == "unsupported op"
         assert cache.store(("bare",), None, None) == "capture failed"
-        plan = _captured_plan()
+        plan = _captured_plan(model)
         assert cache.store(("plan",), plan, None) is None
         assert cache.lookup(("plan",)) is plan
         assert cache.sealed(("plan",)) is None
@@ -433,51 +494,59 @@ class TestPlanCache:
         assert len(cache) == 3
 
     def test_generation_bump_clears(self):
-        cache = PlanCache()
+        model = Module()
+        cache = PlanCache(model)
         cache.store(("k",), None, "x")
-        workspace.invalidate()
+        model.invalidate_plans()
         assert cache.sealed(("k",)) is None
         assert len(cache) == 0
 
     def test_lookup_drops_stale_plan(self):
         """A plan a parameter reshape staled is never returned: the lookup
-        drops it, so it stays gone once the shape is restored."""
-        cache = PlanCache()
-        plan = _captured_plan()
+        drops it and releases its buffers, so it stays gone once the shape
+        is restored."""
+        model = _model()
+        cache = PlanCache(model)
+        plan = _captured_plan(model)
         cache.store(("k",), plan, None)
-        with _reshaped(plan):
-            assert cache.lookup(("k",)) is None
-        assert plan.invalid_reason() is None
-        assert cache.lookup(("k",)) is None and len(cache) == 0
-        # an unpinned cache does not own the buffers: nothing released
-        assert not plan.pinned and not plan._released
-
-    def test_pinned_cache_releases_dropped_plan(self):
-        from repro.tensor import memplan
-        cache = PlanCache(pinned=True)
-        plan = _captured_plan()
-        cache.store(("k",), plan, None)
-        assert plan.pinned
-        workspace.invalidate()     # pinned: no generation sweep
-        assert cache.lookup(("k",)) is plan
         base = memplan.live_arena_count()
         with _reshaped(plan):
             assert cache.lookup(("k",)) is None
             assert plan._released
             assert memplan.live_arena_count() == base - 1
-        assert len(cache) == 0
+        assert cache.lookup(("k",)) is None and len(cache) == 0
+
+    def test_cache_releases_dropped_plan(self):
+        """Another model's generation bump touches nothing here; this
+        model's releases every plan it held, as do LRU eviction and
+        ``clear``."""
+        model, other = _model(), Module()
+        cache = PlanCache(model, max_entries=1)
+        stale, evicted, cleared = (_captured_plan(model, seed)
+                                   for seed in (1, 2, 3))
+        cache.store(("k",), stale, None)
+        other.invalidate_plans()
+        assert cache.lookup(("k",)) is stale and not stale._released
+        model.invalidate_plans()
+        cache.store(("e",), evicted, None)
+        assert stale._released and cache.keys() == [("e",)]
+        cache.store(("c",), cleared, None)
+        assert evicted._released and cache.evictions == 1
+        cache.clear()
+        assert cleared._released and len(cache) == 0
 
     def test_sealed_reason_survives_lookup_until_generation_bump(self):
-        cache = PlanCache()
+        model = Module()
+        cache = PlanCache(model)
         cache.store(("k",), None, "unsupported op")
         for _ in range(3):
             assert cache.lookup(("k",)) is None
             assert cache.sealed(("k",)) == "unsupported op"
-        workspace.invalidate()
+        model.invalidate_plans()
         assert cache.sealed(("k",)) is None
 
     def test_entry_cap_evicts_least_recently_used(self):
-        cache = PlanCache(max_entries=2)
+        cache = PlanCache(Module(), max_entries=2)
         cache.store(("a",), None, "1")
         cache.store(("b",), None, "2")
         assert cache.sealed(("a",)) == "1"   # refresh "a": "b" is now LRU
@@ -488,7 +557,7 @@ class TestPlanCache:
         assert cache.evictions == 1 and len(cache) == 2
 
     def test_restore_refreshes_lru_position(self):
-        cache = PlanCache(max_entries=2)
+        cache = PlanCache(Module(), max_entries=2)
         cache.store(("a",), None, "1")
         cache.store(("b",), None, "2")
         cache.store(("a",), None, "10")      # re-store also refreshes
@@ -498,32 +567,35 @@ class TestPlanCache:
 
     def test_invalid_max_entries_rejected(self):
         with pytest.raises(ValueError):
-            PlanCache(max_entries=0)
+            PlanCache(Module(), max_entries=0)
 
     def test_store_after_generation_bump_purges_stale_entries(self):
         """Regression: a store right after a reconfiguration must not
         re-stamp plans captured in the previous generation as current."""
-        cache = PlanCache()
+        model = Module()
+        cache = PlanCache(model)
         cache.store(("old",), None, "stale")
-        workspace.invalidate()
+        model.invalidate_plans()
         cache.store(("new",), None, "fresh")  # no lookup in between
         assert cache.sealed(("old",)) is None
         assert cache.sealed(("new",)) == "fresh"
         assert len(cache) == 1
 
     def test_generation_bumps_race_plan_cache(self):
-        """Concurrent invalidate + PlanCache traffic, as the serving tier's
-        dispatch thread makes it: no lost bumps, no stale entries surviving
-        a bump observed by the cache."""
-        cache = PlanCache(max_entries=16)
-        start = workspace.plan_generation()
+        """The model's generation bumped from one thread while three others
+        use its cache, as a reconfiguring thread and the serving tier's
+        dispatch thread would: no lost bumps, no stale entries surviving a
+        bump observed by the cache."""
+        model = Module()
+        cache = PlanCache(model, max_entries=16)
+        start = model.plan_generation
         bumps = 200
         stop = threading.Event()
         errors = []
 
         def bumper():
             for _ in range(bumps):
-                workspace.invalidate()
+                model.invalidate_plans()
             stop.set()
 
         def churner():
@@ -544,9 +616,9 @@ class TestPlanCache:
         for t in threads:
             t.join(timeout=30)
         assert not errors
-        assert workspace.plan_generation() == start + bumps
+        assert model.plan_generation == start + bumps
         cache.purge_stale()
-        assert cache._generation == workspace.plan_generation()
+        assert cache._generation == model.plan_generation
 
 
 class TestTrainStep:
@@ -575,8 +647,8 @@ class TestTrainStep:
     def test_four_paths_equal_eager(self):
         x, y = _batch(np.random.default_rng(0))
         model, twin = _model(), _model()
-        plans = PlanCache()
-        sealed = PlanCache()
+        plans = PlanCache(model)
+        sealed = PlanCache(model)
         sealed.store((x.shape, x.dtype.str, y.shape, y.dtype.str), None,
                      "unsupported op")
         paths = [("capture", plans), ("replay", plans),

@@ -23,7 +23,7 @@ from repro.experiments.configs import QUICK, make_model
 from repro.nn import resnet20, resnet50_cifar, vgg11
 from repro.optim import SGD
 from repro.prune import GroupLasso, prune_and_reconfigure
-from repro.tensor import Tensor, workspace
+from repro.tensor import Tensor
 from repro.tensor import compile as C
 from repro.tensor import functional as F
 
@@ -226,7 +226,6 @@ def test_a_compiled_step_computes_the_oracle_step(name):
     the SGD update that follows give its velocities and its new
     weights."""
     build, n, bound = WHOLE_STEP[name]
-    workspace.invalidate()
     model = build()
     model.train()
     opt = SGD(model.parameters(), lr=0.05, momentum=0.9, weight_decay=5e-4)

@@ -125,7 +125,7 @@ CONFIG_SURFACE = {
     "repro.distributed.DynamicBatchAdjuster": (
         "memory_model", "granularity", "max_batch", "lr_rule", "history"),
     "repro.data.Augmenter": ("flip", "max_shift"),
-    "repro.serve.ServedModel": ("name", "model", "generation"),
+    "repro.serve.ServedModel": ("name", "model"),
     "repro.serve.ModelRegistry": ("max_models",),
     "repro.serve.InferenceServer": (
         "registry", "max_batch", "latency_budget", "clock"),
@@ -151,12 +151,12 @@ def test_configuration_surface_is_pinned():
         assert got == expected, qualname
 
 
-def _config_reads(tree, module_scope=False):
-    """Lines of ``tree`` that touch ``workspace.config`` — import it, or
+def _workspace_uses(tree, name="config", module_scope=False):
+    """Lines of ``tree`` that touch ``workspace.<name>`` — import it, or
     name it as an attribute of the workspace module (``ws.config``,
     ``repro.tensor.workspace.config``, ``getattr(ws, "config")``), whatever
     names the module imported the workspace as.  ``module_scope``: the tree
-    is ``workspace.py`` itself, where any load of ``config`` counts."""
+    is ``workspace.py`` itself, where any load of ``name`` counts."""
     ws_names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -175,19 +175,19 @@ def _config_reads(tree, module_scope=False):
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if (node.module or "").endswith("workspace") and \
-                    any(a.name == "config" for a in node.names):
+                    any(a.name == name for a in node.names):
                 lines.append(node.lineno)
         elif isinstance(node, ast.Attribute):
-            if node.attr == "config" and is_workspace(node.value):
+            if node.attr == name and is_workspace(node.value):
                 lines.append(node.lineno)
         elif isinstance(node, ast.Call):
             if (isinstance(node.func, ast.Name) and node.func.id == "getattr"
                     and len(node.args) > 1 and is_workspace(node.args[0])
                     and isinstance(node.args[1], ast.Constant)
-                    and node.args[1].value == "config"):
+                    and node.args[1].value == name):
                 lines.append(node.lineno)
         elif isinstance(node, ast.Name):
-            if module_scope and node.id == "config" and \
+            if module_scope and node.id == name and \
                     isinstance(node.ctx, ast.Load):
                 lines.append(node.lineno)
     return lines
@@ -203,8 +203,8 @@ def test_nothing_reads_the_inert_engine_config():
     reads = {}
     for path in root.rglob("*.py"):
         rel = path.relative_to(root).as_posix()
-        lines = _config_reads(ast.parse(path.read_text()),
-                              rel == "repro/tensor/workspace.py")
+        lines = _workspace_uses(ast.parse(path.read_text()),
+                                module_scope=rel == "repro/tensor/workspace.py")
         if lines:
             reads[rel] = lines
     assert reads == {}
@@ -218,8 +218,9 @@ def test_nothing_reads_the_inert_engine_config():
                       "repro.tensor.workspace.config\n"
                       "other.config.x = 1\n"
                       "_ws.configure()\n")
-    assert sorted(_config_reads(probe)) == [2, 4, 5, 6, 7]
-    assert _config_reads(ast.parse("config = 1\nx = config\n"), True) == [2]
+    assert sorted(_workspace_uses(probe)) == [2, 4, 5, 6, 7]
+    assert _workspace_uses(ast.parse("config = 1\nx = config\n"),
+                           module_scope=True) == [2]
 
     from repro.nn import resnet20
     from repro.tensor import compile as C
@@ -243,6 +244,26 @@ def test_nothing_reads_the_inert_engine_config():
         assert np.array_equal(plan.run(x, y)[0], before)
     finally:
         vars(cfg).update(saved)
+
+
+def test_nothing_calls_the_inert_invalidate():
+    """``workspace.invalidate()`` is a no-op kept only for
+    ``benchmarks/e2e``, which calls it after its ladder: a plan retires
+    with its own model (``Module.invalidate_plans``), so no module of
+    ``src/`` or ``tests/`` names the process-wide one."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    uses = {}
+    for path in [*root.joinpath("src").rglob("*.py"),
+                 *root.joinpath("tests").rglob("*.py")]:
+        lines = _workspace_uses(ast.parse(path.read_text()), "invalidate")
+        if lines:
+            uses[path.relative_to(root).as_posix()] = lines
+    assert uses == {}
+    probe = ast.parse("from repro.tensor import workspace\n"
+                      "from repro.tensor.workspace import invalidate\n"
+                      "workspace.invalidate()\n"
+                      "model.invalidate_plans()\n")
+    assert _workspace_uses(probe, "invalidate") == [2, 3]
 
 
 #: ``PROFILER.summary()``'s counter entries and how many keys each reports
@@ -273,19 +294,24 @@ def test_counters_keep_the_names_the_benchmark_reads():
               if key.startswith("_")}
     assert layout == SUMMARY_LAYOUT
 
-    gen = workspace.plan_generation()
-    sparse.publish([(np.zeros((2, 2, 3, 3), np.float32),
-                     np.zeros(2, bool), np.ones(2, bool))])
-    sparse.clear()
-    assert workspace.plan_generation() == gen
-
-    # baseline_engine(), which the ladder's "seed" rung enters, is inert: a
-    # context manager that moves no eager bit
     from repro.nn import resnet20
     from repro.tensor import Tensor
     from repro.tensor import functional as F
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
+    model = resnet20(10, width_mult=0.25, input_hw=8, seed=0)
+    plan, loss_t, _, reason = tcompile.capture_training_step(
+        model, x, np.arange(4))
+    assert reason is None, reason
+    loss_t.backward()
+    gen = model.plan_generation
+    sparse.publish([(np.zeros((2, 2, 3, 3), np.float32),
+                     np.zeros(2, bool), np.ones(2, bool))])
+    sparse.clear()
+    assert model.plan_generation == gen and plan.invalid_reason() is None
+
+    # baseline_engine(), which the ladder's "seed" rung enters, is inert: a
+    # context manager that moves no eager bit
 
     def eager_step():
         model = resnet20(10, width_mult=0.25, input_hw=8, seed=0)
